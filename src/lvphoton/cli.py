@@ -58,11 +58,32 @@ class RunConfig:
     output: str | None
 
 
-def _as_3x3(key, value):
-    m = np.asarray(value, dtype=float)
-    if m.shape != (3, 3):
-        raise ValueError(f"{key} must be a 3x3 matrix")
-    return m
+def _real(key, value):
+    """A finite float from a JSON number; bools, strings and null are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{key} must be a number")
+    try:
+        value = float(value)
+    except OverflowError:  # an integer literal beyond the double range
+        value = np.inf
+    if not np.isfinite(value):
+        raise ValueError(f"{key} must be finite")
+    return value
+
+
+def _real_array(key, value, shape):
+    """A float array of the given shape from nested JSON lists of numbers."""
+    try:
+        cells = np.array(value, dtype=object)
+    except ValueError:  # ragged nesting
+        cells = None
+    if cells is None or cells.shape != shape:
+        what = f"{shape[0]}-vector" if len(shape) == 1 else (
+            "x".join(str(n) for n in shape) + " array"
+        )
+        raise ValueError(f"{key} must be a {what} of numbers")
+    entries = [_real(f"every entry of {key}", v) for v in cells.flat]
+    return np.array(entries).reshape(shape)
 
 
 def _load_kappas(raw, strict):
@@ -75,9 +96,9 @@ def _load_kappas(raw, strict):
         ("kappa_o_minus", "o_minus"),
     ):
         if key in raw:
-            fields[name] = _as_3x3(key, raw[key])
+            fields[name] = _real_array(key, raw[key], (3, 3))
     if "kappa_tr" in raw:
-        fields["tr"] = float(raw["kappa_tr"])
+        fields["tr"] = _real("kappa_tr", raw["kappa_tr"])
     if not fields:
         return None
     if strict:
@@ -89,9 +110,7 @@ def _load_kf(raw, strict):
     """Raw tensor components from kf_components; None when absent."""
     if "kf_components" not in raw:
         return None
-    components = np.asarray(raw["kf_components"], dtype=float)
-    if components.shape != (4, 4, 4, 4):
-        raise ValueError("kf_components must be a 4x4x4x4 array")
+    components = _real_array("kf_components", raw["kf_components"], (4, 4, 4, 4))
     if strict:
         report = kt.check_invariants(components)
         if not report.ok():
@@ -105,8 +124,9 @@ def _load_kf(raw, strict):
 def load_config(path, strict=False):
     """Parse and validate a JSON config file into a RunConfig.
 
-    Raises ValueError with a readable message for anything malformed;
-    the caller maps that to exit status 2.
+    Raises ValueError with a readable message for anything malformed,
+    mistyped or outside the perturbative regime; the caller maps that to
+    exit status 2.  Keys the loader does not know are ignored.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -132,25 +152,37 @@ def load_config(path, strict=False):
             )
     elif kappas is None:
         kappas = kt.KappaSet()
+    if kappas.magnitude > kt.PERTURBATIVE_LIMIT:
+        raise ValueError(
+            "kappa parameters must be perturbative "
+            f"(magnitude <= {kt.PERTURBATIVE_LIMIT:g})"
+        )
 
-    direction = np.asarray(raw.get("direction", Z_AXIS), dtype=float)
-    if direction.shape != (3,):
-        raise ValueError("direction must be a 3-vector")
+    direction = Z_AXIS.copy()
+    if "direction" in raw:
+        direction = _real_array("direction", raw["direction"], (3,))
     norm = np.linalg.norm(direction)
     if norm == 0.0 or not np.isfinite(norm):
         raise ValueError("direction must be a nonzero finite 3-vector")
     direction = direction / norm
 
-    cutoff = int(raw.get("cutoff", 2))
+    cutoff = raw.get("cutoff", 2)
+    if isinstance(cutoff, bool) or not isinstance(cutoff, int):
+        raise ValueError("cutoff must be an integer")
     if not CUTOFF_RANGE[0] <= cutoff <= CUTOFF_RANGE[1]:
         raise ValueError(f"cutoff must lie in {CUTOFF_RANGE}")
 
-    scales = tuple(float(s) for s in raw.get("scales", ()))
-    if any(s <= 0.0 or s > 0.1 for s in scales):
-        raise ValueError("scales must be positive and perturbative (<= 0.1)")
+    scales = raw.get("scales", [])
+    if not isinstance(scales, list):
+        raise ValueError("scales must be a list of numbers")
+    scales = tuple(_real("every entry of scales", s) for s in scales)
+    if any(s <= 0.0 or s > kt.PERTURBATIVE_LIMIT for s in scales):
+        raise ValueError(
+            f"scales must be positive and perturbative (<= {kt.PERTURBATIVE_LIMIT:g})"
+        )
 
-    time = float(raw.get("time", TIME_HORIZON))
-    if time <= 0.0 or not np.isfinite(time):
+    time = _real("time", raw.get("time", TIME_HORIZON))
+    if time <= 0.0:
         raise ValueError("time must be a positive real")
 
     output = raw.get("output")
@@ -718,10 +750,18 @@ def _inject_c_defect(space, h, strength=1e-3):
     a_state = fs.dg_basis_state(space, (1, 0, 0, 0))
     c_state = fs.dg_basis_state(space, (0, 0, 1, 1))
     mdiag = fs.metric_diagonal(space)
-    defect = np.outer(c_state, (mdiag * a_state).conj()) + np.outer(
-        a_state, (mdiag * c_state).conj()
-    )
-    return h + sp.csr_matrix(strength * defect)
+
+    def outer(ket, bra):
+        # |ket><bra| from the nonzero entries of the two states only
+        rows, cols = np.flatnonzero(ket), np.flatnonzero(bra)
+        data = np.outer(ket[rows], bra[cols].conj())
+        return sp.csr_matrix(
+            (data.ravel(), (np.repeat(rows, len(cols)), np.tile(cols, len(rows)))),
+            shape=h.shape,
+        )
+
+    defect = outer(c_state, mdiag * a_state) + outer(a_state, mdiag * c_state)
+    return h + strength * defect
 
 
 def _lorenz_checks(rng, config, inject_c_leakage):

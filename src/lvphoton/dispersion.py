@@ -16,6 +16,7 @@ from scipy.optimize import brentq
 
 from .kappa_tensor import (
     METRIC,
+    PERTURBATIVE_LIMIT,
     FourVector,
     KappaSet,
     as_four_components,
@@ -25,6 +26,9 @@ from .kappa_tensor import (
 
 _XHAT = np.array([1.0, 0.0, 0.0])
 _YHAT = np.array([0.0, 1.0, 0.0])
+
+#: Relative roundoff allowance on sigma^2, in units of |ktilde|^2.
+SIGMA_SQ_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -139,15 +143,17 @@ def rho_sigma(kf, khat):
         rho    = -(1/2) ktilde^a_a
         sigma^2 = (1/2) ktilde_{ab} ktilde^{ab} - rho^2
 
-    sigma is the nonnegative root; a sigma^2 below -1e-18 (beyond
-    numerical noise) triggers a warning before clamping to zero.
+    sigma is the nonnegative root.  Roundoff in the difference scales
+    with |ktilde|^2 (up to ~30 eps times it over random draws), so only a
+    sigma^2 below -SIGMA_SQ_RTOL * |ktilde|^2 counts as beyond numerical
+    noise and triggers a warning before clamping to zero.
     """
     khat = np.asarray(khat, dtype=float)
     kt = ktilde(kf, np.concatenate(([1.0], khat)))
     rho = -0.5 * np.einsum("ab,ba->", kt, METRIC)
     kt_low = METRIC @ kt @ METRIC
     sigma_sq = 0.5 * np.einsum("ab,ab->", kt_low, kt) - rho**2
-    if sigma_sq < -1e-18:
+    if sigma_sq < -SIGMA_SQ_RTOL * np.sum(kt**2):
         warnings.warn(f"sigma^2 = {sigma_sq:.3e} < 0 beyond roundoff; clamping to 0")
     return float(rho), float(np.sqrt(max(sigma_sq, 0.0)))
 
@@ -213,7 +219,7 @@ def solve_ampere(kf, kvec):
     if knorm == 0.0:
         raise ValueError("wavevector must be nonzero")
     strength = np.max(np.abs(K))
-    if strength > 0.1:
+    if strength > PERTURBATIVE_LIMIT:
         raise ValueError("tensor outside the perturbative regime (max component > 0.1)")
 
     if strength == 0.0:

@@ -92,13 +92,29 @@ def _check_operator(space, a):
 
 
 def annihilator(space, mode):
-    """Sparse lowering operator for one mode (entries sqrt(n)), identity elsewhere."""
-    lower = sp.diags(np.sqrt(np.arange(1, space.base)), 1, format="csr")
-    out = sp.identity(1, format="csr")
-    for slot in range(8):
-        factor = lower if slot == mode.slot else sp.identity(space.base, format="csr")
-        out = sp.kron(out, factor, format="csr")
-    return out.astype(complex)
+    """Sparse lowering operator for one mode (entries sqrt(n)), identity elsewhere.
+
+    Column i with n = n_slot(i) > 0 holds sqrt(n) in row i - stride,
+    stride = base**(7 - slot).  In the lexicographic basis n_slot(i) is
+    (i // stride) % base, so the pattern repeats every period = stride *
+    base indices, and within each period the entries sit in columns
+    [stride, period) and rows [0, period - stride).  The CSR arrays are
+    written out from that, without a kron chain or a scan of the
+    occupation table, and match the kron chain of single-mode factors
+    bit for bit.
+    """
+    stride = space.base ** (7 - mode.slot)
+    period = stride * space.base
+    kept = period - stride  # rows per period that hold an entry
+    starts = np.arange(space.dim // period, dtype=np.int32)[:, None]
+    cols = (starts * period + np.arange(stride, period, dtype=np.int32)).ravel()
+    indptr = np.zeros(space.dim + 1, dtype=np.int32)
+    indptr[1:] = (
+        starts * kept + np.minimum(np.arange(1, period + 1, dtype=np.int32), kept)
+    ).ravel()
+    levels = np.sqrt(np.arange(1, space.base)).astype(complex)
+    data = np.tile(np.repeat(levels, stride), len(starts))
+    return sp.csr_matrix((data, cols, indptr), shape=(space.dim, space.dim))
 
 
 def creator(space, mode):

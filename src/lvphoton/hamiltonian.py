@@ -32,7 +32,13 @@ from scipy.linalg import expm
 
 from . import fock_space as fs
 from .dispersion import PolarizationFrame, polarization_frame
-from .kappa_tensor import METRIC, KappaSet, as_kf_components, kappas_from_kf
+from .kappa_tensor import (
+    METRIC,
+    PERTURBATIVE_LIMIT,
+    KappaSet,
+    as_kf_components,
+    kappas_from_kf,
+)
 
 #: Largest dimension for which dense exponential conjugation is attempted.
 _DENSE_EXPM_LIMIT = 4096
@@ -110,7 +116,7 @@ def _mode_operators(space):
 def _check_nonbiref(kappas):
     if kappas.is_birefringent:
         raise ValueError("Hamiltonian blocks assume e_plus = o_minus = 0")
-    if kappas.magnitude > 0.1:
+    if kappas.magnitude > PERTURBATIVE_LIMIT:
         raise ValueError("kappa parameters outside the perturbative regime")
 
 

@@ -32,6 +32,7 @@ import scipy.sparse as sp
 from . import fock_space as fs
 from . import hamiltonian as hm
 from .dispersion import polarization_frame
+from .kappa_tensor import PERTURBATIVE_LIMIT
 
 Z_AXIS = np.array([0.0, 0.0, 1.0])
 
@@ -71,7 +72,7 @@ class CouplingTable:
 def _check_perturbative(kappas):
     if kappas.is_birefringent:
         raise ValueError("potential mixing assumes e_plus = o_minus = 0")
-    if kappas.magnitude > 0.1:
+    if kappas.magnitude > PERTURBATIVE_LIMIT:
         raise ValueError("kappa parameters outside the perturbative regime")
 
 

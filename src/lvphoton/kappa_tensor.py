@@ -37,6 +37,9 @@ _FLIP4 = np.einsum("a,b,c,d->abcd", _INDEX_SIGN, _INDEX_SIGN, _INDEX_SIGN, _INDE
 #: Default ingestion tolerance for symmetry/trace invariants.
 INVARIANT_TOL = 1e-12
 
+#: Largest parameter magnitude of the perturbative regime.
+PERTURBATIVE_LIMIT = 0.1
+
 
 def _readonly(a):
     a = np.array(a, dtype=float)
@@ -114,10 +117,17 @@ def as_kf_components(kf):
 
 
 def sym_traceless(m):
-    """Project a 3x3 array onto its symmetric traceless part."""
+    """Project a 3x3 array onto its symmetric traceless part.
+
+    The last diagonal entry is set to minus the sum of the other two, so
+    the output's floating-point trace is exactly zero and projecting it
+    again returns the same bits (symmetrizing a symmetric array is exact).
+    """
     m = np.asarray(m, dtype=float)
     s = 0.5 * (m + m.T)
-    return s - np.eye(3) * (np.trace(s) / 3.0)
+    out = s - np.eye(3) * (np.trace(s) / 3.0)
+    out[2, 2] = -(out[0, 0] + out[1, 1])
+    return out
 
 
 def antisym(m):

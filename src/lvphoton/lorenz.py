@@ -127,7 +127,7 @@ def gupta_bleuler_check(space, psi, tol=GB_TOL):
 
 
 def _dg_raisers(space):
-    """The eight d/g-basis raising operators, one pass of kron building."""
+    """The eight d/g-basis raising operators, built once for many states."""
     raisers = {}
     for direction in (fs.PLUS_K, fs.MINUS_K):
         a_d, a_g = fs.dg_operators(space, direction)
@@ -294,8 +294,17 @@ def invariance_leakage(space, hamiltonian, t):
     states.  Zero-norm (B class) admixture is allowed and not counted;
     the relaxed mode condition only protects the nonzero-norm sector.
     Accepts a HamiltonianBundle or a bare operator matrix.
+
+    The evolution runs one coupled block of H at a time.  The blocks are
+    the connected components of H's sparsity pattern, taken from H itself
+    (for the physical Hamiltonian they are the momentum sectors, but a
+    perturbed H may join them).  Each A-class state is one occupation
+    basis vector and so lies in exactly one block; its evolved column is
+    zero outside that block, so evolving the block's A columns under the
+    block of H and taking the C-class overlaps over the block's rows is
+    exact.  A single-block H is simply evolved in the full space.
     """
-    h = getattr(hamiltonian, "total", hamiltonian)
+    h = getattr(hamiltonian, "total", hamiltonian).tocsr()
     if t > MAX_LEAKAGE_TIME * (1 + 1e-12):
         raise ValueError("evolution time exceeds the supported window")
     a_states = np.column_stack(
@@ -304,12 +313,30 @@ def invariance_leakage(space, hamiltonian, t):
     c_states = np.column_stack(
         [vec for _, _, vec in _class_basis(space, (StateClass.C,))]
     )
-    evolved = expm_multiply(-1j * t * h.tocsc(), a_states)
-    if not np.all(np.isfinite(evolved)):
-        raise RuntimeError("time evolution did not stay finite")
+    # Imported here: the graph module adds ~1 MB to every process, and
+    # only this function needs it.
+    from scipy.sparse.csgraph import connected_components
+
+    # A real-valued pattern: the graph routine warns on complex data.
+    pattern = sp.csr_matrix((np.ones(h.nnz), h.indices, h.indptr), shape=h.shape)
+    _, labels = connected_components(pattern, directed=False)
+    rows, cols = np.nonzero(a_states)
+    owner = labels[rows]
+    if np.any(np.bincount(cols, minlength=a_states.shape[1]) != 1):
+        raise RuntimeError("an A-class state is not a single basis vector")
     mdiag = fs.metric_diagonal(space)
-    overlaps = c_states.conj().T @ (mdiag[:, None] * evolved)
-    return float(np.max(np.sum(np.abs(overlaps) ** 2, axis=0)))
+    worst = 0.0
+    for block in np.unique(owner):
+        idx = np.flatnonzero(labels == block)
+        members = cols[owner == block]
+        evolved = expm_multiply(
+            -1j * t * h[idx][:, idx], a_states[idx][:, members]
+        )
+        if not np.all(np.isfinite(evolved)):
+            raise RuntimeError("time evolution did not stay finite")
+        overlaps = c_states[idx].conj().T @ (mdiag[idx, None] * evolved)
+        worst = max(worst, float(np.max(np.sum(np.abs(overlaps) ** 2, axis=0))))
+    return worst
 
 
 def ghost_class_weights(space, psi):

@@ -4,8 +4,10 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from lvphoton import cli
+from lvphoton import fock_space as fs
 from lvphoton import kappa_tensor as kt
 
 # dyadic values survive a parse/print cycle bit for bit
@@ -82,6 +84,34 @@ def test_rejects_inconsistent_dual_input(tmp_path, capsys):
     assert "different tensors" in err
 
 
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({"cutoff": 2.9}, "cutoff must be an integer"),
+        ({"cutoff": None}, "cutoff must be an integer"),
+        ({"cutoff": True}, "cutoff must be an integer"),
+        ({"scales": 0.01}, "scales must be a list of numbers"),
+        ({"scales": ["0.01"]}, "every entry of scales must be a number"),
+        ({"kappa_tr": [1]}, "kappa_tr must be a number"),
+        ({"kappa_tr": 5.0}, "must be perturbative"),
+        ({"kappa_tr": float("nan")}, "kappa_tr must be finite"),
+        ({"kappa_tr": 10**400}, "kappa_tr must be finite"),
+        ({"kappa_e_minus": [[0.0, 0.0], [0.0]]}, "kappa_e_minus must be a 3x3 array"),
+        ({"kappa_o_plus": [[0, 0, 0], [0, 0, "x"], [0, 0, 0]]}, "every entry of kappa_o_plus"),
+        ({"kf_components": 0.0}, "kf_components must be a 4x4x4x4 array"),
+        ({"direction": None}, "direction must be a 3-vector"),
+        ({"time": None}, "time must be a number"),
+    ],
+)
+def test_mistyped_config_is_one_line_usage_error(tmp_path, capsys, payload, message):
+    path = _write(tmp_path, "cfg.json", payload)
+    status, out, err = _run(capsys, ["decompose", "--config", path])
+    assert status == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
 def test_direction_is_normalized(tmp_path):
     path = _write(tmp_path, "cfg.json", {"direction": [0.0, 0.0, 4.0]})
     config = cli.load_config(path)
@@ -123,6 +153,27 @@ def test_decompose_round_trip_is_byte_identical(tmp_path, capsys):
     )
     assert status == 0
     assert first.read_bytes() == second.read_bytes()
+    capsys.readouterr()
+
+
+def test_decompose_default_round_trip_is_byte_identical(tmp_path, capsys):
+    # without --strict-symmetry the second call projects the report's
+    # matrices again; that must not move a bit
+    first = tmp_path / "first.json"
+    second = tmp_path / "second.json"
+    for seed in range(1, 41):
+        k = kt.random_kappas(np.random.default_rng(seed), 1e-2, birefringent=True)
+        payload = {
+            "kappa_e_minus": k.e_minus.tolist(),
+            "kappa_o_plus": k.o_plus.tolist(),
+            "kappa_tr": k.tr,
+            "kappa_e_plus": k.e_plus.tolist(),
+            "kappa_o_minus": k.o_minus.tolist(),
+        }
+        path = _write(tmp_path, "cfg.json", payload)
+        assert cli.main(["decompose", "--config", path, "--output", str(first)]) == 0
+        assert cli.main(["decompose", "--config", str(first), "--output", str(second)]) == 0
+        assert first.read_bytes() == second.read_bytes(), seed
     capsys.readouterr()
 
 
@@ -307,6 +358,25 @@ def test_verify_detects_injected_leakage(tmp_path, capsys):
     check = [c for c in report["checks"] if c["name"] == "c_class_leakage"][0]
     assert check["injected"] is True
     assert check["measured"] > 1e-8
+
+
+def test_injected_defect_is_the_rank_two_coupler():
+    # the sparse coupler acts as strength (|c><Ma| + |a><Mc|) on any vector
+    space = fs.build_space(2)
+    zero = sp.csr_matrix((space.dim, space.dim), dtype=complex)
+    defect = cli._inject_c_defect(space, zero, strength=1e-3)
+    a_state = fs.dg_basis_state(space, (1, 0, 0, 0))
+    c_state = fs.dg_basis_state(space, (0, 0, 1, 1))
+    mdiag = fs.metric_diagonal(space)
+    assert defect.nnz == 2 * np.count_nonzero(a_state) * np.count_nonzero(c_state)
+    rng = np.random.default_rng(9)
+    for _ in range(3):
+        v = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
+        want = 1e-3 * (
+            c_state * ((mdiag * a_state).conj() @ v)
+            + a_state * ((mdiag * c_state).conj() @ v)
+        )
+        assert np.max(np.abs(defect @ v - want)) < 1e-15
 
 
 def test_verify_rescales_large_parameters_for_leakage(tmp_path, capsys):

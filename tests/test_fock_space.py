@@ -23,6 +23,30 @@ def test_dimensions_and_bijection():
         fs.build_space(5)
 
 
+def _kron_annihilator(space, mode):
+    """Reference lowering operator: kron chain of single-mode factors."""
+    lower = sp.diags(np.sqrt(np.arange(1, space.base)), 1, format="csr")
+    out = sp.identity(1, format="csr")
+    for slot in range(8):
+        factor = lower if slot == mode.slot else sp.identity(space.base, format="csr")
+        out = sp.kron(out, factor, format="csr")
+    return out.astype(complex)
+
+
+@pytest.mark.parametrize("cutoff", [1, 2, 3])
+def test_annihilator_matches_kron_chain_bitwise(cutoff):
+    space = fs.build_space(cutoff)
+    for mode in fs.ALL_MODES:
+        got = fs.annihilator(space, mode)
+        want = _kron_annihilator(space, mode)
+        assert type(got) is type(want)
+        assert got.shape == want.shape
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype, name
+            assert np.array_equal(a, b), name
+
+
 def test_annihilator_ladder_action():
     space = fs.build_space(2)
     mode = fs.ModeId(fs.PLUS_K, 1)

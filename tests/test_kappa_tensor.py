@@ -174,3 +174,42 @@ def test_coordinate_shift_is_linear_in_event():
     lhs = kt.coordinate_shift(kf, 2.0 * u + 3.0 * v).components
     rhs = 2.0 * kt.coordinate_shift(kf, u).components + 3.0 * kt.coordinate_shift(kf, v).components
     assert np.max(np.abs(lhs - rhs)) < 1e-12
+
+
+def _grid_style_blocks(seed):
+    """Parameter blocks drawn as the dispersion-grid benchmark configs are:
+    largest entry scaled to exactly 1e-2, birefringent blocks included,
+    and passed through JSON lists."""
+    rng = np.random.default_rng(seed)
+
+    def sym(m):
+        m = 0.5 * (m + m.T)
+        return m - np.eye(3) * np.trace(m) / 3.0
+
+    a = rng.normal(size=(3, 3))
+    blocks = {
+        "e_minus": sym(rng.normal(size=(3, 3))),
+        "o_plus": 0.5 * (a - a.T),
+        "tr": float(rng.normal()),
+        "e_plus": sym(rng.normal(size=(3, 3))),
+        "o_minus": sym(rng.normal(size=(3, 3))),
+    }
+    top = max(float(np.max(np.abs(v))) for v in blocks.values())
+    return {k: (np.asarray(v) * (1e-2 / top)).tolist() for k, v in blocks.items()}
+
+
+@pytest.mark.parametrize("seed", range(1, 41))
+def test_projection_is_idempotent_bitwise(seed):
+    # re-projecting an already projected set must not move a single bit,
+    # or a decompose report would not feed back byte-identically
+    once = kt.KappaSet.from_projection(**_grid_style_blocks(seed))
+    twice = kt.KappaSet.from_projection(
+        e_minus=once.e_minus,
+        o_plus=once.o_plus,
+        tr=once.tr,
+        e_plus=once.e_plus,
+        o_minus=once.o_minus,
+    )
+    for name in ("e_minus", "o_plus", "e_plus", "o_minus"):
+        assert getattr(twice, name).tobytes() == getattr(once, name).tobytes(), name
+    assert np.trace(once.e_minus) == 0.0

@@ -14,8 +14,10 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import expm_multiply
 
+from lvphoton import cli
 from lvphoton import dispersion as dp
 from lvphoton import fock_space as fs
 from lvphoton import hamiltonian as hm
@@ -327,6 +329,41 @@ def test_invariance_leakage_small_coupling(space, frame):
     k = kt.random_kappas(rng, 1e-3)
     bundle = hm.build_grouped(space, k, frame)
     assert lz.invariance_leakage(space, bundle, 10.0) < 1e-12
+
+
+def _full_space_leakage(space, h, t):
+    """Reference: one expm_multiply over the whole space, all A columns."""
+    a_states = np.column_stack(
+        [v for _, _, v in lz._class_basis(space, (lz.StateClass.A,))]
+    )
+    c_states = np.column_stack(
+        [v for _, _, v in lz._class_basis(space, (lz.StateClass.C,))]
+    )
+    evolved = expm_multiply(-1j * t * h.tocsc(), a_states)
+    mdiag = fs.metric_diagonal(space)
+    overlaps = c_states.conj().T @ (mdiag[:, None] * evolved)
+    return float(np.max(np.sum(np.abs(overlaps) ** 2, axis=0)))
+
+
+def _block_count(h):
+    pattern = sp.csr_matrix((np.ones(h.nnz), h.indices, h.indptr), shape=h.shape)
+    return connected_components(pattern, directed=False)[0]
+
+
+@pytest.mark.parametrize("inject", [False, True], ids=["criterion10", "injected"])
+def test_block_leakage_matches_full_space(space, frame, inject):
+    # the criterion-10 Hamiltonian splits into the 17 momentum sectors;
+    # the injected A-C coupler joins sector +1 to sector +2, and the
+    # per-block evolution must follow the merged block
+    k = kt.random_kappas(np.random.default_rng(3), 1e-2)
+    h = hm.build_grouped(space, k, frame).total
+    if inject:
+        h = cli._inject_c_defect(space, h)
+    assert _block_count(h) == (16 if inject else 17)
+    got = lz.invariance_leakage(space, h, 10.0)
+    want = _full_space_leakage(space, h, 10.0)
+    assert got == pytest.approx(want, rel=0, abs=1e-12)
+    assert (got > 1e-8) == inject
 
 
 def test_evolution_stays_weak_lorenz(space, frame):
