@@ -41,6 +41,13 @@ from . import lorenz as lz
 
 Z_AXIS = np.array([0.0, 0.0, 1.0])
 CUTOFF_RANGE = (1, 4)
+#: Every key a config may hold.  `command` and `symmetry` are in the list
+#: (and ignored) so that a decompose report loads back as a config.
+CONFIG_KEYS = frozenset({
+    "kappa_e_minus", "kappa_o_plus", "kappa_tr", "kappa_e_plus",
+    "kappa_o_minus", "kf_components", "direction", "cutoff", "scales",
+    "time", "output", "command", "symmetry",
+})
 #: Evolution checks are specified for t*omega <= this horizon.
 TIME_HORIZON = 10.0
 
@@ -125,8 +132,8 @@ def load_config(path, strict=False):
     """Parse and validate a JSON config file into a RunConfig.
 
     Raises ValueError with a readable message for anything malformed,
-    mistyped or outside the perturbative regime; the caller maps that to
-    exit status 2.  Keys the loader does not know are ignored.
+    mistyped, outside the perturbative regime or under a key the loader
+    does not know; the caller maps that to exit status 2.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -137,6 +144,11 @@ def load_config(path, strict=False):
         raise ValueError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ValueError("config file must hold a JSON object")
+    unknown = sorted(set(raw) - CONFIG_KEYS)
+    if unknown:
+        raise ValueError(
+            "unknown config key " + ", ".join(json.dumps(key) for key in unknown)
+        )
 
     kappas = _load_kappas(raw, strict)
     kf_raw = _load_kf(raw, strict)
@@ -621,7 +633,6 @@ def _fock_checks(rng, cutoff):
 
     interior = fs.interior_projector(space)
     worst = 0.0
-    zeta = (-1.0, 1.0, 1.0, 1.0)
     modes = [fs.ModeId(d, r) for d in (fs.PLUS_K, fs.MINUS_K) for r in range(4)]
     for a_mode in modes:
         a = fs.annihilator(space, a_mode)
@@ -629,7 +640,7 @@ def _fock_checks(rng, cutoff):
             b = fs.annihilator(space, b_mode)
             comm = a @ fs.bar_adjoint(space, b) - fs.bar_adjoint(space, b) @ a
             if a_mode == b_mode:
-                comm = comm - zeta[a_mode.polarization] * eye
+                comm = comm - fs.ZETA[a_mode.polarization] * eye
             worst = max(worst, abs(interior @ comm @ interior).max())
     yield _check("ladder_commutators_interior", worst, 1e-13)
 
@@ -966,7 +977,9 @@ def build_parser():
             help="reject parameter matrices that violate their symmetry "
             "class instead of projecting them onto it",
         )
-        p.add_argument("--cutoff", type=int, help="override the Fock cutoff")
+        p.add_argument(
+            "--cutoff", type=int, help="override the Fock cutoff (not for verify)"
+        )
         p.add_argument("--output", help="write the report here instead of stdout")
 
     p = sub.add_parser("decompose", help="parameter matrices <-> rank-4 tensor")
@@ -1009,6 +1022,10 @@ def main(argv=None):
         else:
             config = default_config()
         if args.cutoff is not None:
+            if args.command == "verify":
+                raise ValueError(
+                    "--cutoff does not apply to verify; its checks pick their own cutoffs"
+                )
             if not CUTOFF_RANGE[0] <= args.cutoff <= CUTOFF_RANGE[1]:
                 raise ValueError(f"cutoff must lie in {CUTOFF_RANGE}")
             config = RunConfig(

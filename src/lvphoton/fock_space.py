@@ -133,20 +133,48 @@ def metric_M(space):
     Squares to the identity and equals its own dagger; conjugation by M
     implements the sign flips of the indefinite scalar product.
     """
-    signs = (-1.0) ** (space.occupations[:, 0] + space.occupations[:, 4])
-    return sp.diags(signs.astype(complex), format="csr")
+    return sp.diags(metric_diagonal(space).astype(complex), format="csr")
 
 
 def metric_diagonal(space):
     """The +-1 diagonal of metric_M as a plain real array."""
-    return (-1.0) ** (space.occupations[:, 0] + space.occupations[:, 4])
+    odd = (space.occupations[:, 0] + space.occupations[:, 4]) & 1
+    return 1.0 - 2.0 * odd
 
 
 def bar_adjoint(space, a):
-    """Adjoint with respect to the indefinite product: bar(A) = M A-dagger M."""
+    """Adjoint with respect to the indefinite product: bar(A) = M A-dagger M.
+
+    M is diagonal with entries m_i = +-1, so entry (i, j) of bar(A) is
+    m_i m_j times entry (i, j) of A-dagger; scaling by +-1 is exact, so
+    this equals the two sparse products bit for bit.
+    """
     _check_operator(space, a)
-    m = metric_M(space)
-    return (m @ a.conj().T @ m).tocsr()
+    out = sp.csr_matrix(a.conj().T, dtype=np.result_type(a.dtype, complex))
+    m = metric_diagonal(space)
+    row_signs = np.repeat(m, np.diff(out.indptr))
+    out.data *= row_signs * m[out.indices]
+    return out
+
+
+def coupled_blocks(op):
+    """Block label of every basis state under a sparse operator.
+
+    The blocks are the connected components of the operator's sparsity
+    pattern, taken as an undirected graph: no product of the operator
+    with itself joins two states in different blocks, so exp(op) acting
+    on a vector stays inside the blocks that hold its nonzeros.
+    """
+    # Imported here: the graph module adds ~1 MB to every process, and
+    # only the block-restricted evolutions need it.
+    from scipy.sparse.csgraph import connected_components
+
+    op = sp.csr_matrix(op)
+    # A real-valued pattern: the graph routine warns on complex data.
+    pattern = sp.csr_matrix(
+        (np.ones(op.nnz), op.indices, op.indptr), shape=op.shape
+    )
+    return connected_components(pattern, directed=False)[1]
 
 
 def indefinite_inner(space, psi, phi):

@@ -29,9 +29,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import expm
+from scipy.sparse.linalg import expm_multiply
 
 from . import fock_space as fs
-from .dispersion import PolarizationFrame, polarization_frame
+from .dispersion import delta_nonbiref
 from .kappa_tensor import (
     METRIC,
     PERTURBATIVE_LIMIT,
@@ -120,11 +121,6 @@ def _check_nonbiref(kappas):
         raise ValueError("kappa parameters outside the perturbative regime")
 
 
-def _delta_from_vectors(kappas, e1, e2):
-    emt = kappas.e_minus + np.eye(3) * kappas.tr
-    return float(e1 @ kappas.o_plus @ e2 - 0.5 * (e1 @ emt @ e1 + e2 @ emt @ e2))
-
-
 def kappa_bilinears(kappas, frame):
     """Frame bilinears E_rs = eps_r.(e_minus + I tr).eps_s, O_rs = eps_r.o_plus.eps_s.
 
@@ -206,7 +202,11 @@ def xi_generators(space, kappas, frame):
     """
     _check_nonbiref(kappas)
     E, _ = kappa_bilinears(kappas, frame)
-    S, T, Sb, Tb = _mode_operators(space)
+    return _xi_from_operators(E, *_mode_operators(space))
+
+
+def _xi_from_operators(E, S, T, Sb, Tb):
+    """Xi1 + Xi2 from the E bilinear and already built mode operators."""
     q1 = 0.25 * (E[1, 1] - E[2, 2])
     q2 = 0.5 * E[1, 2]
     xi = q1 * (Sb[1] @ Tb[1] - T[1] @ S[1] - Sb[2] @ Tb[2] + T[2] @ S[2])
@@ -226,8 +226,8 @@ def build_grouped(space, kappas, frame):
     """
     _check_nonbiref(kappas)
     E, O = kappa_bilinears(kappas, frame)
-    delta_plus = _delta_from_vectors(kappas, frame.eps1, frame.eps2)
-    delta_minus = _delta_from_vectors(kappas, frame.eps1, -frame.eps2)
+    delta_plus = delta_nonbiref(kappas, frame.khat)
+    delta_minus = delta_nonbiref(kappas, -frame.khat)
     S, T, Sb, Tb = _mode_operators(space)
 
     h_t = (1 + delta_plus) * (S[1] @ Sb[1] + S[2] @ Sb[2])
@@ -275,7 +275,7 @@ def build_grouped(space, kappas, frame):
         h_lslv=h_lslv.tocsr(),
         h_p_tls=h_p_tls.tocsr(),
         h_m_tls=h_m_tls.tocsr(),
-        xi=xi_generators(space, kappas, frame),
+        xi=_xi_from_operators(E, S, T, Sb, Tb),
     )
 
 
@@ -308,26 +308,41 @@ def similarity_transform(h, xi):
     return u @ h_dense @ u_inv
 
 
+def _evolve(xi, labels, vec):
+    """exp(-xi) vec, computed on the coupled blocks of xi that hold vec.
+
+    `labels` are the block labels of xi (fs.coupled_blocks).  The result
+    is zero outside the blocks that hold vec's nonzeros, so evolving
+    under xi restricted to those blocks and scattering back is exact.
+    """
+    vec = np.asarray(vec, dtype=complex)
+    out = np.zeros_like(vec)
+    idx = np.flatnonzero(np.isin(labels, labels[np.flatnonzero(vec)]))
+    if idx.size:
+        out[idx] = expm_multiply(-xi[idx][:, idx], vec[idx])
+    return out
+
+
 def transformed_expectation(space, h, xi, psi):
     """Indefinite expectation of exp(xi) H exp(-xi) in the state psi.
 
     Because xi is metric-anti-self-adjoint, this equals the expectation
     of H in exp(-xi) psi, which needs only sparse exponential-times-
-    vector products and so works at any cutoff.
+    vector products, run on the coupled blocks of xi that hold psi, and
+    so works at any cutoff.
     """
-    from scipy.sparse.linalg import expm_multiply
-
-    phi = expm_multiply(-xi, np.asarray(psi, dtype=complex))
+    xi = sp.csr_matrix(xi)
+    phi = _evolve(xi, fs.coupled_blocks(xi), psi)
     return fs.indefinite_inner(space, phi, h @ phi)
 
 
 def transformed_element(space, h, xi, bra, ket):
     """Matrix element <bra| M exp(xi) H exp(-xi) |ket> at any cutoff."""
-    from scipy.sparse.linalg import expm_multiply
-
-    ket_t = expm_multiply(-xi, np.asarray(ket, dtype=complex))
+    xi = sp.csr_matrix(xi)
+    labels = fs.coupled_blocks(xi)
+    ket_t = _evolve(xi, labels, ket)
     # <bra| M e^xi = (e^{-xi} M-weighted bra)^dagger by anti-self-adjointness.
-    bra_t = expm_multiply(-xi, np.asarray(bra, dtype=complex))
+    bra_t = _evolve(xi, labels, bra)
     return fs.indefinite_inner(space, bra_t, h @ ket_t)
 
 
@@ -346,13 +361,3 @@ def momentum_operator(space, kvec, kappas=None):
     occ = space.occupations
     diff = (occ[:, :4].sum(axis=1) - occ[:, 4:].sum(axis=1)).astype(complex)
     return [sp.diags(kvec[j] * diff, format="csr") for j in range(3)]
-
-
-def build_for_khat(space, kappas, khat):
-    """Convenience: grouped bundle plus raw matrix for a bare direction."""
-    frame = polarization_frame(khat)
-    from .kappa_tensor import kf_from_kappas
-
-    bundle = build_grouped(space, kappas, frame)
-    raw = build_raw(space, kf_from_kappas(kappas), frame)
-    return bundle, raw

@@ -166,6 +166,10 @@ class KappaSet:
         for name in ("e_minus", "o_plus", "e_plus", "o_minus"):
             object.__setattr__(self, name, _readonly(getattr(self, name)))
         object.__setattr__(self, "tr", float(self.tr))
+        # NaN passes every tolerance comparison below, so check it first.
+        for name in ("e_minus", "o_plus", "tr", "e_plus", "o_minus"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite")
         tol = INVARIANT_TOL
         _check_3x3("e_minus", self.e_minus, symmetric=True, traceless=True, tol=tol)
         _check_3x3("e_plus", self.e_plus, symmetric=True, traceless=True, tol=tol)

@@ -313,13 +313,7 @@ def invariance_leakage(space, hamiltonian, t):
     c_states = np.column_stack(
         [vec for _, _, vec in _class_basis(space, (StateClass.C,))]
     )
-    # Imported here: the graph module adds ~1 MB to every process, and
-    # only this function needs it.
-    from scipy.sparse.csgraph import connected_components
-
-    # A real-valued pattern: the graph routine warns on complex data.
-    pattern = sp.csr_matrix((np.ones(h.nnz), h.indices, h.indptr), shape=h.shape)
-    _, labels = connected_components(pattern, directed=False)
+    labels = fs.coupled_blocks(h)
     rows, cols = np.nonzero(a_states)
     owner = labels[rows]
     if np.any(np.bincount(cols, minlength=a_states.shape[1]) != 1):
@@ -432,12 +426,6 @@ def ghost_pairing(gspace):
     cols = np.arange(gspace.dim)
     phases = 1j ** (((occ[:, 1] - occ[:, 0]) + (occ[:, 3] - occ[:, 2])) % 4)
     return sp.csr_matrix((phases, (rows, cols)), shape=(gspace.dim, gspace.dim))
-
-
-def ghost_indefinite_inner(gspace, phi, psi):
-    """Indefinite product on the reduced space via the pairing Gram matrix."""
-    gram = ghost_pairing(gspace)
-    return complex(np.conj(np.asarray(phi)) @ (gram @ np.asarray(psi)))
 
 
 def ghost_lslv(gspace, coupling):

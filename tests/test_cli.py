@@ -101,6 +101,8 @@ def test_rejects_inconsistent_dual_input(tmp_path, capsys):
         ({"kf_components": 0.0}, "kf_components must be a 4x4x4x4 array"),
         ({"direction": None}, "direction must be a 3-vector"),
         ({"time": None}, "time must be a number"),
+        ({"kapa_tr": 0.01}, 'unknown config key "kapa_tr"'),
+        ({"kappa_tr": 0.01, "cutof": 3, "seed": 1}, 'unknown config key "cutof", "seed"'),
     ],
 )
 def test_mistyped_config_is_one_line_usage_error(tmp_path, capsys, payload, message):
@@ -110,6 +112,14 @@ def test_mistyped_config_is_one_line_usage_error(tmp_path, capsys, payload, mess
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
+
+
+def test_verify_rejects_cutoff_flag(capsys):
+    status, out, err = _run(capsys, ["verify", "--cutoff", "3"])
+    assert status == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "--cutoff does not apply to verify" in err
 
 
 def test_direction_is_normalized(tmp_path):

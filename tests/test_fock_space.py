@@ -96,6 +96,49 @@ def test_bar_adjoint_examples():
     assert abs(fs.bar_adjoint(space, a0) + a0.conj().T).max() == 0.0
 
 
+@pytest.mark.parametrize("cutoff", [1, 2, 3, 4])
+def test_metric_diagonal_matches_power_form(cutoff):
+    space = fs.build_space(cutoff)
+    power = (-1.0) ** (space.occupations[:, 0] + space.occupations[:, 4])
+    got = fs.metric_diagonal(space)
+    assert got.dtype == power.dtype
+    assert np.array_equal(got, power)
+
+
+def _metric_products(space, a):
+    """The reference bar-adjoint, M A-dagger M as two sparse products."""
+    m = fs.metric_M(space)
+    return (m @ a.conj().T @ m).tocsr()
+
+
+def test_bar_adjoint_matches_metric_products_bitwise():
+    space = fs.build_space(2)
+    rng = np.random.default_rng(73)
+    ops = [fs.annihilator(space, mode) for mode in fs.ALL_MODES]
+    rand = sp.random(space.dim, space.dim, density=1e-3, format="csr", rng=rng)
+    ops.append((rand + 1j * sp.random(space.dim, space.dim, density=1e-3, format="csr", rng=rng)).tocsr())
+    for a in ops:
+        got = fs.bar_adjoint(space, a)
+        want = _metric_products(space, a)
+        got.sort_indices()
+        want.sort_indices()
+        assert got.dtype == want.dtype
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert np.array_equal(got.data, want.data)
+
+
+def test_coupled_blocks_are_undirected_components():
+    # 0-1 coupled both ways, 3 -> 2 one way only, 4 isolated; complex data
+    op = sp.csr_matrix(
+        ([1j, -1j, 0.5 + 2j], ([0, 1, 3], [1, 0, 2])), shape=(5, 5)
+    )
+    labels = fs.coupled_blocks(op)
+    assert labels[0] == labels[1]
+    assert labels[2] == labels[3]
+    assert len({labels[0], labels[2], labels[4]}) == 3
+
+
 def test_bar_adjoint_involution_antihomomorphism():
     space = fs.build_space(1)
     rng = np.random.default_rng(41)

@@ -9,6 +9,7 @@ central check.
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import expm_multiply
 
 from lvphoton import dispersion as dp
 from lvphoton import fock_space as fs
@@ -200,6 +201,50 @@ def test_transformed_expectation_matches_dense(space):
     want_elem = fs.indefinite_inner(space, psi, dense @ phi)
     got_elem = hm.transformed_element(space, h, bundle.xi, psi, phi)
     assert got_elem == pytest.approx(want_elem, abs=1e-10)
+
+
+def _full_space_evolution(xi, vec):
+    """The reference exp(-xi) vec over the whole space."""
+    return expm_multiply(-xi, np.asarray(vec, dtype=complex))
+
+
+@pytest.mark.parametrize("cutoff", [2, 3])
+def test_block_restricted_transform_matches_full_space(cutoff):
+    space = fs.build_space(cutoff)
+    rng = np.random.default_rng(90 + cutoff)
+    k = kt.random_kappas(rng, 1e-2)
+    frame = dp.polarization_frame(np.array([0.41, 0.32, -0.86]) / np.linalg.norm([0.41, 0.32, -0.86]))
+    bundle = hm.build_grouped(space, k, frame)
+    h = bundle.total
+    labels = fs.coupled_blocks(bundle.xi)
+
+    def basis(*occupied):
+        occ = [0] * 8
+        for slot in occupied:
+            occ[slot] += 1
+        vec = np.zeros(space.dim, dtype=complex)
+        vec[space.index_of(occ)] = 1.0
+        return vec
+
+    vac = basis()
+    one = basis(fs.ModeId(fs.PLUS_K, 2).slot)
+    pair = basis(fs.ModeId(fs.PLUS_K, 1).slot, fs.ModeId(fs.MINUS_K, 1).slot)
+    ghost = basis(fs.ModeId(fs.PLUS_K, 0).slot, fs.ModeId(fs.MINUS_K, 3).slot)
+    mixed = 0.6 * vac + (0.3 - 0.2j) * one + 0.5j * ghost
+    assert len(set(labels[np.flatnonzero(mixed)])) == 3
+
+    for psi in (vac, one, pair, ghost, mixed):
+        phi = _full_space_evolution(bundle.xi, psi)
+        want = fs.indefinite_inner(space, phi, h @ phi)
+        got = hm.transformed_expectation(space, h, bundle.xi, psi)
+        assert abs(got - want) <= 1e-12
+    for bra, ket in ((pair, vac), (mixed, one), (mixed, mixed)):
+        want = fs.indefinite_inner(
+            space, _full_space_evolution(bundle.xi, bra), h @ _full_space_evolution(bundle.xi, ket)
+        )
+        got = hm.transformed_element(space, h, bundle.xi, bra, ket)
+        assert abs(got - want) <= 1e-12
+    assert hm.transformed_expectation(space, h, bundle.xi, np.zeros(space.dim)) == 0.0
 
 
 def test_momentum_operator(space):

@@ -155,6 +155,22 @@ def test_kappa_set_validation():
         kt.KappaSet(e_minus=asym)  # not symmetric
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"tr": float("nan")},
+        {"tr": float("inf")},
+        {"e_minus": np.full((3, 3), np.nan)},
+        {"o_plus": np.array([[0.0, np.inf, 0.0], [-np.inf, 0.0, 0.0], [0.0, 0.0, 0.0]])},
+        {"e_plus": np.diag([np.nan, 0.0, 0.0])},
+        {"o_minus": np.diag([0.0, -np.inf, 0.0])},
+    ],
+)
+def test_kappa_set_rejects_non_finite(fields):
+    with pytest.raises(ValueError, match="must be finite"):
+        kt.KappaSet(**fields)
+
+
 def test_single_trace_is_traceless_and_shift_identity():
     rng = np.random.default_rng(16)
     kf = kt.kf_from_kappas(kt.random_kappas(rng, 1e-2, birefringent=True))
