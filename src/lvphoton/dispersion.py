@@ -27,8 +27,17 @@ from .kappa_tensor import (
 _XHAT = np.array([1.0, 0.0, 0.0])
 _YHAT = np.array([0.0, 1.0, 0.0])
 
+#: The default wave direction, +z (read-only; copy it to modify).
+Z_AXIS = np.array([0.0, 0.0, 1.0])
+Z_AXIS.setflags(write=False)
+
 #: Relative roundoff allowance on sigma^2, in units of |ktilde|^2.
 SIGMA_SQ_RTOL = 1e-12
+
+#: Smallest relative half-width of solve_ampere's root bracket.  A
+#: projected tensor can keep roundoff-sized components (~1e-18), and a
+#: bracket of 5 times that collapses onto |k| in double precision.
+_MIN_BRACKET = 1e-12
 
 
 @dataclass(frozen=True)
@@ -204,8 +213,9 @@ def solve_ampere(kf, kvec):
     sorted by omega.  Roots are found by bisection on the two
     near-zero eigenvalue branches of the 3x3 coefficient matrix inside
     the bracket [(1 - 5 s)|k|, (1 + 5 s)|k|] with s the max abs tensor
-    component; the longitudinal branch (eigenvalue near -omega^2) never
-    crosses zero in that bracket and so is discarded automatically.
+    component (the half-width 5 s is floored at 1e-12); the
+    longitudinal branch (eigenvalue near -omega^2) never crosses zero in
+    that bracket and so is discarded automatically.
     When the two roots are degenerate the two returned polarizations are
     an arbitrary orthonormal basis of the computed null space.
 
@@ -226,8 +236,9 @@ def solve_ampere(kf, kvec):
         f = polarization_frame(kvec / knorm)
         return [(knorm, f.eps1.astype(complex)), (knorm, f.eps2.astype(complex))]
 
-    lo = (1.0 - 5.0 * strength) * knorm
-    hi = (1.0 + 5.0 * strength) * knorm
+    half_width = max(5.0 * strength, _MIN_BRACKET)
+    lo = (1.0 - half_width) * knorm
+    hi = (1.0 + half_width) * knorm
 
     def branch(omega, i):
         return np.linalg.eigvalsh(ampere_matrix(K, kvec, omega))[i]

@@ -220,6 +220,24 @@ def dg_operators(space, direction):
     return a_d.tocsr(), a_g.tocsr()
 
 
+def check_dg_occupations(space, plus, minus):
+    """The (plus, minus) d/g occupation tuples as ints, validated.
+
+    Each direction lists n1, n2, n_d, n_g; all must be nonnegative, the
+    transverse ones within the cutoff, and n_d + n_g within the cutoff
+    (the ghost part spreads over n0 + n3 = n_d + n_g).
+    """
+    plus = tuple(int(n) for n in plus)
+    minus = tuple(int(n) for n in minus)
+    for tup in (plus, minus):
+        if len(tup) != 4 or min(tup) < 0:
+            raise ValueError("each direction needs 4 nonnegative occupations")
+        n1, n2, nd, ng = tup
+        if n1 > space.cutoff or n2 > space.cutoff or nd + ng > space.cutoff:
+            raise ValueError("occupations exceed the truncation")
+    return plus, minus
+
+
 def dg_basis_state(space, plus, minus=(0, 0, 0, 0)):
     """Basis state |n1, n2, n_d, n_g> (x) |n1', n2', n_d', n_g'>.
 
@@ -230,15 +248,7 @@ def dg_basis_state(space, plus, minus=(0, 0, 0, 0)):
     scalar/longitudinal occupations with n0 + n3 = n_d + n_g, so that sum
     must stay within the cutoff.
     """
-    plus = tuple(int(n) for n in plus)
-    minus = tuple(int(n) for n in minus)
-    for tup in (plus, minus):
-        if len(tup) != 4 or min(tup) < 0:
-            raise ValueError("each direction needs 4 nonnegative occupations")
-        n1, n2, nd, ng = tup
-        if n1 > space.cutoff or n2 > space.cutoff or nd + ng > space.cutoff:
-            raise ValueError("state would leak past the truncation")
-
+    plus, minus = check_dg_occupations(space, plus, minus)
     state = vacuum_state(space)
     norm = 1.0
     for direction, (n1, n2, nd, ng) in ((PLUS_K, plus), (MINUS_K, minus)):

@@ -34,6 +34,7 @@ from scipy.sparse.linalg import expm_multiply
 from . import fock_space as fs
 from .dispersion import delta_nonbiref
 from .kappa_tensor import (
+    _FLIP4,
     METRIC,
     PERTURBATIVE_LIMIT,
     KappaSet,
@@ -104,6 +105,17 @@ class HamiltonianBundle:
             out = out + block
         return out.tocsr()
 
+    def restricted(self, idx):
+        """total[idx][:, idx], summed from the six blocks' restrictions.
+
+        The blocks are added in the same order as in `total`, so every
+        entry equals the corresponding entry of the restricted total.
+        """
+        out = self.blocks[0][idx][:, idx]
+        for block in self.blocks[1:]:
+            out = out + block[idx][:, idx]
+        return out.tocsr()
+
 
 def _mode_operators(space):
     """S_r = a_r(+k), T_r = a_r(-k) and their bar-adjoints, r = 0..3."""
@@ -148,9 +160,7 @@ def coefficient_matrices(kf, frame):
         B_rs = eps_r^k eps_s^m K_{k0m0}
         C_rs = eps_r^k eps_s^m K_{m0kp} n^p
     """
-    K_low = as_kf_components(kf) * np.einsum(
-        "a,b,c,d->abcd", *([np.array([1.0, -1.0, -1.0, -1.0])] * 4)
-    )
+    K_low = as_kf_components(kf) * _FLIP4
     E4 = epsilon_tensor(frame).plus_matrix
     n4 = np.concatenate(([0.0], frame.khat))
     A = np.einsum("rk,sm,kpmq,p,q->rs", E4, E4, K_low, n4, n4)
@@ -309,41 +319,57 @@ def similarity_transform(h, xi):
 
 
 def _evolve(xi, labels, vec):
-    """exp(-xi) vec, computed on the coupled blocks of xi that hold vec.
+    """exp(-xi) vec on the coupled blocks of xi that hold vec.
 
-    `labels` are the block labels of xi (fs.coupled_blocks).  The result
-    is zero outside the blocks that hold vec's nonzeros, so evolving
-    under xi restricted to those blocks and scattering back is exact.
+    `labels` are the block labels of xi (fs.coupled_blocks).  Returns
+    the indices of those blocks' states and the evolved values there;
+    exp(-xi) vec is zero everywhere else, so evolving under xi
+    restricted to those blocks is exact.
     """
-    vec = np.asarray(vec, dtype=complex)
-    out = np.zeros_like(vec)
     idx = np.flatnonzero(np.isin(labels, labels[np.flatnonzero(vec)]))
-    if idx.size:
-        out[idx] = expm_multiply(-xi[idx][:, idx], vec[idx])
-    return out
+    if not idx.size:
+        return idx, np.zeros(0, dtype=complex)
+    return idx, expm_multiply(-xi[idx][:, idx], vec[idx])
+
+
+def transformed_matrix(space, h, xi, states):
+    """G[a, b] = <a| M exp(xi) H exp(-xi) |b> over a list of states.
+
+    Because xi is metric-anti-self-adjoint, <a| M exp(xi) is the
+    M-weighted bra of exp(-xi)|a>, so G = Phi^dagger M H Phi with the
+    columns of Phi the states evolved by exp(-xi).  Each evolution runs
+    on the coupled blocks of xi that hold its state, so it works at any
+    cutoff; every evolved state vanishes outside the union of those
+    blocks, so H is needed only on that support.  `h` is a
+    HamiltonianBundle (restricted block by block) or a sparse or dense
+    matrix.
+    """
+    states = [np.asarray(state, dtype=complex) for state in states]
+    if any(state.shape != (space.dim,) for state in states):
+        raise ValueError("state dimension does not match the space")
+    xi = sp.csr_matrix(xi)
+    labels = fs.coupled_blocks(xi)
+    evolved = [_evolve(xi, labels, state) for state in states]
+    support = np.unique(np.concatenate([idx for idx, _ in evolved]))
+    if isinstance(h, HamiltonianBundle):
+        h_support = h.restricted(support)
+    else:
+        h_support = sp.csr_matrix(h)[support][:, support]
+    phi = np.zeros((support.size, len(states)), dtype=complex)
+    for col, (idx, values) in enumerate(evolved):
+        phi[np.searchsorted(support, idx), col] = values
+    mdiag = fs.metric_diagonal(space)[support]
+    return phi.conj().T @ (mdiag[:, None] * (h_support @ phi))
 
 
 def transformed_expectation(space, h, xi, psi):
-    """Indefinite expectation of exp(xi) H exp(-xi) in the state psi.
-
-    Because xi is metric-anti-self-adjoint, this equals the expectation
-    of H in exp(-xi) psi, which needs only sparse exponential-times-
-    vector products, run on the coupled blocks of xi that hold psi, and
-    so works at any cutoff.
-    """
-    xi = sp.csr_matrix(xi)
-    phi = _evolve(xi, fs.coupled_blocks(xi), psi)
-    return fs.indefinite_inner(space, phi, h @ phi)
+    """Indefinite expectation of exp(xi) H exp(-xi) in the state psi."""
+    return complex(transformed_matrix(space, h, xi, [psi])[0, 0])
 
 
 def transformed_element(space, h, xi, bra, ket):
     """Matrix element <bra| M exp(xi) H exp(-xi) |ket> at any cutoff."""
-    xi = sp.csr_matrix(xi)
-    labels = fs.coupled_blocks(xi)
-    ket_t = _evolve(xi, labels, ket)
-    # <bra| M e^xi = (e^{-xi} M-weighted bra)^dagger by anti-self-adjointness.
-    bra_t = _evolve(xi, labels, bra)
-    return fs.indefinite_inner(space, bra_t, h @ ket_t)
+    return complex(transformed_matrix(space, h, xi, [bra, ket])[0, 1])
 
 
 def momentum_operator(space, kvec, kappas=None):

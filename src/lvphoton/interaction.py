@@ -31,10 +31,8 @@ import scipy.sparse as sp
 
 from . import fock_space as fs
 from . import hamiltonian as hm
-from .dispersion import polarization_frame
+from .dispersion import Z_AXIS, polarization_frame
 from .kappa_tensor import PERTURBATIVE_LIMIT
-
-Z_AXIS = np.array([0.0, 0.0, 1.0])
 
 
 @dataclass(frozen=True)

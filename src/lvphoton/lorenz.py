@@ -63,18 +63,6 @@ def _classify_tuple(n_d, n_g, n_d_prime, n_g_prime):
     return StateClass.B_MINUS
 
 
-def _check_occupations(space, plus, minus):
-    plus = tuple(int(n) for n in plus)
-    minus = tuple(int(n) for n in minus)
-    for tup in (plus, minus):
-        if len(tup) != 4 or min(tup) < 0:
-            raise ValueError("each direction needs 4 nonnegative occupations")
-        n1, n2, nd, ng = tup
-        if n1 > space.cutoff or n2 > space.cutoff or nd + ng > space.cutoff:
-            raise ValueError("occupations exceed the truncation")
-    return plus, minus
-
-
 def classify(space, plus, minus=(0, 0, 0, 0)):
     """Class label of the d/g basis state |n1,n2,n_d,n_g> (x) |...'>.
 
@@ -83,7 +71,7 @@ def classify(space, plus, minus=(0, 0, 0, 0)):
     label obeys the norm rule: the indefinite norm is nonzero exactly
     for A and C states.
     """
-    plus, minus = _check_occupations(space, plus, minus)
+    plus, minus = fs.check_dg_occupations(space, plus, minus)
     return _classify_tuple(plus[2], plus[3], minus[2], minus[3])
 
 
@@ -164,21 +152,33 @@ def _ghost_combos(cutoff):
 def _class_basis(space, labels):
     """All d/g basis states whose ghost occupations carry a given label.
 
-    Returns a list of (plus, minus, vector) triples covering every
-    transverse occupation; vectors have unit physical norm.
+    Yields (plus, minus, vector) triples, one state at a time, covering
+    every transverse occupation; vectors have unit physical norm.
     """
     raisers = _dg_raisers(space)
     combos = _ghost_combos(space.cutoff)
     trans = range(space.cutoff + 1)
-    out = []
     for (nd, ng), (ndp, ngp) in itertools.product(combos, combos):
         if _classify_tuple(nd, ng, ndp, ngp) not in labels:
             continue
         for n1, n2, n1p, n2p in itertools.product(trans, trans, trans, trans):
             plus = (n1, n2, nd, ng)
             minus = (n1p, n2p, ndp, ngp)
-            out.append((plus, minus, _dg_state(space, raisers, plus, minus)))
-    return out
+            yield plus, minus, _dg_state(space, raisers, plus, minus)
+
+
+def _class_columns(space, labels):
+    """The states of _class_basis as the columns of a sparse CSC matrix."""
+    rows, cols, values = [], [], []
+    for col, (_, _, vec) in enumerate(_class_basis(space, labels)):
+        nonzero = np.flatnonzero(vec)
+        rows.append(nonzero)
+        cols.append(np.full(nonzero.size, col))
+        values.append(vec[nonzero])
+    return sp.csc_matrix(
+        (np.concatenate(values), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(space.dim, len(values)),
+    )
 
 
 def nonzero_norm_component(space, psi):
@@ -307,24 +307,19 @@ def invariance_leakage(space, hamiltonian, t):
     h = getattr(hamiltonian, "total", hamiltonian).tocsr()
     if t > MAX_LEAKAGE_TIME * (1 + 1e-12):
         raise ValueError("evolution time exceeds the supported window")
-    a_states = np.column_stack(
-        [vec for _, _, vec in _class_basis(space, (StateClass.A,))]
-    )
-    c_states = np.column_stack(
-        [vec for _, _, vec in _class_basis(space, (StateClass.C,))]
-    )
-    labels = fs.coupled_blocks(h)
-    rows, cols = np.nonzero(a_states)
-    owner = labels[rows]
-    if np.any(np.bincount(cols, minlength=a_states.shape[1]) != 1):
+    a_states = _class_columns(space, (StateClass.A,))
+    c_states = _class_columns(space, (StateClass.C,)).tocsr()
+    if np.any(np.diff(a_states.indptr) != 1):
         raise RuntimeError("an A-class state is not a single basis vector")
+    labels = fs.coupled_blocks(h)
+    owner = labels[a_states.indices]  # one row per column, in column order
     mdiag = fs.metric_diagonal(space)
     worst = 0.0
     for block in np.unique(owner):
         idx = np.flatnonzero(labels == block)
-        members = cols[owner == block]
+        members = np.flatnonzero(owner == block)
         evolved = expm_multiply(
-            -1j * t * h[idx][:, idx], a_states[idx][:, members]
+            -1j * t * h[idx][:, idx], a_states[idx][:, members].toarray()
         )
         if not np.all(np.isfinite(evolved)):
             raise RuntimeError("time evolution did not stay finite")

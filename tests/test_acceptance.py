@@ -21,8 +21,7 @@ from lvphoton import hamiltonian as hm
 from lvphoton import interaction as ia
 from lvphoton import kappa_tensor as kt
 from lvphoton import lorenz as lz
-
-Z_AXIS = np.array([0.0, 0.0, 1.0])
+from lvphoton.dispersion import Z_AXIS
 
 
 @pytest.fixture(scope="module")

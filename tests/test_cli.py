@@ -1,10 +1,14 @@
 """Tests for the command-line interface: config handling and reports."""
 
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lvphoton import cli
 from lvphoton import fock_space as fs
@@ -120,6 +124,115 @@ def test_verify_rejects_cutoff_flag(capsys):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "--cutoff does not apply to verify" in err
+
+
+# Generated configs: a valid config with up to two keys replaced by a
+# bad value (wrong JSON type, NaN, infinity, an integer beyond the
+# double range, magnitude above 0.1, wrong shape) or an unknown key
+# added, and now and then a JSON document that is not an object.
+_SMALL = st.floats(min_value=-0.02, max_value=0.02)
+_WILD = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), 0.5, -3.0, 10**400]),
+    st.none(),
+    st.booleans(),
+    st.text(max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=1),
+)
+
+
+def _array(shape, entries):
+    size = int(np.prod(shape))
+    cells = st.lists(entries, min_size=size, max_size=size)
+    return cells.map(lambda flat: np.array(flat, dtype=object).reshape(shape).tolist())
+
+
+def _bad_array(shape):
+    """One wild entry in an otherwise small array, a wrong shape, or no array."""
+    return st.one_of(
+        _array(shape, st.one_of(_SMALL, _SMALL, _SMALL, _WILD)),
+        _array(shape, st.floats(min_value=0.2, max_value=1e3)),
+        _array((2, 3), _SMALL),
+        _array((3, 3, 1), _SMALL),
+        st.lists(st.lists(_SMALL, max_size=4), max_size=4),
+        _WILD,
+    )
+
+
+_VALID_RUN = {
+    "direction": _array((3,), st.floats(min_value=-1.0, max_value=1.0)),
+    "cutoff": st.integers(min_value=1, max_value=4),
+    "scales": st.lists(st.floats(min_value=1e-6, max_value=0.1), max_size=3),
+    "time": st.floats(min_value=0.1, max_value=10.0),
+    "command": st.just("decompose"),
+}
+_VALID = st.one_of(
+    st.fixed_dictionaries(
+        {},
+        optional={
+            "kappa_e_minus": _array((3, 3), _SMALL),
+            "kappa_o_plus": _array((3, 3), _SMALL),
+            "kappa_e_plus": _array((3, 3), _SMALL),
+            "kappa_o_minus": _array((3, 3), _SMALL),
+            "kappa_tr": _SMALL,
+            **_VALID_RUN,
+        },
+    ),
+    st.fixed_dictionaries({"kf_components": _array((4, 4, 4, 4), _SMALL)}, optional=_VALID_RUN),
+)
+_BAD = {
+    "kappa_e_minus": _bad_array((3, 3)),
+    "kappa_o_plus": _bad_array((3, 3)),
+    "kappa_e_plus": _bad_array((3, 3)),
+    "kappa_o_minus": _bad_array((3, 3)),
+    "kappa_tr": st.one_of(_WILD, st.floats(min_value=0.2, max_value=1e3), st.lists(_SMALL, max_size=2)),
+    "kf_components": _bad_array((4, 4, 4, 4)),
+    "direction": st.one_of(_bad_array((3,)), st.just([0.0, 0.0, 0.0])),
+    "cutoff": st.one_of(st.integers(min_value=-3, max_value=8), st.floats(), _WILD),
+    "scales": st.one_of(st.lists(st.one_of(_SMALL, _WILD), min_size=1, max_size=3), _WILD),
+    "time": st.one_of(st.floats(max_value=0.0), _WILD),
+    # never a string: a string names the file the report is written to
+    "output": st.one_of(st.floats(), st.lists(_SMALL, max_size=2), st.booleans()),
+}
+_UNKNOWN_KEY = st.text(min_size=1, max_size=8).filter(lambda key: key not in cli.CONFIG_KEYS)
+
+
+@st.composite
+def _config(draw):
+    if draw(st.integers(min_value=0, max_value=9)) == 0:
+        return draw(st.one_of(_WILD, st.lists(_SMALL, max_size=2)))
+    config = draw(_VALID)
+    for key in draw(st.lists(st.sampled_from(sorted(_BAD) + [""]), max_size=2)):
+        if key:
+            config[key] = draw(_BAD[key])
+        else:
+            config[draw(_UNKNOWN_KEY)] = draw(_WILD)
+    return config
+
+
+@pytest.fixture(scope="module")
+def fuzz_config_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "cfg.json"
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(payload=_config())
+def test_generated_configs_exit_zero_or_one_usage_line(fuzz_config_path, payload):
+    fuzz_config_path.write_text(json.dumps(payload))
+    path = str(fuzz_config_path)
+    for argv in (["decompose", "--config", path], ["dispersion", "--grid", "2", "--config", path]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            status = cli.main(argv)
+        err = err.getvalue()
+        assert status in (0, 2)
+        assert "Traceback" not in err
+        if status == 2:
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert out.getvalue() == ""
+        else:
+            assert err == ""
+            json.loads(out.getvalue())
 
 
 def test_direction_is_normalized(tmp_path):

@@ -252,6 +252,20 @@ def test_ampere_birefringent_split_matches_sigma():
     assert om_hi - om_lo == pytest.approx(2 * sigma * knorm, rel=2e-2)
 
 
+def test_ampere_solves_roundoff_sized_tensor():
+    # a tensor with no physical content projects to ~1e-18 residue; a
+    # bracket of 5 times that would collapse onto |k| in double precision
+    K = np.zeros((4, 4, 4, 4))
+    K[3, 3, 3, 3] = 0.015625
+    kf = kt.kf_from_kappas(kt.kappas_from_kf(kt.project_kf(K).components))
+    assert 0.0 < np.max(np.abs(kt.as_kf_components(kf))) < 1e-16
+    for kvec in ([0.0, 0.0, 1.0], [0.6, 0.0, -1.6]):
+        kvec = np.array(kvec)
+        roots = dp.solve_ampere(kf, kvec)
+        for omega, _ in roots:
+            assert omega == pytest.approx(np.linalg.norm(kvec), rel=1e-15)
+
+
 def test_ampere_rejects_nonperturbative():
     k = kt.KappaSet(tr=0.2)
     kf = kt.kf_from_kappas(k)

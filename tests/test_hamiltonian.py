@@ -232,9 +232,10 @@ def test_block_restricted_transform_matches_full_space(cutoff):
     ghost = basis(fs.ModeId(fs.PLUS_K, 0).slot, fs.ModeId(fs.MINUS_K, 3).slot)
     mixed = 0.6 * vac + (0.3 - 0.2j) * one + 0.5j * ghost
     assert len(set(labels[np.flatnonzero(mixed)])) == 3
+    states = (vac, one, pair, ghost, mixed)
+    evolved = [_full_space_evolution(bundle.xi, psi) for psi in states]
 
-    for psi in (vac, one, pair, ghost, mixed):
-        phi = _full_space_evolution(bundle.xi, psi)
+    for psi, phi in zip(states, evolved):
         want = fs.indefinite_inner(space, phi, h @ phi)
         got = hm.transformed_expectation(space, h, bundle.xi, psi)
         assert abs(got - want) <= 1e-12
@@ -244,7 +245,36 @@ def test_block_restricted_transform_matches_full_space(cutoff):
         )
         got = hm.transformed_element(space, h, bundle.xi, bra, ket)
         assert abs(got - want) <= 1e-12
+    # every pair of the five states, with H as the bundle (restricted
+    # block by block) and as the summed matrix
+    want = np.array(
+        [[fs.indefinite_inner(space, bra, h @ ket) for ket in evolved] for bra in evolved]
+    )
+    for h_arg in (bundle, h):
+        got = hm.transformed_matrix(space, h_arg, bundle.xi, states)
+        assert got.shape == (5, 5)
+        assert np.max(np.abs(got - want)) <= 1e-12
+        zero = np.zeros(space.dim)
+        assert hm.transformed_matrix(space, h_arg, bundle.xi, [zero])[0, 0] == 0.0
+        got = hm.transformed_matrix(space, h_arg, bundle.xi, [zero, vac])
+        assert np.all(got[0] == 0.0) and np.all(got[:, 0] == 0.0)
+        assert abs(got[1, 1] - want[0, 0]) <= 1e-12
     assert hm.transformed_expectation(space, h, bundle.xi, np.zeros(space.dim)) == 0.0
+
+
+@pytest.mark.parametrize("cutoff", [2, 3])
+def test_restricted_hamiltonian_equals_restricted_total(cutoff):
+    space = fs.build_space(cutoff)
+    rng = np.random.default_rng(70 + cutoff)
+    frame = dp.polarization_frame(random_unit(rng))
+    bundle = hm.build_grouped(space, kt.random_kappas(rng, 1e-2), frame)
+    total = bundle.total
+    sets = [np.sort(rng.choice(space.dim, size=n, replace=False)) for n in (1, 2, 85, space.dim // 7)]
+    for idx in sets + [np.arange(space.dim)]:
+        got = bundle.restricted(idx)
+        want = total[idx][:, idx]
+        assert got.shape == want.shape == (idx.size, idx.size)
+        assert (got != want).nnz == 0
 
 
 def test_momentum_operator(space):
