@@ -25,7 +25,7 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -288,16 +288,6 @@ def _emit(text, output):
             fh.write(text + ("" if text.endswith("\n") else "\n"))
 
 
-def _scaled(kappas, factor):
-    return kt.KappaSet(
-        e_minus=kappas.e_minus * factor,
-        o_plus=kappas.o_plus * factor,
-        tr=kappas.tr * factor,
-        e_plus=kappas.e_plus * factor,
-        o_minus=kappas.o_minus * factor,
-    )
-
-
 def _random_unit(rng):
     v = rng.normal(size=3)
     return v / np.linalg.norm(v)
@@ -443,7 +433,7 @@ def cmd_spectrum(config):
     if config.scales and magnitude == 0.0:
         raise ValueError("cannot sweep scales of an all-zero parameter set")
     if config.scales:
-        sweep = [(s, _scaled(config.kappas, s / magnitude)) for s in config.scales]
+        sweep = [(s, config.kappas.scaled(s / magnitude)) for s in config.scales]
     else:
         sweep = [(magnitude, config.kappas)]
     rows = [_spectrum_row(space, frame, k, s) for s, k in sweep]
@@ -495,16 +485,6 @@ def _random_rotation(rng):
         # antisymmetric parameter block and breaks covariance
         q[:, 0] = -q[:, 0]
     return q
-
-
-def _rotated(kappas, rot):
-    return kt.KappaSet(
-        e_minus=rot @ kappas.e_minus @ rot.T,
-        o_plus=rot @ kappas.o_plus @ rot.T,
-        tr=kappas.tr,
-        e_plus=rot @ kappas.e_plus @ rot.T,
-        o_minus=rot @ kappas.o_minus @ rot.T,
-    )
 
 
 def _tensor_checks(rng):
@@ -587,7 +567,7 @@ def _dispersion_checks(rng):
         worst_cov = max(
             worst_cov,
             abs(
-                dp.delta_nonbiref(_rotated(k, rot), rot @ khat)
+                dp.delta_nonbiref(k.rotated(rot), rot @ khat)
                 - dp.delta_nonbiref(k, khat)
             ),
         )
@@ -721,7 +701,7 @@ def _hamiltonian_checks(rng, config):
     residuals = []
     crosses = []
     for scale in (1e-2, 1e-3):
-        k = _scaled(shape, scale / shape.magnitude)
+        k = shape.scaled(scale / shape.magnitude)
         row = _spectrum_row(space, frame, k, scale)
         residuals.append(
             max(row["gap_residual_plus"], row["gap_residual_minus"])
@@ -750,20 +730,12 @@ def _inject_c_defect(space, h, strength=1e-3):
     A-class amplitude into the C class, which the invariance check must
     catch.
     """
-    a_state = fs.dg_basis_state(space, (1, 0, 0, 0))
-    c_state = fs.dg_basis_state(space, (0, 0, 1, 1))
-    mdiag = fs.metric_diagonal(space)
-
-    def outer(ket, bra):
-        # |ket><bra| from the nonzero entries of the two states only
-        rows, cols = np.flatnonzero(ket), np.flatnonzero(bra)
-        data = np.outer(ket[rows], bra[cols].conj())
-        return sp.csr_matrix(
-            (data.ravel(), (np.repeat(rows, len(cols)), np.tile(cols, len(rows)))),
-            shape=h.shape,
-        )
-
-    defect = outer(c_state, mdiag * a_state) + outer(a_state, mdiag * c_state)
+    vacuum = (0, 0, 0, 0)
+    states = fs.dg_basis_columns(
+        space, [((1, 0, 0, 0), vacuum), ((0, 0, 1, 1), vacuum)]
+    )
+    bras = (fs.metric_M(space) @ states).conj().T.tocsr()
+    defect = states[:, [1]] @ bras[[0]] + states[:, [0]] @ bras[[1]]
     return h + strength * defect
 
 
@@ -855,7 +827,7 @@ def _lorenz_checks(rng, config, inject_c_leakage):
         # the C-leakage bound is certified in the truncation-artifact-free
         # regime; larger parameters are checked at a rescaled magnitude
         leak_scale = 1e-3
-        leak_kappas = _scaled(config.kappas, leak_scale / magnitude)
+        leak_kappas = config.kappas.scaled(leak_scale / magnitude)
     h = hm.build_grouped(space, leak_kappas, frame).total
     if inject_c_leakage:
         h = _inject_c_defect(space, h)
@@ -1020,15 +992,7 @@ def main(argv=None):
                 )
             if not CUTOFF_RANGE[0] <= args.cutoff <= CUTOFF_RANGE[1]:
                 raise ValueError(f"cutoff must lie in {CUTOFF_RANGE}")
-            config = RunConfig(
-                kappas=config.kappas,
-                kf_raw=config.kf_raw,
-                direction=config.direction,
-                cutoff=args.cutoff,
-                scales=config.scales,
-                time=config.time,
-                output=config.output,
-            )
+            config = replace(config, cutoff=args.cutoff)
 
         status = 0
         if args.command == "decompose":

@@ -53,22 +53,40 @@ ALL_MODES = tuple(
 
 @dataclass(frozen=True)
 class FockSpace:
-    """Occupation-number basis data for one +-k pair at a given cutoff."""
+    """Occupation-number basis data for a set of modes at a given cutoff.
+
+    The +-k pair has eight modes; the reduced ghost space of the lorenz
+    module is the same structure over four.
+    """
 
     cutoff: int
     base: int
     dim: int
-    occupations: np.ndarray  # dim x 8 int array, row = occupation tuple
+    occupations: np.ndarray  # dim x modes int array, row = occupation tuple
+
+    @property
+    def modes(self):
+        """Number of modes, the length of an occupation tuple."""
+        return self.occupations.shape[1]
 
     def index_of(self, occ):
         """Basis index of an occupation tuple (inverse of `occupations`)."""
         occ = np.asarray(occ, dtype=int)
-        if occ.shape != (8,) or np.any(occ < 0) or np.any(occ > self.cutoff):
+        if occ.shape != (self.modes,) or np.any(occ < 0) or np.any(occ > self.cutoff):
             raise ValueError("occupation tuple out of range")
         idx = 0
         for n in occ:
             idx = idx * self.base + int(n)
         return idx
+
+
+def _occupation_space(cutoff, modes):
+    """Lexicographic occupation basis of `modes` modes, each up to `cutoff`."""
+    base = cutoff + 1
+    dim = base**modes
+    occ = np.ascontiguousarray(np.indices((base,) * modes).reshape(modes, dim).T)
+    occ.setflags(write=False)
+    return FockSpace(cutoff=cutoff, base=base, dim=dim, occupations=occ)
 
 
 def build_space(cutoff):
@@ -78,12 +96,7 @@ def build_space(cutoff):
     """
     if not 1 <= cutoff <= 4:
         raise ValueError("cutoff must be between 1 and 4")
-    base = cutoff + 1
-    dim = base**8
-    grid = np.indices((base,) * 8).reshape(8, dim).T
-    occ = np.ascontiguousarray(grid)
-    occ.setflags(write=False)
-    return FockSpace(cutoff=cutoff, base=base, dim=dim, occupations=occ)
+    return _occupation_space(cutoff, 8)
 
 
 def _check_operator(space, a):
@@ -92,18 +105,23 @@ def _check_operator(space, a):
 
 
 def annihilator(space, mode):
-    """Sparse lowering operator for one mode (entries sqrt(n)), identity elsewhere.
+    """Sparse lowering operator for one mode (entries sqrt(n)), identity elsewhere."""
+    return _lowering(space, mode.slot)
+
+
+def _lowering(space, slot):
+    """Lowering operator of the mode in position `slot` of the occupation tuple.
 
     Column i with n = n_slot(i) > 0 holds sqrt(n) in row i - stride,
-    stride = base**(7 - slot).  In the lexicographic basis n_slot(i) is
-    (i // stride) % base, so the pattern repeats every period = stride *
-    base indices, and within each period the entries sit in columns
-    [stride, period) and rows [0, period - stride).  The CSR arrays are
-    written out from that, without a kron chain or a scan of the
-    occupation table, and match the kron chain of single-mode factors
-    bit for bit.
+    stride = base**(modes - 1 - slot).  In the lexicographic basis
+    n_slot(i) is (i // stride) % base, so the pattern repeats every
+    period = stride * base indices, and within each period the entries
+    sit in columns [stride, period) and rows [0, period - stride).  The
+    CSR arrays are written out from that, without a kron chain or a scan
+    of the occupation table, and match the kron chain of single-mode
+    factors bit for bit.
     """
-    stride = space.base ** (7 - mode.slot)
+    stride = space.base ** (space.modes - 1 - slot)
     period = stride * space.base
     kept = period - stride  # rows per period that hold an entry
     starts = np.arange(space.dim // period, dtype=np.int32)[:, None]
@@ -238,30 +256,73 @@ def check_dg_occupations(space, plus, minus):
     return plus, minus
 
 
+def _dg_amplitudes(cutoff):
+    """table[n_d, n_g, n0]: amplitude of |n0, n3 = n_d + n_g - n0> in |n_d, n_g>.
+
+    The d/g raisers are a fixed rotation of the scalar/longitudinal pair,
+    a_d-dagger = (-i/sqrt(2)) (a_3-dagger - a_0-dagger) and a_g-dagger =
+    (1/sqrt(2)) (a_3-dagger + a_0-dagger), so expanding the binomials
+    gives the integer count sum_j (-1)^j C(n_d, j) C(n_g, n0 - j) of
+    a_0-dagger^n0 a_3-dagger^n3 terms; acting on the vacuum each term
+    carries sqrt(n0! n3!).  Amplitudes with a zero count are exact zeros.
+    """
+    table = np.zeros((cutoff + 1,) * 3, dtype=complex)
+    fact = [math.factorial(n) for n in range(cutoff + 1)]
+    for nd in range(cutoff + 1):
+        for ng in range(cutoff + 1 - nd):
+            total = nd + ng
+            phase = (1, -1j, -1, 1j)[nd % 4]
+            for n0 in range(total + 1):
+                count = sum(
+                    (-1) ** j * math.comb(nd, j) * math.comb(ng, n0 - j)
+                    for j in range(max(0, n0 - ng), min(nd, n0) + 1)
+                )
+                scale = fact[n0] * fact[total - n0] / (fact[nd] * fact[ng] * 2**total)
+                table[nd, ng, n0] = phase * count * math.sqrt(scale)
+    return table
+
+
+def dg_basis_columns(space, states):
+    """The d/g basis states of a list of (plus, minus) tuples as CSC columns.
+
+    Each direction's tuple lists n1, n2, n_d, n_g (see dg_basis_state).
+    A state is the outer product of its +k and -k ghost amplitudes over
+    (n0, n3) and (n0', n3'), with the transverse occupations fixed, so a
+    column holds at most (n_d + n_g + 1)(n_d' + n_g' + 1) nonzeros; its
+    row indices follow from the basis strides.
+    """
+    occ = np.array(
+        [sum(check_dg_occupations(space, plus, minus), ()) for plus, minus in states],
+        dtype=np.int64,
+    ).reshape(-1, 8)
+    table = _dg_amplitudes(space.cutoff)
+    stride = space.base ** np.arange(7, -1, -1)
+    n0 = np.arange(space.cutoff + 1)
+
+    def ghost_part(d):  # amplitudes and index offsets of one direction
+        nd, ng = occ[:, 4 * d + 2], occ[:, 4 * d + 3]
+        n3 = (nd + ng)[:, None] - n0
+        return table[nd, ng], n0 * stride[4 * d] + n3 * stride[4 * d + 3]
+
+    (amp_p, idx_p), (amp_m, idx_m) = ghost_part(0), ghost_part(1)
+    fixed = occ[:, [0, 1, 4, 5]] @ stride[[1, 2, 5, 6]]  # transverse slots
+    values = amp_p[:, :, None] * amp_m[:, None, :]
+    rows = fixed[:, None, None] + idx_p[:, :, None] + idx_m[:, None, :]
+    keep = values != 0
+    indptr = np.concatenate(([0], np.cumsum(keep.sum(axis=(1, 2)))))
+    return sp.csc_matrix(
+        (values[keep], rows[keep], indptr), shape=(space.dim, len(occ))
+    )
+
+
 def dg_basis_state(space, plus, minus=(0, 0, 0, 0)):
     """Basis state |n1, n2, n_d, n_g> (x) |n1', n2', n_d', n_g'>.
 
     Each direction's tuple lists the two transverse occupations and the
-    d/g ghost occupations.  The state is built by applying the plain
-    daggers of the mode operators to the vacuum with 1/sqrt(n!) factors,
-    so it has unit physical-metric norm.  The ghost part spreads over
-    scalar/longitudinal occupations with n0 + n3 = n_d + n_g, so that sum
-    must stay within the cutoff.
+    d/g ghost occupations.  The state is the one the plain daggers of the
+    mode operators make from the vacuum with 1/sqrt(n!) factors, so it
+    has unit physical-metric norm; it is one column of dg_basis_columns.
+    The ghost part spreads over scalar/longitudinal occupations with
+    n0 + n3 = n_d + n_g, so that sum must stay within the cutoff.
     """
-    plus, minus = check_dg_occupations(space, plus, minus)
-    state = vacuum_state(space)
-    norm = 1.0
-    for direction, (n1, n2, nd, ng) in ((PLUS_K, plus), (MINUS_K, minus)):
-        a_d, a_g = dg_operators(space, direction)
-        ops = (
-            (annihilator(space, ModeId(direction, 1)), n1),
-            (annihilator(space, ModeId(direction, 2)), n2),
-            (a_d, nd),
-            (a_g, ng),
-        )
-        for op, count in ops:
-            raiser = op.conj().T.tocsr()
-            for _ in range(count):
-                state = raiser @ state
-            norm *= math.factorial(count)
-    return state / np.sqrt(norm)
+    return dg_basis_columns(space, [(plus, minus)]).toarray().ravel()

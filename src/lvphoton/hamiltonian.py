@@ -36,9 +36,9 @@ from .dispersion import delta_nonbiref
 from .kappa_tensor import (
     _FLIP4,
     METRIC,
-    PERTURBATIVE_LIMIT,
     KappaSet,
     as_kf_components,
+    check_nonbiref,
     kappas_from_kf,
 )
 
@@ -126,13 +126,6 @@ def _mode_operators(space):
     return S, T, Sb, Tb
 
 
-def _check_nonbiref(kappas):
-    if kappas.is_birefringent:
-        raise ValueError("Hamiltonian blocks assume e_plus = o_minus = 0")
-    if kappas.magnitude > PERTURBATIVE_LIMIT:
-        raise ValueError("kappa parameters outside the perturbative regime")
-
-
 def kappa_bilinears(kappas, frame):
     """Frame bilinears E_rs = eps_r.(e_minus + I tr).eps_s, O_rs = eps_r.o_plus.eps_s.
 
@@ -181,7 +174,7 @@ def build_raw(space, kf, frame):
     this is checked against assumes none).
     """
     kappas = kappas_from_kf(kf)
-    _check_nonbiref(kappas)
+    check_nonbiref(kappas)
     A, B, C = coefficient_matrices(kf, frame)
     S, T, Sb, Tb = _mode_operators(space)
     H = sp.csr_matrix((space.dim, space.dim), dtype=complex)
@@ -210,7 +203,7 @@ def xi_generators(space, kappas, frame):
     with E_rs the (e_minus + I tr) bilinear and primes marking -k modes.
     bar(Xi) = -Xi, so exp(Xi) preserves the indefinite product.
     """
-    _check_nonbiref(kappas)
+    check_nonbiref(kappas)
     E, _ = kappa_bilinears(kappas, frame)
     return _xi_from_operators(E, *_mode_operators(space))
 
@@ -234,7 +227,7 @@ def build_grouped(space, kappas, frame):
     h_m_tls: couplings of +k and -k transverse modes to the ghost
     sector.  The returned bundle also carries the xi generator.
     """
-    _check_nonbiref(kappas)
+    check_nonbiref(kappas)
     E, O = kappa_bilinears(kappas, frame)
     delta_plus = delta_nonbiref(kappas, frame.khat)
     delta_minus = delta_nonbiref(kappas, -frame.khat)

@@ -32,7 +32,7 @@ import scipy.sparse as sp
 from . import fock_space as fs
 from . import hamiltonian as hm
 from .dispersion import Z_AXIS, polarization_frame
-from .kappa_tensor import PERTURBATIVE_LIMIT
+from .kappa_tensor import check_nonbiref
 
 
 @dataclass(frozen=True)
@@ -65,13 +65,6 @@ class CouplingTable:
         return np.array(
             [[self.j1_pol1, self.j2_pol1], [self.j1_pol2, self.j2_pol2]]
         )
-
-
-def _check_perturbative(kappas):
-    if kappas.is_birefringent:
-        raise ValueError("potential mixing assumes e_plus = o_minus = 0")
-    if kappas.magnitude > PERTURBATIVE_LIMIT:
-        raise ValueError("kappa parameters outside the perturbative regime")
 
 
 def transverse_potential(space, polarization):
@@ -116,7 +109,7 @@ def transformed_potentials(space, kappas, frame):
     conjugation at O(kappa), so comparisons against the mixed
     combinations must mask to transverse_interior columns.
     """
-    _check_perturbative(kappas)
+    check_nonbiref(kappas)
     xi = hm.xi_generators(space, kappas, frame)
     return (
         hm.similarity_transform(transverse_potential(space, 1), xi),
@@ -141,7 +134,7 @@ def transverse_interior(space):
 
 def first_order_potentials(space, kappas, frame):
     """The leading-order mixed potentials, as written above."""
-    _check_perturbative(kappas)
+    check_nonbiref(kappas)
     delta1, delta2 = mixing_deltas(kappas, frame)
     a_1 = transverse_potential(space, 1)
     a_2 = transverse_potential(space, 2)

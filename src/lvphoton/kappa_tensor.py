@@ -193,6 +193,26 @@ class KappaSet:
             np.max(np.abs(self.o_minus)),
         )
 
+    def scaled(self, factor):
+        """Every parameter multiplied by `factor`."""
+        return KappaSet(
+            e_minus=self.e_minus * factor,
+            o_plus=self.o_plus * factor,
+            tr=self.tr * factor,
+            e_plus=self.e_plus * factor,
+            o_minus=self.o_minus * factor,
+        )
+
+    def rotated(self, rot):
+        """The parameters in a frame rotated by the 3x3 matrix `rot`."""
+        return KappaSet(
+            e_minus=rot @ self.e_minus @ rot.T,
+            o_plus=rot @ self.o_plus @ rot.T,
+            tr=self.tr,
+            e_plus=rot @ self.e_plus @ rot.T,
+            o_minus=rot @ self.o_minus @ rot.T,
+        )
+
     @classmethod
     def from_projection(cls, e_minus=None, o_plus=None, tr=0.0, e_plus=None, o_minus=None):
         """Build a valid set by projecting raw 3x3 inputs onto the allowed parts."""
@@ -204,6 +224,18 @@ class KappaSet:
             e_plus=sym_traceless(z if e_plus is None else e_plus),
             o_minus=sym_traceless(z if o_minus is None else o_minus),
         )
+
+
+def check_nonbiref(kappas):
+    """Reject parameters outside the non-birefringent perturbative regime.
+
+    The mode Hamiltonian and the potential mixing both expand to first
+    order in a set with e_plus = o_minus = 0.
+    """
+    if kappas.is_birefringent:
+        raise ValueError("the mode expansion assumes e_plus = o_minus = 0")
+    if kappas.magnitude > PERTURBATIVE_LIMIT:
+        raise ValueError("kappa parameters outside the perturbative regime")
 
 
 def random_kappas(rng, scale=1e-2, birefringent=False):

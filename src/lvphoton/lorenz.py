@@ -27,8 +27,6 @@ dragging the transverse factors along.
 
 import enum
 import itertools
-import math
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -114,32 +112,6 @@ def gupta_bleuler_check(space, psi, tol=GB_TOL):
     return True
 
 
-def _dg_raisers(space):
-    """The eight d/g-basis raising operators, built once for many states."""
-    raisers = {}
-    for direction in (fs.PLUS_K, fs.MINUS_K):
-        a_d, a_g = fs.dg_operators(space, direction)
-        raisers[direction] = (
-            fs.creator(space, fs.ModeId(direction, 1)),
-            fs.creator(space, fs.ModeId(direction, 2)),
-            a_d.conj().T.tocsr(),
-            a_g.conj().T.tocsr(),
-        )
-    return raisers
-
-
-def _dg_state(space, raisers, plus, minus):
-    """dg_basis_state built from precomputed raisers (see fock_space)."""
-    state = fs.vacuum_state(space)
-    norm = 1.0
-    for direction, occ in ((fs.PLUS_K, plus), (fs.MINUS_K, minus)):
-        for op, count in zip(raisers[direction], occ):
-            for _ in range(count):
-                state = op @ state
-            norm *= math.factorial(count)
-    return state / np.sqrt(norm)
-
-
 def _ghost_combos(cutoff):
     return [
         (nd, ng)
@@ -149,36 +121,22 @@ def _ghost_combos(cutoff):
     ]
 
 
-def _class_basis(space, labels):
-    """All d/g basis states whose ghost occupations carry a given label.
-
-    Yields (plus, minus, vector) triples, one state at a time, covering
-    every transverse occupation; vectors have unit physical norm.
-    """
-    raisers = _dg_raisers(space)
-    combos = _ghost_combos(space.cutoff)
-    trans = range(space.cutoff + 1)
-    for (nd, ng), (ndp, ngp) in itertools.product(combos, combos):
-        if _classify_tuple(nd, ng, ndp, ngp) not in labels:
-            continue
-        for n1, n2, n1p, n2p in itertools.product(trans, trans, trans, trans):
-            plus = (n1, n2, nd, ng)
-            minus = (n1p, n2p, ndp, ngp)
-            yield plus, minus, _dg_state(space, raisers, plus, minus)
+def _class_tuples(cutoff, labels):
+    """(plus, minus) tuples of every d/g basis state with one of `labels`,
+    covering every transverse occupation."""
+    combos = _ghost_combos(cutoff)
+    trans = range(cutoff + 1)
+    return [
+        ((n1, n2, nd, ng), (n1p, n2p, ndp, ngp))
+        for (nd, ng), (ndp, ngp) in itertools.product(combos, combos)
+        if _classify_tuple(nd, ng, ndp, ngp) in labels
+        for n1, n2, n1p, n2p in itertools.product(trans, repeat=4)
+    ]
 
 
 def _class_columns(space, labels):
-    """The states of _class_basis as the columns of a sparse CSC matrix."""
-    rows, cols, values = [], [], []
-    for col, (_, _, vec) in enumerate(_class_basis(space, labels)):
-        nonzero = np.flatnonzero(vec)
-        rows.append(nonzero)
-        cols.append(np.full(nonzero.size, col))
-        values.append(vec[nonzero])
-    return sp.csc_matrix(
-        (np.concatenate(values), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(space.dim, len(values)),
-    )
+    """The d/g basis states with one of `labels` as sparse CSC columns."""
+    return fs.dg_basis_columns(space, _class_tuples(space.cutoff, labels))
 
 
 def nonzero_norm_component(space, psi):
@@ -192,11 +150,8 @@ def nonzero_norm_component(space, psi):
     represented.
     """
     psi = np.asarray(psi, dtype=complex)
-    mpsi = fs.metric_diagonal(space) * psi
-    comp = np.zeros_like(psi)
-    for _, _, state in _class_basis(space, (StateClass.A, StateClass.C)):
-        comp += (state.conj() @ mpsi) * state
-    return comp
+    cols = _class_columns(space, (StateClass.A, StateClass.C))
+    return cols @ (cols.conj().T @ (fs.metric_diagonal(space) * psi))
 
 
 def weak_lorenz_check(space, psi, tol=GB_TOL):
@@ -311,6 +266,8 @@ def invariance_leakage(space, hamiltonian, t):
     c_states = _class_columns(space, (StateClass.C,)).tocsr()
     if np.any(np.diff(a_states.indptr) != 1):
         raise RuntimeError("an A-class state is not a single basis vector")
+    if c_states.shape[1] == 0:
+        return 0.0  # below cutoff 2 no C-class state fits
     labels = fs.coupled_blocks(h)
     owner = labels[a_states.indices]  # one row per column, in column order
     mdiag = fs.metric_diagonal(space)
@@ -339,21 +296,15 @@ def ghost_class_weights(space, psi):
     """
     psi = np.asarray(psi, dtype=complex)
     mpsi = fs.metric_diagonal(space) * psi
-    raisers = _dg_raisers(space)
-    combos = _ghost_combos(space.cutoff)
-    trans = range(space.cutoff + 1)
-    weights = {label: 0.0 for label in StateClass}
-    for (nd, ng), (ndp, ngp) in itertools.product(combos, combos):
-        label = _classify_tuple(nd, ng, ndp, ngp)
-        for n1, n2, n1p, n2p in itertools.product(trans, trans, trans, trans):
-            plus = (n1, n2, nd, ng)
-            minus = (n1p, n2p, ndp, ngp)
-            partner = _dg_state(
-                space, raisers, *partner_occupations(plus, minus)
-            )
-            overlap = partner.conj() @ mpsi
-            coeff = overlap / pairing_phase(plus, minus)
-            weights[label] += float(abs(coeff)) ** 2
+    weights = {}
+    for label in StateClass:
+        states = _class_tuples(space.cutoff, (label,))
+        partners = fs.dg_basis_columns(
+            space, [partner_occupations(*state) for state in states]
+        )
+        phases = np.array([pairing_phase(*state) for state in states], dtype=complex)
+        coeffs = (partners.conj().T @ mpsi) / phases
+        weights[label] = float(np.sum(np.abs(coeffs) ** 2))
     return weights
 
 
@@ -364,46 +315,18 @@ def ghost_class_weights(space, psi):
 GHOST_SLOTS = ("d", "g", "d_prime", "g_prime")
 
 
-@dataclass(frozen=True)
-class GhostSpace:
-    """Occupation basis of the four ghost modes alone."""
-
-    cutoff: int
-    base: int
-    dim: int
-    occupations: np.ndarray  # dim x 4 int array
-
-    def index_of(self, occ):
-        occ = np.asarray(occ, dtype=int)
-        if occ.shape != (4,) or np.any(occ < 0) or np.any(occ > self.cutoff):
-            raise ValueError("occupation tuple out of range")
-        idx = 0
-        for n in occ:
-            idx = idx * self.base + int(n)
-        return idx
-
-
 def ghost_space(cutoff=3):
     """Truncated basis over (n_d, n_g, n_d', n_g'), dim (cutoff+1)^4."""
     if not 1 <= cutoff <= 7:
         raise ValueError("cutoff must be between 1 and 7")
-    base = cutoff + 1
-    dim = base**4
-    occ = np.ascontiguousarray(np.indices((base,) * 4).reshape(4, dim).T)
-    occ.setflags(write=False)
-    return GhostSpace(cutoff=cutoff, base=base, dim=dim, occupations=occ)
+    return fs._occupation_space(cutoff, 4)
 
 
 def ghost_annihilator(gspace, slot):
     """Lowering operator for one of the four ghost slots (physical metric)."""
     if slot not in range(4):
         raise ValueError("slot must be 0..3 (d, g, d', g')")
-    lower = sp.diags(np.sqrt(np.arange(1.0, gspace.base)), 1)
-    eye = sp.identity(gspace.base, format="csr")
-    op = sp.identity(1, format="csr")
-    for position in range(4):
-        op = sp.kron(op, lower if position == slot else eye, format="csr")
-    return op.astype(complex)
+    return fs._lowering(gspace, slot)
 
 
 def ghost_pairing(gspace):

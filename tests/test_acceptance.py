@@ -39,17 +39,6 @@ def _random_unit(rng):
     return v / np.linalg.norm(v)
 
 
-def _rescaled(kappas, target):
-    factor = target / kappas.magnitude
-    return kt.KappaSet(
-        e_minus=kappas.e_minus * factor,
-        o_plus=kappas.o_plus * factor,
-        tr=kappas.tr * factor,
-        e_plus=kappas.e_plus * factor,
-        o_minus=kappas.o_minus * factor,
-    )
-
-
 def _kappa_distance(a, b):
     return max(
         float(np.max(np.abs(a.e_minus - b.e_minus))),
@@ -195,7 +184,7 @@ def _transformed_gap_rows(space, frame, shape, scales):
     vac = fs.vacuum_state(space)
     pair = fs.dg_basis_state(space, (1, 0, 0, 0), (1, 0, 0, 0))
     for scale in scales:
-        k = _rescaled(shape, scale)
+        k = shape.scaled(scale / shape.magnitude)
         bundle = hm.build_grouped(space, k, frame)
         h = bundle.total
         e_vac = hm.transformed_expectation(space, h, bundle.xi, vac).real
@@ -323,7 +312,7 @@ def test_criterion_11_momentum_conservation(space, frame):
     k = kt.random_kappas(rng, 1e-2)
     kvec = frame.khat
     with_k = hm.momentum_operator(space, kvec, kappas=k)
-    with_neg = hm.momentum_operator(space, kvec, kappas=_rescaled(k, -k.magnitude))
+    with_neg = hm.momentum_operator(space, kvec, kappas=k.scaled(-1.0))
     without = hm.momentum_operator(space, kvec)
     for a, b, c in zip(with_k, with_neg, without):
         assert np.array_equal(a.toarray(), b.toarray())
@@ -393,7 +382,7 @@ def test_criterion_12_coupling_table():
     # the exact conjugation agrees once truncation-clipped columns are
     # excluded and the parameters are small enough that the quadratic
     # remainder sits below the tolerance
-    tiny = _rescaled(k, 1e-7)
+    tiny = k.scaled(1e-7 / k.magnitude)
     exact_1, exact_2 = ia.transformed_potentials(space, tiny, frame)
     columns = ia.transverse_interior(space)
     got_exact = ia.extract_couplings(space, exact_1, exact_2, columns=columns)

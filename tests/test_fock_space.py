@@ -1,5 +1,7 @@
 """Tests for the truncated 8-mode space and the indefinite metric."""
 
+import itertools
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -214,6 +216,40 @@ def test_dg_basis_state_vacuum_and_norms():
         fs.dg_basis_state(space, (0, 0, 2, 1))  # n_d + n_g beyond cutoff
     with pytest.raises(ValueError):
         fs.dg_basis_state(space, (3, 0, 0, 0))
+
+
+def _all_dg_tuples(cutoff):
+    trans = list(itertools.product(range(cutoff + 1), repeat=2))
+    ghosts = [(nd, ng) for nd, ng in trans if nd + ng <= cutoff]
+    sides = [t + g for t in trans for g in ghosts]
+    return list(itertools.product(sides, sides))
+
+
+@pytest.mark.parametrize("cutoff", [1, 2, 3])
+def test_dg_basis_columns_match_raised_vacuum(cutoff, dg_reference):
+    # every (plus, minus) tuple at cutoffs 1 and 2, a random sample at 3
+    space = fs.build_space(cutoff)
+    states = _all_dg_tuples(cutoff)
+    if cutoff == 3:
+        rng = np.random.default_rng(11)
+        states = [states[i] for i in rng.choice(len(states), 150, replace=False)]
+    for start in range(0, len(states), 256):
+        chunk = states[start : start + 256]
+        got = fs.dg_basis_columns(space, chunk)
+        assert got.shape == (space.dim, len(chunk))
+        want = np.column_stack(list(dg_reference(space, chunk)))
+        assert np.max(np.abs(got.toarray() - want)) <= 1e-15
+    single = fs.dg_basis_state(space, *states[-1])
+    assert np.array_equal(single, got[:, [-1]].toarray().ravel())
+
+
+def test_dg_basis_columns_validate_and_allow_empty():
+    space = fs.build_space(1)
+    assert fs.dg_basis_columns(space, []).shape == (space.dim, 0)
+    with pytest.raises(ValueError, match="exceed the truncation"):
+        fs.dg_basis_columns(space, [((0, 0, 0, 0), (0, 0, 1, 1))])
+    with pytest.raises(ValueError, match="4 nonnegative"):
+        fs.dg_basis_columns(space, [((0, 0, 0), (0, 0, 0, 0))])
 
 
 def test_metric_on_dg_states():

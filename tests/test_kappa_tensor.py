@@ -171,6 +171,30 @@ def test_kappa_set_rejects_non_finite(fields):
         kt.KappaSet(**fields)
 
 
+FIELDS = ("e_minus", "o_plus", "tr", "e_plus", "o_minus")
+
+
+def test_scaled_and_rotated_act_blockwise_bitwise():
+    rng = np.random.default_rng(29)
+    k = kt.random_kappas(rng, 1e-2, birefringent=True)
+    rot, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    factor = 3e-3 / k.magnitude
+    scaled, rotated = k.scaled(factor), k.rotated(rot)
+    for name in FIELDS:
+        assert np.array_equal(getattr(scaled, name), getattr(k, name) * factor)
+    assert rotated.tr == k.tr
+    for name in ("e_minus", "o_plus", "e_plus", "o_minus"):
+        assert np.array_equal(getattr(rotated, name), rot @ getattr(k, name) @ rot.T)
+
+
+def test_check_nonbiref_rejects_birefringent_and_large_sets():
+    kt.check_nonbiref(kt.random_kappas(np.random.default_rng(2), 1e-2))
+    with pytest.raises(ValueError, match="e_plus"):
+        kt.check_nonbiref(kt.random_kappas(np.random.default_rng(2), 1e-2, True))
+    with pytest.raises(ValueError, match="perturbative"):
+        kt.check_nonbiref(kt.KappaSet(tr=0.2))
+
+
 def test_single_trace_is_traceless_and_shift_identity():
     rng = np.random.default_rng(16)
     kf = kt.kf_from_kappas(kt.random_kappas(rng, 1e-2, birefringent=True))

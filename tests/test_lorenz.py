@@ -75,17 +75,13 @@ def test_norm_rule_and_pairing_structure(space):
     # Every ghost combination at transverse vacuum: norms are 0 or 1 by
     # class, and the only nonzero inner products pair d/g mirrored states
     # with the quarter-turn phase.
-    raisers = lz._dg_raisers(space)
-    combos = [
-        (p, m)
-        for p in lz._ghost_combos(space.cutoff)
-        for m in lz._ghost_combos(space.cutoff)
-    ]
-    states = [
-        lz._dg_state(space, raisers, (0, 0) + p, (0, 0) + m) for p, m in combos
-    ]
+    top = space.cutoff
+    ghosts = [(nd, ng) for nd in range(top + 1) for ng in range(top + 1 - nd)]
+    combos = list(itertools.product(ghosts, ghosts))
+    stack = fs.dg_basis_columns(
+        space, [((0, 0) + p, (0, 0) + m) for p, m in combos]
+    ).toarray()
     mdiag = fs.metric_diagonal(space)
-    stack = np.column_stack(states)
     gram = stack.conj().T @ (mdiag[:, None] * stack)
     index = {pm: i for i, pm in enumerate(combos)}
     for j, (p, m) in enumerate(combos):
@@ -96,8 +92,8 @@ def test_norm_rule_and_pairing_structure(space):
                 want = lz.pairing_phase((0, 0) + p, (0, 0) + m)
             assert abs(gram[i, j] - want) < 1e-12
     # transverse factors ride along: a decorated pair keeps its phase
-    a = lz._dg_state(space, raisers, (2, 1, 1, 0), (0, 1, 0, 2))
-    b = lz._dg_state(space, raisers, (2, 1, 0, 1), (0, 1, 2, 0))
+    a = fs.dg_basis_state(space, (2, 1, 1, 0), (0, 1, 0, 2))
+    b = fs.dg_basis_state(space, (2, 1, 0, 1), (0, 1, 2, 0))
     got = fs.indefinite_inner(space, b, a)
     assert abs(got - lz.pairing_phase((2, 1, 1, 0), (0, 1, 0, 2))) < 1e-12
 
@@ -303,6 +299,41 @@ def test_counting_oracle_matches_operator_products():
                     assert best[start] > 1e-12
 
 
+def _kron_ghost_annihilator(gspace, slot):
+    """Reference ghost lowering operator: kron chain of single-mode factors."""
+    lower = sp.diags(np.sqrt(np.arange(1.0, gspace.base)), 1)
+    eye = sp.identity(gspace.base, format="csr")
+    op = sp.identity(1, format="csr")
+    for position in range(4):
+        op = sp.kron(op, lower if position == slot else eye, format="csr")
+    return op.astype(complex)
+
+
+@pytest.mark.parametrize("cutoff", range(1, 8))
+def test_ghost_annihilator_matches_kron_chain_bitwise(cutoff):
+    g = lz.ghost_space(cutoff)
+    assert g.dim == (cutoff + 1) ** 4
+    for slot in range(4):
+        got = lz.ghost_annihilator(g, slot)
+        want = _kron_ghost_annihilator(g, slot)
+        assert type(got) is type(want)
+        assert got.shape == want.shape
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype, name
+            assert np.array_equal(a, b), name
+
+
+def test_ghost_space_keeps_its_cutoff_range():
+    # wider than build_space's 1-4: the ghost space has four modes, not eight
+    for cutoff in (0, 8):
+        with pytest.raises(ValueError):
+            lz.ghost_space(cutoff)
+    with pytest.raises(ValueError):
+        lz.ghost_annihilator(lz.ghost_space(1), 4)
+    assert lz.ghost_space(7).index_of((7, 0, 0, 1)) == 7 * 8**3 + 1
+
+
 def test_ghost_pairing_is_involutive_conjugation():
     g = lz.ghost_space(2)
     gram = lz.ghost_pairing(g).toarray()
@@ -321,6 +352,14 @@ def test_invariance_leakage_zero_kappa(space, frame):
         lz.invariance_leakage(space, bundle, 11.0)
 
 
+def test_invariance_leakage_without_c_class_states(frame):
+    # at cutoff 1 no C-class state fits (n_d = n_g >= 1 takes two quanta)
+    space1 = fs.build_space(1)
+    k = kt.random_kappas(np.random.default_rng(5), 1e-2)
+    bundle = hm.build_grouped(space1, k, frame)
+    assert lz.invariance_leakage(space1, bundle, 10.0) == 0.0
+
+
 def test_invariance_leakage_small_coupling(space, frame):
     # the C-class contamination is a truncation artifact that falls off
     # steeply with the coupling scale; at 1e-3 it sits far below any
@@ -331,14 +370,27 @@ def test_invariance_leakage_small_coupling(space, frame):
     assert lz.invariance_leakage(space, bundle, 10.0) < 1e-12
 
 
-def _full_space_leakage(space, h, t):
-    """Reference: one expm_multiply over the whole space, all A columns."""
-    a_states = np.column_stack(
-        [v for _, _, v in lz._class_basis(space, (lz.StateClass.A,))]
-    )
-    c_states = np.column_stack(
-        [v for _, _, v in lz._class_basis(space, (lz.StateClass.C,))]
-    )
+def _reference_class_states(cutoff):
+    """A- and C-class (plus, minus) tuples, enumerated from the class rules."""
+    sides = [
+        (n1, n2, nd, ng)
+        for n1, n2, nd, ng in itertools.product(range(cutoff + 1), repeat=4)
+        if nd + ng <= cutoff
+    ]
+    a_states, c_states = [], []
+    for plus, minus in itertools.product(sides, sides):
+        if plus[2] == plus[3] and minus[2] == minus[3]:
+            ghosts = plus[2] + minus[2]
+            (c_states if ghosts else a_states).append((plus, minus))
+    return a_states, c_states
+
+
+def _full_space_leakage(space, h, t, dg_reference):
+    """Reference: one expm_multiply over the whole space, all A columns,
+    with the A and C states raised from the vacuum."""
+    a_tuples, c_tuples = _reference_class_states(space.cutoff)
+    a_states = np.column_stack(list(dg_reference(space, a_tuples)))
+    c_states = np.column_stack(list(dg_reference(space, c_tuples)))
     evolved = expm_multiply(-1j * t * h.tocsc(), a_states)
     mdiag = fs.metric_diagonal(space)
     overlaps = c_states.conj().T @ (mdiag[:, None] * evolved)
@@ -351,7 +403,7 @@ def _block_count(h):
 
 
 @pytest.mark.parametrize("inject", [False, True], ids=["criterion10", "injected"])
-def test_block_leakage_matches_full_space(space, frame, inject):
+def test_block_leakage_matches_full_space(space, frame, inject, dg_reference):
     # the criterion-10 Hamiltonian splits into the 17 momentum sectors;
     # the injected A-C coupler joins sector +1 to sector +2, and the
     # per-block evolution must follow the merged block
@@ -361,7 +413,7 @@ def test_block_leakage_matches_full_space(space, frame, inject):
         h = cli._inject_c_defect(space, h)
     assert _block_count(h) == (16 if inject else 17)
     got = lz.invariance_leakage(space, h, 10.0)
-    want = _full_space_leakage(space, h, 10.0)
+    want = _full_space_leakage(space, h, 10.0, dg_reference)
     assert got == pytest.approx(want, rel=0, abs=1e-12)
     assert (got > 1e-8) == inject
 
