@@ -30,7 +30,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import expm
-from scipy.sparse.linalg import expm_multiply
 
 from . import dispersion as dp
 from . import fock_space as fs
@@ -39,7 +38,11 @@ from . import interaction as ia
 from . import kappa_tensor as kt
 from . import lorenz as lz
 
+#: Fock cutoffs the commands accept.  `spectrum` works on the 4-mode
+#: transverse factor and needs one level of ladder headroom; the other
+#: commands build the 8-mode space.
 CUTOFF_RANGE = (1, 4)
+SPECTRUM_CUTOFF_RANGE = (2, 12)
 #: Every key a config may hold.  `command` and `symmetry` are in the list
 #: (and ignored) so that a decompose report loads back as a config.
 CONFIG_KEYS = frozenset({
@@ -177,11 +180,10 @@ def load_config(path, strict=False):
         raise ValueError("direction must be a nonzero finite 3-vector")
     direction = direction / norm
 
+    # its range depends on the command: main and cmd_spectrum check it
     cutoff = raw.get("cutoff", 2)
     if isinstance(cutoff, bool) or not isinstance(cutoff, int):
         raise ValueError("cutoff must be an integer")
-    if not CUTOFF_RANGE[0] <= cutoff <= CUTOFF_RANGE[1]:
-        raise ValueError(f"cutoff must lie in {CUTOFF_RANGE}")
 
     scales = raw.get("scales", [])
     if not isinstance(scales, list):
@@ -376,15 +378,16 @@ def cmd_dispersion(config, grid=0, seed=0):
 
 
 def _photon_index(space, *modes):
-    """Basis index of the state with one quantum in each listed mode."""
-    occ = [0] * 8
+    """Transverse-factor index of the state with one quantum in each listed mode."""
+    occ = [0] * len(hm.TRANSVERSE_SLOTS)
     for mode in modes:
-        occ[mode.slot] += 1
+        occ[hm.TRANSVERSE_SLOTS.index(mode.slot)] += 1
     return space.index_of(occ)
 
 
-def _spectrum_row(space, frame, kappas, scale_label):
-    bundle = hm.build_grouped(space, kappas, frame)
+def _transverse_values(space, frame, kappas):
+    """Transformed gaps and the pair-vacuum cross terms on one transverse factor."""
+    h, xi = hm.build_transverse(space, kappas, frame)
     pair = _photon_index(space, fs.ModeId(fs.PLUS_K, 1), fs.ModeId(fs.MINUS_K, 1))
     # vacuum, the four transverse one-photon states (+k then -k), the pair
     indices = [_photon_index(space)]
@@ -393,25 +396,39 @@ def _spectrum_row(space, frame, kappas, scale_label):
     indices.append(pair)
     states = np.zeros((len(indices), space.dim), dtype=complex)
     states[np.arange(len(indices)), indices] = 1.0
-    g = hm.transformed_matrix(space, bundle, bundle.xi, states)
+    g = hm.transverse_matrix(space, h, xi, states)
     energies = g.diagonal().real
-    delta_plus = dp.delta_nonbiref(kappas, frame.khat)
-    delta_minus = dp.delta_nonbiref(kappas, -frame.khat)
-    row = {"scale": scale_label}
-    for name, first, want in (
-        ("plus", 1, 1.0 + delta_plus),
-        ("minus", 3, 1.0 + delta_minus),
-    ):
+    values = {}
+    for name, first in (("plus", 1), ("minus", 3)):
         gap = 0.0
         for energy in energies[first : first + 2]:
             gap = max(gap, float(abs(energy - energies[0])))
-        row[f"gap_{name}"] = gap
+        values[f"gap_{name}"] = gap
+    # h_pm_t is the only part of h that joins the pair to the vacuum
+    values["cross_before"] = float(abs(h[pair, indices[0]]))
+    values["cross_after"] = float(abs(g[-1, 0]))
+    return values
+
+
+def _spectrum_row(spaces, frame, kappas, scale_label):
+    """One row on the transverse factors `spaces` at cutoffs c and c + 1.
+
+    The row's values come from cutoff c; truncation_shift is how far the
+    gaps and the transformed cross term move at c + 1.
+    """
+    values = _transverse_values(spaces[0], frame, kappas)
+    deeper = _transverse_values(spaces[1], frame, kappas)
+    row = {"scale": scale_label}
+    for name, khat in (("plus", frame.khat), ("minus", -frame.khat)):
+        want = 1.0 + dp.delta_nonbiref(kappas, khat)
+        row[f"gap_{name}"] = values[f"gap_{name}"]
         row[f"delta_{name}"] = want - 1.0
-        row[f"gap_residual_{name}"] = abs(gap - want)
-    # <pair| M H |vac>: H is needed on the vacuum and the pair only
-    ends = bundle.restricted([indices[0], pair])
-    row["cross_before"] = float(abs(fs.metric_diagonal(space)[pair] * ends[1, 0]))
-    row["cross_after"] = float(abs(g[-1, 0]))
+        row[f"gap_residual_{name}"] = abs(values[f"gap_{name}"] - want)
+    row["cross_before"] = values["cross_before"]
+    row["cross_after"] = values["cross_after"]
+    row["truncation_shift"] = max(
+        abs(deeper[key] - values[key]) for key in ("gap_plus", "gap_minus", "cross_after")
+    )
     return row
 
 
@@ -421,13 +438,20 @@ def cmd_spectrum(config):
     One row for the config parameters; with a scale sweep, one row per
     scale (config parameters rescaled to that magnitude) plus a log-log
     exponent fit of the residual cross coupling, which the transform
-    suppresses from O(kappa) to O(kappa^2).
+    suppresses from O(kappa) to O(kappa^2).  Every row is computed on
+    the 4-mode transverse factor (hm.build_transverse), at the config's
+    cutoff and one above it.
     """
-    if config.cutoff < 2:
+    if config.cutoff < SPECTRUM_CUTOFF_RANGE[0]:
         raise ValueError(
             "spectrum expectations need cutoff >= 2 for ladder headroom"
         )
-    space = fs.build_space(config.cutoff)
+    if config.cutoff > SPECTRUM_CUTOFF_RANGE[1]:
+        raise ValueError(f"spectrum cutoff must lie in {SPECTRUM_CUTOFF_RANGE}")
+    spaces = (
+        hm.transverse_space(config.cutoff),
+        hm.transverse_space(config.cutoff + 1),
+    )
     frame = dp.polarization_frame(config.direction)
     magnitude = config.kappas.magnitude
     if config.scales and magnitude == 0.0:
@@ -436,7 +460,7 @@ def cmd_spectrum(config):
         sweep = [(s, config.kappas.scaled(s / magnitude)) for s in config.scales]
     else:
         sweep = [(magnitude, config.kappas)]
-    rows = [_spectrum_row(space, frame, k, s) for s, k in sweep]
+    rows = [_spectrum_row(spaces, frame, k, s) for s, k in sweep]
 
     fit = None
     if len(rows) >= 2:
@@ -700,9 +724,10 @@ def _hamiltonian_checks(rng, config):
     shape = kt.random_kappas(rng, 1e-2)
     residuals = []
     crosses = []
+    spaces = (hm.transverse_space(2), hm.transverse_space(3))
     for scale in (1e-2, 1e-3):
         k = shape.scaled(scale / shape.magnitude)
-        row = _spectrum_row(space, frame, k, scale)
+        row = _spectrum_row(spaces, frame, k, scale)
         residuals.append(
             max(row["gap_residual_plus"], row["gap_residual_minus"])
         )
@@ -990,9 +1015,10 @@ def main(argv=None):
                 raise ValueError(
                     "--cutoff does not apply to verify; its checks pick their own cutoffs"
                 )
-            if not CUTOFF_RANGE[0] <= args.cutoff <= CUTOFF_RANGE[1]:
-                raise ValueError(f"cutoff must lie in {CUTOFF_RANGE}")
             config = replace(config, cutoff=args.cutoff)
+        in_range = CUTOFF_RANGE[0] <= config.cutoff <= CUTOFF_RANGE[1]
+        if args.command != "spectrum" and not in_range:  # spectrum checks its own
+            raise ValueError(f"cutoff must lie in {CUTOFF_RANGE}")
 
         status = 0
         if args.command == "decompose":

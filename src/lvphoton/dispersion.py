@@ -17,8 +17,6 @@ from scipy.optimize import brentq
 from .kappa_tensor import (
     METRIC,
     PERTURBATIVE_LIMIT,
-    FourVector,
-    KappaSet,
     as_four_components,
     as_kf_components,
     kf_from_kappas,

@@ -245,15 +245,27 @@ def check_dg_occupations(space, plus, minus):
     transverse ones within the cutoff, and n_d + n_g within the cutoff
     (the ghost part spreads over n0 + n3 = n_d + n_g).
     """
-    plus = tuple(int(n) for n in plus)
-    minus = tuple(int(n) for n in minus)
-    for tup in (plus, minus):
-        if len(tup) != 4 or min(tup) < 0:
-            raise ValueError("each direction needs 4 nonnegative occupations")
-        n1, n2, nd, ng = tup
-        if n1 > space.cutoff or n2 > space.cutoff or nd + ng > space.cutoff:
-            raise ValueError("occupations exceed the truncation")
-    return plus, minus
+    occ = _dg_occupation_array(space, [(plus, minus)])[0]
+    return tuple(int(n) for n in occ[:4]), tuple(int(n) for n in occ[4:])
+
+
+def _dg_occupation_array(space, states):
+    """A list of (plus, minus) d/g tuples as an (n, 8) int array, validated
+    all at once by the rules of check_dg_occupations."""
+    rows = [(plus, minus) for plus, minus in states]
+    try:
+        occ = np.array(rows, dtype=np.int64)
+        shaped = not rows or occ.shape[1:] == (2, 4)
+    except ValueError:  # tuples of unequal lengths
+        shaped = False
+    if not shaped or np.any(occ < 0):
+        raise ValueError("each direction needs 4 nonnegative occupations")
+    occ = occ.reshape(-1, 8)
+    transverse = occ[:, [0, 1, 4, 5]]
+    ghost = occ[:, [2, 6]] + occ[:, [3, 7]]
+    if np.any(transverse > space.cutoff) or np.any(ghost > space.cutoff):
+        raise ValueError("occupations exceed the truncation")
+    return occ
 
 
 def _dg_amplitudes(cutoff):
@@ -289,12 +301,10 @@ def dg_basis_columns(space, states):
     A state is the outer product of its +k and -k ghost amplitudes over
     (n0, n3) and (n0', n3'), with the transverse occupations fixed, so a
     column holds at most (n_d + n_g + 1)(n_d' + n_g' + 1) nonzeros; its
-    row indices follow from the basis strides.
+    row indices follow from the basis strides.  The tuples are validated
+    as by check_dg_occupations.
     """
-    occ = np.array(
-        [sum(check_dg_occupations(space, plus, minus), ()) for plus, minus in states],
-        dtype=np.int64,
-    ).reshape(-1, 8)
+    occ = _dg_occupation_array(space, states)
     table = _dg_amplitudes(space.cutoff)
     stride = space.base ** np.arange(7, -1, -1)
     n0 = np.arange(space.cutoff + 1)

@@ -9,7 +9,10 @@ diagonal part, the transverse +-k cross terms, the covariant
 scalar/longitudinal part, its Lorentz-violating ghost-sector
 counterpart, and the two transverse-to-ghost couplings.  Their
 elementwise equality is the central cross-check of this module and is
-enforced in the test suite.
+enforced in the test suite.  For states with empty scalar and
+longitudinal modes, build_transverse gives the same H and Xi on the
+four transverse modes alone, from the same h_t, h_pm_t and Xi
+expressions.
 
 All energies are in units of omega_k (hbar = omega_k = 1).  Both
 directions' mode operators are labeled against the +k frame vectors
@@ -36,7 +39,6 @@ from .dispersion import delta_nonbiref
 from .kappa_tensor import (
     _FLIP4,
     METRIC,
-    KappaSet,
     as_kf_components,
     check_nonbiref,
     kappas_from_kf,
@@ -103,17 +105,6 @@ class HamiltonianBundle:
         out = self.blocks[0]
         for block in self.blocks[1:]:
             out = out + block
-        return out.tocsr()
-
-    def restricted(self, idx):
-        """total[idx][:, idx], summed from the six blocks' restrictions.
-
-        The blocks are added in the same order as in `total`, so every
-        entry equals the corresponding entry of the restricted total.
-        """
-        out = self.blocks[0][idx][:, idx]
-        for block in self.blocks[1:]:
-            out = out + block[idx][:, idx]
         return out.tocsr()
 
 
@@ -217,6 +208,27 @@ def _xi_from_operators(E, S, T, Sb, Tb):
     return xi.tocsr()
 
 
+def _transverse_blocks(kappas, frame, E, S, T, Sb, Tb):
+    """h_t and h_pm_t from already built mode operators (see build_grouped).
+
+    Only the transverse entries S[r], T[r], Sb[r], Tb[r], r = 1, 2, are
+    used, so the operators may be those of the 8-mode space or of the
+    transverse factor.
+    """
+    delta_plus = delta_nonbiref(kappas, frame.khat)
+    delta_minus = delta_nonbiref(kappas, -frame.khat)
+
+    h_t = (1 + delta_plus) * (S[1] @ Sb[1] + S[2] @ Sb[2])
+    h_t = h_t + (1 + delta_minus) * (Tb[1] @ T[1] + Tb[2] @ T[2])
+
+    h_pm_t = 0.5 * (E[1, 1] - E[2, 2]) * (
+        S[1] @ T[1] + Tb[1] @ Sb[1] - S[2] @ T[2] - Tb[2] @ Sb[2]
+    )
+    h_pm_t = h_pm_t + E[1, 2] * (S[1] @ T[2] + Tb[2] @ Sb[1])
+    h_pm_t = h_pm_t + E[1, 2] * (S[2] @ T[1] + Tb[1] @ Sb[2])
+    return h_t, h_pm_t
+
+
 def build_grouped(space, kappas, frame):
     """The six named blocks of the Hamiltonian, coefficients from kappa bilinears.
 
@@ -229,18 +241,8 @@ def build_grouped(space, kappas, frame):
     """
     check_nonbiref(kappas)
     E, O = kappa_bilinears(kappas, frame)
-    delta_plus = delta_nonbiref(kappas, frame.khat)
-    delta_minus = delta_nonbiref(kappas, -frame.khat)
     S, T, Sb, Tb = _mode_operators(space)
-
-    h_t = (1 + delta_plus) * (S[1] @ Sb[1] + S[2] @ Sb[2])
-    h_t = h_t + (1 + delta_minus) * (Tb[1] @ T[1] + Tb[2] @ T[2])
-
-    h_pm_t = 0.5 * (E[1, 1] - E[2, 2]) * (
-        S[1] @ T[1] + Tb[1] @ Sb[1] - S[2] @ T[2] - Tb[2] @ Sb[2]
-    )
-    h_pm_t = h_pm_t + E[1, 2] * (S[1] @ T[2] + Tb[2] @ Sb[1])
-    h_pm_t = h_pm_t + E[1, 2] * (S[2] @ T[1] + Tb[1] @ Sb[2])
+    h_t, h_pm_t = _transverse_blocks(kappas, frame, E, S, T, Sb, Tb)
 
     h_ls0 = S[3] @ Sb[3] + Tb[3] @ T[3] - S[0] @ Sb[0] - Tb[0] @ T[0]
 
@@ -280,6 +282,47 @@ def build_grouped(space, kappas, frame):
         h_m_tls=h_m_tls.tocsr(),
         xi=_xi_from_operators(E, S, T, Sb, Tb),
     )
+
+
+#: The 8-mode slots of the transverse factor's modes, in the order of
+#: its occupation tuple: a1(+k), a2(+k), a1(-k), a2(-k).
+TRANSVERSE_SLOTS = (1, 2, 5, 6)
+
+#: <ghost vacuum| h_ls0 + h_lslv |ghost vacuum>.  The +k terms of h_ls0,
+#: a_r bar(a_r), give zeta_r on the vacuum since [a_r, bar(a_r)] = zeta_r,
+#: and its -k terms are normal ordered.  Every h_lslv term annihilates
+#: the ghost vacuum or changes its occupations (a_g commutes with the
+#: physical dagger of a_d), so h_lslv adds nothing.
+_GHOST_VACUUM_ENERGY = fs.ZETA[3] - fs.ZETA[0]
+
+
+def transverse_space(cutoff):
+    """The 4-mode occupation space of TRANSVERSE_SLOTS, dim (cutoff+1)^4."""
+    return fs._occupation_space(cutoff, 4)
+
+
+def build_transverse(space, kappas, frame):
+    """H and Xi on the transverse factor, for states with empty ghost modes.
+
+    Xi, h_t and h_pm_t act only on the transverse modes.  Between
+    states whose scalar and longitudinal modes are empty, h_p_tls and
+    h_m_tls vanish (each term moves one ghost quantum) and h_ls0 +
+    h_lslv is the constant _GHOST_VACUUM_ENERGY.  On those states the
+    8-mode H and Xi are therefore the ghost vacuum times the returned
+    h = h_t + h_pm_t + c I and xi, with the same entries.  The
+    transverse metric is +1, so bar-adjoints are plain daggers.
+    `space` is a transverse_space; returns (h, xi).
+    """
+    check_nonbiref(kappas)
+    E, _ = kappa_bilinears(kappas, frame)
+    lower = [fs._lowering(space, slot) for slot in range(4)]
+    daggers = [a.conj().T.tocsr() for a in lower]
+    # keyed by polarization, as the 8-mode operator lists are indexed
+    S, T = dict(zip((1, 2), lower[:2])), dict(zip((1, 2), lower[2:]))
+    Sb, Tb = dict(zip((1, 2), daggers[:2])), dict(zip((1, 2), daggers[2:]))
+    h_t, h_pm_t = _transverse_blocks(kappas, frame, E, S, T, Sb, Tb)
+    h = h_t + h_pm_t + _GHOST_VACUUM_ENERGY * sp.identity(space.dim, format="csr")
+    return h.tocsr(), _xi_from_operators(E, S, T, Sb, Tb)
 
 
 def similarity_transform(h, xi):
@@ -325,6 +368,27 @@ def _evolve(xi, labels, vec):
     return idx, expm_multiply(-xi[idx][:, idx], vec[idx])
 
 
+def _transformed(h, xi, states, mdiag):
+    """Phi^dagger diag(mdiag) H Phi, the columns of Phi exp(-xi) states.
+
+    Each state is evolved on the coupled blocks of xi that hold it;
+    every evolved state vanishes outside the union of those blocks, so
+    H and the metric diagonal `mdiag` are needed only on that support.
+    """
+    states = [np.asarray(state, dtype=complex) for state in states]
+    if any(state.shape != mdiag.shape for state in states):
+        raise ValueError("state dimension does not match the space")
+    xi = sp.csr_matrix(xi)
+    labels = fs.coupled_blocks(xi)
+    evolved = [_evolve(xi, labels, state) for state in states]
+    support = np.unique(np.concatenate([idx for idx, _ in evolved]))
+    h_support = sp.csr_matrix(h)[support][:, support]
+    phi = np.zeros((support.size, len(states)), dtype=complex)
+    for col, (idx, values) in enumerate(evolved):
+        phi[np.searchsorted(support, idx), col] = values
+    return phi.conj().T @ (mdiag[support][:, None] * (h_support @ phi))
+
+
 def transformed_matrix(space, h, xi, states):
     """G[a, b] = <a| M exp(xi) H exp(-xi) |b> over a list of states.
 
@@ -332,27 +396,15 @@ def transformed_matrix(space, h, xi, states):
     M-weighted bra of exp(-xi)|a>, so G = Phi^dagger M H Phi with the
     columns of Phi the states evolved by exp(-xi).  Each evolution runs
     on the coupled blocks of xi that hold its state, so it works at any
-    cutoff; every evolved state vanishes outside the union of those
-    blocks, so H is needed only on that support.  `h` is a
-    HamiltonianBundle (restricted block by block) or a sparse or dense
-    matrix.
+    cutoff; H (a sparse or dense matrix) is taken only on the support
+    of the evolved states.
     """
-    states = [np.asarray(state, dtype=complex) for state in states]
-    if any(state.shape != (space.dim,) for state in states):
-        raise ValueError("state dimension does not match the space")
-    xi = sp.csr_matrix(xi)
-    labels = fs.coupled_blocks(xi)
-    evolved = [_evolve(xi, labels, state) for state in states]
-    support = np.unique(np.concatenate([idx for idx, _ in evolved]))
-    if isinstance(h, HamiltonianBundle):
-        h_support = h.restricted(support)
-    else:
-        h_support = sp.csr_matrix(h)[support][:, support]
-    phi = np.zeros((support.size, len(states)), dtype=complex)
-    for col, (idx, values) in enumerate(evolved):
-        phi[np.searchsorted(support, idx), col] = values
-    mdiag = fs.metric_diagonal(space)[support]
-    return phi.conj().T @ (mdiag[:, None] * (h_support @ phi))
+    return _transformed(h, xi, states, fs.metric_diagonal(space))
+
+
+def transverse_matrix(space, h, xi, states):
+    """transformed_matrix on a transverse_space, whose metric is +1."""
+    return _transformed(h, xi, states, np.ones(space.dim))
 
 
 def transformed_expectation(space, h, xi, psi):

@@ -11,7 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lvphoton import cli
+from lvphoton import dispersion as dp
 from lvphoton import fock_space as fs
+from lvphoton import hamiltonian as hm
 from lvphoton import kappa_tensor as kt
 
 # dyadic values survive a parse/print cycle bit for bit
@@ -446,6 +448,144 @@ def test_spectrum_rejects_sweep_of_zero_parameters(tmp_path, capsys):
     path = _write(tmp_path, "zero.json", {"scales": [1e-2]})
     status, _, err = _run(capsys, ["spectrum", "--config", path])
     assert status == 2
+
+
+def _full_space_row(space, frame, kappas):
+    """Reference spectrum values from the full 8-mode space.
+
+    The six states (vacuum, the four transverse one-photon states, the
+    +-k pair) are evolved by exp(-Xi) of the 8-mode bundle, and H is the
+    sum of all six named blocks; cross_before is the metric-weighted
+    <pair| M H |vac> before the transform.
+    """
+    bundle = hm.build_grouped(space, kappas, frame)
+    h = bundle.total
+
+    def index(*modes):
+        occ = [0] * 8
+        for mode in modes:
+            occ[mode.slot] += 1
+        return space.index_of(occ)
+
+    pair = index(fs.ModeId(fs.PLUS_K, 1), fs.ModeId(fs.MINUS_K, 1))
+    indices = [index()]
+    for direction in (fs.PLUS_K, fs.MINUS_K):
+        indices += [index(fs.ModeId(direction, pol)) for pol in (1, 2)]
+    indices.append(pair)
+    states = np.zeros((len(indices), space.dim), dtype=complex)
+    states[np.arange(len(indices)), indices] = 1.0
+    energies = hm.transformed_matrix(space, h, bundle.xi, states)
+    cross_after = abs(energies[-1, 0])
+    energies = energies.diagonal().real
+    row = {}
+    for name, first, khat in (("plus", 1, frame.khat), ("minus", 3, -frame.khat)):
+        want = 1.0 + dp.delta_nonbiref(kappas, khat)
+        gap = max(abs(energies[first : first + 2] - energies[0]))
+        row.update({f"gap_{name}": gap, f"delta_{name}": want - 1.0, f"gap_residual_{name}": abs(gap - want)})
+    row["cross_before"] = abs(fs.metric_diagonal(space)[pair] * h[pair, indices[0]])
+    row["cross_after"] = cross_after
+    return row
+
+
+@pytest.fixture(scope="module")
+def oblique_sweep(tmp_path_factory):
+    """An oblique three-scale spectrum config and its 8-mode reference rows."""
+    payload = dict(SAMPLE, direction=[0.41, 0.32, -0.86], scales=[1e-2, 1e-3, 1e-4])
+    path = tmp_path_factory.mktemp("sweep") / "cfg.json"
+    path.write_text(json.dumps(payload))
+    config = cli.load_config(str(path))
+    frame = dp.polarization_frame(config.direction)
+    magnitude = config.kappas.magnitude
+    reference = {
+        cutoff: [
+            _full_space_row(fs.build_space(cutoff), frame, config.kappas.scaled(s / magnitude))
+            for s in config.scales
+        ]
+        for cutoff in (2, 3)
+    }
+    return str(path), reference
+
+
+@pytest.mark.parametrize("cutoff", [2, 3])
+def test_spectrum_factor_rows_match_full_space(oblique_sweep, capsys, cutoff):
+    path, reference = oblique_sweep
+    status, out, err = _run(capsys, ["spectrum", "--config", path, "--cutoff", str(cutoff)])
+    assert status == 0 and err == ""
+    rows = json.loads(out)["rows"]
+    assert [row["scale"] for row in rows] == [1e-2, 1e-3, 1e-4]
+    for row, want in zip(rows, reference[cutoff]):
+        assert set(row) == {"scale", "truncation_shift", *want}
+        for key, value in want.items():
+            assert abs(row[key] - value) <= 1e-12, key
+    # the shift to the next cutoff, from the 8-mode rows at 2 and 3
+    if cutoff == 2:
+        for row, now, deeper in zip(rows, reference[2], reference[3]):
+            want = max(abs(deeper[k] - now[k]) for k in ("gap_plus", "gap_minus", "cross_after"))
+            assert abs(row["truncation_shift"] - want) <= 1e-12
+
+
+def test_truncation_shift_is_the_largest_move_of_gaps_and_cross_after(monkeypatch):
+    # cross_after moves most here, and cross_before (not part of the
+    # shift) moves more than anything else
+    values = {
+        2: {"gap_plus": 1.0, "gap_minus": 1.0, "cross_before": 0.5, "cross_after": 1e-6},
+        3: {"gap_plus": 1.0 + 2**-30, "gap_minus": 1.0 - 2**-29, "cross_before": 0.7, "cross_after": 4e-6},
+    }
+    monkeypatch.setattr(cli, "_transverse_values", lambda space, frame, kappas: values[space.cutoff])
+    spaces = (hm.transverse_space(2), hm.transverse_space(3))
+    row = cli._spectrum_row(spaces, dp.polarization_frame(dp.Z_AXIS), kt.KappaSet(), 0.0)
+    assert row["truncation_shift"] == 4e-6 - 1e-6
+    assert row["cross_before"] == 0.5 and row["gap_minus"] == 1.0
+
+
+@pytest.mark.parametrize("flag", [False, True])
+def test_spectrum_accepts_deep_cutoffs(tmp_path, capsys, flag):
+    payload = dict(SAMPLE, direction=[0.41, 0.32, -0.86])
+    argv = ["spectrum", "--config"]
+    if flag:
+        argv += [_write(tmp_path, "cfg.json", payload), "--cutoff", "8"]
+    else:
+        argv += [_write(tmp_path, "cfg.json", dict(payload, cutoff=8))]
+    status, out, err = _run(capsys, argv)
+    assert status == 0 and err == ""
+    report = json.loads(out)
+    assert report["cutoff"] == 8
+    (row,) = report["rows"]
+    assert 0.0 <= row["truncation_shift"] < 1e-6
+    assert row["gap_residual_plus"] < 5.0 * 0.015625**2
+
+
+@pytest.mark.parametrize(
+    "argv, payload",
+    [
+        (["spectrum"], {"cutoff": 13}),
+        (["spectrum", "--cutoff", "13"], {}),
+        (["decompose", "--cutoff", "8"], {}),
+        (["dispersion", "--cutoff", "5"], {}),
+        (["verify"], {"cutoff": 5}),
+        (["decompose", "--cutoff", "0"], {}),
+    ],
+)
+def test_cutoff_ranges_per_command(tmp_path, capsys, argv, payload):
+    path = _write(tmp_path, "cfg.json", dict(SAMPLE, **payload))
+    status, out, err = _run(capsys, argv + ["--config", path])
+    assert status == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "cutoff must lie in" in err
+
+
+def test_spectrum_never_builds_the_full_space(tmp_path, capsys, monkeypatch):
+    # spectrum runs on the transverse factor only; an 8-mode space or
+    # Hamiltonian anywhere in its path fails this test
+    def refuse(*args, **kwargs):
+        raise RuntimeError("spectrum built an 8-mode operator")
+
+    monkeypatch.setattr(fs, "build_space", refuse)
+    monkeypatch.setattr(hm, "build_grouped", refuse)
+    path = _write(tmp_path, "cfg.json", dict(SAMPLE, cutoff=4, scales=[1e-3, 1e-4]))
+    status, out, err = _run(capsys, ["spectrum", "--config", path])
+    assert status == 0 and err == ""
+    assert len(json.loads(out)["rows"]) == 2
 
 
 # ------------------------------------------------------------- verify

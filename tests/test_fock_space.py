@@ -252,6 +252,35 @@ def test_dg_basis_columns_validate_and_allow_empty():
         fs.dg_basis_columns(space, [((0, 0, 0), (0, 0, 0, 0))])
 
 
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (((0, 0, 0), (0, 0, 0, 0)), "4 nonnegative"),
+        (((0, 0, 0, 0), (0, 0, 0, 0, 0)), "4 nonnegative"),
+        (((), ()), "4 nonnegative"),
+        (((0, -1, 0, 0), (0, 0, 0, 0)), "4 nonnegative"),
+        (((0, 0, 0, 0), (3, 0, 0, 0)), "exceed the truncation"),
+        (((0, 0, 0, 0), (0, 3, 0, 0)), "exceed the truncation"),
+        (((0, 0, 2, 1), (0, 0, 0, 0)), "exceed the truncation"),
+        (((0, 0, 0, 0), (0, 0, 1, 2)), "exceed the truncation"),
+    ],
+)
+def test_dg_basis_columns_reject_one_bad_tuple_in_a_batch(bad, message):
+    # the batch is validated as one array, with the single-tuple messages
+    space = fs.build_space(2)
+    good = _all_dg_tuples(1)[:5]
+    with pytest.raises(ValueError, match=message):
+        fs.dg_basis_columns(space, good[:3] + [bad] + good[3:])
+    with pytest.raises(ValueError, match=message):
+        fs.check_dg_occupations(space, *bad)
+    with pytest.raises(ValueError, match=message):
+        fs.dg_basis_state(space, *bad)
+    assert fs.check_dg_occupations(space, [1, 2, 1, 1], np.array([0, 0, 2, 0])) == (
+        (1, 2, 1, 1),
+        (0, 0, 2, 0),
+    )
+
+
 def test_metric_on_dg_states():
     # M|n_d, m_g> = i^(m-n) |m_d, n_g> per direction.
     space = fs.build_space(2)

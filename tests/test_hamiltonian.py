@@ -245,36 +245,53 @@ def test_block_restricted_transform_matches_full_space(cutoff):
         )
         got = hm.transformed_element(space, h, bundle.xi, bra, ket)
         assert abs(got - want) <= 1e-12
-    # every pair of the five states, with H as the bundle (restricted
-    # block by block) and as the summed matrix
+    # every pair of the five states
     want = np.array(
         [[fs.indefinite_inner(space, bra, h @ ket) for ket in evolved] for bra in evolved]
     )
-    for h_arg in (bundle, h):
-        got = hm.transformed_matrix(space, h_arg, bundle.xi, states)
-        assert got.shape == (5, 5)
-        assert np.max(np.abs(got - want)) <= 1e-12
-        zero = np.zeros(space.dim)
-        assert hm.transformed_matrix(space, h_arg, bundle.xi, [zero])[0, 0] == 0.0
-        got = hm.transformed_matrix(space, h_arg, bundle.xi, [zero, vac])
-        assert np.all(got[0] == 0.0) and np.all(got[:, 0] == 0.0)
-        assert abs(got[1, 1] - want[0, 0]) <= 1e-12
-    assert hm.transformed_expectation(space, h, bundle.xi, np.zeros(space.dim)) == 0.0
+    got = hm.transformed_matrix(space, h, bundle.xi, states)
+    assert got.shape == (5, 5)
+    assert np.max(np.abs(got - want)) <= 1e-12
+    zero = np.zeros(space.dim)
+    assert hm.transformed_matrix(space, h, bundle.xi, [zero])[0, 0] == 0.0
+    got = hm.transformed_matrix(space, h, bundle.xi, [zero, vac])
+    assert np.all(got[0] == 0.0) and np.all(got[:, 0] == 0.0)
+    assert abs(got[1, 1] - want[0, 0]) <= 1e-12
+    assert hm.transformed_expectation(space, h, bundle.xi, zero) == 0.0
+
+
+def test_ghost_vacuum_constant_matches_full_space(space2):
+    # <0| h_ls0 + h_lslv |0> on the 8-mode space, for random kappas
+    rng = np.random.default_rng(61)
+    vac = fs.vacuum_state(space2)
+    for _ in range(4):
+        frame = dp.polarization_frame(random_unit(rng))
+        bundle = hm.build_grouped(space2, kt.random_kappas(rng, 1e-2), frame)
+        assert abs(bundle.h_lslv).max() > 0.0
+        element = fs.indefinite_inner(space2, vac, (bundle.h_ls0 + bundle.h_lslv) @ vac)
+        assert element == hm._GHOST_VACUUM_ENERGY
 
 
 @pytest.mark.parametrize("cutoff", [2, 3])
-def test_restricted_hamiltonian_equals_restricted_total(cutoff):
+def test_transverse_factor_is_the_ghost_vacuum_block(cutoff):
+    # On the states with empty scalar and longitudinal modes, the 8-mode
+    # H and Xi have exactly the entries of the factor's h and xi, and Xi
+    # joins those states to no other state.
     space = fs.build_space(cutoff)
-    rng = np.random.default_rng(70 + cutoff)
-    frame = dp.polarization_frame(random_unit(rng))
-    bundle = hm.build_grouped(space, kt.random_kappas(rng, 1e-2), frame)
-    total = bundle.total
-    sets = [np.sort(rng.choice(space.dim, size=n, replace=False)) for n in (1, 2, 85, space.dim // 7)]
-    for idx in sets + [np.arange(space.dim)]:
-        got = bundle.restricted(idx)
-        want = total[idx][:, idx]
-        assert got.shape == want.shape == (idx.size, idx.size)
-        assert (got != want).nnz == 0
+    factor = hm.transverse_space(cutoff)
+    rng = np.random.default_rng(80 + cutoff)
+    k = kt.random_kappas(rng, 1e-2)
+    frame = dp.polarization_frame(np.array([0.41, 0.32, -0.86]) / np.linalg.norm([0.41, 0.32, -0.86]))
+    bundle = hm.build_grouped(space, k, frame)
+    h, xi = hm.build_transverse(factor, k, frame)
+    ghost_slots = [0, 3, 4, 7]
+    empty = np.flatnonzero(~space.occupations[:, ghost_slots].any(axis=1))
+    others = np.setdiff1d(np.arange(space.dim), empty)
+    assert np.array_equal(space.occupations[empty][:, hm.TRANSVERSE_SLOTS], factor.occupations)
+    assert abs(bundle.total[empty][:, empty] - h).max() == 0.0
+    assert abs(bundle.xi[empty][:, empty] - xi).max() == 0.0
+    assert abs(bundle.xi[others][:, empty]).max() == 0.0
+    assert abs(bundle.xi[empty][:, others]).max() == 0.0
 
 
 def test_momentum_operator(space):
