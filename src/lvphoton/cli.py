@@ -290,11 +290,6 @@ def _emit(text, output):
             fh.write(text + ("" if text.endswith("\n") else "\n"))
 
 
-def _random_unit(rng):
-    v = rng.normal(size=3)
-    return v / np.linalg.norm(v)
-
-
 # ---------------------------------------------------------------------------
 # decompose
 
@@ -335,9 +330,7 @@ def cmd_decompose(config):
 # dispersion
 
 
-def _dispersion_row(kappas, kf, khat):
-    result = dp.summarize(kappas, khat)
-    roots = dp.solve_ampere(kf, khat)
+def _dispersion_row(khat, result, roots):
     return {
         "kx": khat[0],
         "ky": khat[1],
@@ -347,10 +340,10 @@ def _dispersion_row(kappas, kf, khat):
         "sigma": result.sigma,
         "omega_minus": result.omega_minus,
         "omega_plus": result.omega_plus,
-        "omega_minus_root": roots[0][0],
-        "omega_plus_root": roots[1][0],
-        "residual_minus": abs(roots[0][0] - result.omega_minus),
-        "residual_plus": abs(roots[1][0] - result.omega_plus),
+        "omega_minus_root": roots[0],
+        "omega_plus_root": roots[1],
+        "residual_minus": abs(roots[0] - result.omega_minus),
+        "residual_plus": abs(roots[1] - result.omega_plus),
     }
 
 
@@ -360,13 +353,18 @@ def cmd_dispersion(config, grid=0, seed=0):
     The config direction is always the first row; --grid N appends N
     seeded random unit directions.  Unlike the other commands this one
     accepts birefringent parameter sets, where delta is reported as null
-    and the two roots split by 2 sigma |k|.
+    and the two roots split by 2 sigma |k|.  The tensor is built once and
+    every direction goes through one batched call per solver.
     """
     kf = kt.kf_from_kappas(config.kappas)
-    directions = [config.direction]
     rng = np.random.default_rng(seed)
-    directions.extend(_random_unit(rng) for _ in range(grid))
-    rows = [_dispersion_row(config.kappas, kf, khat) for khat in directions]
+    directions = np.vstack((config.direction, dp.random_directions(rng, grid)))
+    results = dp.summarize_batch(config.kappas, kf, directions)
+    omegas, _ = dp.solve_ampere_batch(kf, directions)
+    rows = [
+        _dispersion_row(khat, result, roots)
+        for khat, result, roots in zip(directions, results, omegas)
+    ]
     return {
         "command": "dispersion",
         "rows": rows,
@@ -558,7 +556,7 @@ def _tensor_checks(rng):
 def _dispersion_checks(rng):
     worst_parity = 0.0
     for _ in range(100):
-        khat = _random_unit(rng)
+        khat = dp.random_directions(rng)
         f = dp.polarization_frame(khat)
         g = dp.polarization_frame(-khat)
         worst_parity = max(
@@ -574,7 +572,7 @@ def _dispersion_checks(rng):
     for _ in range(50):
         k = kt.random_kappas(rng, 1e-2)
         kf = kt.kf_from_kappas(k)
-        khat = _random_unit(rng)
+        khat = dp.random_directions(rng)
         rho, sigma = dp.rho_sigma(kf, khat)
         worst_rho = max(worst_rho, abs(rho - dp.delta_nonbiref(k, khat)))
         worst_sigma = max(worst_sigma, sigma)
@@ -586,7 +584,7 @@ def _dispersion_checks(rng):
     worst_cov = 0.0
     for _ in range(20):
         k = kt.random_kappas(rng, 1e-2)
-        khat = _random_unit(rng)
+        khat = dp.random_directions(rng)
         rot = _random_rotation(rng)
         worst_cov = max(
             worst_cov,
@@ -603,7 +601,7 @@ def _dispersion_checks(rng):
         for _ in range(10):
             k = kt.random_kappas(rng, scale)
             kf = kt.kf_from_kappas(k)
-            khat = _random_unit(rng)
+            khat = dp.random_directions(rng)
             delta = dp.delta_nonbiref(k, khat)
             for omega, _ in dp.solve_ampere(kf, khat):
                 worst = max(worst, abs(omega - (1.0 + delta)))
@@ -673,7 +671,7 @@ def _hamiltonian_checks(rng, config):
     worst = 0.0
     for _ in range(3):
         k = kt.random_kappas(rng, 1e-2)
-        frame = dp.polarization_frame(_random_unit(rng))
+        frame = dp.polarization_frame(dp.random_directions(rng))
         raw = hm.build_raw(space, kt.kf_from_kappas(k), frame)
         bundle = hm.build_grouped(space, k, frame)
         worst = max(worst, abs(raw - bundle.total).max())
@@ -891,7 +889,7 @@ def _interaction_checks(rng):
         table = ia.vint_coefficients(k)
         want = (k.e_minus[1, 1] - k.e_minus[0, 0]) / 2.0
         worst = max(worst, abs(table.polarization_asymmetry - want))
-        khat = _random_unit(rng)
+        khat = dp.random_directions(rng)
         frame = dp.polarization_frame(khat)
         delta1, _ = ia.mixing_deltas(k, frame)
         oblique = ia.vint_coefficients(k, khat)
@@ -1006,6 +1004,9 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        for flag in ("grid", "seed"):
+            if getattr(args, flag, 0) < 0:
+                raise ValueError(f"--{flag} must be a non-negative integer")
         if args.config is not None:
             config = load_config(args.config, strict=args.strict_symmetry)
         else:

@@ -34,11 +34,6 @@ def frame():
     return dp.polarization_frame(Z_AXIS)
 
 
-def _random_unit(rng):
-    v = rng.normal(size=3)
-    return v / np.linalg.norm(v)
-
-
 def _kappa_distance(a, b):
     return max(
         float(np.max(np.abs(a.e_minus - b.e_minus))),
@@ -89,7 +84,7 @@ def test_criterion_03_dispersion_residual_scaling():
         for _ in range(50):
             k = kt.random_kappas(rng, scale)
             kf = kt.kf_from_kappas(k)
-            khat = _random_unit(rng)
+            khat = dp.random_directions(rng)
             delta = dp.delta_nonbiref(k, khat)
             for omega, _ in dp.solve_ampere(kf, khat):
                 worst = max(worst, abs(omega - (1.0 + delta)))

@@ -375,16 +375,19 @@ def test_dispersion_zero_kappa_grid(tmp_path, capsys):
         assert row["residual_plus"] == 0.0
 
 
-def test_dispersion_birefringent_reports_null_delta(tmp_path, capsys):
-    k = kt.random_kappas(np.random.default_rng(7), 1e-2, birefringent=True)
-    payload = {
+def _birefringent_payload(seed):
+    k = kt.random_kappas(np.random.default_rng(seed), 1e-2, birefringent=True)
+    return {
         "kappa_e_minus": k.e_minus.tolist(),
         "kappa_o_plus": k.o_plus.tolist(),
         "kappa_tr": k.tr,
         "kappa_e_plus": k.e_plus.tolist(),
         "kappa_o_minus": k.o_minus.tolist(),
     }
-    path = _write(tmp_path, "cfg.json", payload)
+
+
+def test_dispersion_birefringent_reports_null_delta(tmp_path, capsys):
+    path = _write(tmp_path, "cfg.json", _birefringent_payload(7))
     status, out, _ = _run(capsys, ["dispersion", "--config", path])
     assert status == 0
     row = json.loads(out)["rows"][0]
@@ -402,6 +405,66 @@ def test_dispersion_csv_format(tmp_path, capsys):
     lines = out.strip().splitlines()
     assert len(lines) == 4
     assert lines[0].split(",")[:4] == ["kx", "ky", "kz", "delta"]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_dispersion_grid_directions_are_one_at_a_time_draws(tmp_path, seed):
+    # the grid is drawn as one array; its rows must be bit for bit the
+    # directions that grid separate size-3 draws, each normalized alone, give
+    path = _write(tmp_path, "cfg.json", _birefringent_payload(seed))
+    report = cli.cmd_dispersion(cli.load_config(path), grid=5000, seed=seed)
+    rng = np.random.default_rng(seed)
+    want = []
+    for _ in range(5000):
+        v = rng.normal(size=3)
+        want.append(v / np.linalg.norm(v))
+    got = [[row["kx"], row["ky"], row["kz"]] for row in report["rows"][1:]]
+    assert np.array_equal(np.array(got), np.array(want))
+
+
+def test_dispersion_builds_the_tensor_once_without_bisection(
+    tmp_path, capsys, monkeypatch
+):
+    import scipy.optimize
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("dispersion ran a bisection")
+
+    calls = []
+    build = kt.kf_from_kappas
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "brentq", refuse)
+    monkeypatch.setattr(kt, "kf_from_kappas", counted)
+    monkeypatch.setattr(dp, "kf_from_kappas", counted)
+    path = _write(tmp_path, "cfg.json", _birefringent_payload(4))
+    status, out, err = _run(
+        capsys, ["dispersion", "--config", path, "--grid", "500", "--seed", "4"]
+    )
+    assert status == 0 and err == ""
+    assert len(json.loads(out)["rows"]) == 501
+    assert len(calls) == 1
+    modules = (cli, dp, fs, hm, kt)
+    assert not any("brentq" in vars(module) for module in modules)
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["dispersion", "--grid", "-3"], "--grid"),
+        (["dispersion", "--seed", "-1"], "--seed"),
+        (["verify", "--seed", "-1"], "--seed"),
+    ],
+)
+def test_negative_grid_and_seed_are_usage_errors(tmp_path, capsys, argv, flag):
+    path = _write(tmp_path, "cfg.json", SAMPLE)
+    status, out, err = _run(capsys, argv + ["--config", path])
+    assert status == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert flag in err
 
 
 # ----------------------------------------------------------- spectrum

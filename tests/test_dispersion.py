@@ -1,19 +1,18 @@
 """Tests for polarization frames and leading-order dispersion.
 
 The ktilde oracle is an explicit double loop; the dispersion closed
-forms are checked against the numerical Ampere-law solver.
+forms are checked against the numerical Ampere-law solver, and the
+solver's batched companion eigensolve against a bisection reference.
 """
+
+import warnings
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from lvphoton import dispersion as dp
 from lvphoton import kappa_tensor as kt
-
-
-def random_unit(rng):
-    v = rng.normal(size=3)
-    return v / np.linalg.norm(v)
 
 
 def random_rotation(rng):
@@ -34,6 +33,23 @@ def rotate_kappas(k, R):
     )
 
 
+def test_random_directions_match_one_at_a_time_draws():
+    # a batch is the stream of separate size-3 draws, each row normalized
+    # bit for bit as np.linalg.norm normalizes it alone
+    for seed in range(1, 6):
+        rng = np.random.default_rng(seed)
+        want = []
+        for _ in range(2000):
+            v = rng.normal(size=3)
+            want.append(v / np.linalg.norm(v))
+        got = dp.random_directions(np.random.default_rng(seed), 2000)
+        assert np.array_equal(got, np.array(want))
+        rng = np.random.default_rng(seed)
+        singles = [dp.random_directions(rng) for _ in range(50)]
+        assert np.array_equal(np.array(singles), got[:50])
+    assert dp.random_directions(np.random.default_rng(1), 0).shape == (0, 3)
+
+
 # ---------------------------------------------------------------- frames
 
 
@@ -49,7 +65,7 @@ def test_frame_along_z():
 def test_frame_orthonormal_right_handed():
     rng = np.random.default_rng(21)
     for _ in range(100):
-        khat = random_unit(rng)
+        khat = dp.random_directions(rng)
         f = dp.polarization_frame(khat)
         assert abs(f.eps1 @ f.eps2) < 1e-14
         assert abs(np.linalg.norm(f.eps1) - 1) < 1e-14
@@ -61,7 +77,7 @@ def test_frame_orthonormal_right_handed():
 def test_frame_parity_pairing_exact():
     rng = np.random.default_rng(22)
     for _ in range(500):
-        khat = random_unit(rng)
+        khat = dp.random_directions(rng)
         f = dp.polarization_frame(khat)
         g = dp.polarization_frame(-khat)
         assert np.array_equal(g.eps1, f.eps1)
@@ -94,7 +110,7 @@ def test_ktilde_matches_oracle_and_is_symmetric():
     rng = np.random.default_rng(23)
     k = kt.random_kappas(rng, 1e-2, birefringent=True)
     kf = kt.kf_from_kappas(k)
-    khat = random_unit(rng)
+    khat = dp.random_directions(rng)
     got = dp.ktilde(kf, np.concatenate(([0.0], khat * 3.7)))
     want = ktilde_oracle(kf.components, khat)
     assert np.max(np.abs(got - want)) < 1e-14
@@ -169,7 +185,7 @@ def test_rho_equals_delta_without_birefringence():
     k = kt.random_kappas(rng, 1e-2)
     kf = kt.kf_from_kappas(k)
     for _ in range(25):
-        khat = random_unit(rng)
+        khat = dp.random_directions(rng)
         rho, sigma = dp.rho_sigma(kf, khat)
         assert rho == pytest.approx(dp.delta_nonbiref(k, khat), abs=1e-12)
         # sigma vanishes at leading order without birefringent input;
@@ -188,7 +204,7 @@ def test_delta_closed_forms_along_z():
     base = -k.tr + 0.5 * k.e_minus[2, 2]
     assert up == pytest.approx(k.o_plus[0, 1] + base, abs=1e-15)
     assert dn == pytest.approx(-k.o_plus[0, 1] + base, abs=1e-15)
-    assert dp.delta_nonbiref(kt.KappaSet(), random_unit(rng)) == 0.0
+    assert dp.delta_nonbiref(kt.KappaSet(), dp.random_directions(rng)) == 0.0
 
 
 def test_delta_rejects_birefringent():
@@ -202,7 +218,7 @@ def test_delta_rotation_covariance():
     k = kt.random_kappas(rng, 1e-2)
     for _ in range(10):
         R = random_rotation(rng)
-        khat = random_unit(rng)
+        khat = dp.random_directions(rng)
         before = dp.delta_nonbiref(k, khat)
         after = dp.delta_nonbiref(rotate_kappas(k, R), R @ khat)
         assert after == pytest.approx(before, abs=1e-12)
@@ -226,7 +242,7 @@ def test_ampere_matches_delta_at_second_order():
     # O(s^2) error, so the residual must shrink ~100x when s drops 10x.
     rng = np.random.default_rng(29)
     k1 = kt.random_kappas(rng, 1.0)
-    kvec = random_unit(rng) * 2.5
+    kvec = dp.random_directions(rng) * 2.5
     khat = kvec / np.linalg.norm(kvec)
     errs = []
     for s in (1e-2, 1e-3):
@@ -245,7 +261,7 @@ def test_ampere_birefringent_split_matches_sigma():
     rng = np.random.default_rng(30)
     k = kt.random_kappas(rng, 1e-3, birefringent=True)
     kf = kt.kf_from_kappas(k)
-    kvec = random_unit(rng) * 1.7
+    kvec = dp.random_directions(rng) * 1.7
     knorm = np.linalg.norm(kvec)
     _, sigma = dp.rho_sigma(kf, kvec / knorm)
     (om_lo, _), (om_hi, _) = dp.solve_ampere(kf, kvec)
@@ -283,3 +299,210 @@ def test_summarize_fields():
     assert res.omega_minus == pytest.approx((1 + res.rho - res.sigma) * 2.0, rel=1e-15)
     biref = kt.random_kappas(rng, 1e-3, birefringent=True)
     assert dp.summarize(biref, kvec).delta is None
+
+
+# ------------------------------------------- batched solver vs bisection
+
+
+def _brentq_solve_ampere(kf, kvec):
+    """Reference solver: bisection on the near-zero eigenvalue branches.
+
+    brentq on eigvalsh branches 1 and 2 of the 3x3 Ampere matrix inside
+    the bracket [(1 - w)|k|, (1 + w)|k|], w = max(5 s, 1e-12); the
+    longitudinal branch never crosses zero there.
+    """
+    K = kt.as_kf_components(kf)
+    kvec = np.asarray(kvec, dtype=float)
+    knorm = np.linalg.norm(kvec)
+    strength = np.max(np.abs(K))
+    if strength == 0.0:
+        f = dp.polarization_frame(kvec / knorm)
+        return [(knorm, f.eps1.astype(complex)), (knorm, f.eps2.astype(complex))]
+    half_width = max(5.0 * strength, dp._MIN_BRACKET)
+    lo = (1.0 - half_width) * knorm
+    hi = (1.0 + half_width) * knorm
+
+    def branch(omega, i):
+        return np.linalg.eigvalsh(dp.ampere_matrix(K, kvec, omega))[i]
+
+    roots = []
+    for i in (1, 2):
+        assert branch(lo, i) * branch(hi, i) <= 0.0
+        omega = brentq(branch, lo, hi, args=(i,), xtol=1e-13 * knorm)
+        _, vecs = np.linalg.eigh(dp.ampere_matrix(K, kvec, omega))
+        roots.append((float(omega), vecs[:, i].astype(complex)))
+    roots.sort(key=lambda pair: pair[0])
+    return roots
+
+
+def _roundoff_tensor():
+    # the projected residue of a tensor with no physical content (~1e-18)
+    K = np.zeros((4, 4, 4, 4))
+    K[3, 3, 3, 3] = 0.015625
+    return kt.kf_from_kappas(kt.kappas_from_kf(kt.project_kf(K).components))
+
+
+def _near_degenerate_kappas(rng):
+    base = kt.random_kappas(rng, 1e-2)
+    biref = kt.random_kappas(rng, 1e-8, birefringent=True)
+    return kt.KappaSet(
+        e_minus=base.e_minus, o_plus=base.o_plus, tr=base.tr,
+        e_plus=biref.e_plus, o_minus=biref.o_minus,
+    )
+
+
+def _kf(scale, birefringent=False):
+    return lambda rng: kt.kf_from_kappas(kt.random_kappas(rng, scale, birefringent))
+
+
+# Without birefringent parameters the two roots agree at leading order
+# only: they split by up to ~2.5 s^2 |k|.  So the pair is a double root to
+# roundoff at s = 1e-8, and at s = 1e-6 its splitting (1e-14 to 3.5e-12)
+# straddles the solver's 1e-12 double-root threshold.
+_CONFIGS = {
+    "birefringent-1e-2": _kf(1e-2, True),
+    "birefringent-1e-5": _kf(1e-5, True),
+    "nonbirefringent-1e-2": _kf(1e-2),
+    "nonbirefringent-1e-6": _kf(1e-6),
+    "double-root-1e-8": _kf(1e-8),
+    "near-degenerate": lambda rng: kt.kf_from_kappas(_near_degenerate_kappas(rng)),
+    "zero": lambda rng: kt.KFTensor.zero(),
+    "roundoff": lambda rng: _roundoff_tensor(),
+}
+_DOUBLE_ROOTS = {"double-root-1e-8", "zero", "roundoff"}
+
+
+@pytest.mark.parametrize("name", sorted(_CONFIGS))
+def test_batched_roots_match_bisection(name):
+    rng = np.random.default_rng(140 + sorted(_CONFIGS).index(name))
+    kf = _CONFIGS[name](rng)
+    axes = np.vstack((np.eye(3), -np.eye(3)))
+    lengths = np.exp(rng.uniform(np.log(0.2), np.log(5.0), size=40))
+    kvecs = np.vstack((axes, dp.random_directions(rng, 40) * lengths[:, None]))
+    omegas, fields = dp.solve_ampere_batch(kf, kvecs)
+    assert omegas.shape == (len(kvecs), 2) and fields.shape == (len(kvecs), 2, 3)
+    doubles = 0
+    for kvec, roots, pols in zip(kvecs, omegas, fields):
+        knorm = np.linalg.norm(kvec)
+        want = [omega for omega, _ in _brentq_solve_ampere(kf, kvec)]
+        assert np.max(np.abs(roots - want)) < 1e-12 * knorm
+        for omega, e in zip(roots, pols):
+            residual = np.linalg.norm(dp.ampere_matrix(kf, kvec, omega) @ e)
+            assert residual < 1e-10 * knorm**2
+        if roots[1] - roots[0] <= dp._DEGENERATE_RTOL * knorm:
+            doubles += 1
+            gram = pols.conj() @ pols.T
+            assert np.max(np.abs(gram - np.eye(2))) < 1e-12
+    if name in _DOUBLE_ROOTS:
+        assert doubles == len(kvecs)
+
+
+@pytest.mark.parametrize("roundoff", [False, True])
+def test_double_roots_returned_as_conjugate_pairs_are_kept(roundoff):
+    # at these scales about one direction in 200 gets its double root back
+    # from eigvals as a conjugate pair with imaginary parts ~2e-16; the
+    # pair's real part is still the root
+    rng = np.random.default_rng(149)
+    k = kt.KappaSet() if roundoff else kt.random_kappas(rng, 1e-8)
+    kf = _roundoff_tensor() if roundoff else kt.kf_from_kappas(k)
+    khats = dp.random_directions(rng, 2000)
+    omegas, fields = dp.solve_ampere_batch(kf, khats)
+    delta = np.array([dp.delta_nonbiref(k, khat) for khat in khats])
+    assert np.max(np.abs(omegas - 1.0 - delta[:, None])) < 1e-14
+    gram = np.einsum("nri,nsi->nrs", fields.conj(), fields)
+    assert np.max(np.abs(gram - np.eye(2))) < 1e-12
+
+
+def test_narrow_splitting_stays_two_real_roots():
+    # at s = 1e-9 the birefringent split 2 sigma |k| is ~1e-9 |k|; it
+    # must come back as two real roots, not as one averaged pair
+    rng = np.random.default_rng(150)
+    kf = kt.kf_from_kappas(kt.random_kappas(rng, 1e-9, birefringent=True))
+    khats = dp.random_directions(rng, 200)
+    omegas, _ = dp.solve_ampere_batch(kf, khats)
+    _, sigma = dp.rho_sigma_batch(kf, khats)
+    assert np.all(omegas[:, 1] - omegas[:, 0] > 1e-11)
+    assert np.max(np.abs(omegas[:, 1] - omegas[:, 0] - 2.0 * sigma)) < 1e-14
+
+
+def test_solve_ampere_is_the_one_row_case():
+    rng = np.random.default_rng(151)
+    kf = kt.kf_from_kappas(kt.random_kappas(rng, 1e-3, birefringent=True))
+    kvecs = dp.random_directions(rng, 20) * 2.5
+    omegas, fields = dp.solve_ampere_batch(kf, kvecs)
+    for kvec, roots, pols in zip(kvecs, omegas, fields):
+        single = dp.solve_ampere(kf, kvec)
+        assert [omega for omega, _ in single] == pytest.approx(list(roots), abs=1e-15)
+        for (_, e), want in zip(single, pols):
+            assert e.dtype == complex
+            assert abs(abs(np.vdot(e, want)) - 1.0) < 1e-12
+
+
+def test_ampere_coefficients_rebuild_the_ampere_matrix():
+    rng = np.random.default_rng(152)
+    K = kt.as_kf_components(
+        kt.kf_from_kappas(kt.random_kappas(rng, 1e-2, birefringent=True))
+    )
+    kvecs = rng.normal(size=(10, 3))
+    m0, m1, m2 = dp._ampere_coefficients(K, kvecs)
+    for kvec, a, b in zip(kvecs, m0, m1):
+        for omega in (0.0, 0.7, -1.3):
+            want = dp.ampere_matrix(K, kvec, omega)
+            got = a + omega * b + omega**2 * m2
+            assert np.max(np.abs(got - want)) < 1e-14 * max(1.0, kvec @ kvec)
+
+
+def test_batched_solver_keeps_its_refusals():
+    kf = kt.kf_from_kappas(kt.random_kappas(np.random.default_rng(153), 1e-2))
+    with pytest.raises(ValueError, match="nonzero"):
+        dp.solve_ampere_batch(kf, [[0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
+    with pytest.raises(ValueError, match="perturbative"):
+        dp.solve_ampere_batch(kt.kf_from_kappas(kt.KappaSet(tr=0.2)), [[0.0, 0.0, 1.0]])
+    # not a physical tensor: K^{pbcq} = s delta^{pq} for every b, c moves
+    # the roots along (1,1,1) by about -7.5 s, outside the 5 s bracket
+    K = np.zeros((4, 4, 4, 4))
+    K[1:, :, :, 1:] = 0.05 * np.eye(3)[:, None, None, :]
+    good = [0.0, 0.0, 1.0]
+    with pytest.raises(RuntimeError, match="1 direction"):
+        dp.solve_ampere_batch(K, [good, [1.0, 1.0, 1.0], good])
+
+
+# ------------------------------------------------- batched rho/sigma noise
+
+
+def test_rho_sigma_batch_warns_only_for_the_noisy_direction():
+    # a tensor whose only non-physical part, K^{a3b3} = s diag(0,1,1,1),
+    # gives sigma^2 = -0.75 s^2 kz^4 < 0; directions with kz = 0 see none
+    # of it and keep the roundoff-only sigma^2 of the physical part
+    rng = np.random.default_rng(154)
+    K = kt.as_kf_components(kt.kf_from_kappas(kt.random_kappas(rng, 1e-4))).copy()
+    K[:, 3, :, 3] += 1e-2 * np.diag([0.0, 1.0, 1.0, 1.0])
+    phi = rng.uniform(0.0, 2.0 * np.pi, size=40)
+    khats = np.column_stack((np.cos(phi), np.sin(phi), np.zeros_like(phi)))
+    khats = np.insert(khats, 17, [0.6, 0.0, 0.8], axis=0)
+    with pytest.warns(UserWarning, match="beyond roundoff") as record:
+        rho, sigma = dp.rho_sigma_batch(K, khats)
+    assert len(record) == 1
+    assert sigma[17] == 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dp.rho_sigma_batch(K, np.delete(khats, 17, axis=0))
+
+
+def test_rho_sigma_batch_is_silent_on_roundoff():
+    rng = np.random.default_rng(155)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for scale in (1e-2, 1e-5, 1e-8):
+            kf = kt.kf_from_kappas(kt.random_kappas(rng, scale))
+            _, sigma = dp.rho_sigma_batch(kf, dp.random_directions(rng, 2000))
+            assert np.all(sigma < 1e-7)
+
+
+def test_rho_sigma_is_the_one_row_case():
+    rng = np.random.default_rng(156)
+    kf = kt.kf_from_kappas(kt.random_kappas(rng, 1e-2, birefringent=True))
+    khats = dp.random_directions(rng, 30)
+    rho, sigma = dp.rho_sigma_batch(kf, khats)
+    for khat, r, s in zip(khats, rho, sigma):
+        assert dp.rho_sigma(kf, khat) == (r, s)

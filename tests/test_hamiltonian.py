@@ -31,11 +31,6 @@ def space2():
     return fs.build_space(2)
 
 
-def random_unit(rng):
-    v = rng.normal(size=3)
-    return v / np.linalg.norm(v)
-
-
 def test_zero_kappa_blocks(space):
     frame = dp.polarization_frame(np.array([0.0, 0.0, 1.0]))
     bundle = hm.build_grouped(space, kt.KappaSet(), frame)
@@ -69,7 +64,7 @@ def test_central_equivalence_raw_vs_grouped(space):
     for _ in range(5):
         k = kt.random_kappas(rng, 1e-2)
         kf = kt.kf_from_kappas(k)
-        frame = dp.polarization_frame(random_unit(rng))
+        frame = dp.polarization_frame(dp.random_directions(rng))
         bundle = hm.build_grouped(space, k, frame)
         raw = hm.build_raw(space, kf, frame)
         assert abs(raw - bundle.total).max() < 1e-12
@@ -78,7 +73,7 @@ def test_central_equivalence_raw_vs_grouped(space):
 def test_blocks_bar_self_adjoint(space):
     rng = np.random.default_rng(52)
     k = kt.random_kappas(rng, 1e-2)
-    frame = dp.polarization_frame(random_unit(rng))
+    frame = dp.polarization_frame(dp.random_directions(rng))
     bundle = hm.build_grouped(space, k, frame)
     for block in bundle.blocks:
         assert abs(fs.bar_adjoint(space, block) - block).max() < 1e-15
@@ -88,7 +83,7 @@ def test_blocks_bar_self_adjoint(space):
 def test_single_photon_gap_is_modified_dispersion(space2):
     rng = np.random.default_rng(53)
     k = kt.random_kappas(rng, 1e-2)
-    khat = random_unit(rng)
+    khat = dp.random_directions(rng)
     frame = dp.polarization_frame(khat)
     bundle = hm.build_grouped(space2, k, frame)
     h = bundle.total
@@ -107,7 +102,7 @@ def test_single_photon_gap_is_modified_dispersion(space2):
 def test_raw_perturbation_linear_in_tensor(space):
     rng = np.random.default_rng(54)
     k = kt.random_kappas(rng, 1e-3)
-    frame = dp.polarization_frame(random_unit(rng))
+    frame = dp.polarization_frame(dp.random_directions(rng))
     kf1 = kt.kf_from_kappas(k)
     kf2 = kt.KFTensor(2.0 * kf1.components)
     h0 = hm.build_raw(space, kt.KFTensor.zero(), frame)
@@ -140,7 +135,7 @@ def test_xi_diagonal_difference_only(space):
 def test_similarity_transform_identity_and_spectrum(space):
     rng = np.random.default_rng(55)
     k = kt.random_kappas(rng, 1e-2)
-    frame = dp.polarization_frame(random_unit(rng))
+    frame = dp.polarization_frame(dp.random_directions(rng))
     bundle = hm.build_grouped(space, k, frame)
     h = bundle.total
     same = hm.similarity_transform(h, sp.csr_matrix(h.shape, dtype=complex))
@@ -167,7 +162,7 @@ def test_transform_suppresses_transverse_cross_terms(space2):
     # must shrink quadratically with the kappa scale.
     rng = np.random.default_rng(56)
     base = kt.random_kappas(rng, 1.0)
-    frame = dp.polarization_frame(random_unit(rng))
+    frame = dp.polarization_frame(dp.random_directions(rng))
     pair = np.zeros(space2.dim, dtype=complex)
     occ = [0] * 8
     occ[fs.ModeId(fs.PLUS_K, 1).slot] = 1
@@ -189,7 +184,7 @@ def test_transform_suppresses_transverse_cross_terms(space2):
 def test_transformed_expectation_matches_dense(space):
     rng = np.random.default_rng(57)
     k = kt.random_kappas(rng, 1e-2)
-    frame = dp.polarization_frame(random_unit(rng))
+    frame = dp.polarization_frame(dp.random_directions(rng))
     bundle = hm.build_grouped(space, k, frame)
     h = bundle.total
     psi = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
@@ -265,7 +260,7 @@ def test_ghost_vacuum_constant_matches_full_space(space2):
     rng = np.random.default_rng(61)
     vac = fs.vacuum_state(space2)
     for _ in range(4):
-        frame = dp.polarization_frame(random_unit(rng))
+        frame = dp.polarization_frame(dp.random_directions(rng))
         bundle = hm.build_grouped(space2, kt.random_kappas(rng, 1e-2), frame)
         assert abs(bundle.h_lslv).max() > 0.0
         element = fs.indefinite_inner(space2, vac, (bundle.h_ls0 + bundle.h_lslv) @ vac)
@@ -316,7 +311,7 @@ def test_momentum_operator(space):
 def test_momentum_commutes_with_hamiltonian(space):
     rng = np.random.default_rng(59)
     k = kt.random_kappas(rng, 1e-2)
-    khat = random_unit(rng)
+    khat = dp.random_directions(rng)
     frame = dp.polarization_frame(khat)
     h = hm.build_grouped(space, k, frame).total
     for p in hm.momentum_operator(space, 2.2 * khat):
