@@ -283,11 +283,15 @@ def render_csv(rows):
 
 
 def _emit(text, output):
+    text += "" if text.endswith("\n") else "\n"
     if output is None:
-        sys.stdout.write(text + ("" if text.endswith("\n") else "\n"))
-    else:
+        sys.stdout.write(text)
+        return
+    try:
         with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text + ("" if text.endswith("\n") else "\n"))
+            fh.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write report: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -489,16 +493,6 @@ def _check(name, measured, tolerance, **extra):
     return record
 
 
-def _kappa_distance(a, b):
-    return max(
-        float(np.max(np.abs(a.e_minus - b.e_minus))),
-        float(np.max(np.abs(a.o_plus - b.o_plus))),
-        abs(a.tr - b.tr),
-        float(np.max(np.abs(a.e_plus - b.e_plus))),
-        float(np.max(np.abs(a.o_minus - b.o_minus))),
-    )
-
-
 def _random_rotation(rng):
     q, r = np.linalg.qr(rng.normal(size=(3, 3)))
     q = q * np.sign(np.diag(r))
@@ -513,7 +507,7 @@ def _tensor_checks(rng):
     worst_round = 0.0
     for _ in range(200):
         k = kt.random_kappas(rng, 1e-2, birefringent=bool(rng.integers(2)))
-        worst_round = max(worst_round, _kappa_distance(k, kt.kappas_from_kf(kt.kf_from_kappas(k))))
+        worst_round = max(worst_round, kt.kappa_distance(k, kt.kappas_from_kf(kt.kf_from_kappas(k))))
     yield _check("kappa_roundtrip", worst_round, 1e-12)
 
     worst = 0.0
@@ -896,7 +890,7 @@ def _interaction_checks(rng):
         worst = max(worst, abs(oblique.polarization_asymmetry - (-2.0 * delta1)))
     yield _check("coupling_asymmetry", worst, 1e-15)
 
-    space = fs.build_space(1)
+    space = hm.transverse_space(1)
     frame = dp.polarization_frame(dp.Z_AXIS)
     worst = 0.0
     for _ in range(5):

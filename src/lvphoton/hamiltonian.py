@@ -49,37 +49,6 @@ _DENSE_EXPM_LIMIT = 4096
 
 
 @dataclass(frozen=True)
-class EpsilonTensor:
-    """Polarization four-vector embedding for both directions of a pair.
-
-    Row r of each matrix holds eps_r^mu: the scalar row (+1, 0, 0, 0)
-    and the three spatial rows from the transverse frame.  The minus
-    matrix applies the frame parity rules (eps1 even, eps2 and eps3
-    odd); the raw Hamiltonian assembly contracts both directions'
-    operators against the plus matrix, as the grouped-block equivalence
-    requires.
-    """
-
-    khat: np.ndarray
-    plus_matrix: np.ndarray
-    minus_matrix: np.ndarray
-
-
-def epsilon_tensor(frame):
-    def embed(e1, e2, e3):
-        out = np.zeros((4, 4))
-        out[0, 0] = 1.0
-        out[1, 1:] = e1
-        out[2, 1:] = e2
-        out[3, 1:] = e3
-        return out
-
-    plus = embed(frame.eps1, frame.eps2, frame.eps3)
-    minus = embed(frame.eps1, -frame.eps2, -frame.eps3)
-    return EpsilonTensor(khat=frame.khat, plus_matrix=plus, minus_matrix=minus)
-
-
-@dataclass(frozen=True)
 class HamiltonianBundle:
     """The six named blocks of the free Hamiltonian plus the Xi generator.
 
@@ -145,7 +114,9 @@ def coefficient_matrices(kf, frame):
         C_rs = eps_r^k eps_s^m K_{m0kp} n^p
     """
     K_low = as_kf_components(kf) * _FLIP4
-    E4 = epsilon_tensor(frame).plus_matrix
+    E4 = np.zeros((4, 4))  # rows eps_r^mu: scalar (+1, 0, 0, 0), then the frame
+    E4[0, 0] = 1.0
+    E4[1:, 1:] = (frame.eps1, frame.eps2, frame.eps3)
     n4 = np.concatenate(([0.0], frame.khat))
     A = np.einsum("rk,sm,kpmq,p,q->rs", E4, E4, K_low, n4, n4)
     B = np.einsum("rk,sm,km->rs", E4, E4, K_low[:, 0, :, 0])
@@ -199,10 +170,14 @@ def xi_generators(space, kappas, frame):
     return _xi_from_operators(E, *_mode_operators(space))
 
 
+def xi_coefficients(E):
+    """The coefficients (E11 - E22) / 4 and E12 / 2 of Xi1 and Xi2."""
+    return 0.25 * (E[1, 1] - E[2, 2]), 0.5 * E[1, 2]
+
+
 def _xi_from_operators(E, S, T, Sb, Tb):
     """Xi1 + Xi2 from the E bilinear and already built mode operators."""
-    q1 = 0.25 * (E[1, 1] - E[2, 2])
-    q2 = 0.5 * E[1, 2]
+    q1, q2 = xi_coefficients(E)
     xi = q1 * (Sb[1] @ Tb[1] - T[1] @ S[1] - Sb[2] @ Tb[2] + T[2] @ S[2])
     xi = xi + q2 * (Sb[1] @ Tb[2] - S[1] @ T[2] + Sb[2] @ Tb[1] - S[2] @ T[1])
     return xi.tocsr()
@@ -301,6 +276,27 @@ def transverse_space(cutoff):
     return fs._occupation_space(cutoff, 4)
 
 
+def check_transverse(space):
+    """Reject a space that is not a 4-mode transverse_space."""
+    if space.modes != 4:
+        raise ValueError(f"expected the 4-mode transverse factor, not {space.modes} modes")
+
+
+def transverse_operators(space):
+    """The factor's lowering operators and their daggers, S, T, Sb, Tb.
+
+    Each is keyed by polarization 1, 2, as the 8-mode operator lists
+    are indexed: S = a(+k), T = a(-k).  The transverse metric is +1, so
+    the bar-adjoints Sb, Tb are the plain daggers.
+    """
+    check_transverse(space)
+    lower = [fs._lowering(space, slot) for slot in range(4)]
+    daggers = [a.conj().T.tocsr() for a in lower]
+    S, T = dict(zip((1, 2), lower[:2])), dict(zip((1, 2), lower[2:]))
+    Sb, Tb = dict(zip((1, 2), daggers[:2])), dict(zip((1, 2), daggers[2:]))
+    return S, T, Sb, Tb
+
+
 def build_transverse(space, kappas, frame):
     """H and Xi on the transverse factor, for states with empty ghost modes.
 
@@ -309,17 +305,12 @@ def build_transverse(space, kappas, frame):
     h_m_tls vanish (each term moves one ghost quantum) and h_ls0 +
     h_lslv is the constant _GHOST_VACUUM_ENERGY.  On those states the
     8-mode H and Xi are therefore the ghost vacuum times the returned
-    h = h_t + h_pm_t + c I and xi, with the same entries.  The
-    transverse metric is +1, so bar-adjoints are plain daggers.
+    h = h_t + h_pm_t + c I and xi, with the same entries.
     `space` is a transverse_space; returns (h, xi).
     """
+    S, T, Sb, Tb = transverse_operators(space)
     check_nonbiref(kappas)
     E, _ = kappa_bilinears(kappas, frame)
-    lower = [fs._lowering(space, slot) for slot in range(4)]
-    daggers = [a.conj().T.tocsr() for a in lower]
-    # keyed by polarization, as the 8-mode operator lists are indexed
-    S, T = dict(zip((1, 2), lower[:2])), dict(zip((1, 2), lower[2:]))
-    Sb, Tb = dict(zip((1, 2), daggers[:2])), dict(zip((1, 2), daggers[2:]))
     h_t, h_pm_t = _transverse_blocks(kappas, frame, E, S, T, Sb, Tb)
     h = h_t + h_pm_t + _GHOST_VACUUM_ENERGY * sp.identity(space.dim, format="csr")
     return h.tocsr(), _xi_from_operators(E, S, T, Sb, Tb)

@@ -16,6 +16,14 @@ two polarizations is identical: the coupling is birefringent while the
 propagation is not.  The two diagonal coefficients differ by exactly
 2 delta1.
 
+Every `space` here is the four-mode transverse factor
+(hamiltonian.transverse_space).  The potentials and Xi touch no scalar
+or longitudinal mode, so on the 8-mode space each of them, and the
+conjugation exp(Xi) A_r exp(-Xi), is the identity on the ghost modes
+times its factor operator; the Frobenius ratios of extract_couplings
+gain the same ghost dimension above and below, so the factor's table
+is the 8-mode table exactly.
+
 No matter sector is modeled; the current components j1, j2 stay opaque
 multipliers.  CouplingTable carries the four coefficient combinations
 that multiply them against the two transverse potentials (and, with
@@ -29,7 +37,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from . import fock_space as fs
 from . import hamiltonian as hm
 from .dispersion import Z_AXIS, polarization_frame
 from .kappa_tensor import check_nonbiref
@@ -75,9 +82,8 @@ def transverse_potential(space, polarization):
     """
     if polarization not in (1, 2):
         raise ValueError("transverse polarization must be 1 or 2")
-    a_plus = fs.annihilator(space, fs.ModeId(fs.PLUS_K, polarization))
-    a_minus = fs.annihilator(space, fs.ModeId(fs.MINUS_K, polarization))
-    return ((a_plus + fs.bar_adjoint(space, a_minus)) / math.sqrt(2)).tocsr()
+    S, _, _, Tb = hm.transverse_operators(space)
+    return ((S[polarization] + Tb[polarization]) / math.sqrt(2)).tocsr()
 
 
 def mixing_deltas(kappas, frame):
@@ -89,15 +95,14 @@ def mixing_deltas(kappas, frame):
     than simplified by hand.
     """
     e_bilinear, _ = hm.kappa_bilinears(kappas, frame)
-    delta1 = 0.25 * (e_bilinear[1, 1] - e_bilinear[2, 2])
-    delta2 = 0.5 * e_bilinear[1, 2]
-    return delta1, delta2
+    return hm.xi_coefficients(e_bilinear)
 
 
 def transformed_potentials(space, kappas, frame):
     """Exact conjugation exp(Xi) A_r exp(-Xi) of both transverse potentials.
 
-    Returns the pair of dense transformed matrices.  To leading order in
+    Xi is the factor generator of hamiltonian.build_transverse.  Returns
+    the pair of dense transformed matrices.  To leading order in
     kappa they equal the mixed combinations
 
         A'_1 = (1 - delta1) A_1 - delta2 A_2
@@ -109,8 +114,7 @@ def transformed_potentials(space, kappas, frame):
     conjugation at O(kappa), so comparisons against the mixed
     combinations must mask to transverse_interior columns.
     """
-    check_nonbiref(kappas)
-    xi = hm.xi_generators(space, kappas, frame)
+    _, xi = hm.build_transverse(space, kappas, frame)
     return (
         hm.similarity_transform(transverse_potential(space, 1), xi),
         hm.similarity_transform(transverse_potential(space, 2), xi),
@@ -124,12 +128,8 @@ def transverse_interior(space):
     columns; truncation clipping is confined to states with some
     transverse occupation at the cutoff.
     """
-    mask = np.ones(space.dim, dtype=bool)
-    for direction in (fs.PLUS_K, fs.MINUS_K):
-        for pol in (1, 2):
-            number = fs.number_operator(space, fs.ModeId(direction, pol))
-            mask &= number.diagonal().real < space.cutoff
-    return mask
+    hm.check_transverse(space)
+    return np.all(space.occupations < space.cutoff, axis=1)
 
 
 def first_order_potentials(space, kappas, frame):
@@ -158,15 +158,11 @@ def extract_couplings(space, a1_prime, a2_prime, columns=None):
     mask (typically transverse_interior) to keep truncation clipping
     out of the projection when the input is an exact conjugation.
     """
-    a_1 = transverse_potential(space, 1).toarray()
-    a_2 = transverse_potential(space, 2).toarray()
-    a1_prime = _as_dense(a1_prime)
-    a2_prime = _as_dense(a2_prime)
-    if columns is not None:
-        a_1 = a_1[:, columns]
-        a_2 = a_2[:, columns]
-        a1_prime = a1_prime[:, columns]
-        a2_prime = a2_prime[:, columns]
+    columns = slice(None) if columns is None else columns
+    a_1 = transverse_potential(space, 1).toarray()[:, columns]
+    a_2 = transverse_potential(space, 2).toarray()[:, columns]
+    a1_prime = _as_dense(a1_prime)[:, columns]
+    a2_prime = _as_dense(a2_prime)[:, columns]
     weight_1 = np.vdot(a_1, a_1)
     weight_2 = np.vdot(a_2, a_2)
     return CouplingTable(

@@ -238,6 +238,17 @@ def check_nonbiref(kappas):
         raise ValueError("kappa parameters outside the perturbative regime")
 
 
+def kappa_distance(a, b):
+    """Largest absolute entry difference between two KappaSets, over all blocks."""
+    return max(
+        float(np.max(np.abs(a.e_minus - b.e_minus))),
+        float(np.max(np.abs(a.o_plus - b.o_plus))),
+        abs(a.tr - b.tr),
+        float(np.max(np.abs(a.e_plus - b.e_plus))),
+        float(np.max(np.abs(a.o_minus - b.o_minus))),
+    )
+
+
 def random_kappas(rng, scale=1e-2, birefringent=False):
     """Draw a random valid KappaSet with entries of order `scale`."""
     kw = dict(

@@ -34,23 +34,13 @@ def frame():
     return dp.polarization_frame(Z_AXIS)
 
 
-def _kappa_distance(a, b):
-    return max(
-        float(np.max(np.abs(a.e_minus - b.e_minus))),
-        float(np.max(np.abs(a.o_plus - b.o_plus))),
-        abs(a.tr - b.tr),
-        float(np.max(np.abs(a.e_plus - b.e_plus))),
-        float(np.max(np.abs(a.o_minus - b.o_minus))),
-    )
-
-
 def test_criterion_01_parameter_tensor_round_trip():
     rng = np.random.default_rng(101)
     start = time.perf_counter()
     worst = 0.0
     for i in range(1000):
         k = kt.random_kappas(rng, 1e-2, birefringent=bool(i % 2))
-        worst = max(worst, _kappa_distance(k, kt.kappas_from_kf(kt.kf_from_kappas(k))))
+        worst = max(worst, kt.kappa_distance(k, kt.kappas_from_kf(kt.kf_from_kappas(k))))
     elapsed = time.perf_counter() - start
     assert worst < 1e-12
     assert elapsed < 5.0
@@ -359,7 +349,7 @@ def test_criterion_12_coupling_table():
         worst_closed = max(abs(a - b) for a, b in zip(got, want))
     assert worst_closed < 1e-14
 
-    space = fs.build_space(1)
+    space = hm.transverse_space(1)
     frame = dp.polarization_frame(Z_AXIS)
     k = kt.KappaSet(e_minus=cases[2][0], tr=0.0009765625)
     want = ia.vint_coefficients(k)
@@ -389,9 +379,26 @@ def test_criterion_12_coupling_table():
         abs(got_exact.j2_pol2 - want_tiny.j2_pol2),
     )
     assert worst_exact < 1e-12
+
+    # the same exact leg on the larger transverse factors
+    worst_larger = 0.0
+    for cutoff in (2, 3, 4):
+        factor = hm.transverse_space(cutoff)
+        exact_1, exact_2 = ia.transformed_potentials(factor, tiny, frame)
+        columns = ia.transverse_interior(factor)
+        got_exact = ia.extract_couplings(factor, exact_1, exact_2, columns=columns)
+        worst_larger = max(
+            worst_larger,
+            abs(got_exact.j1_pol1 - want_tiny.j1_pol1),
+            abs(got_exact.j2_pol1 - want_tiny.j2_pol1),
+            abs(got_exact.j1_pol2 - want_tiny.j1_pol2),
+            abs(got_exact.j2_pol2 - want_tiny.j2_pol2),
+        )
+    assert worst_larger < 1e-12
     print(
         f"criterion 12 PASS coupling table: closed {worst_closed:.3e}, "
-        f"first-order extraction {worst_first:.3e}, exact {worst_exact:.3e}"
+        f"first-order extraction {worst_first:.3e}, exact {worst_exact:.3e}, "
+        f"exact at cutoffs 2-4 {worst_larger:.3e}"
     )
 
 

@@ -128,6 +128,20 @@ def test_verify_rejects_cutoff_flag(capsys):
     assert "--cutoff does not apply to verify" in err
 
 
+@pytest.mark.parametrize("where", ["missing_dir_flag", "directory_flag", "missing_dir_key"])
+def test_unwritable_report_path_is_one_line_usage_error(tmp_path, capsys, where):
+    missing = str(tmp_path / "missing" / "out.json")
+    if where == "missing_dir_key":
+        argv = ["decompose", "--config", _write(tmp_path, "cfg.json", dict(SAMPLE, output=missing))]
+    else:
+        target = missing if where == "missing_dir_flag" else str(tmp_path)
+        argv = ["decompose", "--config", _write(tmp_path, "cfg.json", SAMPLE), "--output", target]
+    status, out, err = _run(capsys, argv)
+    assert status == 2
+    assert out == ""
+    assert err.startswith("error: cannot write report") and err.count("\n") == 1
+
+
 # Generated configs: a valid config with up to two keys replaced by a
 # bad value (wrong JSON type, NaN, infinity, an integer beyond the
 # double range, magnitude above 0.1, wrong shape) or an unknown key

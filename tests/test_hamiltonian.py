@@ -289,6 +289,14 @@ def test_transverse_factor_is_the_ghost_vacuum_block(cutoff):
     assert abs(bundle.xi[empty][:, others]).max() == 0.0
 
 
+def test_build_transverse_rejects_the_full_space(space):
+    # the 8-mode space would silently yield H on its first four slots
+    k = kt.random_kappas(np.random.default_rng(82), 1e-2)
+    frame = dp.polarization_frame(np.array([0.0, 0.0, 1.0]))
+    with pytest.raises(ValueError, match="4-mode transverse factor"):
+        hm.build_transverse(space, k, frame)
+
+
 def test_momentum_operator(space):
     rng = np.random.default_rng(58)
     kvec = np.array([0.3, -1.1, 0.7])

@@ -5,15 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lvphoton import cli
 from lvphoton import dispersion as dp
 from lvphoton import fock_space as fs
+from lvphoton import hamiltonian as hm
 from lvphoton import interaction as ia
 from lvphoton import kappa_tensor as kt
 
 
 @pytest.fixture(scope="module")
 def space():
-    return fs.build_space(1)
+    return hm.transverse_space(2)
 
 
 @pytest.fixture(scope="module")
@@ -28,6 +30,47 @@ def _table_distance(a, b):
         abs(a.j1_pol2 - b.j1_pol2),
         abs(a.j2_pol2 - b.j2_pol2),
     )
+
+
+def _full_space_reference(space, kappas, frame):
+    """Bare and transformed potentials, interior mask and tables on the 8-mode space.
+
+    The potentials are (a_r(+k) + abar_r(-k)) / sqrt(2) from the 8-mode
+    ladder operators, conjugated by the 8-mode Xi; the tables are the
+    Frobenius projections onto the bare pair, first order and exact on
+    columns with transverse headroom.
+    """
+    bare = []
+    for pol in (1, 2):
+        a_plus = fs.annihilator(space, fs.ModeId(fs.PLUS_K, pol))
+        a_minus = fs.annihilator(space, fs.ModeId(fs.MINUS_K, pol))
+        bare.append(((a_plus + fs.bar_adjoint(space, a_minus)) / np.sqrt(2)).toarray())
+    xi = hm.xi_generators(space, kappas, frame)
+    exact = [hm.similarity_transform(a, xi) for a in bare]
+    delta1, delta2 = ia.mixing_deltas(kappas, frame)
+    first = [
+        (1.0 - delta1) * bare[0] - delta2 * bare[1],
+        (1.0 + delta1) * bare[1] - delta2 * bare[0],
+    ]
+    interior = np.ones(space.dim, dtype=bool)
+    for direction in (fs.PLUS_K, fs.MINUS_K):
+        for pol in (1, 2):
+            number = fs.number_operator(space, fs.ModeId(direction, pol))
+            interior &= number.diagonal().real < space.cutoff
+
+    def table(primes, columns):
+        a_1, a_2 = (a[:, columns] for a in bare)
+        p_1, p_2 = (p[:, columns] for p in primes)
+        w_1, w_2 = np.vdot(a_1, a_1), np.vdot(a_2, a_2)
+        return ia.CouplingTable(
+            j1_pol1=complex(np.vdot(a_1, p_1) / w_1),
+            j2_pol1=complex(np.vdot(a_2, p_1) / w_2),
+            j1_pol2=complex(np.vdot(a_1, p_2) / w_1),
+            j2_pol2=complex(np.vdot(a_2, p_2) / w_2),
+        )
+
+    everything = np.ones(space.dim, dtype=bool)
+    return exact, table(first, everything), table(exact, interior)
 
 
 def _e_minus(xx, yy, xy):
@@ -126,10 +169,18 @@ def test_general_direction_matches_frame_extraction(space):
 
 
 def test_transverse_potential_structure(space):
+    # single-mode lowering operator placed in a slot of the 4-mode kron
+    # chain (a1(+k), a2(+k), a1(-k), a2(-k))
+    single = np.diag(np.sqrt(np.arange(1, space.base)), k=1)
+
+    def lowering(slot):
+        out = np.ones((1, 1))
+        for s in range(4):
+            out = np.kron(out, single if s == slot else np.eye(space.base))
+        return out
+
     for pol in (1, 2):
-        a_plus = fs.annihilator(space, fs.ModeId(fs.PLUS_K, pol)).toarray()
-        a_minus = fs.annihilator(space, fs.ModeId(fs.MINUS_K, pol)).toarray()
-        want = (a_plus + a_minus.conj().T) / np.sqrt(2)
+        want = (lowering(pol - 1) + lowering(pol + 1).T) / np.sqrt(2)
         got = ia.transverse_potential(space, pol).toarray()
         assert np.max(np.abs(got - want)) < 1e-15
     with pytest.raises(ValueError):
@@ -172,6 +223,71 @@ def test_extraction_consistency(space, frame):
         space, exact_1, exact_2, ia.transverse_interior(space)
     )
     assert _table_distance(got, ia.vint_coefficients(tiny)) < 1e-12
+
+
+def test_factor_matches_full_space_reference():
+    # the 8-mode operators are the identity on the ghost modes times the
+    # factor's, so at cutoff 1 the tables agree and the transformed
+    # potentials equal the 8-mode ones on the ghost-vacuum states
+    full = fs.build_space(1)
+    factor = hm.transverse_space(1)
+    empty = np.flatnonzero(~full.occupations[:, [0, 3, 4, 7]].any(axis=1))
+    assert np.array_equal(full.occupations[empty][:, hm.TRANSVERSE_SLOTS], factor.occupations)
+    rng = np.random.default_rng(74)
+    for _ in range(3):
+        kappas = kt.random_kappas(rng, 1e-2)
+        fr = dp.polarization_frame(dp.random_directions(rng))
+        ref_exact, ref_first, ref_table = _full_space_reference(full, kappas, fr)
+        exact = ia.transformed_potentials(factor, kappas, fr)
+        for got, want in zip(exact, ref_exact):
+            assert np.max(np.abs(got - want[np.ix_(empty, empty)])) < 1e-15
+        first = ia.extract_couplings(factor, *ia.first_order_potentials(factor, kappas, fr))
+        assert _table_distance(first, ref_first) < 1e-15
+        table = ia.extract_couplings(factor, *exact, ia.transverse_interior(factor))
+        assert _table_distance(table, ref_table) < 1e-15
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda s, k, f: ia.transverse_potential(s, 1),
+        lambda s, k, f: ia.transformed_potentials(s, k, f),
+        lambda s, k, f: ia.transverse_interior(s),
+        lambda s, k, f: ia.first_order_potentials(s, k, f),
+        lambda s, k, f: ia.extract_couplings(s, np.eye(s.dim), np.eye(s.dim)),
+    ],
+)
+def test_rejects_the_full_space(frame, call):
+    with pytest.raises(ValueError, match="4-mode transverse factor"):
+        call(fs.build_space(1), kt.random_kappas(np.random.default_rng(75), 1e-3), frame)
+
+
+def test_interaction_never_builds_the_full_space(frame, monkeypatch):
+    # the coupling table runs on the transverse factor only; any 8-mode
+    # space or operator in its path fails this test
+    def refuse(*args, **kwargs):
+        raise RuntimeError("interaction built an 8-mode operator")
+
+    for module, name in (
+        (fs, "build_space"),
+        (fs, "annihilator"),
+        (fs, "bar_adjoint"),
+        (fs, "number_operator"),
+        (hm, "xi_generators"),
+    ):
+        monkeypatch.setattr(module, name, refuse)
+    factor = hm.transverse_space(3)
+    kappas = kt.random_kappas(np.random.default_rng(76), 1e-7)
+    exact = ia.transformed_potentials(factor, kappas, frame)
+    first = ia.first_order_potentials(factor, kappas, frame)
+    columns = ia.transverse_interior(factor)
+    assert columns.sum() == 81
+    want = ia.vint_coefficients(kappas)
+    assert _table_distance(ia.extract_couplings(factor, *first), want) < 1e-12
+    assert _table_distance(ia.extract_couplings(factor, *exact, columns), want) < 1e-12
+    assert ia.transverse_potential(factor, 2).shape == (256, 256)
+    checks = list(cli._interaction_checks(np.random.default_rng(0)))
+    assert [c["pass"] for c in checks] == [True, True]
 
 
 def test_preconditions(space, frame):
