@@ -624,11 +624,12 @@ def _fock_checks(rng, cutoff):
     interior = fs.interior_projector(space)
     worst = 0.0
     modes = [fs.ModeId(d, r) for d in (fs.PLUS_K, fs.MINUS_K) for r in range(4)]
+    lower = {mode: fs.annihilator(space, mode) for mode in modes}
+    bar = {mode: fs.bar_adjoint(space, a) for mode, a in lower.items()}
     for a_mode in modes:
-        a = fs.annihilator(space, a_mode)
+        a = lower[a_mode]
         for b_mode in modes:
-            b = fs.annihilator(space, b_mode)
-            comm = a @ fs.bar_adjoint(space, b) - fs.bar_adjoint(space, b) @ a
+            comm = a @ bar[b_mode] - bar[b_mode] @ a
             if a_mode == b_mode:
                 comm = comm - fs.ZETA[a_mode.polarization] * eye
             worst = max(worst, abs(interior @ comm @ interior).max())
@@ -640,8 +641,7 @@ def _fock_checks(rng, cutoff):
         for _ in range(2):
             mode = modes[rng.integers(len(modes))]
             coeff = rng.normal() + 1j * rng.normal()
-            ops.append(coeff * fs.annihilator(space, mode)
-                       + fs.bar_adjoint(space, fs.annihilator(space, modes[rng.integers(len(modes))])))
+            ops.append(coeff * lower[mode] + bar[modes[rng.integers(len(modes))]])
         ab = ops[0] @ ops[1]
         worst = max(
             worst,

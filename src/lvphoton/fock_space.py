@@ -135,6 +135,123 @@ def _lowering(space, slot):
     return sp.csr_matrix((data, cols, indptr), shape=(space.dim, space.dim))
 
 
+def ladder(slot, coef=1.0, raising=False):
+    """One ladder operator as a factor for monomial_sum: coef a or coef a-dagger.
+
+    A factor is a tuple of (coefficient, slot, raising) triples read as
+    the linear combination of their operators, so factors are summed by
+    concatenating them and scaled by scaling their coefficients.  The
+    raising operator is the plain dagger of the truncated lowering
+    operator: it has no entry out of the top occupation.
+    """
+    return ((coef, slot, raising),)
+
+
+def monomial_sum(space, terms):
+    """sum_k c_k X_k Y_k as one CSR matrix, each X_k, Y_k a ladder factor.
+
+    Every product of two ladder operators is a fixed index shift (+-
+    stride of each slot) whose weights come from the occupation table:
+    the right operator acts first, a same-slot pair sees the occupation
+    the first one left, and a product that leaves the truncated space
+    anywhere is zero.  Each weight is the product of the two operators'
+    sqrt entries, so one monomial equals the sparse product of its
+    _lowering matrices (and daggers) bit for bit.
+
+    Each term's product is expanded into monomials, equal monomials
+    merged (operators on different slots commute), and terms with equal
+    expansions share one summed coefficient.  On each shift a term's
+    monomials are summed first, then the terms that share a coefficient,
+    and the coefficient is applied last, as c (X Y + Z W) is evaluated
+    by sparse products; so entries that cancel exactly there cancel
+    here, and exact zeros are dropped.  Only one shift's entries are
+    held densely at a time.
+    """
+    products = {}  # expanded product -> summed coefficient
+    for coef, left, right in terms:
+        paths = {}  # monomial -> its weight in this product
+        for c_left, slot_left, raise_left in left:
+            for c_right, slot_right, raise_right in right:
+                key = ((slot_left, raise_left), (slot_right, raise_right))
+                if slot_left != slot_right:
+                    key = tuple(sorted(key))
+                paths[key] = paths.get(key, 0.0) + c_left * c_right
+        product = tuple(sorted(item for item in paths.items() if item[1] != 0))
+        products[product] = products.get(product, 0.0) + coef
+    strides = space.base ** np.arange(space.modes - 1, -1, -1)
+    by_shift = {}  # shift -> coefficient -> [[(weight, monomial)] per term]
+    for product, coef in products.items():
+        if coef == 0:
+            continue
+        groups = {}
+        for monomial, weight in product:
+            shift = sum(strides[slot] * (1 if up else -1) for slot, up in monomial)
+            groups.setdefault(shift, []).append((weight, monomial))
+        for shift, paths in groups.items():
+            by_shift.setdefault(shift, {}).setdefault(coef, []).append(paths)
+
+    n = np.arange(space.base)
+    roots = np.sqrt(np.arange(space.base + 2))
+
+    def table(raising, occupation):  # sqrt entry of one operator, 0 if none
+        level = occupation + raising  # n for a lowering, n + 1 for a raising
+        return np.where((level > 0) & (level <= space.cutoff), roots[level], 0.0)
+
+    def spread(slot, values):  # values[n_slot] on every basis state
+        stride = space.base ** (space.modes - 1 - slot)
+        return np.tile(np.repeat(values, stride), space.dim // (stride * space.base))
+
+    single = {}  # the entry of each (slot, raising) in every column
+
+    def entries(monomial):  # the monomial's entry in every column
+        (slot_l, raise_l), (slot_r, raise_r) = monomial
+        if slot_l == slot_r:  # the left operator sees the occupation the right one left
+            step = 1 if raise_r else -1
+            return spread(slot_r, table(raise_l, n + step) * table(raise_r, n))
+        for slot, raising in monomial:
+            if (slot, raising) not in single:
+                single[slot, raising] = spread(slot, table(raising, n))
+        return single[monomial[0]] * single[monomial[1]]
+
+    rows, cols, values = [], [], []
+    band = np.zeros(space.dim, dtype=complex)  # one shift's entries, by column
+    # Descending shifts put each row's columns in ascending order below.
+    for shift in sorted(by_shift, reverse=True):
+        groups = by_shift[shift]
+        lone = len(groups) == 1 and [len(p) for p in next(iter(groups.values()))] == [1]
+        if lone:  # one monomial: no dense sum needed
+            ((coef, [[(weight, monomial)]]),) = groups.items()
+            w = entries(monomial)
+            col = np.flatnonzero(w != 0)
+            values.append(coef * (weight * w[col]))
+        else:
+            for coef, terms in groups.items():
+                shared = 0.0  # the terms' products, before their common coefficient
+                for paths in terms:
+                    product = 0.0
+                    for weight, monomial in paths:
+                        product = product + weight * entries(monomial)
+                    shared = shared + product
+                band += coef * shared
+            col = np.flatnonzero(band != 0)
+            values.append(band[col])
+            band[...] = 0.0
+        rows.append(col + shift)
+        cols.append(col)
+    rows = np.concatenate(rows or [np.zeros(0, dtype=int)])
+    order = np.argsort(rows, kind="stable")
+    indptr = np.zeros(space.dim + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=space.dim), out=indptr[1:])
+    return sp.csr_matrix(
+        (
+            np.concatenate(values or [np.zeros(0)])[order].astype(complex),
+            np.concatenate(cols or [np.zeros(0, dtype=int)])[order].astype(np.int32),
+            indptr,
+        ),
+        shape=(space.dim, space.dim),
+    )
+
+
 def creator(space, mode):
     """Raising operator, the plain dagger of `annihilator`."""
     return annihilator(space, mode).conj().T.tocsr()

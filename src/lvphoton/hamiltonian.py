@@ -14,6 +14,15 @@ longitudinal modes, build_transverse gives the same H and Xi on the
 four transverse modes alone, from the same h_t, h_pm_t and Xi
 expressions.
 
+Every one of these operators is a sum of coefficients times products
+of two ladder operators (or fixed combinations of them, such as the
+d/g ghost modes), so all of them are assembled by one function,
+fock_space.monomial_sum, from lists of (coefficient, factor, factor)
+terms.  What keeps the raw/grouped comparison meaningful is that the
+two coefficient sets stay independent: build_raw takes its
+coefficients from the tensor contractions of coefficient_matrices,
+build_grouped from the kappa bilinears of kappa_bilinears.
+
 All energies are in units of omega_k (hbar = omega_k = 1).  Both
 directions' mode operators are labeled against the +k frame vectors
 throughout (the -k frame enters only through the direction-reversed
@@ -77,13 +86,30 @@ class HamiltonianBundle:
         return out.tocsr()
 
 
-def _mode_operators(space):
-    """S_r = a_r(+k), T_r = a_r(-k) and their bar-adjoints, r = 0..3."""
-    S = [fs.annihilator(space, fs.ModeId(fs.PLUS_K, r)) for r in range(4)]
-    T = [fs.annihilator(space, fs.ModeId(fs.MINUS_K, r)) for r in range(4)]
-    Sb = [fs.bar_adjoint(space, a) for a in S]
-    Tb = [fs.bar_adjoint(space, a) for a in T]
+def _mode_factors(slots):
+    """S_r = a_r(+k), T_r = a_r(-k) and their bar-adjoints as ladder factors.
+
+    `slots` maps each polarization r to the slots of its (+k, -k)
+    modes.  The bar-adjoint of a_r is zeta_r a_r-dagger: M flips the
+    sign of the scalar raisers, and leaves the others alone.
+    """
+    S, T, Sb, Tb = {}, {}, {}, {}
+    for r, (plus, minus) in slots.items():
+        S[r], T[r] = fs.ladder(plus), fs.ladder(minus)
+        Sb[r] = fs.ladder(plus, fs.ZETA[r], raising=True)
+        Tb[r] = fs.ladder(minus, fs.ZETA[r], raising=True)
     return S, T, Sb, Tb
+
+
+def _combine(*pairs):
+    """The ladder factor sum_k c_k F_k of (c_k, F_k) pairs."""
+    return tuple(
+        (c * c_op, slot, raising) for c, factor in pairs for c_op, slot, raising in factor
+    )
+
+
+#: Slots of each polarization's (+k, -k) modes on the 8-mode space.
+_MODE_SLOTS = {r: (r, r + 4) for r in range(4)}
 
 
 def kappa_bilinears(kappas, frame):
@@ -138,19 +164,23 @@ def build_raw(space, kf, frame):
     kappas = kappas_from_kf(kf)
     check_nonbiref(kappas)
     A, B, C = coefficient_matrices(kf, frame)
-    S, T, Sb, Tb = _mode_operators(space)
-    H = sp.csr_matrix((space.dim, space.dim), dtype=complex)
+    S, T, Sb, Tb = _mode_factors(_MODE_SLOTS)
+    terms = []
     for r in range(4):
-        H = H - METRIC[r, r] * (S[r] @ Sb[r] + Tb[r] @ T[r])
+        terms += [(-METRIC[r, r], S[r], Sb[r]), (-METRIC[r, r], Tb[r], T[r])]
     for r in range(4):
         for s in range(4):
-            H = H + (A + B - C)[r, s] * (S[r] @ Sb[s])
-            H = H + (A + B + C)[r, s] * (Tb[r] @ T[s])
-            H = H + (A - B + C)[r, s] * (S[r] @ T[s])
-            H = H + (A - B - C)[r, s] * (Tb[r] @ Sb[s])
-            H = H - C[r, s] * (S[s] @ Sb[r] - Tb[s] @ T[r])
-            H = H - C[r, s] * (S[s] @ T[r] - Tb[s] @ Sb[r])
-    return H.tocsr()
+            terms += [
+                ((A + B - C)[r, s], S[r], Sb[s]),
+                ((A + B + C)[r, s], Tb[r], T[s]),
+                ((A - B + C)[r, s], S[r], T[s]),
+                ((A - B - C)[r, s], Tb[r], Sb[s]),
+                (-C[r, s], S[s], Sb[r]),
+                (C[r, s], Tb[s], T[r]),
+                (-C[r, s], S[s], T[r]),
+                (C[r, s], Tb[s], Sb[r]),
+            ]
+    return fs.monomial_sum(space, terms)
 
 
 def xi_generators(space, kappas, frame):
@@ -167,7 +197,7 @@ def xi_generators(space, kappas, frame):
     """
     check_nonbiref(kappas)
     E, _ = kappa_bilinears(kappas, frame)
-    return _xi_from_operators(E, *_mode_operators(space))
+    return fs.monomial_sum(space, _xi_terms(E, *_mode_factors(_MODE_SLOTS)))
 
 
 def xi_coefficients(E):
@@ -175,32 +205,34 @@ def xi_coefficients(E):
     return 0.25 * (E[1, 1] - E[2, 2]), 0.5 * E[1, 2]
 
 
-def _xi_from_operators(E, S, T, Sb, Tb):
-    """Xi1 + Xi2 from the E bilinear and already built mode operators."""
+def _xi_terms(E, S, T, Sb, Tb):
+    """The monomials of Xi1 + Xi2 from the E bilinear and the mode factors."""
     q1, q2 = xi_coefficients(E)
-    xi = q1 * (Sb[1] @ Tb[1] - T[1] @ S[1] - Sb[2] @ Tb[2] + T[2] @ S[2])
-    xi = xi + q2 * (Sb[1] @ Tb[2] - S[1] @ T[2] + Sb[2] @ Tb[1] - S[2] @ T[1])
-    return xi.tocsr()
+    return [
+        (q1, Sb[1], Tb[1]), (-q1, T[1], S[1]), (-q1, Sb[2], Tb[2]), (q1, T[2], S[2]),
+        (q2, Sb[1], Tb[2]), (-q2, S[1], T[2]), (q2, Sb[2], Tb[1]), (-q2, S[2], T[1]),
+    ]
 
 
-def _transverse_blocks(kappas, frame, E, S, T, Sb, Tb):
-    """h_t and h_pm_t from already built mode operators (see build_grouped).
+def _transverse_terms(kappas, frame, E, S, T, Sb, Tb):
+    """The monomials of h_t and h_pm_t (see build_grouped).
 
-    Only the transverse entries S[r], T[r], Sb[r], Tb[r], r = 1, 2, are
-    used, so the operators may be those of the 8-mode space or of the
-    transverse factor.
+    Only the transverse factors S[r], T[r], Sb[r], Tb[r], r = 1, 2, are
+    used, so they may be those of the 8-mode space or of the transverse
+    factor.
     """
     delta_plus = delta_nonbiref(kappas, frame.khat)
     delta_minus = delta_nonbiref(kappas, -frame.khat)
-
-    h_t = (1 + delta_plus) * (S[1] @ Sb[1] + S[2] @ Sb[2])
-    h_t = h_t + (1 + delta_minus) * (Tb[1] @ T[1] + Tb[2] @ T[2])
-
-    h_pm_t = 0.5 * (E[1, 1] - E[2, 2]) * (
-        S[1] @ T[1] + Tb[1] @ Sb[1] - S[2] @ T[2] - Tb[2] @ Sb[2]
-    )
-    h_pm_t = h_pm_t + E[1, 2] * (S[1] @ T[2] + Tb[2] @ Sb[1])
-    h_pm_t = h_pm_t + E[1, 2] * (S[2] @ T[1] + Tb[1] @ Sb[2])
+    h_t = [
+        (1 + delta_plus, S[1], Sb[1]), (1 + delta_plus, S[2], Sb[2]),
+        (1 + delta_minus, Tb[1], T[1]), (1 + delta_minus, Tb[2], T[2]),
+    ]
+    d = 0.5 * (E[1, 1] - E[2, 2])
+    h_pm_t = [
+        (d, S[1], T[1]), (d, Tb[1], Sb[1]), (-d, S[2], T[2]), (-d, Tb[2], Sb[2]),
+        (E[1, 2], S[1], T[2]), (E[1, 2], Tb[2], Sb[1]),
+        (E[1, 2], S[2], T[1]), (E[1, 2], Tb[1], Sb[2]),
+    ]
     return h_t, h_pm_t
 
 
@@ -216,47 +248,45 @@ def build_grouped(space, kappas, frame):
     """
     check_nonbiref(kappas)
     E, O = kappa_bilinears(kappas, frame)
-    S, T, Sb, Tb = _mode_operators(space)
-    h_t, h_pm_t = _transverse_blocks(kappas, frame, E, S, T, Sb, Tb)
+    S, T, Sb, Tb = _mode_factors(_MODE_SLOTS)
+    h_t, h_pm_t = _transverse_terms(kappas, frame, E, S, T, Sb, Tb)
 
-    h_ls0 = S[3] @ Sb[3] + Tb[3] @ T[3] - S[0] @ Sb[0] - Tb[0] @ T[0]
+    h_ls0 = [(1, S[3], Sb[3]), (1, Tb[3], T[3]), (-1, S[0], Sb[0]), (-1, Tb[0], T[0])]
 
-    a_d, a_g = fs.dg_operators(space, fs.PLUS_K)
-    a_dm, a_gm = fs.dg_operators(space, fs.MINUS_K)
-    bar = lambda x: fs.bar_adjoint(space, x)
-    a_gb, a_dmb = bar(a_g), bar(a_dm)
+    # The d/g operators a_g(+k), a_d(-k) (fs.dg_operators) and the
+    # bar-adjoints, which conjugate their coefficients.
+    r2 = 1.0 / np.sqrt(2.0)
+    a_g = _combine((r2, S[3]), (r2, S[0]))
+    a_gb = _combine((r2, Sb[3]), (r2, Sb[0]))
+    a_dm = _combine((1j * r2, T[3]), (-1j * r2, T[0]))
+    a_dmb = _combine((-1j * r2, Tb[3]), (1j * r2, Tb[0]))
 
     e33 = E[3, 3]
-    h_lslv = -e33 * (a_g @ a_gb + a_dmb @ a_dm)
-    h_lslv = h_lslv - 1j * e33 * (a_g @ a_dm - a_dmb @ a_gb)
+    h_lslv = [
+        (-e33, a_g, a_gb), (-e33, a_dmb, a_dm),
+        (-1j * e33, a_g, a_dm), (1j * e33, a_dmb, a_gb),
+    ]
 
     # Ghost-sector factors shared by both transverse-to-ghost blocks.
-    fac_ann = a_gb + 1j * a_dm  # [abar_g(+k) + i a_d(-k)]
-    fac_cre = a_g - 1j * a_dmb  # [a_g(+k) - i abar_d(-k)]
+    fac_ann = _combine((1, a_gb), (1j, a_dm))  # [abar_g(+k) + i a_d(-k)]
+    fac_cre = _combine((1, a_g), (-1j, a_dmb))  # [a_g(+k) - i abar_d(-k)]
 
-    c1p = E[1, 3] - O[3, 2]
-    c2p = E[2, 3] + O[3, 1]
-    h_p_tls = (-1.0 / np.sqrt(2.0)) * (
-        c1p * (S[1] @ fac_ann + fac_cre @ Sb[1])
-        + c2p * (S[2] @ fac_ann + fac_cre @ Sb[2])
-    )
+    c1p = (-r2) * (E[1, 3] - O[3, 2])
+    c2p = (-r2) * (E[2, 3] + O[3, 1])
+    h_p_tls = [
+        (c1p, S[1], fac_ann), (c1p, fac_cre, Sb[1]),
+        (c2p, S[2], fac_ann), (c2p, fac_cre, Sb[2]),
+    ]
 
-    c1m = E[1, 3] + O[3, 2]
-    c2m = E[2, 3] - O[3, 1]
-    h_m_tls = (1.0 / np.sqrt(2.0)) * (
-        c1m * (fac_cre @ T[1] + Tb[1] @ fac_ann)
-        + c2m * (fac_cre @ T[2] + Tb[2] @ fac_ann)
-    )
+    c1m = r2 * (E[1, 3] + O[3, 2])
+    c2m = r2 * (E[2, 3] - O[3, 1])
+    h_m_tls = [
+        (c1m, fac_cre, T[1]), (c1m, Tb[1], fac_ann),
+        (c2m, fac_cre, T[2]), (c2m, Tb[2], fac_ann),
+    ]
 
-    return HamiltonianBundle(
-        h_t=h_t.tocsr(),
-        h_pm_t=h_pm_t.tocsr(),
-        h_ls0=h_ls0.tocsr(),
-        h_lslv=h_lslv.tocsr(),
-        h_p_tls=h_p_tls.tocsr(),
-        h_m_tls=h_m_tls.tocsr(),
-        xi=_xi_from_operators(E, S, T, Sb, Tb),
-    )
+    blocks = (h_t, h_pm_t, h_ls0, h_lslv, h_p_tls, h_m_tls, _xi_terms(E, S, T, Sb, Tb))
+    return HamiltonianBundle(*(fs.monomial_sum(space, terms) for terms in blocks))
 
 
 #: The 8-mode slots of the transverse factor's modes, in the order of
@@ -297,6 +327,10 @@ def transverse_operators(space):
     return S, T, Sb, Tb
 
 
+#: Slots of polarizations 1, 2 on the transverse factor (TRANSVERSE_SLOTS order).
+_FACTOR_SLOTS = {1: (0, 2), 2: (1, 3)}
+
+
 def build_transverse(space, kappas, frame):
     """H and Xi on the transverse factor, for states with empty ghost modes.
 
@@ -308,12 +342,14 @@ def build_transverse(space, kappas, frame):
     h = h_t + h_pm_t + c I and xi, with the same entries.
     `space` is a transverse_space; returns (h, xi).
     """
-    S, T, Sb, Tb = transverse_operators(space)
+    check_transverse(space)
     check_nonbiref(kappas)
+    factors = _mode_factors(_FACTOR_SLOTS)  # metric +1: bar-adjoint = dagger
     E, _ = kappa_bilinears(kappas, frame)
-    h_t, h_pm_t = _transverse_blocks(kappas, frame, E, S, T, Sb, Tb)
-    h = h_t + h_pm_t + _GHOST_VACUUM_ENERGY * sp.identity(space.dim, format="csr")
-    return h.tocsr(), _xi_from_operators(E, S, T, Sb, Tb)
+    h_t, h_pm_t = _transverse_terms(kappas, frame, E, *factors)
+    h = fs.monomial_sum(space, h_t + h_pm_t)
+    h = h + _GHOST_VACUUM_ENERGY * sp.identity(space.dim, format="csr")
+    return h.tocsr(), fs.monomial_sum(space, _xi_terms(E, *factors))
 
 
 def similarity_transform(h, xi):

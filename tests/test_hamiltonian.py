@@ -3,7 +3,9 @@
 The oracle relationship runs both ways: the raw tensor-contraction
 assembly and the grouped closed-form blocks are independent routes to
 the same operator, and their elementwise equality is the module's
-central check.
+central check.  Both are assembled by fs.monomial_sum; the product
+chains of sparse ladder matrices they replaced are kept below as the
+reference for the assembler.
 """
 
 import numpy as np
@@ -31,10 +33,180 @@ def space2():
     return fs.build_space(2)
 
 
+# ------------------------------------------- product-chain reference
+
+
+def _mode_operators(space):
+    """S_r = a_r(+k), T_r = a_r(-k) and their bar-adjoints, r = 0..3."""
+    S = [fs.annihilator(space, fs.ModeId(fs.PLUS_K, r)) for r in range(4)]
+    T = [fs.annihilator(space, fs.ModeId(fs.MINUS_K, r)) for r in range(4)]
+    Sb = [fs.bar_adjoint(space, a) for a in S]
+    Tb = [fs.bar_adjoint(space, a) for a in T]
+    return S, T, Sb, Tb
+
+
+def _xi_from_operators(E, S, T, Sb, Tb):
+    q1, q2 = hm.xi_coefficients(E)
+    xi = q1 * (Sb[1] @ Tb[1] - T[1] @ S[1] - Sb[2] @ Tb[2] + T[2] @ S[2])
+    xi = xi + q2 * (Sb[1] @ Tb[2] - S[1] @ T[2] + Sb[2] @ Tb[1] - S[2] @ T[1])
+    return xi.tocsr()
+
+
+def _transverse_blocks(kappas, frame, E, S, T, Sb, Tb):
+    delta_plus = dp.delta_nonbiref(kappas, frame.khat)
+    delta_minus = dp.delta_nonbiref(kappas, -frame.khat)
+    h_t = (1 + delta_plus) * (S[1] @ Sb[1] + S[2] @ Sb[2])
+    h_t = h_t + (1 + delta_minus) * (Tb[1] @ T[1] + Tb[2] @ T[2])
+    h_pm_t = 0.5 * (E[1, 1] - E[2, 2]) * (
+        S[1] @ T[1] + Tb[1] @ Sb[1] - S[2] @ T[2] - Tb[2] @ Sb[2]
+    )
+    h_pm_t = h_pm_t + E[1, 2] * (S[1] @ T[2] + Tb[2] @ Sb[1])
+    h_pm_t = h_pm_t + E[1, 2] * (S[2] @ T[1] + Tb[1] @ Sb[2])
+    return h_t, h_pm_t
+
+
+def _reference_raw(space, kf, frame):
+    """build_raw as a sum of sparse products of the ladder matrices."""
+    A, B, C = hm.coefficient_matrices(kf, frame)
+    S, T, Sb, Tb = _mode_operators(space)
+    H = sp.csr_matrix((space.dim, space.dim), dtype=complex)
+    for r in range(4):
+        H = H - kt.METRIC[r, r] * (S[r] @ Sb[r] + Tb[r] @ T[r])
+    for r in range(4):
+        for s in range(4):
+            H = H + (A + B - C)[r, s] * (S[r] @ Sb[s])
+            H = H + (A + B + C)[r, s] * (Tb[r] @ T[s])
+            H = H + (A - B + C)[r, s] * (S[r] @ T[s])
+            H = H + (A - B - C)[r, s] * (Tb[r] @ Sb[s])
+            H = H - C[r, s] * (S[s] @ Sb[r] - Tb[s] @ T[r])
+            H = H - C[r, s] * (S[s] @ T[r] - Tb[s] @ Sb[r])
+    return H.tocsr()
+
+
+def _reference_grouped(space, kappas, frame):
+    """build_grouped as sums of sparse products of the ladder matrices."""
+    E, O = hm.kappa_bilinears(kappas, frame)
+    S, T, Sb, Tb = _mode_operators(space)
+    h_t, h_pm_t = _transverse_blocks(kappas, frame, E, S, T, Sb, Tb)
+    h_ls0 = S[3] @ Sb[3] + Tb[3] @ T[3] - S[0] @ Sb[0] - Tb[0] @ T[0]
+    a_d, a_g = fs.dg_operators(space, fs.PLUS_K)
+    a_dm, a_gm = fs.dg_operators(space, fs.MINUS_K)
+    a_gb, a_dmb = fs.bar_adjoint(space, a_g), fs.bar_adjoint(space, a_dm)
+    e33 = E[3, 3]
+    h_lslv = -e33 * (a_g @ a_gb + a_dmb @ a_dm)
+    h_lslv = h_lslv - 1j * e33 * (a_g @ a_dm - a_dmb @ a_gb)
+    fac_ann = a_gb + 1j * a_dm
+    fac_cre = a_g - 1j * a_dmb
+    c1p, c2p = E[1, 3] - O[3, 2], E[2, 3] + O[3, 1]
+    h_p_tls = (-1.0 / np.sqrt(2.0)) * (
+        c1p * (S[1] @ fac_ann + fac_cre @ Sb[1])
+        + c2p * (S[2] @ fac_ann + fac_cre @ Sb[2])
+    )
+    c1m, c2m = E[1, 3] + O[3, 2], E[2, 3] - O[3, 1]
+    h_m_tls = (1.0 / np.sqrt(2.0)) * (
+        c1m * (fac_cre @ T[1] + Tb[1] @ fac_ann)
+        + c2m * (fac_cre @ T[2] + Tb[2] @ fac_ann)
+    )
+    blocks = (h_t, h_pm_t, h_ls0, h_lslv, h_p_tls, h_m_tls)
+    return hm.HamiltonianBundle(
+        *(block.tocsr() for block in blocks), xi=_xi_from_operators(E, S, T, Sb, Tb)
+    )
+
+
+def _reference_transverse(space, kappas, frame):
+    """build_transverse from the factor's ladder matrices."""
+    S, T, Sb, Tb = hm.transverse_operators(space)
+    E, _ = hm.kappa_bilinears(kappas, frame)
+    h_t, h_pm_t = _transverse_blocks(kappas, frame, E, S, T, Sb, Tb)
+    h = h_t + h_pm_t + hm._GHOST_VACUUM_ENERGY * sp.identity(space.dim, format="csr")
+    return h.tocsr(), _xi_from_operators(E, S, T, Sb, Tb)
+
+
+def _assert_assembled_like(got, want):
+    """Same dtype, pattern and block labels, entries within 1e-15 max|H|."""
+    assert got.dtype == want.dtype == np.complex128
+    assert got.nnz == want.nnz
+    assert abs(got - want).max() <= 1e-15 * abs(want).max()
+    assert np.array_equal(fs.coupled_blocks(got), fs.coupled_blocks(want))
+
+
+@pytest.mark.parametrize("cutoff", [1, 2, 3])
+def test_assembler_matches_product_chains(cutoff):
+    space = fs.build_space(cutoff)
+    rng = np.random.default_rng(140 + cutoff)
+    k = kt.random_kappas(rng, 1e-2)
+    frame = dp.polarization_frame(dp.random_directions(rng))
+    kf = kt.kf_from_kappas(k)
+    _assert_assembled_like(hm.build_raw(space, kf, frame), _reference_raw(space, kf, frame))
+    got, want = hm.build_grouped(space, k, frame), _reference_grouped(space, k, frame)
+    for block, ref in zip(got.blocks + (got.xi,), want.blocks + (want.xi,)):
+        _assert_assembled_like(block, ref)
+    _assert_assembled_like(hm.xi_generators(space, k, frame), want.xi)
+
+
+@pytest.mark.parametrize("cutoff", [2, 3, 4, 5])
+def test_transverse_assembler_matches_product_chains(cutoff):
+    space = hm.transverse_space(cutoff)
+    rng = np.random.default_rng(150 + cutoff)
+    k = kt.random_kappas(rng, 1e-2)
+    frame = dp.polarization_frame(dp.random_directions(rng))
+    for got, want in zip(hm.build_transverse(space, k, frame), _reference_transverse(space, k, frame)):
+        _assert_assembled_like(got, want)
+
+
+def _ladder_matrix(space, slot, raising):
+    a = fs._lowering(space, slot)
+    return a.conj().T.tocsr() if raising else a
+
+
+#: Monomials (left, right) of (slot, raising) and, for one slot, the
+#: occupations n of the columns that keep an entry under the truncation.
+_MONOMIALS = [
+    ((1, False), (5, True), None),  # a_i a_j-dagger
+    ((1, True), (5, False), None),  # a_i-dagger a_j
+    ((6, True), (2, True), None),  # two raisers on different slots
+    ((3, False), (3, True), lambda n, top: n < top),  # a a-dagger: 0 at the top
+    ((3, True), (3, False), lambda n, top: n >= 1),  # a-dagger a
+    ((3, True), (3, True), lambda n, top: n + 2 <= top),  # a-dagger a-dagger
+    ((3, False), (3, False), lambda n, top: n >= 2),  # a a
+]
+
+
+@pytest.mark.parametrize("left, right, kept", _MONOMIALS)
+@pytest.mark.parametrize("cutoff", [2, 3])
+def test_single_monomial_equals_lowering_product(cutoff, left, right, kept):
+    space = fs.build_space(cutoff)
+    x = fs.ladder(left[0], raising=left[1])
+    y = fs.ladder(right[0], raising=right[1])
+    got = fs.monomial_sum(space, [(1.0, x, y)])
+    want = (_ladder_matrix(space, *left) @ _ladder_matrix(space, *right)).tocsr()
+    want.sort_indices()
+    assert got.dtype == np.complex128
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert np.array_equal(got.data, want.data)  # bit for bit
+    if kept is not None:  # same slot: the columns left with an entry
+        n = space.occupations[:, 3]
+        assert np.array_equal(np.diff(got.tocsc().indptr) > 0, kept(n, cutoff))
+
+
+def test_monomial_sum_merges_and_cancels():
+    # equal monomials merge across the order of commuting operators,
+    # opposite coefficients cancel to no entry, and no term is no matrix
+    space = fs.build_space(1)
+    x, y = fs.ladder(2), fs.ladder(6, raising=True)
+    merged = fs.monomial_sum(space, [(0.25, x, y), (0.5, y, x)])
+    single = fs.monomial_sum(space, [(0.75, x, y)])
+    assert merged.nnz == single.nnz > 0
+    assert abs(merged - single).max() == 0.0
+    assert fs.monomial_sum(space, [(1.0, x, y), (-1.0, y, x)]).nnz == 0
+    assert fs.monomial_sum(space, []).shape == (space.dim, space.dim)
+
+
 def test_zero_kappa_blocks(space):
     frame = dp.polarization_frame(np.array([0.0, 0.0, 1.0]))
     bundle = hm.build_grouped(space, kt.KappaSet(), frame)
-    S, T, Sb, Tb = hm._mode_operators(space)
+    S, T, Sb, Tb = _mode_operators(space)
     want_t = S[1] @ Sb[1] + S[2] @ Sb[2] + Tb[1] @ T[1] + Tb[2] @ T[2]
     assert abs(bundle.h_t - want_t).max() == 0.0
     want_ls0 = S[3] @ Sb[3] + Tb[3] @ T[3] - S[0] @ Sb[0] - Tb[0] @ T[0]
@@ -127,7 +299,7 @@ def test_xi_diagonal_difference_only(space):
     k = kt.KappaSet(e_minus=np.diag([a, -a, 0.0]))
     frame = dp.polarization_frame(np.array([0.0, 0.0, 1.0]))
     xi = hm.xi_generators(space, k, frame)
-    S, T, Sb, Tb = hm._mode_operators(space)
+    S, T, Sb, Tb = _mode_operators(space)
     want = (a / 2.0) * (Sb[1] @ Tb[1] - T[1] @ S[1] - Sb[2] @ Tb[2] + T[2] @ S[2])
     assert abs(xi - want).max() < 1e-17
 

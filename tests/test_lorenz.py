@@ -418,6 +418,68 @@ def test_block_leakage_matches_full_space(space, frame, inject, dg_reference):
     assert (got > 1e-8) == inject
 
 
+# ------------------------------------------- Taylor propagator vs expm_multiply
+
+
+def _a_block(space, h):
+    """The largest coupled block of h that holds A-class columns, with them."""
+    a_states = lz._class_columns(space, (lz.StateClass.A,))
+    labels = fs.coupled_blocks(h)
+    owner = labels[a_states.indices]
+    block = max(np.unique(owner), key=lambda b: np.count_nonzero(labels == b))
+    idx = np.flatnonzero(labels == block)
+    return h[idx][:, idx], a_states[idx][:, np.flatnonzero(owner == block)].toarray()
+
+
+def _check_propagator(h, columns, t):
+    """_propagate against expm_multiply to 1e-12, leaving h untouched."""
+    arrays = [a.copy() for a in (h.data, h.indices, h.indptr)]
+    got = lz._propagate(h, columns, t)
+    want = expm_multiply(-1j * t * h, columns)
+    assert got.shape == columns.shape and got.dtype == np.complex128
+    assert np.max(np.abs(got - want)) <= 1e-12
+    for before, after in zip(arrays, (h.data, h.indices, h.indptr)):
+        assert np.array_equal(before, after)
+    return got
+
+
+@pytest.mark.parametrize("inject", [False, True], ids=["real", "complex"])
+def test_propagator_matches_expm_multiply(space, frame, inject):
+    k = kt.random_kappas(np.random.default_rng(3), 1e-2)
+    h = hm.build_grouped(space, k, frame).total
+    if inject:
+        h = cli._inject_c_defect(space, h)
+    block, columns = _a_block(space, h)
+    assert (abs(block.imag).max() > 0) == inject
+    _check_propagator(block, columns, 10.0)
+
+
+def test_propagator_leaves_an_unsorted_matrix_alone(space, frame):
+    # a matrix whose rows hold their columns out of order: canonicalising
+    # it (or a part that shares its buffers) in place would permute it
+    k = kt.random_kappas(np.random.default_rng(4), 1e-2)
+    block, columns = _a_block(space, cli._inject_c_defect(space, hm.build_grouped(space, k, frame).total))
+    rows = np.repeat(np.arange(block.shape[0]), np.diff(block.indptr))
+    order = np.lexsort((-block.indices, rows))
+    unsorted = sp.csr_matrix(
+        (block.data[order], block.indices[order], block.indptr), shape=block.shape
+    )
+    assert not unsorted.has_sorted_indices
+    got = _check_propagator(unsorted, columns, 10.0)
+    assert np.max(np.abs(got - lz._propagate(block, columns, 10.0))) == 0.0
+
+
+def test_propagator_edge_cases():
+    one = sp.csr_matrix(np.array([[2.5 + 0.0j]]))
+    column = np.array([[1.0 + 0.0j]])
+    got = _check_propagator(one, column, 3.0)
+    assert got[0, 0] == pytest.approx(np.exp(-7.5j), abs=1e-15)
+    h = sp.random(40, 40, density=0.2, random_state=np.random.default_rng(6), format="csr")
+    h = (h + h.T).astype(complex)
+    columns = np.eye(40, 3, dtype=complex)
+    assert np.array_equal(_check_propagator(h, columns, 0.0), columns)
+
+
 def test_evolution_stays_weak_lorenz(space, frame):
     # an A-class state evolved with the full coupled Hamiltonian picks
     # up zero-norm B admixture but no measurable C component
