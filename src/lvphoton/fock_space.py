@@ -217,25 +217,17 @@ def monomial_sum(space, terms):
     band = np.zeros(space.dim, dtype=complex)  # one shift's entries, by column
     # Descending shifts put each row's columns in ascending order below.
     for shift in sorted(by_shift, reverse=True):
-        groups = by_shift[shift]
-        lone = len(groups) == 1 and [len(p) for p in next(iter(groups.values()))] == [1]
-        if lone:  # one monomial: no dense sum needed
-            ((coef, [[(weight, monomial)]]),) = groups.items()
-            w = entries(monomial)
-            col = np.flatnonzero(w != 0)
-            values.append(coef * (weight * w[col]))
-        else:
-            for coef, terms in groups.items():
-                shared = 0.0  # the terms' products, before their common coefficient
-                for paths in terms:
-                    product = 0.0
-                    for weight, monomial in paths:
-                        product = product + weight * entries(monomial)
-                    shared = shared + product
-                band += coef * shared
-            col = np.flatnonzero(band != 0)
-            values.append(band[col])
-            band[...] = 0.0
+        for coef, terms in by_shift[shift].items():
+            shared = 0.0  # the terms' products, before their common coefficient
+            for paths in terms:
+                product = 0.0
+                for weight, monomial in paths:
+                    product = product + weight * entries(monomial)
+                shared = shared + product
+            band += coef * shared
+        col = np.flatnonzero(band != 0)
+        values.append(band[col])
+        band[...] = 0.0
         rows.append(col + shift)
         cols.append(col)
     rows = np.concatenate(rows or [np.zeros(0, dtype=int)])
@@ -338,10 +330,17 @@ def vacuum_state(space):
     return vac
 
 
-def dg_operators(space, direction):
-    """The ghost-sector mode pair for one direction.
+_R2 = 1.0 / math.sqrt(2.0)
 
-        a_d = (i/sqrt(2)) (a_3 - a_0),   a_g = (1/sqrt(2)) (a_3 + a_0)
+#: The d and g ghost modes of one direction, as the coefficients of its
+#: scalar (0) and longitudinal (3) lowering operators:
+#: a_d = (i/sqrt(2)) (a_3 - a_0), a_g = (1/sqrt(2)) (a_3 + a_0).
+DG_D = {3: 1j * _R2, 0: -1j * _R2}
+DG_G = {3: _R2, 0: _R2}
+
+
+def dg_operators(space, direction):
+    """The ghost-sector mode pair a_d, a_g (DG_D, DG_G) for one direction.
 
     In the physical metric these are two independent unit bosons; their
     bar-adjoints mix them: bar(a_d) = -i a_g-dagger, bar(a_g) = +i
@@ -350,9 +349,23 @@ def dg_operators(space, direction):
     """
     a0 = annihilator(space, ModeId(direction, 0))
     a3 = annihilator(space, ModeId(direction, 3))
-    a_d = (1j / np.sqrt(2.0)) * (a3 - a0)
-    a_g = (1.0 / np.sqrt(2.0)) * (a3 + a0)
+    a_d, a_g = (coefs[3] * a3 + coefs[0] * a0 for coefs in (DG_D, DG_G))
     return a_d.tocsr(), a_g.tocsr()
+
+
+def dg_factors(direction):
+    """a_d, a_g and their bar-adjoints for one direction, as ladder factors.
+
+    The same combinations as dg_operators, for monomial_sum.  The
+    bar-adjoint of c a_p is conj(c) zeta_p a_p-dagger, which gives
+    bar(a_d) = -i a_g-dagger and bar(a_g) = +i a_d-dagger.
+    Returns (a_d, a_g, bar(a_d), bar(a_g)).
+    """
+    slots = {p: ModeId(direction, p).slot for p in (0, 3)}
+    modes = (DG_D, DG_G)
+    lower = [tuple((c, slots[p], False) for p, c in m.items()) for m in modes]
+    bars = [tuple((c.conjugate() * ZETA[p], slots[p], True) for p, c in m.items()) for m in modes]
+    return (*lower, *bars)
 
 
 def check_dg_occupations(space, plus, minus):

@@ -109,7 +109,9 @@ def _combine(*pairs):
 
 
 #: Slots of each polarization's (+k, -k) modes on the 8-mode space.
-_MODE_SLOTS = {r: (r, r + 4) for r in range(4)}
+_MODE_SLOTS = {
+    r: (fs.ModeId(fs.PLUS_K, r).slot, fs.ModeId(fs.MINUS_K, r).slot) for r in range(4)
+}
 
 
 def kappa_bilinears(kappas, frame):
@@ -253,13 +255,9 @@ def build_grouped(space, kappas, frame):
 
     h_ls0 = [(1, S[3], Sb[3]), (1, Tb[3], T[3]), (-1, S[0], Sb[0]), (-1, Tb[0], T[0])]
 
-    # The d/g operators a_g(+k), a_d(-k) (fs.dg_operators) and the
-    # bar-adjoints, which conjugate their coefficients.
-    r2 = 1.0 / np.sqrt(2.0)
-    a_g = _combine((r2, S[3]), (r2, S[0]))
-    a_gb = _combine((r2, Sb[3]), (r2, Sb[0]))
-    a_dm = _combine((1j * r2, T[3]), (-1j * r2, T[0]))
-    a_dmb = _combine((-1j * r2, Tb[3]), (1j * r2, Tb[0]))
+    # The d/g operators a_g(+k), a_d(-k) and their bar-adjoints.
+    _, a_g, _, a_gb = fs.dg_factors(fs.PLUS_K)
+    a_dm, _, a_dmb, _ = fs.dg_factors(fs.MINUS_K)
 
     e33 = E[3, 3]
     h_lslv = [
@@ -271,6 +269,7 @@ def build_grouped(space, kappas, frame):
     fac_ann = _combine((1, a_gb), (1j, a_dm))  # [abar_g(+k) + i a_d(-k)]
     fac_cre = _combine((1, a_g), (-1j, a_dmb))  # [a_g(+k) - i abar_d(-k)]
 
+    r2 = 1.0 / np.sqrt(2.0)
     c1p = (-r2) * (E[1, 3] - O[3, 2])
     c2p = (-r2) * (E[2, 3] + O[3, 1])
     h_p_tls = [
@@ -291,7 +290,13 @@ def build_grouped(space, kappas, frame):
 
 #: The 8-mode slots of the transverse factor's modes, in the order of
 #: its occupation tuple: a1(+k), a2(+k), a1(-k), a2(-k).
-TRANSVERSE_SLOTS = (1, 2, 5, 6)
+TRANSVERSE_SLOTS = tuple(_MODE_SLOTS[r][d] for d in (0, 1) for r in (1, 2))
+
+#: Slots of polarizations 1, 2's (+k, -k) modes on the transverse factor,
+#: their positions in TRANSVERSE_SLOTS.
+_FACTOR_SLOTS = {
+    r: tuple(TRANSVERSE_SLOTS.index(slot) for slot in _MODE_SLOTS[r]) for r in (1, 2)
+}
 
 #: <ghost vacuum| h_ls0 + h_lslv |ghost vacuum>.  The +k terms of h_ls0,
 #: a_r bar(a_r), give zeta_r on the vacuum since [a_r, bar(a_r)] = zeta_r,
@@ -320,15 +325,11 @@ def transverse_operators(space):
     the bar-adjoints Sb, Tb are the plain daggers.
     """
     check_transverse(space)
-    lower = [fs._lowering(space, slot) for slot in range(4)]
-    daggers = [a.conj().T.tocsr() for a in lower]
-    S, T = dict(zip((1, 2), lower[:2])), dict(zip((1, 2), lower[2:]))
-    Sb, Tb = dict(zip((1, 2), daggers[:2])), dict(zip((1, 2), daggers[2:]))
+    S, T, Sb, Tb = {}, {}, {}, {}
+    for r, (plus, minus) in _FACTOR_SLOTS.items():
+        S[r], T[r] = fs._lowering(space, plus), fs._lowering(space, minus)
+        Sb[r], Tb[r] = S[r].conj().T.tocsr(), T[r].conj().T.tocsr()
     return S, T, Sb, Tb
-
-
-#: Slots of polarizations 1, 2 on the transverse factor (TRANSVERSE_SLOTS order).
-_FACTOR_SLOTS = {1: (0, 2), 2: (1, 3)}
 
 
 def build_transverse(space, kappas, frame):

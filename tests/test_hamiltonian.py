@@ -172,14 +172,16 @@ _MONOMIALS = [
 ]
 
 
+@pytest.mark.parametrize("coef", [1.0, -1.0, 0.3 - 0.7j])
 @pytest.mark.parametrize("left, right, kept", _MONOMIALS)
 @pytest.mark.parametrize("cutoff", [2, 3])
-def test_single_monomial_equals_lowering_product(cutoff, left, right, kept):
+def test_single_monomial_equals_lowering_product(cutoff, left, right, kept, coef):
+    # the coefficient comes out as scipy applies it to the product
     space = fs.build_space(cutoff)
     x = fs.ladder(left[0], raising=left[1])
     y = fs.ladder(right[0], raising=right[1])
-    got = fs.monomial_sum(space, [(1.0, x, y)])
-    want = (_ladder_matrix(space, *left) @ _ladder_matrix(space, *right)).tocsr()
+    got = fs.monomial_sum(space, [(coef, x, y)])
+    want = (coef * (_ladder_matrix(space, *left) @ _ladder_matrix(space, *right))).tocsr()
     want.sort_indices()
     assert got.dtype == np.complex128
     assert np.array_equal(got.indptr, want.indptr)
@@ -188,6 +190,19 @@ def test_single_monomial_equals_lowering_product(cutoff, left, right, kept):
     if kept is not None:  # same slot: the columns left with an entry
         n = space.occupations[:, 3]
         assert np.array_equal(np.diff(got.tocsc().indptr) > 0, kept(n, cutoff))
+
+
+def test_dg_factors_match_dg_operators():
+    # the ladder factors and the sparse d/g operators come from one rotation
+    space = fs.build_space(2)
+    for direction in (fs.PLUS_K, fs.MINUS_K):
+        a_d, a_g = fs.dg_operators(space, direction)
+        mats = (a_d, a_g, fs.bar_adjoint(space, a_d), fs.bar_adjoint(space, a_g))
+        factors = fs.dg_factors(direction)
+        for x, mx in zip(factors, mats):
+            for y, my in zip(factors, mats):
+                got = fs.monomial_sum(space, [(1.0, x, y)])
+                assert abs(got - mx @ my).max() <= 1e-15
 
 
 def test_monomial_sum_merges_and_cancels():
