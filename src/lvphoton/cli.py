@@ -22,6 +22,7 @@ randomness is drawn from --seed, so reports are deterministic.
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -226,17 +227,61 @@ def default_config():
     )
 
 
+def _scalar(value):
+    """JSON text of one scalar report value, floats at 17 significant digits."""
+    if value is None or isinstance(value, (bool, np.bool_)):
+        return json.dumps(bool(value) if value is not None else None)
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return format(float(value), ".17g")
+    if isinstance(value, str):
+        return json.dumps(value)
+    raise TypeError(f"cannot serialize {type(value).__name__} in a report")
+
+
+_SCALAR_TYPES = (type(None), bool, int, float, str, np.generic)
+
+
+@functools.lru_cache(maxsize=256)
+def _dict_template(indent, keys, types):
+    """%-template of a dict of scalars with these keys and value types.
+
+    Float slots are %.17g, every other slot takes _scalar's text; None
+    when a value is not a scalar, so the dict is rendered item by item.
+    """
+    if not all(issubclass(kind, _SCALAR_TYPES) for kind in types):
+        return None
+    pad = " " * indent
+    floats = tuple(issubclass(kind, (float, np.floating)) for kind in types)
+    items = [
+        f"{pad}  {json.dumps(str(key))}: ".replace("%", "%%") + ("%.17g" if is_float else "%s")
+        for key, is_float in zip(keys, floats)
+    ]
+    return "{\n" + ",\n".join(items) + "\n" + pad + "}", floats
+
+
 def render_json(value, indent=0):
     """JSON text with every float at 17 significant digits.
 
     The stdlib encoder prints shortest-roundtrip floats and offers no
     hook to change that, so this walks the structure itself.  Lists of
-    scalars stay on one line; insertion order of dicts is preserved.
+    scalars stay on one line; insertion order of dicts is preserved.  A
+    dict of scalars (a report row) is one %-format of a template cached
+    per indent, keys and value types, so a long list of rows renders
+    its keys once.
     """
     pad = " " * indent
     if isinstance(value, dict):
         if not value:
             return "{}"
+        values = tuple(value.values())
+        template = _dict_template(indent, tuple(value), tuple(map(type, values)))
+        if template is not None:
+            text, floats = template
+            return text % tuple(
+                v if is_float else _scalar(v) for v, is_float in zip(values, floats)
+            )
         items = [
             f'{pad}  {json.dumps(str(k))}: {render_json(v, indent + 2)}'
             for k, v in value.items()
@@ -248,18 +293,10 @@ def render_json(value, indent=0):
         if not value:
             return "[]"
         if all(not isinstance(v, (dict, list, tuple, np.ndarray)) for v in value):
-            return "[" + ", ".join(render_json(v) for v in value) + "]"
+            return "[" + ", ".join(_scalar(v) for v in value) + "]"
         items = [f"{pad}  {render_json(v, indent + 2)}" for v in value]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if value is None or isinstance(value, (bool, np.bool_)):
-        return json.dumps(bool(value) if value is not None else None)
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".17g")
-    if isinstance(value, str):
-        return json.dumps(value)
-    raise TypeError(f"cannot serialize {type(value).__name__} in a report")
+    return _scalar(value)
 
 
 def render_csv(rows):

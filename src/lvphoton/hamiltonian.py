@@ -33,7 +33,9 @@ equivalence.  The scalar polarization row of the embedding is
 Expectation values in these matrices must be taken with the indefinite
 product (fock_space.indefinite_inner); H is self-adjoint under the
 bar-adjoint but is not a hermitian matrix, so naive eigenvector
-machinery does not apply.
+machinery does not apply.  exp(-Xi) reaches states through
+fock_space.propagate, the Chebyshev propagator of the leakage check,
+on the coupled blocks of Xi that hold each state.
 """
 
 from dataclasses import dataclass
@@ -41,7 +43,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import expm
-from scipy.sparse.linalg import expm_multiply
 
 from . import fock_space as fs
 from .dispersion import delta_nonbiref
@@ -388,12 +389,13 @@ def _evolve(xi, labels, vec):
     `labels` are the block labels of xi (fs.coupled_blocks).  Returns
     the indices of those blocks' states and the evolved values there;
     exp(-xi) vec is zero everywhere else, so evolving under xi
-    restricted to those blocks is exact.
+    restricted to those blocks is exact.  exp(-xi) is exp(-i t b) at
+    t = 1 with b = -i xi, so fs.propagate evolves it.
     """
     idx = np.flatnonzero(np.isin(labels, labels[np.flatnonzero(vec)]))
     if not idx.size:
         return idx, np.zeros(0, dtype=complex)
-    return idx, expm_multiply(-xi[idx][:, idx], vec[idx])
+    return idx, fs.propagate(-1j * xi[idx][:, idx], vec[idx, None], 1.0)[:, 0]
 
 
 def _transformed(h, xi, states, mdiag):

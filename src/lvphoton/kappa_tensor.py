@@ -397,11 +397,10 @@ def _kf_parameter_basis():
     ])
 
     constraints = np.array(rows)
-    _, s, vt = np.linalg.svd(constraints)
-    null_mask = np.zeros(vt.shape[0], dtype=bool)
-    null_mask[: s.size] = s < 1e-10
-    null_mask[s.size:] = True
-    basis = vt[null_mask].T  # 256 x n_null
+    # More constraint rows than components: the thin SVD already has all
+    # 256 right singular vectors, without the unused square U.
+    _, s, vt = np.linalg.svd(constraints, full_matrices=False)
+    basis = vt[s < 1e-10].T  # 256 x n_null
     if basis.shape[1] != 19:
         raise RuntimeError(f"constraint nullspace has dimension {basis.shape[1]}, expected 19")
 

@@ -40,24 +40,6 @@ GB_TOL = 1e-12
 #: Longest evolution time accepted by invariance_leakage (in 1/omega units).
 MAX_LEAKAGE_TIME = 10.0
 
-#: theta_m of the truncated Taylor series for tolerance 2**-53, m <= 55:
-#: one step of m terms is accurate to the tolerance for 1-norms up to
-#: theta_m (Al-Mohy & Higham, "Computing the action of the matrix
-#: exponential", SIAM J. Sci. Comput. 33 (2011), Table 3.1; the values
-#: for m <= 30 are from Higham, "Functions of Matrices", Table A.3).
-_THETA = {
-    1: 2.29e-16, 2: 2.58e-8, 3: 1.39e-5, 4: 3.40e-4, 5: 2.40e-3,
-    6: 9.07e-3, 7: 2.38e-2, 8: 5.00e-2, 9: 8.96e-2, 10: 1.44e-1,
-    11: 2.14e-1, 12: 3.00e-1, 13: 4.00e-1, 14: 5.14e-1, 15: 6.41e-1,
-    16: 7.81e-1, 17: 9.31e-1, 18: 1.09, 19: 1.26, 20: 1.44,
-    21: 1.62, 22: 1.82, 23: 2.01, 24: 2.22, 25: 2.43,
-    26: 2.64, 27: 2.86, 28: 3.08, 29: 3.31, 30: 3.54,
-    35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9,
-}
-
-#: Unit roundoff of float64, the tolerance the theta table is for.
-_TOL = 2.0**-53
-
 
 class StateClass(enum.Enum):
     """The four ghost-occupation classes of the fixed-norm partition."""
@@ -266,85 +248,6 @@ def counting_oracle(n_d, n_g, n_d_prime, n_g_prime, n_lslv, n_tls):
     return False
 
 
-def _taylor_degree(norm):
-    """(m, s): s steps of m Taylor terms for a matrix of 1-norm `norm`.
-
-    The cheapest m * s with norm / s <= theta_m (Al-Mohy & Higham's
-    choice from the 1-norm alone).
-    """
-    if norm == 0:
-        return 0, 1
-    return min(
-        ((m, int(np.ceil(norm / theta))) for m, theta in _THETA.items()),
-        key=lambda ms: ms[0] * ms[1],
-    )
-
-
-def _propagate(h, columns, t):
-    """exp(-i t h) applied to dense columns, by a truncated Taylor series.
-
-    This is Al-Mohy & Higham's method: shift h by the mean of its
-    diagonal, take the number of steps s and terms m from the exact
-    1-norm of the shifted t h, and stop a step's series once two terms
-    in a row fall below 2**-53 of the sum.  Unlike scipy's
-    expm_multiply, (m, s) always come from the 1-norm alone.  scipy
-    does so only while the 1-norm is at most about 63 / (number of
-    columns), its condition (3.13), and past that takes (m, s) from
-    power-norm estimates.  On the cutoff-2 leakage blocks the two
-    choices agree (m * s of 200-330 at t = 10): the shifted H is
-    dominated by its diagonal, so its power norms are close to its
-    1-norm.  The arithmetic differs, so the results agree with
-    expm_multiply to 1e-12, not bit for bit.
-
-    The product with h runs in real arithmetic: the columns' float64
-    view (real and imaginary parts interleaved) is multiplied by the
-    real part of h as a real CSR matrix, which halves the work of a
-    complex product.  The imaginary part of h is applied the same way,
-    but only when it has nonzeros; the physical Hamiltonian has none,
-    an injected defect has a few.  Both parts are copies, so h itself
-    is never modified.
-    """
-    n = h.shape[0]
-    mu = h.diagonal().mean()
-    shifted = sp.csr_matrix(h - mu * sp.identity(n, format="csr"))
-    parts = []
-    for data in (shifted.data.real, shifted.data.imag):
-        part = sp.csr_matrix(
-            (data, shifted.indices, shifted.indptr), shape=shifted.shape, copy=True
-        )
-        part.eliminate_zeros()
-        parts.append(part)
-    real, imag = parts
-    norm = np.bincount(shifted.indices, weights=np.abs(shifted.data), minlength=n)
-    m, s = _taylor_degree(t * float(norm.max(initial=0.0)))
-
-    def inf_norm(x):
-        return float(np.abs(x).sum(axis=1).max(initial=0.0))
-
-    def times_h(x):  # h_shifted @ x, each part on the float64 view of x
-        view = x.view(np.float64)
-        out = (real @ view).view(complex)
-        if imag.nnz:
-            out = out + 1j * (imag @ view).view(complex)
-        return out
-
-    f = np.array(columns, dtype=complex, order="C")
-    b = f
-    eta = np.exp(-1j * t * mu / s)
-    for _ in range(s):
-        c1 = inf_norm(b)
-        for j in range(m):
-            b = (-1j * t / (s * (j + 1))) * times_h(b)
-            c2 = inf_norm(b)
-            f = f + b
-            if c1 + c2 <= _TOL * inf_norm(f):
-                break
-            c1 = c2
-        f = eta * f
-        b = f
-    return f
-
-
 def invariance_leakage(space, hamiltonian, t):
     """Worst C-class contamination of evolved A-class (x) transverse states.
 
@@ -362,8 +265,8 @@ def invariance_leakage(space, hamiltonian, t):
     zero outside that block, so evolving the block's A columns under the
     block of H and taking the C-class overlaps over the block's rows is
     exact.  A single-block H is simply evolved in the full space.  Each
-    block is evolved by _propagate, a truncated Taylor series in real
-    arithmetic.
+    block is evolved by fock_space.propagate, a Chebyshev series whose
+    term count comes from a bound on the block's numerical range.
     """
     h = getattr(hamiltonian, "total", hamiltonian).tocsr()
     if t > MAX_LEAKAGE_TIME * (1 + 1e-12):
@@ -381,7 +284,7 @@ def invariance_leakage(space, hamiltonian, t):
     for block in np.unique(owner):
         idx = np.flatnonzero(labels == block)
         members = np.flatnonzero(owner == block)
-        evolved = _propagate(h[idx][:, idx], a_states[idx][:, members].toarray(), t)
+        evolved = fs.propagate(h[idx][:, idx], a_states[idx][:, members].toarray(), t)
         if not np.all(np.isfinite(evolved)):
             raise RuntimeError("time evolution did not stay finite")
         overlaps = c_states[idx].conj().T @ (mdiag[idx, None] * evolved)

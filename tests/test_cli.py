@@ -3,6 +3,9 @@
 import contextlib
 import io
 import json
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -729,6 +732,27 @@ def test_verify_rescales_large_parameters_for_leakage(tmp_path, capsys):
     assert check["measured"] < 1e-12
 
 
+# ------------------------------------------------------------ imports
+
+
+def test_cli_leaves_scipy_special_unloaded():
+    # importing scipy.special after lvphoton.cli takes 75-85 ms and
+    # 2.4 MB; the propagator computes its Bessel values itself
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    code = (
+        f"import sys; sys.path.insert(0, {str(src)!r})\n"
+        "import numpy as np, scipy.sparse as sp\n"
+        "import lvphoton.cli\n"
+        "from lvphoton import fock_space as fs\n"
+        "h = sp.csr_matrix(np.array([[1.0, 0.1], [0.2, 2.0]]))\n"
+        "fs.propagate(h, np.eye(2), 3.0)\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.special')))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
 # ------------------------------------------------------------ emitter
 
 
@@ -741,3 +765,97 @@ def test_float_rendering_round_trips_doubles():
 def test_render_json_rejects_unknown_types():
     with pytest.raises(TypeError):
         cli.render_json({"bad": object()})
+    with pytest.raises(TypeError):
+        cli.render_json({"bad": 1j, "fine": 1.0})
+    with pytest.raises(TypeError):
+        cli.render_json([{"bad": np.complex128(1j)}])
+
+
+def _recursive_render_json(value, indent=0):
+    """The reference renderer: one recursive call per value."""
+    pad = " " * indent
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [
+            f'{pad}  {json.dumps(str(k))}: {_recursive_render_json(v, indent + 2)}'
+            for k, v in value.items()
+        ]
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if all(not isinstance(v, (dict, list, tuple, np.ndarray)) for v in value):
+            return "[" + ", ".join(_recursive_render_json(v) for v in value) + "]"
+        items = [f"{pad}  {_recursive_render_json(v, indent + 2)}" for v in value]
+        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+    if value is None or isinstance(value, (bool, np.bool_)):
+        return json.dumps(bool(value) if value is not None else None)
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return format(float(value), ".17g")
+    if isinstance(value, str):
+        return json.dumps(value)
+    raise TypeError(f"cannot serialize {type(value).__name__} in a report")
+
+
+@pytest.fixture(scope="module")
+def command_reports(tmp_path_factory):
+    """One report of each command, the dispersion one birefringent (null delta)."""
+    folder = tmp_path_factory.mktemp("reports")
+    sample = cli.load_config(_write(folder, "sample.json", SAMPLE))
+    biref = cli.load_config(_write(folder, "biref.json", _birefringent_payload(7)))
+    sweep = cli.load_config(_write(folder, "sweep.json", dict(SAMPLE, scales=[1e-2, 1e-3])))
+    return {
+        "decompose": cli.cmd_decompose(sample),
+        "dispersion": cli.cmd_dispersion(biref, grid=50, seed=3),
+        "spectrum": cli.cmd_spectrum(sweep),
+        "verify": cli.cmd_verify(sample, seed=1)[0],
+    }
+
+
+@pytest.mark.parametrize("command", ["decompose", "dispersion", "spectrum", "verify"])
+def test_row_templates_render_like_the_recursive_renderer(command_reports, command):
+    report = command_reports[command]
+    assert cli.render_json(report) == _recursive_render_json(report)
+    if command == "dispersion":
+        assert report["rows"][0]["delta"] is None
+
+
+def test_row_templates_on_edge_values():
+    rng = np.random.default_rng(12)
+    doubles = rng.normal(size=20) * 10.0 ** rng.integers(-300, 300, size=20)
+    flat = {
+        "nan": float("nan"),
+        "inf": float("inf"),
+        "-inf": -np.inf,
+        "zero": -0.0,
+        "tiny": 5e-324,
+        "none": None,
+        "yes": True,
+        "no": np.bool_(False),
+        "count": np.int64(-7),
+        "small": np.int8(3),
+        "f32": np.float32(0.1),
+        "f64": np.float64(1.0 / 3.0),
+        "text": 'quote " and % sign',
+        "%s key %d": 2.5,
+    }
+    edge = dict(
+        flat,
+        empty_list=[],
+        empty_dict={},
+        array=np.arange(3.0),
+        nested={"inner": [1, 2.0, None]},
+    )
+    rows = [
+        {"a": float(x), "b": int(i), "c": None if i % 3 else "x"}
+        for i, x in enumerate(doubles)
+    ]
+    rows.append({"a": 1, "b": 2.0, "c": True})  # same keys, other value types
+    for value in (flat, edge, {"rows": rows}, [flat, edge], {}, [], {"one": {}}, {"k": [{}]}):
+        assert cli.render_json(value) == _recursive_render_json(value)
+        assert cli.render_json(value, indent=4) == _recursive_render_json(value, indent=4)

@@ -390,6 +390,26 @@ def _full_space_evolution(xi, vec):
     return expm_multiply(-xi, np.asarray(vec, dtype=complex))
 
 
+@pytest.mark.parametrize("cutoff", [2, 3, 4])
+def test_evolve_matches_expm_multiply_on_the_transverse_factor(cutoff):
+    space = hm.transverse_space(cutoff)
+    rng = np.random.default_rng(40 + cutoff)
+    k = kt.random_kappas(rng, 1e-2)
+    frame = dp.polarization_frame(dp.random_directions(rng))
+    xi = sp.csr_matrix(hm.build_transverse(space, k, frame)[1])
+    labels = fs.coupled_blocks(xi)
+    vacuum = np.zeros(space.dim, dtype=complex)
+    vacuum[0] = 1.0
+    spread = np.zeros(space.dim, dtype=complex)
+    picks = rng.choice(space.dim, size=6, replace=False)
+    spread[picks] = rng.normal(size=6) + 1j * rng.normal(size=6)
+    for vec in (vacuum, spread):
+        idx, got = hm._evolve(xi, labels, vec)
+        want = _full_space_evolution(xi, vec)
+        assert np.max(np.abs(got - want[idx])) <= 1e-14 * np.max(np.abs(want))
+        assert not np.any(np.delete(want, idx))
+
+
 @pytest.mark.parametrize("cutoff", [2, 3])
 def test_block_restricted_transform_matches_full_space(cutoff):
     space = fs.build_space(cutoff)

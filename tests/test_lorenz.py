@@ -14,8 +14,10 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import expm_multiply
+from scipy.special import jv
 
 from lvphoton import cli
 from lvphoton import dispersion as dp
@@ -418,23 +420,28 @@ def test_block_leakage_matches_full_space(space, frame, inject, dg_reference):
     assert (got > 1e-8) == inject
 
 
-# ------------------------------------------- Taylor propagator vs expm_multiply
+# ----------------------------------------- Chebyshev propagator vs references
+
+
+def _a_blocks(space, h):
+    """Every coupled block of h that holds A-class columns, with them."""
+    a_states = lz._class_columns(space, (lz.StateClass.A,))
+    labels = fs.coupled_blocks(h)
+    owner = labels[a_states.indices]
+    for block in np.unique(owner):
+        idx = np.flatnonzero(labels == block)
+        yield h[idx][:, idx], a_states[idx][:, np.flatnonzero(owner == block)].toarray()
 
 
 def _a_block(space, h):
     """The largest coupled block of h that holds A-class columns, with them."""
-    a_states = lz._class_columns(space, (lz.StateClass.A,))
-    labels = fs.coupled_blocks(h)
-    owner = labels[a_states.indices]
-    block = max(np.unique(owner), key=lambda b: np.count_nonzero(labels == b))
-    idx = np.flatnonzero(labels == block)
-    return h[idx][:, idx], a_states[idx][:, np.flatnonzero(owner == block)].toarray()
+    return max(_a_blocks(space, h), key=lambda pair: pair[0].shape[0])
 
 
 def _check_propagator(h, columns, t):
-    """_propagate against expm_multiply to 1e-12, leaving h untouched."""
+    """fs.propagate against expm_multiply to 1e-12, leaving h untouched."""
     arrays = [a.copy() for a in (h.data, h.indices, h.indptr)]
-    got = lz._propagate(h, columns, t)
+    got = fs.propagate(h, columns, t)
     want = expm_multiply(-1j * t * h, columns)
     assert got.shape == columns.shape and got.dtype == np.complex128
     assert np.max(np.abs(got - want)) <= 1e-12
@@ -466,7 +473,7 @@ def test_propagator_leaves_an_unsorted_matrix_alone(space, frame):
     )
     assert not unsorted.has_sorted_indices
     got = _check_propagator(unsorted, columns, 10.0)
-    assert np.max(np.abs(got - lz._propagate(block, columns, 10.0))) == 0.0
+    assert np.max(np.abs(got - fs.propagate(block, columns, 10.0))) == 0.0
 
 
 def test_propagator_edge_cases():
@@ -478,6 +485,85 @@ def test_propagator_edge_cases():
     h = (h + h.T).astype(complex)
     columns = np.eye(40, 3, dtype=complex)
     assert np.array_equal(_check_propagator(h, columns, 0.0), columns)
+
+
+@pytest.mark.parametrize("inject", [False, True], ids=["real", "complex"])
+def test_propagator_matches_dense_expm(space, frame, inject):
+    k = kt.random_kappas(np.random.default_rng(3), 1e-2)
+    h = hm.build_grouped(space, k, frame).total
+    if inject:
+        h = cli._inject_c_defect(space, h)
+    small = [(b, c) for b, c in _a_blocks(space, h) if b.shape[0] <= 300]
+    assert small
+    for block, columns in small:
+        want = expm(-10j * block.toarray()) @ columns
+        assert np.max(np.abs(fs.propagate(block, columns, 10.0) - want)) <= 1e-13
+
+
+@pytest.mark.parametrize("t", [2.0, 5.0, -2.0])
+def test_propagator_on_a_non_normal_block(t):
+    # H = eta K with K hermitian and eta an indefinite metric: H is
+    # eta-self-adjoint, not normal, and near-degenerate levels of
+    # opposite metric sign form complex-conjugate eigenvalue pairs
+    rng = np.random.default_rng(11)
+    eta = np.array([1.0, 1.0, -1.0, 1.0, -1.0, -1.0])
+    x = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    k = np.diag(eta * [1.0, 2.0, 1.05, 3.0, 2.02, 3.1]) + 0.2 * (x + x.conj().T)
+    h = eta[:, None] * k
+    assert np.max(np.abs(eta[:, None] * h.conj().T * eta - h)) == 0.0
+    assert np.max(np.abs(np.linalg.eigvals(h).imag)) > 0.5
+    columns = np.eye(6, 3, dtype=complex)
+    want = expm(-1j * t * h) @ columns
+    got = fs.propagate(sp.csr_matrix(h), columns, t)
+    assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("t", [1.0, 5.0])
+def test_propagator_on_a_wide_imaginary_range(t):
+    # Im W(b) reaches twice the real half-width, so the term count must
+    # come from the ellipse around the whole rectangle: taken from the
+    # real interval alone it stops early, 1e-4 off at t = 5
+    h = np.diag([-1 + 2j, 1 - 2j, 0.5 + 1j, -0.3]) + np.triu(np.full((4, 4), 0.1), 1)
+    want = expm(-1j * t * h)
+    got = fs.propagate(sp.csr_matrix(h), np.eye(4, dtype=complex), t)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("x", [0.01, 1.0, 40.0, 130.0])
+def test_bessel_values_match_scipy(x):
+    n = int(1.5 * x) + 60
+    want = jv(np.arange(n + 1), x)
+    assert np.max(np.abs(fs._bessel_j(x, n) - want)) <= 1e-14
+
+
+def test_leakage_blocks_take_few_chebyshev_terms(monkeypatch, space, frame):
+    # the c_class_leakage setting of verify: cutoff 2, magnitude 1e-3,
+    # t = 10; a Taylor series takes 200-330 products on these blocks
+    counts = []
+    bessel = fs._chebyshev_bessel
+
+    def counted(x, rho):
+        values = bessel(x, rho)
+        counts.append(values.size)
+        return values
+
+    monkeypatch.setattr(fs, "_chebyshev_bessel", counted)
+    k = kt.random_kappas(np.random.default_rng(8), 1e-2)
+    k = k.scaled(1e-3 / k.magnitude)
+    h = hm.build_grouped(space, k, frame).total
+    assert lz.invariance_leakage(space, h, 10.0) < 1e-12
+    assert len(counts) == 9
+    assert max(counts) <= 90
+
+
+def test_propagator_at_cutoff_three(frame):
+    # the smallest A-holding block of the cutoff-3 Hamiltonian
+    space3 = fs.build_space(3)
+    k = kt.random_kappas(np.random.default_rng(3), 1e-3)
+    h = hm.build_grouped(space3, k, frame).total
+    block, columns = min(_a_blocks(space3, h), key=lambda pair: pair[0].shape[0])
+    assert block.shape[0] == 1428
+    _check_propagator(block, columns, 10.0)
 
 
 def test_evolution_stays_weak_lorenz(space, frame):
