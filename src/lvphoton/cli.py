@@ -480,6 +480,10 @@ def cmd_spectrum(config):
     suppresses from O(kappa) to O(kappa^2).  Every row is computed on
     the 4-mode transverse factor (hm.build_transverse), at the config's
     cutoff and one above it.
+
+    cross_fit_exponent fits O(kappa^2) residuals of O(kappa) terms, so
+    its digits below about 1e-10 are arithmetic-order roundoff: any
+    other exact evolution of the states moves them.
     """
     if config.cutoff < SPECTRUM_CUTOFF_RANGE[0]:
         raise ValueError(

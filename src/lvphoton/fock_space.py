@@ -13,8 +13,10 @@ Mode ordering: +k modes 0,1,2,3 then -k modes 0,1,2,3 (0 = scalar,
 1,2 = transverse, 3 = longitudinal).  Basis index is lexicographic with
 the +k scalar occupation as the most significant digit.
 
-propagate applies exp(-i t b) of a sparse operator b to dense columns;
-it evolves both the leakage blocks of H and the states under exp(-Xi).
+propagate applies exp(-i t b) of a sparse operator b to dense columns,
+and propagate_blocks applies it to sparse columns one coupled block of b
+at a time; the leakage blocks of H and the states under exp(-Xi) both
+evolve through propagate_blocks.
 """
 
 import math
@@ -247,11 +249,6 @@ def monomial_sum(space, terms):
     )
 
 
-def creator(space, mode):
-    """Raising operator, the plain dagger of `annihilator`."""
-    return annihilator(space, mode).conj().T.tocsr()
-
-
 def number_operator(space, mode):
     """Diagonal occupation-number operator for one mode."""
     return sp.diags(space.occupations[:, mode.slot].astype(complex), format="csr")
@@ -430,6 +427,29 @@ def propagate(b, columns, t):
             prev, cur = cur, nxt
     total *= np.exp(-1j * t * c)
     return total
+
+
+def propagate_blocks(b, columns, t):
+    """exp(-i t b) @ columns, one coupled block of b at a time.
+
+    `columns` is a sparse (n, m) matrix.  For each block of b
+    (coupled_blocks) that holds a nonzero of `columns`, yields
+    (rows, column_ids, evolved): the block's states, the columns with a
+    nonzero there, and exp(-i t b_block) @ columns[rows][:, column_ids]
+    from one propagate call.  No power of b leaves a block, so the
+    evolved columns are these blocks summed, and zero on every row not
+    yielded; an all-zero column is never yielded.  Blocks come in
+    increasing label order.
+    """
+    b = sp.csr_matrix(b)
+    columns = sp.csc_matrix(columns)
+    labels = coupled_blocks(b)
+    nonzero_rows, nonzero_cols = columns.nonzero()
+    owner = labels[nonzero_rows]
+    for block in np.unique(owner):
+        rows = np.flatnonzero(labels == block)
+        ids = np.unique(nonzero_cols[owner == block])
+        yield rows, ids, propagate(b[rows][:, rows], columns[rows][:, ids].toarray(), t)
 
 
 def indefinite_inner(space, psi, phi):

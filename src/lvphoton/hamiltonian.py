@@ -33,16 +33,18 @@ equivalence.  The scalar polarization row of the embedding is
 Expectation values in these matrices must be taken with the indefinite
 product (fock_space.indefinite_inner); H is self-adjoint under the
 bar-adjoint but is not a hermitian matrix, so naive eigenvector
-machinery does not apply.  exp(-Xi) reaches states through
-fock_space.propagate, the Chebyshev propagator of the leakage check,
-on the coupled blocks of Xi that hold each state.
+machinery does not apply.  The conjugation exp(Xi) H exp(-Xi) is taken
+only between the states asked about: transformed_matrix evolves them
+by exp(-Xi) with fock_space.propagate_blocks, the block-restricted
+propagator of the leakage check, and takes H only on the support of
+the evolved states.  Over all basis columns this is the full
+conjugation, with no dense exponential and no dimension cap.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import expm
 
 from . import fock_space as fs
 from .dispersion import delta_nonbiref
@@ -53,10 +55,6 @@ from .kappa_tensor import (
     check_nonbiref,
     kappas_from_kf,
 )
-
-#: Largest dimension for which dense exponential conjugation is attempted.
-_DENSE_EXPM_LIMIT = 4096
-
 
 @dataclass(frozen=True)
 class HamiltonianBundle:
@@ -354,73 +352,36 @@ def build_transverse(space, kappas, frame):
     return h.tocsr(), fs.monomial_sum(space, _xi_terms(E, *factors))
 
 
-def similarity_transform(h, xi):
-    """Exact exponential conjugation exp(xi) H exp(-xi).
-
-    Dense scaling-and-squaring exponential; restricted to dimensions
-    where two dense factors fit comfortably in memory (use
-    transformed_expectation / transformed_element for larger spaces).
-    The inverse is built independently and checked against the forward
-    factor, which catches a non-converged exponential.
-    """
-    if h.shape != xi.shape:
-        raise ValueError("operator dimensions do not match")
-    if h.shape[0] > _DENSE_EXPM_LIMIT:
-        raise ValueError(
-            "dense exponential conjugation is limited to dim <= "
-            f"{_DENSE_EXPM_LIMIT}; use the vector-level helpers instead"
-        )
-    xi_dense = xi.toarray() if sp.issparse(xi) else np.asarray(xi)
-    h_dense = h.toarray() if sp.issparse(h) else np.asarray(h)
-    u = expm(xi_dense)
-    u_inv = expm(-xi_dense)
-    drift = np.max(np.abs(u @ u_inv - np.eye(u.shape[0])))
-    if not np.isfinite(drift) or drift > 1e-8:
-        raise RuntimeError(
-            f"exponential failed to invert cleanly (defect {drift:.3e}); "
-            "generator outside the perturbative range"
-        )
-    return u @ h_dense @ u_inv
-
-
-def _evolve(xi, labels, vec):
-    """exp(-xi) vec on the coupled blocks of xi that hold vec.
-
-    `labels` are the block labels of xi (fs.coupled_blocks).  Returns
-    the indices of those blocks' states and the evolved values there;
-    exp(-xi) vec is zero everywhere else, so evolving under xi
-    restricted to those blocks is exact.  exp(-xi) is exp(-i t b) at
-    t = 1 with b = -i xi, so fs.propagate evolves it.
-    """
-    idx = np.flatnonzero(np.isin(labels, labels[np.flatnonzero(vec)]))
-    if not idx.size:
-        return idx, np.zeros(0, dtype=complex)
-    return idx, fs.propagate(-1j * xi[idx][:, idx], vec[idx, None], 1.0)[:, 0]
-
-
 def _transformed(h, xi, states, mdiag):
     """Phi^dagger diag(mdiag) H Phi, the columns of Phi exp(-xi) states.
 
-    Each state is evolved on the coupled blocks of xi that hold it;
-    every evolved state vanishes outside the union of those blocks, so
-    H and the metric diagonal `mdiag` are needed only on that support.
+    `states` is a sequence of state vectors, or a sparse matrix with one
+    state per column; they are stacked as sparse columns and evolved
+    with fs.propagate_blocks, as exp(-i t b) at t = 1 with b = -i xi,
+    on the coupled blocks of xi that hold them.  Every evolved state
+    vanishes outside the union of those blocks, so H and the metric
+    diagonal `mdiag` are needed only on that support.
     """
-    states = [np.asarray(state, dtype=complex) for state in states]
-    if any(state.shape != mdiag.shape for state in states):
+    if sp.issparse(states):
+        columns = sp.csc_matrix(states, dtype=complex)
+    else:
+        columns = sp.csc_matrix(np.array(states, dtype=complex).T)
+    if columns.shape[0] != mdiag.size:
         raise ValueError("state dimension does not match the space")
-    xi = sp.csr_matrix(xi)
-    labels = fs.coupled_blocks(xi)
-    evolved = [_evolve(xi, labels, state) for state in states]
-    support = np.unique(np.concatenate([idx for idx, _ in evolved]))
+    evolved = list(fs.propagate_blocks(-1j * sp.csr_matrix(xi), columns, 1.0))
+    support = np.sort(np.concatenate([np.zeros(0, dtype=int)] + [r for r, _, _ in evolved]))
+    phi = np.zeros((support.size, columns.shape[1]), dtype=complex)
+    for rows, ids, values in evolved:
+        phi[np.ix_(np.searchsorted(support, rows), ids)] = values
     h_support = sp.csr_matrix(h)[support][:, support]
-    phi = np.zeros((support.size, len(states)), dtype=complex)
-    for col, (idx, values) in enumerate(evolved):
-        phi[np.searchsorted(support, idx), col] = values
     return phi.conj().T @ (mdiag[support][:, None] * (h_support @ phi))
 
 
 def transformed_matrix(space, h, xi, states):
     """G[a, b] = <a| M exp(xi) H exp(-xi) |b> over a list of states.
+
+    The states may also be given as a sparse matrix, one per column;
+    over every basis column, M G is exp(xi) H exp(-xi) itself.
 
     Because xi is metric-anti-self-adjoint, <a| M exp(xi) is the
     M-weighted bra of exp(-xi)|a>, so G = Phi^dagger M H Phi with the

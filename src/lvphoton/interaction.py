@@ -22,7 +22,10 @@ or longitudinal mode, so on the 8-mode space each of them, and the
 conjugation exp(Xi) A_r exp(-Xi), is the identity on the ghost modes
 times its factor operator; the Frobenius ratios of extract_couplings
 gain the same ghost dimension above and below, so the factor's table
-is the 8-mode table exactly.
+is the 8-mode table exactly.  The exact conjugation evolves the factor's
+basis columns by exp(-Xi) one coupled block of Xi at a time, with the
+same propagator as every other evolution (fock_space.propagate_blocks);
+no dense exponential is formed, so no dimension cap applies.
 
 No matter sector is modeled; the current components j1, j2 stay opaque
 multipliers.  CouplingTable carries the four coefficient combinations
@@ -67,12 +70,6 @@ class CouplingTable:
         """
         return self.j1_pol1 - self.j2_pol2
 
-    def as_matrix(self):
-        """The table as a 2x2 array, rows = potentials, columns = currents."""
-        return np.array(
-            [[self.j1_pol1, self.j2_pol1], [self.j1_pol2, self.j2_pol2]]
-        )
-
 
 def transverse_potential(space, polarization):
     """The transverse potential operator (a_r(+k) + abar_r(-k)) / sqrt(2).
@@ -101,9 +98,13 @@ def mixing_deltas(kappas, frame):
 def transformed_potentials(space, kappas, frame):
     """Exact conjugation exp(Xi) A_r exp(-Xi) of both transverse potentials.
 
-    Xi is the factor generator of hamiltonian.build_transverse.  Returns
-    the pair of dense transformed matrices.  To leading order in
-    kappa they equal the mixed combinations
+    Xi is the factor generator of hamiltonian.build_transverse.  On the
+    factor the metric is +1 and Xi-dagger = -Xi exactly, so with Phi =
+    exp(-Xi), evolved column by column over the factor's basis by
+    hamiltonian.transverse_matrix (one block of Xi at a time), Phi^dagger
+    A_r Phi is the conjugation; it needs no dense exponential and no
+    dimension cap.  Returns the pair of dense transformed matrices.  To
+    leading order in kappa they equal the mixed combinations
 
         A'_1 = (1 - delta1) A_1 - delta2 A_2
         A'_2 = (1 + delta1) A_2 - delta2 A_1
@@ -115,9 +116,10 @@ def transformed_potentials(space, kappas, frame):
     combinations must mask to transverse_interior columns.
     """
     _, xi = hm.build_transverse(space, kappas, frame)
-    return (
-        hm.similarity_transform(transverse_potential(space, 1), xi),
-        hm.similarity_transform(transverse_potential(space, 2), xi),
+    basis = sp.identity(space.dim, dtype=complex, format="csc")
+    return tuple(
+        hm.transverse_matrix(space, transverse_potential(space, r), xi, basis)
+        for r in (1, 2)
     )
 
 

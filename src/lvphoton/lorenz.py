@@ -257,16 +257,16 @@ def invariance_leakage(space, hamiltonian, t):
     the relaxed mode condition only protects the nonzero-norm sector.
     Accepts a HamiltonianBundle or a bare operator matrix.
 
-    The evolution runs one coupled block of H at a time.  The blocks are
-    the connected components of H's sparsity pattern, taken from H itself
-    (for the physical Hamiltonian they are the momentum sectors, but a
-    perturbed H may join them).  Each A-class state is one occupation
-    basis vector and so lies in exactly one block; its evolved column is
-    zero outside that block, so evolving the block's A columns under the
-    block of H and taking the C-class overlaps over the block's rows is
-    exact.  A single-block H is simply evolved in the full space.  Each
-    block is evolved by fock_space.propagate, a Chebyshev series whose
-    term count comes from a bound on the block's numerical range.
+    The evolution runs one coupled block of H at a time, through
+    fock_space.propagate_blocks.  The blocks are the connected components
+    of H's sparsity pattern, taken from H itself (for the physical
+    Hamiltonian they are the momentum sectors, but a perturbed H may
+    join them).  Each A-class state is one occupation basis vector and
+    so lies in exactly one block; its evolved column is zero outside
+    that block, so its C-class overlaps are taken over the block's rows
+    alone.  Each block is evolved by fock_space.propagate, a Chebyshev
+    series whose term count comes from a bound on the block's numerical
+    range.
     """
     h = getattr(hamiltonian, "total", hamiltonian).tocsr()
     if t > MAX_LEAKAGE_TIME * (1 + 1e-12):
@@ -277,17 +277,12 @@ def invariance_leakage(space, hamiltonian, t):
         raise RuntimeError("an A-class state is not a single basis vector")
     if c_states.shape[1] == 0:
         return 0.0  # below cutoff 2 no C-class state fits
-    labels = fs.coupled_blocks(h)
-    owner = labels[a_states.indices]  # one row per column, in column order
     mdiag = fs.metric_diagonal(space)
     worst = 0.0
-    for block in np.unique(owner):
-        idx = np.flatnonzero(labels == block)
-        members = np.flatnonzero(owner == block)
-        evolved = fs.propagate(h[idx][:, idx], a_states[idx][:, members].toarray(), t)
+    for rows, _, evolved in fs.propagate_blocks(h, a_states, t):
         if not np.all(np.isfinite(evolved)):
             raise RuntimeError("time evolution did not stay finite")
-        overlaps = c_states[idx].conj().T @ (mdiag[idx, None] * evolved)
+        overlaps = c_states[rows].conj().T @ (mdiag[rows, None] * evolved)
         worst = max(worst, float(np.max(np.sum(np.abs(overlaps) ** 2, axis=0))))
     return worst
 

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.linalg import expm
 
 from lvphoton import fock_space as fs
 
@@ -19,8 +21,8 @@ def _raised_vacuum_states(space, states):
     for direction in (fs.PLUS_K, fs.MINUS_K):
         a_d, a_g = fs.dg_operators(space, direction)
         raisers[direction] = (
-            fs.creator(space, fs.ModeId(direction, 1)),
-            fs.creator(space, fs.ModeId(direction, 2)),
+            fs.annihilator(space, fs.ModeId(direction, 1)).conj().T.tocsr(),
+            fs.annihilator(space, fs.ModeId(direction, 2)).conj().T.tocsr(),
             a_d.conj().T.tocsr(),
             a_g.conj().T.tocsr(),
         )
@@ -39,3 +41,29 @@ def _raised_vacuum_states(space, states):
 def dg_reference():
     """The reference d/g state builder: (space, states) -> iterator of vectors."""
     return _raised_vacuum_states
+
+
+def _dense_similarity_transform(h, xi):
+    """Reference exp(xi) H exp(-xi) from two dense exponentials.
+
+    Dense scaling-and-squaring, independent of the block-by-block
+    Chebyshev evolution of fock_space.propagate_blocks.  The inverse is
+    built independently and checked against the forward factor, which
+    catches a non-converged exponential.  `h` may also be a list of
+    operators, each conjugated by the same exponentials.
+    """
+    xi_dense = xi.toarray() if sp.issparse(xi) else np.asarray(xi)
+    u = expm(xi_dense)
+    u_inv = expm(-xi_dense)
+    assert np.max(np.abs(u @ u_inv - np.eye(u.shape[0]))) <= 1e-8
+    ops = h if isinstance(h, list) else [h]
+    if any(op.shape != xi.shape for op in ops):
+        raise ValueError("operator dimensions do not match")
+    out = [u @ (op.toarray() if sp.issparse(op) else np.asarray(op)) @ u_inv for op in ops]
+    return out if isinstance(h, list) else out[0]
+
+
+@pytest.fixture(scope="session")
+def dense_similarity():
+    """The reference conjugation: (h, xi) -> dense exp(xi) h exp(-xi)."""
+    return _dense_similarity_transform

@@ -70,7 +70,7 @@ def test_canonical_commutators_on_interior():
     for r, mr in enumerate(modes):
         for s, ms in enumerate(modes):
             a = fs.annihilator(space, mr)
-            bdag = fs.creator(space, ms)
+            bdag = fs.annihilator(space, ms).conj().T.tocsr()
             comm = proj @ (a @ bdag - bdag @ a) @ proj
             want = (proj if mr.slot == ms.slot else sp.csr_matrix((space.dim, space.dim)))
             assert abs(comm - want).max() < 1e-13

@@ -325,9 +325,13 @@ def test_similarity_transform_identity_and_spectrum(space):
     frame = dp.polarization_frame(dp.random_directions(rng))
     bundle = hm.build_grouped(space, k, frame)
     h = bundle.total
-    same = hm.similarity_transform(h, sp.csr_matrix(h.shape, dtype=complex))
+    # Over every basis column M G is exp(xi) H exp(-xi), since M^2 = 1.
+    basis = sp.identity(space.dim, dtype=complex, format="csc")
+    mdiag = fs.metric_diagonal(space)[:, None]
+    zero = sp.csr_matrix(h.shape, dtype=complex)
+    same = mdiag * hm.transformed_matrix(space, h, zero, basis)
     assert np.max(np.abs(same - h.toarray())) == 0.0
-    transformed = hm.similarity_transform(h, bundle.xi)
+    transformed = mdiag * hm.transformed_matrix(space, h, bundle.xi, basis)
     # The ghost sector makes h defective (Jordan blocks), so individual
     # numerical eigenvalues are hypersensitive and cannot be compared
     # directly.  Trace moments determine the eigenvalue multiset and are
@@ -368,7 +372,7 @@ def test_transform_suppresses_transverse_cross_terms(space2):
     assert 1.8 < slope < 2.2
 
 
-def test_transformed_expectation_matches_dense(space):
+def test_transformed_expectation_matches_dense(space, dense_similarity):
     rng = np.random.default_rng(57)
     k = kt.random_kappas(rng, 1e-2)
     frame = dp.polarization_frame(dp.random_directions(rng))
@@ -376,7 +380,7 @@ def test_transformed_expectation_matches_dense(space):
     h = bundle.total
     psi = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
     phi = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
-    dense = hm.similarity_transform(h, bundle.xi)
+    dense = dense_similarity(h, bundle.xi)
     want = fs.indefinite_inner(space, psi, dense @ psi)
     got = hm.transformed_expectation(space, h, bundle.xi, psi)
     assert got == pytest.approx(want, abs=1e-10)
@@ -404,21 +408,24 @@ def test_evolve_matches_expm_multiply_on_the_transverse_factor(cutoff):
     picks = rng.choice(space.dim, size=6, replace=False)
     spread[picks] = rng.normal(size=6) + 1j * rng.normal(size=6)
     for vec in (vacuum, spread):
-        idx, got = hm._evolve(xi, labels, vec)
+        got = np.zeros(space.dim, dtype=complex)
+        for rows, ids, values in fs.propagate_blocks(-1j * xi, sp.csc_matrix(vec[:, None]), 1.0):
+            assert ids.tolist() == [0]
+            got[rows] = values[:, 0]
+        idx = np.flatnonzero(np.isin(labels, labels[np.flatnonzero(vec)]))
         want = _full_space_evolution(xi, vec)
-        assert np.max(np.abs(got - want[idx])) <= 1e-14 * np.max(np.abs(want))
+        assert np.max(np.abs(got[idx] - want[idx])) <= 1e-14 * np.max(np.abs(want))
+        assert not np.any(np.delete(got, idx))
         assert not np.any(np.delete(want, idx))
 
 
-@pytest.mark.parametrize("cutoff", [2, 3])
-def test_block_restricted_transform_matches_full_space(cutoff):
-    space = fs.build_space(cutoff)
-    rng = np.random.default_rng(90 + cutoff)
-    k = kt.random_kappas(rng, 1e-2)
-    frame = dp.polarization_frame(np.array([0.41, 0.32, -0.86]) / np.linalg.norm([0.41, 0.32, -0.86]))
-    bundle = hm.build_grouped(space, k, frame)
-    h = bundle.total
-    labels = fs.coupled_blocks(bundle.xi)
+def _spread_states(space):
+    """The vacuum, three basis states, and a state spread over three blocks of Xi.
+
+    Returns (vac, one, pair, ghost, mixed): one +k photon of
+    polarization 2, the +-k pair of polarization 1, a ghost pair, and
+    mixed = 0.6 vac + (0.3 - 0.2i) one + 0.5i ghost.
+    """
 
     def basis(*occupied):
         occ = [0] * 8
@@ -432,7 +439,19 @@ def test_block_restricted_transform_matches_full_space(cutoff):
     one = basis(fs.ModeId(fs.PLUS_K, 2).slot)
     pair = basis(fs.ModeId(fs.PLUS_K, 1).slot, fs.ModeId(fs.MINUS_K, 1).slot)
     ghost = basis(fs.ModeId(fs.PLUS_K, 0).slot, fs.ModeId(fs.MINUS_K, 3).slot)
-    mixed = 0.6 * vac + (0.3 - 0.2j) * one + 0.5j * ghost
+    return vac, one, pair, ghost, 0.6 * vac + (0.3 - 0.2j) * one + 0.5j * ghost
+
+
+@pytest.mark.parametrize("cutoff", [2, 3])
+def test_block_restricted_transform_matches_full_space(cutoff):
+    space = fs.build_space(cutoff)
+    rng = np.random.default_rng(90 + cutoff)
+    k = kt.random_kappas(rng, 1e-2)
+    frame = dp.polarization_frame(np.array([0.41, 0.32, -0.86]) / np.linalg.norm([0.41, 0.32, -0.86]))
+    bundle = hm.build_grouped(space, k, frame)
+    h = bundle.total
+    labels = fs.coupled_blocks(bundle.xi)
+    vac, one, pair, ghost, mixed = _spread_states(space)
     assert len(set(labels[np.flatnonzero(mixed)])) == 3
     states = (vac, one, pair, ghost, mixed)
     evolved = [_full_space_evolution(bundle.xi, psi) for psi in states]
@@ -531,3 +550,36 @@ def test_momentum_commutes_with_hamiltonian(space):
     h = hm.build_grouped(space, k, frame).total
     for p in hm.momentum_operator(space, 2.2 * khat):
         assert abs(p @ h - h @ p).max() < 1e-15
+
+
+def test_propagate_blocks_matches_propagate_on_the_whole_operator():
+    space = fs.build_space(2)
+    rng = np.random.default_rng(94)
+    k = kt.random_kappas(rng, 1e-2)
+    frame = dp.polarization_frame(dp.random_directions(rng))
+    b = -1j * hm.xi_generators(space, k, frame)
+    labels = fs.coupled_blocks(b)
+    vac, one, pair, ghost, mixed = _spread_states(space)
+    zero = np.zeros(space.dim, dtype=complex)
+    states = np.column_stack((vac, pair, mixed, zero, one, ghost))
+    assert labels[np.flatnonzero(vac)] == labels[np.flatnonzero(pair)]  # two in one block
+    assert len(set(labels[np.flatnonzero(mixed)])) == 3
+    columns = sp.csc_matrix(states)
+
+    want = fs.propagate(b, states, 1.0)
+    got = np.zeros_like(want)
+    yielded = []
+    for rows, ids, values in fs.propagate_blocks(b, columns, 1.0):
+        block = labels[rows[0]]
+        yielded.append(block)
+        assert np.array_equal(rows, np.flatnonzero(labels == block))
+        assert ids.tolist() == np.flatnonzero(np.any(states[rows] != 0, axis=0)).tolist()
+        got[np.ix_(rows, ids)] = values
+    # one yield per block that holds a nonzero, in label order; none for
+    # the zero column, which stays exactly zero
+    assert yielded == sorted(set(labels[np.flatnonzero(np.any(states != 0, axis=1))]))
+    assert len(yielded) == 3
+    assert np.max(np.abs(got - want)) <= 1e-13
+    assert not np.any(got[:, 3])
+    assert not np.any(want[~np.isin(labels, yielded)])
+    assert list(fs.propagate_blocks(b, sp.csc_matrix((space.dim, 2)), 1.0)) == []

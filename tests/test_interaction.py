@@ -1,5 +1,9 @@
 """Tests for the transformed potentials and the current-coupling table."""
 
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -32,11 +36,12 @@ def _table_distance(a, b):
     )
 
 
-def _full_space_reference(space, kappas, frame):
+def _full_space_reference(space, kappas, frame, conjugate):
     """Bare and transformed potentials, interior mask and tables on the 8-mode space.
 
     The potentials are (a_r(+k) + abar_r(-k)) / sqrt(2) from the 8-mode
-    ladder operators, conjugated by the 8-mode Xi; the tables are the
+    ladder operators, conjugated by the 8-mode Xi with `conjugate` (the
+    dense reference exp(Xi) A exp(-Xi)); the tables are the
     Frobenius projections onto the bare pair, first order and exact on
     columns with transverse headroom.
     """
@@ -46,7 +51,7 @@ def _full_space_reference(space, kappas, frame):
         a_minus = fs.annihilator(space, fs.ModeId(fs.MINUS_K, pol))
         bare.append(((a_plus + fs.bar_adjoint(space, a_minus)) / np.sqrt(2)).toarray())
     xi = hm.xi_generators(space, kappas, frame)
-    exact = [hm.similarity_transform(a, xi) for a in bare]
+    exact = conjugate(bare, xi)
     delta1, delta2 = ia.mixing_deltas(kappas, frame)
     first = [
         (1.0 - delta1) * bare[0] - delta2 * bare[1],
@@ -225,7 +230,7 @@ def test_extraction_consistency(space, frame):
     assert _table_distance(got, ia.vint_coefficients(tiny)) < 1e-12
 
 
-def test_factor_matches_full_space_reference():
+def test_factor_matches_full_space_reference(dense_similarity):
     # the 8-mode operators are the identity on the ghost modes times the
     # factor's, so at cutoff 1 the tables agree and the transformed
     # potentials equal the 8-mode ones on the ghost-vacuum states
@@ -237,7 +242,7 @@ def test_factor_matches_full_space_reference():
     for _ in range(3):
         kappas = kt.random_kappas(rng, 1e-2)
         fr = dp.polarization_frame(dp.random_directions(rng))
-        ref_exact, ref_first, ref_table = _full_space_reference(full, kappas, fr)
+        ref_exact, ref_first, ref_table = _full_space_reference(full, kappas, fr, dense_similarity)
         exact = ia.transformed_potentials(factor, kappas, fr)
         for got, want in zip(exact, ref_exact):
             assert np.max(np.abs(got - want[np.ix_(empty, empty)])) < 1e-15
@@ -245,6 +250,34 @@ def test_factor_matches_full_space_reference():
         assert _table_distance(first, ref_first) < 1e-15
         table = ia.extract_couplings(factor, *exact, ia.transverse_interior(factor))
         assert _table_distance(table, ref_table) < 1e-15
+
+
+@pytest.mark.parametrize("cutoff", [1, 2, 3, 4, 5])
+def test_transformed_potentials_match_dense_expm(cutoff, dense_similarity):
+    # the block-by-block conjugation against two dense exponentials
+    factor = hm.transverse_space(cutoff)
+    rng = np.random.default_rng(80 + cutoff)
+    kappas = kt.random_kappas(rng, 1e-2)
+    fr = dp.polarization_frame(dp.random_directions(rng))
+    _, xi = hm.build_transverse(factor, kappas, fr)
+    exact = ia.transformed_potentials(factor, kappas, fr)
+    dense = dense_similarity([ia.transverse_potential(factor, pol) for pol in (1, 2)], xi)
+    for got, want in zip(exact, dense):
+        assert np.max(np.abs(got - want)) <= 1e-14
+
+
+def test_interaction_and_lorenz_leave_scipy_linalg_unloaded():
+    # the exact conjugation evolves columns with fs.propagate_blocks; a
+    # dense scipy.linalg exponential in either import chain fails this
+    src = pathlib.Path(ia.__file__).resolve().parents[1]
+    code = (
+        f"import sys; sys.path.insert(0, {str(src)!r})\n"
+        "import lvphoton.interaction, lvphoton.lorenz\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.linalg')))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize(
