@@ -16,10 +16,12 @@ import numpy as np
 
 from .kappa_tensor import (
     METRIC,
-    PERTURBATIVE_LIMIT,
+    READOFF_RTOL,
     as_four_components,
     as_kf_components,
+    check_perturbative,
     kf_from_kappas,
+    readoff_magnitude,
 )
 
 _XHAT = np.array([1.0, 0.0, 0.0])
@@ -312,14 +314,14 @@ def solve_ampere_batch(kf, kvecs):
     tensor returns |k| twice with polarization_frame's eps1 and eps2.
 
     Raises ValueError for a zero wavevector or outside the perturbative
-    regime (s > 0.1), and RuntimeError when a row fails the root
-    selection or the residual check.
+    regime: the config loader's rule, check_perturbative, on the
+    magnitude of the parameters read off the tensor.  Raises RuntimeError
+    when a row fails the root selection or the residual check.
     """
     K = as_kf_components(kf)
     khats, knorms = _unit_rows(kvecs)
+    check_perturbative(readoff_magnitude(K), READOFF_RTOL)
     strength = np.max(np.abs(K))
-    if strength > PERTURBATIVE_LIMIT:
-        raise ValueError("tensor outside the perturbative regime (max component > 0.1)")
 
     if strength == 0.0:
         frames = [polarization_frame(khat) for khat in khats]

@@ -12,7 +12,8 @@ elementwise equality is the central cross-check of this module and is
 enforced in the test suite.  For states with empty scalar and
 longitudinal modes, build_transverse gives the same H and Xi on the
 four transverse modes alone, from the same h_t, h_pm_t and Xi
-expressions.
+expressions; spectrum_row turns them into one row of the `spectrum`
+report.
 
 Every one of these operators is a sum of coefficients times products
 of two ladder operators (or fixed combinations of them, such as the
@@ -51,6 +52,7 @@ from .dispersion import delta_nonbiref
 from .kappa_tensor import (
     _FLIP4,
     METRIC,
+    READOFF_RTOL,
     as_kf_components,
     check_nonbiref,
     kappas_from_kf,
@@ -160,10 +162,10 @@ def build_raw(space, kf, frame):
     (A-B+C), (A-B-C), -C, -C against the operator strings a abar,
     abar' a', a a', abar' abar, and the two index-swapped -C strings.
     Rejects tensors with birefringent content (the closed-form grouping
-    this is checked against assumes none).
+    this is checked against assumes none) and, with the read-off
+    allowance, tensors outside the perturbative regime.
     """
-    kappas = kappas_from_kf(kf)
-    check_nonbiref(kappas)
+    check_nonbiref(kappas_from_kf(kf), READOFF_RTOL)
     A, B, C = coefficient_matrices(kf, frame)
     S, T, Sb, Tb = _mode_factors(_MODE_SLOTS)
     terms = []
@@ -396,6 +398,61 @@ def transformed_matrix(space, h, xi, states):
 def transverse_matrix(space, h, xi, states):
     """transformed_matrix on a transverse_space, whose metric is +1."""
     return _transformed(h, xi, states, np.ones(space.dim))
+
+
+def _photon_index(space, *modes):
+    """Transverse-factor index of the state with one quantum in each listed mode."""
+    occ = [0] * len(TRANSVERSE_SLOTS)
+    for mode in modes:
+        occ[TRANSVERSE_SLOTS.index(mode.slot)] += 1
+    return space.index_of(occ)
+
+
+def _transverse_values(space, frame, kappas):
+    """Transformed gaps and the pair-vacuum cross terms on one transverse factor."""
+    h, xi = build_transverse(space, kappas, frame)
+    pair = _photon_index(space, fs.ModeId(fs.PLUS_K, 1), fs.ModeId(fs.MINUS_K, 1))
+    # vacuum, the four transverse one-photon states (+k then -k), the pair
+    indices = [_photon_index(space)]
+    for direction in (fs.PLUS_K, fs.MINUS_K):
+        indices += [_photon_index(space, fs.ModeId(direction, pol)) for pol in (1, 2)]
+    indices.append(pair)
+    states = np.zeros((len(indices), space.dim), dtype=complex)
+    states[np.arange(len(indices)), indices] = 1.0
+    g = transverse_matrix(space, h, xi, states)
+    energies = g.diagonal().real
+    values = {}
+    for name, first in (("plus", 1), ("minus", 3)):
+        gap = 0.0
+        for energy in energies[first : first + 2]:
+            gap = max(gap, float(abs(energy - energies[0])))
+        values[f"gap_{name}"] = gap
+    # h_pm_t is the only part of h that joins the pair to the vacuum
+    values["cross_before"] = float(abs(h[pair, indices[0]]))
+    values["cross_after"] = float(abs(g[-1, 0]))
+    return values
+
+
+def spectrum_row(spaces, frame, kappas, scale_label):
+    """One `spectrum` row on the transverse factors `spaces` at cutoffs c and c + 1.
+
+    The row's values come from cutoff c; truncation_shift is how far the
+    gaps and the transformed cross term move at c + 1.
+    """
+    values = _transverse_values(spaces[0], frame, kappas)
+    deeper = _transverse_values(spaces[1], frame, kappas)
+    row = {"scale": scale_label}
+    for name, khat in (("plus", frame.khat), ("minus", -frame.khat)):
+        want = 1.0 + delta_nonbiref(kappas, khat)
+        row[f"gap_{name}"] = values[f"gap_{name}"]
+        row[f"delta_{name}"] = want - 1.0
+        row[f"gap_residual_{name}"] = abs(values[f"gap_{name}"] - want)
+    row["cross_before"] = values["cross_before"]
+    row["cross_after"] = values["cross_after"]
+    row["truncation_shift"] = max(
+        abs(deeper[key] - values[key]) for key in ("gap_plus", "gap_minus", "cross_after")
+    )
+    return row
 
 
 def transformed_expectation(space, h, xi, psi):

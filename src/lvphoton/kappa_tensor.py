@@ -226,16 +226,33 @@ class KappaSet:
         )
 
 
-def check_nonbiref(kappas):
+#: Relative allowance on a magnitude read off a tensor: the read-off of
+#: parameters of magnitude exactly 0.1 lands up to 2e-15 above it.
+READOFF_RTOL = 1e-12
+
+
+def check_perturbative(magnitude, rtol=0.0):
+    """Reject a parameter magnitude above PERTURBATIVE_LIMIT.
+
+    The one perturbative rule of the package; `rtol` is READOFF_RTOL
+    when the magnitude was read off a tensor (readoff_magnitude).
+    """
+    if magnitude > PERTURBATIVE_LIMIT * (1.0 + rtol):
+        raise ValueError(
+            f"kappa parameters must be perturbative (magnitude <= {PERTURBATIVE_LIMIT:g})"
+        )
+
+
+def check_nonbiref(kappas, rtol=0.0):
     """Reject parameters outside the non-birefringent perturbative regime.
 
     The mode Hamiltonian and the potential mixing both expand to first
-    order in a set with e_plus = o_minus = 0.
+    order in a set with e_plus = o_minus = 0.  `rtol` is passed to
+    check_perturbative.
     """
     if kappas.is_birefringent:
         raise ValueError("the mode expansion assumes e_plus = o_minus = 0")
-    if kappas.magnitude > PERTURBATIVE_LIMIT:
-        raise ValueError("kappa parameters outside the perturbative regime")
+    check_perturbative(kappas.magnitude, rtol)
 
 
 def kappa_distance(a, b):
@@ -325,18 +342,33 @@ def kappas_from_kf(kf, tol=INVARIANT_TOL):
         raise ValueError(
             f"tensor violates structural invariants (max {report.max_violation:.3e} > {tol:g})"
         )
+    return KappaSet(**_read_off(K))
+
+
+def _read_off(K):
+    """kappas_from_kf's five read-off formulas on components K, as raw arrays."""
     k0j0k = K[0, 1:, 0, 1:]
     spatial = K[1:, 1:, 1:, 1:]
     dual = 0.25 * np.einsum("jpq,krs,pqrs->jk", EPS3, EPS3, spatial)
     rot = np.einsum("jpq,kpq->jk", K[0, 1:, 1:, 1:], EPS3)
     tr0 = np.trace(k0j0k)
-    return KappaSet(
+    return dict(
         e_minus=-k0j0k - dual + (2.0 / 3.0) * np.eye(3) * tr0,
         o_plus=0.5 * (rot - rot.T),
         tr=-(2.0 / 3.0) * tr0,
         e_plus=-k0j0k + dual,
         o_minus=0.5 * (rot + rot.T),
     )
+
+
+def readoff_magnitude(kf):
+    """KappaSet.magnitude of the parameters read off a rank-4 tensor.
+
+    The read-off of kappas_from_kf without its invariant check: a tensor
+    that violates the invariants gets the magnitude of its read-off, not
+    an error.
+    """
+    return max(float(np.max(np.abs(v))) for v in _read_off(as_kf_components(kf)).values())
 
 
 def _flatten_kappas(k):
@@ -365,9 +397,9 @@ def _kf_parameter_basis():
     """Nullspace basis of the structural constraints plus the 19x19 map.
 
     Builds, once, an orthonormal basis N (256 x 19) of rank-4 component
-    arrays satisfying all structural invariants, together with the LU
-    factorization of the matrix taking basis coordinates to the canonical
-    19-vector of parameter read-offs.  The 19-dimensionality is asserted.
+    arrays satisfying all structural invariants, together with the 19x19
+    matrix taking basis coordinates to the canonical 19-vector of
+    parameter read-offs.  The 19-dimensionality is asserted.
     """
     if "basis" in _BASIS_CACHE:
         return _BASIS_CACHE["basis"]
@@ -408,9 +440,7 @@ def _kf_parameter_basis():
     fwd = np.column_stack(
         [_flatten_kappas(kappas_from_kf(basis[:, j].reshape(4, 4, 4, 4))) for j in range(19)]
     )
-    from scipy.linalg import lu_factor
-
-    _BASIS_CACHE["basis"] = (basis, lu_factor(fwd))
+    _BASIS_CACHE["basis"] = (basis, fwd)
     return _BASIS_CACHE["basis"]
 
 
@@ -418,13 +448,12 @@ def kf_from_kappas(k):
     """Build the unique valid rank-4 tensor with the given parameters.
 
     Inverse of kappas_from_kf on the 19-parameter space: solves the
-    precomputed 19x19 linear system mapping the constraint-nullspace
-    coordinates onto the parameter read-offs.
+    cached 19x19 linear system mapping the constraint-nullspace
+    coordinates onto the parameter read-offs with np.linalg.solve (an LU
+    solve with partial pivoting, a few microseconds at this size).
     """
-    from scipy.linalg import lu_solve
-
-    basis, fwd_lu = _kf_parameter_basis()
-    coords = lu_solve(fwd_lu, _flatten_kappas(k))
+    basis, fwd = _kf_parameter_basis()
+    coords = np.linalg.solve(fwd, _flatten_kappas(k))
     return KFTensor((basis @ coords).reshape(4, 4, 4, 4))
 
 

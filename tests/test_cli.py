@@ -13,7 +13,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lvphoton import cli
+from lvphoton import checks, cli
 from lvphoton import dispersion as dp
 from lvphoton import fock_space as fs
 from lvphoton import hamiltonian as hm
@@ -611,9 +611,9 @@ def test_truncation_shift_is_the_largest_move_of_gaps_and_cross_after(monkeypatc
         2: {"gap_plus": 1.0, "gap_minus": 1.0, "cross_before": 0.5, "cross_after": 1e-6},
         3: {"gap_plus": 1.0 + 2**-30, "gap_minus": 1.0 - 2**-29, "cross_before": 0.7, "cross_after": 4e-6},
     }
-    monkeypatch.setattr(cli, "_transverse_values", lambda space, frame, kappas: values[space.cutoff])
+    monkeypatch.setattr(hm, "_transverse_values", lambda space, frame, kappas: values[space.cutoff])
     spaces = (hm.transverse_space(2), hm.transverse_space(3))
-    row = cli._spectrum_row(spaces, dp.polarization_frame(dp.Z_AXIS), kt.KappaSet(), 0.0)
+    row = hm.spectrum_row(spaces, dp.polarization_frame(dp.Z_AXIS), kt.KappaSet(), 0.0)
     assert row["truncation_shift"] == 4e-6 - 1e-6
     assert row["cross_before"] == 0.5 and row["gap_minus"] == 1.0
 
@@ -707,7 +707,7 @@ def test_injected_defect_is_the_rank_two_coupler():
     # the sparse coupler acts as strength (|c><Ma| + |a><Mc|) on any vector
     space = fs.build_space(2)
     zero = sp.csr_matrix((space.dim, space.dim), dtype=complex)
-    defect = cli._inject_c_defect(space, zero, strength=1e-3)
+    defect = checks._inject_c_defect(space, zero, strength=1e-3)
     a_state = fs.dg_basis_state(space, (1, 0, 0, 0))
     c_state = fs.dg_basis_state(space, (0, 0, 1, 1))
     mdiag = fs.metric_diagonal(space)
@@ -751,6 +751,46 @@ def test_cli_leaves_scipy_special_unloaded():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+#: Modules that decompose and dispersion must not load.
+_FOCK_STACK = ("fock_space", "hamiltonian", "interaction", "lorenz", "checks")
+
+
+def test_decompose_and_dispersion_load_no_scipy_and_no_fock_stack(tmp_path):
+    # both commands need numpy alone; scipy costs about 0.45 s of
+    # start-up, so cli loads it and the Fock-space modules lazily
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    config = _write(tmp_path, "cfg.json", SAMPLE)
+    code = (
+        f"import sys; sys.path.insert(0, {str(src)!r})\n"
+        "import json\n"
+        "from lvphoton.cli import main\n"
+        f"statuses = [main(['decompose', '--config', {config!r}, '--output', {str(tmp_path / 'd.json')!r}]),\n"
+        f"            main(['dispersion', '--config', {config!r}, '--grid', '20', '--output', {str(tmp_path / 'g.json')!r}])]\n"
+        f"fock = {['lvphoton.' + name for name in _FOCK_STACK]!r}\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or m in fock)\n"
+        "print(json.dumps([statuses, loaded]))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [[0, 0], []]
+
+
+@pytest.mark.parametrize("command", ["verify", "spectrum"])
+def test_lazy_commands_run_in_a_fresh_process(tmp_path, command):
+    # a lazy import that was missed shows only in a process that has not
+    # loaded the Fock-space modules already
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    argv = [command, "--config", _write(tmp_path, "cfg.json", SAMPLE)]
+    code = (
+        f"import sys; sys.path.insert(0, {str(src)!r})\n"
+        "from lvphoton.cli import main\n"
+        f"sys.exit(main({argv!r}))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["command"] == command
 
 
 # ------------------------------------------------------------ emitter
@@ -813,7 +853,7 @@ def command_reports(tmp_path_factory):
         "decompose": cli.cmd_decompose(sample),
         "dispersion": cli.cmd_dispersion(biref, grid=50, seed=3),
         "spectrum": cli.cmd_spectrum(sweep),
-        "verify": cli.cmd_verify(sample, seed=1)[0],
+        "verify": checks.cmd_verify(sample, seed=1)[0],
     }
 
 

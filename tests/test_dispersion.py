@@ -289,6 +289,21 @@ def test_ampere_rejects_nonperturbative():
         dp.solve_ampere(kf, np.array([0.0, 0.0, 1.0]))
 
 
+def test_ampere_applies_the_parameter_magnitude_rule():
+    # magnitude 0.15, which the config loader refuses, but every tensor
+    # component is at most 0.075: a component rule would let it through
+    k = kt.KappaSet(e_minus=np.diag([0.15, -0.15, 0.0]))
+    kf = kt.kf_from_kappas(k)
+    assert np.max(np.abs(kt.as_kf_components(kf))) < kt.PERTURBATIVE_LIMIT
+    with pytest.raises(ValueError, match="perturbative"):
+        dp.solve_ampere_batch(kf, [[0.0, 0.0, 1.0]])
+    # at magnitude exactly 0.1 the read-off can land a few ulps above the
+    # limit; the solver accepts what the loader accepts
+    edge = kt.kf_from_kappas(kt.KappaSet(e_minus=np.diag([0.1, -0.1, 0.0])))
+    omegas, _ = dp.solve_ampere_batch(edge, [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+    assert omegas.shape == (2, 2)
+
+
 def test_summarize_fields():
     rng = np.random.default_rng(31)
     k = kt.random_kappas(rng, 1e-2)

@@ -307,6 +307,18 @@ def test_raw_rejects_birefringent_and_large(space):
         hm.build_grouped(space, kt.KappaSet(tr=0.2), frame)
 
 
+def test_raw_and_grouped_share_the_perturbative_boundary(space):
+    # at magnitude exactly 0.1 the tensor's read-off can land a few ulps
+    # above the limit; build_raw must accept what build_grouped accepts
+    frame = dp.polarization_frame(np.array([0.0, 0.0, 1.0]))
+    edge = kt.KappaSet(e_minus=np.diag([0.1, -0.1, 0.0]))
+    raw = hm.build_raw(space, kt.kf_from_kappas(edge), frame)
+    assert abs(raw - hm.build_grouped(space, edge, frame).total).max() < 1e-12
+    big = kt.KappaSet(e_minus=np.diag([0.15, -0.15, 0.0]))
+    with pytest.raises(ValueError, match="perturbative"):
+        hm.build_raw(space, kt.kf_from_kappas(big), frame)
+
+
 def test_xi_diagonal_difference_only(space):
     # e_minus = diag(a, -a, 0) in the frame of zhat: E11 - E22 = 2a and
     # E12 = 0, so Xi reduces to the Xi1 string with coefficient a/2.

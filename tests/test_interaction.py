@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lvphoton import cli
+from lvphoton import checks
 from lvphoton import dispersion as dp
 from lvphoton import fock_space as fs
 from lvphoton import hamiltonian as hm
@@ -319,8 +319,8 @@ def test_interaction_never_builds_the_full_space(frame, monkeypatch):
     assert _table_distance(ia.extract_couplings(factor, *first), want) < 1e-12
     assert _table_distance(ia.extract_couplings(factor, *exact, columns), want) < 1e-12
     assert ia.transverse_potential(factor, 2).shape == (256, 256)
-    checks = list(cli._interaction_checks(np.random.default_rng(0)))
-    assert [c["pass"] for c in checks] == [True, True]
+    results = list(checks._interaction_checks(np.random.default_rng(0)))
+    assert [c["pass"] for c in results] == [True, True]
 
 
 def test_preconditions(space, frame):

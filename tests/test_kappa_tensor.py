@@ -253,3 +253,63 @@ def test_projection_is_idempotent_bitwise(seed):
     for name in ("e_minus", "o_plus", "e_plus", "o_minus"):
         assert getattr(twice, name).tobytes() == getattr(once, name).tobytes(), name
     assert np.trace(once.e_minus) == 0.0
+
+
+def _lu_reference(k, fwd_lu):
+    """kf_from_kappas through scipy's LU factorization of the same 19x19 map.
+
+    This was the library's path before it solved with np.linalg.solve;
+    it stays here as the reference.
+    """
+    from scipy.linalg import lu_solve
+
+    basis, _ = kt._kf_parameter_basis()
+    return (basis @ lu_solve(fwd_lu, kt._flatten_kappas(k))).reshape(4, 4, 4, 4)
+
+
+def test_numpy_solve_matches_the_lu_reference():
+    from scipy.linalg import lu_factor
+
+    _, fwd = kt._kf_parameter_basis()
+    fwd_lu = lu_factor(fwd)
+    rng = np.random.default_rng(17)
+    worst = 0.0
+    for draw in range(2000):
+        scale = 10.0 ** rng.uniform(-8.0, 0.0)
+        k = kt.random_kappas(rng, scale, birefringent=bool(draw % 2))
+        want = _lu_reference(k, fwd_lu)
+        got = kt.as_kf_components(kt.kf_from_kappas(k))
+        worst = max(worst, np.max(np.abs(got - want)) / np.max(np.abs(want)))
+    assert worst <= 1e-14
+
+
+def test_readoff_magnitude_is_the_unchecked_read_off():
+    rng = np.random.default_rng(18)
+    for birefringent in (False, True):
+        kf = kt.kf_from_kappas(kt.random_kappas(rng, 1e-2, birefringent=birefringent))
+        assert kt.readoff_magnitude(kf) == kt.kappas_from_kf(kf).magnitude
+    # not a physical tensor: K^{pbcq} = s delta^{pq}; only the spatial
+    # dual reads off, as +-s/2 on the diagonals of e_minus and e_plus
+    broken = np.zeros((4, 4, 4, 4))
+    broken[1:, :, :, 1:] = 0.05 * np.eye(3)[:, None, None, :]
+    with pytest.raises(ValueError, match="invariants"):
+        kt.kappas_from_kf(broken)
+    assert kt.readoff_magnitude(broken) == pytest.approx(0.025, rel=1e-15)
+
+
+def test_one_perturbative_rule():
+    # the loader, check_nonbiref and the wave solver all use this rule;
+    # only a magnitude read off a tensor gets the roundoff allowance
+    rng = np.random.default_rng(19)
+    for draw in range(200):
+        k = kt.random_kappas(rng, 1.0, birefringent=bool(draw % 2))
+        edge = k.scaled(kt.PERTURBATIVE_LIMIT / k.magnitude)
+        if edge.magnitude > kt.PERTURBATIVE_LIMIT:  # the scaling rounded up
+            continue
+        kt.check_perturbative(edge.magnitude)
+        # the read-off lands a few ulps either side of the limit
+        kt.check_perturbative(kt.readoff_magnitude(kt.kf_from_kappas(edge)), kt.READOFF_RTOL)
+    for big in (kt.KappaSet(tr=0.2), kt.KappaSet(e_minus=np.diag([0.15, -0.15, 0.0]))):
+        for rtol in (0.0, kt.READOFF_RTOL):
+            with pytest.raises(ValueError, match="must be perturbative"):
+                kt.check_perturbative(big.magnitude, rtol)

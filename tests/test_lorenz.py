@@ -19,7 +19,7 @@ from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import expm_multiply
 from scipy.special import jv
 
-from lvphoton import cli
+from lvphoton import checks
 from lvphoton import dispersion as dp
 from lvphoton import fock_space as fs
 from lvphoton import hamiltonian as hm
@@ -412,7 +412,7 @@ def test_block_leakage_matches_full_space(space, frame, inject, dg_reference):
     k = kt.random_kappas(np.random.default_rng(3), 1e-2)
     h = hm.build_grouped(space, k, frame).total
     if inject:
-        h = cli._inject_c_defect(space, h)
+        h = checks._inject_c_defect(space, h)
     assert _block_count(h) == (16 if inject else 17)
     got = lz.invariance_leakage(space, h, 10.0)
     want = _full_space_leakage(space, h, 10.0, dg_reference)
@@ -455,7 +455,7 @@ def test_propagator_matches_expm_multiply(space, frame, inject):
     k = kt.random_kappas(np.random.default_rng(3), 1e-2)
     h = hm.build_grouped(space, k, frame).total
     if inject:
-        h = cli._inject_c_defect(space, h)
+        h = checks._inject_c_defect(space, h)
     block, columns = _a_block(space, h)
     assert (abs(block.imag).max() > 0) == inject
     _check_propagator(block, columns, 10.0)
@@ -465,7 +465,7 @@ def test_propagator_leaves_an_unsorted_matrix_alone(space, frame):
     # a matrix whose rows hold their columns out of order: canonicalising
     # it (or a part that shares its buffers) in place would permute it
     k = kt.random_kappas(np.random.default_rng(4), 1e-2)
-    block, columns = _a_block(space, cli._inject_c_defect(space, hm.build_grouped(space, k, frame).total))
+    block, columns = _a_block(space, checks._inject_c_defect(space, hm.build_grouped(space, k, frame).total))
     rows = np.repeat(np.arange(block.shape[0]), np.diff(block.indptr))
     order = np.lexsort((-block.indices, rows))
     unsorted = sp.csr_matrix(
@@ -492,7 +492,7 @@ def test_propagator_matches_dense_expm(space, frame, inject):
     k = kt.random_kappas(np.random.default_rng(3), 1e-2)
     h = hm.build_grouped(space, k, frame).total
     if inject:
-        h = cli._inject_c_defect(space, h)
+        h = checks._inject_c_defect(space, h)
     small = [(b, c) for b, c in _a_blocks(space, h) if b.shape[0] <= 300]
     assert small
     for block, columns in small:
