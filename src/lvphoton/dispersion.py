@@ -16,7 +16,7 @@ import numpy as np
 
 from .kappa_tensor import (
     METRIC,
-    READOFF_RTOL,
+    PERTURBATIVE_LIMIT,
     as_four_components,
     as_kf_components,
     check_perturbative,
@@ -315,13 +315,18 @@ def solve_ampere_batch(kf, kvecs):
 
     Raises ValueError for a zero wavevector or outside the perturbative
     regime: the config loader's rule, check_perturbative, on the
-    magnitude of the parameters read off the tensor.  Raises RuntimeError
-    when a row fails the root selection or the residual check.
+    magnitude of the parameters read off the tensor, and s > 0.1, which
+    the bracket assumes (a set of magnitude 0.1 can have s up to 0.15,
+    and a tensor that violates the invariants can hold entries the
+    read-off skips).  Raises RuntimeError when a row fails the root
+    selection or the residual check.
     """
     K = as_kf_components(kf)
     khats, knorms = _unit_rows(kvecs)
-    check_perturbative(readoff_magnitude(K), READOFF_RTOL)
+    check_perturbative(readoff_magnitude(K))
     strength = np.max(np.abs(K))
+    if strength > PERTURBATIVE_LIMIT:
+        raise ValueError("tensor outside the perturbative regime (max component > 0.1)")
 
     if strength == 0.0:
         frames = [polarization_frame(khat) for khat in khats]

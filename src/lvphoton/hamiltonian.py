@@ -52,7 +52,6 @@ from .dispersion import delta_nonbiref
 from .kappa_tensor import (
     _FLIP4,
     METRIC,
-    READOFF_RTOL,
     as_kf_components,
     check_nonbiref,
     kappas_from_kf,
@@ -162,10 +161,10 @@ def build_raw(space, kf, frame):
     (A-B+C), (A-B-C), -C, -C against the operator strings a abar,
     abar' a', a a', abar' abar, and the two index-swapped -C strings.
     Rejects tensors with birefringent content (the closed-form grouping
-    this is checked against assumes none) and, with the read-off
-    allowance, tensors outside the perturbative regime.
+    this is checked against assumes none).
     """
-    check_nonbiref(kappas_from_kf(kf), READOFF_RTOL)
+    kappas = kappas_from_kf(kf)
+    check_nonbiref(kappas)
     A, B, C = coefficient_matrices(kf, frame)
     S, T, Sb, Tb = _mode_factors(_MODE_SLOTS)
     terms = []

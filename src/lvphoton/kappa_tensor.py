@@ -226,33 +226,29 @@ class KappaSet:
         )
 
 
-#: Relative allowance on a magnitude read off a tensor: the read-off of
-#: parameters of magnitude exactly 0.1 lands up to 2e-15 above it.
-READOFF_RTOL = 1e-12
-
-
-def check_perturbative(magnitude, rtol=0.0):
+def check_perturbative(magnitude):
     """Reject a parameter magnitude above PERTURBATIVE_LIMIT.
 
-    The one perturbative rule of the package; `rtol` is READOFF_RTOL
-    when the magnitude was read off a tensor (readoff_magnitude).
+    The one perturbative rule of the package.  The limit carries a
+    relative allowance of 1e-12, so that parameters of magnitude exactly
+    0.1 pass after a round trip through their tensor: the read-off
+    (readoff_magnitude) lands up to 2e-15 above them.
     """
-    if magnitude > PERTURBATIVE_LIMIT * (1.0 + rtol):
+    if magnitude > PERTURBATIVE_LIMIT * (1.0 + 1e-12):
         raise ValueError(
             f"kappa parameters must be perturbative (magnitude <= {PERTURBATIVE_LIMIT:g})"
         )
 
 
-def check_nonbiref(kappas, rtol=0.0):
+def check_nonbiref(kappas):
     """Reject parameters outside the non-birefringent perturbative regime.
 
     The mode Hamiltonian and the potential mixing both expand to first
-    order in a set with e_plus = o_minus = 0.  `rtol` is passed to
-    check_perturbative.
+    order in a set with e_plus = o_minus = 0.
     """
     if kappas.is_birefringent:
         raise ValueError("the mode expansion assumes e_plus = o_minus = 0")
-    check_perturbative(kappas.magnitude, rtol)
+    check_perturbative(kappas.magnitude)
 
 
 def kappa_distance(a, b):

@@ -473,6 +473,20 @@ def test_batched_solver_keeps_its_refusals():
         dp.solve_ampere_batch(kf, [[0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
     with pytest.raises(ValueError, match="perturbative"):
         dp.solve_ampere_batch(kt.kf_from_kappas(kt.KappaSet(tr=0.2)), [[0.0, 0.0, 1.0]])
+    # magnitude 0.1, which the loader accepts, but largest component 0.15,
+    # past what the 5 s bracket assumes
+    big = np.diag([0.1, -0.05, -0.05])
+    kf = kt.kf_from_kappas(kt.KappaSet(e_minus=big, e_plus=big, tr=0.1))
+    kt.check_perturbative(kt.readoff_magnitude(kf))
+    with pytest.raises(ValueError, match="max component"):
+        dp.solve_ampere_batch(kf, [[0.0, 0.0, 1.0]])
+    # not a physical tensor, and one the read-off does not see: magnitude
+    # 0, largest component 1
+    K = np.zeros((4, 4, 4, 4))
+    K[1, 0, 1, 0] = 1.0
+    assert kt.readoff_magnitude(K) == 0.0
+    with pytest.raises(ValueError, match="max component"):
+        dp.solve_ampere_batch(K, [[0.0, 0.0, 1.0]])
     # not a physical tensor: K^{pbcq} = s delta^{pq} for every b, c moves
     # the roots along (1,1,1) by about -7.5 s, outside the 5 s bracket
     K = np.zeros((4, 4, 4, 4))
