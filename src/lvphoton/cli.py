@@ -32,6 +32,7 @@ import csv
 import functools
 import io
 import json
+import operator
 import sys
 from dataclasses import dataclass, replace
 
@@ -244,18 +245,38 @@ _SCALAR_TYPES = (type(None), bool, int, float, str, np.generic)
 def _dict_template(indent, keys, types):
     """%-template of a dict of scalars with these keys and value types.
 
-    Float slots are %.17g, every other slot takes _scalar's text; None
-    when a value is not a scalar, so the dict is rendered item by item.
+    Returns (text, values, floats), or None when a value is not a
+    scalar, so the dict is rendered item by item.  None slots are a
+    literal null in text; values gets the other slots' values as a
+    tuple, and floats marks which of them are floats: their slots are
+    %.17g, and every other slot takes _scalar's text.
     """
     if not all(issubclass(kind, _SCALAR_TYPES) for kind in types):
         return None
     pad = " " * indent
-    floats = tuple(issubclass(kind, (float, np.floating)) for kind in types)
-    items = [
-        f"{pad}  {json.dumps(str(key))}: ".replace("%", "%%") + ("%.17g" if is_float else "%s")
-        for key, is_float in zip(keys, floats)
-    ]
-    return "{\n" + ",\n".join(items) + "\n" + pad + "}", floats
+    items, slots, floats = [], [], []
+    for key, kind in zip(keys, types):
+        is_float = issubclass(kind, (float, np.floating))
+        slot = "null" if kind is type(None) else "%.17g" if is_float else "%s"
+        items.append(f"{pad}  {json.dumps(str(key))}: ".replace("%", "%%") + slot)
+        if kind is not type(None):
+            slots.append(key)
+            floats.append(is_float)
+    if len(slots) > 1:
+        values = operator.itemgetter(*slots)
+    else:  # an itemgetter of one key returns the bare value, of none fails
+        def values(row):
+            return tuple(row[key] for key in slots)
+    return "{\n" + ",\n".join(items) + "\n" + pad + "}", values, tuple(floats)
+
+
+def _render_dict(template, value):
+    text, values, floats = template
+    if all(floats):
+        return text % values(value)
+    return text % tuple(
+        v if is_float else _scalar(v) for v, is_float in zip(values(value), floats)
+    )
 
 
 def render_json(value, indent=0):
@@ -265,20 +286,18 @@ def render_json(value, indent=0):
     hook to change that, so this walks the structure itself.  Lists of
     scalars stay on one line; insertion order of dicts is preserved.  A
     dict of scalars (a report row) is one %-format of a template cached
-    per indent, keys and value types, so a long list of rows renders
-    its keys once.
+    per indent, keys and value types, and a list of dicts that all have
+    the first one's keys, in its order, and its value types fills that
+    one template row after row, so a long list of rows renders its keys
+    once.
     """
     pad = " " * indent
     if isinstance(value, dict):
         if not value:
             return "{}"
-        values = tuple(value.values())
-        template = _dict_template(indent, tuple(value), tuple(map(type, values)))
+        template = _dict_template(indent, tuple(value), tuple(map(type, value.values())))
         if template is not None:
-            text, floats = template
-            return text % tuple(
-                v if is_float else _scalar(v) for v, is_float in zip(values, floats)
-            )
+            return _render_dict(template, value)
         items = [
             f'{pad}  {json.dumps(str(k))}: {render_json(v, indent + 2)}'
             for k, v in value.items()
@@ -291,8 +310,18 @@ def render_json(value, indent=0):
             return "[]"
         if all(not isinstance(v, (dict, list, tuple, np.ndarray)) for v in value):
             return "[" + ", ".join(_scalar(v) for v in value) + "]"
-        items = [f"{pad}  {render_json(v, indent + 2)}" for v in value]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+        first, template = value[0], None
+        if type(first) is dict and first:
+            keys, types = tuple(first), tuple(map(type, first.values()))
+            template = _dict_template(indent + 2, keys, types)
+        if template is not None and all(
+            type(row) is dict and tuple(row) == keys and tuple(map(type, row.values())) == types
+            for row in value
+        ):
+            items = (_render_dict(template, row) for row in value)
+        else:
+            items = (render_json(v, indent + 2) for v in value)
+        return "[\n" + ",\n".join(f"{pad}  {item}" for item in items) + "\n" + pad + "]"
     return _scalar(value)
 
 
@@ -368,21 +397,11 @@ def cmd_decompose(config):
 # dispersion
 
 
-def _dispersion_row(khat, result, roots):
-    return {
-        "kx": khat[0],
-        "ky": khat[1],
-        "kz": khat[2],
-        "delta": result.delta,
-        "rho": result.rho,
-        "sigma": result.sigma,
-        "omega_minus": result.omega_minus,
-        "omega_plus": result.omega_plus,
-        "omega_minus_root": roots[0],
-        "omega_plus_root": roots[1],
-        "residual_minus": abs(roots[0] - result.omega_minus),
-        "residual_plus": abs(roots[1] - result.omega_plus),
-    }
+#: Columns of a dispersion row, in report order.
+_DISPERSION_COLUMNS = (
+    "kx", "ky", "kz", "delta", "rho", "sigma", "omega_minus", "omega_plus",
+    "omega_minus_root", "omega_plus_root", "residual_minus", "residual_plus",
+)
 
 
 def cmd_dispersion(config, grid=0, seed=0):
@@ -391,21 +410,27 @@ def cmd_dispersion(config, grid=0, seed=0):
     The config direction is always the first row; --grid N appends N
     seeded random unit directions.  Unlike the other commands this one
     accepts birefringent parameter sets, where delta is reported as null
-    and the two roots split by 2 sigma |k|.  The tensor is built once and
-    every direction goes through one batched call per solver.
+    and the two roots split by 2 sigma |k|.  The tensor is built once,
+    every direction goes through one batched call per solver, and the
+    rows are cut from the resulting columns.  A parameter set whose
+    roots the solver cannot bracket is refused like any other config
+    outside the supported range.
     """
     kf = kt.kf_from_kappas(config.kappas)
     rng = np.random.default_rng(seed)
     directions = np.vstack((config.direction, dp.random_directions(rng, grid)))
-    results = dp.summarize_batch(config.kappas, kf, directions)
-    omegas, _ = dp.solve_ampere_batch(kf, directions)
-    rows = [
-        _dispersion_row(khat, result, roots)
-        for khat, result, roots in zip(directions, results, omegas)
-    ]
+    shifts = dp.summarize_batch(config.kappas, kf, directions)
+    try:
+        roots = dp.ampere_roots_batch(kf, directions)
+    except RuntimeError as exc:
+        raise ValueError(str(exc)) from exc
+    delta = [None] * len(directions) if shifts.delta is None else shifts.delta.tolist()
+    closed = np.column_stack((shifts.omega_minus, shifts.omega_plus))
+    numeric = (shifts.rho, shifts.sigma, *closed.T, *roots.T, *np.abs(roots - closed).T)
+    columns = [*directions.T.tolist(), delta, *(column.tolist() for column in numeric)]
     return {
         "command": "dispersion",
-        "rows": rows,
+        "rows": [dict(zip(_DISPERSION_COLUMNS, row)) for row in zip(*columns)],
     }
 
 

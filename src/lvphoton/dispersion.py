@@ -5,8 +5,9 @@ vectors, the leading-order fractional phase-velocity shift delta(k) for
 the non-birefringent sector, the rho/sigma split of the general
 leading-order dispersion relation, and a numerical solver for the
 modified Ampere law that serves as the oracle for all of the closed
-forms.  The solver and rho/sigma take a whole batch of wave directions
-at once; their one-direction forms are the one-row case.
+forms.  Frames, delta, rho/sigma and the solver take a whole batch of
+wave directions at once, as arrays with one row per direction; their
+one-direction forms are the one-row case.
 """
 
 import warnings
@@ -34,10 +35,10 @@ Z_AXIS.setflags(write=False)
 #: Relative roundoff allowance on sigma^2, in units of |ktilde|^2.
 SIGMA_SQ_RTOL = 1e-12
 
-#: Smallest relative half-width of solve_ampere's root bracket.  A
-#: projected tensor can keep roundoff-sized components (~1e-18), and a
-#: bracket of 5 times that collapses onto |k| in double precision.
-_MIN_BRACKET = 1e-12
+#: Largest half-width the root bracket's bound certifies: up to
+#: 1 - 1/sqrt(2) from x = 1 the transverse singular value |1 - x^2| of
+#: the isotropic Ampere matrix stays below its longitudinal one |x|^2.
+_CERTIFIED_RADIUS = 1.0 - np.sqrt(0.5)
 
 #: Largest imaginary part, in units of |k|, that a transverse root may
 #: keep from roundoff.  Under a backward error of eps a double eigenvalue
@@ -71,80 +72,98 @@ class PolarizationFrame:
 
 @dataclass(frozen=True)
 class DispersionResult:
-    """Leading-order dispersion data for one wavevector.
+    """Leading-order dispersion data for one wavevector or a batch.
 
     delta is the polarization-independent fractional phase-velocity
     shift (None when the input has birefringent parameters, where the
     shift is polarization-dependent); omega_plus/omega_minus are the two
-    transverse frequencies (1 + rho +- sigma)|k|.
+    transverse frequencies (1 + rho +- sigma)|k|.  Each field is a float
+    from summarize and an array with one entry per wavevector from
+    summarize_batch.
     """
 
-    delta: float | None
-    rho: float
-    sigma: float
-    omega_plus: float
-    omega_minus: float
+    delta: float | np.ndarray | None
+    rho: float | np.ndarray
+    sigma: float | np.ndarray
+    omega_plus: float | np.ndarray
+    omega_minus: float | np.ndarray
 
 
-def _canonical_transverse(khat):
-    """Gram-Schmidt x-hat against khat, falling back to y-hat near x-hat."""
-    e1 = _XHAT - (_XHAT @ khat) * khat
-    n = np.linalg.norm(e1)
-    if n < 1e-8:
-        e1 = _YHAT - (_YHAT @ khat) * khat
-        n = np.linalg.norm(e1)
-    e1 = e1 / n
-    return e1, np.cross(khat, e1)
+def _canonical_hemisphere(khats):
+    """Rows with k_z > 0, ties broken by k_y > 0 and then k_x > 0."""
+    kx, ky, kz = khats.T
+    return (kz > 0.0) | ((kz == 0.0) & ((ky > 0.0) | ((ky == 0.0) & (kx > 0.0))))
 
 
-def _in_canonical_hemisphere(khat):
-    if khat[2] != 0.0:
-        return khat[2] > 0.0
-    if khat[1] != 0.0:
-        return khat[1] > 0.0
-    return khat[0] > 0.0
+def _gram_schmidt(axis, khats):
+    """The fixed axis minus its projection on each row, and that remainder's norm."""
+    e = axis - (khats @ axis)[:, None] * khats
+    return e, np.sqrt(np.vecdot(e, e))
+
+
+def polarization_frames(khats):
+    """eps1 and eps2 of polarization_frame for every row of khats.
+
+    Returns two (n, 3) arrays; eps3 is khats itself.  Every row comes
+    out bit for bit as polarization_frame gives it alone.
+    """
+    khats = np.asarray(khats, dtype=float)
+    if khats.ndim != 2 or khats.shape[1] != 3 or np.any(
+        np.abs(np.sqrt(np.vecdot(khats, khats)) - 1.0) > 1e-12
+    ):
+        raise ValueError("khat must be a unit 3-vector")
+    canonical = _canonical_hemisphere(khats)
+    base = np.where(canonical[:, None], khats, -khats)
+    e1, n = _gram_schmidt(_XHAT, base)
+    near_x = n < 1e-8
+    if np.any(near_x):
+        e1[near_x], n[near_x] = _gram_schmidt(_YHAT, base[near_x])
+    e1 /= n[:, None]
+    e2 = np.cross(base, e1)
+    return e1, np.where(canonical[:, None], e2, -e2)
 
 
 def polarization_frame(khat):
     """Deterministic transverse frame for a unit wavevector.
 
-    The frame is built by Gram-Schmidt in a canonical hemisphere
-    (k_z > 0, ties broken by k_y then k_x) and extended to the opposite
-    hemisphere by the parity rules
+    The frame is built by Gram-Schmidt of x-hat (y-hat when khat is
+    within 1e-8 of x-hat) in a canonical hemisphere (k_z > 0, ties
+    broken by k_y then k_x) and extended to the opposite hemisphere by
+    the parity rules
 
         eps1(-k) = +eps1(k),  eps2(-k) = -eps2(k),  eps3(-k) = -eps3(k),
 
     so the rules hold exactly by construction.  eps1 x eps2 = khat in
-    both hemispheres.
+    both hemispheres.  The one-row case of polarization_frames.
     """
     khat = np.asarray(khat, dtype=float)
-    if khat.shape != (3,) or abs(np.linalg.norm(khat) - 1.0) > 1e-12:
-        raise ValueError("khat must be a unit 3-vector")
-    if _in_canonical_hemisphere(khat):
-        e1, e2 = _canonical_transverse(khat)
-    else:
-        e1, e2m = _canonical_transverse(-khat)
-        e2 = -e2m
-    return PolarizationFrame(eps1=e1, eps2=e2, eps3=khat.copy(), khat=khat.copy())
+    e1, e2 = polarization_frames(khat[None])
+    return PolarizationFrame(eps1=e1[0], eps2=e2[0], eps3=khat.copy(), khat=khat.copy())
 
 
-def delta_nonbiref(k, khat):
+def delta_nonbiref_batch(k, khats):
     """Fractional phase-velocity shift for the non-birefringent sector.
 
         delta(k) = eps1 . o_plus . eps2
                    - (1/2) sum_{r=1,2} eps_r . (e_minus + I tr) . eps_r
 
-    Only valid with e_plus = o_minus = 0; birefringent input is rejected
-    since the shift is then polarization-dependent.
+    One value per row of the unit directions khats, in the frames of
+    polarization_frames.  Only valid with e_plus = o_minus = 0;
+    birefringent input is rejected since the shift is then
+    polarization-dependent.
     """
     if k.is_birefringent:
         raise ValueError("delta is polarization-independent only without birefringence")
-    f = polarization_frame(khat)
+    e1, e2 = polarization_frames(khats)
     emt = k.e_minus + np.eye(3) * k.tr
-    return float(
-        f.eps1 @ k.o_plus @ f.eps2
-        - 0.5 * (f.eps1 @ emt @ f.eps1 + f.eps2 @ emt @ f.eps2)
+    return np.vecdot(e1 @ k.o_plus, e2) - 0.5 * (
+        np.vecdot(e1 @ emt, e1) + np.vecdot(e2 @ emt, e2)
     )
+
+
+def delta_nonbiref(k, khat):
+    """delta for one unit direction: the one-row case of delta_nonbiref_batch."""
+    return float(delta_nonbiref_batch(k, np.asarray(khat, dtype=float)[None])[0])
 
 
 def _unit_rows(kvecs):
@@ -222,28 +241,31 @@ def rho_sigma(kf, khat):
 
 
 def summarize_batch(k, kf, kvecs):
-    """Leading-order DispersionResult per row of kvecs.
+    """Leading-order DispersionResult of arrays, one entry per row of kvecs.
 
     kf is the tensor of the KappaSet k, built once by the caller.
     """
     khats, norms = _unit_rows(kvecs)
     rho, sigma = rho_sigma_batch(kf, khats)
-    birefringent = k.is_birefringent
-    return [
-        DispersionResult(
-            delta=None if birefringent else delta_nonbiref(k, khat),
-            rho=float(r),
-            sigma=float(s),
-            omega_plus=float((1.0 + r + s) * norm),
-            omega_minus=float((1.0 + r - s) * norm),
-        )
-        for khat, norm, r, s in zip(khats, norms, rho, sigma)
-    ]
+    return DispersionResult(
+        delta=None if k.is_birefringent else delta_nonbiref_batch(k, khats),
+        rho=rho,
+        sigma=sigma,
+        omega_plus=(1.0 + rho + sigma) * norms,
+        omega_minus=(1.0 + rho - sigma) * norms,
+    )
 
 
 def summarize(k, kvec):
-    """Leading-order DispersionResult for a KappaSet and wavevector."""
-    return summarize_batch(k, kf_from_kappas(k), kvec)[0]
+    """Leading-order DispersionResult for a KappaSet and one wavevector."""
+    batch = summarize_batch(k, kf_from_kappas(k), kvec)
+    return DispersionResult(
+        delta=None if batch.delta is None else float(batch.delta[0]),
+        rho=float(batch.rho[0]),
+        sigma=float(batch.sigma[0]),
+        omega_plus=float(batch.omega_plus[0]),
+        omega_minus=float(batch.omega_minus[0]),
+    )
 
 
 def ampere_matrix(kf, kvec, omega):
@@ -288,38 +310,73 @@ def _ampere_coefficients(K, kvecs):
     return m0, m1, m2
 
 
-def solve_ampere_batch(kf, kvecs):
-    """Numerically solve the modified Ampere law for every row of kvecs.
+def _frobenius(m):
+    """Frobenius norm of each 3x3 matrix of a stack."""
+    flat = m.reshape(-1, 9)
+    return np.sqrt(np.vecdot(flat, flat))
 
-    Returns (omegas, fields): omegas[n] holds the two transverse roots of
-    row n in ascending order and fields[n] their complex polarizations.
 
-    The frequency is solved for in units of |k| on the unit direction,
-    where M(x) = M0 + x M1 + x^2 M2 is quadratic in x = omega/|k| (see
-    _ampere_coefficients).  Its six roots are the eigenvalues of the 6x6
-    companion linearization [[0, I], [-M2^-1 M0, -M2^-1 M1]] (M2 is
-    close to -I in the perturbative regime), found for every row in one
-    stacked eigvals call: a transverse pair near +1, a pair near -1 and
-    the longitudinal pair near 0.  A row must have exactly two roots
-    with real part inside the bracket [1 - w, 1 + w], w = 5 s floored at
-    1e-12 with s the max abs tensor component, and an imaginary part
-    below sqrt(eps) (roundoff; the true roots are real).  Their real
-    parts are the roots.
+def _root_bound(khats, m0, m1, m2):
+    """Bound r- on the distance of each row's transverse roots from x = 1.
 
-    Each polarization is the eigenvector of M at its root whose
-    eigenvalue is smallest in magnitude, from one stacked eigh.  When
-    the two roots agree to 1e-12 (a double root) both come from the
-    lower root's eigh, as an orthonormal basis of the null space.  Every
-    E must pass the residual check ||M E|| < 1e-10 |k|^2.  The zero
-    tensor returns |k| twice with polarization_frame's eps1 and eps2.
+    Write M(x) = M_iso(x) + dM(x), with M_iso(x) = (1 - x^2) P_T - x^2 P_L
+    the Ampere matrix of the isotropic vacuum (P_T and P_L project
+    across and along khat).  Around x = 1, with u = x - 1,
 
-    Raises ValueError for a zero wavevector or outside the perturbative
-    regime: the config loader's rule, check_perturbative, on the
-    magnitude of the parameters read off the tensor, and s > 0.1, which
-    the bracket assumes (a set of magnitude 0.1 can have s up to 0.15,
-    and a tensor that violates the invariants can hold entries the
-    read-off skips).  Raises RuntimeError when a row fails the root
-    selection or the residual check.
+        dM(x) = dM(1) + u dM'(1) + u^2 (M2 + I),
+        dM(1) = M(1) + khat khat^T,  dM'(1) = M1 + 2 M2 + 2 I.
+
+    At a root, complex or real, M(x) is singular, so the smallest
+    singular value of M_iso(x) is at most ||dM(x)||_2, which is at most
+    d0 + d1 |u| + a |u|^2 with d0, d1, a the Frobenius norms of the
+    three coefficients.  For |u| <= 1 - 1/sqrt(2) that singular value is
+    |1 - x^2| >= |u| (2 - |u|), so every root there satisfies
+
+        q(|u|) = (1 + a) |u|^2 - (2 - d1) |u| + d0 >= 0,
+
+    that is |u| <= r- or |u| >= r+, the roots of q.  When r- < 1 -
+    1/sqrt(2), M(x) is regular on every circle |u| = rho between r- and
+    min(r+, 1 - 1/sqrt(2)), for the tensor and for every fraction of it;
+    so that disc holds as many roots as the isotropic vacuum's does,
+    the transverse double root x = 1.  Both transverse roots then lie
+    within r- of x = 1, and no other root within rho.  Rows where q has
+    no such root r- get inf.
+    """
+    d0 = _frobenius(m0 + m1 + m2 + khats[:, :, None] * khats[:, None, :])
+    d1 = _frobenius(m1 + 2.0 * (m2 + np.eye(3)))
+    a = _frobenius(m2 + np.eye(3))[0]
+    b = 2.0 - d1
+    disc = b * b - 4.0 * (1.0 + a) * d0
+    r_minus = np.divide(
+        2.0 * d0,
+        b + np.sqrt(np.maximum(disc, 0.0)),
+        out=np.full_like(d0, np.inf),
+        where=(b > 0.0) & (disc > 0.0),
+    )
+    return np.where(r_minus < _CERTIFIED_RADIUS, r_minus, np.inf)
+
+
+def _root_residuals(m, double):
+    """||M E|| of each root's polarization, in units of |k|^2, from eigenvalues.
+
+    The polarization of a root is the unit eigenvector of M at that root
+    whose eigenvalue is smallest in magnitude, and at a double root the
+    second one is the lower root's eigenvector with the second-smallest
+    |eigenvalue|.  For symmetric M and a unit eigenvector E of
+    eigenvalue lambda, ||M E|| = |lambda|, so no eigenvector is needed.
+    """
+    vals = np.sort(np.abs(np.linalg.eigvalsh(m)), axis=-1)
+    residual = vals[..., 0]
+    residual[double, 1] = vals[double, 0, 1]
+    return residual
+
+
+def _transverse_roots(kf, kvecs):
+    """Validated roots x = omega/|k| of every row; see ampere_roots_batch.
+
+    Returns the unit rows of kvecs, their norms, the (n, 2) roots, the
+    Ampere matrices M(x) at the roots and the rows whose two roots are
+    one double root; the matrices are None for the zero tensor.
     """
     K = as_kf_components(kf)
     khats, knorms = _unit_rows(kvecs)
@@ -327,12 +384,8 @@ def solve_ampere_batch(kf, kvecs):
     strength = np.max(np.abs(K))
     if strength > PERTURBATIVE_LIMIT:
         raise ValueError("tensor outside the perturbative regime (max component > 0.1)")
-
     if strength == 0.0:
-        frames = [polarization_frame(khat) for khat in khats]
-        omegas = np.repeat(knorms[:, None], 2, axis=1)
-        fields = np.array([[f.eps1, f.eps2] for f in frames], dtype=complex)
-        return omegas, fields.reshape(-1, 2, 3)
+        return khats, knorms, np.ones((len(khats), 2)), None, None
 
     m0, m1, m2 = _ampere_coefficients(K, khats)
     m2_inv = np.linalg.inv(m2)
@@ -342,8 +395,11 @@ def solve_ampere_batch(kf, kvecs):
     companion[:, 3:, 3:] = -m2_inv @ m1
     eigs = np.linalg.eigvals(companion)
 
-    half_width = max(5.0 * strength, _MIN_BRACKET)
-    found = (np.abs(eigs.real - 1.0) <= half_width) & (
+    bound = _root_bound(khats, m0, m1, m2)
+    half_width = np.maximum(
+        np.where(np.isfinite(bound), bound + _ROOT_IMAG_TOL, 0.0), 5.0 * strength
+    )
+    found = (np.abs(eigs.real - 1.0) <= half_width[:, None]) & (
         np.abs(eigs.imag) <= _ROOT_IMAG_TOL
     )
     misses = np.count_nonzero(np.count_nonzero(found, axis=1) != 2)
@@ -355,16 +411,75 @@ def solve_ampere_batch(kf, kvecs):
     x = np.sort(eigs.real[found].reshape(-1, 2), axis=1)
 
     m = m0[:, None] + x[..., None, None] * m1[:, None] + (x**2)[..., None, None] * m2
-    vals, vecs = np.linalg.eigh(m)
-    order = np.argsort(np.abs(vals), axis=-1)
-    nearest = np.take_along_axis(vecs, order[..., None, :], axis=-1)
-    fields = nearest[..., 0]
     double = x[:, 1] - x[:, 0] <= _DEGENERATE_RTOL
-    fields[double, 1] = nearest[double, 0, :, 1]
-
-    residual = np.linalg.norm(np.einsum("nrpq,nrq->nrp", m, fields), axis=-1)
+    residual = _root_residuals(m, double)
     if np.any(residual > _RESIDUAL_RTOL):
         raise RuntimeError(f"root residual {np.max(residual):.3e} |k|^2 exceeds tolerance")
+    return khats, knorms, x, m, double
+
+
+def ampere_roots_batch(kf, kvecs):
+    """The two transverse roots omega of the modified Ampere law per row of kvecs.
+
+    Returns an (n, 2) array, each row in ascending order.
+
+    The frequency is solved for in units of |k| on the unit direction,
+    where M(x) = M0 + x M1 + x^2 M2 is quadratic in x = omega/|k| (see
+    _ampere_coefficients).  Its six roots are the eigenvalues of the 6x6
+    companion linearization [[0, I], [-M2^-1 M0, -M2^-1 M1]] (M2 is
+    close to -I in the perturbative regime), found for every row in one
+    stacked eigvals call: a transverse pair near +1, a pair near -1 and
+    the longitudinal pair near 0.  A row must have exactly two roots
+    with real part inside its bracket [1 - w, 1 + w] and an imaginary
+    part below sqrt(eps) (roundoff; the true roots are real).  Their
+    real parts are the roots.  w is the bound of _root_bound on the
+    transverse roots' distance from x = 1, which holds per direction
+    and keeps every other root out, plus sqrt(eps) for the error of a
+    computed root.  w is never below 5 s, with s the max abs tensor
+    component: where the bound certifies nothing, near the perturbative
+    limit, 5 s still brackets the roots of most directions.
+
+    Every root must pass the residual check ||M E|| < 1e-10 |k|^2 on
+    the polarization E that solve_ampere_batch returns for it.  That
+    residual is an eigenvalue of the symmetric M at the root, so one
+    stacked eigvalsh judges it without eigenvectors (_root_residuals).
+    The zero tensor returns |k| twice.
+
+    Raises ValueError for a zero wavevector or outside the perturbative
+    regime: the config loader's rule, check_perturbative, on the
+    magnitude of the parameters read off the tensor, and s > 0.1, which
+    the 5 s bracket assumes (a set of magnitude 0.1 can have s up to
+    0.15, and a tensor that violates the invariants can hold entries the
+    read-off skips).  Raises RuntimeError when a row fails the root
+    selection or the residual check.
+    """
+    _, knorms, x, _, _ = _transverse_roots(kf, kvecs)
+    return x * knorms[:, None]
+
+
+def solve_ampere_batch(kf, kvecs):
+    """Numerically solve the modified Ampere law for every row of kvecs.
+
+    Returns (omegas, fields): omegas[n] holds the two transverse roots of
+    row n in ascending order, as ampere_roots_batch finds and checks
+    them, and fields[n] their complex polarizations.
+
+    Each polarization is the eigenvector of M at its root whose
+    eigenvalue is smallest in magnitude, from one stacked eigh.  When
+    the two roots agree to 1e-12 (a double root) both come from the
+    lower root's eigh, as an orthonormal basis of the null space.  The
+    zero tensor's polarizations are polarization_frames' eps1 and eps2.
+    Raises as ampere_roots_batch does.
+    """
+    khats, knorms, x, m, double = _transverse_roots(kf, kvecs)
+    if m is None:
+        fields = np.stack(polarization_frames(khats), axis=1)
+    else:
+        vals, vecs = np.linalg.eigh(m)
+        order = np.argsort(np.abs(vals), axis=-1)
+        nearest = np.take_along_axis(vecs, order[..., None, :], axis=-1)
+        fields = nearest[..., 0]
+        fields[double, 1] = nearest[double, 0, :, 1]
     return x * knorms[:, None], fields.astype(complex)
 
 

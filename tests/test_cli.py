@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lvphoton import checks, cli
@@ -229,6 +229,25 @@ def _config(draw):
     return config
 
 
+def _magnitude_limit_payload():
+    """A birefringent set of magnitude exactly 0.1 and one of its hard directions.
+
+    Along this direction a transverse root moves by 5.1 times the largest
+    tensor component, outside a 5 s root bracket, and the per-direction
+    bound is too loose to certify one: the solver refuses it.
+    """
+    k = kt.random_kappas(np.random.default_rng(1), 1.0, birefringent=True)
+    k = k.scaled(0.1 / k.magnitude)
+    return {
+        "kappa_e_minus": k.e_minus.tolist(),
+        "kappa_o_plus": k.o_plus.tolist(),
+        "kappa_tr": k.tr,
+        "kappa_e_plus": k.e_plus.tolist(),
+        "kappa_o_minus": k.o_minus.tolist(),
+        "direction": dp.random_directions(np.random.default_rng(0), 29)[28].tolist(),
+    }
+
+
 @pytest.fixture(scope="module")
 def fuzz_config_path(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "cfg.json"
@@ -236,6 +255,7 @@ def fuzz_config_path(tmp_path_factory):
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(payload=_config())
+@example(payload=_magnitude_limit_payload())
 def test_generated_configs_exit_zero_or_one_usage_line(fuzz_config_path, payload):
     fuzz_config_path.write_text(json.dumps(payload))
     path = str(fuzz_config_path)
@@ -466,6 +486,71 @@ def test_dispersion_builds_the_tensor_once_without_bisection(
     assert len(calls) == 1
     modules = (cli, dp, fs, hm, kt)
     assert not any("brentq" in vars(module) for module in modules)
+
+
+def _rowwise_dispersion(config, grid, seed):
+    """cmd_dispersion as earlier versions built it, one object per row.
+
+    The reference for the columnar command: batched rho/sigma and roots
+    with eigenvectors, then per direction a one-row delta, a result
+    object and a row dict.  (rho/sigma stay batched: a one-row einsum
+    can round sigma's cancelling difference differently.)
+    """
+    k = config.kappas
+    kf = kt.kf_from_kappas(k)
+    directions = np.vstack(
+        (config.direction, dp.random_directions(np.random.default_rng(seed), grid))
+    )
+    khats, norms = dp._unit_rows(directions)
+    rhos, sigmas = dp.rho_sigma_batch(kf, khats)
+    omegas, _ = dp.solve_ampere_batch(kf, directions)
+    rows = []
+    for direction, khat, norm, rho, sigma, roots in zip(
+        directions, khats, norms, rhos, sigmas, omegas
+    ):
+        result = dp.DispersionResult(
+            delta=None if k.is_birefringent else dp.delta_nonbiref(k, khat),
+            rho=float(rho),
+            sigma=float(sigma),
+            omega_plus=float((1.0 + rho + sigma) * norm),
+            omega_minus=float((1.0 + rho - sigma) * norm),
+        )
+        rows.append({
+            "kx": direction[0],
+            "ky": direction[1],
+            "kz": direction[2],
+            "delta": result.delta,
+            "rho": result.rho,
+            "sigma": result.sigma,
+            "omega_minus": result.omega_minus,
+            "omega_plus": result.omega_plus,
+            "omega_minus_root": roots[0],
+            "omega_plus_root": roots[1],
+            "residual_minus": abs(roots[0] - result.omega_minus),
+            "residual_plus": abs(roots[1] - result.omega_plus),
+        })
+    return {"command": "dispersion", "rows": rows}
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("birefringent", [False, True])
+def test_columnar_dispersion_matches_the_rowwise_reference(tmp_path, seed, birefringent):
+    rng = np.random.default_rng(seed)
+    k = kt.random_kappas(rng, 1e-2, birefringent)
+    payload = {
+        "kappa_e_minus": k.e_minus.tolist(),
+        "kappa_o_plus": k.o_plus.tolist(),
+        "kappa_tr": k.tr,
+        "kappa_e_plus": k.e_plus.tolist(),
+        "kappa_o_minus": k.o_minus.tolist(),
+        "direction": dp.random_directions(rng).tolist(),
+    }
+    config = cli.load_config(_write(tmp_path, "cfg.json", payload))
+    for grid in (0, 1, 500, 5000):
+        report = cli.cmd_dispersion(config, grid=grid, seed=seed)
+        want = _rowwise_dispersion(config, grid, seed)
+        assert cli.render_json(report) == _recursive_render_json(want)
+        assert cli.render_csv(report["rows"]) == cli.render_csv(want["rows"])
 
 
 @pytest.mark.parametrize(
@@ -899,3 +984,67 @@ def test_row_templates_on_edge_values():
     for value in (flat, edge, {"rows": rows}, [flat, edge], {}, [], {"one": {}}, {"k": [{}]}):
         assert cli.render_json(value) == _recursive_render_json(value)
         assert cli.render_json(value, indent=4) == _recursive_render_json(value, indent=4)
+
+
+def test_row_lists_that_change_midway_fall_back_to_the_generic_walk():
+    base = {"a": 1.5, "b": None, "c": -2.5e-300}
+    variants = [
+        {"a": 1.5, "b": None},
+        {"a": 1.5, "b": None, "c": 2.0, "d": 3.0},
+        {"c": 2.0, "b": None, "a": 1.5},
+        {"a": 1.5, "b": 0.25, "c": 2.0},
+        {"a": 1.5, "b": "null", "c": 2.0},
+        {"a": 1, "b": None, "c": 2.0},
+        {"a": True, "b": None, "c": 2.0},
+        {"a": "1.5", "b": None, "c": 2.0},
+        {"a": np.float64(1.5), "b": None, "c": 2.0},
+        {"a": np.float32(1.5), "b": None, "c": 2.0},
+        {"a": np.int64(2), "b": np.bool_(True), "c": 2.0},
+        {"a": [1.5], "b": None, "c": 2.0},
+        {"a": {"inner": 1.5}, "b": None, "c": 2.0},
+        {},
+        [1.5, None],
+        1.5,
+        None,
+    ]
+    for variant in variants:
+        for at in (0, 1, 3):
+            rows = [dict(base, a=float(i)) for i in range(4)]
+            rows.insert(at, variant)
+            for value in (rows, {"rows": rows}):
+                for indent in (0, 4):
+                    assert cli.render_json(value, indent) == _recursive_render_json(value, indent)
+
+
+def test_uniform_rows_of_every_scalar_kind_render_like_the_recursive_renderer():
+    rows = [
+        {
+            "flag": bool(i % 2),
+            "count": i - 7,
+            "name": f'row "{i}" at 100%',
+            "np_count": np.int64(-i),
+            "np_small": np.int8(i),
+            "np_flag": np.bool_(i % 3 == 0),
+            "np_text": np.str_(f"t{i}"),
+            "f32": np.float32(i / 7.0),
+            "f64": np.float64(i / 3.0),
+            "x": i / 7.0,
+            "none": None,
+            "%d key": float(i),
+        }
+        for i in range(30)
+    ]
+    lists = [
+        rows,
+        [{"x": i / 3.0} for i in range(5)],
+        [{"text": f"t{i}"} for i in range(5)],
+        [{"flag": i % 2 == 0} for i in range(5)],
+        [{"none": None} for _ in range(5)],
+        [{"a": None, "b": None}, {"a": None, "b": None}],
+        [{"x": float("nan"), "y": -0.0, "z": float("inf")}] * 3,
+    ]
+    for value in lists:
+        for indent in (0, 2, 4):
+            assert cli.render_json(value, indent) == _recursive_render_json(value, indent)
+        nested = {"command": "x", "rows": value, "tail": [value]}
+        assert cli.render_json(nested) == _recursive_render_json(nested)

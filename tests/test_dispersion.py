@@ -90,6 +90,84 @@ def test_frame_rejects_non_unit():
         dp.polarization_frame([0.0, 0.0, 2.0])
 
 
+def _rowwise_frame(khat):
+    """eps1 and eps2 built one direction at a time, as earlier versions did.
+
+    The reference for polarization_frames: Gram-Schmidt of x-hat (y-hat
+    within 1e-8 of x-hat) in the canonical hemisphere, one norm and one
+    cross product per direction.
+    """
+    xhat, yhat = np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])
+
+    def transverse(k):
+        e1 = xhat - (xhat @ k) * k
+        n = np.linalg.norm(e1)
+        if n < 1e-8:
+            e1 = yhat - (yhat @ k) * k
+            n = np.linalg.norm(e1)
+        e1 = e1 / n
+        return e1, np.cross(k, e1)
+
+    if khat[2] != 0.0:
+        canonical = khat[2] > 0.0
+    elif khat[1] != 0.0:
+        canonical = khat[1] > 0.0
+    else:
+        canonical = khat[0] > 0.0
+    if canonical:
+        return transverse(khat)
+    e1, e2 = transverse(-khat)
+    return e1, -e2
+
+
+def _rowwise_delta(k, khat):
+    """delta_nonbiref one direction at a time, on the reference frame."""
+    e1, e2 = _rowwise_frame(khat)
+    emt = k.e_minus + np.eye(3) * k.tr
+    return float(e1 @ k.o_plus @ e2 - 0.5 * (e1 @ emt @ e1 + e2 @ emt @ e2))
+
+
+def _frame_test_directions(rng, count):
+    """count random directions plus the frame's edge cases.
+
+    The edge cases are the axes, the k_z = 0 circle where the hemisphere
+    falls to k_y and k_x, signed zeros, and directions on either side of
+    the 1e-8 switch from x-hat to y-hat.
+    """
+    phi = rng.uniform(0.0, 2.0 * np.pi, size=200)
+    circle = np.column_stack((np.cos(phi), np.sin(phi), np.zeros_like(phi)))
+    zeros = [
+        [-0.0, 0.0, 1.0], [0.0, -0.0, -1.0], [1.0, -0.0, 0.0], [-1.0, 0.0, -0.0],
+        [0.0, 1.0, -0.0], [-0.0, -1.0, 0.0], [1.0, 0.0, -0.0], [-1.0, -0.0, 0.0],
+    ]
+    near_x = []
+    for eps in 10.0 ** rng.uniform(-10.0, -7.0, size=60) * rng.choice([-1.0, 1.0], size=60):
+        for v in ([1.0, eps, eps], [1.0, eps, 0.0], [1.0, 0.0, eps], [-1.0, eps, -eps]):
+            near_x.append(np.array(v) / np.linalg.norm(v))
+    return np.vstack((
+        dp.random_directions(rng, count), np.eye(3), -np.eye(3), circle, zeros, near_x,
+    ))
+
+
+def test_batched_frames_match_the_rowwise_reference_bit_for_bit():
+    khats = _frame_test_directions(np.random.default_rng(20), 12000)
+    eps1, eps2 = dp.polarization_frames(khats)
+    for khat, e1, e2 in zip(khats, eps1, eps2):
+        want1, want2 = _rowwise_frame(khat)
+        one = dp.polarization_frame(khat)
+        for got, want in ((e1, want1), (e2, want2), (one.eps1, want1), (one.eps2, want2)):
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_polarization_frames_reject_non_unit_rows():
+    with pytest.raises(ValueError):
+        dp.polarization_frames([[0.0, 0.0, 1.0], [0.0, 0.0, 1.1]])
+    with pytest.raises(ValueError):
+        dp.polarization_frames([0.0, 0.0, 1.0])
+    assert dp.polarization_frames(np.zeros((0, 3)))[0].shape == (0, 3)
+
+
 # ---------------------------------------------------------------- ktilde
 
 
@@ -224,6 +302,18 @@ def test_delta_rotation_covariance():
         assert after == pytest.approx(before, abs=1e-12)
 
 
+def test_batched_delta_matches_the_rowwise_reference_bit_for_bit():
+    rng = np.random.default_rng(32)
+    k = kt.random_kappas(rng, 1e-2)
+    khats = _frame_test_directions(rng, 10000)
+    delta = dp.delta_nonbiref_batch(k, khats)
+    want = np.array([_rowwise_delta(k, khat) for khat in khats])
+    assert np.array_equal(delta, want)
+    assert all(dp.delta_nonbiref(k, khat) == w for khat, w in zip(khats[-1000:], want[-1000:]))
+    with pytest.raises(ValueError):
+        dp.delta_nonbiref_batch(kt.random_kappas(rng, 1e-2, birefringent=True), khats)
+
+
 # ----------------------------------------------------------- Ampere law
 
 
@@ -312,8 +402,27 @@ def test_summarize_fields():
     assert res.delta == pytest.approx(dp.delta_nonbiref(k, kvec / 2.0), abs=1e-15)
     assert res.omega_plus == pytest.approx((1 + res.rho + res.sigma) * 2.0, rel=1e-15)
     assert res.omega_minus == pytest.approx((1 + res.rho - res.sigma) * 2.0, rel=1e-15)
+    assert all(type(v) is float for v in vars(res).values())
     biref = kt.random_kappas(rng, 1e-3, birefringent=True)
     assert dp.summarize(biref, kvec).delta is None
+
+
+@pytest.mark.parametrize("birefringent", [False, True])
+def test_summarize_batch_columns_are_the_rowwise_results(birefringent):
+    rng = np.random.default_rng(33)
+    k = kt.random_kappas(rng, 1e-2, birefringent)
+    kvecs = dp.random_directions(rng, 200) * rng.uniform(0.5, 3.0, size=(200, 1))
+    batch = dp.summarize_batch(k, kt.kf_from_kappas(k), kvecs)
+    for n, kvec in enumerate(kvecs):
+        khats, (norm,) = dp._unit_rows(kvec)
+        rho, sigma = dp.rho_sigma(kt.kf_from_kappas(k), khats[0])
+        assert (batch.rho[n], batch.sigma[n]) == (rho, sigma)
+        assert batch.omega_plus[n] == (1.0 + rho + sigma) * norm
+        assert batch.omega_minus[n] == (1.0 + rho - sigma) * norm
+        if birefringent:
+            assert batch.delta is None
+        else:
+            assert batch.delta[n] == _rowwise_delta(k, khats[0])
 
 
 # ------------------------------------------- batched solver vs bisection
@@ -333,7 +442,7 @@ def _brentq_solve_ampere(kf, kvec):
     if strength == 0.0:
         f = dp.polarization_frame(kvec / knorm)
         return [(knorm, f.eps1.astype(complex)), (knorm, f.eps2.astype(complex))]
-    half_width = max(5.0 * strength, dp._MIN_BRACKET)
+    half_width = max(5.0 * strength, 1e-12)
     lo = (1.0 - half_width) * knorm
     hi = (1.0 + half_width) * knorm
 
@@ -494,6 +603,125 @@ def test_batched_solver_keeps_its_refusals():
     good = [0.0, 0.0, 1.0]
     with pytest.raises(RuntimeError, match="1 direction"):
         dp.solve_ampere_batch(K, [good, [1.0, 1.0, 1.0], good])
+
+
+@pytest.mark.parametrize("name", sorted(set(_CONFIGS) - {"zero"}))
+def test_eigenvalue_residuals_are_the_polarization_residuals(name):
+    # the gate judges |lambda| from eigvalsh; it must be ||M E|| of the
+    # polarizations that solve_ampere_batch returns, and at a double root
+    # both polarizations belong to the lower root's M
+    rng = np.random.default_rng(160 + sorted(_CONFIGS).index(name))
+    kf = _CONFIGS[name](rng)
+    khats = np.vstack((np.eye(3), -np.eye(3), dp.random_directions(rng, 200)))
+    _, _, _, m, double = dp._transverse_roots(kf, khats)
+    residual = dp._root_residuals(m, double)
+    _, fields = dp.solve_ampere_batch(kf, khats)
+    at = m.copy()
+    at[double, 1] = m[double, 0]
+    want = np.linalg.norm(np.einsum("nrpq,nrq->nrp", at, fields), axis=-1)
+    assert np.max(np.abs(residual - want)) <= 1e-15
+    if name in _DOUBLE_ROOTS:
+        assert np.all(double)
+
+
+def _companion_roots(kf, khats):
+    """All six roots x = omega/|k| per direction, from a companion built here.
+
+    The directions are normalized again, as the solver does.
+    """
+    khats, _ = dp._unit_rows(khats)
+    K = kt.as_kf_components(kf)
+    m0, m1, m2 = dp._ampere_coefficients(K, khats)
+    inv = np.linalg.inv(m2)
+    companion = np.zeros((len(khats), 6, 6))
+    companion[:, :3, 3:] = np.eye(3)
+    companion[:, 3:, :3] = -inv @ m0
+    companion[:, 3:, 3:] = -inv @ m1
+    return np.linalg.eigvals(companion), (m0, m1, m2)
+
+
+def _generated_kf(seed, magnitude, birefringent):
+    """A random parameter set scaled so that its largest entry is magnitude."""
+    rng = np.random.default_rng(seed)
+    k = kt.random_kappas(rng, 1.0, birefringent)
+    return kt.kf_from_kappas(k.scaled(magnitude / k.magnitude))
+
+
+@pytest.mark.parametrize("magnitude", [1e-4, 1e-2, 3e-2, 0.1])
+@pytest.mark.parametrize("birefringent", [False, True])
+def test_root_bound_holds_and_keeps_out_every_other_root(magnitude, birefringent):
+    khats = dp.random_directions(np.random.default_rng(161), 300)
+    certified = 0
+    for seed in range(20):
+        kf = _generated_kf(seed, magnitude, birefringent)
+        if np.max(np.abs(kt.as_kf_components(kf))) > kt.PERTURBATIVE_LIMIT:
+            continue
+        roots, coefficients = _companion_roots(kf, khats)
+        bound = dp._root_bound(khats, *coefficients)
+        distance = np.sort(np.abs(roots - 1.0), axis=1)
+        ok = np.isfinite(bound)
+        certified += np.count_nonzero(ok)
+        assert np.all(distance[ok, 1] <= bound[ok] * (1.0 + 1e-12) + 1e-15)
+        assert np.all(distance[ok, 2] > bound[ok])
+    if magnitude <= 3e-2:
+        assert certified == 20 * len(khats)
+    else:
+        assert certified > 0
+
+
+def _five_s_roots(kf, khats):
+    """The roots that the bracket [1 - 5 s, 1 + 5 s] alone selects, or nan.
+
+    Earlier versions selected the transverse pair this way; rows without
+    exactly two real roots in that bracket get nan.
+    """
+    roots, _ = _companion_roots(kf, khats)
+    strength = np.max(np.abs(kt.as_kf_components(kf)))
+    found = (np.abs(roots.real - 1.0) <= 5.0 * strength) & (
+        np.abs(roots.imag) <= np.sqrt(np.finfo(float).eps)
+    )
+    two = np.count_nonzero(found, axis=1) == 2
+    out = np.full((len(khats), 2), np.nan)
+    out[two] = np.sort(roots.real[two][found[two]].reshape(-1, 2), axis=1)
+    return out
+
+
+@pytest.mark.parametrize("magnitude", [1e-2, 0.1])
+def test_roots_the_5s_bracket_found_stay_bit_identical(magnitude):
+    # the per-direction bound widens the bracket; directions that the 5 s
+    # bracket alone solved keep their roots to the bit, and the rest are
+    # solved or refused as a whole
+    khats = dp.random_directions(np.random.default_rng(162), 400)
+    solved = refused = 0
+    for seed in range(30):
+        kf = _generated_kf(1000 + seed, magnitude, seed % 2 == 0)
+        if np.max(np.abs(kt.as_kf_components(kf))) > kt.PERTURBATIVE_LIMIT:
+            continue
+        old = _five_s_roots(kf, khats) * dp._unit_rows(khats)[1][:, None]
+        try:
+            new = dp.ampere_roots_batch(kf, khats)
+        except RuntimeError:
+            refused += 1
+            continue
+        solved += 1
+        kept = ~np.isnan(old[:, 0])
+        assert np.array_equal(new[kept], old[kept])
+    assert solved > 0
+    if magnitude == 1e-2:
+        assert refused == 0
+
+
+def test_widened_bracket_solves_sets_beyond_5s():
+    # a set of magnitude 1e-2 whose roots move by up to 5.2 s: the 5 s
+    # bracket misses 37 of these directions, the bound brackets all of them
+    kf = _generated_kf(143, 1e-2, True)
+    khats = dp.random_directions(np.random.default_rng(163), 2000)
+    assert np.any(np.isnan(_five_s_roots(kf, khats)[:, 0]))
+    omegas = dp.ampere_roots_batch(kf, khats)
+    roots, _ = _companion_roots(kf, khats)
+    nearest = np.take_along_axis(roots, np.argsort(np.abs(roots - 1.0), axis=1), axis=1)
+    want = np.sort(nearest[:, :2].real, axis=1) * dp._unit_rows(khats)[1][:, None]
+    assert np.array_equal(omegas, want)
 
 
 # ------------------------------------------------- batched rho/sigma noise
