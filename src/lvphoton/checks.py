@@ -13,7 +13,6 @@ name here, so that a wrapper put on the module attribute sees the call.
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import expm
 
 from . import dispersion as dp
 from . import fock_space as fs
@@ -223,7 +222,10 @@ def _hamiltonian_checks(rng, config):
     t = min(config.time, TIME_HORIZON)
     k = kt.random_kappas(rng, 1e-2)
     h = hm.build_grouped(small, k, dp.polarization_frame(config.direction)).total
-    u = expm(-1j * t * h.toarray())
+    u = np.zeros((small.dim, small.dim), dtype=complex)
+    identity = sp.identity(small.dim, dtype=complex, format="csc")
+    for rows, ids, evolved in fs.propagate_blocks(h, identity, t):
+        u[np.ix_(rows, ids)] = evolved
     m_small = fs.metric_diagonal(small)
     bar_u = (m_small[:, None] * u.conj().T) * m_small[None, :]
     yield _check(
@@ -278,8 +280,8 @@ def _hamiltonian_checks(rng, config):
     )
 
 
-def _inject_c_defect(space, h, strength=1e-3):
-    """A bar-self-adjoint rank-2 coupler between an A and a C state.
+def _inject_c_defect(space, h):
+    """h plus 1e-3 times a bar-self-adjoint rank-2 coupler between an A and a C state.
 
     Used as a verification fixture: a Hamiltonian with this added leaks
     A-class amplitude into the C class, which the invariance check must
@@ -291,7 +293,7 @@ def _inject_c_defect(space, h, strength=1e-3):
     )
     bras = (fs.metric_M(space) @ states).conj().T.tocsr()
     defect = states[:, [1]] @ bras[[0]] + states[:, [0]] @ bras[[1]]
-    return h + strength * defect
+    return h + 1e-3 * defect
 
 
 def _lorenz_checks(rng, config, inject_c_leakage):

@@ -7,7 +7,9 @@ the ordinary ("physical metric") number basis; the indefinite scalar
 product enters only through the diagonal metric operator M with entries
 (-1)^(n0(+k) + n0(-k)).  Operators are scipy.sparse matrices; the
 FockSpace is passed alongside and dimensions are validated where they
-meet.
+meet.  Every ladder operator, every fixed combination of them (the d/g
+ghost modes) and every sum of products of two is written by one
+function, monomial_sum, from ladder factors (ladder, dg_factors).
 
 Mode ordering: +k modes 0,1,2,3 then -k modes 0,1,2,3 (0 = scalar,
 1,2 = transverse, 3 = longitudinal).  Basis index is lexicographic with
@@ -111,33 +113,7 @@ def _check_operator(space, a):
 
 def annihilator(space, mode):
     """Sparse lowering operator for one mode (entries sqrt(n)), identity elsewhere."""
-    return _lowering(space, mode.slot)
-
-
-def _lowering(space, slot):
-    """Lowering operator of the mode in position `slot` of the occupation tuple.
-
-    Column i with n = n_slot(i) > 0 holds sqrt(n) in row i - stride,
-    stride = base**(modes - 1 - slot).  In the lexicographic basis
-    n_slot(i) is (i // stride) % base, so the pattern repeats every
-    period = stride * base indices, and within each period the entries
-    sit in columns [stride, period) and rows [0, period - stride).  The
-    CSR arrays are written out from that, without a kron chain or a scan
-    of the occupation table, and match the kron chain of single-mode
-    factors bit for bit.
-    """
-    stride = space.base ** (space.modes - 1 - slot)
-    period = stride * space.base
-    kept = period - stride  # rows per period that hold an entry
-    starts = np.arange(space.dim // period, dtype=np.int32)[:, None]
-    cols = (starts * period + np.arange(stride, period, dtype=np.int32)).ravel()
-    indptr = np.zeros(space.dim + 1, dtype=np.int32)
-    indptr[1:] = (
-        starts * kept + np.minimum(np.arange(1, period + 1, dtype=np.int32), kept)
-    ).ravel()
-    levels = np.sqrt(np.arange(1, space.base)).astype(complex)
-    data = np.tile(np.repeat(levels, stride), len(starts))
-    return sp.csr_matrix((data, cols, indptr), shape=(space.dim, space.dim))
+    return monomial_sum(space, [(1.0, ladder(mode.slot))])
 
 
 def ladder(slot, coef=1.0, raising=False):
@@ -153,15 +129,18 @@ def ladder(slot, coef=1.0, raising=False):
 
 
 def monomial_sum(space, terms):
-    """sum_k c_k X_k Y_k as one CSR matrix, each X_k, Y_k a ladder factor.
+    """sum_k c_k X_k Y_k (or c_k X_k) as one CSR matrix, each X_k, Y_k a ladder factor.
 
-    Every product of two ladder operators is a fixed index shift (+-
-    stride of each slot) whose weights come from the occupation table:
-    the right operator acts first, a same-slot pair sees the occupation
-    the first one left, and a product that leaves the truncated space
-    anywhere is zero.  Each weight is the product of the two operators'
-    sqrt entries, so one monomial equals the sparse product of its
-    _lowering matrices (and daggers) bit for bit.
+    A term is (coef, factor) or (coef, left, right).  A single ladder
+    operator is a fixed index shift (+- the stride of its slot) weighted
+    by sqrt(n) for a lowering and sqrt(n + 1) for a raising operator, 0
+    where it would leave the truncated space; a product of two is the
+    sum of the two shifts: the right operator acts first, a same-slot
+    pair sees the occupation the first one left, and a product that
+    leaves the truncated space anywhere is zero.  Each weight is one
+    sqrt entry or the product of two, so one monomial equals the kron
+    chain of single-mode factors (or the sparse product of two such
+    operators) bit for bit.
 
     Each term's product is expanded into monomials, equal monomials
     merged (operators on different slots commute), and terms with equal
@@ -173,14 +152,20 @@ def monomial_sum(space, terms):
     held densely at a time.
     """
     products = {}  # expanded product -> summed coefficient
-    for coef, left, right in terms:
+    for coef, *factors in terms:
         paths = {}  # monomial -> its weight in this product
-        for c_left, slot_left, raise_left in left:
-            for c_right, slot_right, raise_right in right:
-                key = ((slot_left, raise_left), (slot_right, raise_right))
-                if slot_left != slot_right:
-                    key = tuple(sorted(key))
-                paths[key] = paths.get(key, 0.0) + c_left * c_right
+        if len(factors) == 1:
+            for c, slot, raising in factors[0]:
+                key = ((slot, raising),)
+                paths[key] = paths.get(key, 0.0) + c
+        else:
+            left, right = factors
+            for c_left, slot_left, raise_left in left:
+                for c_right, slot_right, raise_right in right:
+                    key = ((slot_left, raise_left), (slot_right, raise_right))
+                    if slot_left != slot_right:
+                        key = tuple(sorted(key))
+                    paths[key] = paths.get(key, 0.0) + c_left * c_right
         product = tuple(sorted(item for item in paths.items() if item[1] != 0))
         products[product] = products.get(product, 0.0) + coef
     strides = space.base ** np.arange(space.modes - 1, -1, -1)
@@ -209,13 +194,16 @@ def monomial_sum(space, terms):
     single = {}  # the entry of each (slot, raising) in every column
 
     def entries(monomial):  # the monomial's entry in every column
-        (slot_l, raise_l), (slot_r, raise_r) = monomial
-        if slot_l == slot_r:  # the left operator sees the occupation the right one left
+        if len(monomial) == 2 and monomial[0][0] == monomial[1][0]:
+            # the left operator sees the occupation the right one left
+            (slot, raise_l), (_, raise_r) = monomial
             step = 1 if raise_r else -1
-            return spread(slot_r, table(raise_l, n + step) * table(raise_r, n))
+            return spread(slot, table(raise_l, n + step) * table(raise_r, n))
         for slot, raising in monomial:
             if (slot, raising) not in single:
                 single[slot, raising] = spread(slot, table(raising, n))
+        if len(monomial) == 1:
+            return single[monomial[0]]
         return single[monomial[0]] * single[monomial[1]]
 
     rows, cols, values = [], [], []
@@ -238,10 +226,10 @@ def monomial_sum(space, terms):
     rows = np.concatenate(rows or [np.zeros(0, dtype=int)])
     order = np.argsort(rows, kind="stable")
     indptr = np.zeros(space.dim + 1, dtype=np.int32)
-    np.cumsum(np.bincount(rows, minlength=space.dim), out=indptr[1:])
+    indptr[1:] = np.cumsum(np.bincount(rows, minlength=space.dim))
     return sp.csr_matrix(
         (
-            np.concatenate(values or [np.zeros(0)])[order].astype(complex),
+            np.concatenate(values or [np.zeros(0, dtype=complex)])[order],
             np.concatenate(cols or [np.zeros(0, dtype=int)])[order].astype(np.int32),
             indptr,
         ),
@@ -487,25 +475,12 @@ DG_D = {3: 1j * _R2, 0: -1j * _R2}
 DG_G = {3: _R2, 0: _R2}
 
 
-def dg_operators(space, direction):
-    """The ghost-sector mode pair a_d, a_g (DG_D, DG_G) for one direction.
-
-    In the physical metric these are two independent unit bosons; their
-    bar-adjoints mix them: bar(a_d) = -i a_g-dagger, bar(a_g) = +i
-    a_d-dagger, so d quanta and g quanta are indefinite-product
-    conjugates of each other rather than of themselves.
-    """
-    a0 = annihilator(space, ModeId(direction, 0))
-    a3 = annihilator(space, ModeId(direction, 3))
-    a_d, a_g = (coefs[3] * a3 + coefs[0] * a0 for coefs in (DG_D, DG_G))
-    return a_d.tocsr(), a_g.tocsr()
-
-
 def dg_factors(direction):
     """a_d, a_g and their bar-adjoints for one direction, as ladder factors.
 
-    The same combinations as dg_operators, for monomial_sum.  The
-    bar-adjoint of c a_p is conj(c) zeta_p a_p-dagger, which gives
+    The combinations DG_D, DG_G of the direction's scalar and
+    longitudinal lowering operators, for monomial_sum.  The bar-adjoint
+    of c a_p is conj(c) zeta_p a_p-dagger, which gives
     bar(a_d) = -i a_g-dagger and bar(a_g) = +i a_d-dagger.
     Returns (a_d, a_g, bar(a_d), bar(a_g)).
     """
@@ -514,6 +489,19 @@ def dg_factors(direction):
     lower = [tuple((c, slots[p], False) for p, c in m.items()) for m in modes]
     bars = [tuple((c.conjugate() * ZETA[p], slots[p], True) for p, c in m.items()) for m in modes]
     return (*lower, *bars)
+
+
+def dg_operators(space, direction):
+    """The ghost-sector mode pair a_d, a_g (DG_D, DG_G) for one direction.
+
+    In the physical metric these are two independent unit bosons; their
+    bar-adjoints mix them: bar(a_d) = -i a_g-dagger, bar(a_g) = +i
+    a_d-dagger, so d quanta and g quanta are indefinite-product
+    conjugates of each other rather than of themselves.  Both are the
+    first two dg_factors as sparse matrices.
+    """
+    a_d, a_g = dg_factors(direction)[:2]
+    return monomial_sum(space, [(1.0, a_d)]), monomial_sum(space, [(1.0, a_g)])
 
 
 def check_dg_occupations(space, plus, minus):

@@ -19,10 +19,12 @@ Every one of these operators is a sum of coefficients times products
 of two ladder operators (or fixed combinations of them, such as the
 d/g ghost modes), so all of them are assembled by one function,
 fock_space.monomial_sum, from lists of (coefficient, factor, factor)
-terms.  What keeps the raw/grouped comparison meaningful is that the
-two coefficient sets stay independent: build_raw takes its
-coefficients from the tensor contractions of coefficient_matrices,
-build_grouped from the kappa bilinears of kappa_bilinears.
+terms; the transverse factor's ladder operators are one-factor terms
+(coefficient, factor) of the same function.  What keeps the
+raw/grouped comparison meaningful is that the two coefficient sets
+stay independent: build_raw takes its coefficients from the tensor
+contractions of coefficient_matrices, build_grouped from the kappa
+bilinears of kappa_bilinears.
 
 All energies are in units of omega_k (hbar = omega_k = 1).  Both
 directions' mode operators are labeled against the +k frame vectors
@@ -325,11 +327,10 @@ def transverse_operators(space):
     the bar-adjoints Sb, Tb are the plain daggers.
     """
     check_transverse(space)
-    S, T, Sb, Tb = {}, {}, {}, {}
-    for r, (plus, minus) in _FACTOR_SLOTS.items():
-        S[r], T[r] = fs._lowering(space, plus), fs._lowering(space, minus)
-        Sb[r], Tb[r] = S[r].conj().T.tocsr(), T[r].conj().T.tocsr()
-    return S, T, Sb, Tb
+    return tuple(
+        {r: fs.monomial_sum(space, [(1.0, factor)]) for r, factor in group.items()}
+        for group in _mode_factors(_FACTOR_SLOTS)
+    )
 
 
 def build_transverse(space, kappas, frame):

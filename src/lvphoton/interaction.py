@@ -40,6 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from . import fock_space as fs
 from . import hamiltonian as hm
 from .dispersion import Z_AXIS, polarization_frame
 from .kappa_tensor import check_nonbiref
@@ -79,8 +80,9 @@ def transverse_potential(space, polarization):
     """
     if polarization not in (1, 2):
         raise ValueError("transverse polarization must be 1 or 2")
-    S, _, _, Tb = hm.transverse_operators(space)
-    return ((S[polarization] + Tb[polarization]) / math.sqrt(2)).tocsr()
+    hm.check_transverse(space)
+    S, _, _, Tb = hm._mode_factors(hm._FACTOR_SLOTS)
+    return fs.monomial_sum(space, [(1 / math.sqrt(2), S[polarization] + Tb[polarization])])
 
 
 def mixing_deltas(kappas, frame):

@@ -295,8 +295,8 @@ class SymmetryReport:
             self.double_trace,
         )
 
-    def ok(self, tol=INVARIANT_TOL):
-        return self.max_violation <= tol
+    def ok(self):
+        return self.max_violation <= INVARIANT_TOL
 
 
 def check_invariants(kf):
@@ -317,7 +317,7 @@ def check_invariants(kf):
     return SymmetryReport(first, second, pair, bianchi, dtr)
 
 
-def kappas_from_kf(kf, tol=INVARIANT_TOL):
+def kappas_from_kf(kf):
     """Decompose a valid rank-4 tensor into its five parameter matrices.
 
     The five read-off formulas (raised indices):
@@ -330,13 +330,14 @@ def kappas_from_kf(kf, tol=INVARIANT_TOL):
         tr           = -(2/3) K^{0l0l}
 
     Raises ValueError if the input violates the structural invariants
-    beyond `tol` (malformed tensor).
+    beyond INVARIANT_TOL (malformed tensor).
     """
     K = as_kf_components(kf)
     report = check_invariants(K)
-    if not report.ok(tol):
+    if not report.ok():
         raise ValueError(
-            f"tensor violates structural invariants (max {report.max_violation:.3e} > {tol:g})"
+            "tensor violates structural invariants "
+            f"(max {report.max_violation:.3e} > {INVARIANT_TOL:g})"
         )
     return KappaSet(**_read_off(K))
 

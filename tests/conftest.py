@@ -10,6 +10,44 @@ from scipy.linalg import expm
 from lvphoton import fock_space as fs
 
 
+def _kron_ladder(space, slot, raising=False):
+    """Reference ladder operator of one slot: kron chain of single-mode factors.
+
+    Works on any FockSpace (the 8-mode pair, the transverse factor, the
+    reduced ghost space); the raising operator is the chain with the
+    transposed single-mode factor.
+    """
+    lower = sp.diags(np.sqrt(np.arange(1.0, space.base)), -1 if raising else 1, format="csr")
+    eye = sp.identity(space.base, format="csr")
+    out = sp.identity(1, format="csr")
+    for position in range(space.modes):
+        out = sp.kron(out, lower if position == slot else eye, format="csr")
+    return out.astype(complex)
+
+
+@pytest.fixture(scope="session")
+def kron_ladder():
+    """The reference ladder builder: (space, slot, raising=False) -> CSR matrix."""
+    return _kron_ladder
+
+
+def _assert_same_csr(got, want):
+    """Same type, shape, dtypes and CSR arrays, bit for bit (signed zeros too)."""
+    assert type(got) is type(want)
+    assert got.shape == want.shape
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        assert np.array_equal(a, b), name
+        assert a.tobytes() == b.tobytes(), name
+
+
+@pytest.fixture(scope="session")
+def assert_same_csr():
+    """The bitwise CSR comparison: (got, want) -> None, raising on a difference."""
+    return _assert_same_csr
+
+
 def _raised_vacuum_states(space, states):
     """Reference d/g basis states, built directly from their definition.
 

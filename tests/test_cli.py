@@ -789,10 +789,10 @@ def test_verify_detects_injected_leakage(tmp_path, capsys):
 
 
 def test_injected_defect_is_the_rank_two_coupler():
-    # the sparse coupler acts as strength (|c><Ma| + |a><Mc|) on any vector
+    # the sparse coupler acts as 1e-3 (|c><Ma| + |a><Mc|) on any vector
     space = fs.build_space(2)
     zero = sp.csr_matrix((space.dim, space.dim), dtype=complex)
-    defect = checks._inject_c_defect(space, zero, strength=1e-3)
+    defect = checks._inject_c_defect(space, zero)
     a_state = fs.dg_basis_state(space, (1, 0, 0, 0))
     c_state = fs.dg_basis_state(space, (0, 0, 1, 1))
     mdiag = fs.metric_diagonal(space)

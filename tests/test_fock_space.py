@@ -25,28 +25,14 @@ def test_dimensions_and_bijection():
         fs.build_space(5)
 
 
-def _kron_annihilator(space, mode):
-    """Reference lowering operator: kron chain of single-mode factors."""
-    lower = sp.diags(np.sqrt(np.arange(1, space.base)), 1, format="csr")
-    out = sp.identity(1, format="csr")
-    for slot in range(8):
-        factor = lower if slot == mode.slot else sp.identity(space.base, format="csr")
-        out = sp.kron(out, factor, format="csr")
-    return out.astype(complex)
-
-
-@pytest.mark.parametrize("cutoff", [1, 2, 3])
-def test_annihilator_matches_kron_chain_bitwise(cutoff):
+@pytest.mark.parametrize("cutoff", [1, 2, 3, 4])
+def test_annihilator_matches_kron_chain_bitwise(cutoff, kron_ladder, assert_same_csr):
+    # lowering through annihilator, raising through a one-factor monomial
     space = fs.build_space(cutoff)
     for mode in fs.ALL_MODES:
-        got = fs.annihilator(space, mode)
-        want = _kron_annihilator(space, mode)
-        assert type(got) is type(want)
-        assert got.shape == want.shape
-        for name in ("indptr", "indices", "data"):
-            a, b = getattr(got, name), getattr(want, name)
-            assert a.dtype == b.dtype, name
-            assert np.array_equal(a, b), name
+        assert_same_csr(fs.annihilator(space, mode), kron_ladder(space, mode.slot))
+        raising = fs.monomial_sum(space, [(1.0, fs.ladder(mode.slot, raising=True))])
+        assert_same_csr(raising, kron_ladder(space, mode.slot, raising=True))
 
 
 def test_annihilator_ladder_action():
@@ -196,6 +182,16 @@ def test_dg_commutators_and_bar():
         assert abs(comm - proj).max() < 1e-13
         cross = proj @ (op @ other.conj().T - other.conj().T @ op) @ proj
         assert abs(cross).max() < 1e-13
+
+
+@pytest.mark.parametrize("cutoff", [1, 2, 3])
+def test_dg_operators_match_rotated_kron_chains_bitwise(cutoff, kron_ladder, assert_same_csr):
+    # the sparse sums DG[3] a3 + DG[0] a0 of kron-chain lowering operators
+    space = fs.build_space(cutoff)
+    for direction in (fs.PLUS_K, fs.MINUS_K):
+        a0, a3 = (kron_ladder(space, fs.ModeId(direction, p).slot) for p in (0, 3))
+        for got, coefs in zip(fs.dg_operators(space, direction), (fs.DG_D, fs.DG_G)):
+            assert_same_csr(got, (coefs[3] * a3 + coefs[0] * a0).tocsr())
 
 
 def test_dg_inverts_to_longitudinal():

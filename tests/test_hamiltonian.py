@@ -154,11 +154,6 @@ def test_transverse_assembler_matches_product_chains(cutoff):
         _assert_assembled_like(got, want)
 
 
-def _ladder_matrix(space, slot, raising):
-    a = fs._lowering(space, slot)
-    return a.conj().T.tocsr() if raising else a
-
-
 #: Monomials (left, right) of (slot, raising) and, for one slot, the
 #: occupations n of the columns that keep an entry under the truncation.
 _MONOMIALS = [
@@ -175,13 +170,13 @@ _MONOMIALS = [
 @pytest.mark.parametrize("coef", [1.0, -1.0, 0.3 - 0.7j])
 @pytest.mark.parametrize("left, right, kept", _MONOMIALS)
 @pytest.mark.parametrize("cutoff", [2, 3])
-def test_single_monomial_equals_lowering_product(cutoff, left, right, kept, coef):
+def test_single_monomial_equals_lowering_product(cutoff, left, right, kept, coef, kron_ladder):
     # the coefficient comes out as scipy applies it to the product
     space = fs.build_space(cutoff)
     x = fs.ladder(left[0], raising=left[1])
     y = fs.ladder(right[0], raising=right[1])
     got = fs.monomial_sum(space, [(coef, x, y)])
-    want = (coef * (_ladder_matrix(space, *left) @ _ladder_matrix(space, *right))).tocsr()
+    want = (coef * (kron_ladder(space, *left) @ kron_ladder(space, *right))).tocsr()
     want.sort_indices()
     assert got.dtype == np.complex128
     assert np.array_equal(got.indptr, want.indptr)
@@ -190,6 +185,52 @@ def test_single_monomial_equals_lowering_product(cutoff, left, right, kept, coef
     if kept is not None:  # same slot: the columns left with an entry
         n = space.occupations[:, 3]
         assert np.array_equal(np.diff(got.tocsc().indptr) > 0, kept(n, cutoff))
+
+
+@pytest.mark.parametrize("coef", [1.0, -1.0, 0.3 - 0.7j])
+@pytest.mark.parametrize("slot, raising", [(3, False), (3, True), (0, False), (7, True)])
+@pytest.mark.parametrize("cutoff", [1, 2, 3])
+def test_single_factor_equals_kron_chain(cutoff, slot, raising, coef, kron_ladder, assert_same_csr):
+    # a one-factor term is one ladder operator times its coefficient
+    space = fs.build_space(cutoff)
+    got = fs.monomial_sum(space, [(coef, fs.ladder(slot, raising=raising))])
+    assert_same_csr(got, (coef * kron_ladder(space, slot, raising)).tocsr())
+
+
+@pytest.mark.parametrize("cutoff", [1, 2, 3])
+def test_mixed_factor_counts_equal_their_sparse_sum(cutoff, kron_ladder):
+    # one- and two-factor terms in one list, factor coefficients included
+    space = fs.build_space(cutoff)
+    pair = fs.ladder(3, 0.5) + fs.ladder(6, -2.0, raising=True)
+    terms = [
+        (0.3 - 0.7j, pair),
+        (-1.0, fs.ladder(1), fs.ladder(5, raising=True)),
+        (1.0, fs.ladder(2, 1j, raising=True)),
+        (0.25, fs.ladder(4, raising=True), fs.ladder(4, raising=True)),
+    ]
+    got = fs.monomial_sum(space, terms)
+
+    def k(slot, raising=False):
+        return kron_ladder(space, slot, raising)
+
+    want = (0.3 - 0.7j) * (0.5 * k(3) - 2.0 * k(6, True))
+    want = want - k(1) @ k(5, True) + 1j * k(2, True) + 0.25 * (k(4, True) @ k(4, True))
+    want = want.tocsr()
+    want.sort_indices()
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert np.array_equal(got.data, want.data)
+
+
+@pytest.mark.parametrize("cutoff", [1, 2, 3, 4, 5])
+def test_transverse_operators_match_kron_chain_bitwise(cutoff, kron_ladder, assert_same_csr):
+    space = hm.transverse_space(cutoff)
+    S, T, Sb, Tb = hm.transverse_operators(space)
+    for r, (plus, minus) in hm._FACTOR_SLOTS.items():
+        assert_same_csr(S[r], kron_ladder(space, plus))
+        assert_same_csr(T[r], kron_ladder(space, minus))
+        assert_same_csr(Sb[r], kron_ladder(space, plus, raising=True))
+        assert_same_csr(Tb[r], kron_ladder(space, minus, raising=True))
 
 
 def test_dg_factors_match_dg_operators():

@@ -192,6 +192,16 @@ def test_transverse_potential_structure(space):
         ia.transverse_potential(space, 3)
 
 
+@pytest.mark.parametrize("cutoff", [1, 2, 3, 4, 5])
+def test_transverse_potential_matches_kron_chains_bitwise(cutoff, kron_ladder, assert_same_csr):
+    # (a_r(+k) + a_r(-k)-dagger) / sqrt(2) from kron-chain ladder matrices
+    factor = hm.transverse_space(cutoff)
+    for pol in (1, 2):
+        plus, minus = hm._FACTOR_SLOTS[pol]
+        a, b_dag = kron_ladder(factor, plus), kron_ladder(factor, minus, raising=True)
+        assert_same_csr(ia.transverse_potential(factor, pol), ((a + b_dag) / np.sqrt(2)).tocsr())
+
+
 def test_first_order_agreement_is_quadratic(space, frame):
     # on columns with transverse headroom the exact conjugation matches
     # the printed mixing to O(kappa^2); saturated columns carry O(kappa)

@@ -301,29 +301,37 @@ def test_counting_oracle_matches_operator_products():
                     assert best[start] > 1e-12
 
 
-def _kron_ghost_annihilator(gspace, slot):
-    """Reference ghost lowering operator: kron chain of single-mode factors."""
-    lower = sp.diags(np.sqrt(np.arange(1.0, gspace.base)), 1)
-    eye = sp.identity(gspace.base, format="csr")
-    op = sp.identity(1, format="csr")
-    for position in range(4):
-        op = sp.kron(op, lower if position == slot else eye, format="csr")
-    return op.astype(complex)
-
-
 @pytest.mark.parametrize("cutoff", range(1, 8))
-def test_ghost_annihilator_matches_kron_chain_bitwise(cutoff):
+def test_ghost_annihilator_matches_kron_chain_bitwise(cutoff, kron_ladder, assert_same_csr):
     g = lz.ghost_space(cutoff)
     assert g.dim == (cutoff + 1) ** 4
     for slot in range(4):
-        got = lz.ghost_annihilator(g, slot)
-        want = _kron_ghost_annihilator(g, slot)
-        assert type(got) is type(want)
-        assert got.shape == want.shape
-        for name in ("indptr", "indices", "data"):
-            a, b = getattr(got, name), getattr(want, name)
-            assert a.dtype == b.dtype, name
-            assert np.array_equal(a, b), name
+        assert_same_csr(lz.ghost_annihilator(g, slot), kron_ladder(g, slot))
+
+
+def _entries(op):
+    """The canonical CSR arrays of an operator, explicit zeros dropped."""
+    op = sp.csr_matrix(op, copy=True)
+    op.sum_duplicates()
+    op.eliminate_zeros()
+    return op.indptr, op.indices, op.data
+
+
+@pytest.mark.parametrize("cutoff", range(1, 8))
+def test_ghost_couplings_match_kron_products(cutoff, kron_ladder):
+    # the couplings as sums of sparse products of kron-chain ladder
+    # matrices, equal entry for entry
+    g = lz.ghost_space(cutoff)
+    a_g, a_dp = (kron_ladder(g, slot) for slot in (1, 2))
+    create_d, create_gp = (kron_ladder(g, slot, raising=True) for slot in (0, 3))
+    coupling, lam1, lam2 = 0.37 - 0.2j, 0.61, 0.83 + 0.1j
+    lslv = (-1j * coupling) * (
+        create_d @ a_g - create_gp @ a_dp + a_g @ a_dp - create_gp @ create_d
+    )
+    tls = lam1 * (1j * create_d + 1j * a_dp) + lam2 * (a_g - create_gp)
+    for got, want in ((lz.ghost_lslv(g, coupling), lslv), (lz.ghost_pm_tls(g, lam1, lam2), tls)):
+        for a, b in zip(_entries(got), _entries(want)):
+            assert np.array_equal(a, b)
 
 
 def test_ghost_space_keeps_its_cutoff_range():
