@@ -304,9 +304,14 @@ def _ampere_coefficients(K, kvecs):
     m1 = -2.0 * np.einsum("pjq,nj->npq", K[1:, 0, 1:, 1:] + K[1:, 1:, 0, 1:], kvecs)
     m0 = np.vecdot(kvecs, kvecs)[:, None, None] * np.eye(3)
     m0 -= kvecs[:, :, None] * kvecs[:, None, :]
-    m0 -= 2.0 * np.einsum(
-        "pijq,ni,nj->npq", K[1:, 1:, 1:, 1:], kvecs, kvecs, optimize=True
-    )
+    # K^{pijq} k_i k_j as one (n, 9) x (9, 9) product, for every n.  BLAS
+    # rounds a single row (its matrix-vector kernel) differently, so a
+    # single row goes in twice: a row's M0 does not depend on its batch.
+    pairs = (kvecs[:, :, None] * kvecs[:, None, :]).reshape(-1, 9)
+    if len(pairs) == 1:
+        pairs = np.vstack((pairs, pairs))
+    spatial = K[1:, 1:, 1:, 1:].transpose(1, 2, 0, 3).reshape(9, 9)
+    m0 -= 2.0 * (pairs @ spatial)[: len(kvecs)].reshape(-1, 3, 3)
     return m0, m1, m2
 
 

@@ -354,27 +354,37 @@ def build_transverse(space, kappas, frame):
     return h.tocsr(), fs.monomial_sum(space, _xi_terms(E, *factors))
 
 
-def _transformed(h, xi, states, mdiag):
-    """Phi^dagger diag(mdiag) H Phi, the columns of Phi exp(-xi) states.
+def _evolved(xi, states, dim):
+    """(support, Phi): the columns of Phi are exp(-xi) states on `support`.
 
     `states` is a sequence of state vectors, or a sparse matrix with one
     state per column; they are stacked as sparse columns and evolved
     with fs.propagate_blocks, as exp(-i t b) at t = 1 with b = -i xi,
     on the coupled blocks of xi that hold them.  Every evolved state
-    vanishes outside the union of those blocks, so H and the metric
-    diagonal `mdiag` are needed only on that support.
+    vanishes outside the union of those blocks, `support`, so Phi holds
+    only those rows.
     """
     if sp.issparse(states):
         columns = sp.csc_matrix(states, dtype=complex)
     else:
         columns = sp.csc_matrix(np.array(states, dtype=complex).T)
-    if columns.shape[0] != mdiag.size:
+    if columns.shape[0] != dim:
         raise ValueError("state dimension does not match the space")
     evolved = list(fs.propagate_blocks(-1j * sp.csr_matrix(xi), columns, 1.0))
     support = np.sort(np.concatenate([np.zeros(0, dtype=int)] + [r for r, _, _ in evolved]))
     phi = np.zeros((support.size, columns.shape[1]), dtype=complex)
     for rows, ids, values in evolved:
         phi[np.ix_(np.searchsorted(support, rows), ids)] = values
+    return support, phi
+
+
+def _sandwich(h, evolved, mdiag):
+    """Phi^dagger diag(mdiag) H Phi for evolved = (support, Phi).
+
+    H (sparse or dense) and the metric diagonal `mdiag` are taken only
+    on the support.
+    """
+    support, phi = evolved
     h_support = sp.csr_matrix(h)[support][:, support]
     return phi.conj().T @ (mdiag[support][:, None] * (h_support @ phi))
 
@@ -392,12 +402,18 @@ def transformed_matrix(space, h, xi, states):
     cutoff; H (a sparse or dense matrix) is taken only on the support
     of the evolved states.
     """
-    return _transformed(h, xi, states, fs.metric_diagonal(space))
+    return _sandwich(h, _evolved(xi, states, space.dim), fs.metric_diagonal(space))
 
 
-def transverse_matrix(space, h, xi, states):
-    """transformed_matrix on a transverse_space, whose metric is +1."""
-    return _transformed(h, xi, states, np.ones(space.dim))
+def transverse_matrices(space, operators, xi, states):
+    """transformed_matrix of each operator on a transverse_space (metric +1).
+
+    The states are evolved once and shared by every operator; returns
+    one matrix per operator, as a tuple.
+    """
+    evolved = _evolved(xi, states, space.dim)
+    ones = np.ones(space.dim)
+    return tuple(_sandwich(h, evolved, ones) for h in operators)
 
 
 def _photon_index(space, *modes):
@@ -419,7 +435,7 @@ def _transverse_values(space, frame, kappas):
     indices.append(pair)
     states = np.zeros((len(indices), space.dim), dtype=complex)
     states[np.arange(len(indices)), indices] = 1.0
-    g = transverse_matrix(space, h, xi, states)
+    (g,) = transverse_matrices(space, [h], xi, states)
     energies = g.diagonal().real
     values = {}
     for name, first in (("plus", 1), ("minus", 3)):

@@ -102,11 +102,12 @@ def transformed_potentials(space, kappas, frame):
 
     Xi is the factor generator of hamiltonian.build_transverse.  On the
     factor the metric is +1 and Xi-dagger = -Xi exactly, so with Phi =
-    exp(-Xi), evolved column by column over the factor's basis by
-    hamiltonian.transverse_matrix (one block of Xi at a time), Phi^dagger
-    A_r Phi is the conjugation; it needs no dense exponential and no
-    dimension cap.  Returns the pair of dense transformed matrices.  To
-    leading order in kappa they equal the mixed combinations
+    exp(-Xi), evolved once over the factor's basis by
+    hamiltonian.transverse_matrices (one block of Xi at a time) and
+    shared by both potentials, Phi^dagger A_r Phi is the conjugation;
+    it needs no dense exponential and no dimension cap.  Returns the
+    pair of dense transformed matrices.  To leading order in kappa they
+    equal the mixed combinations
 
         A'_1 = (1 - delta1) A_1 - delta2 A_2
         A'_2 = (1 + delta1) A_2 - delta2 A_1
@@ -119,10 +120,8 @@ def transformed_potentials(space, kappas, frame):
     """
     _, xi = hm.build_transverse(space, kappas, frame)
     basis = sp.identity(space.dim, dtype=complex, format="csc")
-    return tuple(
-        hm.transverse_matrix(space, transverse_potential(space, r), xi, basis)
-        for r in (1, 2)
-    )
+    potentials = [transverse_potential(space, r) for r in (1, 2)]
+    return hm.transverse_matrices(space, potentials, xi, basis)
 
 
 def transverse_interior(space):

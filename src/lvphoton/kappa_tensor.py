@@ -9,6 +9,19 @@ trace), evaluates the four-vector contraction both by brute force and by
 the non-birefringent closed-form identity, and applies the leading-order
 coordinate redefinition that removes the single-trace part.
 
+Both directions of the conversion are closed forms.  kappas_from_kf
+reads the parameters off three 3x3 blocks of the tensor, and
+kf_from_kappas writes those blocks back,
+
+    A = K^{0j0k}                          = -(e_plus + e_minus)/2 - (tr/2) I
+    B = (1/4) eps^{jpq} eps^{krs} K^{pqrs} =  (e_plus - e_minus)/2 - (tr/2) I
+    C = K^{0jpq} eps^{kpq}                =  o_plus + o_minus
+
+with K^{pqrs} = eps^{pqj} eps^{rsk} B^{jk} and K^{0jpq} = (1/2) eps^{kpq}
+C^{jk}; the pair antisymmetries and pair exchange give every other
+component.  The double trace is 2 (tr B - tr A), and tr B = tr A since
+e_plus and e_minus are traceless.
+
 Metric signature is diag(+,-,-,-) throughout; every index raise/lower
 goes through the same sign-pattern helper so conventions cannot diverge.
 """
@@ -387,71 +400,90 @@ def _flatten_kappas(k):
     )
 
 
-_BASIS_CACHE = {}
+def _unflatten_kappas(x):
+    """The blocks of canonical 19-vectors x, shape (..., 19), as arrays.
 
-
-def _kf_parameter_basis():
-    """Nullspace basis of the structural constraints plus the 19x19 map.
-
-    Builds, once, an orthonormal basis N (256 x 19) of rank-4 component
-    arrays satisfying all structural invariants, together with the 19x19
-    matrix taking basis coordinates to the canonical 19-vector of
-    parameter read-offs.  The 19-dimensionality is asserted.
+    Inverse of _flatten_kappas: returns e_plus, e_minus, o_plus, o_minus
+    (each (..., 3, 3)) and tr (shape (...)).
     """
-    if "basis" in _BASIS_CACHE:
-        return _BASIS_CACHE["basis"]
+    x = np.asarray(x, dtype=float)
 
-    idx = np.arange(256).reshape(4, 4, 4, 4)
-    rows = []
+    def block(v, pairs, sign):
+        m = np.zeros(v.shape[:-1] + (3, 3))
+        for slot, (i, j) in enumerate(pairs):
+            m[..., i, j] = v[..., slot]
+            m[..., j, i] = sign * v[..., slot]
+        return m
 
-    def add(pairs):
-        row = np.zeros(256)
-        for coeff, (a, b, c, d) in pairs:
-            row[idx[a, b, c, d]] += coeff
-        rows.append(row)
+    def sym(v):
+        m = block(v, ((0, 0), (1, 1), (0, 1), (0, 2), (1, 2)), 1.0)
+        m[..., 2, 2] = -(v[..., 0] + v[..., 1])
+        return m
 
-    rng4 = range(4)
-    for a in rng4:
-        for b in rng4:
-            for c in rng4:
-                for d in rng4:
-                    add([(1.0, (a, b, c, d)), (1.0, (b, a, c, d))])
-                    add([(1.0, (a, b, c, d)), (1.0, (a, b, d, c))])
-                    add([(1.0, (a, b, c, d)), (-1.0, (c, d, a, b))])
-                    add([(1.0, (a, b, c, d)), (1.0, (a, d, b, c)), (1.0, (a, c, d, b))])
-    add([
-        (float(_INDEX_SIGN[a] * _INDEX_SIGN[b]), (a, b, a, b))
-        for a in rng4
-        for b in rng4
-    ])
+    def asym(v):
+        return block(v, ((0, 1), (0, 2), (1, 2)), -1.0)
 
-    constraints = np.array(rows)
-    # More constraint rows than components: the thin SVD already has all
-    # 256 right singular vectors, without the unused square U.
-    _, s, vt = np.linalg.svd(constraints, full_matrices=False)
-    basis = vt[s < 1e-10].T  # 256 x n_null
-    if basis.shape[1] != 19:
-        raise RuntimeError(f"constraint nullspace has dimension {basis.shape[1]}, expected 19")
+    e_plus, e_minus, o_minus = sym(x[..., 0:5]), sym(x[..., 5:10]), sym(x[..., 13:18])
+    return e_plus, e_minus, asym(x[..., 10:13]), o_minus, x[..., 18]
 
-    # Map basis coordinates to the canonical 19 parameters via the read-off.
-    fwd = np.column_stack(
-        [_flatten_kappas(kappas_from_kf(basis[:, j].reshape(4, 4, 4, 4))) for j in range(19)]
-    )
-    _BASIS_CACHE["basis"] = (basis, fwd)
-    return _BASIS_CACHE["basis"]
+
+def _tensor_from_blocks(e_plus, e_minus, o_plus, o_minus, tr):
+    """Raised components of the valid tensors with the given parameter blocks.
+
+    Takes stacks of blocks (leading axes broadcast) and inverts the
+    read-off of kappas_from_kf block by block:
+
+        A^{jk} = K^{0j0k} = -(1/2)(e_plus + e_minus) - (1/2) tr I
+        B^{jk} = (1/4) eps^{jpq} eps^{krs} K^{pqrs}
+               = (1/2)(e_plus - e_minus) - (1/2) tr I,
+                 so K^{pqrs} = eps^{pqj} eps^{rsk} B^{jk}
+        C^{jk} = K^{0jpq} eps^{kpq} = o_plus + o_minus,
+                 so K^{0jpq} = (1/2) eps^{kpq} C^{jk}
+
+    and every other component follows from the pair antisymmetries and
+    pair exchange.  The double trace is 2 (tr B - tr A), and tr B = tr A
+    because e_plus and e_minus are traceless; the Bianchi identity is
+    tr C = 0, which holds because o_plus is antisymmetric and o_minus
+    traceless.
+    """
+    trace_part = 0.5 * np.multiply.outer(tr, np.eye(3))
+    a = -0.5 * (e_plus + e_minus) - trace_part
+    b = 0.5 * (e_plus - e_minus) - trace_part
+    m = 0.5 * np.einsum("kpq,...jk->...jpq", EPS3, o_plus + o_minus)  # K^{0jpq}
+    m_exchanged = np.moveaxis(m, -3, -1)  # K^{pq0j} = K^{0jpq}
+    K = np.zeros(a.shape[:-2] + (4, 4, 4, 4))
+    K[..., 0, 1:, 0, 1:] = K[..., 1:, 0, 1:, 0] = a
+    K[..., 0, 1:, 1:, 0] = K[..., 1:, 0, 0, 1:] = -a
+    K[..., 0, 1:, 1:, 1:] = m
+    K[..., 1:, 0, 1:, 1:] = -m
+    K[..., 1:, 1:, 0, 1:] = m_exchanged
+    K[..., 1:, 1:, 1:, 0] = -m_exchanged
+    K[..., 1:, 1:, 1:, 1:] = np.einsum("pqj,rsk,...jk->...pqrs", EPS3, EPS3, b)
+    return K
+
+
+# The 256 x 19 map from the canonical 19-vector to the flattened raised
+# components, one column per unit parameter; its entries are 0 and
+# +-1/2, so it is exact.  It is kept in C order: the rounding of G @ x
+# depends on the layout BLAS sees.  Q of its QR factorization is an
+# orthonormal basis of the valid tensors, which project_kf projects onto.
+_GENERATOR = _readonly(
+    _tensor_from_blocks(*_unflatten_kappas(np.eye(19))).reshape(19, 256).T.copy()
+)
+_VALID_BASIS = _readonly(np.linalg.qr(_GENERATOR)[0])
 
 
 def kf_from_kappas(k):
     """Build the unique valid rank-4 tensor with the given parameters.
 
-    Inverse of kappas_from_kf on the 19-parameter space: solves the
-    cached 19x19 linear system mapping the constraint-nullspace
-    coordinates onto the parameter read-offs with np.linalg.solve (an LU
-    solve with partial pivoting, a few microseconds at this size).
+    Inverse of kappas_from_kf on the 19-parameter space: the fixed
+    generator applied to the canonical 19-vector of k, which is the
+    closed form of _tensor_from_blocks.  Going through the 19-vector
+    completes each traceless block's last diagonal entry exactly, so the
+    double trace and Bianchi identity hold whatever trace roundoff k's
+    matrices carry.
     """
-    basis, fwd = _kf_parameter_basis()
-    coords = np.linalg.solve(fwd, _flatten_kappas(k))
-    return KFTensor((basis @ coords).reshape(4, 4, 4, 4))
+    return KFTensor((_GENERATOR @ _flatten_kappas(k)).reshape(4, 4, 4, 4))
 
 
 def contract4(kf, w, x, y, z):
@@ -510,11 +542,12 @@ def project_kf(components):
     invariants; the identity for already-valid input up to fp rounding.
     This is the rank-4 counterpart of sym_traceless/antisym for callers
     that want to repair slightly perturbed tensors instead of rejecting
-    them.
+    them.  The orthonormal basis is Q of the QR factorization of the
+    generator; components that no valid tensor has (K^{3333}, say) come
+    out exactly 0.
     """
-    basis, _ = _kf_parameter_basis()
     flat = np.asarray(components, dtype=float).reshape(256)
-    return KFTensor((basis @ (basis.T @ flat)).reshape(4, 4, 4, 4))
+    return KFTensor((_VALID_BASIS @ (_VALID_BASIS.T @ flat)).reshape(4, 4, 4, 4))
 
 
 def single_trace(kf):

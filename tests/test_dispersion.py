@@ -14,6 +14,8 @@ from scipy.optimize import brentq
 from lvphoton import dispersion as dp
 from lvphoton import kappa_tensor as kt
 
+import kf_reference  # tests/kf_reference.py
+
 
 def random_rotation(rng):
     q, r = np.linalg.qr(rng.normal(size=(3, 3)))
@@ -361,9 +363,7 @@ def test_ampere_birefringent_split_matches_sigma():
 def test_ampere_solves_roundoff_sized_tensor():
     # a tensor with no physical content projects to ~1e-18 residue; a
     # bracket of 5 times that would collapse onto |k| in double precision
-    K = np.zeros((4, 4, 4, 4))
-    K[3, 3, 3, 3] = 0.015625
-    kf = kt.kf_from_kappas(kt.kappas_from_kf(kt.project_kf(K).components))
+    kf = _roundoff_tensor()
     assert 0.0 < np.max(np.abs(kt.as_kf_components(kf))) < 1e-16
     for kvec in ([0.0, 0.0, 1.0], [0.6, 0.0, -1.6]):
         kvec = np.array(kvec)
@@ -460,10 +460,11 @@ def _brentq_solve_ampere(kf, kvec):
 
 
 def _roundoff_tensor():
-    # the projected residue of a tensor with no physical content (~1e-18)
+    # the residue (~1e-18) of a tensor with no physical content after the
+    # nullspace reference's projection; project_kf sends it to exactly 0
     K = np.zeros((4, 4, 4, 4))
     K[3, 3, 3, 3] = 0.015625
-    return kt.kf_from_kappas(kt.kappas_from_kf(kt.project_kf(K).components))
+    return kt.kf_from_kappas(kt.kappas_from_kf(kf_reference.project(K)))
 
 
 def _near_degenerate_kappas(rng):
@@ -535,6 +536,19 @@ def test_double_roots_returned_as_conjugate_pairs_are_kept(roundoff):
     assert np.max(np.abs(omegas - 1.0 - delta[:, None])) < 1e-14
     gram = np.einsum("nri,nsi->nrs", fields.conj(), fields)
     assert np.max(np.abs(gram - np.eye(2))) < 1e-12
+
+
+@pytest.mark.parametrize("birefringent", [False, True])
+def test_ampere_roots_do_not_depend_on_the_batch(birefringent):
+    # a row's roots are the same bits in a batch of 1 to 12 rows as in
+    # one of 5001; numpy's einsum path choice and BLAS's one-row kernel
+    # once moved them by up to 4.4e-16
+    rng = np.random.default_rng(1)
+    kf = kt.kf_from_kappas(kt.random_kappas(rng, 1e-2, birefringent=birefringent))
+    kvecs = dp.random_directions(rng, 5001) * rng.uniform(0.2, 5.0, size=(5001, 1))
+    whole = dp.ampere_roots_batch(kf, kvecs)
+    for n in range(1, 13):
+        assert dp.ampere_roots_batch(kf, kvecs[:n]).tobytes() == whole[:n].tobytes(), n
 
 
 def test_narrow_splitting_stays_two_real_roots():

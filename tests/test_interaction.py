@@ -6,6 +6,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -274,6 +275,35 @@ def test_transformed_potentials_match_dense_expm(cutoff, dense_similarity):
     dense = dense_similarity([ia.transverse_potential(factor, pol) for pol in (1, 2)], xi)
     for got, want in zip(exact, dense):
         assert np.max(np.abs(got - want)) <= 1e-14
+
+
+@pytest.mark.parametrize("cutoff", [1, 2, 3, 4])
+def test_transformed_potentials_evolve_the_basis_once(cutoff, monkeypatch):
+    # one evolution of the factor's basis serves both potentials, and
+    # the pair is bit for bit what one transform per potential gives
+    factor = hm.transverse_space(cutoff)
+    rng = np.random.default_rng(90 + cutoff)
+    kappas = kt.random_kappas(rng, 1e-2)
+    fr = dp.polarization_frame(dp.random_directions(rng))
+    _, xi = hm.build_transverse(factor, kappas, fr)
+    basis = sp.identity(factor.dim, dtype=complex, format="csc")
+    want = [
+        hm.transverse_matrices(factor, [ia.transverse_potential(factor, pol)], xi, basis)[0]
+        for pol in (1, 2)
+    ]
+    calls = []
+    propagate_blocks = fs.propagate_blocks
+
+    def counted(*args):
+        calls.append(args)
+        return propagate_blocks(*args)
+
+    monkeypatch.setattr(fs, "propagate_blocks", counted)
+    got = ia.transformed_potentials(factor, kappas, fr)
+    assert len(calls) == 1
+    assert len(got) == 2
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
 
 
 def test_interaction_and_lorenz_leave_scipy_linalg_unloaded():

@@ -5,12 +5,18 @@ tuples with explicit sign-flip lowering, written independently of the
 einsum-based library code.
 """
 
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lvphoton import kappa_tensor as kt
+
+import kf_reference  # tests/kf_reference.py
 
 
 def contract_oracle(kf_raised, w, x, y, z):
@@ -255,32 +261,58 @@ def test_projection_is_idempotent_bitwise(seed):
     assert np.trace(once.e_minus) == 0.0
 
 
-def _lu_reference(k, fwd_lu):
-    """kf_from_kappas through scipy's LU factorization of the same 19x19 map.
-
-    This was the library's path before it solved with np.linalg.solve;
-    it stays here as the reference.
-    """
-    from scipy.linalg import lu_solve
-
-    basis, _ = kt._kf_parameter_basis()
-    return (basis @ lu_solve(fwd_lu, kt._flatten_kappas(k))).reshape(4, 4, 4, 4)
-
-
-def test_numpy_solve_matches_the_lu_reference():
-    from scipy.linalg import lu_factor
-
-    _, fwd = kt._kf_parameter_basis()
-    fwd_lu = lu_factor(fwd)
+def test_closed_form_matches_the_nullspace_reference():
     rng = np.random.default_rng(17)
     worst = 0.0
     for draw in range(2000):
         scale = 10.0 ** rng.uniform(-8.0, 0.0)
         k = kt.random_kappas(rng, scale, birefringent=bool(draw % 2))
-        want = _lu_reference(k, fwd_lu)
+        want = kf_reference.kf_from_kappas(k)
         got = kt.as_kf_components(kt.kf_from_kappas(k))
         worst = max(worst, np.max(np.abs(got - want)) / np.max(np.abs(want)))
     assert worst <= 1e-14
+
+
+def test_projection_matches_the_nullspace_reference():
+    # the projector, one column per raw unit component
+    unit = np.eye(256).reshape(256, 4, 4, 4, 4)
+    got = np.column_stack([kt.project_kf(e).components.ravel() for e in unit])
+    basis, _ = kf_reference.nullspace_basis()
+    assert np.max(np.abs(got - basis @ basis.T)) <= 1e-15
+
+
+def test_generator_columns_are_valid_and_independent():
+    assert kt._GENERATOR.shape == (256, 19)
+    assert np.linalg.matrix_rank(kt._GENERATOR) == 19
+    for j, column in enumerate(kt._GENERATOR.T):
+        tensor = column.reshape(4, 4, 4, 4)
+        assert kt.check_invariants(tensor).max_violation <= 1e-15, j
+        # column j is the tensor of the j-th unit parameter
+        assert np.array_equal(kt._flatten_kappas(kt.kappas_from_kf(tensor)), np.eye(19)[j]), j
+
+
+def test_tensor_paths_need_no_svd_and_no_solve():
+    # the closed form replaced a 1025 x 256 SVD and a 19 x 19 solve that
+    # every process paid for at its first kf_from_kappas
+    src = pathlib.Path(kt.__file__).resolve().parents[1]
+    code = (
+        f"import sys; sys.path.insert(0, {str(src)!r})\n"
+        "import numpy as np\n"
+        "def refuse(*args, **kwargs):\n"
+        "    raise AssertionError('called')\n"
+        "np.linalg.svd = np.linalg.solve = refuse\n"
+        "import lvphoton.cli\n"
+        "from lvphoton import kappa_tensor as kt\n"
+        "k = kt.random_kappas(np.random.default_rng(1), 1e-2, birefringent=True)\n"
+        "kf = kt.kf_from_kappas(k)\n"
+        "back = kt.kappas_from_kf(kf)\n"
+        "same = kt.project_kf(kf.components)\n"
+        "print(kt.kappa_distance(back, k), np.max(np.abs(same.components - kf.components)))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    roundtrip, projected = (float(value) for value in done.stdout.split())
+    assert roundtrip < 1e-15 and projected < 1e-15
 
 
 def test_readoff_magnitude_is_the_unchecked_read_off():

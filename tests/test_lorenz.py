@@ -112,6 +112,31 @@ def test_gupta_bleuler_check(space):
     )
 
 
+def test_gupta_bleuler_check_builds_the_ghost_operators_once(monkeypatch):
+    # one build per direction for a run of checks on one space, the same
+    # matrices as a fresh build, and a fresh build again on a new space
+    calls = []
+    dg_operators = fs.dg_operators
+
+    def counted(space, direction):
+        calls.append((space.cutoff, direction))
+        return dg_operators(space, direction)
+
+    monkeypatch.setattr(fs, "dg_operators", counted)
+    lz._dg_operators.cache_clear()
+    for cutoff in (1, 2, 1):
+        space = fs.build_space(cutoff)
+        states = [fs.vacuum_state(space), fs.dg_basis_state(space, (0, 0, 1, 0))]
+        states += [fs.dg_basis_state(space, (0, 0, 0, 1), (1, 0, 0, 0))] * 10
+        assert [lz.gupta_bleuler_check(space, psi) for psi in states] == [True, False] + [True] * 10
+        for direction in (fs.PLUS_K, fs.MINUS_K):
+            for got, want in zip(
+                lz._dg_operators(cutoff, space.modes, direction), dg_operators(space, direction)
+            ):
+                assert (got != want).nnz == 0
+    assert calls == [(c, d) for c in (1, 2, 1) for d in (fs.PLUS_K, fs.MINUS_K)]
+
+
 def test_weak_lorenz_examples(space):
     # pure d-excitations have zero norm and pass despite failing the
     # strong condition
