@@ -20,7 +20,6 @@ from . import hamiltonian as hm
 from . import interaction as ia
 from . import kappa_tensor as kt
 from . import lorenz as lz
-from .cli import TIME_HORIZON
 
 
 def _check(name, measured, tolerance, **extra):
@@ -59,8 +58,7 @@ def _tensor_checks(rng):
     for _ in range(200):
         k = kt.random_kappas(rng, 1e-2)
         kf = kt.kf_from_kappas(k)
-        vecs = [kt.FourVector.from_components(rng.normal(size=4)) for _ in range(4)]
-        w, x, y, z = vecs
+        w, x, y, z = (rng.normal(size=4) for _ in range(4))
         base = kt.contract4(kf, w, x, y, z)
         worst_sym = max(
             worst_sym,
@@ -94,7 +92,7 @@ def _dispersion_checks(rng):
             worst_parity,
             float(np.max(np.abs(g.eps1 - f.eps1))),
             float(np.max(np.abs(g.eps2 + f.eps2))),
-            float(np.max(np.abs(g.eps3 + f.eps3))),
+            float(np.max(np.abs(g.khat + f.khat))),
         )
     yield _check("frame_parity", worst_parity, 0.0)
 
@@ -219,7 +217,7 @@ def _hamiltonian_checks(rng, config):
     yield _check("bar_self_adjoint", worst, 1e-13)
 
     small = fs.build_space(1)
-    t = min(config.time, TIME_HORIZON)
+    t = min(config.time, lz.MAX_LEAKAGE_TIME)
     k = kt.random_kappas(rng, 1e-2)
     h = hm.build_grouped(small, k, dp.polarization_frame(config.direction)).total
     u = np.zeros((small.dim, small.dim), dtype=complex)
@@ -243,14 +241,15 @@ def _hamiltonian_checks(rng, config):
             worst = max(worst, abs(h0 @ n - n @ h0).max())
     yield _check("kappa_zero_number_conservation", worst, 0.0)
 
-    kvec = config.direction
-    p_with = hm.momentum_operator(space, kvec, kappas=config.kappas)
-    p_without = hm.momentum_operator(space, kvec)
-    worst_same = max(abs(a - b).max() for a, b in zip(p_with, p_without))
-    yield _check("momentum_kappa_independent", worst_same, 0.0)
+    # [P, Xi] = 0 exactly: P is diagonal and every Xi term moves one +k
+    # and one -k quantum together
+    momentum = hm.momentum_operator(space, config.direction)
+    xi = hm.xi_generators(space, config.kappas, frame)
+    worst = max(abs(p @ xi - xi @ p).max() for p in momentum)
+    yield _check("momentum_kappa_independent", worst, 0.0)
 
     h = hm.build_grouped(space, kt.random_kappas(rng, 1e-2), frame).total
-    worst = max(abs(p @ h - h @ p).max() for p in p_without)
+    worst = max(abs(p @ h - h @ p).max() for p in momentum)
     yield _check("momentum_commutes", worst, 1e-12)
 
     shape = kt.random_kappas(rng, 1e-2)
@@ -388,7 +387,7 @@ def _lorenz_checks(rng, config, inject_c_leakage):
     h = hm.build_grouped(space, leak_kappas, frame).total
     if inject_c_leakage:
         h = _inject_c_defect(space, h)
-    t = min(config.time, TIME_HORIZON)
+    t = min(config.time, lz.MAX_LEAKAGE_TIME)
     yield _check(
         "c_class_leakage",
         lz.invariance_leakage(space, h, t),

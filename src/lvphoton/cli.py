@@ -34,7 +34,7 @@ import io
 import json
 import operator
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -53,21 +53,26 @@ CONFIG_KEYS = frozenset({
     "kappa_o_minus", "kf_components", "direction", "cutoff", "scales",
     "time", "output", "command", "symmetry",
 })
-#: Evolution checks are specified for t*omega <= this horizon.
+#: Default evolution time, in 1/omega units: the longest that the
+#: evolution checks accept (lorenz.MAX_LEAKAGE_TIME).
 TIME_HORIZON = 10.0
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """A loaded and validated run configuration."""
+    """A loaded and validated run configuration.
 
-    kappas: kt.KappaSet
-    kf_raw: np.ndarray | None
-    direction: np.ndarray
-    cutoff: int
-    scales: tuple
-    time: float
-    output: str | None
+    The field defaults are the run without a config file, and a config
+    key that is absent keeps its field's default.
+    """
+
+    kappas: kt.KappaSet = field(default_factory=kt.KappaSet)
+    kf_raw: np.ndarray | None = None
+    direction: np.ndarray = field(default_factory=dp.Z_AXIS.copy)
+    cutoff: int = 2
+    scales: tuple = ()
+    time: float = TIME_HORIZON
+    output: str | None = None
 
 
 def _real(key, value):
@@ -158,71 +163,57 @@ def load_config(path, strict=False):
     kappas = _load_kappas(raw, strict)
     kf_raw = _load_kf(raw, strict)
     if kappas is None and kf_raw is not None:
-        valid = kf_raw if strict else kt.project_kf(kf_raw).components
-        kappas = kt.kappas_from_kf(valid)
+        kappas = kt.kappas_from_kf(kf_raw if strict else kt.project_kf(kf_raw))
     elif kappas is not None and kf_raw is not None:
-        derived = kt.as_kf_components(kt.kf_from_kappas(kappas))
-        if np.max(np.abs(derived - kt.project_kf(kf_raw).components)) > 1e-10:
+        derived = kt.kf_from_kappas(kappas)
+        if np.max(np.abs(derived - kt.project_kf(kf_raw))) > 1e-10:
             raise ValueError(
                 "config provides both kappa matrices and kf_components "
                 "and they describe different tensors"
             )
-    elif kappas is None:
-        kappas = kt.KappaSet()
-    kt.check_perturbative(kappas.magnitude)
+    fields = {"kf_raw": kf_raw}
+    if kappas is not None:
+        kt.check_perturbative(kappas.magnitude)
+        fields["kappas"] = kappas
 
-    direction = dp.Z_AXIS.copy()
     if "direction" in raw:
         direction = _real_array("direction", raw["direction"], (3,))
-    norm = np.linalg.norm(direction)
-    if norm == 0.0 or not np.isfinite(norm):
-        raise ValueError("direction must be a nonzero finite 3-vector")
-    direction = direction / norm
+        norm = np.linalg.norm(direction)
+        if norm == 0.0 or not np.isfinite(norm):
+            raise ValueError("direction must be a nonzero finite 3-vector")
+        fields["direction"] = direction / norm
 
-    # its range depends on the command: main and cmd_spectrum check it
-    cutoff = raw.get("cutoff", 2)
-    if isinstance(cutoff, bool) or not isinstance(cutoff, int):
-        raise ValueError("cutoff must be an integer")
+    if "cutoff" in raw:
+        # its range depends on the command: main and cmd_spectrum check it
+        cutoff = raw["cutoff"]
+        if isinstance(cutoff, bool) or not isinstance(cutoff, int):
+            raise ValueError("cutoff must be an integer")
+        fields["cutoff"] = cutoff
 
-    scales = raw.get("scales", [])
-    if not isinstance(scales, list):
-        raise ValueError("scales must be a list of numbers")
-    scales = tuple(_real("every entry of scales", s) for s in scales)
-    if any(s <= 0.0 or s > kt.PERTURBATIVE_LIMIT for s in scales):
-        raise ValueError(
-            f"scales must be positive and perturbative (<= {kt.PERTURBATIVE_LIMIT:g})"
-        )
+    if "scales" in raw:
+        scales = raw["scales"]
+        if not isinstance(scales, list):
+            raise ValueError("scales must be a list of numbers")
+        scales = tuple(_real("every entry of scales", s) for s in scales)
+        if any(s <= 0.0 or s > kt.PERTURBATIVE_LIMIT for s in scales):
+            raise ValueError(
+                f"scales must be positive and perturbative (<= {kt.PERTURBATIVE_LIMIT:g})"
+            )
+        fields["scales"] = scales
 
-    time = _real("time", raw.get("time", TIME_HORIZON))
-    if time <= 0.0:
-        raise ValueError("time must be a positive real")
+    if "time" in raw:
+        time = _real("time", raw["time"])
+        if time <= 0.0:
+            raise ValueError("time must be a positive real")
+        fields["time"] = time
 
-    output = raw.get("output")
-    if output is not None and not isinstance(output, str):
-        raise ValueError("output must be a path string")
+    if "output" in raw:
+        output = raw["output"]
+        if output is not None and not isinstance(output, str):
+            raise ValueError("output must be a path string")
+        fields["output"] = output
 
-    return RunConfig(
-        kappas=kappas,
-        kf_raw=kf_raw,
-        direction=direction,
-        cutoff=cutoff,
-        scales=scales,
-        time=time,
-        output=output,
-    )
-
-
-def default_config():
-    """The all-zero configuration used when no --config is given."""
-    return RunConfig(
-        kappas=kt.KappaSet(),
-        kf_raw=None,
-        direction=dp.Z_AXIS.copy(),
-        cutoff=2,
-        scales=(),
-        time=TIME_HORIZON,
-        output=None,
-    )
+    return RunConfig(**fields)
 
 
 def _scalar(value):
@@ -370,7 +361,7 @@ def cmd_decompose(config):
     itself a valid config, and feeding it back reproduces it exactly.
     """
     kf = kt.kf_from_kappas(config.kappas)
-    source = config.kf_raw if config.kf_raw is not None else kt.as_kf_components(kf)
+    source = config.kf_raw if config.kf_raw is not None else kf
     report = kt.check_invariants(source)
     k = config.kappas
     return {
@@ -380,7 +371,7 @@ def cmd_decompose(config):
         "kappa_tr": k.tr,
         "kappa_e_plus": k.e_plus,
         "kappa_o_minus": k.o_minus,
-        "kf_components": kt.as_kf_components(kf),
+        "kf_components": kf,
         "symmetry": {
             "first_pair_antisymmetry": report.first_pair_antisymmetry,
             "second_pair_antisymmetry": report.second_pair_antisymmetry,
@@ -561,7 +552,7 @@ def main(argv=None):
         if args.config is not None:
             config = load_config(args.config, strict=args.strict_symmetry)
         else:
-            config = default_config()
+            config = RunConfig()
         if args.cutoff is not None:
             if args.command == "verify":
                 raise ValueError(

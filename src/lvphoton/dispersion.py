@@ -18,10 +18,8 @@ import numpy as np
 from .kappa_tensor import (
     METRIC,
     PERTURBATIVE_LIMIT,
-    as_four_components,
     as_kf_components,
     check_perturbative,
-    kf_from_kappas,
     readoff_magnitude,
 )
 
@@ -62,31 +60,28 @@ _RESIDUAL_RTOL = 1e-10
 
 @dataclass(frozen=True)
 class PolarizationFrame:
-    """Right-handed orthonormal triad (eps1, eps2, eps3 = khat)."""
+    """Right-handed orthonormal triad (eps1, eps2, khat)."""
 
     eps1: np.ndarray
     eps2: np.ndarray
-    eps3: np.ndarray
     khat: np.ndarray
 
 
 @dataclass(frozen=True)
 class DispersionResult:
-    """Leading-order dispersion data for one wavevector or a batch.
+    """Leading-order dispersion data, one array entry per wavevector.
 
     delta is the polarization-independent fractional phase-velocity
     shift (None when the input has birefringent parameters, where the
     shift is polarization-dependent); omega_plus/omega_minus are the two
-    transverse frequencies (1 + rho +- sigma)|k|.  Each field is a float
-    from summarize and an array with one entry per wavevector from
-    summarize_batch.
+    transverse frequencies (1 + rho +- sigma)|k|.
     """
 
-    delta: float | np.ndarray | None
-    rho: float | np.ndarray
-    sigma: float | np.ndarray
-    omega_plus: float | np.ndarray
-    omega_minus: float | np.ndarray
+    delta: np.ndarray | None
+    rho: np.ndarray
+    sigma: np.ndarray
+    omega_plus: np.ndarray
+    omega_minus: np.ndarray
 
 
 def _canonical_hemisphere(khats):
@@ -104,8 +99,8 @@ def _gram_schmidt(axis, khats):
 def polarization_frames(khats):
     """eps1 and eps2 of polarization_frame for every row of khats.
 
-    Returns two (n, 3) arrays; eps3 is khats itself.  Every row comes
-    out bit for bit as polarization_frame gives it alone.
+    Returns two (n, 3) arrays; the third frame vector is khats itself.
+    Every row comes out bit for bit as polarization_frame gives it alone.
     """
     khats = np.asarray(khats, dtype=float)
     if khats.ndim != 2 or khats.shape[1] != 3 or np.any(
@@ -131,14 +126,14 @@ def polarization_frame(khat):
     broken by k_y then k_x) and extended to the opposite hemisphere by
     the parity rules
 
-        eps1(-k) = +eps1(k),  eps2(-k) = -eps2(k),  eps3(-k) = -eps3(k),
+        eps1(-k) = +eps1(k),  eps2(-k) = -eps2(k),  khat(-k) = -khat(k),
 
     so the rules hold exactly by construction.  eps1 x eps2 = khat in
     both hemispheres.  The one-row case of polarization_frames.
     """
     khat = np.asarray(khat, dtype=float)
     e1, e2 = polarization_frames(khat[None])
-    return PolarizationFrame(eps1=e1[0], eps2=e2[0], eps3=khat.copy(), khat=khat.copy())
+    return PolarizationFrame(eps1=e1[0], eps2=e2[0], khat=khat.copy())
 
 
 def delta_nonbiref_batch(k, khats):
@@ -191,23 +186,17 @@ def random_directions(rng, count=None):
     return _unit_rows(rng.normal(size=(count, 3)))[0]
 
 
-def _ktilde_rows(K, khats):
-    """ktilde^{ab} for each row of a batch of unit spatial directions."""
-    klow = np.hstack((np.ones((len(khats), 1)), khats))
-    return np.einsum("ambn,im,in->iab", K, klow, klow)
+def ktilde(kf, khats):
+    """Two-index contraction ktilde^{ab} = K^{a m b n} khat_m khat_n per direction.
 
-
-def ktilde(kf, k):
-    """Two-index contraction ktilde^{ab} = K^{a m b n} khat_m khat_n.
-
-    khat_m = k_m/|k| with the frequency seeded at |k| (leading order).
-    The subscripted wave four-vector carries the components (omega, +k),
-    a convention pinned by the printed closed forms for rho and delta
-    along z, so the contraction uses (1, +khat).  The frequency component
-    of the supplied four-vector is not used.
+    One (4, 4) matrix per row of the unit spatial directions khats, with
+    the frequency seeded at |k| (leading order).  The subscripted wave
+    four-vector carries the components (omega, +k), a convention pinned
+    by the printed closed forms for rho and delta along z, so the
+    contraction uses (1, +khat).
     """
-    khat, _ = _unit_rows(as_four_components(k)[1:])
-    return _ktilde_rows(as_kf_components(kf), khat)[0]
+    klow = np.hstack((np.ones((len(khats), 1)), khats))
+    return np.einsum("ambn,im,in->iab", as_kf_components(kf), klow, klow)
 
 
 def rho_sigma_batch(kf, khats):
@@ -224,7 +213,7 @@ def rho_sigma_batch(kf, khats):
     to zero.
     """
     khats, _ = _unit_rows(khats)
-    kt = _ktilde_rows(as_kf_components(kf), khats)
+    kt = ktilde(kf, khats)
     rho = -0.5 * np.einsum("iab,ba->i", kt, METRIC)
     kt_low = METRIC @ kt @ METRIC
     sigma_sq = 0.5 * np.einsum("iab,iab->i", kt_low, kt) - rho**2
@@ -241,7 +230,7 @@ def rho_sigma(kf, khat):
 
 
 def summarize_batch(k, kf, kvecs):
-    """Leading-order DispersionResult of arrays, one entry per row of kvecs.
+    """Leading-order DispersionResult, one entry per row of kvecs.
 
     kf is the tensor of the KappaSet k, built once by the caller.
     """
@@ -253,18 +242,6 @@ def summarize_batch(k, kf, kvecs):
         sigma=sigma,
         omega_plus=(1.0 + rho + sigma) * norms,
         omega_minus=(1.0 + rho - sigma) * norms,
-    )
-
-
-def summarize(k, kvec):
-    """Leading-order DispersionResult for a KappaSet and one wavevector."""
-    batch = summarize_batch(k, kf_from_kappas(k), kvec)
-    return DispersionResult(
-        delta=None if batch.delta is None else float(batch.delta[0]),
-        rho=float(batch.rho[0]),
-        sigma=float(batch.sigma[0]),
-        omega_plus=float(batch.omega_plus[0]),
-        omega_minus=float(batch.omega_minus[0]),
     )
 
 

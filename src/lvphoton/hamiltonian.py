@@ -51,21 +51,16 @@ import scipy.sparse as sp
 
 from . import fock_space as fs
 from .dispersion import delta_nonbiref
-from .kappa_tensor import (
-    _FLIP4,
-    METRIC,
-    as_kf_components,
-    check_nonbiref,
-    kappas_from_kf,
-)
+from .kappa_tensor import METRIC, check_nonbiref, kappas_from_kf, lowered
+
 
 @dataclass(frozen=True)
 class HamiltonianBundle:
-    """The six named blocks of the free Hamiltonian plus the Xi generator.
+    """The six named blocks of the free Hamiltonian.
 
-    Every block is self-adjoint under the bar-adjoint; xi is
-    anti-self-adjoint (bar(xi) = -xi), so exp(xi) is metric-unitary.
-    At kappa = 0 all blocks except h_t and h_ls0 vanish.
+    Every block is self-adjoint under the bar-adjoint.  At kappa = 0 all
+    blocks except h_t and h_ls0 vanish.  The Xi generator is built on
+    its own, by xi_generators.
     """
 
     h_t: sp.spmatrix
@@ -74,7 +69,6 @@ class HamiltonianBundle:
     h_lslv: sp.spmatrix
     h_p_tls: sp.spmatrix
     h_m_tls: sp.spmatrix
-    xi: sp.spmatrix
 
     @property
     def blocks(self):
@@ -123,7 +117,7 @@ def kappa_bilinears(kappas, frame):
     scalar row 0 is zero (the kappa matrices are purely spatial).
     """
     emt = kappas.e_minus + np.eye(3) * kappas.tr
-    vecs = [None, frame.eps1, frame.eps2, frame.eps3]
+    vecs = [None, frame.eps1, frame.eps2, frame.khat]
     E = np.zeros((4, 4))
     O = np.zeros((4, 4))
     for r in range(1, 4):
@@ -143,10 +137,10 @@ def coefficient_matrices(kf, frame):
         B_rs = eps_r^k eps_s^m K_{k0m0}
         C_rs = eps_r^k eps_s^m K_{m0kp} n^p
     """
-    K_low = as_kf_components(kf) * _FLIP4
+    K_low = lowered(kf)
     E4 = np.zeros((4, 4))  # rows eps_r^mu: scalar (+1, 0, 0, 0), then the frame
     E4[0, 0] = 1.0
-    E4[1:, 1:] = (frame.eps1, frame.eps2, frame.eps3)
+    E4[1:, 1:] = (frame.eps1, frame.eps2, frame.khat)
     n4 = np.concatenate(([0.0], frame.khat))
     A = np.einsum("rk,sm,kpmq,p,q->rs", E4, E4, K_low, n4, n4)
     B = np.einsum("rk,sm,km->rs", E4, E4, K_low[:, 0, :, 0])
@@ -248,7 +242,7 @@ def build_grouped(space, kappas, frame):
     h_ls0: the covariant scalar/longitudinal part.  h_lslv: its
     ghost-sector (d/g mode) Lorentz-violating counterpart.  h_p_tls and
     h_m_tls: couplings of +k and -k transverse modes to the ghost
-    sector.  The returned bundle also carries the xi generator.
+    sector.
     """
     check_nonbiref(kappas)
     E, O = kappa_bilinears(kappas, frame)
@@ -286,7 +280,7 @@ def build_grouped(space, kappas, frame):
         (c2m, fac_cre, T[2]), (c2m, Tb[2], fac_ann),
     ]
 
-    blocks = (h_t, h_pm_t, h_ls0, h_lslv, h_p_tls, h_m_tls, _xi_terms(E, S, T, Sb, Tb))
+    blocks = (h_t, h_pm_t, h_ls0, h_lslv, h_p_tls, h_m_tls)
     return HamiltonianBundle(*(fs.monomial_sum(space, terms) for terms in blocks))
 
 
@@ -481,15 +475,12 @@ def transformed_element(space, h, xi, bra, ket):
     return complex(transformed_matrix(space, h, xi, [bra, ket])[0, 1])
 
 
-def momentum_operator(space, kvec, kappas=None):
+def momentum_operator(space, kvec):
     """The three conserved momentum components (units hbar = 1).
 
     P^j = k^j (sum of +k occupations minus sum of -k occupations), a
-    diagonal operator.  The momentum is independent of the anisotropy
-    parameters, so `kappas` is accepted only to let callers demonstrate
-    that independence; it is ignored.
+    diagonal operator that carries no anisotropy parameter.
     """
-    del kappas  # the momentum carries no anisotropy dependence
     kvec = np.asarray(kvec, dtype=float)
     if kvec.shape != (3,):
         raise ValueError("kvec must be a 3-vector")

@@ -2,11 +2,14 @@
 
 The free photon sector is parameterized by a dimensionless rank-4
 tensor with the index symmetries of the Riemann tensor and a vanishing
-double trace (19 independent components).  This module stores that tensor
-in fully raised form, converts it to and from the five phenomenological
-3x3 parameter matrices (two parity-even, two parity-odd, one scalar
-trace), evaluates the four-vector contraction both by brute force and by
-the non-birefringent closed-form identity, and applies the leading-order
+double trace (19 independent components).  This module holds that
+tensor as a read-only float (4, 4, 4, 4) array of its fully raised
+components and a four-vector as a float array (v^0, v^1, v^2, v^3);
+as_kf_components and as_four_components are their one shape checks.  It
+converts the tensor to and from the five phenomenological 3x3 parameter
+matrices (two parity-even, two parity-odd, one scalar trace), evaluates
+the four-vector contraction both by brute force and by the
+non-birefringent closed-form identity, and applies the leading-order
 coordinate redefinition that removes the single-trace part.
 
 Both directions of the conversion are closed forms.  kappas_from_kf
@@ -60,73 +63,31 @@ def _readonly(a):
     return a
 
 
-@dataclass(frozen=True)
-class FourVector:
-    """A four-vector (t, x, y, z) in natural units (c = 1)."""
-
-    t: float
-    spatial: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "t", float(self.t))
-        sp = _readonly(self.spatial)
-        if sp.shape != (3,):
-            raise ValueError("spatial part must be a 3-vector")
-        object.__setattr__(self, "spatial", sp)
-
-    @property
-    def components(self):
-        """Raised components (v^0, v^1, v^2, v^3) as a length-4 array."""
-        return np.concatenate(([self.t], self.spatial))
-
-    @classmethod
-    def from_components(cls, v):
-        v = np.asarray(v, dtype=float)
-        if v.shape != (4,):
-            raise ValueError("four-vector needs exactly 4 components")
-        return cls(v[0], v[1:])
-
-
 def as_four_components(v):
-    """Coerce a FourVector or any length-4 array-like to raised components."""
-    if isinstance(v, FourVector):
-        return v.components
+    """A four-vector (v^0, v^1, v^2, v^3) as a float array of length 4.
+
+    The one shape check of a four-vector: anything else is refused.
+    """
     v = np.asarray(v, dtype=float)
     if v.shape != (4,):
-        raise ValueError("expected a FourVector or 4 components")
+        raise ValueError("a four-vector needs exactly 4 components")
     return v
 
 
-@dataclass(frozen=True)
-class KFTensor:
-    """Rank-4 anisotropy tensor, stored with all indices raised."""
-
-    components: np.ndarray
-
-    def __post_init__(self):
-        c = _readonly(self.components)
-        if c.shape != (4, 4, 4, 4):
-            raise ValueError("components must be a 4x4x4x4 array")
-        object.__setattr__(self, "components", c)
-
-    @property
-    def lowered(self):
-        """Fully lowered components; one sign flip per spatial index."""
-        return self.components * _FLIP4
-
-    @classmethod
-    def zero(cls):
-        return cls(np.zeros((4, 4, 4, 4)))
-
-
 def as_kf_components(kf):
-    """Coerce a KFTensor or raw 4x4x4x4 array to its raised components."""
-    if isinstance(kf, KFTensor):
-        return kf.components
+    """Raised tensor components as a float (4, 4, 4, 4) array.
+
+    The one shape check of a rank-4 tensor: anything else is refused.
+    """
     kf = np.asarray(kf, dtype=float)
     if kf.shape != (4, 4, 4, 4):
-        raise ValueError("expected a KFTensor or a 4x4x4x4 array")
+        raise ValueError("a rank-4 tensor needs a 4x4x4x4 array of components")
     return kf
+
+
+def lowered(kf):
+    """Fully lowered components; one sign flip per spatial index."""
+    return as_kf_components(kf) * _FLIP4
 
 
 def sym_traceless(m):
@@ -483,21 +444,19 @@ def kf_from_kappas(k):
     double trace and Bianchi identity hold whatever trace roundoff k's
     matrices carry.
     """
-    return KFTensor((_GENERATOR @ _flatten_kappas(k)).reshape(4, 4, 4, 4))
+    return _readonly((_GENERATOR @ _flatten_kappas(k)).reshape(4, 4, 4, 4))
 
 
 def contract4(kf, w, x, y, z):
     """Fully contract the lowered tensor with four raised four-vectors.
 
     Direct summation of K_{klmn} w^k x^l y^m z^n over all 256 index
-    tuples (the lowered components are generated from the raised storage
-    by the shared sign-pattern helper).
+    tuples, with the lowered components of `lowered`.
     """
-    K_low = as_kf_components(kf) * _FLIP4
     return float(
         np.einsum(
             "klmn,k,l,m,n->",
-            K_low,
+            lowered(kf),
             as_four_components(w),
             as_four_components(x),
             as_four_components(y),
@@ -546,8 +505,8 @@ def project_kf(components):
     generator; components that no valid tensor has (K^{3333}, say) come
     out exactly 0.
     """
-    flat = np.asarray(components, dtype=float).reshape(256)
-    return KFTensor((_VALID_BASIS @ (_VALID_BASIS.T @ flat)).reshape(4, 4, 4, 4))
+    flat = as_kf_components(components).reshape(256)
+    return _readonly((_VALID_BASIS @ (_VALID_BASIS.T @ flat)).reshape(4, 4, 4, 4))
 
 
 def single_trace(kf):
@@ -565,5 +524,4 @@ def coordinate_shift(kf, event):
     zero tensor).
     """
     x = as_four_components(event)
-    shifted = x - 0.5 * (single_trace(kf) @ x)
-    return FourVector.from_components(shifted)
+    return x - 0.5 * (single_trace(kf) @ x)

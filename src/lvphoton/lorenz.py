@@ -267,7 +267,7 @@ def invariance_leakage(space, hamiltonian, t):
     largest total squared indefinite overlap with the C-class basis
     states.  Zero-norm (B class) admixture is allowed and not counted;
     the relaxed mode condition only protects the nonzero-norm sector.
-    Accepts a HamiltonianBundle or a bare operator matrix.
+    `hamiltonian` is a sparse operator matrix.
 
     The evolution runs one coupled block of H at a time, through
     fock_space.propagate_blocks.  The blocks are the connected components
@@ -280,7 +280,7 @@ def invariance_leakage(space, hamiltonian, t):
     series whose term count comes from a bound on the block's numerical
     range.
     """
-    h = getattr(hamiltonian, "total", hamiltonian).tocsr()
+    h = hamiltonian.tocsr()
     if t > MAX_LEAKAGE_TIME * (1 + 1e-12):
         raise ValueError("evolution time exceeds the supported window")
     a_states = _class_columns(space, (StateClass.A,))

@@ -83,9 +83,7 @@ def test_rejects_nonperturbative_scales(tmp_path, capsys):
 
 
 def test_rejects_inconsistent_dual_input(tmp_path, capsys):
-    kf = kt.as_kf_components(
-        kt.kf_from_kappas(kt.random_kappas(np.random.default_rng(1), 1e-2))
-    )
+    kf = kt.kf_from_kappas(kt.random_kappas(np.random.default_rng(1), 1e-2))
     payload = dict(SAMPLE, kf_components=kf.tolist())
     path = _write(tmp_path, "cfg.json", payload)
     status, _, err = _run(capsys, ["decompose", "--config", path])
@@ -280,6 +278,19 @@ def test_direction_is_normalized(tmp_path):
     assert np.allclose(config.direction, [0.0, 0.0, 1.0])
 
 
+def test_absent_keys_keep_the_run_config_defaults(tmp_path):
+    config = cli.load_config(_write(tmp_path, "zero.json", {}))
+    default = cli.RunConfig()
+    for name, value in vars(default).items():
+        if isinstance(value, np.ndarray):
+            assert np.array_equal(getattr(config, name), value), name
+        elif name == "kappas":
+            assert kt.kappa_distance(config.kappas, value) == 0.0
+        else:
+            assert getattr(config, name) == value, name
+    assert default.direction is not cli.RunConfig().direction
+
+
 # ---------------------------------------------------------- decompose
 
 
@@ -359,7 +370,7 @@ def test_strict_rejects_asymmetric_matrix(tmp_path, capsys):
 
 def test_strict_rejects_perturbed_tensor(tmp_path, capsys):
     rng = np.random.default_rng(5)
-    kf = kt.as_kf_components(kt.kf_from_kappas(kt.random_kappas(rng, 1e-2)))
+    kf = kt.kf_from_kappas(kt.random_kappas(rng, 1e-2))
     bad = kf + rng.normal(size=kf.shape) * 1e-8
     path = _write(tmp_path, "cfg.json", {"kf_components": bad.tolist()})
     status, _, err = _run(capsys, ["decompose", "--config", path, "--strict-symmetry"])
@@ -476,7 +487,6 @@ def test_dispersion_builds_the_tensor_once_without_bisection(
 
     monkeypatch.setattr(scipy.optimize, "brentq", refuse)
     monkeypatch.setattr(kt, "kf_from_kappas", counted)
-    monkeypatch.setattr(dp, "kf_from_kappas", counted)
     path = _write(tmp_path, "cfg.json", _birefringent_payload(4))
     status, out, err = _run(
         capsys, ["dispersion", "--config", path, "--grid", "500", "--seed", "4"]
@@ -492,8 +502,8 @@ def _rowwise_dispersion(config, grid, seed):
     """cmd_dispersion as earlier versions built it, one object per row.
 
     The reference for the columnar command: batched rho/sigma and roots
-    with eigenvectors, then per direction a one-row delta, a result
-    object and a row dict.  (rho/sigma stay batched: a one-row einsum
+    with eigenvectors, then per direction a one-row delta, the row's
+    float fields and a row dict.  (rho/sigma stay batched: a one-row einsum
     can round sigma's cancelling difference differently.)
     """
     k = config.kappas
@@ -508,26 +518,21 @@ def _rowwise_dispersion(config, grid, seed):
     for direction, khat, norm, rho, sigma, roots in zip(
         directions, khats, norms, rhos, sigmas, omegas
     ):
-        result = dp.DispersionResult(
-            delta=None if k.is_birefringent else dp.delta_nonbiref(k, khat),
-            rho=float(rho),
-            sigma=float(sigma),
-            omega_plus=float((1.0 + rho + sigma) * norm),
-            omega_minus=float((1.0 + rho - sigma) * norm),
-        )
+        omega_plus = float((1.0 + rho + sigma) * norm)
+        omega_minus = float((1.0 + rho - sigma) * norm)
         rows.append({
             "kx": direction[0],
             "ky": direction[1],
             "kz": direction[2],
-            "delta": result.delta,
-            "rho": result.rho,
-            "sigma": result.sigma,
-            "omega_minus": result.omega_minus,
-            "omega_plus": result.omega_plus,
+            "delta": None if k.is_birefringent else dp.delta_nonbiref(k, khat),
+            "rho": float(rho),
+            "sigma": float(sigma),
+            "omega_minus": omega_minus,
+            "omega_plus": omega_plus,
             "omega_minus_root": roots[0],
             "omega_plus_root": roots[1],
-            "residual_minus": abs(roots[0] - result.omega_minus),
-            "residual_plus": abs(roots[1] - result.omega_plus),
+            "residual_minus": abs(roots[0] - omega_minus),
+            "residual_plus": abs(roots[1] - omega_plus),
         })
     return {"command": "dispersion", "rows": rows}
 
@@ -623,8 +628,8 @@ def _full_space_row(space, frame, kappas):
     sum of all six named blocks; cross_before is the metric-weighted
     <pair| M H |vac> before the transform.
     """
-    bundle = hm.build_grouped(space, kappas, frame)
-    h = bundle.total
+    h = hm.build_grouped(space, kappas, frame).total
+    xi = hm.xi_generators(space, kappas, frame)
 
     def index(*modes):
         occ = [0] * 8
@@ -639,7 +644,7 @@ def _full_space_row(space, frame, kappas):
     indices.append(pair)
     states = np.zeros((len(indices), space.dim), dtype=complex)
     states[np.arange(len(indices)), indices] = 1.0
-    energies = hm.transformed_matrix(space, h, bundle.xi, states)
+    energies = hm.transformed_matrix(space, h, xi, states)
     cross_after = abs(energies[-1, 0])
     energies = energies.diagonal().real
     row = {}

@@ -73,7 +73,7 @@ def test_frame_orthonormal_right_handed():
         assert abs(np.linalg.norm(f.eps1) - 1) < 1e-14
         assert abs(np.linalg.norm(f.eps2) - 1) < 1e-14
         assert np.max(np.abs(np.cross(f.eps1, f.eps2) - khat)) < 1e-14
-        assert np.array_equal(f.eps3, khat)
+        assert np.array_equal(f.khat, khat)
 
 
 def test_frame_parity_pairing_exact():
@@ -84,7 +84,7 @@ def test_frame_parity_pairing_exact():
         g = dp.polarization_frame(-khat)
         assert np.array_equal(g.eps1, f.eps1)
         assert np.array_equal(g.eps2, -f.eps2)
-        assert np.array_equal(g.eps3, -f.eps3)
+        assert np.array_equal(g.khat, -f.khat)
 
 
 def test_frame_rejects_non_unit():
@@ -190,24 +190,29 @@ def test_ktilde_matches_oracle_and_is_symmetric():
     rng = np.random.default_rng(23)
     k = kt.random_kappas(rng, 1e-2, birefringent=True)
     kf = kt.kf_from_kappas(k)
-    khat = dp.random_directions(rng)
-    got = dp.ktilde(kf, np.concatenate(([0.0], khat * 3.7)))
-    want = ktilde_oracle(kf.components, khat)
-    assert np.max(np.abs(got - want)) < 1e-14
-    assert np.max(np.abs(got - got.T)) < 1e-15
-    assert np.max(np.abs(dp.ktilde(kt.KFTensor.zero(), [1.0, 0, 0, 1.0]))) == 0.0
+    khats = dp.random_directions(rng, 20)
+    got = dp.ktilde(kf, khats)
+    assert got.shape == (20, 4, 4)
+    for row, khat in zip(got, khats):
+        assert np.max(np.abs(row - ktilde_oracle(kf, khat))) < 1e-14
+        assert np.max(np.abs(row - row.T)) < 1e-15
+    # a tensor given as nested lists gives the same bits
+    assert np.array_equal(dp.ktilde(kf.tolist(), khats), got)
+    assert np.max(np.abs(dp.ktilde(np.zeros((4, 4, 4, 4)), [[0.0, 0.0, 1.0]]))) == 0.0
+    with pytest.raises(ValueError, match="4x4x4x4"):
+        dp.ktilde(np.zeros((4, 4, 4)), khats)
 
 
-def test_ktilde_rejects_zero_wavevector():
-    with pytest.raises(ValueError):
-        dp.ktilde(kt.KFTensor.zero(), [1.0, 0.0, 0.0, 0.0])
+def test_rho_sigma_rejects_zero_wavevector():
+    with pytest.raises(ValueError, match="nonzero"):
+        dp.rho_sigma(np.zeros((4, 4, 4, 4)), [0.0, 0.0, 0.0])
 
 
 # ------------------------------------------------------------- rho/sigma
 
 
 def test_rho_sigma_zero_tensor():
-    assert dp.rho_sigma(kt.KFTensor.zero(), np.array([0.0, 0.0, 1.0])) == (0.0, 0.0)
+    assert dp.rho_sigma(np.zeros((4, 4, 4, 4)), np.array([0.0, 0.0, 1.0])) == (0.0, 0.0)
 
 
 def test_rho_closed_form_along_z():
@@ -321,7 +326,7 @@ def test_batched_delta_matches_the_rowwise_reference_bit_for_bit():
 
 def test_ampere_zero_tensor_roots():
     kvec = np.array([0.4, -0.3, 1.2])
-    roots = dp.solve_ampere(kt.KFTensor.zero(), kvec)
+    roots = dp.solve_ampere(np.zeros((4, 4, 4, 4)), kvec)
     assert len(roots) == 2
     knorm = np.linalg.norm(kvec)
     for omega, evec in roots:
@@ -398,13 +403,13 @@ def test_summarize_fields():
     rng = np.random.default_rng(31)
     k = kt.random_kappas(rng, 1e-2)
     kvec = np.array([0.0, 0.0, 2.0])
-    res = dp.summarize(k, kvec)
-    assert res.delta == pytest.approx(dp.delta_nonbiref(k, kvec / 2.0), abs=1e-15)
-    assert res.omega_plus == pytest.approx((1 + res.rho + res.sigma) * 2.0, rel=1e-15)
-    assert res.omega_minus == pytest.approx((1 + res.rho - res.sigma) * 2.0, rel=1e-15)
-    assert all(type(v) is float for v in vars(res).values())
+    res = dp.summarize_batch(k, kt.kf_from_kappas(k), kvec)
+    assert all(np.shape(v) == (1,) for v in vars(res).values())
+    assert res.delta[0] == pytest.approx(dp.delta_nonbiref(k, kvec / 2.0), abs=1e-15)
+    assert res.omega_plus[0] == pytest.approx((1 + res.rho[0] + res.sigma[0]) * 2.0, rel=1e-15)
+    assert res.omega_minus[0] == pytest.approx((1 + res.rho[0] - res.sigma[0]) * 2.0, rel=1e-15)
     biref = kt.random_kappas(rng, 1e-3, birefringent=True)
-    assert dp.summarize(biref, kvec).delta is None
+    assert dp.summarize_batch(biref, kt.kf_from_kappas(biref), kvec).delta is None
 
 
 @pytest.mark.parametrize("birefringent", [False, True])
@@ -491,7 +496,7 @@ _CONFIGS = {
     "nonbirefringent-1e-6": _kf(1e-6),
     "double-root-1e-8": _kf(1e-8),
     "near-degenerate": lambda rng: kt.kf_from_kappas(_near_degenerate_kappas(rng)),
-    "zero": lambda rng: kt.KFTensor.zero(),
+    "zero": lambda rng: np.zeros((4, 4, 4, 4)),
     "roundoff": lambda rng: _roundoff_tensor(),
 }
 _DOUBLE_ROOTS = {"double-root-1e-8", "zero", "roundoff"}

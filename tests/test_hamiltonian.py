@@ -84,7 +84,7 @@ def _reference_raw(space, kf, frame):
 
 
 def _reference_grouped(space, kappas, frame):
-    """build_grouped as sums of sparse products of the ladder matrices."""
+    """build_grouped's bundle and xi_generators' Xi as sums of sparse products."""
     E, O = hm.kappa_bilinears(kappas, frame)
     S, T, Sb, Tb = _mode_operators(space)
     h_t, h_pm_t = _transverse_blocks(kappas, frame, E, S, T, Sb, Tb)
@@ -108,9 +108,8 @@ def _reference_grouped(space, kappas, frame):
         + c2m * (fac_cre @ T[2] + Tb[2] @ fac_ann)
     )
     blocks = (h_t, h_pm_t, h_ls0, h_lslv, h_p_tls, h_m_tls)
-    return hm.HamiltonianBundle(
-        *(block.tocsr() for block in blocks), xi=_xi_from_operators(E, S, T, Sb, Tb)
-    )
+    bundle = hm.HamiltonianBundle(*(block.tocsr() for block in blocks))
+    return bundle, _xi_from_operators(E, S, T, Sb, Tb)
 
 
 def _reference_transverse(space, kappas, frame):
@@ -138,10 +137,10 @@ def test_assembler_matches_product_chains(cutoff):
     frame = dp.polarization_frame(dp.random_directions(rng))
     kf = kt.kf_from_kappas(k)
     _assert_assembled_like(hm.build_raw(space, kf, frame), _reference_raw(space, kf, frame))
-    got, want = hm.build_grouped(space, k, frame), _reference_grouped(space, k, frame)
-    for block, ref in zip(got.blocks + (got.xi,), want.blocks + (want.xi,)):
+    want, want_xi = _reference_grouped(space, k, frame)
+    for block, ref in zip(hm.build_grouped(space, k, frame).blocks, want.blocks):
         _assert_assembled_like(block, ref)
-    _assert_assembled_like(hm.xi_generators(space, k, frame), want.xi)
+    _assert_assembled_like(hm.xi_generators(space, k, frame), want_xi)
 
 
 @pytest.mark.parametrize("cutoff", [2, 3, 4, 5])
@@ -267,13 +266,14 @@ def test_zero_kappa_blocks(space):
     assert abs(bundle.h_t - want_t).max() == 0.0
     want_ls0 = S[3] @ Sb[3] + Tb[3] @ T[3] - S[0] @ Sb[0] - Tb[0] @ T[0]
     assert abs(bundle.h_ls0 - want_ls0).max() == 0.0
-    for block in (bundle.h_pm_t, bundle.h_lslv, bundle.h_p_tls, bundle.h_m_tls, bundle.xi):
+    xi = hm.xi_generators(space, kt.KappaSet(), frame)
+    for block in (bundle.h_pm_t, bundle.h_lslv, bundle.h_p_tls, bundle.h_m_tls, xi):
         assert abs(block).max() == 0.0
 
 
 def test_zero_kappa_raw_equals_covariant_blocks(space):
     frame = dp.polarization_frame(np.array([0.0, 0.0, 1.0]))
-    raw = hm.build_raw(space, kt.KFTensor.zero(), frame)
+    raw = hm.build_raw(space, np.zeros((4, 4, 4, 4)), frame)
     bundle = hm.build_grouped(space, kt.KappaSet(), frame)
     assert abs(raw - (bundle.h_t + bundle.h_ls0)).max() < 1e-14
 
@@ -305,7 +305,8 @@ def test_blocks_bar_self_adjoint(space):
     bundle = hm.build_grouped(space, k, frame)
     for block in bundle.blocks:
         assert abs(fs.bar_adjoint(space, block) - block).max() < 1e-15
-    assert abs(fs.bar_adjoint(space, bundle.xi) + bundle.xi).max() < 1e-15
+    xi = hm.xi_generators(space, k, frame)
+    assert abs(fs.bar_adjoint(space, xi) + xi).max() < 1e-15
 
 
 def test_single_photon_gap_is_modified_dispersion(space2):
@@ -332,8 +333,8 @@ def test_raw_perturbation_linear_in_tensor(space):
     k = kt.random_kappas(rng, 1e-3)
     frame = dp.polarization_frame(dp.random_directions(rng))
     kf1 = kt.kf_from_kappas(k)
-    kf2 = kt.KFTensor(2.0 * kf1.components)
-    h0 = hm.build_raw(space, kt.KFTensor.zero(), frame)
+    kf2 = 2.0 * kf1
+    h0 = hm.build_raw(space, np.zeros((4, 4, 4, 4)), frame)
     h1 = hm.build_raw(space, kf1, frame)
     h2 = hm.build_raw(space, kf2, frame)
     assert abs((h2 - h0) - 2.0 * (h1 - h0)).max() < 1e-13
@@ -376,15 +377,15 @@ def test_similarity_transform_identity_and_spectrum(space):
     rng = np.random.default_rng(55)
     k = kt.random_kappas(rng, 1e-2)
     frame = dp.polarization_frame(dp.random_directions(rng))
-    bundle = hm.build_grouped(space, k, frame)
-    h = bundle.total
+    h = hm.build_grouped(space, k, frame).total
+    xi = hm.xi_generators(space, k, frame)
     # Over every basis column M G is exp(xi) H exp(-xi), since M^2 = 1.
     basis = sp.identity(space.dim, dtype=complex, format="csc")
     mdiag = fs.metric_diagonal(space)[:, None]
     zero = sp.csr_matrix(h.shape, dtype=complex)
     same = mdiag * hm.transformed_matrix(space, h, zero, basis)
     assert np.max(np.abs(same - h.toarray())) == 0.0
-    transformed = mdiag * hm.transformed_matrix(space, h, bundle.xi, basis)
+    transformed = mdiag * hm.transformed_matrix(space, h, xi, basis)
     # The ghost sector makes h defective (Jordan blocks), so individual
     # numerical eigenvalues are hypersensitive and cannot be compared
     # directly.  Trace moments determine the eigenvalue multiset and are
@@ -416,10 +417,10 @@ def test_transform_suppresses_transverse_cross_terms(space2):
     before, after = [], []
     for s in (1e-2, 1e-3):
         k = kt.KappaSet(e_minus=base.e_minus * s, o_plus=base.o_plus * s, tr=base.tr * s)
-        bundle = hm.build_grouped(space2, k, frame)
-        h = bundle.total
+        h = hm.build_grouped(space2, k, frame).total
+        xi = hm.xi_generators(space2, k, frame)
         before.append(abs(fs.indefinite_inner(space2, pair, h @ vac)))
-        after.append(abs(hm.transformed_element(space2, h, bundle.xi, pair, vac)))
+        after.append(abs(hm.transformed_element(space2, h, xi, pair, vac)))
     assert before[0] / before[1] == pytest.approx(10.0, rel=0.2)  # linear pre-transform
     slope = np.log10(after[0] / after[1])
     assert 1.8 < slope < 2.2
@@ -429,16 +430,16 @@ def test_transformed_expectation_matches_dense(space, dense_similarity):
     rng = np.random.default_rng(57)
     k = kt.random_kappas(rng, 1e-2)
     frame = dp.polarization_frame(dp.random_directions(rng))
-    bundle = hm.build_grouped(space, k, frame)
-    h = bundle.total
+    h = hm.build_grouped(space, k, frame).total
+    xi = hm.xi_generators(space, k, frame)
     psi = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
     phi = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
-    dense = dense_similarity(h, bundle.xi)
+    dense = dense_similarity(h, xi)
     want = fs.indefinite_inner(space, psi, dense @ psi)
-    got = hm.transformed_expectation(space, h, bundle.xi, psi)
+    got = hm.transformed_expectation(space, h, xi, psi)
     assert got == pytest.approx(want, abs=1e-10)
     want_elem = fs.indefinite_inner(space, psi, dense @ phi)
-    got_elem = hm.transformed_element(space, h, bundle.xi, psi, phi)
+    got_elem = hm.transformed_element(space, h, xi, psi, phi)
     assert got_elem == pytest.approx(want_elem, abs=1e-10)
 
 
@@ -501,37 +502,37 @@ def test_block_restricted_transform_matches_full_space(cutoff):
     rng = np.random.default_rng(90 + cutoff)
     k = kt.random_kappas(rng, 1e-2)
     frame = dp.polarization_frame(np.array([0.41, 0.32, -0.86]) / np.linalg.norm([0.41, 0.32, -0.86]))
-    bundle = hm.build_grouped(space, k, frame)
-    h = bundle.total
-    labels = fs.coupled_blocks(bundle.xi)
+    h = hm.build_grouped(space, k, frame).total
+    xi = hm.xi_generators(space, k, frame)
+    labels = fs.coupled_blocks(xi)
     vac, one, pair, ghost, mixed = _spread_states(space)
     assert len(set(labels[np.flatnonzero(mixed)])) == 3
     states = (vac, one, pair, ghost, mixed)
-    evolved = [_full_space_evolution(bundle.xi, psi) for psi in states]
+    evolved = [_full_space_evolution(xi, psi) for psi in states]
 
     for psi, phi in zip(states, evolved):
         want = fs.indefinite_inner(space, phi, h @ phi)
-        got = hm.transformed_expectation(space, h, bundle.xi, psi)
+        got = hm.transformed_expectation(space, h, xi, psi)
         assert abs(got - want) <= 1e-12
     for bra, ket in ((pair, vac), (mixed, one), (mixed, mixed)):
         want = fs.indefinite_inner(
-            space, _full_space_evolution(bundle.xi, bra), h @ _full_space_evolution(bundle.xi, ket)
+            space, _full_space_evolution(xi, bra), h @ _full_space_evolution(xi, ket)
         )
-        got = hm.transformed_element(space, h, bundle.xi, bra, ket)
+        got = hm.transformed_element(space, h, xi, bra, ket)
         assert abs(got - want) <= 1e-12
     # every pair of the five states
     want = np.array(
         [[fs.indefinite_inner(space, bra, h @ ket) for ket in evolved] for bra in evolved]
     )
-    got = hm.transformed_matrix(space, h, bundle.xi, states)
+    got = hm.transformed_matrix(space, h, xi, states)
     assert got.shape == (5, 5)
     assert np.max(np.abs(got - want)) <= 1e-12
     zero = np.zeros(space.dim)
-    assert hm.transformed_matrix(space, h, bundle.xi, [zero])[0, 0] == 0.0
-    got = hm.transformed_matrix(space, h, bundle.xi, [zero, vac])
+    assert hm.transformed_matrix(space, h, xi, [zero])[0, 0] == 0.0
+    got = hm.transformed_matrix(space, h, xi, [zero, vac])
     assert np.all(got[0] == 0.0) and np.all(got[:, 0] == 0.0)
     assert abs(got[1, 1] - want[0, 0]) <= 1e-12
-    assert hm.transformed_expectation(space, h, bundle.xi, zero) == 0.0
+    assert hm.transformed_expectation(space, h, xi, zero) == 0.0
 
 
 def test_ghost_vacuum_constant_matches_full_space(space2):
@@ -556,16 +557,17 @@ def test_transverse_factor_is_the_ghost_vacuum_block(cutoff):
     rng = np.random.default_rng(80 + cutoff)
     k = kt.random_kappas(rng, 1e-2)
     frame = dp.polarization_frame(np.array([0.41, 0.32, -0.86]) / np.linalg.norm([0.41, 0.32, -0.86]))
-    bundle = hm.build_grouped(space, k, frame)
+    h_full = hm.build_grouped(space, k, frame).total
+    xi_full = hm.xi_generators(space, k, frame)
     h, xi = hm.build_transverse(factor, k, frame)
     ghost_slots = [0, 3, 4, 7]
     empty = np.flatnonzero(~space.occupations[:, ghost_slots].any(axis=1))
     others = np.setdiff1d(np.arange(space.dim), empty)
     assert np.array_equal(space.occupations[empty][:, hm.TRANSVERSE_SLOTS], factor.occupations)
-    assert abs(bundle.total[empty][:, empty] - h).max() == 0.0
-    assert abs(bundle.xi[empty][:, empty] - xi).max() == 0.0
-    assert abs(bundle.xi[others][:, empty]).max() == 0.0
-    assert abs(bundle.xi[empty][:, others]).max() == 0.0
+    assert abs(h_full[empty][:, empty] - h).max() == 0.0
+    assert abs(xi_full[empty][:, empty] - xi).max() == 0.0
+    assert abs(xi_full[others][:, empty]).max() == 0.0
+    assert abs(xi_full[empty][:, others]).max() == 0.0
 
 
 def test_build_transverse_rejects_the_full_space(space):
@@ -580,18 +582,20 @@ def test_momentum_operator(space):
     rng = np.random.default_rng(58)
     kvec = np.array([0.3, -1.1, 0.7])
     k = kt.random_kappas(rng, 1e-2)
-    with_kappas = hm.momentum_operator(space, kvec, kappas=k)
-    without = hm.momentum_operator(space, kvec)
-    for a, b in zip(with_kappas, without):
-        assert abs(a - b).max() == 0.0
+    momentum = hm.momentum_operator(space, kvec)
+    # exactly conserved by the Xi transform: P is diagonal and every Xi
+    # term moves one +k and one -k quantum together
+    xi = hm.xi_generators(space, k, dp.polarization_frame(kvec / np.linalg.norm(kvec)))
+    for p in momentum:
+        assert abs(p @ xi - xi @ p).max() == 0.0
     vac = fs.vacuum_state(space)
-    for p in without:
+    for p in momentum:
         assert fs.indefinite_inner(space, vac, p @ vac) == 0.0
     one = np.zeros(space.dim, dtype=complex)
     occ = [0] * 8
     occ[fs.ModeId(fs.PLUS_K, 2).slot] = 1
     one[space.index_of(occ)] = 1.0
-    got = [fs.indefinite_inner(space, one, p @ one) for p in without]
+    got = [fs.indefinite_inner(space, one, p @ one) for p in momentum]
     assert np.allclose(got, kvec, atol=1e-15)
 
 

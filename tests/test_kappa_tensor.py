@@ -39,8 +39,14 @@ def test_contract4_matches_loop_oracle():
         kf = kt.kf_from_kappas(k)
         vecs = [rng.normal(size=4) for _ in range(4)]
         got = kt.contract4(kf, *vecs)
-        want = contract_oracle(kf.components, *vecs)
+        want = contract_oracle(kf, *vecs)
         assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
+        # nested lists are the same tensor and four-vectors
+        assert kt.contract4(kf.tolist(), *(v.tolist() for v in vecs)) == got
+    with pytest.raises(ValueError, match="4x4x4x4"):
+        kt.contract4(kf[0], *vecs)
+    with pytest.raises(ValueError, match="4 components"):
+        kt.contract4(kf, vecs[0][1:], *vecs[1:])
 
 
 def test_closed_form_matches_contract4_nonbirefringent():
@@ -95,7 +101,7 @@ def test_roundtrip_covers_birefringent_sector():
 def test_perturbed_component_detected():
     rng = np.random.default_rng(15)
     kf = kt.kf_from_kappas(kt.random_kappas(rng, 1e-2))
-    bad = kf.components.copy()
+    bad = kf.copy()
     bad[0, 1, 0, 2] += 1e-8
     report = kt.check_invariants(bad)
     assert report.max_violation > 1e-9
@@ -107,13 +113,22 @@ def test_projection_repairs_perturbed_tensor():
     rng = np.random.default_rng(16)
     kf = kt.kf_from_kappas(kt.random_kappas(rng, 1e-2))
     # identity on valid input
-    same = kt.project_kf(kf.components)
-    assert np.max(np.abs(same.components - kf.components)) < 1e-15
+    same = kt.project_kf(kf)
+    assert np.max(np.abs(same - kf)) < 1e-15
     # perturbed input lands back on the valid space, near the original
-    bad = kf.components + rng.normal(size=(4, 4, 4, 4)) * 1e-8
+    bad = kf + rng.normal(size=(4, 4, 4, 4)) * 1e-8
     repaired = kt.project_kf(bad)
     assert kt.check_invariants(repaired).ok()
-    assert np.max(np.abs(repaired.components - kf.components)) < 1e-7
+    assert np.max(np.abs(repaired - kf)) < 1e-7
+    assert np.array_equal(kt.project_kf(bad.tolist()), repaired)
+    with pytest.raises(ValueError, match="4x4x4x4"):
+        kt.project_kf(bad.reshape(256))
+    # both are plain read-only float arrays
+    for tensor in (kf, same, repaired):
+        assert type(tensor) is np.ndarray
+        assert tensor.shape == (4, 4, 4, 4) and tensor.dtype == float
+        with pytest.raises(ValueError, match="read-only"):
+            tensor[0, 1, 0, 1] = 1.0
 
 
 def test_pure_trace_components():
@@ -122,12 +137,12 @@ def test_pure_trace_components():
     # picks up two spatial sign flips, so K^{0101} = -s/2 as well.
     s = 3e-3
     kf = kt.kf_from_kappas(kt.KappaSet(tr=s))
-    assert kf.components[0, 1, 0, 1] == pytest.approx(-s / 2, rel=1e-12)
-    assert kf.components[0, 2, 0, 2] == pytest.approx(-s / 2, rel=1e-12)
-    assert kf.components[0, 3, 0, 3] == pytest.approx(-s / 2, rel=1e-12)
+    assert kf[0, 1, 0, 1] == pytest.approx(-s / 2, rel=1e-12)
+    assert kf[0, 2, 0, 2] == pytest.approx(-s / 2, rel=1e-12)
+    assert kf[0, 3, 0, 3] == pytest.approx(-s / 2, rel=1e-12)
     # Purely spatial block: K_{1212} = -(1/2) zhat.(s I).zhat = -s/2,
     # with four spatial flips cancelling.
-    assert kf.components[1, 2, 1, 2] == pytest.approx(-s / 2, rel=1e-12)
+    assert kf[1, 2, 1, 2] == pytest.approx(-s / 2, rel=1e-12)
     # Read-off consistency: tr = -(2/3) K^{0l0l}.
     assert kt.kappas_from_kf(kf).tr == pytest.approx(s, rel=1e-12)
 
@@ -139,16 +154,16 @@ def test_pure_odd_parity_component():
     c = 2e-3
     k = kt.KappaSet(o_plus=np.array([[0.0, c, 0.0], [-c, 0.0, 0.0], [0.0, 0.0, 0.0]]))
     kf = kt.kf_from_kappas(k)
-    assert kf.lowered[0, 1, 3, 1] == pytest.approx(-c / 2, rel=1e-12)
-    assert kf.components[0, 1, 3, 1] == pytest.approx(c / 2, rel=1e-12)
+    assert kt.lowered(kf)[0, 1, 3, 1] == pytest.approx(-c / 2, rel=1e-12)
+    assert kf[0, 1, 3, 1] == pytest.approx(c / 2, rel=1e-12)
 
 
 def test_pure_even_parity_component():
     a, b = 4e-3, -1e-3
     k = kt.KappaSet(e_minus=np.diag([a, b, -a - b]))
     kf = kt.kf_from_kappas(k)
-    assert kf.components[0, 1, 0, 1] == pytest.approx(-a / 2, rel=1e-12)
-    assert kf.components[0, 2, 0, 2] == pytest.approx(-b / 2, rel=1e-12)
+    assert kf[0, 1, 0, 1] == pytest.approx(-a / 2, rel=1e-12)
+    assert kf[0, 2, 0, 2] == pytest.approx(-b / 2, rel=1e-12)
 
 
 def test_kappa_set_validation():
@@ -207,9 +222,12 @@ def test_single_trace_is_traceless_and_shift_identity():
     # Full trace of the mixed single trace equals the double trace, which
     # vanishes by construction.
     assert abs(np.trace(kt.single_trace(kf))) < 1e-15
-    zero = kt.KFTensor.zero()
+    zero = np.zeros((4, 4, 4, 4))
     ev = kt.coordinate_shift(zero, [1.0, 2.0, 3.0, 4.0])
-    assert np.array_equal(ev.components, [1.0, 2.0, 3.0, 4.0])
+    assert type(ev) is np.ndarray
+    assert np.array_equal(ev, [1.0, 2.0, 3.0, 4.0])
+    with pytest.raises(ValueError, match="4 components"):
+        kt.coordinate_shift(zero, [1.0, 2.0, 3.0])
 
 
 def test_coordinate_shift_is_linear_in_event():
@@ -217,8 +235,8 @@ def test_coordinate_shift_is_linear_in_event():
     kf = kt.kf_from_kappas(kt.random_kappas(rng, 1e-2))
     u = rng.normal(size=4)
     v = rng.normal(size=4)
-    lhs = kt.coordinate_shift(kf, 2.0 * u + 3.0 * v).components
-    rhs = 2.0 * kt.coordinate_shift(kf, u).components + 3.0 * kt.coordinate_shift(kf, v).components
+    lhs = kt.coordinate_shift(kf, 2.0 * u + 3.0 * v)
+    rhs = 2.0 * kt.coordinate_shift(kf, u) + 3.0 * kt.coordinate_shift(kf, v)
     assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
@@ -276,7 +294,7 @@ def test_closed_form_matches_the_nullspace_reference():
 def test_projection_matches_the_nullspace_reference():
     # the projector, one column per raw unit component
     unit = np.eye(256).reshape(256, 4, 4, 4, 4)
-    got = np.column_stack([kt.project_kf(e).components.ravel() for e in unit])
+    got = np.column_stack([kt.project_kf(e).ravel() for e in unit])
     basis, _ = kf_reference.nullspace_basis()
     assert np.max(np.abs(got - basis @ basis.T)) <= 1e-15
 
@@ -306,8 +324,8 @@ def test_tensor_paths_need_no_svd_and_no_solve():
         "k = kt.random_kappas(np.random.default_rng(1), 1e-2, birefringent=True)\n"
         "kf = kt.kf_from_kappas(k)\n"
         "back = kt.kappas_from_kf(kf)\n"
-        "same = kt.project_kf(kf.components)\n"
-        "print(kt.kappa_distance(back, k), np.max(np.abs(same.components - kf.components)))\n"
+        "same = kt.project_kf(kf)\n"
+        "print(kt.kappa_distance(back, k), np.max(np.abs(same - kf)))\n"
     )
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
