@@ -7,7 +7,9 @@ leading-order dispersion relation, and a numerical solver for the
 modified Ampere law that serves as the oracle for all of the closed
 forms.  Frames, delta, rho/sigma and the solver take a whole batch of
 wave directions at once, as arrays with one row per direction; their
-one-direction forms are the one-row case.
+one-direction forms are the one-row case.  delta and rho/sigma also take
+one parameter set (a KappaStack) or one tensor per direction, stacked
+along the rows.
 """
 
 import warnings
@@ -18,7 +20,9 @@ import numpy as np
 from .kappa_tensor import (
     METRIC,
     PERTURBATIVE_LIMIT,
+    KappaStack,
     as_kf_components,
+    as_kf_stack,
     check_perturbative,
     readoff_magnitude,
 )
@@ -143,17 +147,21 @@ def delta_nonbiref_batch(k, khats):
                    - (1/2) sum_{r=1,2} eps_r . (e_minus + I tr) . eps_r
 
     One value per row of the unit directions khats, in the frames of
-    polarization_frames.  Only valid with e_plus = o_minus = 0;
-    birefringent input is rejected since the shift is then
+    polarization_frames.  k is one KappaSet for every row, or a
+    KappaStack with one set per row.  Only valid with e_plus = o_minus =
+    0; birefringent input is rejected since the shift is then
     polarization-dependent.
     """
-    if k.is_birefringent:
+    if np.any(k.is_birefringent):
         raise ValueError("delta is polarization-independent only without birefringence")
     e1, e2 = polarization_frames(khats)
-    emt = k.e_minus + np.eye(3) * k.tr
-    return np.vecdot(e1 @ k.o_plus, e2) - 0.5 * (
+    if isinstance(k, KappaStack):  # each set sees a block of one direction
+        e1, e2 = e1[:, None], e2[:, None]
+    emt = k.e_minus + np.multiply.outer(k.tr, np.eye(3))
+    delta = np.vecdot(e1 @ k.o_plus, e2) - 0.5 * (
         np.vecdot(e1 @ emt, e1) + np.vecdot(e2 @ emt, e2)
     )
+    return delta.reshape(len(khats))
 
 
 def delta_nonbiref(k, khat):
@@ -182,21 +190,27 @@ def random_directions(rng, count=None):
     so a batch holds the vectors that one-at-a-time draws would give.
     """
     if count is None:
-        return _unit_rows(rng.normal(size=3))[0][0]
-    return _unit_rows(rng.normal(size=(count, 3)))[0]
+        return direction_draws(rng.normal(size=3))[0]
+    return direction_draws(rng.normal(size=(count, 3)))
+
+
+def direction_draws(normals):
+    """The unit vectors random_directions draws from rows of 3 standard normals."""
+    return _unit_rows(normals)[0]
 
 
 def ktilde(kf, khats):
     """Two-index contraction ktilde^{ab} = K^{a m b n} khat_m khat_n per direction.
 
     One (4, 4) matrix per row of the unit spatial directions khats, with
-    the frequency seeded at |k| (leading order).  The subscripted wave
+    the frequency seeded at |k| (leading order).  kf is one tensor for
+    every row, or a stack with one tensor per row.  The subscripted wave
     four-vector carries the components (omega, +k), a convention pinned
     by the printed closed forms for rho and delta along z, so the
     contraction uses (1, +khat).
     """
     klow = np.hstack((np.ones((len(khats), 1)), khats))
-    return np.einsum("ambn,im,in->iab", as_kf_components(kf), klow, klow)
+    return np.einsum("...ambn,...m,...n->...ab", as_kf_stack(kf), klow, klow)
 
 
 def rho_sigma_batch(kf, khats):
@@ -205,8 +219,9 @@ def rho_sigma_batch(kf, khats):
         rho    = -(1/2) ktilde^a_a
         sigma^2 = (1/2) ktilde_{ab} ktilde^{ab} - rho^2
 
-    One value of each per row of khats (the rows are normalized first);
-    sigma is the nonnegative root.  Roundoff in the difference scales
+    One value of each per row of khats (the rows are normalized first),
+    with kf one tensor for every row or one per row, as in ktilde; sigma
+    is the nonnegative root.  Roundoff in the difference scales
     with |ktilde|^2 (up to ~30 eps times it over random draws), so only a
     sigma^2 below -SIGMA_SQ_RTOL * |ktilde|^2 counts as beyond numerical
     noise: each such direction warns once before its sigma^2 is clamped

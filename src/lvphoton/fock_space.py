@@ -223,18 +223,23 @@ def monomial_sum(space, terms):
         band[...] = 0.0
         rows.append(col + shift)
         cols.append(col)
-    rows = np.concatenate(rows or [np.zeros(0, dtype=int)])
-    order = np.argsort(rows, kind="stable")
+    # Each band holds a row at most once, so its entries drop straight into
+    # the next free slot of their rows; bands in order keep every row's
+    # columns ascending, and no sort is needed.
+    counts = np.zeros(space.dim, dtype=np.int64)
+    for band_rows in rows:
+        counts[band_rows] += 1
     indptr = np.zeros(space.dim + 1, dtype=np.int32)
-    indptr[1:] = np.cumsum(np.bincount(rows, minlength=space.dim))
-    return sp.csr_matrix(
-        (
-            np.concatenate(values or [np.zeros(0, dtype=complex)])[order],
-            np.concatenate(cols or [np.zeros(0, dtype=int)])[order].astype(np.int32),
-            indptr,
-        ),
-        shape=(space.dim, space.dim),
-    )
+    indptr[1:] = np.cumsum(counts)
+    data = np.empty(indptr[-1], dtype=complex)
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    free = indptr[:-1].astype(np.int64)
+    for band_rows, band_cols, band_values in zip(rows, cols, values):
+        slots = free[band_rows]
+        data[slots] = band_values
+        indices[slots] = band_cols
+        free[band_rows] += 1
+    return sp.csr_matrix((data, indices, indptr), shape=(space.dim, space.dim))
 
 
 def number_operator(space, mode):

@@ -27,6 +27,13 @@ e_plus and e_minus are traceless.
 
 Metric signature is diag(+,-,-,-) throughout; every index raise/lower
 goes through the same sign-pattern helper so conventions cannot diverge.
+
+Many parameter sets at once are a KappaStack, KappaSet's fields with one
+more leading axis.  The generator product, the read-off, the invariant
+report and both contractions each have one arithmetic kernel that
+broadcasts over that axis; the one-set functions are its unstacked
+case, and the *_batch functions take a stack of sets or tensors, one per
+row.
 """
 
 from dataclasses import dataclass, field
@@ -55,6 +62,9 @@ INVARIANT_TOL = 1e-12
 
 #: Largest parameter magnitude of the perturbative regime.
 PERTURBATIVE_LIMIT = 0.1
+
+#: The parameter fields of a KappaSet or KappaStack, in declaration order.
+_FIELDS = ("e_minus", "o_plus", "tr", "e_plus", "o_minus")
 
 
 def _readonly(a):
@@ -85,40 +95,73 @@ def as_kf_components(kf):
     return kf
 
 
+def as_kf_stack(kfs):
+    """Raised components of one tensor or a stack of them, shape (..., 4, 4, 4, 4)."""
+    kfs = np.asarray(kfs, dtype=float)
+    if kfs.shape[-4:] != (4, 4, 4, 4):
+        raise ValueError("a rank-4 tensor needs a 4x4x4x4 array of components")
+    return kfs
+
+
 def lowered(kf):
     """Fully lowered components; one sign flip per spatial index."""
     return as_kf_components(kf) * _FLIP4
 
 
 def sym_traceless(m):
-    """Project a 3x3 array onto its symmetric traceless part.
+    """Project a 3x3 array (or each of a stack) onto its symmetric traceless part.
 
     The last diagonal entry is set to minus the sum of the other two, so
     the output's floating-point trace is exactly zero and projecting it
     again returns the same bits (symmetrizing a symmetric array is exact).
     """
     m = np.asarray(m, dtype=float)
-    s = 0.5 * (m + m.T)
-    out = s - np.eye(3) * (np.trace(s) / 3.0)
-    out[2, 2] = -(out[0, 0] + out[1, 1])
+    s = 0.5 * (m + np.swapaxes(m, -1, -2))
+    out = s - np.multiply.outer(np.trace(s, axis1=-2, axis2=-1) / 3.0, np.eye(3))
+    out[..., 2, 2] = -(out[..., 0, 0] + out[..., 1, 1])
     return out
 
 
 def antisym(m):
-    """Project a 3x3 array onto its antisymmetric part."""
+    """Project a 3x3 array (or each of a stack) onto its antisymmetric part."""
     m = np.asarray(m, dtype=float)
-    return 0.5 * (m - m.T)
+    return 0.5 * (m - np.swapaxes(m, -1, -2))
 
 
-def _check_3x3(name, m, symmetric, traceless, tol):
-    if m.shape != (3, 3):
+def _check_3x3(name, m, lead, symmetric, traceless, tol):
+    if m.shape != lead + (3, 3):
         raise ValueError(f"{name} must be 3x3")
-    if symmetric and np.max(np.abs(m - m.T)) > tol:
+    transposed = np.swapaxes(m, -1, -2)
+    if symmetric and np.max(np.abs(m - transposed)) > tol:
         raise ValueError(f"{name} must be symmetric (violation > {tol:g})")
-    if not symmetric and np.max(np.abs(m + m.T)) > tol:
+    if not symmetric and np.max(np.abs(m + transposed)) > tol:
         raise ValueError(f"{name} must be antisymmetric (violation > {tol:g})")
-    if traceless and abs(np.trace(m)) > tol:
+    if traceless and np.max(np.abs(np.trace(m, axis1=-2, axis2=-1))) > tol:
         raise ValueError(f"{name} must be traceless (violation > {tol:g})")
+
+
+def _check_sets(k, lead):
+    """Refuse parameters that break the KappaSet rules, on every set of a stack.
+
+    k has KappaSet's five fields with leading shape lead, () for one
+    set; each rule is one whole-array comparison.
+    """
+    # NaN passes every tolerance comparison below, so check it first.
+    for name in _FIELDS:
+        if not np.all(np.isfinite(getattr(k, name))):
+            raise ValueError(f"{name} must be finite")
+    tol = INVARIANT_TOL
+    _check_3x3("e_minus", k.e_minus, lead, symmetric=True, traceless=True, tol=tol)
+    _check_3x3("e_plus", k.e_plus, lead, symmetric=True, traceless=True, tol=tol)
+    _check_3x3("o_minus", k.o_minus, lead, symmetric=True, traceless=True, tol=tol)
+    _check_3x3("o_plus", k.o_plus, lead, symmetric=False, traceless=False, tol=tol)
+
+
+def _birefringence(k):
+    """Largest abs entry of e_plus and o_minus, per set of a KappaSet or KappaStack."""
+    return np.maximum(
+        np.max(np.abs(k.e_plus), axis=(-2, -1)), np.max(np.abs(k.o_minus), axis=(-2, -1))
+    )
 
 
 @dataclass(frozen=True)
@@ -140,21 +183,13 @@ class KappaSet:
         for name in ("e_minus", "o_plus", "e_plus", "o_minus"):
             object.__setattr__(self, name, _readonly(getattr(self, name)))
         object.__setattr__(self, "tr", float(self.tr))
-        # NaN passes every tolerance comparison below, so check it first.
-        for name in ("e_minus", "o_plus", "tr", "e_plus", "o_minus"):
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise ValueError(f"{name} must be finite")
-        tol = INVARIANT_TOL
-        _check_3x3("e_minus", self.e_minus, symmetric=True, traceless=True, tol=tol)
-        _check_3x3("e_plus", self.e_plus, symmetric=True, traceless=True, tol=tol)
-        _check_3x3("o_minus", self.o_minus, symmetric=True, traceless=True, tol=tol)
-        _check_3x3("o_plus", self.o_plus, symmetric=False, traceless=False, tol=tol)
+        _check_sets(self, ())
 
     @property
     def is_birefringent(self):
         # Tolerance floor so that parameters recovered from a rank-4
         # tensor by a linear solve (noise ~1e-18) still count as zero.
-        return max(np.max(np.abs(self.e_plus)), np.max(np.abs(self.o_minus))) > 1e-14
+        return bool(_birefringence(self) > 1e-14)
 
     @property
     def magnitude(self):
@@ -179,13 +214,7 @@ class KappaSet:
 
     def rotated(self, rot):
         """The parameters in a frame rotated by the 3x3 matrix `rot`."""
-        return KappaSet(
-            e_minus=rot @ self.e_minus @ rot.T,
-            o_plus=rot @ self.o_plus @ rot.T,
-            tr=self.tr,
-            e_plus=rot @ self.e_plus @ rot.T,
-            o_minus=rot @ self.o_minus @ rot.T,
-        )
+        return KappaSet(**_rotated(self, rot))
 
     @classmethod
     def from_projection(cls, e_minus=None, o_plus=None, tr=0.0, e_plus=None, o_minus=None):
@@ -198,6 +227,55 @@ class KappaSet:
             e_plus=sym_traceless(z if e_plus is None else e_plus),
             o_minus=sym_traceless(z if o_minus is None else o_minus),
         )
+
+
+@dataclass(frozen=True)
+class KappaStack:
+    """Parameter sets along a leading axis: KappaSet's fields, one row per set.
+
+    e_minus, o_plus, e_plus and o_minus are (n, 3, 3) and tr is (n,).
+    The KappaSet rules hold on every row; they are checked as whole-array
+    comparisons when the stack is built.  Built by kappa_draws and
+    kappas_from_kf_batch; the *_batch kernels take it where their
+    one-set forms take a KappaSet.
+    """
+
+    e_minus: np.ndarray
+    o_plus: np.ndarray
+    tr: np.ndarray
+    e_plus: np.ndarray
+    o_minus: np.ndarray
+
+    def __post_init__(self):
+        for name in _FIELDS:
+            object.__setattr__(self, name, _readonly(getattr(self, name)))
+        if self.tr.ndim != 1:
+            raise ValueError("tr must hold one value per parameter set")
+        _check_sets(self, self.tr.shape)
+
+    def __len__(self):
+        return len(self.tr)
+
+    @property
+    def is_birefringent(self):
+        """KappaSet.is_birefringent of every row."""
+        return _birefringence(self) > 1e-14
+
+    def rotated(self, rots):
+        """Row i in the frame rotated by rots[i], an (n, 3, 3) stack of rotations."""
+        return KappaStack(**_rotated(self, rots))
+
+
+def _rotated(k, rot):
+    """The fields of a KappaSet or KappaStack k in the frame rotated by rot."""
+    rot_t = np.swapaxes(rot, -1, -2)
+    return dict(
+        e_minus=rot @ k.e_minus @ rot_t,
+        o_plus=rot @ k.o_plus @ rot_t,
+        tr=k.tr,
+        e_plus=rot @ k.e_plus @ rot_t,
+        o_minus=rot @ k.o_minus @ rot_t,
+    )
 
 
 def check_perturbative(magnitude):
@@ -226,27 +304,58 @@ def check_nonbiref(kappas):
 
 
 def kappa_distance(a, b):
-    """Largest absolute entry difference between two KappaSets, over all blocks."""
-    return max(
-        float(np.max(np.abs(a.e_minus - b.e_minus))),
-        float(np.max(np.abs(a.o_plus - b.o_plus))),
-        abs(a.tr - b.tr),
-        float(np.max(np.abs(a.e_plus - b.e_plus))),
-        float(np.max(np.abs(a.o_minus - b.o_minus))),
+    """Largest absolute entry difference between two KappaSets, over all blocks.
+
+    Of two KappaStacks, the distance of each pair of rows.
+    """
+    lead = np.shape(a.tr)
+    diffs = [
+        np.abs(getattr(a, name) - getattr(b, name)).reshape(lead + (-1,))
+        for name in _FIELDS
+    ]
+    return np.max(np.concatenate(diffs, axis=-1), axis=-1)
+
+
+#: Standard normals per random_kappas draw, without and with birefringence.
+DRAW_WIDTH = {False: 19, True: 37}
+
+
+def kappa_draws(normals, scale=1e-2):
+    """The parameter sets random_kappas draws from these standard normals.
+
+    One set per row of normals.  A row of 19 normals gives a
+    non-birefringent set, from e_minus (9 normals), o_plus (9) and tr
+    (1) in that order; a row of 37 goes on with e_plus (9) and o_minus
+    (9).  Each row is scaled by `scale` and projected exactly as
+    random_kappas does, so the set of row i is bit for bit the one
+    random_kappas draws from the same normals.  Returns a KappaStack.
+    """
+    z = np.asarray(normals, dtype=float) * scale
+    if z.ndim != 2 or z.shape[1] not in DRAW_WIDTH.values():
+        raise ValueError("a kappa draw takes 19 or 37 normals per row")
+
+    def block(start):
+        return z[:, start : start + 9].reshape(-1, 3, 3)
+
+    birefringent = z.shape[1] == DRAW_WIDTH[True]
+    zero = np.zeros((len(z), 3, 3))
+    return KappaStack(
+        e_minus=sym_traceless(block(0)),
+        o_plus=antisym(block(9)),
+        tr=z[:, 18],
+        e_plus=sym_traceless(block(19)) if birefringent else zero,
+        o_minus=sym_traceless(block(28)) if birefringent else zero,
     )
 
 
 def random_kappas(rng, scale=1e-2, birefringent=False):
-    """Draw a random valid KappaSet with entries of order `scale`."""
-    kw = dict(
-        e_minus=sym_traceless(rng.normal(size=(3, 3)) * scale),
-        o_plus=antisym(rng.normal(size=(3, 3)) * scale),
-        tr=float(rng.normal() * scale),
-    )
-    if birefringent:
-        kw["e_plus"] = sym_traceless(rng.normal(size=(3, 3)) * scale)
-        kw["o_minus"] = sym_traceless(rng.normal(size=(3, 3)) * scale)
-    return KappaSet(**kw)
+    """Draw a random valid KappaSet with entries of order `scale`.
+
+    The one-row case of kappa_draws, from DRAW_WIDTH[birefringent]
+    normals.
+    """
+    one = kappa_draws(rng.normal(size=(1, DRAW_WIDTH[bool(birefringent)])), scale)
+    return KappaSet(**{name: getattr(one, name)[0] for name in _FIELDS})
 
 
 @dataclass(frozen=True)
@@ -280,15 +389,32 @@ def check_invariants(kf):
     each index pair, symmetry under pair exchange, the first Bianchi
     identity, and the double trace.  Purely diagnostic; never raises.
     """
-    K = as_kf_components(kf)
-    first = np.max(np.abs(K + K.transpose(1, 0, 2, 3)))
-    second = np.max(np.abs(K + K.transpose(0, 1, 3, 2)))
-    pair = np.max(np.abs(K - K.transpose(2, 3, 0, 1)))
+    return SymmetryReport(*_violations(as_kf_components(kf)))
+
+
+def max_violation_batch(kfs):
+    """SymmetryReport.max_violation of each tensor of a stack."""
+    return np.max(_violations(as_kf_stack(kfs)), axis=0)
+
+
+def _violations(K):
+    """The five fields of check_invariants' report, per tensor of a stack K."""
+
+    def permuted(*order):  # K with its last four indices permuted
+        lead = tuple(range(K.ndim - 4))
+        return K.transpose(lead + tuple(len(lead) + i for i in order))
+
+    def worst(a):
+        return np.max(np.abs(a), axis=(-4, -3, -2, -1))
+
+    first = worst(K + permuted(1, 0, 2, 3))
+    second = worst(K + permuted(0, 1, 3, 2))
+    pair = worst(K - permuted(2, 3, 0, 1))
     # K[k,l,m,n] + K[k,n,l,m] + K[k,m,n,l] = 0
-    bianchi = np.max(np.abs(K + K.transpose(0, 3, 1, 2) + K.transpose(0, 2, 3, 1)))
+    bianchi = worst(K + permuted(0, 3, 1, 2) + permuted(0, 2, 3, 1))
     # g_{km} g_{ln} K^{klmn} = 0 (diagonal metric)
-    dtr = abs(np.einsum("abab,a,b->", K, _INDEX_SIGN, _INDEX_SIGN))
-    return SymmetryReport(first, second, pair, bianchi, dtr)
+    dtr = abs(np.einsum("...abab,a,b->...", K, _INDEX_SIGN, _INDEX_SIGN))
+    return first, second, pair, bianchi, dtr
 
 
 def kappas_from_kf(kf):
@@ -306,29 +432,45 @@ def kappas_from_kf(kf):
     Raises ValueError if the input violates the structural invariants
     beyond INVARIANT_TOL (malformed tensor).
     """
-    K = as_kf_components(kf)
-    report = check_invariants(K)
-    if not report.ok():
+    return KappaSet(**_checked_read_off(as_kf_components(kf)))
+
+
+def kappas_from_kf_batch(kfs):
+    """kappas_from_kf of each tensor of a stack, as a KappaStack.
+
+    Refuses the whole stack when any tensor violates the invariants or
+    any read-off breaks the KappaSet rules.
+    """
+    return KappaStack(**_checked_read_off(as_kf_stack(kfs)))
+
+
+def _checked_read_off(K):
+    """_read_off of a tensor or stack, refused if any tensor violates the invariants."""
+    worst = np.max(_violations(K))
+    if not worst <= INVARIANT_TOL:
         raise ValueError(
-            "tensor violates structural invariants "
-            f"(max {report.max_violation:.3e} > {INVARIANT_TOL:g})"
+            f"tensor violates structural invariants (max {worst:.3e} > {INVARIANT_TOL:g})"
         )
-    return KappaSet(**_read_off(K))
+    return _read_off(K)
 
 
 def _read_off(K):
-    """kappas_from_kf's five read-off formulas on components K, as raw arrays."""
-    k0j0k = K[0, 1:, 0, 1:]
-    spatial = K[1:, 1:, 1:, 1:]
-    dual = 0.25 * np.einsum("jpq,krs,pqrs->jk", EPS3, EPS3, spatial)
-    rot = np.einsum("jpq,kpq->jk", K[0, 1:, 1:, 1:], EPS3)
-    tr0 = np.trace(k0j0k)
+    """kappas_from_kf's five read-off formulas on components K, as raw arrays.
+
+    K is one tensor or a stack; each block gets K's leading axes.
+    """
+    k0j0k = K[..., 0, 1:, 0, 1:]
+    spatial = K[..., 1:, 1:, 1:, 1:]
+    dual = 0.25 * np.einsum("jpq,krs,...pqrs->...jk", EPS3, EPS3, spatial)
+    rot = np.einsum("...jpq,kpq->...jk", K[..., 0, 1:, 1:, 1:], EPS3)
+    rot_t = np.swapaxes(rot, -1, -2)
+    tr0 = np.trace(k0j0k, axis1=-2, axis2=-1)
     return dict(
-        e_minus=-k0j0k - dual + (2.0 / 3.0) * np.eye(3) * tr0,
-        o_plus=0.5 * (rot - rot.T),
+        e_minus=-k0j0k - dual + np.multiply.outer(tr0, (2.0 / 3.0) * np.eye(3)),
+        o_plus=0.5 * (rot - rot_t),
         tr=-(2.0 / 3.0) * tr0,
         e_plus=-k0j0k + dual,
-        o_minus=0.5 * (rot + rot.T),
+        o_minus=0.5 * (rot + rot_t),
     )
 
 
@@ -343,7 +485,7 @@ def readoff_magnitude(kf):
 
 
 def _flatten_kappas(k):
-    """Pack a KappaSet into the canonical 19-vector.
+    """Pack a KappaSet into the canonical 19-vector; a KappaStack into (n, 19).
 
     Order: e_plus (5), e_minus (5), o_plus (3), o_minus (5), tr.
     Symmetric traceless matrices are represented by
@@ -351,13 +493,14 @@ def _flatten_kappas(k):
     """
 
     def sym5(m):
-        return [m[0, 0], m[1, 1], m[0, 1], m[0, 2], m[1, 2]]
+        return [m[..., 0, 0], m[..., 1, 1], m[..., 0, 1], m[..., 0, 2], m[..., 1, 2]]
 
     def asym3(m):
-        return [m[0, 1], m[0, 2], m[1, 2]]
+        return [m[..., 0, 1], m[..., 0, 2], m[..., 1, 2]]
 
-    return np.array(
-        sym5(k.e_plus) + sym5(k.e_minus) + asym3(k.o_plus) + sym5(k.o_minus) + [k.tr]
+    return np.stack(
+        sym5(k.e_plus) + sym5(k.e_minus) + asym3(k.o_plus) + sym5(k.o_minus) + [k.tr],
+        axis=-1,
     )
 
 
@@ -425,7 +568,7 @@ def _tensor_from_blocks(e_plus, e_minus, o_plus, o_minus, tr):
 
 # The 256 x 19 map from the canonical 19-vector to the flattened raised
 # components, one column per unit parameter; its entries are 0 and
-# +-1/2, so it is exact.  It is kept in C order: the rounding of G @ x
+# +-1/2, so it is exact.  It is kept in C order: the rounding of x @ G.T
 # depends on the layout BLAS sees.  Q of its QR factorization is an
 # orthonormal basis of the valid tensors, which project_kf projects onto.
 _GENERATOR = _readonly(
@@ -444,7 +587,22 @@ def kf_from_kappas(k):
     double trace and Bianchi identity hold whatever trace roundoff k's
     matrices carry.
     """
-    return _readonly((_GENERATOR @ _flatten_kappas(k)).reshape(4, 4, 4, 4))
+    return _readonly(_generated(_flatten_kappas(k)))
+
+
+def kf_from_kappas_batch(stack):
+    """kf_from_kappas of each set of a KappaStack, shape (n, 4, 4, 4, 4).
+
+    One stacked product with the generator.  BLAS rounds that product
+    differently from the one-row product of kf_from_kappas, so a row can
+    differ from kf_from_kappas of its set in the last bit.
+    """
+    return _generated(_flatten_kappas(stack))
+
+
+def _generated(x):
+    """The generator applied to canonical 19-vectors x, shape (..., 19)."""
+    return (x @ _GENERATOR.T).reshape(x.shape[:-1] + (4, 4, 4, 4))
 
 
 def contract4(kf, w, x, y, z):
@@ -453,16 +611,27 @@ def contract4(kf, w, x, y, z):
     Direct summation of K_{klmn} w^k x^l y^m z^n over all 256 index
     tuples, with the lowered components of `lowered`.
     """
-    return float(
-        np.einsum(
-            "klmn,k,l,m,n->",
-            lowered(kf),
-            as_four_components(w),
-            as_four_components(x),
-            as_four_components(y),
-            as_four_components(z),
-        )
-    )
+    vectors = (as_four_components(v) for v in (w, x, y, z))
+    return float(_contract4(lowered(kf), *vectors))
+
+
+def contract4_batch(kfs, w, x, y, z):
+    """contract4 of each tensor of a stack with row i of each (n, 4) vector array."""
+    K = as_kf_stack(kfs)
+    return _contract4(K * _FLIP4, *_four_rows(K.shape[:-4], w, x, y, z))
+
+
+def _four_rows(lead, *vectors):
+    """Each argument as a float array of shape lead + (4,), or refused."""
+    vectors = [np.asarray(v, dtype=float) for v in vectors]
+    if any(v.shape != lead + (4,) for v in vectors):
+        raise ValueError("a four-vector needs exactly 4 components")
+    return vectors
+
+
+def _contract4(K_low, w, x, y, z):
+    """K_{klmn} w^k x^l y^m z^n, broadcast over leading axes."""
+    return np.einsum("...klmn,...k,...l,...m,...n->...", K_low, w, x, y, z)
 
 
 def contract4_kappa(k, w, x, y, z):
@@ -477,21 +646,31 @@ def contract4_kappa(k, w, x, y, z):
 
     Only valid with e_plus = o_minus = 0; birefringent input is rejected.
     """
-    if k.is_birefringent:
+    return float(_contract4_closed(k, *(as_four_components(v) for v in (w, x, y, z))))
+
+
+def contract4_kappa_batch(stack, w, x, y, z):
+    """contract4_kappa of each set of a KappaStack with row i of each vector array."""
+    return _contract4_closed(stack, *_four_rows((len(stack),), w, x, y, z))
+
+
+def _contract4_closed(k, w, x, y, z):
+    """contract4_kappa's closed form, broadcast over a KappaStack and rows of vectors."""
+    if np.any(k.is_birefringent):
         raise ValueError("closed-form contraction only covers the non-birefringent sector")
-    w = as_four_components(w)
-    x = as_four_components(x)
-    y = as_four_components(y)
-    z = as_four_components(z)
-    emt = k.e_minus + np.eye(3) * k.tr
-    j_wx = w[0] * x[1:] - w[1:] * x[0]
-    j_yz = y[0] * z[1:] - y[1:] * z[0]
-    w_wx = np.cross(w[1:], x[1:])
-    w_yz = np.cross(y[1:], z[1:])
-    out = -0.5 * (j_wx @ emt @ j_yz)
-    out += -0.5 * (j_wx @ k.o_plus @ w_yz + j_yz @ k.o_plus @ w_wx)
-    out += -0.5 * (w_wx @ emt @ w_yz)
-    return float(out)
+    emt = k.e_minus + np.multiply.outer(k.tr, np.eye(3))
+    j_wx = w[..., :1] * x[..., 1:] - w[..., 1:] * x[..., :1]
+    j_yz = y[..., :1] * z[..., 1:] - y[..., 1:] * z[..., :1]
+    w_wx = np.cross(w[..., 1:], x[..., 1:])
+    w_yz = np.cross(y[..., 1:], z[..., 1:])
+
+    def form(u, m, v):  # u . m . v
+        return (u[..., None, :] @ m @ v[..., :, None])[..., 0, 0]
+
+    out = -0.5 * form(j_wx, emt, j_yz)
+    out += -0.5 * (form(j_wx, k.o_plus, w_yz) + form(j_yz, k.o_plus, w_wx))
+    out += -0.5 * form(w_wx, emt, w_yz)
+    return out
 
 
 def project_kf(components):
