@@ -5,11 +5,11 @@ record {name, tolerance, measured, margin, ..., pass}; `cmd_verify`
 runs them in a fixed order, adds each record's elapsed_s and aggregates
 the report.  The tensor and dispersion checks are columnar: a check
 draws all its inputs in one call, with the stream of one-at-a-time
-draws, and evaluates them in whole-array calls of the batched kernels
-(kt.kf_from_kappas_batch, dp.rho_sigma_batch on a stack of tensors,
-...).  The suite is the only user of the Fock-space stack besides
-`spectrum`, so `lvphoton.cli` imports this module only when `verify`
-runs.
+draws, and evaluates them in whole-array calls of the same functions
+that take one set, tensor or direction (kt.kf_from_kappas on stacked
+sets, dp.rho_sigma on one tensor per direction, ...).  The suite is
+the only user of the Fock-space stack besides `spectrum`, so
+`lvphoton.cli` imports this module only when `verify` runs.
 
 Every traced function is called through its module attribute
 (`kt.kf_from_kappas`, `lz.invariance_leakage`, ...), never bound by
@@ -89,20 +89,21 @@ def _tensor_checks(rng):
         width = kt.DRAW_WIDTH[bool(rng.integers(2))]
         row[:width] = rng.normal(size=width)
     k = kt.kappa_draws(normals)
-    back = kt.kappas_from_kf_batch(kt.kf_from_kappas_batch(k))
+    back = kt.kappas_from_kf(kt.kf_from_kappas(k))
     yield _check("kappa_roundtrip", np.max(kt.kappa_distance(k, back)), 1e-12)
 
     (normals,) = _draws(rng, 50, _KAPPA_BIREF)
-    kf = kt.kf_from_kappas_batch(kt.kappa_draws(normals))
-    yield _check("kf_structural_invariants", np.max(kt.max_violation_batch(kf)), 1e-12)
+    kf = kt.kf_from_kappas(kt.kappa_draws(normals))
+    worst = np.max(kt.check_invariants(kf).max_violation)
+    yield _check("kf_structural_invariants", worst, 1e-12)
 
     normals, vectors = _draws(rng, 200, _KAPPA, 16)
     k = kt.kappa_draws(normals)
-    kf = kt.kf_from_kappas_batch(k)
+    kf = kt.kf_from_kappas(k)
     w, x, y, z = np.moveaxis(vectors.reshape(-1, 4, 4), 1, 0)
 
     def contract(*vecs):
-        return kt.contract4_batch(kf, *vecs)
+        return kt.contract4(kf, *vecs)
 
     base = contract(w, x, y, z)
     worst_sym = np.max(
@@ -115,7 +116,7 @@ def _tensor_checks(rng):
         )
     )
     worst_bianchi = np.max(np.abs(base + contract(w, z, x, y) + contract(w, y, z, x)))
-    closed = kt.contract4_kappa_batch(k, w, x, y, z)
+    closed = kt.contract4_kappa(k, w, x, y, z)
     scale = np.maximum(np.maximum(np.abs(base), np.abs(closed)), 1e-30)
     worst_identity = np.max(np.abs(base - closed) / scale)
     yield _check("contraction_antisymmetry", worst_sym, 1e-12)
@@ -127,18 +128,17 @@ def _dispersion_checks(rng):
     # the third frame vector is the direction itself, so only eps1 and
     # eps2 carry a parity rule
     khats = dp.random_directions(rng, 100)
-    eps1, eps2 = dp.polarization_frames(khats)
-    opp1, opp2 = dp.polarization_frames(-khats)
-    worst_parity = max(np.max(np.abs(opp1 - eps1)), np.max(np.abs(opp2 + eps2)))
+    frame, opposite = dp.polarization_frame(khats), dp.polarization_frame(-khats)
+    worst_parity = max(
+        np.max(np.abs(opposite.eps1 - frame.eps1)), np.max(np.abs(opposite.eps2 + frame.eps2))
+    )
     yield _check("frame_parity", worst_parity, 0.0)
 
     normals, directions = _draws(rng, 50, _KAPPA, 3)
     k = kt.kappa_draws(normals)
     khats = dp.direction_draws(directions)
-    rho, sigma = dp.rho_sigma_batch(kt.kf_from_kappas_batch(k), khats)
-    yield _check(
-        "rho_equals_delta", np.max(np.abs(rho - dp.delta_nonbiref_batch(k, khats))), 1e-12
-    )
+    rho, sigma = dp.rho_sigma(kt.kf_from_kappas(k), khats)
+    yield _check("rho_equals_delta", np.max(np.abs(rho - dp.delta_nonbiref(k, khats))), 1e-12)
     # sigma is the square root of a quadratically small discriminant, so
     # its noise floor sits near sqrt(eps * kappa^2), not near eps
     yield _check("sigma_nonbirefringent", np.max(sigma), 1e-7)
@@ -147,8 +147,8 @@ def _dispersion_checks(rng):
     k = kt.kappa_draws(normals)
     khats = dp.direction_draws(directions)
     rots = _rotations(rotations)
-    moved = dp.delta_nonbiref_batch(k.rotated(rots), (rots @ khats[:, :, None])[:, :, 0])
-    worst_cov = np.max(np.abs(moved - dp.delta_nonbiref_batch(k, khats)))
+    moved = dp.delta_nonbiref(k.rotated(rots), (rots @ khats[:, :, None])[:, :, 0])
+    worst_cov = np.max(np.abs(moved - dp.delta_nonbiref(k, khats)))
     yield _check("delta_rotation_covariance", worst_cov, 1e-12)
 
     # the root solver takes one tensor per call (the path of `dispersion`),
@@ -158,10 +158,10 @@ def _dispersion_checks(rng):
         normals, directions = _draws(rng, 10, _KAPPA, 3)
         k = kt.kappa_draws(normals, scale)
         khats = dp.direction_draws(directions)
-        delta = dp.delta_nonbiref_batch(k, khats)
+        delta = dp.delta_nonbiref(k, khats)
         worst = 0.0
-        for kf, khat, shift in zip(kt.kf_from_kappas_batch(k), khats, delta):
-            roots = dp.ampere_roots_batch(kf, khat[None])
+        for kf, khat, shift in zip(kt.kf_from_kappas(k), khats, delta):
+            roots = dp.ampere_roots(kf, khat)
             worst = max(worst, np.max(np.abs(roots - (1.0 + shift))))
         residuals.append(float(worst))
     slope, _ = np.polyfit(
@@ -370,18 +370,10 @@ def _lorenz_checks(rng, config, inject_c_leakage):
     for n1 in range(4):
         for n2 in range(4 - n1):
             best = np.abs((pow_lslv[n1] @ pow_tls[n2]).toarray()[self_paired, :]).max(axis=0)
-            for start in range(g.dim):
-                nd, ng, ndp, ngp = (int(x) for x in occ[start])
-                oracle = lz.counting_oracle(nd, ng, ndp, ngp, n1, n2)
-                if not oracle and best[start] >= 1e-12:
-                    disagreements += 1
-                elif (
-                    oracle
-                    and nd + n1 + n2 <= g.cutoff
-                    and ngp + n1 + n2 <= g.cutoff
-                    and best[start] <= 1e-12
-                ):
-                    disagreements += 1
+            oracle = lz.counting_oracle(*occ.T, n1, n2)  # one answer per start state
+            headroom = (occ[:, 0] + n1 + n2 <= g.cutoff) & (occ[:, 3] + n1 + n2 <= g.cutoff)
+            disagreements += np.count_nonzero(~oracle & (best >= 1e-12))
+            disagreements += np.count_nonzero(oracle & headroom & (best <= 1e-12))
     yield _check("counting_oracle_agreement", disagreements, 0.0)
 
     space = fs.build_space(2)

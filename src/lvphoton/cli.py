@@ -410,9 +410,9 @@ def cmd_dispersion(config, grid=0, seed=0):
     kf = kt.kf_from_kappas(config.kappas)
     rng = np.random.default_rng(seed)
     directions = np.vstack((config.direction, dp.random_directions(rng, grid)))
-    shifts = dp.summarize_batch(config.kappas, kf, directions)
+    shifts = dp.summarize(config.kappas, kf, directions)
     try:
-        roots = dp.ampere_roots_batch(kf, directions)
+        roots = dp.ampere_roots(kf, directions)
     except RuntimeError as exc:
         raise ValueError(str(exc)) from exc
     delta = [None] * len(directions) if shifts.delta is None else shifts.delta.tolist()

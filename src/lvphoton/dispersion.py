@@ -5,11 +5,13 @@ vectors, the leading-order fractional phase-velocity shift delta(k) for
 the non-birefringent sector, the rho/sigma split of the general
 leading-order dispersion relation, and a numerical solver for the
 modified Ampere law that serves as the oracle for all of the closed
-forms.  Frames, delta, rho/sigma and the solver take a whole batch of
-wave directions at once, as arrays with one row per direction; their
-one-direction forms are the one-row case.  delta and rho/sigma also take
-one parameter set (a KappaStack) or one tensor per direction, stacked
-along the rows.
+forms.  Each function takes one wave direction, a 3-vector, or many as
+an array whose last axis has length 3, and returns results with the
+directions' leading axes; one direction gives Python floats where a
+value is a number.  A single direction goes through the same one-row
+arithmetic as a row of a batch, so it gets the bits that row gets.
+delta and rho/sigma also take stacked parameter sets or tensors, one
+per direction.
 """
 
 import warnings
@@ -20,7 +22,6 @@ import numpy as np
 from .kappa_tensor import (
     METRIC,
     PERTURBATIVE_LIMIT,
-    KappaStack,
     as_kf_components,
     as_kf_stack,
     check_perturbative,
@@ -64,7 +65,11 @@ _RESIDUAL_RTOL = 1e-10
 
 @dataclass(frozen=True)
 class PolarizationFrame:
-    """Right-handed orthonormal triad (eps1, eps2, khat)."""
+    """Right-handed orthonormal triad (eps1, eps2, khat), per direction.
+
+    Each field has the shape of khat: (3,) for one direction, lead + (3,)
+    for many.
+    """
 
     eps1: np.ndarray
     eps2: np.ndarray
@@ -94,22 +99,30 @@ def _canonical_hemisphere(khats):
     return (kz > 0.0) | ((kz == 0.0) & ((ky > 0.0) | ((ky == 0.0) & (kx > 0.0))))
 
 
+def _rows(vectors):
+    """An array of 3-vectors as (n, 3) rows; one 3-vector is one row.
+
+    The one shape check of directions: an array whose last axis does
+    not have length 3 is refused, never reshaped into other rows.
+    """
+    vectors = np.asarray(vectors, dtype=float)
+    if vectors.ndim == 0 or vectors.shape[-1] != 3:
+        raise ValueError("a direction needs an array whose last axis has length 3")
+    return vectors.reshape(-1, 3)
+
+
 def _gram_schmidt(axis, khats):
     """The fixed axis minus its projection on each row, and that remainder's norm."""
     e = axis - (khats @ axis)[:, None] * khats
     return e, np.sqrt(np.vecdot(e, e))
 
 
-def polarization_frames(khats):
-    """eps1 and eps2 of polarization_frame for every row of khats.
+def _frames(khats):
+    """eps1 and eps2 of polarization_frame for the (n, 3) unit rows khats.
 
-    Returns two (n, 3) arrays; the third frame vector is khats itself.
-    Every row comes out bit for bit as polarization_frame gives it alone.
+    Every row comes out bit for bit as it does alone, as a one-row array.
     """
-    khats = np.asarray(khats, dtype=float)
-    if khats.ndim != 2 or khats.shape[1] != 3 or np.any(
-        np.abs(np.sqrt(np.vecdot(khats, khats)) - 1.0) > 1e-12
-    ):
+    if np.any(np.abs(np.sqrt(np.vecdot(khats, khats)) - 1.0) > 1e-12):
         raise ValueError("khat must be a unit 3-vector")
     canonical = _canonical_hemisphere(khats)
     base = np.where(canonical[:, None], khats, -khats)
@@ -123,7 +136,7 @@ def polarization_frames(khats):
 
 
 def polarization_frame(khat):
-    """Deterministic transverse frame for a unit wavevector.
+    """Deterministic transverse frame for a unit wavevector, or for each of many.
 
     The frame is built by Gram-Schmidt of x-hat (y-hat when khat is
     within 1e-8 of x-hat) in a canonical hemisphere (k_z > 0, ties
@@ -133,49 +146,52 @@ def polarization_frame(khat):
         eps1(-k) = +eps1(k),  eps2(-k) = -eps2(k),  khat(-k) = -khat(k),
 
     so the rules hold exactly by construction.  eps1 x eps2 = khat in
-    both hemispheres.  The one-row case of polarization_frames.
+    both hemispheres.  khat of shape lead + (3,) gives a frame whose
+    fields have that shape.
     """
     khat = np.asarray(khat, dtype=float)
-    e1, e2 = polarization_frames(khat[None])
-    return PolarizationFrame(eps1=e1[0], eps2=e2[0], khat=khat.copy())
+    e1, e2 = _frames(_rows(khat))
+    return PolarizationFrame(
+        eps1=e1.reshape(khat.shape), eps2=e2.reshape(khat.shape), khat=khat.copy()
+    )
 
 
-def delta_nonbiref_batch(k, khats):
+def delta_nonbiref(k, khat):
     """Fractional phase-velocity shift for the non-birefringent sector.
 
         delta(k) = eps1 . o_plus . eps2
                    - (1/2) sum_{r=1,2} eps_r . (e_minus + I tr) . eps_r
 
-    One value per row of the unit directions khats, in the frames of
-    polarization_frames.  k is one KappaSet for every row, or a
-    KappaStack with one set per row.  Only valid with e_plus = o_minus =
-    0; birefringent input is rejected since the shift is then
+    in the frame of polarization_frame, per unit direction of khat.  k
+    is one KappaSet for every direction, or stacked sets, one per
+    direction, whose leading shape broadcasts against the directions'.
+    One set and one direction give a float.  Only valid with e_plus =
+    o_minus = 0; birefringent input is rejected since the shift is then
     polarization-dependent.
     """
     if np.any(k.is_birefringent):
         raise ValueError("delta is polarization-independent only without birefringence")
-    e1, e2 = polarization_frames(khats)
-    if isinstance(k, KappaStack):  # each set sees a block of one direction
-        e1, e2 = e1[:, None], e2[:, None]
+    khat = np.asarray(khat, dtype=float)
+    lead = khat.shape[:-1]
+    e1, e2 = _frames(_rows(khat))
+    stacked = not isinstance(k.tr, float)  # one set holds a float tr
+    if stacked:  # each set sees a block of one direction
+        e1, e2 = e1.reshape(lead + (1, 3)), e2.reshape(lead + (1, 3))
     emt = k.e_minus + np.multiply.outer(k.tr, np.eye(3))
     delta = np.vecdot(e1 @ k.o_plus, e2) - 0.5 * (
         np.vecdot(e1 @ emt, e1) + np.vecdot(e2 @ emt, e2)
     )
-    return delta.reshape(len(khats))
-
-
-def delta_nonbiref(k, khat):
-    """delta for one unit direction: the one-row case of delta_nonbiref_batch."""
-    return float(delta_nonbiref_batch(k, np.asarray(khat, dtype=float)[None])[0])
+    delta = delta[..., 0] if stacked else delta.reshape(lead)
+    return float(delta) if delta.ndim == 0 else delta
 
 
 def _unit_rows(kvecs):
-    """Rows of kvecs as unit vectors, with their norms; zero rows are refused.
+    """kvecs as (n, 3) unit rows, with their norms; zero rows are refused.
 
     np.vecdot takes the same dot product that np.linalg.norm takes of a
     single row, so each row comes out bit for bit as it would alone.
     """
-    kvecs = np.asarray(kvecs, dtype=float).reshape(-1, 3)
+    kvecs = _rows(kvecs)
     norms = np.sqrt(np.vecdot(kvecs, kvecs))
     if not np.all(norms > 0.0):
         raise ValueError("spatial wavevector must be nonzero")
@@ -189,70 +205,74 @@ def random_directions(rng, count=None):
     number.  The stream is that of count separate size-3 normal draws,
     so a batch holds the vectors that one-at-a-time draws would give.
     """
-    if count is None:
-        return direction_draws(rng.normal(size=3))[0]
-    return direction_draws(rng.normal(size=(count, 3)))
+    return direction_draws(rng.normal(size=3 if count is None else (count, 3)))
 
 
 def direction_draws(normals):
-    """The unit vectors random_directions draws from rows of 3 standard normals."""
-    return _unit_rows(normals)[0]
+    """The unit vectors drawn from standard normals, one per 3-vector of them."""
+    return _unit_rows(normals)[0].reshape(np.shape(normals))
 
 
 def ktilde(kf, khats):
     """Two-index contraction ktilde^{ab} = K^{a m b n} khat_m khat_n per direction.
 
-    One (4, 4) matrix per row of the unit spatial directions khats, with
-    the frequency seeded at |k| (leading order).  kf is one tensor for
-    every row, or a stack with one tensor per row.  The subscripted wave
-    four-vector carries the components (omega, +k), a convention pinned
-    by the printed closed forms for rho and delta along z, so the
-    contraction uses (1, +khat).
+    One (4, 4) matrix per unit spatial direction of khats (shape
+    lead + (3,)), with the frequency seeded at |k| (leading order).  kf
+    is one tensor for every direction, or one per direction.  The
+    subscripted wave four-vector carries the components (omega, +k), a
+    convention pinned by the printed closed forms for rho and delta
+    along z, so the contraction uses (1, +khat).
     """
-    klow = np.hstack((np.ones((len(khats), 1)), khats))
+    khats = np.asarray(khats, dtype=float)
+    klow = np.concatenate((np.ones(khats.shape[:-1] + (1,)), khats), axis=-1)
     return np.einsum("...ambn,...m,...n->...ab", as_kf_stack(kf), klow, klow)
 
 
-def rho_sigma_batch(kf, khats):
+def rho_sigma(kf, khat):
     """Polarization-independent and birefringent phase-velocity shifts.
 
         rho    = -(1/2) ktilde^a_a
         sigma^2 = (1/2) ktilde_{ab} ktilde^{ab} - rho^2
 
-    One value of each per row of khats (the rows are normalized first),
-    with kf one tensor for every row or one per row, as in ktilde; sigma
-    is the nonnegative root.  Roundoff in the difference scales
-    with |ktilde|^2 (up to ~30 eps times it over random draws), so only a
-    sigma^2 below -SIGMA_SQ_RTOL * |ktilde|^2 counts as beyond numerical
-    noise: each such direction warns once before its sigma^2 is clamped
-    to zero.
+    One value of each per direction of khat (normalized first), with
+    kf one tensor for every direction or one per direction (the
+    directions' leading shape); one tensor and one direction give two
+    floats.  sigma is the nonnegative root.  Roundoff in the difference
+    scales with |ktilde|^2 (up to ~30 eps times it over random draws),
+    so only a sigma^2 below -SIGMA_SQ_RTOL * |ktilde|^2 counts as beyond
+    numerical noise: each such direction warns once before its sigma^2
+    is clamped to zero.
     """
-    khats, _ = _unit_rows(khats)
-    kt = ktilde(kf, khats)
+    K = as_kf_stack(kf)
+    khats, _ = _unit_rows(khat)
+    lead = np.shape(khat)[:-1] or K.shape[:-4]
+    if K.ndim > 4 and K.shape[:-4] != lead:
+        raise ValueError("one tensor per direction needs the directions' leading shape")
+    kt = ktilde(K.reshape(-1, 4, 4, 4, 4) if K.ndim > 4 else K, khats)
     rho = -0.5 * np.einsum("iab,ba->i", kt, METRIC)
     kt_low = METRIC @ kt @ METRIC
     sigma_sq = 0.5 * np.einsum("iab,iab->i", kt_low, kt) - rho**2
     noisy = sigma_sq < -SIGMA_SQ_RTOL * np.sum(kt**2, axis=(1, 2))
     for value in sigma_sq[noisy]:
         warnings.warn(f"sigma^2 = {value:.3e} < 0 beyond roundoff; clamping to 0")
-    return rho, np.sqrt(np.maximum(sigma_sq, 0.0))
+    sigma = np.sqrt(np.maximum(sigma_sq, 0.0))
+    if not lead:
+        return float(rho[0]), float(sigma[0])
+    return rho.reshape(lead), sigma.reshape(lead)
 
 
-def rho_sigma(kf, khat):
-    """rho and sigma for one direction: the one-row case of rho_sigma_batch."""
-    rho, sigma = rho_sigma_batch(kf, khat)
-    return float(rho[0]), float(sigma[0])
+def summarize(k, kf, kvecs):
+    """Leading-order DispersionResult, one entry per wavevector of kvecs.
 
-
-def summarize_batch(k, kf, kvecs):
-    """Leading-order DispersionResult, one entry per row of kvecs.
-
-    kf is the tensor of the KappaSet k, built once by the caller.
+    kf is the tensor of the KappaSet k, built once by the caller.  The
+    fields have the wavevectors' leading shape.
     """
     khats, norms = _unit_rows(kvecs)
-    rho, sigma = rho_sigma_batch(kf, khats)
+    khats = khats.reshape(np.shape(kvecs))
+    norms = norms.reshape(khats.shape[:-1])
+    rho, sigma = rho_sigma(kf, khats)
     return DispersionResult(
-        delta=None if k.is_birefringent else delta_nonbiref_batch(k, khats),
+        delta=None if k.is_birefringent else delta_nonbiref(k, khats),
         rho=rho,
         sigma=sigma,
         omega_plus=(1.0 + rho + sigma) * norms,
@@ -369,7 +389,7 @@ def _root_residuals(m, double):
 
 
 def _transverse_roots(kf, kvecs):
-    """Validated roots x = omega/|k| of every row; see ampere_roots_batch.
+    """Validated roots x = omega/|k| of every row of kvecs; see ampere_roots.
 
     Returns the unit rows of kvecs, their norms, the (n, 2) roots, the
     Ampere matrices M(x) at the roots and the rows whose two roots are
@@ -415,10 +435,11 @@ def _transverse_roots(kf, kvecs):
     return khats, knorms, x, m, double
 
 
-def ampere_roots_batch(kf, kvecs):
-    """The two transverse roots omega of the modified Ampere law per row of kvecs.
+def ampere_roots(kf, kvecs):
+    """The two transverse roots omega of the modified Ampere law per wavevector.
 
-    Returns an (n, 2) array, each row in ascending order.
+    Returns an array of shape lead + (2,) for kvecs of shape lead + (3,),
+    each pair in ascending order.
 
     The frequency is solved for in units of |k| on the unit direction,
     where M(x) = M0 + x M1 + x^2 M2 is quadratic in x = omega/|k| (see
@@ -437,7 +458,7 @@ def ampere_roots_batch(kf, kvecs):
     limit, 5 s still brackets the roots of most directions.
 
     Every root must pass the residual check ||M E|| < 1e-10 |k|^2 on
-    the polarization E that solve_ampere_batch returns for it.  That
+    the polarization E that solve_ampere returns for it.  That
     residual is an eigenvalue of the symmetric M at the root, so one
     stacked eigvalsh judges it without eigenvectors (_root_residuals).
     The zero tensor returns |k| twice.
@@ -451,39 +472,33 @@ def ampere_roots_batch(kf, kvecs):
     selection or the residual check.
     """
     _, knorms, x, _, _ = _transverse_roots(kf, kvecs)
-    return x * knorms[:, None]
+    return (x * knorms[:, None]).reshape(np.shape(kvecs)[:-1] + (2,))
 
 
-def solve_ampere_batch(kf, kvecs):
-    """Numerically solve the modified Ampere law for every row of kvecs.
+def solve_ampere(kf, kvec):
+    """Numerically solve the modified Ampere law for every wavevector of kvec.
 
-    Returns (omegas, fields): omegas[n] holds the two transverse roots of
-    row n in ascending order, as ampere_roots_batch finds and checks
-    them, and fields[n] their complex polarizations.
+    Returns (omegas, fields) for kvec of shape lead + (3,): omegas, of
+    shape lead + (2,), holds each wavevector's two transverse roots in
+    ascending order, as ampere_roots finds and checks them, and fields,
+    of shape lead + (2, 3), their complex polarizations.
 
     Each polarization is the eigenvector of M at its root whose
     eigenvalue is smallest in magnitude, from one stacked eigh.  When
     the two roots agree to 1e-12 (a double root) both come from the
     lower root's eigh, as an orthonormal basis of the null space.  The
-    zero tensor's polarizations are polarization_frames' eps1 and eps2.
-    Raises as ampere_roots_batch does.
+    zero tensor's polarizations are polarization_frame's eps1 and eps2.
+    Raises as ampere_roots does.
     """
-    khats, knorms, x, m, double = _transverse_roots(kf, kvecs)
+    khats, knorms, x, m, double = _transverse_roots(kf, kvec)
     if m is None:
-        fields = np.stack(polarization_frames(khats), axis=1)
+        fields = np.stack(_frames(khats), axis=1)
     else:
         vals, vecs = np.linalg.eigh(m)
         order = np.argsort(np.abs(vals), axis=-1)
         nearest = np.take_along_axis(vecs, order[..., None, :], axis=-1)
         fields = nearest[..., 0]
         fields[double, 1] = nearest[double, 0, :, 1]
-    return x * knorms[:, None], fields.astype(complex)
-
-
-def solve_ampere(kf, kvec):
-    """The two transverse solutions for one wavevector, as sorted (omega, E).
-
-    The one-row case of solve_ampere_batch, with the same checks.
-    """
-    omegas, fields = solve_ampere_batch(kf, kvec)
-    return [(float(omegas[0, r]), fields[0, r]) for r in range(2)]
+    lead = np.shape(kvec)[:-1]
+    omegas = (x * knorms[:, None]).reshape(lead + (2,))
+    return omegas, fields.astype(complex).reshape(lead + (2, 3))

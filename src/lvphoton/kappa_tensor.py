@@ -5,7 +5,7 @@ tensor with the index symmetries of the Riemann tensor and a vanishing
 double trace (19 independent components).  This module holds that
 tensor as a read-only float (4, 4, 4, 4) array of its fully raised
 components and a four-vector as a float array (v^0, v^1, v^2, v^3);
-as_kf_components and as_four_components are their one shape checks.  It
+as_kf_stack and _four_rows are their one shape checks.  It
 converts the tensor to and from the five phenomenological 3x3 parameter
 matrices (two parity-even, two parity-odd, one scalar trace), evaluates
 the four-vector contraction both by brute force and by the
@@ -28,12 +28,14 @@ e_plus and e_minus are traceless.
 Metric signature is diag(+,-,-,-) throughout; every index raise/lower
 goes through the same sign-pattern helper so conventions cannot diverge.
 
-Many parameter sets at once are a KappaStack, KappaSet's fields with one
-more leading axis.  The generator product, the read-off, the invariant
-report and both contractions each have one arithmetic kernel that
-broadcasts over that axis; the one-set functions are its unstacked
-case, and the *_batch functions take a stack of sets or tensors, one per
-row.
+A parameter set, a tensor and a four-vector may carry leading axes: a
+KappaSet with stacked fields holds many sets, and (..., 4, 4, 4, 4)
+components many tensors.  Each function that takes them (the generator
+product, the read-off, the invariant report, both contractions,
+rotation and distance) has one arithmetic kernel that broadcasts over
+those axes and returns results with them.  One set, one tensor or one
+four-vector is the case with no leading axes, and gives Python floats
+where a value is a number.
 """
 
 from dataclasses import dataclass, field
@@ -63,7 +65,7 @@ INVARIANT_TOL = 1e-12
 #: Largest parameter magnitude of the perturbative regime.
 PERTURBATIVE_LIMIT = 0.1
 
-#: The parameter fields of a KappaSet or KappaStack, in declaration order.
+#: The parameter fields of a KappaSet, in declaration order.
 _FIELDS = ("e_minus", "o_plus", "tr", "e_plus", "o_minus")
 
 
@@ -73,39 +75,42 @@ def _readonly(a):
     return a
 
 
-def as_four_components(v):
-    """A four-vector (v^0, v^1, v^2, v^3) as a float array of length 4.
+def _four_rows(lead, *vectors):
+    """Each argument as a float array of shape lead + (4,), or refused.
 
-    The one shape check of a four-vector: anything else is refused.
+    The one shape check of four-vectors; lead = () is one four-vector.
     """
-    v = np.asarray(v, dtype=float)
-    if v.shape != (4,):
+    vectors = [np.asarray(v, dtype=float) for v in vectors]
+    if any(v.shape != lead + (4,) for v in vectors):
         raise ValueError("a four-vector needs exactly 4 components")
-    return v
-
-
-def as_kf_components(kf):
-    """Raised tensor components as a float (4, 4, 4, 4) array.
-
-    The one shape check of a rank-4 tensor: anything else is refused.
-    """
-    kf = np.asarray(kf, dtype=float)
-    if kf.shape != (4, 4, 4, 4):
-        raise ValueError("a rank-4 tensor needs a 4x4x4x4 array of components")
-    return kf
+    return vectors
 
 
 def as_kf_stack(kfs):
-    """Raised components of one tensor or a stack of them, shape (..., 4, 4, 4, 4)."""
+    """Raised components of one tensor or a stack of them, shape (..., 4, 4, 4, 4).
+
+    The one shape check of rank-4 tensors: anything else is refused.
+    """
     kfs = np.asarray(kfs, dtype=float)
     if kfs.shape[-4:] != (4, 4, 4, 4):
         raise ValueError("a rank-4 tensor needs a 4x4x4x4 array of components")
     return kfs
 
 
+def as_kf_components(kf):
+    """Raised components of exactly one tensor, a float (4, 4, 4, 4) array.
+
+    For the functions that take one tensor only; a stack is refused too.
+    """
+    kf = as_kf_stack(kf)
+    if kf.ndim != 4:
+        raise ValueError("a rank-4 tensor needs a 4x4x4x4 array of components")
+    return kf
+
+
 def lowered(kf):
-    """Fully lowered components; one sign flip per spatial index."""
-    return as_kf_components(kf) * _FLIP4
+    """Fully lowered components, one sign flip per spatial index, of each tensor."""
+    return as_kf_stack(kf) * _FLIP4
 
 
 def sym_traceless(m):
@@ -158,7 +163,7 @@ def _check_sets(k, lead):
 
 
 def _birefringence(k):
-    """Largest abs entry of e_plus and o_minus, per set of a KappaSet or KappaStack."""
+    """Largest abs entry of e_plus and o_minus, per set of a KappaSet."""
     return np.maximum(
         np.max(np.abs(k.e_plus), axis=(-2, -1)), np.max(np.abs(k.o_minus), axis=(-2, -1))
     )
@@ -171,6 +176,11 @@ class KappaSet:
     e_plus, e_minus, o_minus are symmetric traceless; o_plus is
     antisymmetric; tr is a scalar.  e_plus and o_minus parameterize the
     birefringent sector and default to zero.
+
+    Many sets are one KappaSet with stacked fields: tr of shape lead and
+    each block of shape lead + (3, 3).  The rules hold on every set; they
+    are checked as whole-array comparisons when the KappaSet is built.
+    One set has lead = () and a Python float tr.
     """
 
     e_minus: np.ndarray = field(default_factory=lambda: np.zeros((3, 3)))
@@ -182,25 +192,23 @@ class KappaSet:
     def __post_init__(self):
         for name in ("e_minus", "o_plus", "e_plus", "o_minus"):
             object.__setattr__(self, name, _readonly(getattr(self, name)))
-        object.__setattr__(self, "tr", float(self.tr))
-        _check_sets(self, ())
+        lead = () if isinstance(self.tr, float) else np.shape(self.tr)
+        object.__setattr__(self, "tr", _readonly(self.tr) if lead else float(self.tr))
+        _check_sets(self, lead)
 
     @property
     def is_birefringent(self):
+        """Whether e_plus or o_minus is nonzero, per set."""
         # Tolerance floor so that parameters recovered from a rank-4
         # tensor by a linear solve (noise ~1e-18) still count as zero.
-        return bool(_birefringence(self) > 1e-14)
+        out = _birefringence(self) > 1e-14
+        return bool(out) if out.ndim == 0 else out
 
     @property
     def magnitude(self):
-        """Max abs entry over all five parameters (perturbative size)."""
-        return max(
-            np.max(np.abs(self.e_minus)),
-            np.max(np.abs(self.o_plus)),
-            abs(self.tr),
-            np.max(np.abs(self.e_plus)),
-            np.max(np.abs(self.o_minus)),
-        )
+        """Max abs entry over all five parameters (perturbative size), per set."""
+        out = _largest_entry([getattr(self, name) for name in _FIELDS], np.shape(self.tr))
+        return float(out) if out.ndim == 0 else out
 
     def scaled(self, factor):
         """Every parameter multiplied by `factor`."""
@@ -213,8 +221,18 @@ class KappaSet:
         )
 
     def rotated(self, rot):
-        """The parameters in a frame rotated by the 3x3 matrix `rot`."""
-        return KappaSet(**_rotated(self, rot))
+        """The parameters in a frame rotated by the 3x3 matrix `rot`.
+
+        rot may carry leading axes too; they broadcast against the sets'.
+        """
+        rot_t = np.swapaxes(rot, -1, -2)
+        return KappaSet(
+            e_minus=rot @ self.e_minus @ rot_t,
+            o_plus=rot @ self.o_plus @ rot_t,
+            tr=self.tr,
+            e_plus=rot @ self.e_plus @ rot_t,
+            o_minus=rot @ self.o_minus @ rot_t,
+        )
 
     @classmethod
     def from_projection(cls, e_minus=None, o_plus=None, tr=0.0, e_plus=None, o_minus=None):
@@ -227,55 +245,6 @@ class KappaSet:
             e_plus=sym_traceless(z if e_plus is None else e_plus),
             o_minus=sym_traceless(z if o_minus is None else o_minus),
         )
-
-
-@dataclass(frozen=True)
-class KappaStack:
-    """Parameter sets along a leading axis: KappaSet's fields, one row per set.
-
-    e_minus, o_plus, e_plus and o_minus are (n, 3, 3) and tr is (n,).
-    The KappaSet rules hold on every row; they are checked as whole-array
-    comparisons when the stack is built.  Built by kappa_draws and
-    kappas_from_kf_batch; the *_batch kernels take it where their
-    one-set forms take a KappaSet.
-    """
-
-    e_minus: np.ndarray
-    o_plus: np.ndarray
-    tr: np.ndarray
-    e_plus: np.ndarray
-    o_minus: np.ndarray
-
-    def __post_init__(self):
-        for name in _FIELDS:
-            object.__setattr__(self, name, _readonly(getattr(self, name)))
-        if self.tr.ndim != 1:
-            raise ValueError("tr must hold one value per parameter set")
-        _check_sets(self, self.tr.shape)
-
-    def __len__(self):
-        return len(self.tr)
-
-    @property
-    def is_birefringent(self):
-        """KappaSet.is_birefringent of every row."""
-        return _birefringence(self) > 1e-14
-
-    def rotated(self, rots):
-        """Row i in the frame rotated by rots[i], an (n, 3, 3) stack of rotations."""
-        return KappaStack(**_rotated(self, rots))
-
-
-def _rotated(k, rot):
-    """The fields of a KappaSet or KappaStack k in the frame rotated by rot."""
-    rot_t = np.swapaxes(rot, -1, -2)
-    return dict(
-        e_minus=rot @ k.e_minus @ rot_t,
-        o_plus=rot @ k.o_plus @ rot_t,
-        tr=k.tr,
-        e_plus=rot @ k.e_plus @ rot_t,
-        o_minus=rot @ k.o_minus @ rot_t,
-    )
 
 
 def check_perturbative(magnitude):
@@ -306,14 +275,16 @@ def check_nonbiref(kappas):
 def kappa_distance(a, b):
     """Largest absolute entry difference between two KappaSets, over all blocks.
 
-    Of two KappaStacks, the distance of each pair of rows.
+    Of stacked sets, the distance of each pair of sets.
     """
-    lead = np.shape(a.tr)
-    diffs = [
-        np.abs(getattr(a, name) - getattr(b, name)).reshape(lead + (-1,))
-        for name in _FIELDS
-    ]
-    return np.max(np.concatenate(diffs, axis=-1), axis=-1)
+    diffs = [getattr(a, name) - getattr(b, name) for name in _FIELDS]
+    return _largest_entry(diffs, np.shape(a.tr))
+
+
+def _largest_entry(arrays, lead):
+    """Largest abs entry over arrays of leading shape lead, per leading index."""
+    flat = [np.abs(a).reshape(lead + (-1,)) for a in arrays]
+    return np.max(np.concatenate(flat, axis=-1), axis=-1)
 
 
 #: Standard normals per random_kappas draw, without and with birefringence.
@@ -321,28 +292,30 @@ DRAW_WIDTH = {False: 19, True: 37}
 
 
 def kappa_draws(normals, scale=1e-2):
-    """The parameter sets random_kappas draws from these standard normals.
+    """The parameter sets drawn from these standard normals, as a KappaSet.
 
-    One set per row of normals.  A row of 19 normals gives a
+    One set per row of normals: the last axis holds one draw and any
+    leading axes stack the sets.  A row of 19 normals gives a
     non-birefringent set, from e_minus (9 normals), o_plus (9) and tr
     (1) in that order; a row of 37 goes on with e_plus (9) and o_minus
-    (9).  Each row is scaled by `scale` and projected exactly as
-    random_kappas does, so the set of row i is bit for bit the one
-    random_kappas draws from the same normals.  Returns a KappaStack.
+    (9).  Each row is scaled by `scale` and projected onto the allowed
+    parts, one row exactly as a stack of rows, so a stacked draw holds
+    bit for bit the sets of successive one-row draws.
     """
     z = np.asarray(normals, dtype=float) * scale
-    if z.ndim != 2 or z.shape[1] not in DRAW_WIDTH.values():
+    if z.ndim == 0 or z.shape[-1] not in DRAW_WIDTH.values():
         raise ValueError("a kappa draw takes 19 or 37 normals per row")
+    lead = z.shape[:-1]
 
     def block(start):
-        return z[:, start : start + 9].reshape(-1, 3, 3)
+        return z[..., start : start + 9].reshape(lead + (3, 3))
 
-    birefringent = z.shape[1] == DRAW_WIDTH[True]
-    zero = np.zeros((len(z), 3, 3))
-    return KappaStack(
+    birefringent = z.shape[-1] == DRAW_WIDTH[True]
+    zero = np.zeros(lead + (3, 3))
+    return KappaSet(
         e_minus=sym_traceless(block(0)),
         o_plus=antisym(block(9)),
-        tr=z[:, 18],
+        tr=z[..., 18],
         e_plus=sym_traceless(block(19)) if birefringent else zero,
         o_minus=sym_traceless(block(28)) if birefringent else zero,
     )
@@ -351,16 +324,14 @@ def kappa_draws(normals, scale=1e-2):
 def random_kappas(rng, scale=1e-2, birefringent=False):
     """Draw a random valid KappaSet with entries of order `scale`.
 
-    The one-row case of kappa_draws, from DRAW_WIDTH[birefringent]
-    normals.
+    kappa_draws of one row of DRAW_WIDTH[birefringent] normals.
     """
-    one = kappa_draws(rng.normal(size=(1, DRAW_WIDTH[bool(birefringent)])), scale)
-    return KappaSet(**{name: getattr(one, name)[0] for name in _FIELDS})
+    return kappa_draws(rng.normal(size=DRAW_WIDTH[bool(birefringent)]), scale)
 
 
 @dataclass(frozen=True)
 class SymmetryReport:
-    """Maximum violation of each structural invariant of the rank-4 tensor."""
+    """Maximum violation of each structural invariant, per rank-4 tensor."""
 
     first_pair_antisymmetry: float
     second_pair_antisymmetry: float
@@ -370,12 +341,16 @@ class SymmetryReport:
 
     @property
     def max_violation(self):
-        return max(
-            self.first_pair_antisymmetry,
-            self.second_pair_antisymmetry,
-            self.pair_exchange,
-            self.bianchi,
-            self.double_trace,
+        """The largest of the five violations, per tensor."""
+        return np.max(
+            [
+                self.first_pair_antisymmetry,
+                self.second_pair_antisymmetry,
+                self.pair_exchange,
+                self.bianchi,
+                self.double_trace,
+            ],
+            axis=0,
         )
 
     def ok(self):
@@ -383,22 +358,18 @@ class SymmetryReport:
 
 
 def check_invariants(kf):
-    """Measure all structural invariants of a rank-4 tensor.
+    """Measure all structural invariants of a rank-4 tensor, or of each of a stack.
 
     Returns a SymmetryReport with the max abs violation of antisymmetry on
     each index pair, symmetry under pair exchange, the first Bianchi
-    identity, and the double trace.  Purely diagnostic; never raises.
+    identity, and the double trace.  Purely diagnostic; never raises on
+    a tensor of the right shape.
     """
-    return SymmetryReport(*_violations(as_kf_components(kf)))
-
-
-def max_violation_batch(kfs):
-    """SymmetryReport.max_violation of each tensor of a stack."""
-    return np.max(_violations(as_kf_stack(kfs)), axis=0)
+    return SymmetryReport(*_violations(as_kf_stack(kf)))
 
 
 def _violations(K):
-    """The five fields of check_invariants' report, per tensor of a stack K."""
+    """The five fields of check_invariants' report, per tensor of K."""
 
     def permuted(*order):  # K with its last four indices permuted
         lead = tuple(range(K.ndim - 4))
@@ -429,19 +400,14 @@ def kappas_from_kf(kf):
         o_minus^{jk} = (1/2)(K^{0jpq} eps^{kpq} + K^{0kpq} eps^{jpq})
         tr           = -(2/3) K^{0l0l}
 
+    A stack of tensors gives the stacked KappaSet of their parameters.
+
     Raises ValueError if the input violates the structural invariants
-    beyond INVARIANT_TOL (malformed tensor).
+    beyond INVARIANT_TOL (malformed tensor); a stack is refused whole
+    when any of its tensors does, or any read-off breaks the KappaSet
+    rules.
     """
-    return KappaSet(**_checked_read_off(as_kf_components(kf)))
-
-
-def kappas_from_kf_batch(kfs):
-    """kappas_from_kf of each tensor of a stack, as a KappaStack.
-
-    Refuses the whole stack when any tensor violates the invariants or
-    any read-off breaks the KappaSet rules.
-    """
-    return KappaStack(**_checked_read_off(as_kf_stack(kfs)))
+    return KappaSet(**_checked_read_off(as_kf_stack(kf)))
 
 
 def _checked_read_off(K):
@@ -485,7 +451,7 @@ def readoff_magnitude(kf):
 
 
 def _flatten_kappas(k):
-    """Pack a KappaSet into the canonical 19-vector; a KappaStack into (n, 19).
+    """Pack a KappaSet into the canonical 19-vector, shape lead + (19,).
 
     Order: e_plus (5), e_minus (5), o_plus (3), o_minus (5), tr.
     Symmetric traceless matrices are represented by
@@ -586,52 +552,31 @@ def kf_from_kappas(k):
     completes each traceless block's last diagonal entry exactly, so the
     double trace and Bianchi identity hold whatever trace roundoff k's
     matrices carry.
+
+    Stacked sets give one read-only tensor per set, shape
+    lead + (4, 4, 4, 4), from one stacked product with the generator.
+    BLAS rounds that product differently from the one-vector product of
+    a single set, so a stacked tensor can differ from the tensor of its
+    set alone in the last bit.
     """
-    return _readonly(_generated(_flatten_kappas(k)))
-
-
-def kf_from_kappas_batch(stack):
-    """kf_from_kappas of each set of a KappaStack, shape (n, 4, 4, 4, 4).
-
-    One stacked product with the generator.  BLAS rounds that product
-    differently from the one-row product of kf_from_kappas, so a row can
-    differ from kf_from_kappas of its set in the last bit.
-    """
-    return _generated(_flatten_kappas(stack))
-
-
-def _generated(x):
-    """The generator applied to canonical 19-vectors x, shape (..., 19)."""
-    return (x @ _GENERATOR.T).reshape(x.shape[:-1] + (4, 4, 4, 4))
+    x = _flatten_kappas(k)
+    kf = (x @ _GENERATOR.T).reshape(x.shape[:-1] + (4, 4, 4, 4))
+    kf.setflags(write=False)
+    return kf
 
 
 def contract4(kf, w, x, y, z):
     """Fully contract the lowered tensor with four raised four-vectors.
 
     Direct summation of K_{klmn} w^k x^l y^m z^n over all 256 index
-    tuples, with the lowered components of `lowered`.
+    tuples, with the lowered components of `lowered`.  A stack of
+    tensors takes four-vectors with its leading shape, one of each per
+    tensor, and gives one value per tensor; one tensor gives a float.
     """
-    vectors = (as_four_components(v) for v in (w, x, y, z))
-    return float(_contract4(lowered(kf), *vectors))
-
-
-def contract4_batch(kfs, w, x, y, z):
-    """contract4 of each tensor of a stack with row i of each (n, 4) vector array."""
-    K = as_kf_stack(kfs)
-    return _contract4(K * _FLIP4, *_four_rows(K.shape[:-4], w, x, y, z))
-
-
-def _four_rows(lead, *vectors):
-    """Each argument as a float array of shape lead + (4,), or refused."""
-    vectors = [np.asarray(v, dtype=float) for v in vectors]
-    if any(v.shape != lead + (4,) for v in vectors):
-        raise ValueError("a four-vector needs exactly 4 components")
-    return vectors
-
-
-def _contract4(K_low, w, x, y, z):
-    """K_{klmn} w^k x^l y^m z^n, broadcast over leading axes."""
-    return np.einsum("...klmn,...k,...l,...m,...n->...", K_low, w, x, y, z)
+    K_low = lowered(kf)
+    vectors = _four_rows(K_low.shape[:-4], w, x, y, z)
+    out = np.einsum("...klmn,...k,...l,...m,...n->...", K_low, *vectors)
+    return float(out) if out.ndim == 0 else out
 
 
 def contract4_kappa(k, w, x, y, z):
@@ -645,19 +590,12 @@ def contract4_kappa(k, w, x, y, z):
         -(1/2) W(w,x) . (e_minus + I tr) . W(y,z)
 
     Only valid with e_plus = o_minus = 0; birefringent input is rejected.
+    Stacked sets take four-vectors with their leading shape and give one
+    value per set; one set gives a float.
     """
-    return float(_contract4_closed(k, *(as_four_components(v) for v in (w, x, y, z))))
-
-
-def contract4_kappa_batch(stack, w, x, y, z):
-    """contract4_kappa of each set of a KappaStack with row i of each vector array."""
-    return _contract4_closed(stack, *_four_rows((len(stack),), w, x, y, z))
-
-
-def _contract4_closed(k, w, x, y, z):
-    """contract4_kappa's closed form, broadcast over a KappaStack and rows of vectors."""
     if np.any(k.is_birefringent):
         raise ValueError("closed-form contraction only covers the non-birefringent sector")
+    w, x, y, z = _four_rows(np.shape(k.tr), w, x, y, z)
     emt = k.e_minus + np.multiply.outer(k.tr, np.eye(3))
     j_wx = w[..., :1] * x[..., 1:] - w[..., 1:] * x[..., :1]
     j_yz = y[..., :1] * z[..., 1:] - y[..., 1:] * z[..., :1]
@@ -670,7 +608,7 @@ def _contract4_closed(k, w, x, y, z):
     out = -0.5 * form(j_wx, emt, j_yz)
     out += -0.5 * (form(j_wx, k.o_plus, w_yz) + form(j_yz, k.o_plus, w_wx))
     out += -0.5 * form(w_wx, emt, w_yz)
-    return out
+    return float(out) if out.ndim == 0 else out
 
 
 def project_kf(components):
@@ -702,5 +640,5 @@ def coordinate_shift(kf, event):
     is the identity whenever that trace vanishes (purely birefringent or
     zero tensor).
     """
-    x = as_four_components(event)
+    (x,) = _four_rows((), event)
     return x - 0.5 * (single_trace(kf) @ x)

@@ -218,8 +218,7 @@ def observable_indistinguishability(space, psi, varphi, c1, c2, a):
 def _compositions(total, parts):
     """Every tuple of `parts` nonnegative ints summing to `total`, as a tuple.
 
-    Memoized: the counting oracle asks for the same few (total, parts)
-    pairs thousands of times, and a tuple of tuples is safe to share.
+    Memoized, so the recursion builds each (total, parts) pair once.
     """
     if parts == 1:
         return ((total,),)
@@ -228,6 +227,24 @@ def _compositions(total, parts):
         for head in range(total + 1)
         for rest in _compositions(total - head, parts - 1)
     )
+
+
+@functools.cache
+def _oracle_moves(n_lslv, n_tls):
+    """The distinct moves of (n_d, n_g, n_d', n_g') that counting_oracle tries.
+
+    One row (m_d - n_d, m_g - n_g, m_d' - n_d', m_g' - n_g') per distinct
+    move over every step assignment, as a read-only int array; memoized,
+    since the oracle asks for the same few step counts again and again.
+    """
+    moves = {
+        (w1 + z1 + w2, -w1 - y1 - y2, -x1 - y1 - x2, x1 + z1 + z2)
+        for w1, x1, y1, z1 in _compositions(n_lslv, 4)
+        for w2, x2, y2, z2 in _compositions(n_tls, 4)
+    }
+    out = np.array(sorted(moves), dtype=np.int64)
+    out.setflags(write=False)
+    return out
 
 
 def counting_oracle(n_d, n_g, n_d_prime, n_g_prime, n_lslv, n_tls):
@@ -243,21 +260,22 @@ def counting_oracle(n_d, n_g, n_d_prime, n_g_prime, n_lslv, n_tls):
     over nonnegative step counts with w1+x1+y1+z1 = n_lslv and
     w2+x2+y2+z2 = n_tls.  Returns True when some step assignment lands
     on m_d = m_g and m_d' = m_g' with nothing driven negative.
+
+    The four occupations may be arrays; they broadcast, and the answer
+    is then a bool array of their shape, one entry per configuration.
     """
-    occ = (n_d, n_g, n_d_prime, n_g_prime)
-    if any(int(n) != n or n < 0 for n in (*occ, n_lslv, n_tls)):
+    counts = np.concatenate(
+        [np.ravel(n) for n in (n_d, n_g, n_d_prime, n_g_prime, n_lslv, n_tls)]
+    )
+    if counts.dtype.kind not in "biuf" or not np.all(
+        np.isfinite(counts) & (counts >= 0) & (counts == np.floor(counts))
+    ):
         raise ValueError("occupations and step counts must be nonnegative integers")
-    for w1, x1, y1, z1 in _compositions(int(n_lslv), 4):
-        for w2, x2, y2, z2 in _compositions(int(n_tls), 4):
-            m_g = n_g - w1 - y1 - y2
-            m_dp = n_d_prime - x1 - y1 - x2
-            if m_g < 0 or m_dp < 0:
-                continue
-            m_d = n_d + w1 + z1 + w2
-            m_gp = n_g_prime + x1 + z1 + z2
-            if m_d == m_g and m_dp == m_gp:
-                return True
-    return False
+    occ = np.stack(np.broadcast_arrays(n_d, n_g, n_d_prime, n_g_prime), axis=-1)
+    m = occ[..., None, :] + _oracle_moves(int(n_lslv), int(n_tls))
+    m_d, m_g, m_dp, m_gp = m[..., 0], m[..., 1], m[..., 2], m[..., 3]
+    out = np.any((m_g >= 0) & (m_dp >= 0) & (m_d == m_g) & (m_dp == m_gp), axis=-1)
+    return bool(out) if out.ndim == 0 else out
 
 
 def invariance_leakage(space, hamiltonian, t):

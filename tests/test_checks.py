@@ -89,10 +89,11 @@ def test_stacked_kappa_draws_are_successive_one_set_draws(birefringent):
     stack = kt.kappa_draws(np.random.default_rng(4).normal(size=(40, width)), 3e-2)
     one_by_one = np.random.default_rng(4)
     library = np.random.default_rng(4)
-    assert len(stack) == 40
+    assert stack.tr.shape == (40,)
     for row in range(40):
         want = verify_reference.random_kappas(one_by_one, 3e-2, birefringent)
         got = kt.random_kappas(library, 3e-2, birefringent)
+        assert type(got.tr) is float and type(got.magnitude) is float
         for name in _FIELDS:
             value = np.asarray(getattr(want, name))
             for drawn in (getattr(stack, name)[row], getattr(got, name)):
@@ -131,27 +132,30 @@ def _stacked_draws(count, birefringent, seed=11):
 @pytest.mark.parametrize("birefringent", [False, True])
 def test_tensor_kernels_match_their_one_set_calls(birefringent):
     rng, stack, sets = _stacked_draws(2000, birefringent)
-    kfs = kt.kf_from_kappas_batch(stack)
+    kfs = kt.kf_from_kappas(stack)
     single = np.array([kt.kf_from_kappas(k) for k in sets])
     assert np.max(np.abs(kfs - single)) <= 1e-17
+    assert kfs.shape == (2000, 4, 4, 4, 4) and not kfs.flags.writeable
 
-    back = kt.kappas_from_kf_batch(kfs)
+    back = kt.kappas_from_kf(kfs)
     for i in range(0, 2000, 7):
         one = kt.kappas_from_kf(kfs[i])
+        assert type(one.tr) is float and type(one.is_birefringent) is bool
         for name in _FIELDS:
             assert np.max(np.abs(getattr(back, name)[i] - getattr(one, name))) <= 1e-17
     distance = kt.kappa_distance(stack, back)
     want = [kt.kappa_distance(k, kt.kappas_from_kf(kf)) for k, kf in zip(sets, kfs)]
     assert np.max(np.abs(distance - want)) <= 1e-17
 
-    violation = kt.max_violation_batch(kfs)
+    violation = kt.check_invariants(kfs).max_violation
     want = [kt.check_invariants(kf).max_violation for kf in kfs]
     assert np.max(np.abs(violation - want)) <= 1e-17
 
     w, x, y, z = rng.normal(size=(4, 2000, 4))
-    got = kt.contract4_batch(kfs, w, x, y, z)
+    got = kt.contract4(kfs, w, x, y, z)
     want = [kt.contract4(*args) for args in zip(kfs, w, x, y, z)]
     assert np.max(np.abs(got - want)) <= 1e-17
+    assert all(type(value) is float for value in want)
 
     rots = checks._rotations(rng.normal(size=(2000, 9)))
     turned = stack.rotated(rots)
@@ -161,29 +165,32 @@ def test_tensor_kernels_match_their_one_set_calls(birefringent):
             assert np.max(np.abs(getattr(turned, name)[i] - getattr(one, name))) <= 1e-17
 
     if not birefringent:
-        got = kt.contract4_kappa_batch(stack, w, x, y, z)
+        got = kt.contract4_kappa(stack, w, x, y, z)
         want = [kt.contract4_kappa(*args) for args in zip(sets, w, x, y, z)]
         assert np.max(np.abs(got - want)) <= 1e-17
+        assert all(type(value) is float for value in want)
 
 
 @pytest.mark.parametrize("birefringent", [False, True])
 def test_dispersion_kernels_match_their_one_set_calls(birefringent):
     rng, stack, sets = _stacked_draws(2000, birefringent, seed=12)
-    kfs = kt.kf_from_kappas_batch(stack)
+    kfs = kt.kf_from_kappas(stack)
     khats = dp.random_directions(rng, 2000)
     tilde = dp.ktilde(kfs, khats)
-    rho, sigma = dp.rho_sigma_batch(kfs, khats)
+    rho, sigma = dp.rho_sigma(kfs, khats)
     for i in range(2000):
         assert np.max(np.abs(tilde[i] - dp.ktilde(kfs[i], khats[i : i + 1])[0])) <= 1e-17
         one_rho, one_sigma = dp.rho_sigma(kfs[i], khats[i])
         assert abs(rho[i] - one_rho) <= 1e-17 and abs(sigma[i] - one_sigma) <= 1e-17
+        assert type(one_rho) is float and type(one_sigma) is float
     if birefringent:
         with pytest.raises(ValueError, match="birefringence"):
-            dp.delta_nonbiref_batch(stack, khats)
+            dp.delta_nonbiref(stack, khats)
     else:
-        delta = dp.delta_nonbiref_batch(stack, khats)
+        delta = dp.delta_nonbiref(stack, khats)
         want = [dp.delta_nonbiref(k, khat) for k, khat in zip(sets, khats)]
         assert np.max(np.abs(delta - want)) <= 1e-17
+        assert all(type(value) is float for value in want)
 
 
 def test_stacks_are_validated_on_every_row():
@@ -191,33 +198,33 @@ def test_stacks_are_validated_on_every_row():
     fields = {name: np.array(getattr(stack, name)) for name in _FIELDS}
     fields["e_minus"][3, 0, 1] += 1e-9
     with pytest.raises(ValueError, match="e_minus must be symmetric"):
-        kt.KappaStack(**fields)
+        kt.KappaSet(**fields)
     fields["e_minus"][3, 0, 1] -= 1e-9
     fields["o_plus"][1, 2, 2] = 1e-9
     with pytest.raises(ValueError, match="o_plus must be antisymmetric"):
-        kt.KappaStack(**fields)
+        kt.KappaSet(**fields)
     fields["o_plus"][1, 2, 2] = 0.0
     fields["tr"][4] = np.nan
     with pytest.raises(ValueError, match="tr must be finite"):
-        kt.KappaStack(**fields)
+        kt.KappaSet(**fields)
     fields["tr"][4] = 0.0
     fields["e_plus"] = np.zeros((5, 3, 4))
     with pytest.raises(ValueError, match="e_plus must be 3x3"):
-        kt.KappaStack(**fields)
+        kt.KappaSet(**fields)
 
-    kfs = np.array(kt.kf_from_kappas_batch(stack))
+    kfs = np.array(kt.kf_from_kappas(stack))
     kfs[2, 0, 1, 0, 1] += 1e-9  # breaks a pair antisymmetry in one tensor
     with pytest.raises(ValueError, match="invariants"):
-        kt.kappas_from_kf_batch(kfs)
+        kt.kappas_from_kf(kfs)
 
     _, biref, _ = _stacked_draws(5, True)
     vectors = np.ones((4, 5, 4))
     with pytest.raises(ValueError, match="non-birefringent"):
-        kt.contract4_kappa_batch(biref, *vectors)
+        kt.contract4_kappa(biref, *vectors)
     with pytest.raises(ValueError, match="4 components"):
-        kt.contract4_batch(kfs, *np.ones((4, 5, 3)))
+        kt.contract4(kfs, *np.ones((4, 5, 3)))
     with pytest.raises(ValueError, match="4x4x4x4"):
-        kt.max_violation_batch(kfs[..., 0])
+        kt.check_invariants(kfs[..., 0])
 
 
 def _records(group):
@@ -239,14 +246,15 @@ def test_a_broken_read_off_sign_fails_kappa_roundtrip(monkeypatch):
 
 
 def _parity_broken_frames(monkeypatch):
-    frames = dp.polarization_frames
+    frame_of = dp.polarization_frame
 
-    def unflipped(khats):  # eps2(-k) = +eps2(k): the parity rule broken
-        eps1, eps2 = frames(khats)
-        canonical = dp._canonical_hemisphere(np.asarray(khats, dtype=float))
-        return eps1, np.where(canonical[:, None], eps2, -eps2)
+    def unflipped(khat):  # eps2(-k) = +eps2(k): the parity rule broken
+        frame = frame_of(khat)
+        canonical = dp._canonical_hemisphere(frame.khat)
+        eps2 = np.where(np.asarray(canonical)[..., None], frame.eps2, -frame.eps2)
+        return dp.PolarizationFrame(eps1=frame.eps1, eps2=eps2, khat=frame.khat)
 
-    monkeypatch.setattr(dp, "polarization_frames", unflipped)
+    monkeypatch.setattr(dp, "polarization_frame", unflipped)
 
 
 def test_a_broken_frame_parity_fails_frame_parity(monkeypatch):

@@ -512,8 +512,8 @@ def _rowwise_dispersion(config, grid, seed):
         (config.direction, dp.random_directions(np.random.default_rng(seed), grid))
     )
     khats, norms = dp._unit_rows(directions)
-    rhos, sigmas = dp.rho_sigma_batch(kf, khats)
-    omegas, _ = dp.solve_ampere_batch(kf, directions)
+    rhos, sigmas = dp.rho_sigma(kf, khats)
+    omegas, _ = dp.solve_ampere(kf, directions)
     rows = []
     for direction, khat, norm, rho, sigma, roots in zip(
         directions, khats, norms, rhos, sigmas, omegas

@@ -95,7 +95,7 @@ def test_frame_rejects_non_unit():
 def _rowwise_frame(khat):
     """eps1 and eps2 built one direction at a time, as earlier versions did.
 
-    The reference for polarization_frames: Gram-Schmidt of x-hat (y-hat
+    The reference for polarization_frame: Gram-Schmidt of x-hat (y-hat
     within 1e-8 of x-hat) in the canonical hemisphere, one norm and one
     cross product per direction.
     """
@@ -153,7 +153,9 @@ def _frame_test_directions(rng, count):
 
 def test_batched_frames_match_the_rowwise_reference_bit_for_bit():
     khats = _frame_test_directions(np.random.default_rng(20), 12000)
-    eps1, eps2 = dp.polarization_frames(khats)
+    frames = dp.polarization_frame(khats)
+    eps1, eps2 = frames.eps1, frames.eps2
+    assert eps1.shape == eps2.shape == khats.shape and np.array_equal(frames.khat, khats)
     for khat, e1, e2 in zip(khats, eps1, eps2):
         want1, want2 = _rowwise_frame(khat)
         one = dp.polarization_frame(khat)
@@ -163,11 +165,20 @@ def test_batched_frames_match_the_rowwise_reference_bit_for_bit():
 
 
 def test_polarization_frames_reject_non_unit_rows():
-    with pytest.raises(ValueError):
-        dp.polarization_frames([[0.0, 0.0, 1.0], [0.0, 0.0, 1.1]])
-    with pytest.raises(ValueError):
-        dp.polarization_frames([0.0, 0.0, 1.0])
-    assert dp.polarization_frames(np.zeros((0, 3)))[0].shape == (0, 3)
+    with pytest.raises(ValueError, match="unit"):
+        dp.polarization_frame([[0.0, 0.0, 1.0], [0.0, 0.0, 1.1]])
+    # a flat vector of 3m entries is not m directions
+    with pytest.raises(ValueError, match="last axis"):
+        dp.polarization_frame([0.0, 0.0, 1.0, 1.0, 0.0, 0.0])
+    assert dp.polarization_frame(np.zeros((0, 3))).eps1.shape == (0, 3)
+    # leading axes are kept: each frame is the one of its direction alone
+    khats = dp.random_directions(np.random.default_rng(21), 12).reshape(3, 4, 3)
+    frames = dp.polarization_frame(khats)
+    assert frames.eps1.shape == frames.eps2.shape == (3, 4, 3)
+    for index in np.ndindex(3, 4):
+        one = dp.polarization_frame(khats[index])
+        assert np.array_equal(one.eps1, frames.eps1[index])
+        assert np.array_equal(one.eps2, frames.eps2[index])
 
 
 # ---------------------------------------------------------------- ktilde
@@ -261,7 +272,7 @@ def test_sigma_orientation_pinned_by_ampere_solver():
     kf = kt.kf_from_kappas(k)
     for kvec in (np.array([0.0, 0.0, 3.0]), np.array([0.0, 0.0, -3.0])):
         _, sigma = dp.rho_sigma(kf, kvec / 3.0)
-        (lo, _), (hi, _) = dp.solve_ampere(kf, kvec)
+        (lo, hi), _ = dp.solve_ampere(kf, kvec)
         assert hi - lo == pytest.approx(2 * sigma * 3.0, rel=2e-2)
 
 
@@ -313,12 +324,15 @@ def test_batched_delta_matches_the_rowwise_reference_bit_for_bit():
     rng = np.random.default_rng(32)
     k = kt.random_kappas(rng, 1e-2)
     khats = _frame_test_directions(rng, 10000)
-    delta = dp.delta_nonbiref_batch(k, khats)
+    delta = dp.delta_nonbiref(k, khats)
     want = np.array([_rowwise_delta(k, khat) for khat in khats])
     assert np.array_equal(delta, want)
     assert all(dp.delta_nonbiref(k, khat) == w for khat, w in zip(khats[-1000:], want[-1000:]))
+    assert type(dp.delta_nonbiref(k, khats[0])) is float
+    grid = dp.delta_nonbiref(k, khats[:12].reshape(3, 4, 3))
+    assert np.array_equal(grid, want[:12].reshape(3, 4))
     with pytest.raises(ValueError):
-        dp.delta_nonbiref_batch(kt.random_kappas(rng, 1e-2, birefringent=True), khats)
+        dp.delta_nonbiref(kt.random_kappas(rng, 1e-2, birefringent=True), khats)
 
 
 # ----------------------------------------------------------- Ampere law
@@ -326,10 +340,10 @@ def test_batched_delta_matches_the_rowwise_reference_bit_for_bit():
 
 def test_ampere_zero_tensor_roots():
     kvec = np.array([0.4, -0.3, 1.2])
-    roots = dp.solve_ampere(np.zeros((4, 4, 4, 4)), kvec)
-    assert len(roots) == 2
+    omegas, fields = dp.solve_ampere(np.zeros((4, 4, 4, 4)), kvec)
+    assert omegas.shape == (2,) and fields.shape == (2, 3)
     knorm = np.linalg.norm(kvec)
-    for omega, evec in roots:
+    for omega, evec in zip(omegas, fields):
         assert omega == pytest.approx(knorm, rel=1e-14)
         assert abs(evec @ kvec) < 1e-12
 
@@ -346,10 +360,8 @@ def test_ampere_matches_delta_at_second_order():
         ks = kt.KappaSet(e_minus=k1.e_minus * s, o_plus=k1.o_plus * s, tr=k1.tr * s)
         kf = kt.kf_from_kappas(ks)
         delta = dp.delta_nonbiref(ks, khat)
-        roots = dp.solve_ampere(kf, kvec)
-        errs.append(
-            max(abs(om / np.linalg.norm(kvec) - 1.0 - delta) for om, _ in roots)
-        )
+        omegas, _ = dp.solve_ampere(kf, kvec)
+        errs.append(max(abs(om / np.linalg.norm(kvec) - 1.0 - delta) for om in omegas))
     slope = np.log10(errs[0] / errs[1])
     assert 1.8 < slope < 2.2
 
@@ -361,7 +373,7 @@ def test_ampere_birefringent_split_matches_sigma():
     kvec = dp.random_directions(rng) * 1.7
     knorm = np.linalg.norm(kvec)
     _, sigma = dp.rho_sigma(kf, kvec / knorm)
-    (om_lo, _), (om_hi, _) = dp.solve_ampere(kf, kvec)
+    (om_lo, om_hi), _ = dp.solve_ampere(kf, kvec)
     assert om_hi - om_lo == pytest.approx(2 * sigma * knorm, rel=2e-2)
 
 
@@ -372,8 +384,8 @@ def test_ampere_solves_roundoff_sized_tensor():
     assert 0.0 < np.max(np.abs(kt.as_kf_components(kf))) < 1e-16
     for kvec in ([0.0, 0.0, 1.0], [0.6, 0.0, -1.6]):
         kvec = np.array(kvec)
-        roots = dp.solve_ampere(kf, kvec)
-        for omega, _ in roots:
+        omegas, _ = dp.solve_ampere(kf, kvec)
+        for omega in omegas:
             assert omega == pytest.approx(np.linalg.norm(kvec), rel=1e-15)
 
 
@@ -391,11 +403,11 @@ def test_ampere_applies_the_parameter_magnitude_rule():
     kf = kt.kf_from_kappas(k)
     assert np.max(np.abs(kt.as_kf_components(kf))) < kt.PERTURBATIVE_LIMIT
     with pytest.raises(ValueError, match="perturbative"):
-        dp.solve_ampere_batch(kf, [[0.0, 0.0, 1.0]])
+        dp.solve_ampere(kf, [[0.0, 0.0, 1.0]])
     # at magnitude exactly 0.1 the read-off can land a few ulps above the
     # limit; the solver accepts what the loader accepts
     edge = kt.kf_from_kappas(kt.KappaSet(e_minus=np.diag([0.1, -0.1, 0.0])))
-    omegas, _ = dp.solve_ampere_batch(edge, [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+    omegas, _ = dp.solve_ampere(edge, [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
     assert omegas.shape == (2, 2)
 
 
@@ -403,13 +415,16 @@ def test_summarize_fields():
     rng = np.random.default_rng(31)
     k = kt.random_kappas(rng, 1e-2)
     kvec = np.array([0.0, 0.0, 2.0])
-    res = dp.summarize_batch(k, kt.kf_from_kappas(k), kvec)
-    assert all(np.shape(v) == (1,) for v in vars(res).values())
-    assert res.delta[0] == pytest.approx(dp.delta_nonbiref(k, kvec / 2.0), abs=1e-15)
-    assert res.omega_plus[0] == pytest.approx((1 + res.rho[0] + res.sigma[0]) * 2.0, rel=1e-15)
-    assert res.omega_minus[0] == pytest.approx((1 + res.rho[0] - res.sigma[0]) * 2.0, rel=1e-15)
+    res = dp.summarize(k, kt.kf_from_kappas(k), kvec)
+    assert all(np.shape(v) == () for v in vars(res).values())
+    assert res.delta == pytest.approx(dp.delta_nonbiref(k, kvec / 2.0), abs=1e-15)
+    assert res.omega_plus == pytest.approx((1 + res.rho + res.sigma) * 2.0, rel=1e-15)
+    assert res.omega_minus == pytest.approx((1 + res.rho - res.sigma) * 2.0, rel=1e-15)
+    rows = dp.summarize(k, kt.kf_from_kappas(k), kvec[None])
+    assert all(np.shape(v) == (1,) for v in vars(rows).values())
+    assert all(getattr(rows, f)[0] == getattr(res, f) for f in vars(res))
     biref = kt.random_kappas(rng, 1e-3, birefringent=True)
-    assert dp.summarize_batch(biref, kt.kf_from_kappas(biref), kvec).delta is None
+    assert dp.summarize(biref, kt.kf_from_kappas(biref), kvec).delta is None
 
 
 @pytest.mark.parametrize("birefringent", [False, True])
@@ -417,7 +432,7 @@ def test_summarize_batch_columns_are_the_rowwise_results(birefringent):
     rng = np.random.default_rng(33)
     k = kt.random_kappas(rng, 1e-2, birefringent)
     kvecs = dp.random_directions(rng, 200) * rng.uniform(0.5, 3.0, size=(200, 1))
-    batch = dp.summarize_batch(k, kt.kf_from_kappas(k), kvecs)
+    batch = dp.summarize(k, kt.kf_from_kappas(k), kvecs)
     for n, kvec in enumerate(kvecs):
         khats, (norm,) = dp._unit_rows(kvec)
         rho, sigma = dp.rho_sigma(kt.kf_from_kappas(k), khats[0])
@@ -509,7 +524,7 @@ def test_batched_roots_match_bisection(name):
     axes = np.vstack((np.eye(3), -np.eye(3)))
     lengths = np.exp(rng.uniform(np.log(0.2), np.log(5.0), size=40))
     kvecs = np.vstack((axes, dp.random_directions(rng, 40) * lengths[:, None]))
-    omegas, fields = dp.solve_ampere_batch(kf, kvecs)
+    omegas, fields = dp.solve_ampere(kf, kvecs)
     assert omegas.shape == (len(kvecs), 2) and fields.shape == (len(kvecs), 2, 3)
     doubles = 0
     for kvec, roots, pols in zip(kvecs, omegas, fields):
@@ -536,7 +551,7 @@ def test_double_roots_returned_as_conjugate_pairs_are_kept(roundoff):
     k = kt.KappaSet() if roundoff else kt.random_kappas(rng, 1e-8)
     kf = _roundoff_tensor() if roundoff else kt.kf_from_kappas(k)
     khats = dp.random_directions(rng, 2000)
-    omegas, fields = dp.solve_ampere_batch(kf, khats)
+    omegas, fields = dp.solve_ampere(kf, khats)
     delta = np.array([dp.delta_nonbiref(k, khat) for khat in khats])
     assert np.max(np.abs(omegas - 1.0 - delta[:, None])) < 1e-14
     gram = np.einsum("nri,nsi->nrs", fields.conj(), fields)
@@ -551,9 +566,9 @@ def test_ampere_roots_do_not_depend_on_the_batch(birefringent):
     rng = np.random.default_rng(1)
     kf = kt.kf_from_kappas(kt.random_kappas(rng, 1e-2, birefringent=birefringent))
     kvecs = dp.random_directions(rng, 5001) * rng.uniform(0.2, 5.0, size=(5001, 1))
-    whole = dp.ampere_roots_batch(kf, kvecs)
+    whole = dp.ampere_roots(kf, kvecs)
     for n in range(1, 13):
-        assert dp.ampere_roots_batch(kf, kvecs[:n]).tobytes() == whole[:n].tobytes(), n
+        assert dp.ampere_roots(kf, kvecs[:n]).tobytes() == whole[:n].tobytes(), n
 
 
 def test_narrow_splitting_stays_two_real_roots():
@@ -562,8 +577,8 @@ def test_narrow_splitting_stays_two_real_roots():
     rng = np.random.default_rng(150)
     kf = kt.kf_from_kappas(kt.random_kappas(rng, 1e-9, birefringent=True))
     khats = dp.random_directions(rng, 200)
-    omegas, _ = dp.solve_ampere_batch(kf, khats)
-    _, sigma = dp.rho_sigma_batch(kf, khats)
+    omegas, _ = dp.solve_ampere(kf, khats)
+    _, sigma = dp.rho_sigma(kf, khats)
     assert np.all(omegas[:, 1] - omegas[:, 0] > 1e-11)
     assert np.max(np.abs(omegas[:, 1] - omegas[:, 0] - 2.0 * sigma)) < 1e-14
 
@@ -572,11 +587,12 @@ def test_solve_ampere_is_the_one_row_case():
     rng = np.random.default_rng(151)
     kf = kt.kf_from_kappas(kt.random_kappas(rng, 1e-3, birefringent=True))
     kvecs = dp.random_directions(rng, 20) * 2.5
-    omegas, fields = dp.solve_ampere_batch(kf, kvecs)
+    omegas, fields = dp.solve_ampere(kf, kvecs)
     for kvec, roots, pols in zip(kvecs, omegas, fields):
-        single = dp.solve_ampere(kf, kvec)
-        assert [omega for omega, _ in single] == pytest.approx(list(roots), abs=1e-15)
-        for (_, e), want in zip(single, pols):
+        single, single_fields = dp.solve_ampere(kf, kvec)
+        assert single.shape == (2,) and single_fields.shape == (2, 3)
+        assert list(single) == pytest.approx(list(roots), abs=1e-15)
+        for e, want in zip(single_fields, pols):
             assert e.dtype == complex
             assert abs(abs(np.vdot(e, want)) - 1.0) < 1e-12
 
@@ -598,43 +614,43 @@ def test_ampere_coefficients_rebuild_the_ampere_matrix():
 def test_batched_solver_keeps_its_refusals():
     kf = kt.kf_from_kappas(kt.random_kappas(np.random.default_rng(153), 1e-2))
     with pytest.raises(ValueError, match="nonzero"):
-        dp.solve_ampere_batch(kf, [[0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
+        dp.solve_ampere(kf, [[0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
     with pytest.raises(ValueError, match="perturbative"):
-        dp.solve_ampere_batch(kt.kf_from_kappas(kt.KappaSet(tr=0.2)), [[0.0, 0.0, 1.0]])
+        dp.solve_ampere(kt.kf_from_kappas(kt.KappaSet(tr=0.2)), [[0.0, 0.0, 1.0]])
     # magnitude 0.1, which the loader accepts, but largest component 0.15,
     # past what the 5 s bracket assumes
     big = np.diag([0.1, -0.05, -0.05])
     kf = kt.kf_from_kappas(kt.KappaSet(e_minus=big, e_plus=big, tr=0.1))
     kt.check_perturbative(kt.readoff_magnitude(kf))
     with pytest.raises(ValueError, match="max component"):
-        dp.solve_ampere_batch(kf, [[0.0, 0.0, 1.0]])
+        dp.solve_ampere(kf, [[0.0, 0.0, 1.0]])
     # not a physical tensor, and one the read-off does not see: magnitude
     # 0, largest component 1
     K = np.zeros((4, 4, 4, 4))
     K[1, 0, 1, 0] = 1.0
     assert kt.readoff_magnitude(K) == 0.0
     with pytest.raises(ValueError, match="max component"):
-        dp.solve_ampere_batch(K, [[0.0, 0.0, 1.0]])
+        dp.solve_ampere(K, [[0.0, 0.0, 1.0]])
     # not a physical tensor: K^{pbcq} = s delta^{pq} for every b, c moves
     # the roots along (1,1,1) by about -7.5 s, outside the 5 s bracket
     K = np.zeros((4, 4, 4, 4))
     K[1:, :, :, 1:] = 0.05 * np.eye(3)[:, None, None, :]
     good = [0.0, 0.0, 1.0]
     with pytest.raises(RuntimeError, match="1 direction"):
-        dp.solve_ampere_batch(K, [good, [1.0, 1.0, 1.0], good])
+        dp.solve_ampere(K, [good, [1.0, 1.0, 1.0], good])
 
 
 @pytest.mark.parametrize("name", sorted(set(_CONFIGS) - {"zero"}))
 def test_eigenvalue_residuals_are_the_polarization_residuals(name):
     # the gate judges |lambda| from eigvalsh; it must be ||M E|| of the
-    # polarizations that solve_ampere_batch returns, and at a double root
+    # polarizations that solve_ampere returns, and at a double root
     # both polarizations belong to the lower root's M
     rng = np.random.default_rng(160 + sorted(_CONFIGS).index(name))
     kf = _CONFIGS[name](rng)
     khats = np.vstack((np.eye(3), -np.eye(3), dp.random_directions(rng, 200)))
     _, _, _, m, double = dp._transverse_roots(kf, khats)
     residual = dp._root_residuals(m, double)
-    _, fields = dp.solve_ampere_batch(kf, khats)
+    _, fields = dp.solve_ampere(kf, khats)
     at = m.copy()
     at[double, 1] = m[double, 0]
     want = np.linalg.norm(np.einsum("nrpq,nrq->nrp", at, fields), axis=-1)
@@ -718,7 +734,7 @@ def test_roots_the_5s_bracket_found_stay_bit_identical(magnitude):
             continue
         old = _five_s_roots(kf, khats) * dp._unit_rows(khats)[1][:, None]
         try:
-            new = dp.ampere_roots_batch(kf, khats)
+            new = dp.ampere_roots(kf, khats)
         except RuntimeError:
             refused += 1
             continue
@@ -736,7 +752,7 @@ def test_widened_bracket_solves_sets_beyond_5s():
     kf = _generated_kf(143, 1e-2, True)
     khats = dp.random_directions(np.random.default_rng(163), 2000)
     assert np.any(np.isnan(_five_s_roots(kf, khats)[:, 0]))
-    omegas = dp.ampere_roots_batch(kf, khats)
+    omegas = dp.ampere_roots(kf, khats)
     roots, _ = _companion_roots(kf, khats)
     nearest = np.take_along_axis(roots, np.argsort(np.abs(roots - 1.0), axis=1), axis=1)
     want = np.sort(nearest[:, :2].real, axis=1) * dp._unit_rows(khats)[1][:, None]
@@ -757,12 +773,12 @@ def test_rho_sigma_batch_warns_only_for_the_noisy_direction():
     khats = np.column_stack((np.cos(phi), np.sin(phi), np.zeros_like(phi)))
     khats = np.insert(khats, 17, [0.6, 0.0, 0.8], axis=0)
     with pytest.warns(UserWarning, match="beyond roundoff") as record:
-        rho, sigma = dp.rho_sigma_batch(K, khats)
+        rho, sigma = dp.rho_sigma(K, khats)
     assert len(record) == 1
     assert sigma[17] == 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        dp.rho_sigma_batch(K, np.delete(khats, 17, axis=0))
+        dp.rho_sigma(K, np.delete(khats, 17, axis=0))
 
 
 def test_rho_sigma_batch_is_silent_on_roundoff():
@@ -771,7 +787,7 @@ def test_rho_sigma_batch_is_silent_on_roundoff():
         warnings.simplefilter("error")
         for scale in (1e-2, 1e-5, 1e-8):
             kf = kt.kf_from_kappas(kt.random_kappas(rng, scale))
-            _, sigma = dp.rho_sigma_batch(kf, dp.random_directions(rng, 2000))
+            _, sigma = dp.rho_sigma(kf, dp.random_directions(rng, 2000))
             assert np.all(sigma < 1e-7)
 
 
@@ -779,6 +795,44 @@ def test_rho_sigma_is_the_one_row_case():
     rng = np.random.default_rng(156)
     kf = kt.kf_from_kappas(kt.random_kappas(rng, 1e-2, birefringent=True))
     khats = dp.random_directions(rng, 30)
-    rho, sigma = dp.rho_sigma_batch(kf, khats)
+    rho, sigma = dp.rho_sigma(kf, khats)
     for khat, r, s in zip(khats, rho, sigma):
-        assert dp.rho_sigma(kf, khat) == (r, s)
+        one = dp.rho_sigma(kf, khat)
+        assert one == (r, s) and all(type(v) is float for v in one)
+    grid_rho, grid_sigma = dp.rho_sigma(kf, khats.reshape(5, 6, 3))
+    assert np.array_equal(grid_rho, rho.reshape(5, 6))
+    assert np.array_equal(grid_sigma, sigma.reshape(5, 6))
+
+
+def test_every_direction_gets_a_result_and_flat_vectors_are_refused():
+    # a direction array must end in an axis of length 3: a flat vector of
+    # six entries is refused, not read as two directions, and a stack of
+    # directions gets one result per direction, never only the first
+    rng = np.random.default_rng(157)
+    k = kt.random_kappas(rng, 1e-2)
+    kf = kt.kf_from_kappas(k)
+    two = [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]
+    omegas, fields = dp.solve_ampere(kf, two)
+    assert omegas.shape == (2, 2) and fields.shape == (2, 2, 3)
+    assert dp.ampere_roots(kf, two).tobytes() == omegas.tobytes()
+    rho, sigma = dp.rho_sigma(kf, two)
+    delta = dp.delta_nonbiref(k, two)
+    assert rho.shape == sigma.shape == delta.shape == (2,)
+    for n, khat in enumerate(two):
+        assert (rho[n], sigma[n]) == dp.rho_sigma(kf, khat)
+        assert delta[n] == dp.delta_nonbiref(k, khat)
+        assert dp.solve_ampere(kf, khat)[0].tobytes() == omegas[n].tobytes()
+    with pytest.raises(ValueError, match="leading shape"):
+        dp.rho_sigma(np.stack((kf, kf)), [[0.0, 0.0, 1.0]] * 3)
+    for bad in ([0.0, 0.0, 1.0, 1.0, 0.0, 0.0], [[0.0, 0.0, 1.0, 1.0]], 1.0):
+        for call in (
+            lambda: dp.solve_ampere(kf, bad),
+            lambda: dp.ampere_roots(kf, bad),
+            lambda: dp.rho_sigma(kf, bad),
+            lambda: dp.delta_nonbiref(k, bad),
+            lambda: dp.summarize(k, kf, bad),
+            lambda: dp.polarization_frame(bad),
+            lambda: dp.direction_draws(bad),
+        ):
+            with pytest.raises(ValueError, match="last axis"):
+                call()

@@ -626,3 +626,24 @@ def test_ghost_class_weights_on_basis_states(space):
     )
     assert w[lz.StateClass.C] == pytest.approx(1.0, abs=1e-12)
     assert w[lz.StateClass.B_MINUS] == pytest.approx(4.0, abs=1e-12)
+
+
+def test_counting_oracle_broadcasts_over_arrays_of_occupations():
+    # one call on the whole ghost space answers what 256 scalar calls do,
+    # for every step split up to total 3; the scalar call stays a bool
+    occ = lz.ghost_space(3).occupations
+    for n1 in range(4):
+        for n2 in range(4 - n1):
+            got = lz.counting_oracle(*occ.T, n1, n2)
+            assert got.shape == (len(occ),) and got.dtype == bool
+            want = [lz.counting_oracle(*(int(x) for x in row), n1, n2) for row in occ]
+            assert all(type(value) is bool for value in want)
+            assert got.tolist() == want
+    grid = lz.counting_oracle(occ[:, 0].reshape(16, 16), occ[:, 1].reshape(16, 16), 0, 0, 1, 1)
+    assert grid.shape == (16, 16)
+    assert grid.ravel().tolist() == lz.counting_oracle(occ[:, 0], occ[:, 1], 0, 0, 1, 1).tolist()
+    for bad in (np.array([0, -1]), np.array([0.0, 1.5]), np.array([0.0, np.inf])):
+        with pytest.raises(ValueError):
+            lz.counting_oracle(bad, 0, 0, 0, 0, 0)
+    with pytest.raises(ValueError):
+        lz.counting_oracle(0, 0, 0, 0, 1.5, 0)
