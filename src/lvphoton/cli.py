@@ -58,7 +58,7 @@ CONFIG_KEYS = frozenset({
 TIME_HORIZON = 10.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RunConfig:
     """A loaded and validated run configuration.
 

@@ -63,7 +63,7 @@ _DEGENERATE_RTOL = 1e-12
 _RESIDUAL_RTOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PolarizationFrame:
     """Right-handed orthonormal triad (eps1, eps2, khat), per direction.
 
@@ -76,7 +76,7 @@ class PolarizationFrame:
     khat: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DispersionResult:
     """Leading-order dispersion data, one array entry per wavevector.
 

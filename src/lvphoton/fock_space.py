@@ -58,7 +58,7 @@ ALL_MODES = tuple(
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FockSpace:
     """Occupation-number basis data for a set of modes at a given cutoff.
 

@@ -9,22 +9,23 @@ diagonal part, the transverse +-k cross terms, the covariant
 scalar/longitudinal part, its Lorentz-violating ghost-sector
 counterpart, and the two transverse-to-ghost couplings.  Their
 elementwise equality is the central cross-check of this module and is
-enforced in the test suite.  For states with empty scalar and
-longitudinal modes, build_transverse gives the same H and Xi on the
-four transverse modes alone, from the same h_t, h_pm_t and Xi
-expressions; spectrum_row turns them into one row of the `spectrum`
-report.
+enforced in the test suite.
 
 Every one of these operators is a sum of coefficients times products
 of two ladder operators (or fixed combinations of them, such as the
 d/g ghost modes), so all of them are assembled by one function,
 fock_space.monomial_sum, from lists of (coefficient, factor, factor)
-terms; the transverse factor's ladder operators are one-factor terms
-(coefficient, factor) of the same function.  What keeps the
+terms on the eight mode slots.  mode_terms writes the grouped lists,
+the six blocks' and Xi's, in one place; build_grouped and
+xi_generators sum them on the 8-mode space.  For states with empty
+scalar and longitudinal modes, build_transverse gives the same H and
+Xi on the four transverse modes alone: on_factor moves the same h_t,
+h_pm_t and Xi terms onto the factor's slots, and spectrum_row turns
+them into one row of the `spectrum` report.  What keeps the
 raw/grouped comparison meaningful is that the two coefficient sets
-stay independent: build_raw takes its coefficients from the tensor
-contractions of coefficient_matrices, build_grouped from the kappa
-bilinears of kappa_bilinears.
+stay independent: build_raw writes its own terms, with coefficients
+from the tensor contractions of coefficient_matrices, and mode_terms
+takes its coefficients from the kappa bilinears of kappa_bilinears.
 
 All energies are in units of omega_k (hbar = omega_k = 1).  Both
 directions' mode operators are labeled against the +k frame vectors
@@ -44,7 +45,7 @@ the evolved states.  Over all basis columns this is the full
 conjugation, with no dense exponential and no dimension cap.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import scipy.sparse as sp
@@ -54,7 +55,7 @@ from .dispersion import delta_nonbiref
 from .kappa_tensor import METRIC, check_nonbiref, kappas_from_kf, lowered
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HamiltonianBundle:
     """The six named blocks of the free Hamiltonian.
 
@@ -82,15 +83,14 @@ class HamiltonianBundle:
         return out.tocsr()
 
 
-def _mode_factors(slots):
-    """S_r = a_r(+k), T_r = a_r(-k) and their bar-adjoints as ladder factors.
+def _mode_factors():
+    """S_r = a_r(+k), T_r = a_r(-k) and their bar-adjoints as 8-mode ladder factors.
 
-    `slots` maps each polarization r to the slots of its (+k, -k)
-    modes.  The bar-adjoint of a_r is zeta_r a_r-dagger: M flips the
-    sign of the scalar raisers, and leaves the others alone.
+    The bar-adjoint of a_r is zeta_r a_r-dagger: M flips the sign of the
+    scalar raisers, and leaves the others alone.
     """
     S, T, Sb, Tb = {}, {}, {}, {}
-    for r, (plus, minus) in slots.items():
+    for r, (plus, minus) in _MODE_SLOTS.items():
         S[r], T[r] = fs.ladder(plus), fs.ladder(minus)
         Sb[r] = fs.ladder(plus, fs.ZETA[r], raising=True)
         Tb[r] = fs.ladder(minus, fs.ZETA[r], raising=True)
@@ -162,7 +162,7 @@ def build_raw(space, kf, frame):
     kappas = kappas_from_kf(kf)
     check_nonbiref(kappas)
     A, B, C = coefficient_matrices(kf, frame)
-    S, T, Sb, Tb = _mode_factors(_MODE_SLOTS)
+    S, T, Sb, Tb = _mode_factors()
     terms = []
     for r in range(4):
         terms += [(-METRIC[r, r], S[r], Sb[r]), (-METRIC[r, r], Tb[r], T[r])]
@@ -181,6 +181,81 @@ def build_raw(space, kf, frame):
     return fs.monomial_sum(space, terms)
 
 
+def xi_coefficients(E):
+    """The coefficients (E11 - E22) / 4 and E12 / 2 of Xi1 and Xi2."""
+    return 0.25 * (E[1, 1] - E[2, 2]), 0.5 * E[1, 2]
+
+
+def mode_terms(kappas, frame):
+    """The grouped monomials of the six blocks of H and of Xi, on the 8-mode slots.
+
+    A dict from each HamiltonianBundle block name, and "xi", to that
+    operator's (coef, factor, factor) terms, coefficients from the kappa
+    bilinears; build_grouped, xi_generators and on_factor read them here.
+
+    h_t: transverse occupations scaled by the direction-dependent phase
+    velocities 1 + delta(+-k).  h_pm_t: transverse +k/-k cross terms.
+    h_ls0: the covariant scalar/longitudinal part.  h_lslv: its
+    ghost-sector (d/g mode) Lorentz-violating counterpart.  h_p_tls and
+    h_m_tls: couplings of +k and -k transverse modes to the ghost
+    sector.  xi: the generator of xi_generators.
+    """
+    check_nonbiref(kappas)
+    E, O = kappa_bilinears(kappas, frame)
+    S, T, Sb, Tb = _mode_factors()
+    terms = {}
+    # delta(+k) and delta(-k) from one call; each row is as it is alone
+    delta_plus, delta_minus = delta_nonbiref(kappas, np.stack([frame.khat, -frame.khat])).tolist()
+    terms["h_t"] = [
+        (1 + delta_plus, S[1], Sb[1]), (1 + delta_plus, S[2], Sb[2]),
+        (1 + delta_minus, Tb[1], T[1]), (1 + delta_minus, Tb[2], T[2]),
+    ]
+    d = 0.5 * (E[1, 1] - E[2, 2])
+    terms["h_pm_t"] = [
+        (d, S[1], T[1]), (d, Tb[1], Sb[1]), (-d, S[2], T[2]), (-d, Tb[2], Sb[2]),
+        (E[1, 2], S[1], T[2]), (E[1, 2], Tb[2], Sb[1]),
+        (E[1, 2], S[2], T[1]), (E[1, 2], Tb[1], Sb[2]),
+    ]
+
+    terms["h_ls0"] = [(1, S[3], Sb[3]), (1, Tb[3], T[3]), (-1, S[0], Sb[0]), (-1, Tb[0], T[0])]
+
+    # The d/g operators a_g(+k), a_d(-k) and their bar-adjoints.
+    _, a_g, _, a_gb = fs.dg_factors(fs.PLUS_K)
+    a_dm, _, a_dmb, _ = fs.dg_factors(fs.MINUS_K)
+
+    e33 = E[3, 3]
+    terms["h_lslv"] = [
+        (-e33, a_g, a_gb), (-e33, a_dmb, a_dm),
+        (-1j * e33, a_g, a_dm), (1j * e33, a_dmb, a_gb),
+    ]
+
+    # Ghost-sector factors shared by both transverse-to-ghost blocks.
+    fac_ann = _combine((1, a_gb), (1j, a_dm))  # [abar_g(+k) + i a_d(-k)]
+    fac_cre = _combine((1, a_g), (-1j, a_dmb))  # [a_g(+k) - i abar_d(-k)]
+
+    r2 = 1.0 / np.sqrt(2.0)
+    c1p = (-r2) * (E[1, 3] - O[3, 2])
+    c2p = (-r2) * (E[2, 3] + O[3, 1])
+    terms["h_p_tls"] = [
+        (c1p, S[1], fac_ann), (c1p, fac_cre, Sb[1]),
+        (c2p, S[2], fac_ann), (c2p, fac_cre, Sb[2]),
+    ]
+
+    c1m = r2 * (E[1, 3] + O[3, 2])
+    c2m = r2 * (E[2, 3] - O[3, 1])
+    terms["h_m_tls"] = [
+        (c1m, fac_cre, T[1]), (c1m, Tb[1], fac_ann),
+        (c2m, fac_cre, T[2]), (c2m, Tb[2], fac_ann),
+    ]
+
+    q1, q2 = xi_coefficients(E)
+    terms["xi"] = [
+        (q1, Sb[1], Tb[1]), (-q1, T[1], S[1]), (-q1, Sb[2], Tb[2]), (q1, T[2], S[2]),
+        (q2, Sb[1], Tb[2]), (-q2, S[1], T[2]), (q2, Sb[2], Tb[1]), (-q2, S[2], T[1]),
+    ]
+    return terms
+
+
 def xi_generators(space, kappas, frame):
     """The anti-self-adjoint generator Xi1 + Xi2 of the transverse diagonalization.
 
@@ -193,106 +268,20 @@ def xi_generators(space, kappas, frame):
     with E_rs the (e_minus + I tr) bilinear and primes marking -k modes.
     bar(Xi) = -Xi, so exp(Xi) preserves the indefinite product.
     """
-    check_nonbiref(kappas)
-    E, _ = kappa_bilinears(kappas, frame)
-    return fs.monomial_sum(space, _xi_terms(E, *_mode_factors(_MODE_SLOTS)))
-
-
-def xi_coefficients(E):
-    """The coefficients (E11 - E22) / 4 and E12 / 2 of Xi1 and Xi2."""
-    return 0.25 * (E[1, 1] - E[2, 2]), 0.5 * E[1, 2]
-
-
-def _xi_terms(E, S, T, Sb, Tb):
-    """The monomials of Xi1 + Xi2 from the E bilinear and the mode factors."""
-    q1, q2 = xi_coefficients(E)
-    return [
-        (q1, Sb[1], Tb[1]), (-q1, T[1], S[1]), (-q1, Sb[2], Tb[2]), (q1, T[2], S[2]),
-        (q2, Sb[1], Tb[2]), (-q2, S[1], T[2]), (q2, Sb[2], Tb[1]), (-q2, S[2], T[1]),
-    ]
-
-
-def _transverse_terms(kappas, frame, E, S, T, Sb, Tb):
-    """The monomials of h_t and h_pm_t (see build_grouped).
-
-    Only the transverse factors S[r], T[r], Sb[r], Tb[r], r = 1, 2, are
-    used, so they may be those of the 8-mode space or of the transverse
-    factor.
-    """
-    delta_plus = delta_nonbiref(kappas, frame.khat)
-    delta_minus = delta_nonbiref(kappas, -frame.khat)
-    h_t = [
-        (1 + delta_plus, S[1], Sb[1]), (1 + delta_plus, S[2], Sb[2]),
-        (1 + delta_minus, Tb[1], T[1]), (1 + delta_minus, Tb[2], T[2]),
-    ]
-    d = 0.5 * (E[1, 1] - E[2, 2])
-    h_pm_t = [
-        (d, S[1], T[1]), (d, Tb[1], Sb[1]), (-d, S[2], T[2]), (-d, Tb[2], Sb[2]),
-        (E[1, 2], S[1], T[2]), (E[1, 2], Tb[2], Sb[1]),
-        (E[1, 2], S[2], T[1]), (E[1, 2], Tb[1], Sb[2]),
-    ]
-    return h_t, h_pm_t
+    return fs.monomial_sum(space, mode_terms(kappas, frame)["xi"])
 
 
 def build_grouped(space, kappas, frame):
-    """The six named blocks of the Hamiltonian, coefficients from kappa bilinears.
-
-    h_t: transverse occupations scaled by the direction-dependent phase
-    velocities 1 + delta(+-k).  h_pm_t: transverse +k/-k cross terms.
-    h_ls0: the covariant scalar/longitudinal part.  h_lslv: its
-    ghost-sector (d/g mode) Lorentz-violating counterpart.  h_p_tls and
-    h_m_tls: couplings of +k and -k transverse modes to the ghost
-    sector.
-    """
-    check_nonbiref(kappas)
-    E, O = kappa_bilinears(kappas, frame)
-    S, T, Sb, Tb = _mode_factors(_MODE_SLOTS)
-    h_t, h_pm_t = _transverse_terms(kappas, frame, E, S, T, Sb, Tb)
-
-    h_ls0 = [(1, S[3], Sb[3]), (1, Tb[3], T[3]), (-1, S[0], Sb[0]), (-1, Tb[0], T[0])]
-
-    # The d/g operators a_g(+k), a_d(-k) and their bar-adjoints.
-    _, a_g, _, a_gb = fs.dg_factors(fs.PLUS_K)
-    a_dm, _, a_dmb, _ = fs.dg_factors(fs.MINUS_K)
-
-    e33 = E[3, 3]
-    h_lslv = [
-        (-e33, a_g, a_gb), (-e33, a_dmb, a_dm),
-        (-1j * e33, a_g, a_dm), (1j * e33, a_dmb, a_gb),
-    ]
-
-    # Ghost-sector factors shared by both transverse-to-ghost blocks.
-    fac_ann = _combine((1, a_gb), (1j, a_dm))  # [abar_g(+k) + i a_d(-k)]
-    fac_cre = _combine((1, a_g), (-1j, a_dmb))  # [a_g(+k) - i abar_d(-k)]
-
-    r2 = 1.0 / np.sqrt(2.0)
-    c1p = (-r2) * (E[1, 3] - O[3, 2])
-    c2p = (-r2) * (E[2, 3] + O[3, 1])
-    h_p_tls = [
-        (c1p, S[1], fac_ann), (c1p, fac_cre, Sb[1]),
-        (c2p, S[2], fac_ann), (c2p, fac_cre, Sb[2]),
-    ]
-
-    c1m = r2 * (E[1, 3] + O[3, 2])
-    c2m = r2 * (E[2, 3] - O[3, 1])
-    h_m_tls = [
-        (c1m, fac_cre, T[1]), (c1m, Tb[1], fac_ann),
-        (c2m, fac_cre, T[2]), (c2m, Tb[2], fac_ann),
-    ]
-
-    blocks = (h_t, h_pm_t, h_ls0, h_lslv, h_p_tls, h_m_tls)
-    return HamiltonianBundle(*(fs.monomial_sum(space, terms) for terms in blocks))
+    """The six named blocks of the Hamiltonian, each the sum of its mode_terms."""
+    terms = mode_terms(kappas, frame)
+    return HamiltonianBundle(
+        *(fs.monomial_sum(space, terms[block.name]) for block in fields(HamiltonianBundle))
+    )
 
 
 #: The 8-mode slots of the transverse factor's modes, in the order of
 #: its occupation tuple: a1(+k), a2(+k), a1(-k), a2(-k).
 TRANSVERSE_SLOTS = tuple(_MODE_SLOTS[r][d] for d in (0, 1) for r in (1, 2))
-
-#: Slots of polarizations 1, 2's (+k, -k) modes on the transverse factor,
-#: their positions in TRANSVERSE_SLOTS.
-_FACTOR_SLOTS = {
-    r: tuple(TRANSVERSE_SLOTS.index(slot) for slot in _MODE_SLOTS[r]) for r in (1, 2)
-}
 
 #: <ghost vacuum| h_ls0 + h_lslv |ghost vacuum>.  The +k terms of h_ls0,
 #: a_r bar(a_r), give zeta_r on the vacuum since [a_r, bar(a_r)] = zeta_r,
@@ -304,7 +293,9 @@ _GHOST_VACUUM_ENERGY = fs.ZETA[3] - fs.ZETA[0]
 
 def transverse_space(cutoff):
     """The 4-mode occupation space of TRANSVERSE_SLOTS, dim (cutoff+1)^4."""
-    return fs._occupation_space(cutoff, 4)
+    if isinstance(cutoff, bool) or not isinstance(cutoff, (int, np.integer)) or cutoff < 1:
+        raise ValueError("transverse cutoff must be an integer of at least 1")
+    return fs._occupation_space(int(cutoff), 4)
 
 
 def check_transverse(space):
@@ -313,18 +304,27 @@ def check_transverse(space):
         raise ValueError(f"expected the 4-mode transverse factor, not {space.modes} modes")
 
 
-def transverse_operators(space):
-    """The factor's lowering operators and their daggers, S, T, Sb, Tb.
+def on_factor(space, terms):
+    """fs.monomial_sum of 8-mode terms on the transverse factor `space`.
 
-    Each is keyed by polarization 1, 2, as the 8-mode operator lists
-    are indexed: S = a(+k), T = a(-k).  The transverse metric is +1, so
-    the bar-adjoints Sb, Tb are the plain daggers.
+    Every factor's 8-mode slot moves to its position in
+    TRANSVERSE_SLOTS; coefficients and term order stay, so between
+    states whose scalar and longitudinal modes are empty the 8-mode sum
+    is the ghost vacuum times the returned matrix.  The transverse
+    metric is +1, so the 8-mode bar-adjoints are the factor's daggers.
+    A term on a scalar or longitudinal slot has no image on the factor
+    and is refused.
     """
     check_transverse(space)
-    return tuple(
-        {r: fs.monomial_sum(space, [(1.0, factor)]) for r, factor in group.items()}
-        for group in _mode_factors(_FACTOR_SLOTS)
-    )
+    position = {slot: i for i, slot in enumerate(TRANSVERSE_SLOTS)}
+
+    def moved(factor):
+        try:
+            return tuple((c, position[slot], raising) for c, slot, raising in factor)
+        except KeyError:
+            raise ValueError("the transverse factor has no scalar or longitudinal slot") from None
+
+    return fs.monomial_sum(space, [(coef, *map(moved, factors)) for coef, *factors in terms])
 
 
 def build_transverse(space, kappas, frame):
@@ -335,17 +335,14 @@ def build_transverse(space, kappas, frame):
     h_m_tls vanish (each term moves one ghost quantum) and h_ls0 +
     h_lslv is the constant _GHOST_VACUUM_ENERGY.  On those states the
     8-mode H and Xi are therefore the ghost vacuum times the returned
-    h = h_t + h_pm_t + c I and xi, with the same entries.
-    `space` is a transverse_space; returns (h, xi).
+    h = h_t + h_pm_t + c I and xi, with the same entries: both are the
+    mode_terms moved by on_factor.  `space` is a transverse_space;
+    returns (h, xi).
     """
-    check_transverse(space)
-    check_nonbiref(kappas)
-    factors = _mode_factors(_FACTOR_SLOTS)  # metric +1: bar-adjoint = dagger
-    E, _ = kappa_bilinears(kappas, frame)
-    h_t, h_pm_t = _transverse_terms(kappas, frame, E, *factors)
-    h = fs.monomial_sum(space, h_t + h_pm_t)
+    terms = mode_terms(kappas, frame)
+    h = on_factor(space, terms["h_t"] + terms["h_pm_t"])
     h = h + _GHOST_VACUUM_ENERGY * sp.identity(space.dim, format="csr")
-    return h.tocsr(), fs.monomial_sum(space, _xi_terms(E, *factors))
+    return h.tocsr(), on_factor(space, terms["xi"])
 
 
 def _evolved(xi, states, dim):

@@ -40,7 +40,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from . import fock_space as fs
 from . import hamiltonian as hm
 from .dispersion import Z_AXIS, polarization_frame
 from .kappa_tensor import check_nonbiref
@@ -76,13 +75,14 @@ def transverse_potential(space, polarization):
     """The transverse potential operator (a_r(+k) + abar_r(-k)) / sqrt(2).
 
     Natural units (the common prefactor sqrt(hbar c^2 / 2 omega) is one);
-    polarization is 1 or 2 against the +k frame vectors.
+    polarization is 1 or 2 against the +k frame vectors.  The 8-mode
+    ladder factors are moved onto the factor `space` by
+    hamiltonian.on_factor.
     """
     if polarization not in (1, 2):
         raise ValueError("transverse polarization must be 1 or 2")
-    hm.check_transverse(space)
-    S, _, _, Tb = hm._mode_factors(hm._FACTOR_SLOTS)
-    return fs.monomial_sum(space, [(1 / math.sqrt(2), S[polarization] + Tb[polarization])])
+    S, _, _, Tb = hm._mode_factors()
+    return hm.on_factor(space, [(1 / math.sqrt(2), S[polarization] + Tb[polarization])])
 
 
 def mixing_deltas(kappas, frame):

@@ -169,7 +169,7 @@ def _birefringence(k):
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KappaSet:
     """The five 3x3/scalar vacuum anisotropy parameters.
 
@@ -329,7 +329,7 @@ def random_kappas(rng, scale=1e-2, birefringent=False):
     return kappa_draws(rng.normal(size=DRAW_WIDTH[bool(birefringent)]), scale)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SymmetryReport:
     """Maximum violation of each structural invariant, per rank-4 tensor."""
 

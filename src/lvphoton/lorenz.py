@@ -343,22 +343,15 @@ def ghost_class_weights(space, psi):
 # ---------------------------------------------------------------------------
 # Reduced four-mode ghost space for exhaustive counting checks.
 
-#: Slot order of the reduced space: d(+k), g(+k), d(-k), g(-k).
-GHOST_SLOTS = ("d", "g", "d_prime", "g_prime")
-
-
 def ghost_space(cutoff=3):
-    """Truncated basis over (n_d, n_g, n_d', n_g'), dim (cutoff+1)^4."""
+    """Truncated basis over (n_d, n_g, n_d', n_g'), dim (cutoff+1)^4.
+
+    Slots 0-3 are d(+k), g(+k), d(-k), g(-k); ladder operators on them
+    are fs.ladder factors summed by fs.monomial_sum (physical metric).
+    """
     if not 1 <= cutoff <= 7:
         raise ValueError("cutoff must be between 1 and 7")
     return fs._occupation_space(cutoff, 4)
-
-
-def ghost_annihilator(gspace, slot):
-    """Lowering operator for one of the four ghost slots (physical metric)."""
-    if slot not in range(4):
-        raise ValueError("slot must be 0..3 (d, g, d', g')")
-    return fs.monomial_sum(gspace, [(1.0, fs.ladder(slot))])
 
 
 def ghost_pairing(gspace):

@@ -50,6 +50,35 @@ def _run(capsys, argv):
 # ------------------------------------------------------------- config
 
 
+def _array_records():
+    """One instance of each record that holds arrays or sparse matrices."""
+    rng = np.random.default_rng(5)
+    k = kt.random_kappas(rng, 1e-2)
+    kf = kt.kf_from_kappas(k)
+    space = fs.build_space(1)
+    kvecs = dp.random_directions(rng, 3)
+    return [
+        k,
+        space,
+        hm.transverse_space(1),
+        dp.polarization_frame(kvecs),
+        cli.RunConfig(),
+        kt.check_invariants(np.stack([kf, kf])),
+        dp.summarize(k, kf, kvecs),
+        hm.build_grouped(space, k, dp.polarization_frame(kvecs[0])),
+    ]
+
+
+def test_array_records_compare_by_identity():
+    # value equality would compare arrays and fail; identity is well defined
+    for record, twin in zip(_array_records(), _array_records()):
+        assert record == record
+        assert record != twin
+        assert hash(record) == hash(record)
+    assert fs.ModeId(fs.PLUS_K, 1) == fs.ModeId(fs.PLUS_K, 1)
+    assert hash(fs.ModeId(fs.MINUS_K, 2)) == hash(fs.ModeId(fs.MINUS_K, 2))
+
+
 def test_missing_file_is_usage_error(tmp_path, capsys):
     status, _, err = _run(capsys, ["decompose", "--config", str(tmp_path / "nope.json")])
     assert status == 2

@@ -8,6 +8,8 @@ chains of sparse ladder matrices they replaced are kept below as the
 reference for the assembler.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -112,9 +114,21 @@ def _reference_grouped(space, kappas, frame):
     return bundle, _xi_from_operators(E, S, T, Sb, Tb)
 
 
-def _reference_transverse(space, kappas, frame):
-    """build_transverse from the factor's ladder matrices."""
-    S, T, Sb, Tb = hm.transverse_operators(space)
+def _factor_slots(r):
+    """Factor positions of polarization r's (+k, -k) modes."""
+    return tuple(
+        hm.TRANSVERSE_SLOTS.index(fs.ModeId(d, r).slot) for d in (fs.PLUS_K, fs.MINUS_K)
+    )
+
+
+def _reference_transverse(space, kappas, frame, kron_ladder):
+    """build_transverse from the factor's kron-chain ladder matrices (metric +1)."""
+    S, T, Sb, Tb = {}, {}, {}, {}
+    for r in (1, 2):
+        plus, minus = _factor_slots(r)
+        S[r], T[r] = kron_ladder(space, plus), kron_ladder(space, minus)
+        Sb[r] = kron_ladder(space, plus, raising=True)
+        Tb[r] = kron_ladder(space, minus, raising=True)
     E, _ = hm.kappa_bilinears(kappas, frame)
     h_t, h_pm_t = _transverse_blocks(kappas, frame, E, S, T, Sb, Tb)
     h = h_t + h_pm_t + hm._GHOST_VACUUM_ENERGY * sp.identity(space.dim, format="csr")
@@ -144,13 +158,14 @@ def test_assembler_matches_product_chains(cutoff):
 
 
 @pytest.mark.parametrize("cutoff", [2, 3, 4, 5])
-def test_transverse_assembler_matches_product_chains(cutoff):
+def test_transverse_assembler_matches_product_chains(cutoff, kron_ladder):
     space = hm.transverse_space(cutoff)
     rng = np.random.default_rng(150 + cutoff)
     k = kt.random_kappas(rng, 1e-2)
     frame = dp.polarization_frame(dp.random_directions(rng))
-    for got, want in zip(hm.build_transverse(space, k, frame), _reference_transverse(space, k, frame)):
-        _assert_assembled_like(got, want)
+    want = _reference_transverse(space, k, frame, kron_ladder)
+    for got, ref in zip(hm.build_transverse(space, k, frame), want):
+        _assert_assembled_like(got, ref)
 
 
 #: Monomials (left, right) of (slot, raising) and, for one slot, the
@@ -223,13 +238,50 @@ def test_mixed_factor_counts_equal_their_sparse_sum(cutoff, kron_ladder):
 
 @pytest.mark.parametrize("cutoff", [1, 2, 3, 4, 5])
 def test_transverse_operators_match_kron_chain_bitwise(cutoff, kron_ladder, assert_same_csr):
+    # each 8-mode transverse ladder factor, moved onto the factor
     space = hm.transverse_space(cutoff)
-    S, T, Sb, Tb = hm.transverse_operators(space)
-    for r, (plus, minus) in hm._FACTOR_SLOTS.items():
-        assert_same_csr(S[r], kron_ladder(space, plus))
-        assert_same_csr(T[r], kron_ladder(space, minus))
-        assert_same_csr(Sb[r], kron_ladder(space, plus, raising=True))
-        assert_same_csr(Tb[r], kron_ladder(space, minus, raising=True))
+    S, T, Sb, Tb = hm._mode_factors()
+    for r in (1, 2):
+        plus, minus = _factor_slots(r)
+        for factor, slot, raising in (
+            (S[r], plus, False), (T[r], minus, False), (Sb[r], plus, True), (Tb[r], minus, True),
+        ):
+            got = hm.on_factor(space, [(1.0, factor)])
+            assert_same_csr(got, kron_ladder(space, slot, raising=raising))
+
+
+def test_on_factor_refuses_ghost_slots():
+    # h_ls0 acts on the scalar and longitudinal modes, which the factor lacks
+    k = kt.random_kappas(np.random.default_rng(83), 1e-2)
+    frame = dp.polarization_frame(np.array([0.0, 0.0, 1.0]))
+    terms = hm.mode_terms(k, frame)
+    with pytest.raises(ValueError, match="scalar or longitudinal"):
+        hm.on_factor(hm.transverse_space(1), terms["h_ls0"])
+    with pytest.raises(ValueError, match="4-mode transverse factor"):
+        hm.on_factor(fs.build_space(1), terms["h_t"])
+
+
+def test_mode_terms_name_every_block_and_xi():
+    k = kt.random_kappas(np.random.default_rng(84), 1e-2)
+    frame = dp.polarization_frame(np.array([0.0, 0.0, 1.0]))
+    terms = hm.mode_terms(k, frame)
+    names = [block.name for block in dataclasses.fields(hm.HamiltonianBundle)]
+    assert list(terms) == names + ["xi"]
+    with pytest.raises(ValueError):
+        hm.mode_terms(kt.random_kappas(np.random.default_rng(85), 1e-2, birefringent=True), frame)
+
+
+@pytest.mark.parametrize("cutoff", [0, -1, 1.5, 2.0, True, "2", None])
+def test_transverse_space_refuses_bad_cutoffs(cutoff):
+    with pytest.raises(ValueError, match="integer of at least 1"):
+        hm.transverse_space(cutoff)
+
+
+def test_transverse_space_accepts_integer_cutoffs():
+    for cutoff in (1, np.int64(3)):
+        space = hm.transverse_space(cutoff)
+        assert type(space.cutoff) is int
+        assert space.dim == (int(cutoff) + 1) ** 4
 
 
 def test_dg_factors_match_dg_operators():

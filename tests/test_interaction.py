@@ -198,7 +198,9 @@ def test_transverse_potential_matches_kron_chains_bitwise(cutoff, kron_ladder, a
     # (a_r(+k) + a_r(-k)-dagger) / sqrt(2) from kron-chain ladder matrices
     factor = hm.transverse_space(cutoff)
     for pol in (1, 2):
-        plus, minus = hm._FACTOR_SLOTS[pol]
+        plus, minus = (
+            hm.TRANSVERSE_SLOTS.index(fs.ModeId(d, pol).slot) for d in (fs.PLUS_K, fs.MINUS_K)
+        )
         a, b_dag = kron_ladder(factor, plus), kron_ladder(factor, minus, raising=True)
         assert_same_csr(ia.transverse_potential(factor, pol), ((a + b_dag) / np.sqrt(2)).tocsr())
 
