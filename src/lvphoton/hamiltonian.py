@@ -293,9 +293,8 @@ _GHOST_VACUUM_ENERGY = fs.ZETA[3] - fs.ZETA[0]
 
 def transverse_space(cutoff):
     """The 4-mode occupation space of TRANSVERSE_SLOTS, dim (cutoff+1)^4."""
-    if isinstance(cutoff, bool) or not isinstance(cutoff, (int, np.integer)) or cutoff < 1:
-        raise ValueError("transverse cutoff must be an integer of at least 1")
-    return fs._occupation_space(int(cutoff), 4)
+    cutoff = fs.checked_cutoff(cutoff, "transverse cutoff must be an integer of at least 1")
+    return fs._occupation_space(cutoff, 4)
 
 
 def check_transverse(space):

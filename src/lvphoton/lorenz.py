@@ -349,9 +349,7 @@ def ghost_space(cutoff=3):
     Slots 0-3 are d(+k), g(+k), d(-k), g(-k); ladder operators on them
     are fs.ladder factors summed by fs.monomial_sum (physical metric).
     """
-    if not 1 <= cutoff <= 7:
-        raise ValueError("cutoff must be between 1 and 7")
-    return fs._occupation_space(cutoff, 4)
+    return fs._occupation_space(fs.checked_cutoff(cutoff, "cutoff must be between 1 and 7", 7), 4)
 
 
 def ghost_pairing(gspace):

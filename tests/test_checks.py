@@ -19,6 +19,7 @@ import scipy.sparse as sp
 from lvphoton import checks, cli
 from lvphoton import dispersion as dp
 from lvphoton import fock_space as fs
+from lvphoton import hamiltonian as hm
 from lvphoton import kappa_tensor as kt
 
 import verify_reference  # tests/verify_reference.py
@@ -120,6 +121,48 @@ def test_rotation_draws_are_the_one_at_a_time_rotations():
     for row in range(50):
         assert np.array_equal(rots[row], verify_reference._random_rotation(rng)), row
         assert np.linalg.det(rots[row]) > 0.0
+
+
+def _commuting_and_random_operators(space, rng):
+    frame = dp.polarization_frame(dp.random_directions(rng))
+    k = kt.random_kappas(rng, 1e-2)
+    yield hm.build_grouped(space, k, frame).total
+    yield hm.xi_generators(space, k, frame)
+    yield hm.build_grouped(space, kt.KappaSet(), frame).total
+    noise = sp.random(space.dim, space.dim, density=2e-3, format="csr", rng=rng)
+    yield (noise + 1j * sp.random(space.dim, space.dim, density=2e-3, format="csr", rng=rng)).tocsr()
+
+
+@pytest.mark.parametrize("cutoff", [1, 2])
+def test_diagonal_commutator_is_the_sparse_product_value(cutoff):
+    # the old expression of kappa_zero_number_conservation,
+    # momentum_kappa_independent and momentum_commutes, bit for bit
+    space = fs.build_space(cutoff)
+    rng = np.random.default_rng(17 + cutoff)
+    diagonals = hm.momentum_operator(space, dp.random_directions(rng))
+    diagonals += [fs.number_operator(space, mode) for mode in fs.ALL_MODES[1:3]]
+    for h in _commuting_and_random_operators(space, rng):
+        assert h.has_canonical_format
+        for p in diagonals:
+            assert checks._diagonal_commutator(p, h) == abs(p @ h - h @ p).max()
+
+
+def test_diagonal_commutator_refuses_an_off_diagonal_entry():
+    p = sp.csr_matrix(([1.0, 2.0, 0.5], ([0, 1, 0], [0, 1, 1])), shape=(2, 2))
+    with pytest.raises(ValueError, match="diagonal"):
+        checks._diagonal_commutator(p, sp.identity(2, format="csr"))
+
+
+def test_raw_grouped_gap_is_the_sparse_abs_value():
+    # the old raw_grouped_equivalence expression, bit for bit (about 4e-15)
+    space = fs.build_space(2)
+    rng = np.random.default_rng(23)
+    for scale in (1e-2, 3e-2):
+        k = kt.random_kappas(rng, scale)
+        frame = dp.polarization_frame(dp.random_directions(rng))
+        raw = hm.build_raw(space, kt.kf_from_kappas(k), frame)
+        bundle = hm.build_grouped(space, k, frame)
+        assert checks._raw_grouped_gap(space, k, frame) == abs(raw - bundle.total).max() > 0.0
 
 
 def _stacked_draws(count, birefringent, seed=11):

@@ -912,6 +912,26 @@ def test_lazy_commands_run_in_a_fresh_process(tmp_path, command):
     assert json.loads(done.stdout)["command"] == command
 
 
+def test_verify_and_spectrum_load_only_scipy_sparse(tmp_path):
+    # scipy.sparse.csgraph pulls in scipy.sparse.linalg and scipy.linalg,
+    # 9-11 MB and 100-150 ms; the block finder needs numpy alone
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    config = _write(tmp_path, "cfg.json", SAMPLE)
+    code = (
+        f"import sys; sys.path.insert(0, {str(src)!r})\n"
+        "import contextlib, io, json\n"
+        "from lvphoton.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    statuses = [main([command, '--config', {config!r}]) for command in ('verify', 'spectrum')]\n"
+        "heavy = ('scipy.linalg', 'scipy.sparse.linalg', 'scipy.sparse.csgraph')\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith(heavy))\n"
+        "print(json.dumps([statuses, loaded]))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [[0, 0], []]
+
+
 # ------------------------------------------------------------ emitter
 
 

@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from lvphoton import checks
+from lvphoton import dispersion as dp
 from lvphoton import fock_space as fs
+from lvphoton import hamiltonian as hm
+from lvphoton import kappa_tensor as kt
+from lvphoton import lorenz as lz
 
 
 def dense(a):
@@ -23,6 +28,18 @@ def test_dimensions_and_bijection():
         fs.build_space(0)
     with pytest.raises(ValueError):
         fs.build_space(5)
+
+
+@pytest.mark.parametrize("cutoff", [0, -1, 1.5, 2.0, True, "2", None])
+def test_build_space_refuses_bad_cutoffs(cutoff):
+    with pytest.raises(ValueError, match="between 1 and 4"):
+        fs.build_space(cutoff)
+
+
+def test_build_space_stores_integer_cutoffs_as_int():
+    space = fs.build_space(np.int64(2))
+    assert type(space.cutoff) is int and type(space.base) is int
+    assert space.dim == 6561
 
 
 @pytest.mark.parametrize("cutoff", [1, 2, 3, 4])
@@ -125,6 +142,94 @@ def test_coupled_blocks_are_undirected_components():
     assert labels[0] == labels[1]
     assert labels[2] == labels[3]
     assert len({labels[0], labels[2], labels[4]}) == 3
+
+
+def _csgraph_labels(op):
+    """The block labels of scipy's graph search, the finder's reference."""
+    from scipy.sparse.csgraph import connected_components
+
+    op = sp.csr_matrix(op)
+    # every stored entry links its states, explicit zeros included
+    pattern = sp.csr_matrix((np.ones(op.nnz), op.indices, op.indptr), shape=op.shape)
+    return connected_components(pattern, directed=False)[1]
+
+
+def _physics_operator(name):
+    """H with and without the A-C defect, Xi and the reduced ghost couplings."""
+    rng = np.random.default_rng(29)
+    k = kt.random_kappas(rng, 1e-2)
+    frame = dp.polarization_frame(dp.random_directions(rng))
+    kind, _, rest = name.partition("-")
+    if kind == "ghost":
+        g = lz.ghost_space(3)
+        return lz.ghost_lslv(g, 0.37) if rest == "lslv" else lz.ghost_pm_tls(g, 0.61, 0.83)
+    if kind == "factor":
+        return hm.build_transverse(hm.transverse_space(int(rest)), k, frame)[1]
+    space = fs.build_space(int(rest[0]))
+    if kind == "xi":
+        return hm.xi_generators(space, k, frame)
+    h = hm.build_grouped(space, k, frame).total
+    return checks._inject_c_defect(space, h) if rest.endswith("defect") else h
+
+
+def _as_given(n, rows, cols, data):
+    """A CSR holding the entries as given: not summed, sorted or pruned."""
+    order = np.argsort(rows, kind="stable")
+    indptr = np.searchsorted(rows[order], np.arange(n + 1))
+    return sp.csr_matrix((data[order], cols[order], indptr), shape=(n, n))
+
+
+def _random_pattern(n, density, seed):
+    """One-way entries, stored zeros, duplicates, unsorted rows, isolated states."""
+    rng = np.random.default_rng(seed)
+    count = max(1, int(density * n * n))
+    rows = rng.integers(n, size=count)
+    cols = rng.integers(n, size=count)
+    rows = np.concatenate([rows, rows[: count // 4]])
+    cols = np.concatenate([cols, cols[: count // 4]])
+    data = rng.normal(size=rows.size) + 1j * rng.normal(size=rows.size)
+    data[rng.random(rows.size) < 0.3] = 0.0
+    return _as_given(n, rows, cols, data)
+
+
+@pytest.mark.parametrize(
+    "name",
+    # the A-C defect couples a state with n_d + n_g = 2, past cutoff 1
+    ["h-1", "h-2", "h-2-defect", "h-3", "h-3-defect", "xi-2"]
+    + [f"factor-{cutoff}" for cutoff in (2, 3, 4, 5, 6)]
+    + ["ghost-lslv", "ghost-tls"],
+)
+def test_coupled_blocks_match_csgraph_on_operators(name):
+    op = _physics_operator(name)
+    assert np.array_equal(fs.coupled_blocks(op), _csgraph_labels(op))
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 40, 300])
+@pytest.mark.parametrize("density", [0.002, 0.02, 0.1])
+def test_coupled_blocks_match_csgraph_on_random_patterns(n, density):
+    for seed in range(5):
+        op = _random_pattern(n, density, seed)
+        assert np.array_equal(fs.coupled_blocks(op), _csgraph_labels(op)), seed
+
+
+def test_coupled_blocks_of_zero_matrices():
+    assert np.array_equal(fs.coupled_blocks(sp.csr_matrix((6, 6))), np.arange(6))
+    # stored zeros link their states like any other entry
+    zeros = _as_given(6, np.array([0, 4, 2]), np.array([5, 1, 2]), np.zeros(3))
+    assert np.array_equal(fs.coupled_blocks(zeros), [0, 1, 2, 3, 1, 0])
+    assert np.array_equal(fs.coupled_blocks(zeros), _csgraph_labels(zeros))
+
+
+@pytest.mark.parametrize("shuffle", [False, True])
+def test_coupled_blocks_follow_a_long_chain(shuffle):
+    # one block of 100 000 states: a finder needing one pass per link
+    # would take 100 000 passes here
+    n = 100_000
+    order = np.random.default_rng(37).permutation(n) if shuffle else np.arange(n)
+    chain = _as_given(n, order[:-1], order[1:], np.ones(n - 1))
+    labels = fs.coupled_blocks(chain)
+    assert not labels.any()
+    assert np.array_equal(labels, _csgraph_labels(chain))
 
 
 def test_bar_adjoint_involution_antihomomorphism():

@@ -367,6 +367,18 @@ def test_ghost_space_keeps_its_cutoff_range():
     assert lz.ghost_space(7).index_of((7, 0, 0, 1)) == 7 * 8**3 + 1
 
 
+@pytest.mark.parametrize("cutoff", [0, -1, 1.5, 2.0, True, "2", None])
+def test_ghost_space_refuses_bad_cutoffs(cutoff):
+    with pytest.raises(ValueError, match="between 1 and 7"):
+        lz.ghost_space(cutoff)
+
+
+def test_ghost_space_stores_integer_cutoffs_as_int():
+    g = lz.ghost_space(np.int64(3))
+    assert type(g.cutoff) is int and type(g.base) is int
+    assert g.dim == 256
+
+
 def test_ghost_pairing_is_involutive_conjugation():
     g = lz.ghost_space(2)
     gram = lz.ghost_pairing(g).toarray()
