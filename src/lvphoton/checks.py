@@ -192,7 +192,7 @@ def _fock_checks(rng, cutoff):
     # it was in the full product.
     inside = np.flatnonzero(fs.interior_projector(space).diagonal())
     n = len(inside)
-    modes = [fs.ModeId(d, r) for d in (fs.PLUS_K, fs.MINUS_K) for r in range(4)]
+    modes = fs.ALL_MODES
     lower = {mode: fs.annihilator(space, mode) for mode in modes}
     bar = {mode: fs.bar_adjoint(space, a) for mode, a in lower.items()}
     forward = sp.vstack([lower[m][inside] for m in modes], format="csr") @ sp.hstack(
@@ -283,6 +283,7 @@ def _hamiltonian_checks(rng, config):
         for block in bundle.blocks + (bundle.total,):
             worst = max(worst, abs(fs.bar_adjoint(space, block) - block).max())
     yield _check("bar_self_adjoint", worst, 1e-13)
+    del bundle, block  # no dim-6561 matrix outlives its check, so none adds to a later peak
 
     small = fs.build_space(1)
     t = min(config.time, lz.MAX_LEAKAGE_TIME)
@@ -308,6 +309,7 @@ def _hamiltonian_checks(rng, config):
             n = fs.number_operator(space, fs.ModeId(direction, pol))
             worst = max(worst, _diagonal_commutator(n, h0))
     yield _check("kappa_zero_number_conservation", worst, 0.0)
+    del h0
 
     # [P, Xi] = 0 exactly: P is diagonal and every Xi term moves one +k
     # and one -k quantum together
@@ -315,10 +317,12 @@ def _hamiltonian_checks(rng, config):
     xi = hm.xi_generators(space, config.kappas, frame)
     worst = max(_diagonal_commutator(p, xi) for p in momentum)
     yield _check("momentum_kappa_independent", worst, 0.0)
+    del xi
 
     h = hm.build_grouped(space, kt.random_kappas(rng, 1e-2), frame).total
     worst = max(_diagonal_commutator(p, h) for p in momentum)
     yield _check("momentum_commutes", worst, 1e-12)
+    del h
 
     shape = kt.random_kappas(rng, 1e-2)
     residuals = []
@@ -476,18 +480,16 @@ def _lorenz_checks(rng, config, inject_c_leakage):
 
 
 def _interaction_checks(rng):
-    worst = 0.0
-    for _ in range(20):
-        k = kt.random_kappas(rng, 1e-2)
-        table = ia.vint_coefficients(k)
-        want = (k.e_minus[1, 1] - k.e_minus[0, 0]) / 2.0
-        worst = max(worst, abs(table.polarization_asymmetry - want))
-        khat = dp.random_directions(rng)
-        frame = dp.polarization_frame(khat)
-        delta1, _ = ia.mixing_deltas(k, frame)
-        oblique = ia.vint_coefficients(k, khat)
-        worst = max(worst, abs(oblique.polarization_asymmetry - (-2.0 * delta1)))
-    yield _check("coupling_asymmetry", worst, 1e-15)
+    normals, directions = _draws(rng, 20, _KAPPA, 3)
+    k = kt.kappa_draws(normals)
+    khats = dp.direction_draws(directions)
+    table = ia.vint_coefficients(k)
+    want = (k.e_minus[:, 1, 1] - k.e_minus[:, 0, 0]) / 2.0
+    worst_z = np.max(np.abs(table.polarization_asymmetry - want))
+    delta1, _ = dp.mixing_deltas(k, dp.polarization_frame(khats))
+    oblique = ia.vint_coefficients(k, khats)
+    worst = np.max(np.abs(oblique.polarization_asymmetry - (-2.0 * delta1)))
+    yield _check("coupling_asymmetry", max(worst_z, worst), 1e-15)
 
     space = hm.transverse_space(1)
     frame = dp.polarization_frame(dp.Z_AXIS)

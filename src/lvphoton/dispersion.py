@@ -12,6 +12,8 @@ value is a number.  A single direction goes through the same one-row
 arithmetic as a row of a batch, so it gets the bits that row gets.
 delta and rho/sigma also take stacked parameter sets or tensors, one
 per direction.
+frame_bilinears is where the parameters meet a frame: its E and O give
+delta, mixing_deltas and the mode Hamiltonian's coefficients.
 """
 
 import warnings
@@ -24,6 +26,7 @@ from .kappa_tensor import (
     PERTURBATIVE_LIMIT,
     as_kf_components,
     as_kf_stack,
+    check_nonbiref,
     check_perturbative,
     readoff_magnitude,
 )
@@ -156,32 +159,52 @@ def polarization_frame(khat):
     )
 
 
+def frame_bilinears(kappas, frame):
+    """Frame bilinears E_rs = eps_r.(e_minus + I tr).eps_s and O_rs = eps_r.o_plus.eps_s.
+
+    Indices 1..3 are eps1, eps2 and khat; the scalar row and column 0
+    are zero (the kappa matrices are purely spatial).  kappas is one
+    KappaSet or stacked sets whose leading shape broadcasts against the
+    frame's; E and O have that shape + (4, 4).  Each (set, direction)
+    pair goes through the same 3x3 products, so it gets its bits alone.
+    """
+    vecs = np.stack((frame.eps1, frame.eps2, frame.khat), axis=-2)[..., None, :, :]
+    emt = kappas.e_minus + np.multiply.outer(kappas.tr, np.eye(3))
+    rows = vecs @ np.stack((emt, kappas.o_plus), axis=-3)
+    out = np.zeros(rows.shape[:-2] + (4, 4))
+    out[..., 1:, 1:] = np.vecdot(rows[..., :, None, :], vecs[..., None, :, :])
+    return out[..., 0, :, :], out[..., 1, :, :]
+
+
+def mixing_deltas(kappas, frame):
+    """(delta1, delta2) = ((E11 - E22) / 4, E12 / 2), E of frame_bilinears.
+
+    The coefficients of Xi and of the potentials' mixing; tr cancels in
+    both but is kept in E.  Leading axes as in frame_bilinears; sets
+    outside the first-order model are refused (check_nonbiref).
+    """
+    check_nonbiref(kappas)
+    E, _ = frame_bilinears(kappas, frame)
+    return 0.25 * (E[..., 1, 1] - E[..., 2, 2]), 0.5 * E[..., 1, 2]
+
+
 def delta_nonbiref(k, khat):
     """Fractional phase-velocity shift for the non-birefringent sector.
 
-        delta(k) = eps1 . o_plus . eps2
+        delta(k) = O12 - (E11 + E22) / 2 = eps1 . o_plus . eps2
                    - (1/2) sum_{r=1,2} eps_r . (e_minus + I tr) . eps_r
 
-    in the frame of polarization_frame, per unit direction of khat.  k
-    is one KappaSet for every direction, or stacked sets, one per
-    direction, whose leading shape broadcasts against the directions'.
-    One set and one direction give a float.  Only valid with e_plus =
-    o_minus = 0; birefringent input is rejected since the shift is then
-    polarization-dependent.
+    of frame_bilinears in the frame of polarization_frame, per unit
+    direction of khat.  k is one KappaSet for every direction, or
+    stacked sets, one per direction, whose leading shape broadcasts
+    against the directions'.  One set and one direction give a float.
+    Only valid with e_plus = o_minus = 0; birefringent input is rejected
+    since the shift is then polarization-dependent.
     """
     if np.any(k.is_birefringent):
         raise ValueError("delta is polarization-independent only without birefringence")
-    khat = np.asarray(khat, dtype=float)
-    lead = khat.shape[:-1]
-    e1, e2 = _frames(_rows(khat))
-    stacked = not isinstance(k.tr, float)  # one set holds a float tr
-    if stacked:  # each set sees a block of one direction
-        e1, e2 = e1.reshape(lead + (1, 3)), e2.reshape(lead + (1, 3))
-    emt = k.e_minus + np.multiply.outer(k.tr, np.eye(3))
-    delta = np.vecdot(e1 @ k.o_plus, e2) - 0.5 * (
-        np.vecdot(e1 @ emt, e1) + np.vecdot(e2 @ emt, e2)
-    )
-    delta = delta[..., 0] if stacked else delta.reshape(lead)
+    E, O = frame_bilinears(k, polarization_frame(khat))
+    delta = O[..., 1, 2] - 0.5 * (E[..., 1, 1] + E[..., 2, 2])
     return float(delta) if delta.ndim == 0 else delta
 
 

@@ -25,7 +25,7 @@ them into one row of the `spectrum` report.  What keeps the
 raw/grouped comparison meaningful is that the two coefficient sets
 stay independent: build_raw writes its own terms, with coefficients
 from the tensor contractions of coefficient_matrices, and mode_terms
-takes its coefficients from the kappa bilinears of kappa_bilinears.
+takes its coefficients from dispersion.frame_bilinears.
 
 All energies are in units of omega_k (hbar = omega_k = 1).  Both
 directions' mode operators are labeled against the +k frame vectors
@@ -51,7 +51,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import fock_space as fs
-from .dispersion import delta_nonbiref
+from .dispersion import delta_nonbiref, frame_bilinears, mixing_deltas
 from .kappa_tensor import METRIC, check_nonbiref, kappas_from_kf, lowered
 
 
@@ -110,23 +110,6 @@ _MODE_SLOTS = {
 }
 
 
-def kappa_bilinears(kappas, frame):
-    """Frame bilinears E_rs = eps_r.(e_minus + I tr).eps_s, O_rs = eps_r.o_plus.eps_s.
-
-    Rows/columns 1..3 are the transverse/longitudinal frame vectors; the
-    scalar row 0 is zero (the kappa matrices are purely spatial).
-    """
-    emt = kappas.e_minus + np.eye(3) * kappas.tr
-    vecs = [None, frame.eps1, frame.eps2, frame.khat]
-    E = np.zeros((4, 4))
-    O = np.zeros((4, 4))
-    for r in range(1, 4):
-        for s in range(1, 4):
-            E[r, s] = vecs[r] @ emt @ vecs[s]
-            O[r, s] = vecs[r] @ kappas.o_plus @ vecs[s]
-    return E, O
-
-
 def coefficient_matrices(kf, frame):
     """The three 4x4 coefficient matrices of the raw assembly.
 
@@ -181,16 +164,11 @@ def build_raw(space, kf, frame):
     return fs.monomial_sum(space, terms)
 
 
-def xi_coefficients(E):
-    """The coefficients (E11 - E22) / 4 and E12 / 2 of Xi1 and Xi2."""
-    return 0.25 * (E[1, 1] - E[2, 2]), 0.5 * E[1, 2]
-
-
 def mode_terms(kappas, frame):
     """The grouped monomials of the six blocks of H and of Xi, on the 8-mode slots.
 
     A dict from each HamiltonianBundle block name, and "xi", to that
-    operator's (coef, factor, factor) terms, coefficients from the kappa
+    operator's (coef, factor, factor) terms, coefficients from the frame
     bilinears; build_grouped, xi_generators and on_factor read them here.
 
     h_t: transverse occupations scaled by the direction-dependent phase
@@ -201,11 +179,12 @@ def mode_terms(kappas, frame):
     sector.  xi: the generator of xi_generators.
     """
     check_nonbiref(kappas)
-    E, O = kappa_bilinears(kappas, frame)
+    E, O = frame_bilinears(kappas, frame)
     S, T, Sb, Tb = _mode_factors()
     terms = {}
-    # delta(+k) and delta(-k) from one call; each row is as it is alone
-    delta_plus, delta_minus = delta_nonbiref(kappas, np.stack([frame.khat, -frame.khat])).tolist()
+    # delta_nonbiref at +-k: only eps2 of eps1, eps2 flips with k, so only O12
+    delta_plus = O[1, 2] - 0.5 * (E[1, 1] + E[2, 2])
+    delta_minus = -O[1, 2] - 0.5 * (E[1, 1] + E[2, 2])
     terms["h_t"] = [
         (1 + delta_plus, S[1], Sb[1]), (1 + delta_plus, S[2], Sb[2]),
         (1 + delta_minus, Tb[1], T[1]), (1 + delta_minus, Tb[2], T[2]),
@@ -248,7 +227,7 @@ def mode_terms(kappas, frame):
         (c2m, fac_cre, T[2]), (c2m, Tb[2], fac_ann),
     ]
 
-    q1, q2 = xi_coefficients(E)
+    q1, q2 = mixing_deltas(kappas, frame)
     terms["xi"] = [
         (q1, Sb[1], Tb[1]), (-q1, T[1], S[1]), (-q1, Sb[2], Tb[2]), (q1, T[2], S[2]),
         (q2, Sb[1], Tb[2]), (-q2, S[1], T[2]), (q2, Sb[2], Tb[1]), (-q2, S[2], T[1]),

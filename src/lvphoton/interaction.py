@@ -7,7 +7,7 @@ rotated into the other by -delta2, where delta1 and delta2 are frame
 bilinears of the parity-even kappa matrix,
 
     delta1 = (E11 - E22) / 4,    delta2 = E12 / 2,
-    E_rs = eps_r . (e_minus + I tr) . eps_s.
+    E_rs = eps_r . (e_minus + I tr) . eps_s  (dispersion.mixing_deltas).
 
 Substituted into the covariant coupling to a charged current, the mixing
 makes the photon-charge interaction strength depend on which transverse
@@ -41,18 +41,17 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import hamiltonian as hm
-from .dispersion import Z_AXIS, polarization_frame
-from .kappa_tensor import check_nonbiref
+from .dispersion import Z_AXIS, mixing_deltas, polarization_frame
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CouplingTable:
     """Coefficients pairing the current components with the potentials.
 
     j1_pol1 multiplies j1 in the bracket coupling to the polarization-1
     potential, j2_pol1 the cross term in the same bracket, and likewise
     for polarization 2.  At kappa = 0 the table is the identity coupling
-    (diagonal 1, cross 0).
+    (diagonal 1, cross 0).  Fields are arrays for stacked inputs.
     """
 
     j1_pol1: complex
@@ -83,18 +82,6 @@ def transverse_potential(space, polarization):
         raise ValueError("transverse polarization must be 1 or 2")
     S, _, _, Tb = hm._mode_factors()
     return hm.on_factor(space, [(1 / math.sqrt(2), S[polarization] + Tb[polarization])])
-
-
-def mixing_deltas(kappas, frame):
-    """The two mixing parameters (delta1, delta2) for this frame.
-
-    The isotropic tr part cancels in delta1's diagonal difference and in
-    delta2's off-diagonal bilinear (the frame vectors are orthogonal),
-    but both are computed from the full e_minus + I tr bilinear rather
-    than simplified by hand.
-    """
-    e_bilinear, _ = hm.kappa_bilinears(kappas, frame)
-    return hm.xi_coefficients(e_bilinear)
 
 
 def transformed_potentials(space, kappas, frame):
@@ -137,7 +124,6 @@ def transverse_interior(space):
 
 def first_order_potentials(space, kappas, frame):
     """The leading-order mixed potentials, as written above."""
-    check_nonbiref(kappas)
     delta1, delta2 = mixing_deltas(kappas, frame)
     a_1 = transverse_potential(space, 1)
     a_2 = transverse_potential(space, 2)
@@ -187,7 +173,8 @@ def vint_coefficients(kappas, khat=None):
         j2_pol2 = (4 + e_minus_xx - e_minus_yy) / 4;
 
     any other direction conjugates the kappa matrices into that wave's
-    polarization frame through the same bilinears.
+    polarization frame through the same bilinears.  Takes leading axes
+    and refuses sets as dispersion.mixing_deltas does.
     """
     if khat is None:
         khat = Z_AXIS

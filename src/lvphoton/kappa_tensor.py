@@ -265,11 +265,12 @@ def check_nonbiref(kappas):
     """Reject parameters outside the non-birefringent perturbative regime.
 
     The mode Hamiltonian and the potential mixing both expand to first
-    order in a set with e_plus = o_minus = 0.
+    order in a set with e_plus = o_minus = 0.  Of stacked sets, one set
+    outside the regime rejects the stack.
     """
-    if kappas.is_birefringent:
+    if np.any(kappas.is_birefringent):
         raise ValueError("the mode expansion assumes e_plus = o_minus = 0")
-    check_perturbative(kappas.magnitude)
+    check_perturbative(np.max(kappas.magnitude))
 
 
 def kappa_distance(a, b):

@@ -14,6 +14,7 @@ from scipy.optimize import brentq
 from lvphoton import dispersion as dp
 from lvphoton import kappa_tensor as kt
 
+import bilinear_reference  # tests/bilinear_reference.py
 import kf_reference  # tests/kf_reference.py
 
 
@@ -333,6 +334,56 @@ def test_batched_delta_matches_the_rowwise_reference_bit_for_bit():
     assert np.array_equal(grid, want[:12].reshape(3, 4))
     with pytest.raises(ValueError):
         dp.delta_nonbiref(kt.random_kappas(rng, 1e-2, birefringent=True), khats)
+
+
+def _one_set(sets, i):
+    return kt.KappaSet(e_minus=sets.e_minus[i], o_plus=sets.o_plus[i], tr=float(sets.tr[i]))
+
+
+def _loop_reference(pairs):
+    """E, O, delta(+k), delta(-k), delta1 and delta2 of the loop, per (set, khat) pair."""
+    E, O, plus, minus, d1, d2 = ([] for _ in range(6))
+    for k, khat in pairs:
+        e, o = bilinear_reference.kappa_bilinears(k, dp.polarization_frame(khat))
+        e_m, o_m = bilinear_reference.kappa_bilinears(k, dp.polarization_frame(-khat))
+        E.append(e)
+        O.append(o)
+        plus.append(o[1, 2] - 0.5 * (e[1, 1] + e[2, 2]))
+        minus.append(o_m[1, 2] - 0.5 * (e_m[1, 1] + e_m[2, 2]))
+        delta1, delta2 = bilinear_reference.mixing_deltas(e)
+        d1.append(delta1)
+        d2.append(delta2)
+    return tuple(map(np.array, (E, O, plus, minus, d1, d2)))
+
+
+@pytest.mark.parametrize("layout", ["one-set", "set-per-direction", "one-direction"])
+def test_frame_bilinears_match_the_loop_bit_for_bit(layout):
+    # the directions include the axes and rows within 1e-8 of x-hat,
+    # where the frame switches to y-hat
+    rng = np.random.default_rng(33)
+    khats = _frame_test_directions(rng, 2000)
+    sets = kt.kappa_draws(rng.normal(size=(len(khats), kt.DRAW_WIDTH[False])))
+    if layout == "one-set":
+        k = _one_set(sets, 0)
+        pairs = [(k, khat) for khat in khats]
+    elif layout == "set-per-direction":
+        k = sets
+        pairs = [(_one_set(sets, i), khat) for i, khat in enumerate(khats)]
+    else:
+        k, khats = sets, np.array([1.0, 3e-9, -2e-9]) / np.linalg.norm([1.0, 3e-9, -2e-9])
+        assert abs(dp.polarization_frame(khats).eps1[1]) > 0.99  # the y-hat branch
+        pairs = [(_one_set(sets, i), khats) for i in range(len(sets.tr))]
+    E, O, plus, minus, delta1, delta2 = _loop_reference(pairs)
+    frame = dp.polarization_frame(khats)
+    got_E, got_O = dp.frame_bilinears(k, frame)
+    assert np.array_equal(got_E, E) and np.array_equal(got_O, O)
+    assert np.array_equal(dp.delta_nonbiref(k, khats), plus)
+    assert np.array_equal(dp.delta_nonbiref(k, -khats), minus)
+    # mode_terms' delta(+-k) = +-O12 - (E11 + E22) / 2 from one kernel call
+    assert np.array_equal(got_O[..., 1, 2] - 0.5 * (got_E[..., 1, 1] + got_E[..., 2, 2]), plus)
+    assert np.array_equal(-got_O[..., 1, 2] - 0.5 * (got_E[..., 1, 1] + got_E[..., 2, 2]), minus)
+    got1, got2 = dp.mixing_deltas(k, frame)
+    assert np.array_equal(got1, delta1) and np.array_equal(got2, delta2)
 
 
 # ----------------------------------------------------------- Ampere law

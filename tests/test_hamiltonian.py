@@ -20,6 +20,8 @@ from lvphoton import fock_space as fs
 from lvphoton import hamiltonian as hm
 from lvphoton import kappa_tensor as kt
 
+import bilinear_reference  # tests/bilinear_reference.py
+
 
 @pytest.fixture(scope="module")
 def space():
@@ -48,7 +50,7 @@ def _mode_operators(space):
 
 
 def _xi_from_operators(E, S, T, Sb, Tb):
-    q1, q2 = hm.xi_coefficients(E)
+    q1, q2 = bilinear_reference.mixing_deltas(E)
     xi = q1 * (Sb[1] @ Tb[1] - T[1] @ S[1] - Sb[2] @ Tb[2] + T[2] @ S[2])
     xi = xi + q2 * (Sb[1] @ Tb[2] - S[1] @ T[2] + Sb[2] @ Tb[1] - S[2] @ T[1])
     return xi.tocsr()
@@ -87,7 +89,7 @@ def _reference_raw(space, kf, frame):
 
 def _reference_grouped(space, kappas, frame):
     """build_grouped's bundle and xi_generators' Xi as sums of sparse products."""
-    E, O = hm.kappa_bilinears(kappas, frame)
+    E, O = bilinear_reference.kappa_bilinears(kappas, frame)
     S, T, Sb, Tb = _mode_operators(space)
     h_t, h_pm_t = _transverse_blocks(kappas, frame, E, S, T, Sb, Tb)
     h_ls0 = S[3] @ Sb[3] + Tb[3] @ T[3] - S[0] @ Sb[0] - Tb[0] @ T[0]
@@ -129,7 +131,7 @@ def _reference_transverse(space, kappas, frame, kron_ladder):
         S[r], T[r] = kron_ladder(space, plus), kron_ladder(space, minus)
         Sb[r] = kron_ladder(space, plus, raising=True)
         Tb[r] = kron_ladder(space, minus, raising=True)
-    E, _ = hm.kappa_bilinears(kappas, frame)
+    E, _ = bilinear_reference.kappa_bilinears(kappas, frame)
     h_t, h_pm_t = _transverse_blocks(kappas, frame, E, S, T, Sb, Tb)
     h = h_t + h_pm_t + hm._GHOST_VACUUM_ENERGY * sp.identity(space.dim, format="csr")
     return h.tocsr(), _xi_from_operators(E, S, T, Sb, Tb)

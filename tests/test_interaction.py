@@ -53,7 +53,7 @@ def _full_space_reference(space, kappas, frame, conjugate):
         bare.append(((a_plus + fs.bar_adjoint(space, a_minus)) / np.sqrt(2)).toarray())
     xi = hm.xi_generators(space, kappas, frame)
     exact = conjugate(bare, xi)
-    delta1, delta2 = ia.mixing_deltas(kappas, frame)
+    delta1, delta2 = dp.mixing_deltas(kappas, frame)
     first = [
         (1.0 - delta1) * bare[0] - delta2 * bare[1],
         (1.0 + delta1) * bare[1] - delta2 * bare[0],
@@ -158,9 +158,60 @@ def test_mixing_deltas_match_bilinear_definitions(frame):
         emt = kappas.e_minus + np.eye(3) * kappas.tr
         want1 = 0.25 * (fr.eps1 @ emt @ fr.eps1 - fr.eps2 @ emt @ fr.eps2)
         want2 = 0.5 * (fr.eps1 @ emt @ fr.eps2)
-        delta1, delta2 = ia.mixing_deltas(kappas, fr)
+        delta1, delta2 = dp.mixing_deltas(kappas, fr)
         assert delta1 == pytest.approx(want1, abs=1e-15)
         assert delta2 == pytest.approx(want2, abs=1e-15)
+
+
+def test_stacked_tables_are_the_per_set_tables_bit_for_bit():
+    rng = np.random.default_rng(77)
+    normals = rng.normal(size=(40, kt.DRAW_WIDTH[False]))
+    sets = kt.kappa_draws(normals)
+    khats = dp.random_directions(rng, 40)
+    one = kt.random_kappas(rng, 1e-2)
+    cases = [
+        (ia.vint_coefficients(sets), [ia.vint_coefficients(kt.kappa_draws(n)) for n in normals]),
+        (
+            ia.vint_coefficients(sets, khats),
+            [ia.vint_coefficients(kt.kappa_draws(n), h) for n, h in zip(normals, khats)],
+        ),
+        (ia.vint_coefficients(one, khats), [ia.vint_coefficients(one, h) for h in khats]),
+    ]
+    for stacked, tables in cases:
+        for name in ("j1_pol1", "j2_pol1", "j1_pol2", "j2_pol2"):
+            got = getattr(stacked, name)
+            assert got.shape == (40,), name
+            assert np.array_equal(got, [getattr(t, name) for t in tables]), name
+        want = [t.polarization_asymmetry for t in tables]
+        assert np.array_equal(stacked.polarization_asymmetry, want)
+
+
+def _bad_sets():
+    """(set, message): a birefringent set, one of magnitude 0.5, and 3-set stacks of each."""
+    good = kt.random_kappas(np.random.default_rng(78), 1e-2)
+    birefringent = kt.KappaSet(e_plus=0.01 * np.diag([3.0, -1.0, -2.0]))
+    large = kt.KappaSet(tr=0.5)
+    out = []
+    for bad, message in ((birefringent, "e_plus = o_minus = 0"), (large, "perturbative")):
+        stack = (good, bad, good)
+        fields = ("e_minus", "o_plus", "tr", "e_plus", "o_minus")
+        stacked = kt.KappaSet(**{f: np.stack([getattr(k, f) for k in stack]) for f in fields})
+        out += [(bad, message), (stacked, message)]
+    return out
+
+
+@pytest.mark.parametrize("index", range(4))
+def test_first_order_entry_points_refuse_what_the_model_excludes(index, frame):
+    bad, message = _bad_sets()[index]
+    khats = dp.random_directions(np.random.default_rng(79), 3)
+    for call in (
+        lambda: ia.vint_coefficients(bad),
+        lambda: ia.vint_coefficients(bad, khats),
+        lambda: dp.mixing_deltas(bad, frame),
+        lambda: kt.check_nonbiref(bad),
+    ):
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 def test_general_direction_matches_frame_extraction(space):

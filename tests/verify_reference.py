@@ -5,9 +5,8 @@ with the one-set functions (kf_from_kappas, kappas_from_kf,
 check_invariants, contract4, rho_sigma, delta_nonbiref, ...), with the
 commutators and bar adjoints of the Fock-space checks as full sparse
 products, and the Lorenz checks' basis states built for every draw.
-reference_verify runs these groups, and the library's own interaction
-group, in cmd_verify's order on one generator, so its records are the
-reference for cmd_verify's.  random_kappas is the one-set draw, block
+reference_verify runs these groups in cmd_verify's order on one
+generator, so its records are the reference for cmd_verify's.  random_kappas is the one-set draw, block
 by block, that kappa_draws must reproduce; the checks here draw with it.
 """
 
@@ -18,6 +17,7 @@ from lvphoton import checks
 from lvphoton import dispersion as dp
 from lvphoton import fock_space as fs
 from lvphoton import hamiltonian as hm
+from lvphoton import interaction as ia
 from lvphoton import kappa_tensor as kt
 from lvphoton import lorenz as lz
 
@@ -413,6 +413,38 @@ def _lorenz_checks(rng, config, inject_c_leakage):
     yield _check("observable_indistinguishability", worst, 1e-12)
 
 
+def _interaction_checks(rng):
+    worst = 0.0
+    for _ in range(20):
+        k = random_kappas(rng, 1e-2)
+        table = ia.vint_coefficients(k)
+        want = (k.e_minus[1, 1] - k.e_minus[0, 0]) / 2.0
+        worst = max(worst, abs(table.polarization_asymmetry - want))
+        khat = dp.random_directions(rng)
+        frame = dp.polarization_frame(khat)
+        delta1, _ = dp.mixing_deltas(k, frame)
+        oblique = ia.vint_coefficients(k, khat)
+        worst = max(worst, abs(oblique.polarization_asymmetry - (-2.0 * delta1)))
+    yield _check("coupling_asymmetry", worst, 1e-15)
+
+    space = hm.transverse_space(1)
+    frame = dp.polarization_frame(dp.Z_AXIS)
+    worst = 0.0
+    for _ in range(5):
+        k = random_kappas(rng, 1e-2)
+        first_1, first_2 = ia.first_order_potentials(space, k, frame)
+        got = ia.extract_couplings(space, first_1, first_2)
+        want = ia.vint_coefficients(k)
+        worst = max(
+            worst,
+            abs(got.j1_pol1 - want.j1_pol1),
+            abs(got.j2_pol1 - want.j2_pol1),
+            abs(got.j1_pol2 - want.j1_pol2),
+            abs(got.j2_pol2 - want.j2_pol2),
+        )
+    yield _check("coupling_extraction", worst, 1e-12)
+
+
 def reference_verify(config, seed=0, inject_c_leakage=False):
     """The records cmd_verify gave with the per-draw checks, in its order."""
     rng = np.random.default_rng(seed)
@@ -422,5 +454,5 @@ def reference_verify(config, seed=0, inject_c_leakage=False):
     records.extend(_fock_checks(rng, config.cutoff))
     records.extend(_hamiltonian_checks(rng, config))
     records.extend(_lorenz_checks(rng, config, inject_c_leakage))
-    records.extend(checks._interaction_checks(rng))
+    records.extend(_interaction_checks(rng))
     return records
