@@ -12,6 +12,7 @@ value is a number.  A single direction goes through the same one-row
 arithmetic as a row of a batch, so it gets the bits that row gets.
 delta and rho/sigma also take stacked parameter sets or tensors, one
 per direction.
+
 frame_bilinears is where the parameters meet a frame: its E and O give
 delta, mixing_deltas and the mode Hamiltonian's coefficients.
 """
@@ -166,7 +167,8 @@ def frame_bilinears(kappas, frame):
     are zero (the kappa matrices are purely spatial).  kappas is one
     KappaSet or stacked sets whose leading shape broadcasts against the
     frame's; E and O have that shape + (4, 4).  Each (set, direction)
-    pair goes through the same 3x3 products, so it gets its bits alone.
+    pair goes through the same 3x3 products, so it gets the bits it gets
+    on its own.
     """
     vecs = np.stack((frame.eps1, frame.eps2, frame.khat), axis=-2)[..., None, :, :]
     emt = kappas.e_minus + np.multiply.outer(kappas.tr, np.eye(3))
