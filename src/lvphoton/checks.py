@@ -190,7 +190,7 @@ def _fock_checks(rng, cutoff):
     # block (b, a) of bar_rows @ lower_cols is bar(b) a, moved to (a, b).
     # Restricting the factors' outer indices leaves each entry's sum as
     # it was in the full product.
-    inside = np.flatnonzero(fs.interior_projector(space).diagonal())
+    inside = np.flatnonzero(fs.interior_mask(space))
     n = len(inside)
     modes = fs.ALL_MODES
     lower = {mode: fs.annihilator(space, mode) for mode in modes}

@@ -178,7 +178,10 @@ def load_config(path, strict=False):
 
     if "direction" in raw:
         direction = _real_array("direction", raw["direction"], (3,))
-        norm = np.linalg.norm(direction)
+        with np.errstate(all="ignore"):  # scale first where |d|^2 leaves the normal range
+            if not sys.float_info.min <= direction @ direction <= sys.float_info.max:
+                direction = direction / np.max(np.abs(direction))
+            norm = np.linalg.norm(direction)
         if norm == 0.0 or not np.isfinite(norm):
             raise ValueError("direction must be a nonzero finite 3-vector")
         fields["direction"] = direction / norm

@@ -1,4 +1,4 @@
-"""Truncated occupation-number space for the eight modes of a +-k pair.
+"""Truncated occupation-number spaces for the modes of a +-k pair.
 
 One wavevector pair carries eight oscillators (scalar, two transverse,
 longitudinal for each of +k and -k); the free dynamics couples only k
@@ -11,9 +11,12 @@ meet.  Every ladder operator, every fixed combination of them (the d/g
 ghost modes) and every sum of products of two is written by one
 function, monomial_sum, from ladder factors (ladder, dg_factors).
 
-Mode ordering: +k modes 0,1,2,3 then -k modes 0,1,2,3 (0 = scalar,
-1,2 = transverse, 3 = longitudinal).  Basis index is lexicographic with
-the +k scalar occupation as the most significant digit.
+Each occupation column carries a mode label, and FockSpace.position is
+the one map from a label to its column.  The 8-mode space is labeled by
+the slots +k modes 0,1,2,3 then -k modes 0,1,2,3 (0 = scalar, 1,2 =
+transverse, 3 = longitudinal); the transverse factor holds four slots
+(metric +1) and the reduced ghost space labels of its own (no diagonal
+metric).  Basis index is lexicographic, the first column most significant.
 
 propagate applies exp(-i t b) of a sparse operator b to dense columns,
 and propagate_blocks applies it to sparse columns one coupled block of b
@@ -49,7 +52,7 @@ class ModeId:
 
     @property
     def slot(self):
-        """Position in the 8-mode ordering (+k:0..3, -k:4..7)."""
+        """The mode's label: its position in the 8-mode ordering (+k:0..3, -k:4..7)."""
         return self.polarization + (0 if self.direction == PLUS_K else 4)
 
 
@@ -57,24 +60,35 @@ ALL_MODES = tuple(
     ModeId(d, p) for d in (PLUS_K, MINUS_K) for p in (0, 1, 2, 3)
 )
 
+#: Labels of the 8-mode space, one slot per column.
+SLOTS = tuple(mode.slot for mode in ALL_MODES)
+
 
 @dataclass(frozen=True, eq=False)
 class FockSpace:
-    """Occupation-number basis data for a set of modes at a given cutoff.
+    """Occupation-number basis data for a set of labeled modes at a given cutoff.
 
-    The +-k pair has eight modes; the reduced ghost space of the lorenz
-    module is the same structure over four.
+    The +-k pair has eight modes; the transverse factor and the reduced
+    ghost space of the lorenz module are the same structure over four.
     """
 
     cutoff: int
     base: int
     dim: int
     occupations: np.ndarray  # dim x modes int array, row = occupation tuple
+    labels: tuple  # the mode of each occupation column
 
     @property
     def modes(self):
         """Number of modes, the length of an occupation tuple."""
-        return self.occupations.shape[1]
+        return len(self.labels)
+
+    def position(self, label):
+        """Occupation column of the mode `label`; ValueError if the space has none."""
+        try:
+            return self.labels.index(label)
+        except ValueError:
+            raise ValueError(f"the space has no mode labeled {label!r}") from None
 
     def index_of(self, occ):
         """Basis index of an occupation tuple (inverse of `occupations`)."""
@@ -87,13 +101,13 @@ class FockSpace:
         return idx
 
 
-def _occupation_space(cutoff, modes):
-    """Lexicographic occupation basis of `modes` modes, each up to `cutoff`."""
-    base = cutoff + 1
+def _occupation_space(cutoff, labels):
+    """Lexicographic occupation basis of the modes `labels`, each up to `cutoff`."""
+    base, modes = cutoff + 1, len(labels)
     dim = base**modes
     occ = np.ascontiguousarray(np.indices((base,) * modes).reshape(modes, dim).T)
     occ.setflags(write=False)
-    return FockSpace(cutoff=cutoff, base=base, dim=dim, occupations=occ)
+    return FockSpace(cutoff=cutoff, base=base, dim=dim, occupations=occ, labels=tuple(labels))
 
 
 def checked_cutoff(cutoff, message, most=math.inf):
@@ -116,7 +130,7 @@ def build_space(cutoff):
 
     dim = (cutoff+1)^8, so cutoff is capped at 4 (~390k basis states).
     """
-    return _occupation_space(checked_cutoff(cutoff, "cutoff must be between 1 and 4", 4), 8)
+    return _occupation_space(checked_cutoff(cutoff, "cutoff must be between 1 and 4", 4), SLOTS)
 
 
 def _check_operator(space, a):
@@ -129,26 +143,27 @@ def annihilator(space, mode):
     return monomial_sum(space, [(1.0, ladder(mode.slot))])
 
 
-def ladder(slot, coef=1.0, raising=False):
+def ladder(label, coef=1.0, raising=False):
     """One ladder operator as a factor for monomial_sum: coef a or coef a-dagger.
 
-    A factor is a tuple of (coefficient, slot, raising) triples read as
+    A factor is a tuple of (coefficient, label, raising) triples read as
     the linear combination of their operators, so factors are summed by
     concatenating them and scaled by scaling their coefficients.  The
     raising operator is the plain dagger of the truncated lowering
     operator: it has no entry out of the top occupation.
     """
-    return ((coef, slot, raising),)
+    return ((coef, label, raising),)
 
 
 def monomial_sum(space, terms):
     """sum_k c_k X_k Y_k (or c_k X_k) as one CSR matrix, each X_k, Y_k a ladder factor.
 
-    A term is (coef, factor) or (coef, left, right).  A single ladder
-    operator is a fixed index shift (+- the stride of its slot) weighted
+    A term is (coef, factor) or (coef, left, right); each label is read
+    through space.position, so a mode the space lacks is refused.  A single
+    ladder operator is a fixed index shift (+- the stride of its column) weighted
     by sqrt(n) for a lowering and sqrt(n + 1) for a raising operator, 0
     where it would leave the truncated space; a product of two is the
-    sum of the two shifts: the right operator acts first, a same-slot
+    sum of the two shifts: the right operator acts first, a same-column
     pair sees the occupation the first one left, and a product that
     leaves the truncated space anywhere is zero.  Each weight is one
     sqrt entry or the product of two, so one monomial equals the kron
@@ -156,7 +171,7 @@ def monomial_sum(space, terms):
     operators) bit for bit.
 
     Each term's product is expanded into monomials, equal monomials
-    merged (operators on different slots commute), and terms with equal
+    merged (operators on different columns commute), and terms with equal
     expansions share one summed coefficient.  On each shift a term's
     monomials are summed first, then the terms that share a coefficient,
     and the coefficient is applied last, as c (X Y + Z W) is evaluated
@@ -166,6 +181,7 @@ def monomial_sum(space, terms):
     """
     products = {}  # expanded product -> summed coefficient
     for coef, *factors in terms:
+        factors = [[(c, space.position(label), up) for c, label, up in f] for f in factors]
         paths = {}  # monomial -> its weight in this product
         if len(factors) == 1:
             for c, slot, raising in factors[0]:
@@ -257,7 +273,16 @@ def monomial_sum(space, terms):
 
 def number_operator(space, mode):
     """Diagonal occupation-number operator for one mode."""
-    return sp.diags(space.occupations[:, mode.slot].astype(complex), format="csr")
+    return sp.diags(space.occupations[:, space.position(mode.slot)].astype(complex), format="csr")
+
+
+def held_columns(space, modes):
+    """Columns of those `modes` (ModeIds) that `space` holds; the others are empty
+    there (a space of slots is the 8-mode block where they are), and a space
+    with other labels (the reduced ghost space) is refused."""
+    if not set(space.labels) <= set(SLOTS):
+        raise ValueError("the space's modes are not oscillators of the +-k pair")
+    return [space.position(mode.slot) for mode in modes if mode.slot in space.labels]
 
 
 def metric_M(space):
@@ -270,8 +295,9 @@ def metric_M(space):
 
 
 def metric_diagonal(space):
-    """The +-1 diagonal of metric_M as a plain real array."""
-    odd = (space.occupations[:, 0] + space.occupations[:, 4]) & 1
+    """The +-1 diagonal of metric_M as a plain real array (+1 on the transverse factor)."""
+    scalars = held_columns(space, (ModeId(PLUS_K, 0), ModeId(MINUS_K, 0)))
+    odd = space.occupations[:, scalars].sum(axis=1) & 1
     return 1.0 - 2.0 * odd
 
 
@@ -348,8 +374,11 @@ def _bessel_j(x, n):
     The recurrence J_{k-1} = (2k / x) J_k - J_{k+1} starts from an
     arbitrary value far above both n and x, where it is stable, and is
     normalized by J_0 + 2 (J_2 + J_4 + ...) = 1.  Values are rescaled
-    on the way down so that small x cannot overflow them.
+    on the way down so that small x cannot overflow them; below 1e-20,
+    where 2k / x outgrows that, J_k is (x / 2)^k / k! to double precision.
     """
+    if x <= 1e-20:
+        return np.cumprod(np.concatenate(([1.0], 0.5 * x / np.arange(1, n + 1))))
     top = n + int(x) + 20 + int(math.sqrt(40.0 * max(n, x)))
     top += top % 2
     j = [0.0] * (top + 2)
@@ -491,15 +520,14 @@ def indefinite_inner(space, psi, phi):
     return complex(np.conj(psi) @ (metric_diagonal(space) * phi))
 
 
-def interior_projector(space):
-    """Projector onto states with every occupation <= cutoff - 1.
+def interior_mask(space):
+    """Mask of the basis states with every occupation below the cutoff.
 
     Ladder-operator identities that would hold exactly on the infinite
-    space hold exactly on this subspace; truncation artifacts are
-    confined to top-occupation rows.
+    space hold exactly on these states; truncation artifacts are
+    confined to states with some occupation at the cutoff.
     """
-    mask = np.all(space.occupations <= space.cutoff - 1, axis=1)
-    return sp.diags(mask.astype(complex), format="csr")
+    return np.all(space.occupations < space.cutoff, axis=1)
 
 
 def vacuum_state(space):
@@ -553,13 +581,15 @@ def check_dg_occupations(space, plus, minus):
     transverse ones within the cutoff, and n_d + n_g within the cutoff
     (the ghost part spreads over n0 + n3 = n_d + n_g).
     """
-    occ = _dg_occupation_array(space, [(plus, minus)])[0]
+    occ = _dg_occupation_array(space, [(plus, minus)])[0][0]
     return tuple(int(n) for n in occ[:4]), tuple(int(n) for n in occ[4:])
 
 
 def _dg_occupation_array(space, states):
     """A list of (plus, minus) d/g tuples as an (n, 8) int array, validated
-    all at once by the rules of check_dg_occupations."""
+    all at once by the rules of check_dg_occupations, and the basis
+    stride of each slot; a space without all eight slots is refused."""
+    stride = space.base ** (space.modes - 1 - np.array([space.position(s) for s in SLOTS]))
     rows = [(plus, minus) for plus, minus in states]
     try:
         occ = np.array(rows, dtype=np.int64)
@@ -573,7 +603,7 @@ def _dg_occupation_array(space, states):
     ghost = occ[:, [2, 6]] + occ[:, [3, 7]]
     if np.any(transverse > space.cutoff) or np.any(ghost > space.cutoff):
         raise ValueError("occupations exceed the truncation")
-    return occ
+    return occ, stride
 
 
 def _dg_amplitudes(cutoff):
@@ -612,9 +642,8 @@ def dg_basis_columns(space, states):
     row indices follow from the basis strides.  The tuples are validated
     as by check_dg_occupations.
     """
-    occ = _dg_occupation_array(space, states)
+    occ, stride = _dg_occupation_array(space, states)
     table = _dg_amplitudes(space.cutoff)
-    stride = space.base ** np.arange(7, -1, -1)
     n0 = np.arange(space.cutoff + 1)
 
     def ghost_part(d):  # amplitudes and index offsets of one direction

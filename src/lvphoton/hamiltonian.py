@@ -19,9 +19,10 @@ terms on the eight mode slots.  mode_terms writes the grouped lists,
 the six blocks' and Xi's, in one place; build_grouped and
 xi_generators sum them on the 8-mode space.  For states with empty
 scalar and longitudinal modes, build_transverse gives the same H and
-Xi on the four transverse modes alone: on_factor moves the same h_t,
-h_pm_t and Xi terms onto the factor's slots, and spectrum_row turns
-them into one row of the `spectrum` report.  What keeps the
+Xi on the four transverse modes alone: the factor's columns are
+labeled by their slots (TRANSVERSE_SLOTS), so monomial_sum builds the
+same h_t, h_pm_t and Xi terms there, and spectrum_row turns them into
+one row of the `spectrum` report.  What keeps the
 raw/grouped comparison meaningful is that the two coefficient sets
 stay independent: build_raw writes its own terms, with coefficients
 from the tensor contractions of coefficient_matrices, and mode_terms
@@ -38,11 +39,12 @@ Expectation values in these matrices must be taken with the indefinite
 product (fock_space.indefinite_inner); H is self-adjoint under the
 bar-adjoint but is not a hermitian matrix, so naive eigenvector
 machinery does not apply.  The conjugation exp(Xi) H exp(-Xi) is taken
-only between the states asked about: transformed_matrix evolves them
-by exp(-Xi) with fock_space.propagate_blocks, the block-restricted
-propagator of the leakage check, and takes H only on the support of
-the evolved states.  Over all basis columns this is the full
-conjugation, with no dense exponential and no dimension cap.
+only between the states asked about: transformed_matrices evolves them
+once by exp(-Xi) with fock_space.propagate_blocks, the block-restricted
+propagator of the leakage check, and takes each operator only on the
+support of the evolved states, weighted by the space's own metric.
+Over all basis columns this is the full conjugation, with no dense
+exponential and no dimension cap.
 """
 
 from dataclasses import dataclass, fields
@@ -90,7 +92,8 @@ def _mode_factors():
     scalar raisers, and leaves the others alone.
     """
     S, T, Sb, Tb = {}, {}, {}, {}
-    for r, (plus, minus) in _MODE_SLOTS.items():
+    for r in range(4):
+        plus, minus = fs.ModeId(fs.PLUS_K, r).slot, fs.ModeId(fs.MINUS_K, r).slot
         S[r], T[r] = fs.ladder(plus), fs.ladder(minus)
         Sb[r] = fs.ladder(plus, fs.ZETA[r], raising=True)
         Tb[r] = fs.ladder(minus, fs.ZETA[r], raising=True)
@@ -100,14 +103,8 @@ def _mode_factors():
 def _combine(*pairs):
     """The ladder factor sum_k c_k F_k of (c_k, F_k) pairs."""
     return tuple(
-        (c * c_op, slot, raising) for c, factor in pairs for c_op, slot, raising in factor
+        (c * c_op, label, raising) for c, factor in pairs for c_op, label, raising in factor
     )
-
-
-#: Slots of each polarization's (+k, -k) modes on the 8-mode space.
-_MODE_SLOTS = {
-    r: (fs.ModeId(fs.PLUS_K, r).slot, fs.ModeId(fs.MINUS_K, r).slot) for r in range(4)
-}
 
 
 def coefficient_matrices(kf, frame):
@@ -169,7 +166,8 @@ def mode_terms(kappas, frame):
 
     A dict from each HamiltonianBundle block name, and "xi", to that
     operator's (coef, factor, factor) terms, coefficients from the frame
-    bilinears; build_grouped, xi_generators and on_factor read them here.
+    bilinears; build_grouped, xi_generators and build_transverse read
+    them here.
 
     h_t: transverse occupations scaled by the direction-dependent phase
     velocities 1 + delta(+-k).  h_pm_t: transverse +k/-k cross terms.
@@ -258,9 +256,9 @@ def build_grouped(space, kappas, frame):
     )
 
 
-#: The 8-mode slots of the transverse factor's modes, in the order of
-#: its occupation tuple: a1(+k), a2(+k), a1(-k), a2(-k).
-TRANSVERSE_SLOTS = tuple(_MODE_SLOTS[r][d] for d in (0, 1) for r in (1, 2))
+#: The transverse factor's column labels, its modes' 8-mode slots:
+#: a1(+k), a2(+k), a1(-k), a2(-k).
+TRANSVERSE_SLOTS = tuple(fs.ModeId(d, r).slot for d in (fs.PLUS_K, fs.MINUS_K) for r in (1, 2))
 
 #: <ghost vacuum| h_ls0 + h_lslv |ghost vacuum>.  The +k terms of h_ls0,
 #: a_r bar(a_r), give zeta_r on the vacuum since [a_r, bar(a_r)] = zeta_r,
@@ -271,38 +269,15 @@ _GHOST_VACUUM_ENERGY = fs.ZETA[3] - fs.ZETA[0]
 
 
 def transverse_space(cutoff):
-    """The 4-mode occupation space of TRANSVERSE_SLOTS, dim (cutoff+1)^4."""
+    """The 4-mode occupation space labeled by TRANSVERSE_SLOTS, dim (cutoff+1)^4."""
     cutoff = fs.checked_cutoff(cutoff, "transverse cutoff must be an integer of at least 1")
-    return fs._occupation_space(cutoff, 4)
+    return fs._occupation_space(cutoff, TRANSVERSE_SLOTS)
 
 
 def check_transverse(space):
-    """Reject a space that is not a 4-mode transverse_space."""
-    if space.modes != 4:
-        raise ValueError(f"expected the 4-mode transverse factor, not {space.modes} modes")
-
-
-def on_factor(space, terms):
-    """fs.monomial_sum of 8-mode terms on the transverse factor `space`.
-
-    Every factor's 8-mode slot moves to its position in
-    TRANSVERSE_SLOTS; coefficients and term order stay, so between
-    states whose scalar and longitudinal modes are empty the 8-mode sum
-    is the ghost vacuum times the returned matrix.  The transverse
-    metric is +1, so the 8-mode bar-adjoints are the factor's daggers.
-    A term on a scalar or longitudinal slot has no image on the factor
-    and is refused.
-    """
-    check_transverse(space)
-    position = {slot: i for i, slot in enumerate(TRANSVERSE_SLOTS)}
-
-    def moved(factor):
-        try:
-            return tuple((c, position[slot], raising) for c, slot, raising in factor)
-        except KeyError:
-            raise ValueError("the transverse factor has no scalar or longitudinal slot") from None
-
-    return fs.monomial_sum(space, [(coef, *map(moved, factors)) for coef, *factors in terms])
+    """Reject a space that is not a transverse_space."""
+    if space.labels != TRANSVERSE_SLOTS:
+        raise ValueError(f"expected the 4-mode transverse factor, not modes {space.labels}")
 
 
 def build_transverse(space, kappas, frame):
@@ -314,13 +289,14 @@ def build_transverse(space, kappas, frame):
     h_lslv is the constant _GHOST_VACUUM_ENERGY.  On those states the
     8-mode H and Xi are therefore the ghost vacuum times the returned
     h = h_t + h_pm_t + c I and xi, with the same entries: both are the
-    mode_terms moved by on_factor.  `space` is a transverse_space;
-    returns (h, xi).
+    same mode_terms summed on the factor.  `space` is a
+    transverse_space; returns (h, xi).
     """
+    check_transverse(space)
     terms = mode_terms(kappas, frame)
-    h = on_factor(space, terms["h_t"] + terms["h_pm_t"])
+    h = fs.monomial_sum(space, terms["h_t"] + terms["h_pm_t"])
     h = h + _GHOST_VACUUM_ENERGY * sp.identity(space.dim, format="csr")
-    return h.tocsr(), on_factor(space, terms["xi"])
+    return h.tocsr(), fs.monomial_sum(space, terms["xi"])
 
 
 def _evolved(xi, states, dim):
@@ -347,49 +323,34 @@ def _evolved(xi, states, dim):
     return support, phi
 
 
-def _sandwich(h, evolved, mdiag):
-    """Phi^dagger diag(mdiag) H Phi for evolved = (support, Phi).
-
-    H (sparse or dense) and the metric diagonal `mdiag` are taken only
-    on the support.
-    """
-    support, phi = evolved
-    h_support = sp.csr_matrix(h)[support][:, support]
-    return phi.conj().T @ (mdiag[support][:, None] * (h_support @ phi))
-
-
-def transformed_matrix(space, h, xi, states):
-    """G[a, b] = <a| M exp(xi) H exp(-xi) |b> over a list of states.
+def transformed_matrices(space, operators, xi, states):
+    """G[a, b] = <a| M exp(xi) H exp(-xi) |b> over a list of states, for each H.
 
     The states may also be given as a sparse matrix, one per column;
-    over every basis column, M G is exp(xi) H exp(-xi) itself.
+    over every basis column, M G is exp(xi) H exp(-xi) itself.  M is
+    the space's metric (+1 on the transverse factor).
 
     Because xi is metric-anti-self-adjoint, <a| M exp(xi) is the
     M-weighted bra of exp(-xi)|a>, so G = Phi^dagger M H Phi with the
-    columns of Phi the states evolved by exp(-xi).  Each evolution runs
-    on the coupled blocks of xi that hold its state, so it works at any
-    cutoff; H (a sparse or dense matrix) is taken only on the support
-    of the evolved states.
+    columns of Phi the states evolved by exp(-xi).  The states are
+    evolved once, on the coupled blocks of xi that hold them, so this
+    works at any cutoff; each H (a sparse or dense matrix) is taken only
+    on the support of the evolved states.  Returns one G per operator,
+    as a tuple.
     """
-    return _sandwich(h, _evolved(xi, states, space.dim), fs.metric_diagonal(space))
-
-
-def transverse_matrices(space, operators, xi, states):
-    """transformed_matrix of each operator on a transverse_space (metric +1).
-
-    The states are evolved once and shared by every operator; returns
-    one matrix per operator, as a tuple.
-    """
-    evolved = _evolved(xi, states, space.dim)
-    ones = np.ones(space.dim)
-    return tuple(_sandwich(h, evolved, ones) for h in operators)
+    support, phi = _evolved(xi, states, space.dim)
+    weighted = fs.metric_diagonal(space)[support][:, None]
+    return tuple(
+        phi.conj().T @ (weighted * (sp.csr_matrix(h)[support][:, support] @ phi))
+        for h in operators
+    )
 
 
 def _photon_index(space, *modes):
-    """Transverse-factor index of the state with one quantum in each listed mode."""
-    occ = [0] * len(TRANSVERSE_SLOTS)
+    """Index of the state with one quantum in each listed mode."""
+    occ = [0] * space.modes
     for mode in modes:
-        occ[TRANSVERSE_SLOTS.index(mode.slot)] += 1
+        occ[space.position(mode.slot)] += 1
     return space.index_of(occ)
 
 
@@ -404,7 +365,7 @@ def _transverse_values(space, frame, kappas):
     indices.append(pair)
     states = np.zeros((len(indices), space.dim), dtype=complex)
     states[np.arange(len(indices)), indices] = 1.0
-    (g,) = transverse_matrices(space, [h], xi, states)
+    (g,) = transformed_matrices(space, [h], xi, states)
     energies = g.diagonal().real
     values = {}
     for name, first in (("plus", 1), ("minus", 3)):
@@ -442,12 +403,12 @@ def spectrum_row(spaces, frame, kappas, scale_label):
 
 def transformed_expectation(space, h, xi, psi):
     """Indefinite expectation of exp(xi) H exp(-xi) in the state psi."""
-    return complex(transformed_matrix(space, h, xi, [psi])[0, 0])
+    return complex(transformed_matrices(space, [h], xi, [psi])[0][0, 0])
 
 
 def transformed_element(space, h, xi, bra, ket):
     """Matrix element <bra| M exp(xi) H exp(-xi) |ket> at any cutoff."""
-    return complex(transformed_matrix(space, h, xi, [bra, ket])[0, 1])
+    return complex(transformed_matrices(space, [h], xi, [bra, ket])[0][0, 1])
 
 
 def momentum_operator(space, kvec):
@@ -460,5 +421,6 @@ def momentum_operator(space, kvec):
     if kvec.shape != (3,):
         raise ValueError("kvec must be a 3-vector")
     occ = space.occupations
-    diff = (occ[:, :4].sum(axis=1) - occ[:, 4:].sum(axis=1)).astype(complex)
+    plus, minus = (fs.held_columns(space, fs.ALL_MODES[i : i + 4]) for i in (0, 4))  # +k, -k
+    diff = (occ[:, plus].sum(axis=1) - occ[:, minus].sum(axis=1)).astype(complex)
     return [sp.diags(kvec[j] * diff, format="csr") for j in range(3)]

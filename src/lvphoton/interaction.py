@@ -17,15 +17,17 @@ propagation is not.  The two diagonal coefficients differ by exactly
 2 delta1.
 
 Every `space` here is the four-mode transverse factor
-(hamiltonian.transverse_space).  The potentials and Xi touch no scalar
-or longitudinal mode, so on the 8-mode space each of them, and the
-conjugation exp(Xi) A_r exp(-Xi), is the identity on the ghost modes
-times its factor operator; the Frobenius ratios of extract_couplings
-gain the same ghost dimension above and below, so the factor's table
-is the 8-mode table exactly.  The exact conjugation evolves the factor's
-basis columns by exp(-Xi) one coupled block of Xi at a time, with the
-same propagator as every other evolution (fock_space.propagate_blocks);
-no dense exponential is formed, so no dimension cap applies.
+(hamiltonian.transverse_space), and the potentials are summed on it by
+fock_space.monomial_sum from the 8-mode ladder factors.  The potentials
+and Xi touch no scalar or longitudinal mode, so on the 8-mode space
+each of them, and the conjugation exp(Xi) A_r exp(-Xi), is the identity
+on the ghost modes times its factor operator; the Frobenius ratios of
+extract_couplings gain the same ghost dimension above and below, so the
+factor's table is the 8-mode table exactly.  The exact conjugation
+evolves the factor's basis columns by exp(-Xi) one coupled block of Xi
+at a time, with the same propagator as every other evolution
+(fock_space.propagate_blocks); no dense exponential is formed, so no
+dimension cap applies.
 
 No matter sector is modeled; the current components j1, j2 stay opaque
 multipliers.  CouplingTable carries the four coefficient combinations
@@ -40,6 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from . import fock_space as fs
 from . import hamiltonian as hm
 from .dispersion import Z_AXIS, mixing_deltas, polarization_frame
 
@@ -74,14 +77,14 @@ def transverse_potential(space, polarization):
     """The transverse potential operator (a_r(+k) + abar_r(-k)) / sqrt(2).
 
     Natural units (the common prefactor sqrt(hbar c^2 / 2 omega) is one);
-    polarization is 1 or 2 against the +k frame vectors.  The 8-mode
-    ladder factors are moved onto the factor `space` by
-    hamiltonian.on_factor.
+    polarization is 1 or 2 against the +k frame vectors.  `space` is a
+    transverse_space.
     """
+    hm.check_transverse(space)
     if polarization not in (1, 2):
         raise ValueError("transverse polarization must be 1 or 2")
     S, _, _, Tb = hm._mode_factors()
-    return hm.on_factor(space, [(1 / math.sqrt(2), S[polarization] + Tb[polarization])])
+    return fs.monomial_sum(space, [(1 / math.sqrt(2), S[polarization] + Tb[polarization])])
 
 
 def transformed_potentials(space, kappas, frame):
@@ -90,7 +93,7 @@ def transformed_potentials(space, kappas, frame):
     Xi is the factor generator of hamiltonian.build_transverse.  On the
     factor the metric is +1 and Xi-dagger = -Xi exactly, so with Phi =
     exp(-Xi), evolved once over the factor's basis by
-    hamiltonian.transverse_matrices (one block of Xi at a time) and
+    hamiltonian.transformed_matrices (one block of Xi at a time) and
     shared by both potentials, Phi^dagger A_r Phi is the conjugation;
     it needs no dense exponential and no dimension cap.  Returns the
     pair of dense transformed matrices.  To leading order in kappa they
@@ -103,23 +106,12 @@ def transformed_potentials(space, kappas, frame):
     columns with transverse headroom.  On transverse-saturated columns
     the finite cutoff clips the operator products inside the
     conjugation at O(kappa), so comparisons against the mixed
-    combinations must mask to transverse_interior columns.
+    combinations must mask to fock_space.interior_mask columns.
     """
     _, xi = hm.build_transverse(space, kappas, frame)
     basis = sp.identity(space.dim, dtype=complex, format="csc")
     potentials = [transverse_potential(space, r) for r in (1, 2)]
-    return hm.transverse_matrices(space, potentials, xi, basis)
-
-
-def transverse_interior(space):
-    """Mask of basis states whose transverse occupations leave headroom.
-
-    Ladder identities used by the conjugation hold exactly on these
-    columns; truncation clipping is confined to states with some
-    transverse occupation at the cutoff.
-    """
-    hm.check_transverse(space)
-    return np.all(space.occupations < space.cutoff, axis=1)
+    return hm.transformed_matrices(space, potentials, xi, basis)
 
 
 def first_order_potentials(space, kappas, frame):
@@ -144,7 +136,7 @@ def extract_couplings(space, a1_prime, a2_prime, columns=None):
     Frobenius product, so the projection recovers the mixing
     coefficients exactly, and those are the coefficients the current
     components acquire in the interaction term.  Pass a boolean column
-    mask (typically transverse_interior) to keep truncation clipping
+    mask (typically fock_space.interior_mask) to keep truncation clipping
     out of the projection when the input is an exact conjugation.
     """
     columns = slice(None) if columns is None else columns

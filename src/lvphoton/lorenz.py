@@ -94,15 +94,15 @@ def pairing_phase(plus, minus=(0, 0, 0, 0)):
 
 
 @functools.lru_cache(maxsize=2)
-def _dg_operators(cutoff, modes, direction):
-    """fs.dg_operators of one direction, on the space of `modes` modes at `cutoff`.
+def _dg_operators(cutoff, labels, direction):
+    """fs.dg_operators of one direction, on the space of modes `labels` at `cutoff`.
 
     They depend on nothing else, and a verify pass checks dozens of
     states of one space, so both directions of the last space are kept.
     Only gupta_bleuler_check multiplies with them; no caller receives
     the shared matrices.
     """
-    return fs.dg_operators(fs._occupation_space(cutoff, modes), direction)
+    return fs.dg_operators(fs._occupation_space(cutoff, labels), direction)
 
 
 def gupta_bleuler_check(space, psi):
@@ -116,7 +116,7 @@ def gupta_bleuler_check(space, psi):
     psi = np.asarray(psi, dtype=complex)
     mdiag = fs.metric_diagonal(space)
     for direction in (fs.PLUS_K, fs.MINUS_K):
-        a_d, a_g = _dg_operators(space.cutoff, space.modes, direction)
+        a_d, a_g = _dg_operators(space.cutoff, space.labels, direction)
         if np.linalg.norm(a_d @ psi) >= GB_TOL:
             return False
         if np.linalg.norm(a_g @ (mdiag * psi)) >= GB_TOL:
@@ -263,14 +263,17 @@ def counting_oracle(n_d, n_g, n_d_prime, n_g_prime, n_lslv, n_tls):
 
     The four occupations may be arrays; they broadcast, and the answer
     is then a bool array of their shape, one entry per configuration.
+    The two step counts are single numbers.
     """
     counts = np.concatenate(
         [np.ravel(n) for n in (n_d, n_g, n_d_prime, n_g_prime, n_lslv, n_tls)]
     )
-    if counts.dtype.kind not in "biuf" or not np.all(
+    if counts.dtype.kind not in "biuf" or np.ndim(n_lslv) or np.ndim(n_tls) or not np.all(
         np.isfinite(counts) & (counts >= 0) & (counts == np.floor(counts))
     ):
-        raise ValueError("occupations and step counts must be nonnegative integers")
+        raise ValueError(
+            "occupations and step counts must be nonnegative integers, one number per step count"
+        )
     occ = np.stack(np.broadcast_arrays(n_d, n_g, n_d_prime, n_g_prime), axis=-1)
     m = occ[..., None, :] + _oracle_moves(int(n_lslv), int(n_tls))
     m_d, m_g, m_dp, m_gp = m[..., 0], m[..., 1], m[..., 2], m[..., 3]
@@ -343,13 +346,18 @@ def ghost_class_weights(space, psi):
 # ---------------------------------------------------------------------------
 # Reduced four-mode ghost space for exhaustive counting checks.
 
+#: Labels of the ghost space's modes d(+k), g(+k), d(-k), g(-k), in column order.
+GHOST_MODES = ("d+", "g+", "d-", "g-")
+
+
 def ghost_space(cutoff=3):
     """Truncated basis over (n_d, n_g, n_d', n_g'), dim (cutoff+1)^4.
 
-    Slots 0-3 are d(+k), g(+k), d(-k), g(-k); ladder operators on them
-    are fs.ladder factors summed by fs.monomial_sum (physical metric).
+    Its modes are labeled GHOST_MODES; ladder operators on them are
+    fs.ladder factors summed by fs.monomial_sum (physical metric).
     """
-    return fs._occupation_space(fs.checked_cutoff(cutoff, "cutoff must be between 1 and 7", 7), 4)
+    cutoff = fs.checked_cutoff(cutoff, "cutoff must be between 1 and 7", 7)
+    return fs._occupation_space(cutoff, GHOST_MODES)
 
 
 def ghost_pairing(gspace):
@@ -360,12 +368,13 @@ def ghost_pairing(gspace):
     state.  The matrix is an involution and equals its own conjugate
     transpose.
     """
+    d, g, d_prime, g_prime = (gspace.position(label) for label in GHOST_MODES)
     occ = gspace.occupations
     strides = gspace.base ** np.arange(3, -1, -1)
-    swapped = occ[:, [1, 0, 3, 2]]
+    swapped = occ[:, [g, d, g_prime, d_prime]]
     rows = swapped @ strides
     cols = np.arange(gspace.dim)
-    phases = 1j ** (((occ[:, 1] - occ[:, 0]) + (occ[:, 3] - occ[:, 2])) % 4)
+    phases = 1j ** (((occ[:, g] - occ[:, d]) + (occ[:, g_prime] - occ[:, d_prime])) % 4)
     return sp.csr_matrix((phases, (rows, cols)), shape=(gspace.dim, gspace.dim))
 
 
@@ -376,8 +385,8 @@ def ghost_lslv(gspace, coupling):
     create g' / absorb d' (-k), absorb g and d' together, create d and
     g' together.
     """
-    a_g, a_dp = fs.ladder(1), fs.ladder(2)
-    create_d, create_gp = fs.ladder(0, raising=True), fs.ladder(3, raising=True)
+    a_g, a_dp = fs.ladder("g+"), fs.ladder("d-")
+    create_d, create_gp = fs.ladder("d+", raising=True), fs.ladder("g-", raising=True)
     c = -1j * coupling
     return fs.monomial_sum(
         gspace,
@@ -392,6 +401,6 @@ def ghost_pm_tls(gspace, lam1, lam2):
     d-sector moves) and lam2 (the g-sector moves) on the ghost-only
     space.
     """
-    d_moves = fs.ladder(0, 1j, raising=True) + fs.ladder(2, 1j)
-    g_moves = fs.ladder(1) + fs.ladder(3, -1.0, raising=True)
+    d_moves = fs.ladder("d+", 1j, raising=True) + fs.ladder("d-", 1j)
+    g_moves = fs.ladder("g+") + fs.ladder("g-", -1.0, raising=True)
     return fs.monomial_sum(gspace, [(lam1, d_moves), (lam2, g_moves)])

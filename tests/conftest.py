@@ -1,6 +1,9 @@
 """Shared test fixtures."""
 
 import math
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -105,3 +108,46 @@ def _dense_similarity_transform(h, xi):
 def dense_similarity():
     """The reference conjugation: (h, xi) -> dense exp(xi) h exp(-xi)."""
     return _dense_similarity_transform
+
+
+#: Address-space cap of a capped child process, in bytes: far above what
+#: one lvphoton command needs, far below what a runaway allocation takes.
+CHILD_ADDRESS_SPACE = 2 * 1024**3
+
+_SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+
+
+def _run_capped(code):
+    """Run Python source `code` in a child process with a capped address space.
+
+    The child caps its own address space (RLIMIT_AS) before anything
+    else runs, so a runaway allocation ends there in MemoryError and
+    fails the calling test instead of exhausting the machine; nothing
+    outside the child is limited.  lvphoton is importable in the child.
+    Returns the subprocess.CompletedProcess, output captured as text.
+    """
+    prelude = (
+        "import resource, sys\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, ({CHILD_ADDRESS_SPACE}, {CHILD_ADDRESS_SPACE}))\n"
+        f"sys.path.insert(0, {str(_SRC)!r})\n"
+    )
+    return subprocess.run(
+        [sys.executable, "-c", prelude + code], capture_output=True, text=True, timeout=600
+    )
+
+
+def _capped_cli(argv):
+    """lvphoton.cli.main(argv) in a capped child; its exit status is main's return."""
+    return _run_capped(f"from lvphoton.cli import main\nsys.exit(main({list(argv)!r}))\n")
+
+
+@pytest.fixture(scope="session")
+def run_capped():
+    """The capped child runner: (code) -> CompletedProcess."""
+    return _run_capped
+
+
+@pytest.fixture(scope="session")
+def capped_cli():
+    """The capped command runner: (argv) -> CompletedProcess."""
+    return _capped_cli

@@ -363,7 +363,7 @@ def test_criterion_12_coupling_table():
     # remainder sits below the tolerance
     tiny = k.scaled(1e-7 / k.magnitude)
     exact_1, exact_2 = ia.transformed_potentials(space, tiny, frame)
-    columns = ia.transverse_interior(space)
+    columns = fs.interior_mask(space)
     got_exact = ia.extract_couplings(space, exact_1, exact_2, columns=columns)
     want_tiny = ia.vint_coefficients(tiny)
     worst_exact = max(
@@ -379,7 +379,7 @@ def test_criterion_12_coupling_table():
     for cutoff in (2, 3, 4):
         factor = hm.transverse_space(cutoff)
         exact_1, exact_2 = ia.transformed_potentials(factor, tiny, frame)
-        columns = ia.transverse_interior(factor)
+        columns = fs.interior_mask(factor)
         got_exact = ia.extract_couplings(factor, exact_1, exact_2, columns=columns)
         worst_larger = max(
             worst_larger,

@@ -307,6 +307,32 @@ def test_direction_is_normalized(tmp_path):
     assert np.allclose(config.direction, [0.0, 0.0, 1.0])
 
 
+@pytest.mark.parametrize(
+    "extreme, plain",
+    [
+        ([1e200, 1e200, 0.0], [1.0, 1.0, 0.0]),
+        ([1e154, 1e154, 1e154], [1.0, 1.0, 1.0]),
+        ([1e-200, 0.0, 0.0], [1.0, 0.0, 0.0]),
+    ],
+)
+def test_directions_beyond_the_squared_range_normalize_like_plain_ones(
+    tmp_path, capsys, extreme, plain
+):
+    # the squared norm of `extreme` overflows or underflows; the report
+    # must be the plain direction's, with no warning on stderr
+    reports = []
+    for name, direction in (("extreme.json", extreme), ("plain.json", plain)):
+        path = _write(tmp_path, name, dict(SAMPLE, direction=direction))
+        status, out, err = _run(capsys, ["dispersion", "--config", path])
+        assert (status, err) == (0, "")
+        reports.append(out)
+    assert reports[0] == reports[1]
+    path = _write(tmp_path, "zero.json", dict(SAMPLE, direction=[0.0, 0.0, 0.0]))
+    status, out, err = _run(capsys, ["dispersion", "--config", path])
+    assert (status, out) == (2, "")
+    assert err == "error: direction must be a nonzero finite 3-vector\n"
+
+
 def test_absent_keys_keep_the_run_config_defaults(tmp_path):
     config = cli.load_config(_write(tmp_path, "zero.json", {}))
     default = cli.RunConfig()
@@ -673,7 +699,7 @@ def _full_space_row(space, frame, kappas):
     indices.append(pair)
     states = np.zeros((len(indices), space.dim), dtype=complex)
     states[np.arange(len(indices)), indices] = 1.0
-    energies = hm.transformed_matrix(space, h, xi, states)
+    (energies,) = hm.transformed_matrices(space, [h], xi, states)
     cross_after = abs(energies[-1, 0])
     energies = energies.diagonal().real
     row = {}
@@ -849,6 +875,20 @@ def test_verify_rescales_large_parameters_for_leakage(tmp_path, capsys):
     check = [c for c in report["checks"] if c["name"] == "c_class_leakage"][0]
     assert check["scale"] == pytest.approx(1e-3)
     assert check["measured"] < 1e-12
+
+
+def test_tiny_evolution_time_and_scale_exit_zero(tmp_path, capped_cli):
+    # t r this small once sent the propagator's Bessel series into
+    # unbounded growth; each run is capped, so that fails here as a
+    # MemoryError instead of exhausting the machine
+    path = _write(tmp_path, "time.json", {"time": 1e-300})
+    verify = capped_cli(["verify", "--config", path])
+    assert verify.returncode == 0, verify.stderr
+    assert json.loads(verify.stdout)["failures"] == []
+    path = _write(tmp_path, "scales.json", dict(SAMPLE, scales=[1e-300, 1e-3]))
+    spectrum = capped_cli(["spectrum", "--config", path])
+    assert spectrum.returncode == 0, spectrum.stderr
+    assert [row["scale"] for row in json.loads(spectrum.stdout)["rows"]] == [1e-300, 1e-3]
 
 
 # ------------------------------------------------------------ imports

@@ -19,6 +19,7 @@ from lvphoton import dispersion as dp
 from lvphoton import fock_space as fs
 from lvphoton import hamiltonian as hm
 from lvphoton import kappa_tensor as kt
+from lvphoton import lorenz as lz
 
 import bilinear_reference  # tests/bilinear_reference.py
 
@@ -240,7 +241,7 @@ def test_mixed_factor_counts_equal_their_sparse_sum(cutoff, kron_ladder):
 
 @pytest.mark.parametrize("cutoff", [1, 2, 3, 4, 5])
 def test_transverse_operators_match_kron_chain_bitwise(cutoff, kron_ladder, assert_same_csr):
-    # each 8-mode transverse ladder factor, moved onto the factor
+    # each 8-mode transverse ladder factor, summed on the factor
     space = hm.transverse_space(cutoff)
     S, T, Sb, Tb = hm._mode_factors()
     for r in (1, 2):
@@ -248,19 +249,24 @@ def test_transverse_operators_match_kron_chain_bitwise(cutoff, kron_ladder, asse
         for factor, slot, raising in (
             (S[r], plus, False), (T[r], minus, False), (Sb[r], plus, True), (Tb[r], minus, True),
         ):
-            got = hm.on_factor(space, [(1.0, factor)])
+            got = fs.monomial_sum(space, [(1.0, factor)])
             assert_same_csr(got, kron_ladder(space, slot, raising=raising))
 
 
-def test_on_factor_refuses_ghost_slots():
-    # h_ls0 acts on the scalar and longitudinal modes, which the factor lacks
+def test_monomial_sum_refuses_a_label_the_space_lacks():
+    # h_ls0 acts on the scalar and longitudinal modes, which the factor
+    # lacks; the ghost space holds none of the 8-mode slots, and neither
+    # the factor nor the 8-mode space holds a ghost label
     k = kt.random_kappas(np.random.default_rng(83), 1e-2)
     frame = dp.polarization_frame(np.array([0.0, 0.0, 1.0]))
     terms = hm.mode_terms(k, frame)
-    with pytest.raises(ValueError, match="scalar or longitudinal"):
-        hm.on_factor(hm.transverse_space(1), terms["h_ls0"])
-    with pytest.raises(ValueError, match="4-mode transverse factor"):
-        hm.on_factor(fs.build_space(1), terms["h_t"])
+    with pytest.raises(ValueError, match="no mode labeled 3"):
+        fs.monomial_sum(hm.transverse_space(1), terms["h_ls0"])
+    with pytest.raises(ValueError, match="no mode labeled 1"):
+        fs.monomial_sum(lz.ghost_space(1), terms["h_t"])
+    for space in (fs.build_space(1), hm.transverse_space(1)):
+        with pytest.raises(ValueError, match="no mode labeled 'g\\+'"):
+            fs.monomial_sum(space, [(1.0, fs.ladder("g+"))])
 
 
 def test_mode_terms_name_every_block_and_xi():
@@ -437,9 +443,9 @@ def test_similarity_transform_identity_and_spectrum(space):
     basis = sp.identity(space.dim, dtype=complex, format="csc")
     mdiag = fs.metric_diagonal(space)[:, None]
     zero = sp.csr_matrix(h.shape, dtype=complex)
-    same = mdiag * hm.transformed_matrix(space, h, zero, basis)
+    same = mdiag * hm.transformed_matrices(space, [h], zero, basis)[0]
     assert np.max(np.abs(same - h.toarray())) == 0.0
-    transformed = mdiag * hm.transformed_matrix(space, h, xi, basis)
+    transformed = mdiag * hm.transformed_matrices(space, [h], xi, basis)[0]
     # The ghost sector makes h defective (Jordan blocks), so individual
     # numerical eigenvalues are hypersensitive and cannot be compared
     # directly.  Trace moments determine the eigenvalue multiset and are
@@ -578,12 +584,12 @@ def test_block_restricted_transform_matches_full_space(cutoff):
     want = np.array(
         [[fs.indefinite_inner(space, bra, h @ ket) for ket in evolved] for bra in evolved]
     )
-    got = hm.transformed_matrix(space, h, xi, states)
+    (got,) = hm.transformed_matrices(space, [h], xi, states)
     assert got.shape == (5, 5)
     assert np.max(np.abs(got - want)) <= 1e-12
     zero = np.zeros(space.dim)
-    assert hm.transformed_matrix(space, h, xi, [zero])[0, 0] == 0.0
-    got = hm.transformed_matrix(space, h, xi, [zero, vac])
+    assert hm.transformed_matrices(space, [h], xi, [zero])[0][0, 0] == 0.0
+    (got,) = hm.transformed_matrices(space, [h], xi, [zero, vac])
     assert np.all(got[0] == 0.0) and np.all(got[:, 0] == 0.0)
     assert abs(got[1, 1] - want[0, 0]) <= 1e-12
     assert hm.transformed_expectation(space, h, xi, zero) == 0.0

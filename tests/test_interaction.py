@@ -260,7 +260,7 @@ def test_first_order_agreement_is_quadratic(space, frame):
     # on columns with transverse headroom the exact conjugation matches
     # the printed mixing to O(kappa^2); saturated columns carry O(kappa)
     # clipping and stay out of the comparison
-    columns = ia.transverse_interior(space)
+    columns = fs.interior_mask(space)
     assert columns.sum() == 16
     residuals = []
     for scale in (1e-2, 1e-3):
@@ -289,7 +289,7 @@ def test_extraction_consistency(space, frame):
     tiny = kt.random_kappas(rng, 1e-7)
     exact_1, exact_2 = ia.transformed_potentials(space, tiny, frame)
     got = ia.extract_couplings(
-        space, exact_1, exact_2, ia.transverse_interior(space)
+        space, exact_1, exact_2, fs.interior_mask(space)
     )
     assert _table_distance(got, ia.vint_coefficients(tiny)) < 1e-12
 
@@ -312,7 +312,7 @@ def test_factor_matches_full_space_reference(dense_similarity):
             assert np.max(np.abs(got - want[np.ix_(empty, empty)])) < 1e-15
         first = ia.extract_couplings(factor, *ia.first_order_potentials(factor, kappas, fr))
         assert _table_distance(first, ref_first) < 1e-15
-        table = ia.extract_couplings(factor, *exact, ia.transverse_interior(factor))
+        table = ia.extract_couplings(factor, *exact, fs.interior_mask(factor))
         assert _table_distance(table, ref_table) < 1e-15
 
 
@@ -341,7 +341,7 @@ def test_transformed_potentials_evolve_the_basis_once(cutoff, monkeypatch):
     _, xi = hm.build_transverse(factor, kappas, fr)
     basis = sp.identity(factor.dim, dtype=complex, format="csc")
     want = [
-        hm.transverse_matrices(factor, [ia.transverse_potential(factor, pol)], xi, basis)[0]
+        hm.transformed_matrices(factor, [ia.transverse_potential(factor, pol)], xi, basis)[0]
         for pol in (1, 2)
     ]
     calls = []
@@ -378,7 +378,6 @@ def test_interaction_and_lorenz_leave_scipy_linalg_unloaded():
     [
         lambda s, k, f: ia.transverse_potential(s, 1),
         lambda s, k, f: ia.transformed_potentials(s, k, f),
-        lambda s, k, f: ia.transverse_interior(s),
         lambda s, k, f: ia.first_order_potentials(s, k, f),
         lambda s, k, f: ia.extract_couplings(s, np.eye(s.dim), np.eye(s.dim)),
     ],
@@ -406,7 +405,7 @@ def test_interaction_never_builds_the_full_space(frame, monkeypatch):
     kappas = kt.random_kappas(np.random.default_rng(76), 1e-7)
     exact = ia.transformed_potentials(factor, kappas, frame)
     first = ia.first_order_potentials(factor, kappas, frame)
-    columns = ia.transverse_interior(factor)
+    columns = fs.interior_mask(factor)
     assert columns.sum() == 81
     want = ia.vint_coefficients(kappas)
     assert _table_distance(ia.extract_couplings(factor, *first), want) < 1e-12

@@ -131,7 +131,7 @@ def test_gupta_bleuler_check_builds_the_ghost_operators_once(monkeypatch):
         assert [lz.gupta_bleuler_check(space, psi) for psi in states] == [True, False] + [True] * 10
         for direction in (fs.PLUS_K, fs.MINUS_K):
             for got, want in zip(
-                lz._dg_operators(cutoff, space.modes, direction), dg_operators(space, direction)
+                lz._dg_operators(cutoff, space.labels, direction), dg_operators(space, direction)
             ):
                 assert (got != want).nnz == 0
     assert calls == [(c, d) for c in (1, 2, 1) for d in (fs.PLUS_K, fs.MINUS_K)]
@@ -330,8 +330,8 @@ def test_counting_oracle_matches_operator_products():
 def test_ghost_annihilator_matches_kron_chain_bitwise(cutoff, kron_ladder, assert_same_csr):
     g = lz.ghost_space(cutoff)
     assert g.dim == (cutoff + 1) ** 4
-    for slot in range(4):
-        assert_same_csr(fs.monomial_sum(g, [(1.0, fs.ladder(slot))]), kron_ladder(g, slot))
+    for slot, label in enumerate(lz.GHOST_MODES):
+        assert_same_csr(fs.monomial_sum(g, [(1.0, fs.ladder(label))]), kron_ladder(g, slot))
 
 
 def _entries(op):
@@ -572,6 +572,25 @@ def test_propagator_on_a_wide_imaginary_range(t):
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("tr", [1e-120, 1e-300, 5e-324])
+def test_propagator_is_exact_at_tiny_t_r(tr, run_capped):
+    # with t r this small the Bessel recurrence's 2k / x outgrows its
+    # rescaling; the series must still stop at one term, not grow its
+    # order until memory runs out, so it runs in a capped child
+    code = (
+        "import numpy as np, scipy.sparse as sp\n"
+        "from lvphoton import fock_space as fs\n"
+        "b = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))\n"
+        "v = np.array([[0.6 + 0.2j], [-0.3 + 0.7j]])\n"
+        f"t = {tr!r}\n"
+        "want = np.cos(t) * v - 1j * np.sin(t) * v[::-1]\n"
+        "print(float(np.max(np.abs(fs.propagate(b, v, t) - want))))\n"
+    )
+    done = run_capped(code)
+    assert done.returncode == 0, done.stderr
+    assert float(done.stdout) <= 1e-15
+
+
 @pytest.mark.parametrize("x", [0.01, 1.0, 40.0, 130.0])
 def test_bessel_values_match_scipy(x):
     n = int(1.5 * x) + 60
@@ -657,3 +676,11 @@ def test_counting_oracle_broadcasts_over_arrays_of_occupations():
             lz.counting_oracle(bad, 0, 0, 0, 0, 0)
     with pytest.raises(ValueError):
         lz.counting_oracle(0, 0, 0, 0, 1.5, 0)
+
+
+def test_counting_oracle_refuses_array_step_counts():
+    # only the occupations broadcast; each step count is one number
+    for steps in ((np.array([1, 2]), 0), (0, np.array([1])), (0, [[1]])):
+        with pytest.raises(ValueError, match="one number per step count"):
+            lz.counting_oracle(0, 0, 0, 0, *steps)
+    assert lz.counting_oracle(0, 0, 0, 0, np.int64(1), np.array(1)) is False

@@ -170,7 +170,7 @@ def _fock_checks(rng, cutoff):
         0.0,
     )
 
-    interior = fs.interior_projector(space)
+    interior = sp.diags(fs.interior_mask(space).astype(complex), format="csr")
     worst = 0.0
     modes = [fs.ModeId(d, r) for d in (fs.PLUS_K, fs.MINUS_K) for r in range(4)]
     lower = {mode: fs.annihilator(space, mode) for mode in modes}
