@@ -198,10 +198,9 @@ def load_config(path, strict=False):
         if not isinstance(scales, list):
             raise ValueError("scales must be a list of numbers")
         scales = tuple(_real("every entry of scales", s) for s in scales)
-        if any(s <= 0.0 or s > kt.PERTURBATIVE_LIMIT for s in scales):
-            raise ValueError(
-                f"scales must be positive and perturbative (<= {kt.PERTURBATIVE_LIMIT:g})"
-            )
+        if any(s <= 0.0 for s in scales):
+            raise ValueError("scales must be positive")
+        kt.check_perturbative(max(scales, default=0.0))  # each scale is a magnitude
         fields["scales"] = scales
 
     if "time" in raw:

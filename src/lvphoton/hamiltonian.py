@@ -3,10 +3,10 @@
 Two equivalent assemblies of the same operator are provided.  build_raw
 contracts the rank-4 tensor directly against the polarization embedding
 (one covariant line plus six perturbation lines, summed over all four
-polarizations of both directions).  build_grouped assembles the six
-named blocks written in terms of the kappa bilinears: the transverse
-diagonal part, the transverse +-k cross terms, the covariant
-scalar/longitudinal part, its Lorentz-violating ghost-sector
+polarizations of both directions).  build_grouped sums, in one call,
+the terms of six named blocks written in terms of the kappa bilinears:
+the transverse diagonal part, the transverse +-k cross terms, the
+covariant scalar/longitudinal part, its Lorentz-violating ghost-sector
 counterpart, and the two transverse-to-ghost couplings.  Their
 elementwise equality is the central cross-check of this module and is
 enforced in the test suite.
@@ -47,42 +47,12 @@ Over all basis columns this is the full conjugation, with no dense
 exponential and no dimension cap.
 """
 
-from dataclasses import dataclass, fields
-
 import numpy as np
 import scipy.sparse as sp
 
 from . import fock_space as fs
 from .dispersion import delta_nonbiref, frame_bilinears, mixing_deltas
 from .kappa_tensor import METRIC, check_nonbiref, kappas_from_kf, lowered
-
-
-@dataclass(frozen=True, eq=False)
-class HamiltonianBundle:
-    """The six named blocks of the free Hamiltonian.
-
-    Every block is self-adjoint under the bar-adjoint.  At kappa = 0 all
-    blocks except h_t and h_ls0 vanish.  The Xi generator is built on
-    its own, by xi_generators.
-    """
-
-    h_t: sp.spmatrix
-    h_pm_t: sp.spmatrix
-    h_ls0: sp.spmatrix
-    h_lslv: sp.spmatrix
-    h_p_tls: sp.spmatrix
-    h_m_tls: sp.spmatrix
-
-    @property
-    def blocks(self):
-        return (self.h_t, self.h_pm_t, self.h_ls0, self.h_lslv, self.h_p_tls, self.h_m_tls)
-
-    @property
-    def total(self):
-        out = self.blocks[0]
-        for block in self.blocks[1:]:
-            out = out + block
-        return out.tocsr()
 
 
 def _mode_factors():
@@ -164,10 +134,11 @@ def build_raw(space, kf, frame):
 def mode_terms(kappas, frame):
     """The grouped monomials of the six blocks of H and of Xi, on the 8-mode slots.
 
-    A dict from each HamiltonianBundle block name, and "xi", to that
-    operator's (coef, factor, factor) terms, coefficients from the frame
-    bilinears; build_grouped, xi_generators and build_transverse read
-    them here.
+    A dict from each block name, and "xi", to that operator's (coef,
+    factor, factor) terms, coefficients from the frame bilinears;
+    build_grouped, xi_generators and build_transverse read them here.
+    Every block, each summed on its own, is self-adjoint under the
+    bar-adjoint.  At kappa = 0 all blocks except h_t and h_ls0 vanish.
 
     h_t: transverse occupations scaled by the direction-dependent phase
     velocities 1 + delta(+-k).  h_pm_t: transverse +k/-k cross terms.
@@ -249,11 +220,10 @@ def xi_generators(space, kappas, frame):
 
 
 def build_grouped(space, kappas, frame):
-    """The six named blocks of the Hamiltonian, each the sum of its mode_terms."""
-    terms = mode_terms(kappas, frame)
-    return HamiltonianBundle(
-        *(fs.monomial_sum(space, terms[block.name]) for block in fields(HamiltonianBundle))
-    )
+    """H as one CSR matrix: the terms of the six blocks of mode_terms in one sum."""
+    blocks = mode_terms(kappas, frame)
+    del blocks["xi"]
+    return fs.monomial_sum(space, [term for terms in blocks.values() for term in terms])
 
 
 #: The transverse factor's column labels, its modes' 8-mode slots:

@@ -7,6 +7,7 @@ draws and every batched kernel to its one-set call, and show that a
 broken read-off, frame parity or ladder operator turns its check red.
 """
 
+import dataclasses
 import importlib.util
 import json
 import math
@@ -84,6 +85,17 @@ def test_columnar_verify_matches_the_per_draw_reference(tmp_path, case):
         assert isinstance(new["elapsed_s"], float) and new["elapsed_s"] >= 0.0, name
 
 
+def test_verify_records_do_not_depend_on_the_config_cutoff(tmp_path):
+    # every check picks its own cutoff, so a cutoff-1 config shrinks none
+    config = _aniso_config(tmp_path)
+    records = []
+    for cutoff in (1, 2):
+        report, status = checks.cmd_verify(dataclasses.replace(config, cutoff=cutoff))
+        assert status == 0
+        records.append([{k: v for k, v in c.items() if k != "elapsed_s"} for c in report["checks"]])
+    assert records[0] == records[1]
+
+
 @pytest.mark.parametrize("birefringent", [False, True])
 def test_stacked_kappa_draws_are_successive_one_set_draws(birefringent):
     width = kt.DRAW_WIDTH[birefringent]
@@ -126,9 +138,9 @@ def test_rotation_draws_are_the_one_at_a_time_rotations():
 def _commuting_and_random_operators(space, rng):
     frame = dp.polarization_frame(dp.random_directions(rng))
     k = kt.random_kappas(rng, 1e-2)
-    yield hm.build_grouped(space, k, frame).total
+    yield hm.build_grouped(space, k, frame)
     yield hm.xi_generators(space, k, frame)
-    yield hm.build_grouped(space, kt.KappaSet(), frame).total
+    yield hm.build_grouped(space, kt.KappaSet(), frame)
     noise = sp.random(space.dim, space.dim, density=2e-3, format="csr", rng=rng)
     yield (noise + 1j * sp.random(space.dim, space.dim, density=2e-3, format="csr", rng=rng)).tocsr()
 
@@ -161,8 +173,8 @@ def test_raw_grouped_gap_is_the_sparse_abs_value():
         k = kt.random_kappas(rng, scale)
         frame = dp.polarization_frame(dp.random_directions(rng))
         raw = hm.build_raw(space, kt.kf_from_kappas(k), frame)
-        bundle = hm.build_grouped(space, k, frame)
-        assert checks._raw_grouped_gap(space, k, frame) == abs(raw - bundle.total).max() > 0.0
+        h = hm.build_grouped(space, k, frame)
+        assert checks._raw_grouped_gap(space, k, frame) == abs(raw - h).max() > 0.0
 
 
 def _stacked_draws(count, birefringent, seed=11):
@@ -318,7 +330,7 @@ def test_a_missing_ladder_operator_fails_the_interior_commutators(monkeypatch):
         return annihilator(space, mode)
 
     monkeypatch.setattr(fs, "annihilator", dropped)
-    record = _records(checks._fock_checks(np.random.default_rng(0), 2))[
+    record = _records(checks._fock_checks(np.random.default_rng(0)))[
         "ladder_commutators_interior"
     ]
     assert record["pass"] is False and record["measured"] == 1.0

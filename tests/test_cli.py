@@ -65,7 +65,6 @@ def _array_records():
         cli.RunConfig(),
         kt.check_invariants(np.stack([kf, kf])),
         dp.summarize(k, kf, kvecs),
-        hm.build_grouped(space, k, dp.polarization_frame(kvecs[0])),
     ]
 
 
@@ -109,6 +108,21 @@ def test_rejects_nonperturbative_scales(tmp_path, capsys):
     path = _write(tmp_path, "cfg.json", dict(SAMPLE, scales=[0.5]))
     status, _, err = _run(capsys, ["spectrum", "--config", path])
     assert status == 2
+
+
+def test_scales_share_the_one_perturbative_rule(tmp_path, capsys):
+    # a scale is a parameter magnitude, so it gets the limit's 1e-12
+    # allowance, as the config's own parameters do
+    edge = 0.1 * (1 + 5e-13)
+    path = _write(tmp_path, "edge.json", dict(SAMPLE, scales=[edge]))
+    status, out, err = _run(capsys, ["spectrum", "--config", path])
+    assert status == 0 and err == ""
+    assert [row["scale"] for row in json.loads(out)["rows"]] == [edge]
+    path = _write(tmp_path, "over.json", dict(SAMPLE, scales=[0.1 * (1 + 2e-12)]))
+    status, out, err = _run(capsys, ["spectrum", "--config", path])
+    assert status == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "perturbative" in err
 
 
 def test_rejects_inconsistent_dual_input(tmp_path, capsys):
@@ -679,11 +693,11 @@ def _full_space_row(space, frame, kappas):
     """Reference spectrum values from the full 8-mode space.
 
     The six states (vacuum, the four transverse one-photon states, the
-    +-k pair) are evolved by exp(-Xi) of the 8-mode bundle, and H is the
+    +-k pair) are evolved by exp(-Xi) on the 8-mode space, and H is the
     sum of all six named blocks; cross_before is the metric-weighted
     <pair| M H |vac> before the transform.
     """
-    h = hm.build_grouped(space, kappas, frame).total
+    h = hm.build_grouped(space, kappas, frame)
     xi = hm.xi_generators(space, kappas, frame)
 
     def index(*modes):

@@ -168,7 +168,7 @@ def _physics_operator(name):
     space = fs.build_space(int(rest[0]))
     if kind == "xi":
         return hm.xi_generators(space, k, frame)
-    h = hm.build_grouped(space, k, frame).total
+    h = hm.build_grouped(space, k, frame)
     return checks._inject_c_defect(space, h) if rest.endswith("defect") else h
 
 

@@ -8,8 +8,6 @@ chains of sparse ladder matrices they replaced are kept below as the
 reference for the assembler.
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -89,7 +87,7 @@ def _reference_raw(space, kf, frame):
 
 
 def _reference_grouped(space, kappas, frame):
-    """build_grouped's bundle and xi_generators' Xi as sums of sparse products."""
+    """The six blocks of H, as a tuple, and xi_generators' Xi as sums of sparse products."""
     E, O = bilinear_reference.kappa_bilinears(kappas, frame)
     S, T, Sb, Tb = _mode_operators(space)
     h_t, h_pm_t = _transverse_blocks(kappas, frame, E, S, T, Sb, Tb)
@@ -113,8 +111,7 @@ def _reference_grouped(space, kappas, frame):
         + c2m * (fac_cre @ T[2] + Tb[2] @ fac_ann)
     )
     blocks = (h_t, h_pm_t, h_ls0, h_lslv, h_p_tls, h_m_tls)
-    bundle = hm.HamiltonianBundle(*(block.tocsr() for block in blocks))
-    return bundle, _xi_from_operators(E, S, T, Sb, Tb)
+    return tuple(block.tocsr() for block in blocks), _xi_from_operators(E, S, T, Sb, Tb)
 
 
 def _factor_slots(r):
@@ -138,6 +135,16 @@ def _reference_transverse(space, kappas, frame, kron_ladder):
     return h.tocsr(), _xi_from_operators(E, S, T, Sb, Tb)
 
 
+#: The mode_terms keys of the six blocks of H, in the order they are summed.
+BLOCK_NAMES = ("h_t", "h_pm_t", "h_ls0", "h_lslv", "h_p_tls", "h_m_tls")
+
+
+def _blocks(space, kappas, frame):
+    """Each block of H, summed on its own from its mode_terms, by name."""
+    terms = hm.mode_terms(kappas, frame)
+    return {name: fs.monomial_sum(space, terms[name]) for name in BLOCK_NAMES}
+
+
 def _assert_assembled_like(got, want):
     """Same dtype, pattern and block labels, entries within 1e-15 max|H|."""
     assert got.dtype == want.dtype == np.complex128
@@ -155,9 +162,25 @@ def test_assembler_matches_product_chains(cutoff):
     kf = kt.kf_from_kappas(k)
     _assert_assembled_like(hm.build_raw(space, kf, frame), _reference_raw(space, kf, frame))
     want, want_xi = _reference_grouped(space, k, frame)
-    for block, ref in zip(hm.build_grouped(space, k, frame).blocks, want.blocks):
+    for block, ref in zip(_blocks(space, k, frame).values(), want):
         _assert_assembled_like(block, ref)
     _assert_assembled_like(hm.xi_generators(space, k, frame), want_xi)
+
+
+@pytest.mark.parametrize("cutoff", [1, 2, 3])
+def test_one_call_hamiltonian_matches_the_summed_blocks(cutoff):
+    # build_grouped sums all six blocks' terms at once; each block summed
+    # alone and then added gives the same pattern, labels and entries
+    space = fs.build_space(cutoff)
+    rng = np.random.default_rng(160 + cutoff)
+    for _ in range(3):
+        k = kt.random_kappas(rng, 1e-2)
+        frame = dp.polarization_frame(dp.random_directions(rng))
+        blocks = list(_blocks(space, k, frame).values())
+        want = blocks[0]
+        for block in blocks[1:]:
+            want = want + block
+        _assert_assembled_like(hm.build_grouped(space, k, frame), want.tocsr())
 
 
 @pytest.mark.parametrize("cutoff", [2, 3, 4, 5])
@@ -273,8 +296,7 @@ def test_mode_terms_name_every_block_and_xi():
     k = kt.random_kappas(np.random.default_rng(84), 1e-2)
     frame = dp.polarization_frame(np.array([0.0, 0.0, 1.0]))
     terms = hm.mode_terms(k, frame)
-    names = [block.name for block in dataclasses.fields(hm.HamiltonianBundle)]
-    assert list(terms) == names + ["xi"]
+    assert list(terms) == [*BLOCK_NAMES, "xi"]
     with pytest.raises(ValueError):
         hm.mode_terms(kt.random_kappas(np.random.default_rng(85), 1e-2, birefringent=True), frame)
 
@@ -320,27 +342,27 @@ def test_monomial_sum_merges_and_cancels():
 
 def test_zero_kappa_blocks(space):
     frame = dp.polarization_frame(np.array([0.0, 0.0, 1.0]))
-    bundle = hm.build_grouped(space, kt.KappaSet(), frame)
+    blocks = _blocks(space, kt.KappaSet(), frame)
     S, T, Sb, Tb = _mode_operators(space)
     want_t = S[1] @ Sb[1] + S[2] @ Sb[2] + Tb[1] @ T[1] + Tb[2] @ T[2]
-    assert abs(bundle.h_t - want_t).max() == 0.0
+    assert abs(blocks["h_t"] - want_t).max() == 0.0
     want_ls0 = S[3] @ Sb[3] + Tb[3] @ T[3] - S[0] @ Sb[0] - Tb[0] @ T[0]
-    assert abs(bundle.h_ls0 - want_ls0).max() == 0.0
+    assert abs(blocks["h_ls0"] - want_ls0).max() == 0.0
     xi = hm.xi_generators(space, kt.KappaSet(), frame)
-    for block in (bundle.h_pm_t, bundle.h_lslv, bundle.h_p_tls, bundle.h_m_tls, xi):
+    for block in (blocks["h_pm_t"], blocks["h_lslv"], blocks["h_p_tls"], blocks["h_m_tls"], xi):
         assert abs(block).max() == 0.0
 
 
 def test_zero_kappa_raw_equals_covariant_blocks(space):
     frame = dp.polarization_frame(np.array([0.0, 0.0, 1.0]))
     raw = hm.build_raw(space, np.zeros((4, 4, 4, 4)), frame)
-    bundle = hm.build_grouped(space, kt.KappaSet(), frame)
-    assert abs(raw - (bundle.h_t + bundle.h_ls0)).max() < 1e-14
+    blocks = _blocks(space, kt.KappaSet(), frame)
+    assert abs(raw - (blocks["h_t"] + blocks["h_ls0"])).max() < 1e-14
 
 
 def test_zero_kappa_commutes_with_transverse_numbers(space):
     frame = dp.polarization_frame(np.array([0.0, 0.0, 1.0]))
-    h = hm.build_grouped(space, kt.KappaSet(), frame).total
+    h = hm.build_grouped(space, kt.KappaSet(), frame)
     for direction in (fs.PLUS_K, fs.MINUS_K):
         for pol in (1, 2):
             n = fs.number_operator(space, fs.ModeId(direction, pol))
@@ -353,17 +375,16 @@ def test_central_equivalence_raw_vs_grouped(space):
         k = kt.random_kappas(rng, 1e-2)
         kf = kt.kf_from_kappas(k)
         frame = dp.polarization_frame(dp.random_directions(rng))
-        bundle = hm.build_grouped(space, k, frame)
+        h = hm.build_grouped(space, k, frame)
         raw = hm.build_raw(space, kf, frame)
-        assert abs(raw - bundle.total).max() < 1e-12
+        assert abs(raw - h).max() < 1e-12
 
 
 def test_blocks_bar_self_adjoint(space):
     rng = np.random.default_rng(52)
     k = kt.random_kappas(rng, 1e-2)
     frame = dp.polarization_frame(dp.random_directions(rng))
-    bundle = hm.build_grouped(space, k, frame)
-    for block in bundle.blocks:
+    for block in _blocks(space, k, frame).values():
         assert abs(fs.bar_adjoint(space, block) - block).max() < 1e-15
     xi = hm.xi_generators(space, k, frame)
     assert abs(fs.bar_adjoint(space, xi) + xi).max() < 1e-15
@@ -374,8 +395,7 @@ def test_single_photon_gap_is_modified_dispersion(space2):
     k = kt.random_kappas(rng, 1e-2)
     khat = dp.random_directions(rng)
     frame = dp.polarization_frame(khat)
-    bundle = hm.build_grouped(space2, k, frame)
-    h = bundle.total
+    h = hm.build_grouped(space2, k, frame)
     vac = fs.vacuum_state(space2)
     e_vac = fs.indefinite_inner(space2, vac, h @ vac)
     for pol, direction, sign in ((1, fs.PLUS_K, +1), (2, fs.PLUS_K, +1), (1, fs.MINUS_K, -1), (2, fs.MINUS_K, -1)):
@@ -415,7 +435,7 @@ def test_raw_and_grouped_share_the_perturbative_boundary(space):
     frame = dp.polarization_frame(np.array([0.0, 0.0, 1.0]))
     edge = kt.KappaSet(e_minus=np.diag([0.1, -0.1, 0.0]))
     raw = hm.build_raw(space, kt.kf_from_kappas(edge), frame)
-    assert abs(raw - hm.build_grouped(space, edge, frame).total).max() < 1e-12
+    assert abs(raw - hm.build_grouped(space, edge, frame)).max() < 1e-12
     big = kt.KappaSet(e_minus=np.diag([0.15, -0.15, 0.0]))
     with pytest.raises(ValueError, match="perturbative"):
         hm.build_raw(space, kt.kf_from_kappas(big), frame)
@@ -437,7 +457,7 @@ def test_similarity_transform_identity_and_spectrum(space):
     rng = np.random.default_rng(55)
     k = kt.random_kappas(rng, 1e-2)
     frame = dp.polarization_frame(dp.random_directions(rng))
-    h = hm.build_grouped(space, k, frame).total
+    h = hm.build_grouped(space, k, frame)
     xi = hm.xi_generators(space, k, frame)
     # Over every basis column M G is exp(xi) H exp(-xi), since M^2 = 1.
     basis = sp.identity(space.dim, dtype=complex, format="csc")
@@ -477,7 +497,7 @@ def test_transform_suppresses_transverse_cross_terms(space2):
     before, after = [], []
     for s in (1e-2, 1e-3):
         k = kt.KappaSet(e_minus=base.e_minus * s, o_plus=base.o_plus * s, tr=base.tr * s)
-        h = hm.build_grouped(space2, k, frame).total
+        h = hm.build_grouped(space2, k, frame)
         xi = hm.xi_generators(space2, k, frame)
         before.append(abs(fs.indefinite_inner(space2, pair, h @ vac)))
         after.append(abs(hm.transformed_element(space2, h, xi, pair, vac)))
@@ -490,7 +510,7 @@ def test_transformed_expectation_matches_dense(space, dense_similarity):
     rng = np.random.default_rng(57)
     k = kt.random_kappas(rng, 1e-2)
     frame = dp.polarization_frame(dp.random_directions(rng))
-    h = hm.build_grouped(space, k, frame).total
+    h = hm.build_grouped(space, k, frame)
     xi = hm.xi_generators(space, k, frame)
     psi = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
     phi = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
@@ -562,7 +582,7 @@ def test_block_restricted_transform_matches_full_space(cutoff):
     rng = np.random.default_rng(90 + cutoff)
     k = kt.random_kappas(rng, 1e-2)
     frame = dp.polarization_frame(np.array([0.41, 0.32, -0.86]) / np.linalg.norm([0.41, 0.32, -0.86]))
-    h = hm.build_grouped(space, k, frame).total
+    h = hm.build_grouped(space, k, frame)
     xi = hm.xi_generators(space, k, frame)
     labels = fs.coupled_blocks(xi)
     vac, one, pair, ghost, mixed = _spread_states(space)
@@ -601,9 +621,9 @@ def test_ghost_vacuum_constant_matches_full_space(space2):
     vac = fs.vacuum_state(space2)
     for _ in range(4):
         frame = dp.polarization_frame(dp.random_directions(rng))
-        bundle = hm.build_grouped(space2, kt.random_kappas(rng, 1e-2), frame)
-        assert abs(bundle.h_lslv).max() > 0.0
-        element = fs.indefinite_inner(space2, vac, (bundle.h_ls0 + bundle.h_lslv) @ vac)
+        blocks = _blocks(space2, kt.random_kappas(rng, 1e-2), frame)
+        assert abs(blocks["h_lslv"]).max() > 0.0
+        element = fs.indefinite_inner(space2, vac, (blocks["h_ls0"] + blocks["h_lslv"]) @ vac)
         assert element == hm._GHOST_VACUUM_ENERGY
 
 
@@ -617,7 +637,7 @@ def test_transverse_factor_is_the_ghost_vacuum_block(cutoff):
     rng = np.random.default_rng(80 + cutoff)
     k = kt.random_kappas(rng, 1e-2)
     frame = dp.polarization_frame(np.array([0.41, 0.32, -0.86]) / np.linalg.norm([0.41, 0.32, -0.86]))
-    h_full = hm.build_grouped(space, k, frame).total
+    h_full = hm.build_grouped(space, k, frame)
     xi_full = hm.xi_generators(space, k, frame)
     h, xi = hm.build_transverse(factor, k, frame)
     ghost_slots = [0, 3, 4, 7]
@@ -664,7 +684,7 @@ def test_momentum_commutes_with_hamiltonian(space):
     k = kt.random_kappas(rng, 1e-2)
     khat = dp.random_directions(rng)
     frame = dp.polarization_frame(khat)
-    h = hm.build_grouped(space, k, frame).total
+    h = hm.build_grouped(space, k, frame)
     for p in hm.momentum_operator(space, 2.2 * khat):
         assert abs(p @ h - h @ p).max() < 1e-15
 

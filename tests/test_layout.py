@@ -190,7 +190,7 @@ def test_factor_products_are_the_ghost_vacuum_block(block):
     for u, v in zip(states, embedded):
         assert fs.indefinite_inner(factor, u, u) == fs.indefinite_inner(full, v, v)
     h, xi = hm.build_transverse(factor, KAPPAS, FRAME)
-    h_full = hm.build_grouped(full, KAPPAS, FRAME).total
+    h_full = hm.build_grouped(full, KAPPAS, FRAME)
     xi_full = hm.xi_generators(full, KAPPAS, FRAME)
     (got,) = hm.transformed_matrices(factor, [h], xi, states)
     (want,) = hm.transformed_matrices(full, [h_full], xi_full, embedded)

@@ -391,7 +391,7 @@ def test_ghost_pairing_is_involutive_conjugation():
 
 
 def test_invariance_leakage_zero_kappa(space, frame):
-    h = hm.build_grouped(space, kt.KappaSet(), frame).total
+    h = hm.build_grouped(space, kt.KappaSet(), frame)
     assert lz.invariance_leakage(space, h, 10.0) < 1e-12
     with pytest.raises(ValueError):
         lz.invariance_leakage(space, h, 11.0)
@@ -401,7 +401,7 @@ def test_invariance_leakage_without_c_class_states(frame):
     # at cutoff 1 no C-class state fits (n_d = n_g >= 1 takes two quanta)
     space1 = fs.build_space(1)
     k = kt.random_kappas(np.random.default_rng(5), 1e-2)
-    h = hm.build_grouped(space1, k, frame).total
+    h = hm.build_grouped(space1, k, frame)
     assert lz.invariance_leakage(space1, h, 10.0) == 0.0
 
 
@@ -411,7 +411,7 @@ def test_invariance_leakage_small_coupling(space, frame):
     # physical effect
     rng = np.random.default_rng(63)
     k = kt.random_kappas(rng, 1e-3)
-    h = hm.build_grouped(space, k, frame).total
+    h = hm.build_grouped(space, k, frame)
     assert lz.invariance_leakage(space, h, 10.0) < 1e-12
 
 
@@ -453,7 +453,7 @@ def test_block_leakage_matches_full_space(space, frame, inject, dg_reference):
     # the injected A-C coupler joins sector +1 to sector +2, and the
     # per-block evolution must follow the merged block
     k = kt.random_kappas(np.random.default_rng(3), 1e-2)
-    h = hm.build_grouped(space, k, frame).total
+    h = hm.build_grouped(space, k, frame)
     if inject:
         h = checks._inject_c_defect(space, h)
     assert _block_count(h) == (16 if inject else 17)
@@ -496,7 +496,7 @@ def _check_propagator(h, columns, t):
 @pytest.mark.parametrize("inject", [False, True], ids=["real", "complex"])
 def test_propagator_matches_expm_multiply(space, frame, inject):
     k = kt.random_kappas(np.random.default_rng(3), 1e-2)
-    h = hm.build_grouped(space, k, frame).total
+    h = hm.build_grouped(space, k, frame)
     if inject:
         h = checks._inject_c_defect(space, h)
     block, columns = _a_block(space, h)
@@ -508,7 +508,7 @@ def test_propagator_leaves_an_unsorted_matrix_alone(space, frame):
     # a matrix whose rows hold their columns out of order: canonicalising
     # it (or a part that shares its buffers) in place would permute it
     k = kt.random_kappas(np.random.default_rng(4), 1e-2)
-    block, columns = _a_block(space, checks._inject_c_defect(space, hm.build_grouped(space, k, frame).total))
+    block, columns = _a_block(space, checks._inject_c_defect(space, hm.build_grouped(space, k, frame)))
     rows = np.repeat(np.arange(block.shape[0]), np.diff(block.indptr))
     order = np.lexsort((-block.indices, rows))
     unsorted = sp.csr_matrix(
@@ -533,7 +533,7 @@ def test_propagator_edge_cases():
 @pytest.mark.parametrize("inject", [False, True], ids=["real", "complex"])
 def test_propagator_matches_dense_expm(space, frame, inject):
     k = kt.random_kappas(np.random.default_rng(3), 1e-2)
-    h = hm.build_grouped(space, k, frame).total
+    h = hm.build_grouped(space, k, frame)
     if inject:
         h = checks._inject_c_defect(space, h)
     small = [(b, c) for b, c in _a_blocks(space, h) if b.shape[0] <= 300]
@@ -612,7 +612,7 @@ def test_leakage_blocks_take_few_chebyshev_terms(monkeypatch, space, frame):
     monkeypatch.setattr(fs, "_chebyshev_bessel", counted)
     k = kt.random_kappas(np.random.default_rng(8), 1e-2)
     k = k.scaled(1e-3 / k.magnitude)
-    h = hm.build_grouped(space, k, frame).total
+    h = hm.build_grouped(space, k, frame)
     assert lz.invariance_leakage(space, h, 10.0) < 1e-12
     assert len(counts) == 9
     assert max(counts) <= 90
@@ -622,7 +622,7 @@ def test_propagator_at_cutoff_three(frame):
     # the smallest A-holding block of the cutoff-3 Hamiltonian
     space3 = fs.build_space(3)
     k = kt.random_kappas(np.random.default_rng(3), 1e-3)
-    h = hm.build_grouped(space3, k, frame).total
+    h = hm.build_grouped(space3, k, frame)
     block, columns = min(_a_blocks(space3, h), key=lambda pair: pair[0].shape[0])
     assert block.shape[0] == 1428
     _check_propagator(block, columns, 10.0)
@@ -633,7 +633,7 @@ def test_evolution_stays_weak_lorenz(space, frame):
     # up zero-norm B admixture but no measurable C component
     rng = np.random.default_rng(3)
     k = kt.random_kappas(rng, 1e-2)
-    h = hm.build_grouped(space, k, frame).total
+    h = hm.build_grouped(space, k, frame)
     psi0 = fs.dg_basis_state(space, (1, 0, 0, 0))
     evolved = expm_multiply(-1j * 10.0 * h.tocsc(), psi0)
     weights = lz.ghost_class_weights(space, evolved)
