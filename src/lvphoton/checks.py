@@ -8,8 +8,8 @@ draws all its inputs in one call, with the stream of one-at-a-time
 draws, and evaluates them in whole-array calls of the same functions
 that take one set, tensor or direction (kt.kf_from_kappas on stacked
 sets, dp.rho_sigma on one tensor per direction, ...).  The suite is
-the only user of the Fock-space stack besides `spectrum`, so
-`lvphoton.cli` imports this module only when `verify` runs.
+the only user of the Fock-space stack, so `lvphoton.cli` imports this
+module only when `verify` runs.
 
 Every traced function is called through its module attribute
 (`kt.kf_from_kappas`, `lz.invariance_leakage`, ...), never bound by
@@ -29,6 +29,7 @@ from . import hamiltonian as hm
 from . import interaction as ia
 from . import kappa_tensor as kt
 from . import lorenz as lz
+from . import modes as md
 
 
 def _check(name, measured, tolerance, **extra):
@@ -192,7 +193,7 @@ def _fock_checks(rng):
     # it was in the full product.
     inside = np.flatnonzero(fs.interior_mask(space))
     n = len(inside)
-    modes = fs.ALL_MODES
+    modes = md.ALL_MODES
     lower = {mode: fs.annihilator(space, mode) for mode in modes}
     bar = {mode: fs.bar_adjoint(space, a) for mode, a in lower.items()}
     forward = sp.vstack([lower[m][inside] for m in modes], format="csr") @ sp.hstack(
@@ -207,7 +208,7 @@ def _fock_checks(rng):
         (backward.data, (col_block * n + row, row_block * n + col)), shape=backward.shape
     )
     # [a, bar(a)] = zeta on every interior diagonal entry, stored or not
-    zeta = sp.diags(np.repeat([fs.ZETA[m.polarization] for m in modes], n))
+    zeta = sp.diags(np.repeat([md.ZETA[m.polarization] for m in modes], n))
     worst = abs(forward - backward - zeta).max()
     yield _check("ladder_commutators_interior", worst, 1e-13)
 
@@ -271,7 +272,7 @@ def _bar_self_adjoint_defect(space, k, frame):
 
     No matrix outlives the call, so none adds to a later peak.
     """
-    blocks = hm.mode_terms(k, frame)
+    blocks = md.mode_terms(k, frame)
     del blocks["xi"]
     worst = 0.0
     for terms in blocks.values():
@@ -338,10 +339,8 @@ def _hamiltonian_checks(rng, config):
     shape = kt.random_kappas(rng, 1e-2)
     residuals = []
     crosses = []
-    spaces = (hm.transverse_space(2), hm.transverse_space(3))
     for scale in (1e-2, 1e-3):
-        k = shape.scaled(scale / shape.magnitude)
-        row = hm.spectrum_row(spaces, frame, k, scale)
+        row = md.spectrum_values(shape.scaled(scale / shape.magnitude), frame)
         residuals.append(
             max(row["gap_residual_plus"], row["gap_residual_minus"])
         )

@@ -10,9 +10,9 @@ Four subcommands operate on a JSON config file:
 This module parses arguments and configs and renders reports; the
 physics lives in the library modules.  At import it loads only the
 standard library, numpy, kappa_tensor and dispersion, which is all that
-decompose and dispersion need.  The Fock-space stack (scipy,
-fock_space, hamiltonian, interaction, lorenz) loads only when spectrum
-runs (hamiltonian.spectrum_row) or verify runs (the checks module).
+decompose and dispersion need.  spectrum adds the numpy-only modes
+module.  The Fock-space stack (scipy, fock_space, hamiltonian,
+interaction, lorenz) loads only when verify runs (the checks module).
 
 Config keys: kappa_e_minus / kappa_o_plus (3x3 nested lists), kappa_tr
 (scalar), optional kappa_e_plus / kappa_o_minus (dispersion only), or a
@@ -41,9 +41,11 @@ import numpy as np
 from . import dispersion as dp
 from . import kappa_tensor as kt
 
-#: Fock cutoffs the commands accept.  `spectrum` works on the 4-mode
-#: transverse factor and needs one level of ladder headroom; the other
-#: commands build the 8-mode space.
+#: Fock cutoffs the commands accept.  No command reads the cutoff
+#: (`verify` picks its own, and `spectrum` rows are exact), but a config
+#: or flag cutoff is range-checked against these, so that every input
+#: is accepted or refused as it was when `spectrum` evolved states on the
+#: 4-mode transverse factor.
 CUTOFF_RANGE = (1, 4)
 SPECTRUM_CUTOFF_RANGE = (2, 12)
 #: Every key a config may hold.  `command` and `symmetry` are in the list
@@ -437,15 +439,17 @@ def cmd_spectrum(config):
     One row for the config parameters; with a scale sweep, one row per
     scale (config parameters rescaled to that magnitude) plus a log-log
     exponent fit of the residual cross coupling, which the transform
-    suppresses from O(kappa) to O(kappa^2).  Every row is computed on
-    the 4-mode transverse factor (hm.build_transverse), at the config's
-    cutoff and one above it.
+    suppresses from O(kappa) to O(kappa^2).  Every row is exact, with
+    no Fock truncation (modes.spectrum_values: the 8 x 8 Bogoliubov
+    matrix of Xi applied to the terms of H), so the config cutoff is
+    range-checked as before but not read.
 
     cross_fit_exponent fits O(kappa^2) residuals of O(kappa) terms, so
-    its digits below about 1e-10 are arithmetic-order roundoff: any
-    other exact evolution of the states moves them.
+    its digits below about 1e-10 are roundoff: a different but equally
+    exact order of the arithmetic (the Fock-factor evolution of
+    tests/spectrum_reference.py at a deep cutoff, say) moves them.
     """
-    from . import hamiltonian as hm
+    from . import modes as md
 
     if config.cutoff < SPECTRUM_CUTOFF_RANGE[0]:
         raise ValueError(
@@ -453,10 +457,6 @@ def cmd_spectrum(config):
         )
     if config.cutoff > SPECTRUM_CUTOFF_RANGE[1]:
         raise ValueError(f"spectrum cutoff must lie in {SPECTRUM_CUTOFF_RANGE}")
-    spaces = (
-        hm.transverse_space(config.cutoff),
-        hm.transverse_space(config.cutoff + 1),
-    )
     frame = dp.polarization_frame(config.direction)
     magnitude = config.kappas.magnitude
     if config.scales and magnitude == 0.0:
@@ -465,7 +465,7 @@ def cmd_spectrum(config):
         sweep = [(s, config.kappas.scaled(s / magnitude)) for s in config.scales]
     else:
         sweep = [(magnitude, config.kappas)]
-    rows = [hm.spectrum_row(spaces, frame, k, s) for s, k in sweep]
+    rows = [{"scale": s, **md.spectrum_values(k, frame)} for s, k in sweep]
 
     fit = None
     if len(rows) >= 2:
@@ -479,7 +479,6 @@ def cmd_spectrum(config):
         "kx": config.direction[0],
         "ky": config.direction[1],
         "kz": config.direction[2],
-        "cutoff": config.cutoff,
         "rows": rows,
         "cross_fit_exponent": fit,
     }
@@ -509,7 +508,9 @@ def build_parser():
             "class instead of projecting them onto it",
         )
         p.add_argument(
-            "--cutoff", type=int, help="override the Fock cutoff (not for verify)"
+            "--cutoff",
+            type=int,
+            help="Fock cutoff: range-checked, read by no command (not for verify)",
         )
         p.add_argument("--output", help="write the report here instead of stdout")
 

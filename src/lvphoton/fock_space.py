@@ -9,14 +9,15 @@ product enters only through the diagonal metric operator M with entries
 FockSpace is passed alongside and dimensions are validated where they
 meet.  Every ladder operator, every fixed combination of them (the d/g
 ghost modes) and every sum of products of two is written by one
-function, monomial_sum, from ladder factors (ladder, dg_factors).
+function, monomial_sum, from the ladder factors of the modes module
+(modes.ladder, modes.dg_factors), whose mode labels this module uses.
 
 Each occupation column carries a mode label, and FockSpace.position is
 the one map from a label to its column.  The 8-mode space is labeled by
-the slots +k modes 0,1,2,3 then -k modes 0,1,2,3 (0 = scalar, 1,2 =
-transverse, 3 = longitudinal); the transverse factor holds four slots
-(metric +1) and the reduced ghost space labels of its own (no diagonal
-metric).  Basis index is lexicographic, the first column most significant.
+the slots modes.SLOTS (+k modes 0,1,2,3 then -k modes 0,1,2,3); the
+transverse factor holds four slots (metric +1) and the reduced ghost
+space labels of its own (no diagonal metric).  Basis index is
+lexicographic, the first column most significant.
 
 propagate applies exp(-i t b) of a sparse operator b to dense columns,
 and propagate_blocks applies it to sparse columns one coupled block of b
@@ -30,38 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-#: Mode commutator signs in the indefinite product: [a_r, bar(a_s)] = zeta_r delta_rs.
-ZETA = (-1.0, 1.0, 1.0, 1.0)
-
-#: Directions of the wavevector pair.
-PLUS_K, MINUS_K = +1, -1
-
-
-@dataclass(frozen=True)
-class ModeId:
-    """One of the eight oscillators: a direction (+-k) and a polarization 0-3."""
-
-    direction: int
-    polarization: int
-
-    def __post_init__(self):
-        if self.direction not in (PLUS_K, MINUS_K):
-            raise ValueError("direction must be +1 (+k) or -1 (-k)")
-        if self.polarization not in (0, 1, 2, 3):
-            raise ValueError("polarization must be 0, 1, 2, or 3")
-
-    @property
-    def slot(self):
-        """The mode's label: its position in the 8-mode ordering (+k:0..3, -k:4..7)."""
-        return self.polarization + (0 if self.direction == PLUS_K else 4)
-
-
-ALL_MODES = tuple(
-    ModeId(d, p) for d in (PLUS_K, MINUS_K) for p in (0, 1, 2, 3)
-)
-
-#: Labels of the 8-mode space, one slot per column.
-SLOTS = tuple(mode.slot for mode in ALL_MODES)
+from .modes import MINUS_K, PLUS_K, SLOTS, ModeId, dg_factors, ladder
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,18 +111,6 @@ def _check_operator(space, a):
 def annihilator(space, mode):
     """Sparse lowering operator for one mode (entries sqrt(n)), identity elsewhere."""
     return monomial_sum(space, [(1.0, ladder(mode.slot))])
-
-
-def ladder(label, coef=1.0, raising=False):
-    """One ladder operator as a factor for monomial_sum: coef a or coef a-dagger.
-
-    A factor is a tuple of (coefficient, label, raising) triples read as
-    the linear combination of their operators, so factors are summed by
-    concatenating them and scaled by scaling their coefficients.  The
-    raising operator is the plain dagger of the truncated lowering
-    operator: it has no entry out of the top occupation.
-    """
-    return ((coef, label, raising),)
 
 
 def monomial_sum(space, terms):
@@ -534,31 +492,6 @@ def vacuum_state(space):
     vac = np.zeros(space.dim, dtype=complex)
     vac[0] = 1.0
     return vac
-
-
-_R2 = 1.0 / math.sqrt(2.0)
-
-#: The d and g ghost modes of one direction, as the coefficients of its
-#: scalar (0) and longitudinal (3) lowering operators:
-#: a_d = (i/sqrt(2)) (a_3 - a_0), a_g = (1/sqrt(2)) (a_3 + a_0).
-DG_D = {3: 1j * _R2, 0: -1j * _R2}
-DG_G = {3: _R2, 0: _R2}
-
-
-def dg_factors(direction):
-    """a_d, a_g and their bar-adjoints for one direction, as ladder factors.
-
-    The combinations DG_D, DG_G of the direction's scalar and
-    longitudinal lowering operators, for monomial_sum.  The bar-adjoint
-    of c a_p is conj(c) zeta_p a_p-dagger, which gives
-    bar(a_d) = -i a_g-dagger and bar(a_g) = +i a_d-dagger.
-    Returns (a_d, a_g, bar(a_d), bar(a_g)).
-    """
-    slots = {p: ModeId(direction, p).slot for p in (0, 3)}
-    modes = (DG_D, DG_G)
-    lower = [tuple((c, slots[p], False) for p, c in m.items()) for m in modes]
-    bars = [tuple((c.conjugate() * ZETA[p], slots[p], True) for p, c in m.items()) for m in modes]
-    return (*lower, *bars)
 
 
 def dg_operators(space, direction):

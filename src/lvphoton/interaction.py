@@ -44,6 +44,7 @@ import scipy.sparse as sp
 
 from . import fock_space as fs
 from . import hamiltonian as hm
+from . import modes as md
 from .dispersion import Z_AXIS, mixing_deltas, polarization_frame
 
 
@@ -83,7 +84,7 @@ def transverse_potential(space, polarization):
     hm.check_transverse(space)
     if polarization not in (1, 2):
         raise ValueError("transverse polarization must be 1 or 2")
-    S, _, _, Tb = hm._mode_factors()
+    S, _, _, Tb = md._mode_factors()
     return fs.monomial_sum(space, [(1 / math.sqrt(2), S[polarization] + Tb[polarization])])
 
 

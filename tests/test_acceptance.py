@@ -21,6 +21,7 @@ from lvphoton import hamiltonian as hm
 from lvphoton import interaction as ia
 from lvphoton import kappa_tensor as kt
 from lvphoton import lorenz as lz
+from lvphoton import modes as md
 from lvphoton.dispersion import Z_AXIS
 
 
@@ -147,7 +148,7 @@ def test_criterion_06_bar_self_adjoint_and_metric_unitary(space, frame):
     m = sp.diags(mdiag)
     worst_adj = 0.0
     for k in (kt.KappaSet(), kt.random_kappas(rng, 1e-2), kt.random_kappas(rng, 1e-2)):
-        terms = hm.mode_terms(k, frame)
+        terms = md.mode_terms(k, frame)
         blocks = [fs.monomial_sum(space, terms[name]) for name in terms if name != "xi"]
         for block in blocks + [hm.build_grouped(space, k, frame)]:
             worst_adj = max(worst_adj, abs(m @ block.conj().T @ m - block).max())

@@ -22,6 +22,7 @@ from lvphoton import dispersion as dp
 from lvphoton import fock_space as fs
 from lvphoton import hamiltonian as hm
 from lvphoton import kappa_tensor as kt
+from lvphoton import modes as md
 
 import verify_reference  # tests/verify_reference.py
 
@@ -152,7 +153,7 @@ def test_diagonal_commutator_is_the_sparse_product_value(cutoff):
     space = fs.build_space(cutoff)
     rng = np.random.default_rng(17 + cutoff)
     diagonals = hm.momentum_operator(space, dp.random_directions(rng))
-    diagonals += [fs.number_operator(space, mode) for mode in fs.ALL_MODES[1:3]]
+    diagonals += [fs.number_operator(space, mode) for mode in md.ALL_MODES[1:3]]
     for h in _commuting_and_random_operators(space, rng):
         assert h.has_canonical_format
         for p in diagonals:

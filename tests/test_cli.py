@@ -19,6 +19,8 @@ from lvphoton import fock_space as fs
 from lvphoton import hamiltonian as hm
 from lvphoton import kappa_tensor as kt
 
+import spectrum_reference  # tests/spectrum_reference.py
+
 # dyadic values survive a parse/print cycle bit for bit
 SAMPLE = {
     "kappa_e_minus": [
@@ -690,7 +692,7 @@ def test_spectrum_rejects_sweep_of_zero_parameters(tmp_path, capsys):
 
 
 def _full_space_row(space, frame, kappas):
-    """Reference spectrum values from the full 8-mode space.
+    """The gaps and cross terms of a spectrum row from the full 8-mode space.
 
     The six states (vacuum, the four transverse one-photon states, the
     +-k pair) are evolved by exp(-Xi) on the 8-mode space, and H is the
@@ -717,10 +719,8 @@ def _full_space_row(space, frame, kappas):
     cross_after = abs(energies[-1, 0])
     energies = energies.diagonal().real
     row = {}
-    for name, first, khat in (("plus", 1, frame.khat), ("minus", 3, -frame.khat)):
-        want = 1.0 + dp.delta_nonbiref(kappas, khat)
-        gap = max(abs(energies[first : first + 2] - energies[0]))
-        row.update({f"gap_{name}": gap, f"delta_{name}": want - 1.0, f"gap_residual_{name}": abs(gap - want)})
+    for name, first in (("plus", 1), ("minus", 3)):
+        row[f"gap_{name}"] = max(abs(energies[first : first + 2] - energies[0]))
     row["cross_before"] = abs(fs.metric_diagonal(space)[pair] * h[pair, indices[0]])
     row["cross_after"] = cross_after
     return row
@@ -728,57 +728,53 @@ def _full_space_row(space, frame, kappas):
 
 @pytest.fixture(scope="module")
 def oblique_sweep(tmp_path_factory):
-    """An oblique three-scale spectrum config and its 8-mode reference rows."""
+    """An oblique three-scale spectrum config, its parameter sets and frame."""
     payload = dict(SAMPLE, direction=[0.41, 0.32, -0.86], scales=[1e-2, 1e-3, 1e-4])
     path = tmp_path_factory.mktemp("sweep") / "cfg.json"
     path.write_text(json.dumps(payload))
     config = cli.load_config(str(path))
     frame = dp.polarization_frame(config.direction)
     magnitude = config.kappas.magnitude
-    reference = {
-        cutoff: [
-            _full_space_row(fs.build_space(cutoff), frame, config.kappas.scaled(s / magnitude))
-            for s in config.scales
-        ]
-        for cutoff in (2, 3)
-    }
-    return str(path), reference
+    sets = [config.kappas.scaled(s / magnitude) for s in config.scales]
+    return str(path), sets, frame
 
 
 @pytest.mark.parametrize("cutoff", [2, 3])
-def test_spectrum_factor_rows_match_full_space(oblique_sweep, capsys, cutoff):
-    path, reference = oblique_sweep
-    status, out, err = _run(capsys, ["spectrum", "--config", path, "--cutoff", str(cutoff)])
+def test_spectrum_factor_rows_match_full_space(oblique_sweep, cutoff):
+    # the factor reference is the 8-mode space on the ghost vacuum, at
+    # the same truncation
+    _, sets, frame = oblique_sweep
+    for kappas in sets:
+        want = _full_space_row(fs.build_space(cutoff), frame, kappas)
+        got = spectrum_reference.transverse_values(hm.transverse_space(cutoff), frame, kappas)
+        for key, value in got.items():
+            assert abs(value - want[key]) <= 1e-12, key
+
+
+def test_spectrum_rows_match_the_factor_at_cutoff_6(oblique_sweep, capsys):
+    # the exact rows are the factor's limit; at cutoff 6 the truncation
+    # is below roundoff for sets of magnitude up to 2e-2
+    path, sets, frame = oblique_sweep
+    status, out, err = _run(capsys, ["spectrum", "--config", path])
     assert status == 0 and err == ""
     rows = json.loads(out)["rows"]
     assert [row["scale"] for row in rows] == [1e-2, 1e-3, 1e-4]
-    for row, want in zip(rows, reference[cutoff]):
-        assert set(row) == {"scale", "truncation_shift", *want}
+    for row, kappas in zip(rows, sets):
+        want = spectrum_reference.transverse_values(hm.transverse_space(6), frame, kappas)
+        assert set(row) == {"scale", *want} | {
+            f"{key}_{side}" for key in ("delta", "gap_residual") for side in ("plus", "minus")
+        }
         for key, value in want.items():
-            assert abs(row[key] - value) <= 1e-12, key
-    # the shift to the next cutoff, from the 8-mode rows at 2 and 3
-    if cutoff == 2:
-        for row, now, deeper in zip(rows, reference[2], reference[3]):
-            want = max(abs(deeper[k] - now[k]) for k in ("gap_plus", "gap_minus", "cross_after"))
-            assert abs(row["truncation_shift"] - want) <= 1e-12
-
-
-def test_truncation_shift_is_the_largest_move_of_gaps_and_cross_after(monkeypatch):
-    # cross_after moves most here, and cross_before (not part of the
-    # shift) moves more than anything else
-    values = {
-        2: {"gap_plus": 1.0, "gap_minus": 1.0, "cross_before": 0.5, "cross_after": 1e-6},
-        3: {"gap_plus": 1.0 + 2**-30, "gap_minus": 1.0 - 2**-29, "cross_before": 0.7, "cross_after": 4e-6},
-    }
-    monkeypatch.setattr(hm, "_transverse_values", lambda space, frame, kappas: values[space.cutoff])
-    spaces = (hm.transverse_space(2), hm.transverse_space(3))
-    row = hm.spectrum_row(spaces, dp.polarization_frame(dp.Z_AXIS), kt.KappaSet(), 0.0)
-    assert row["truncation_shift"] == 4e-6 - 1e-6
-    assert row["cross_before"] == 0.5 and row["gap_minus"] == 1.0
+            assert abs(row[key] - value) <= 1e-13, key
+        for side, khat in (("plus", frame.khat), ("minus", -frame.khat)):
+            assert row[f"delta_{side}"] == (1.0 + dp.delta_nonbiref(kappas, khat)) - 1.0
+            want = 1.0 + row[f"delta_{side}"]
+            assert row[f"gap_residual_{side}"] == abs(row[f"gap_{side}"] - want)
 
 
 @pytest.mark.parametrize("flag", [False, True])
 def test_spectrum_accepts_deep_cutoffs(tmp_path, capsys, flag):
+    # the cutoff is range-checked but not read: the rows are exact
     payload = dict(SAMPLE, direction=[0.41, 0.32, -0.86])
     argv = ["spectrum", "--config"]
     if flag:
@@ -787,10 +783,13 @@ def test_spectrum_accepts_deep_cutoffs(tmp_path, capsys, flag):
         argv += [_write(tmp_path, "cfg.json", dict(payload, cutoff=8))]
     status, out, err = _run(capsys, argv)
     assert status == 0 and err == ""
+    plain = _write(tmp_path, "plain.json", payload)
+    status, default, _ = _run(capsys, ["spectrum", "--config", plain])
+    assert status == 0 and out == default
     report = json.loads(out)
-    assert report["cutoff"] == 8
+    assert "cutoff" not in report
     (row,) = report["rows"]
-    assert 0.0 <= row["truncation_shift"] < 1e-6
+    assert "truncation_shift" not in row
     assert row["gap_residual_plus"] < 5.0 * 0.015625**2
 
 
@@ -814,12 +813,13 @@ def test_cutoff_ranges_per_command(tmp_path, capsys, argv, payload):
 
 
 def test_spectrum_never_builds_the_full_space(tmp_path, capsys, monkeypatch):
-    # spectrum runs on the transverse factor only; an 8-mode space or
-    # Hamiltonian anywhere in its path fails this test
+    # spectrum rows are closed forms of the term table; an 8-mode space,
+    # a sparse operator or an evolution anywhere in its path fails this test
     def refuse(*args, **kwargs):
-        raise RuntimeError("spectrum built an 8-mode operator")
+        raise RuntimeError("spectrum built a Fock-space operator")
 
-    monkeypatch.setattr(fs, "build_space", refuse)
+    for name in ("build_space", "monomial_sum", "propagate_blocks"):
+        monkeypatch.setattr(fs, name, refuse)
     monkeypatch.setattr(hm, "build_grouped", refuse)
     path = _write(tmp_path, "cfg.json", dict(SAMPLE, cutoff=4, scales=[1e-3, 1e-4]))
     status, out, err = _run(capsys, ["spectrum", "--config", path])
@@ -966,7 +966,7 @@ def test_lazy_commands_run_in_a_fresh_process(tmp_path, command):
     assert json.loads(done.stdout)["command"] == command
 
 
-def test_verify_and_spectrum_load_only_scipy_sparse(tmp_path):
+def test_verify_loads_only_scipy_sparse(tmp_path):
     # scipy.sparse.csgraph pulls in scipy.sparse.linalg and scipy.linalg,
     # 9-11 MB and 100-150 ms; the block finder needs numpy alone
     src = pathlib.Path(cli.__file__).resolve().parents[1]
@@ -976,14 +976,34 @@ def test_verify_and_spectrum_load_only_scipy_sparse(tmp_path):
         "import contextlib, io, json\n"
         "from lvphoton.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    statuses = [main([command, '--config', {config!r}]) for command in ('verify', 'spectrum')]\n"
+        f"    status = main(['verify', '--config', {config!r}])\n"
         "heavy = ('scipy.linalg', 'scipy.sparse.linalg', 'scipy.sparse.csgraph')\n"
         "loaded = sorted(m for m in sys.modules if m.startswith(heavy))\n"
-        "print(json.dumps([statuses, loaded]))\n"
+        "print(json.dumps([status, 'scipy.sparse' in sys.modules, loaded]))\n"
     )
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout) == [[0, 0], []]
+    assert json.loads(done.stdout) == [0, True, []]
+
+
+def test_spectrum_loads_no_scipy_and_no_fock_stack(tmp_path):
+    # the rows are closed forms in numpy (modes.spectrum_values), so a
+    # spectrum process needs neither scipy nor the Fock-space modules
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    config = _write(tmp_path, "cfg.json", dict(SAMPLE, scales=[1e-2, 1e-3]))
+    code = (
+        f"import sys; sys.path.insert(0, {str(src)!r})\n"
+        "import contextlib, io, json\n"
+        "from lvphoton.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    status = main(['spectrum', '--config', {config!r}])\n"
+        f"fock = {['lvphoton.' + name for name in _FOCK_STACK]!r}\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or m in fock)\n"
+        "print(json.dumps([status, 'lvphoton.modes' in sys.modules, loaded]))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [0, True, []]
 
 
 # ------------------------------------------------------------ emitter

@@ -18,6 +18,7 @@ from lvphoton import fock_space as fs
 from lvphoton import hamiltonian as hm
 from lvphoton import kappa_tensor as kt
 from lvphoton import lorenz as lz
+from lvphoton import modes as md
 
 import bilinear_reference  # tests/bilinear_reference.py
 
@@ -70,7 +71,7 @@ def _transverse_blocks(kappas, frame, E, S, T, Sb, Tb):
 
 def _reference_raw(space, kf, frame):
     """build_raw as a sum of sparse products of the ladder matrices."""
-    A, B, C = hm.coefficient_matrices(kf, frame)
+    A, B, C = md.coefficient_matrices(kf, frame)
     S, T, Sb, Tb = _mode_operators(space)
     H = sp.csr_matrix((space.dim, space.dim), dtype=complex)
     for r in range(4):
@@ -117,7 +118,7 @@ def _reference_grouped(space, kappas, frame):
 def _factor_slots(r):
     """Factor positions of polarization r's (+k, -k) modes."""
     return tuple(
-        hm.TRANSVERSE_SLOTS.index(fs.ModeId(d, r).slot) for d in (fs.PLUS_K, fs.MINUS_K)
+        md.TRANSVERSE_SLOTS.index(fs.ModeId(d, r).slot) for d in (fs.PLUS_K, fs.MINUS_K)
     )
 
 
@@ -141,7 +142,7 @@ BLOCK_NAMES = ("h_t", "h_pm_t", "h_ls0", "h_lslv", "h_p_tls", "h_m_tls")
 
 def _blocks(space, kappas, frame):
     """Each block of H, summed on its own from its mode_terms, by name."""
-    terms = hm.mode_terms(kappas, frame)
+    terms = md.mode_terms(kappas, frame)
     return {name: fs.monomial_sum(space, terms[name]) for name in BLOCK_NAMES}
 
 
@@ -266,7 +267,7 @@ def test_mixed_factor_counts_equal_their_sparse_sum(cutoff, kron_ladder):
 def test_transverse_operators_match_kron_chain_bitwise(cutoff, kron_ladder, assert_same_csr):
     # each 8-mode transverse ladder factor, summed on the factor
     space = hm.transverse_space(cutoff)
-    S, T, Sb, Tb = hm._mode_factors()
+    S, T, Sb, Tb = md._mode_factors()
     for r in (1, 2):
         plus, minus = _factor_slots(r)
         for factor, slot, raising in (
@@ -282,7 +283,7 @@ def test_monomial_sum_refuses_a_label_the_space_lacks():
     # the factor nor the 8-mode space holds a ghost label
     k = kt.random_kappas(np.random.default_rng(83), 1e-2)
     frame = dp.polarization_frame(np.array([0.0, 0.0, 1.0]))
-    terms = hm.mode_terms(k, frame)
+    terms = md.mode_terms(k, frame)
     with pytest.raises(ValueError, match="no mode labeled 3"):
         fs.monomial_sum(hm.transverse_space(1), terms["h_ls0"])
     with pytest.raises(ValueError, match="no mode labeled 1"):
@@ -295,10 +296,10 @@ def test_monomial_sum_refuses_a_label_the_space_lacks():
 def test_mode_terms_name_every_block_and_xi():
     k = kt.random_kappas(np.random.default_rng(84), 1e-2)
     frame = dp.polarization_frame(np.array([0.0, 0.0, 1.0]))
-    terms = hm.mode_terms(k, frame)
+    terms = md.mode_terms(k, frame)
     assert list(terms) == [*BLOCK_NAMES, "xi"]
     with pytest.raises(ValueError):
-        hm.mode_terms(kt.random_kappas(np.random.default_rng(85), 1e-2, birefringent=True), frame)
+        md.mode_terms(kt.random_kappas(np.random.default_rng(85), 1e-2, birefringent=True), frame)
 
 
 @pytest.mark.parametrize("cutoff", [0, -1, 1.5, 2.0, True, "2", None])
@@ -320,7 +321,7 @@ def test_dg_factors_match_dg_operators():
     for direction in (fs.PLUS_K, fs.MINUS_K):
         a_d, a_g = fs.dg_operators(space, direction)
         mats = (a_d, a_g, fs.bar_adjoint(space, a_d), fs.bar_adjoint(space, a_g))
-        factors = fs.dg_factors(direction)
+        factors = md.dg_factors(direction)
         for x, mx in zip(factors, mats):
             for y, my in zip(factors, mats):
                 got = fs.monomial_sum(space, [(1.0, x, y)])
@@ -643,7 +644,7 @@ def test_transverse_factor_is_the_ghost_vacuum_block(cutoff):
     ghost_slots = [0, 3, 4, 7]
     empty = np.flatnonzero(~space.occupations[:, ghost_slots].any(axis=1))
     others = np.setdiff1d(np.arange(space.dim), empty)
-    assert np.array_equal(space.occupations[empty][:, hm.TRANSVERSE_SLOTS], factor.occupations)
+    assert np.array_equal(space.occupations[empty][:, md.TRANSVERSE_SLOTS], factor.occupations)
     assert abs(h_full[empty][:, empty] - h).max() == 0.0
     assert abs(xi_full[empty][:, empty] - xi).max() == 0.0
     assert abs(xi_full[others][:, empty]).max() == 0.0

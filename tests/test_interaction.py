@@ -16,6 +16,7 @@ from lvphoton import fock_space as fs
 from lvphoton import hamiltonian as hm
 from lvphoton import interaction as ia
 from lvphoton import kappa_tensor as kt
+from lvphoton import modes as md
 
 
 @pytest.fixture(scope="module")
@@ -250,7 +251,7 @@ def test_transverse_potential_matches_kron_chains_bitwise(cutoff, kron_ladder, a
     factor = hm.transverse_space(cutoff)
     for pol in (1, 2):
         plus, minus = (
-            hm.TRANSVERSE_SLOTS.index(fs.ModeId(d, pol).slot) for d in (fs.PLUS_K, fs.MINUS_K)
+            md.TRANSVERSE_SLOTS.index(fs.ModeId(d, pol).slot) for d in (fs.PLUS_K, fs.MINUS_K)
         )
         a, b_dag = kron_ladder(factor, plus), kron_ladder(factor, minus, raising=True)
         assert_same_csr(ia.transverse_potential(factor, pol), ((a + b_dag) / np.sqrt(2)).tocsr())
@@ -301,7 +302,7 @@ def test_factor_matches_full_space_reference(dense_similarity):
     full = fs.build_space(1)
     factor = hm.transverse_space(1)
     empty = np.flatnonzero(~full.occupations[:, [0, 3, 4, 7]].any(axis=1))
-    assert np.array_equal(full.occupations[empty][:, hm.TRANSVERSE_SLOTS], factor.occupations)
+    assert np.array_equal(full.occupations[empty][:, md.TRANSVERSE_SLOTS], factor.occupations)
     rng = np.random.default_rng(74)
     for _ in range(3):
         kappas = kt.random_kappas(rng, 1e-2)

@@ -22,6 +22,7 @@ from lvphoton import hamiltonian as hm
 from lvphoton import interaction as ia
 from lvphoton import kappa_tensor as kt
 from lvphoton import lorenz as lz
+from lvphoton import modes as md
 
 SPACES = {
     "full": lambda: fs.build_space(1),
@@ -61,7 +62,7 @@ CASES = {
         lambda s: fs.number_operator(s, fs.ModeId(fs.MINUS_K, 3)),
         {"full"},
     ),
-    "held_columns": (lambda s: fs.held_columns(s, fs.ALL_MODES), {"full", "factor"}),
+    "held_columns": (lambda s: fs.held_columns(s, md.ALL_MODES), {"full", "factor"}),
     "metric_M": (fs.metric_M, {"full", "factor"}),
     "metric_diagonal": (fs.metric_diagonal, {"full", "factor"}),
     "bar_adjoint": (lambda s: fs.bar_adjoint(s, _eye(s)), {"full", "factor"}),
@@ -90,7 +91,6 @@ CASES = {
         {"full", "factor"},
     ),
     "momentum_operator": (lambda s: hm.momentum_operator(s, FRAME.khat), {"full", "factor"}),
-    "spectrum_row": (lambda s: hm.spectrum_row((s, s), FRAME, KAPPAS, "1e-2"), {"factor"}),
     "transverse_potential": (lambda s: ia.transverse_potential(s, 1), {"factor"}),
     "transformed_potentials": (lambda s: ia.transformed_potentials(s, KAPPAS, FRAME), {"factor"}),
     "first_order_potentials": (lambda s: ia.first_order_potentials(s, KAPPAS, FRAME), {"factor"}),
@@ -145,7 +145,7 @@ def block():
     """(8-mode space, factor, the 8-mode indices of the factor's states), cutoff 2."""
     full, factor = fs.build_space(2), hm.transverse_space(2)
     empty = np.flatnonzero(~full.occupations[:, [0, 3, 4, 7]].any(axis=1))
-    assert np.array_equal(full.occupations[empty][:, hm.TRANSVERSE_SLOTS], factor.occupations)
+    assert np.array_equal(full.occupations[empty][:, md.TRANSVERSE_SLOTS], factor.occupations)
     return full, factor, empty
 
 
@@ -157,12 +157,12 @@ def test_factor_operators_are_the_ghost_vacuum_block(block):
     full, factor, empty = block
     pairs = [
         (fs.annihilator(factor, mode), fs.annihilator(full, mode))
-        for mode in fs.ALL_MODES
+        for mode in md.ALL_MODES
         if mode.polarization in (1, 2)
     ]
     pairs += [
         (fs.number_operator(factor, mode), fs.number_operator(full, mode))
-        for mode in fs.ALL_MODES
+        for mode in md.ALL_MODES
         if mode.polarization in (1, 2)
     ]
     a = fs.annihilator(factor, fs.ModeId(fs.MINUS_K, 1))
@@ -205,11 +205,11 @@ def test_factor_products_are_the_ghost_vacuum_block(block):
 def test_momentum_on_the_factor_counts_minus_k_quanta_negative():
     factor = hm.transverse_space(1)
     kvec = np.array([0.0, 0.0, 1.0])
-    for mode in fs.ALL_MODES:
+    for mode in md.ALL_MODES:
         if mode.polarization not in (1, 2):
             continue
         occ = [0] * factor.modes
-        occ[hm.TRANSVERSE_SLOTS.index(mode.slot)] = 1
+        occ[md.TRANSVERSE_SLOTS.index(mode.slot)] = 1
         state = fs.vacuum_state(factor)
         state[[0, factor.index_of(occ)]] = 0.0, 1.0
         got = [fs.indefinite_inner(factor, state, p @ state) for p in hm.momentum_operator(factor, kvec)]

@@ -1,0 +1,193 @@
+"""The term table's quadratic form and the closed-form `spectrum` rows.
+
+quadratic_form is checked against commutators of sparse Fock-space
+matrices on states where truncation cannot act; the exact rows are
+checked against the Fock-factor evolution of tests/spectrum_reference.py
+at a cutoff deep enough that its truncation is below roundoff, and the
+closed-form B against scipy's dense expm.
+"""
+
+import numpy as np
+import pytest
+import scipy.linalg
+import scipy.sparse as sp
+
+from lvphoton import dispersion as dp
+from lvphoton import fock_space as fs
+from lvphoton import hamiltonian as hm
+from lvphoton import kappa_tensor as kt
+from lvphoton import modes as md
+
+import spectrum_reference  # tests/spectrum_reference.py
+
+
+def _draws(seed, count, top=2e-2):
+    """(kappas, frame) pairs: random shapes at magnitudes from 1e-4 to `top`, random directions."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        k = kt.random_kappas(rng, 1e-2)
+        k = k.scaled(10.0 ** rng.uniform(-4.0, np.log10(top)) / k.magnitude)
+        yield k, dp.polarization_frame(dp.random_directions(rng))
+
+
+def _commutators(n):
+    """[v_i, v_j] for v = (a, a-dagger) of n modes, written out."""
+    j = np.zeros((2 * n, 2 * n))
+    j[:n, n:] = np.eye(n)  # [a_i, a_j-dagger] = delta_ij
+    j[n:, :n] = -np.eye(n)
+    return j
+
+
+# ------------------------------------------------------- quadratic form
+
+
+def _commutator_gap(space, terms, form=None):
+    """max |[H, v_j] - sum_i A_ij v_i - (linear part)| over states with every occupation <= 1.
+
+    H is monomial_sum of `terms` on `space`, and A their quadratic_form
+    unless `form` is given.  A one-factor term c F adds c (f J)_j times
+    the identity to [H, v_j].  No term of mode_terms raises one mode
+    twice, so from those states neither product of a commutator leaves
+    a cutoff-3 space, and the truncated matrices act as the untruncated
+    operators there.
+    """
+    labels = space.labels
+    n = len(labels)
+    if form is None:
+        form = md.quadratic_form(terms, labels)
+    j = _commutators(n)
+    constant = np.zeros(2 * n, dtype=complex)
+    for coef, *factors in terms:
+        if len(factors) == 1:
+            constant += coef * (md.factor_vector(factors[0], labels) @ j)
+    h = fs.monomial_sum(space, terms).tocsc()
+    cols = np.flatnonzero(np.all(space.occupations <= 1, axis=1))
+    ladders = [
+        fs.monomial_sum(space, [(1.0, md.ladder(label, raising=up))]).tocsc()
+        for up in (False, True) for label in labels
+    ]
+    on_cols = [v[:, cols] for v in ladders]
+    identity = sp.identity(space.dim, dtype=complex, format="csc")[:, cols]
+    worst = 0.0
+    for col, v in enumerate(ladders):
+        gap = h @ on_cols[col] - v @ h[:, cols] - constant[col] * identity
+        gap = gap - sum(form[i, col] * on_cols[i] for i in range(2 * n) if form[i, col])
+        worst = max(worst, abs(gap).max())
+    return worst
+
+
+def _linear_terms(space):
+    """One-factor terms: a transverse potential, and on the 8-mode space a ghost mode."""
+    S, _, _, Tb = md._mode_factors()
+    terms = [(0.3, S[1] + Tb[1])]
+    if space.modes == 8:
+        terms.append((0.2j, md.dg_factors(md.PLUS_K)[0]))
+    return terms
+
+
+@pytest.fixture(scope="module")
+def commutator_spaces():
+    return {"full": fs.build_space(3), "factor": hm.transverse_space(3)}
+
+
+@pytest.mark.parametrize("magnitude", [0.0, 1e-4, 1e-2])
+@pytest.mark.parametrize("which", ["full", "factor"])
+def test_quadratic_form_matches_the_fock_commutators(commutator_spaces, which, magnitude):
+    space = commutator_spaces[which]
+    rng = np.random.default_rng(31)
+    k = kt.random_kappas(rng, 1e-2)
+    k = k.scaled(magnitude / k.magnitude)
+    frame = dp.polarization_frame(dp.random_directions(rng))
+    terms = md.mode_terms(k, frame)
+    names = [name for name in terms if name != "xi"] if which == "full" else ["h_t", "h_pm_t"]
+    h = [term for name in names for term in terms[name]]
+    assert _commutator_gap(space, h + _linear_terms(space)) <= 1e-13
+    assert _commutator_gap(space, terms["xi"]) <= 1e-13
+    if magnitude == 1e-2:
+        # one h_pm_t term with its sign flipped in A alone moves the gap by
+        # about twice its coefficient, far above the roundoff of the true terms
+        coef, left, right = terms["h_pm_t"][0]
+        flipped = [(-coef, left, right) if term is terms["h_pm_t"][0] else term for term in h]
+        assert abs(coef) > 1e-4
+        assert _commutator_gap(space, h, md.quadratic_form(flipped, space.labels)) > 1e-4
+
+
+def test_factor_vector_places_lowering_then_raising():
+    labels = md.TRANSVERSE_SLOTS
+    factor = md.ladder(5, 2.0) + md.ladder(2, -1j, raising=True)
+    vector = md.factor_vector(factor, labels)
+    want = np.zeros(8, dtype=complex)
+    want[labels.index(5)] = 2.0
+    want[4 + labels.index(2)] = -1j
+    assert np.array_equal(vector, want)
+    with pytest.raises(ValueError):
+        md.factor_vector(md.ladder(0), labels)  # a scalar mode is not transverse
+
+
+def test_raw_terms_sum_to_build_raw_and_only_build_raw_refuses_birefringence(assert_same_csr):
+    rng = np.random.default_rng(7)
+    frame = dp.polarization_frame(dp.random_directions(rng))
+    space = fs.build_space(1)
+    kf = kt.kf_from_kappas(kt.random_kappas(rng, 1e-2))
+    assert_same_csr(hm.build_raw(space, kf, frame), fs.monomial_sum(space, md.raw_terms(kf, frame)))
+    birefringent = kt.kf_from_kappas(kt.random_kappas(rng, 1e-2, birefringent=True))
+    assert len(md.raw_terms(birefringent, frame)) == len(md.raw_terms(kf, frame))
+    with pytest.raises(ValueError):
+        hm.build_raw(space, birefringent, frame)
+
+
+# ------------------------------------------------- closed-form rows
+
+
+def test_xi_form_squares_to_r_squared_and_its_exponential_is_closed_form():
+    worst_square = worst_expm = worst_symmetry = 0.0
+    for k, frame in _draws(3, 200):
+        form = md.quadratic_form(md.mode_terms(k, frame)["xi"], md.TRANSVERSE_SLOTS)
+        r2 = sum(q * q for q in dp.mixing_deltas(k, frame))
+        worst_square = max(worst_square, np.abs(form @ form - r2 * np.eye(8)).max() / r2)
+        b = md.transverse_bogoliubov(md.mode_terms(k, frame)["xi"])
+        worst_expm = max(worst_expm, np.abs(b - scipy.linalg.expm(form)).max())
+        # D is symmetric, so A_Xi and B are too: B and its transpose agree
+        worst_symmetry = max(worst_symmetry, np.abs(form - form.T).max())
+    assert worst_square <= 1e-15
+    assert worst_expm <= 1e-15
+    assert worst_symmetry == 0.0
+
+
+def test_bogoliubov_is_the_identity_at_zero_kappa():
+    terms = md.mode_terms(kt.KappaSet(), dp.polarization_frame(dp.Z_AXIS))
+    assert np.array_equal(md.transverse_bogoliubov(terms["xi"]), np.eye(8))
+
+
+@pytest.fixture(scope="module")
+def factor_6():
+    return hm.transverse_space(6)
+
+
+def test_exact_rows_match_the_factor_at_cutoff_6(factor_6):
+    worst = 0.0
+    for k, frame in _draws(11, 12):
+        got = md.spectrum_values(k, frame)
+        want = spectrum_reference.transverse_values(factor_6, frame, k)
+        worst = max(worst, max(abs(got[key] - want[key]) for key in want))
+    assert worst <= 1e-13
+
+
+def test_exact_rows_at_zero_kappa_are_the_free_values():
+    frame = dp.polarization_frame(dp.random_directions(np.random.default_rng(2)))
+    values = md.spectrum_values(kt.KappaSet(), frame)
+    assert values == {
+        "gap_plus": 1.0, "delta_plus": 0.0, "gap_residual_plus": 0.0,
+        "gap_minus": 1.0, "delta_minus": 0.0, "gap_residual_minus": 0.0,
+        "cross_before": 0.0, "cross_after": 0.0,
+    }
+
+
+def test_cutoff_2_factor_is_off_by_its_truncation():
+    # the error the exact rows remove: at cutoff 2 and scale 1e-2 the
+    # factor's gaps are off by far more than roundoff
+    k, frame = next(_draws(11, 1, top=1e-2))
+    k = k.scaled(1e-2 / k.magnitude)
+    exact = md.spectrum_values(k, frame)
+    shallow = spectrum_reference.transverse_values(hm.transverse_space(2), frame, k)
+    assert max(abs(exact[key] - shallow[key]) for key in ("gap_plus", "gap_minus")) > 1e-8
