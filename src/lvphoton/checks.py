@@ -256,15 +256,43 @@ def _diagonal_commutator(p, h):
     return np.abs(commutator).max(initial=0.0)
 
 
-def _raw_grouped_gap(space, k, frame):
-    """max |build_raw - build_grouped| for one set, from the difference's entries.
+#: Entries of the two operands that _max_difference subtracts at a time.
+_DIFFERENCE_ENTRIES = 2**16
 
-    No matrix outlives the call: abs(raw - h).max() gives the same
-    value with a second matrix of that size.
+
+def _max_difference(a, b):
+    """max |a - b| over two CSR matrices, the difference formed a row range at a time.
+
+    scipy's subtraction reserves room for the entries of both matrices,
+    so the whole difference of two Hamiltonians would set the peak
+    memory of a check; each row range holds about _DIFFERENCE_ENTRIES
+    of the operands' entries.  Each entry is the same subtraction either
+    way, so the max is that of abs(a - b).max() bit for bit (a nan among
+    the entries gives nan).
     """
+    ranges = 1 + (a.nnz + b.nnz) // _DIFFERENCE_ENTRIES
+    bounds = np.linspace(0, a.shape[0], ranges + 1).astype(int)
+
+    def rows(m, lo, hi):  # rows lo..hi-1 of m, on views of its arrays
+        start, stop = m.indptr[lo], m.indptr[hi]
+        return sp.csr_matrix(
+            (m.data[start:stop], m.indices[start:stop], m.indptr[lo : hi + 1] - start),
+            shape=(hi - lo, m.shape[1]),
+        )
+
+    return np.max(
+        [
+            np.abs((rows(a, lo, hi) - rows(b, lo, hi)).data).max(initial=0.0)
+            for lo, hi in zip(bounds[:-1], bounds[1:])
+        ],
+        initial=0.0,
+    )
+
+
+def _raw_grouped_gap(space, k, frame):
+    """max |build_raw - build_grouped| for one set; no matrix outlives the call."""
     h = hm.build_grouped(space, k, frame)
-    difference = hm.build_raw(space, kt.kf_from_kappas(k), frame) - h
-    return np.abs(difference.data).max(initial=0.0)
+    return _max_difference(hm.build_raw(space, kt.kf_from_kappas(k), frame), h)
 
 
 def _bar_self_adjoint_defect(space, k, frame):
@@ -277,9 +305,9 @@ def _bar_self_adjoint_defect(space, k, frame):
     worst = 0.0
     for terms in blocks.values():
         block = fs.monomial_sum(space, terms)
-        worst = max(worst, abs(fs.bar_adjoint(space, block) - block).max())
+        worst = max(worst, _max_difference(fs.bar_adjoint(space, block), block))
     h = hm.build_grouped(space, k, frame)
-    return max(worst, abs(fs.bar_adjoint(space, h) - h).max())
+    return max(worst, _max_difference(fs.bar_adjoint(space, h), h))
 
 
 def _hamiltonian_checks(rng, config):

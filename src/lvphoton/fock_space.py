@@ -11,6 +11,10 @@ meet.  Every ladder operator, every fixed combination of them (the d/g
 ghost modes) and every sum of products of two is written by one
 function, monomial_sum, from the ladder factors of the modes module
 (modes.ladder, modes.dg_factors), whose mode labels this module uses.
+What monomial_sum finds that depends on the space alone (each
+monomial's columns and entries, and the CSR layouts of the last two
+term lists) is kept on the FockSpace object, so it is reused by the
+next sum on the same space and dies with the space.
 
 Each occupation column carries a mode label, and FockSpace.position is
 the one map from a label to its column.  The 8-mode space is labeled by
@@ -20,13 +24,14 @@ space labels of its own (no diagonal metric).  Basis index is
 lexicographic, the first column most significant.
 
 propagate applies exp(-i t b) of a sparse operator b to dense columns,
-and propagate_blocks applies it to sparse columns one coupled block of b
+in real arithmetic when b and the columns are real, and
+propagate_blocks applies it to sparse columns one coupled block of b
 at a time; the leakage blocks of H and the states under exp(-Xi) both
 evolve through propagate_blocks.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -47,6 +52,10 @@ class FockSpace:
     dim: int
     occupations: np.ndarray  # dim x modes int array, row = occupation tuple
     labels: tuple  # the mode of each occupation column
+    # monomial_sum's arrays that depend on the space alone: each monomial's
+    # columns and coded entries, and the last _LAYOUTS CSR layouts
+    _bands: dict = field(default_factory=dict, init=False, repr=False)
+    _layouts: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def modes(self):
@@ -69,6 +78,10 @@ class FockSpace:
         for n in occ:
             idx = idx * self.base + int(n)
         return idx
+
+
+#: Number of term lists whose CSR layout monomial_sum keeps on a space.
+_LAYOUTS = 2
 
 
 def _occupation_space(cutoff, labels):
@@ -134,8 +147,94 @@ def monomial_sum(space, terms):
     monomials are summed first, then the terms that share a coefficient,
     and the coefficient is applied last, as c (X Y + Z W) is evaluated
     by sparse products; so entries that cancel exactly there cancel
-    here, and exact zeros are dropped.  Only one shift's entries are
-    held densely at a time.
+    here, and exact zeros are dropped.
+
+    What depends on the space alone is kept on the space, and dies with
+    it.  For each monomial built on it, its nonzero columns (int32) and
+    its entries there, as codes into its few distinct values (one byte
+    each up to cutoff 15): at most 160 monomials on the 8-mode space,
+    and H's 60 take 0.9 MB at cutoff 2 and 12 MB at cutoff 3.  For the
+    last _LAYOUTS term lists, the CSR layout, keyed by each shift's
+    monomials, which fix the columns where the shift can be nonzero:
+    indptr, indices (int32) and each entry's code (uint16 for H); H's
+    takes 1.0 MB at cutoff 2 and 12 MB at cutoff 3.  A shift with one
+    monomial is summed on that monomial's values, and its entries are
+    read off them by their codes; a shift with several is summed
+    densely and read on its columns.  Entries that come out zero are
+    dropped at the end.  The result never shares an array with the
+    cache.
+    """
+    by_shift = _shifted_paths(space, terms)
+    if not by_shift:
+        return sp.csr_matrix((space.dim, space.dim), dtype=complex)
+    # a shift's monomials fix the columns where it can be nonzero;
+    # descending shifts put each row's columns in ascending order
+    key = tuple(
+        (shift, tuple(sorted({m for g in by_shift[shift].values() for t in g for _, m in t})))
+        for shift in sorted(by_shift, reverse=True)
+    )
+    for _, monomials in key:
+        for monomial in monomials:
+            if monomial not in space._bands:
+                levels, codes = _monomial_levels(space, monomial)
+                col = np.flatnonzero(levels[codes]).astype(np.int32)
+                code_type = np.min_scalar_type(levels.size - 1)
+                space._bands[monomial] = (col, levels, codes[col].astype(code_type))
+    layout = space._layouts.pop(key, None)
+    if layout is None:
+        layout = _csr_layout(space, key)
+    space._layouts[key] = layout  # the most recently used last
+    while len(space._layouts) > _LAYOUTS:
+        del space._layouts[next(iter(space._layouts))]
+    indptr, indices, codes, offsets, dense = layout
+
+    def dense_entries(monomial):  # the monomial's entry in every column
+        held, levels, codes = space._bands[monomial]
+        entries = np.zeros(space.dim)
+        entries[held] = levels[codes]
+        return entries
+
+    values = np.zeros(offsets[-1], dtype=complex)  # by code
+    for (shift, monomials), start, stop in zip(key, offsets[:-1], offsets[1:]):
+        if len(monomials) == 1:
+            levels = space._bands[monomials[0]][1]
+            values[start:stop] = _shift_sum(by_shift[shift], lambda _: levels)
+    data = values.take(codes)
+    for shift, slots, cols in dense:
+        data[slots] = _shift_sum(by_shift[shift], dense_entries)[cols]
+    out = sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=(space.dim, space.dim))
+    if not np.all(data):  # entries that cancel exactly, or products below float64
+        out.eliminate_zeros()
+    return out
+
+
+def _shift_sum(groups, entries):
+    """One shift's sum over {coefficient: [[(weight, monomial)] per term]}.
+
+    entries(monomial) gives the monomial's entries, all on the same
+    columns.  A term's monomials are summed first, then the terms that
+    share a coefficient, and the coefficient is applied last, each sum
+    starting from zero, so each entry is the one the sparse products
+    c (X Y + Z W) give.
+    """
+    total = 0.0
+    for coef, group in groups.items():
+        shared = 0.0  # the terms' products, before their common coefficient
+        for paths in group:
+            product = 0.0
+            for weight, monomial in paths:
+                product = product + weight * entries(monomial)
+            shared = shared + product
+        total = total + coef * shared
+    return total
+
+
+def _shifted_paths(space, terms):
+    """monomial_sum's terms as {shift: {coefficient: [[(weight, monomial)] per term]}}.
+
+    A monomial is a tuple of (column, raising) pairs, the right operator
+    last; zero weights and terms whose summed coefficient is zero are
+    dropped.
     """
     products = {}  # expanded product -> summed coefficient
     for coef, *factors in terms:
@@ -156,7 +255,7 @@ def monomial_sum(space, terms):
         product = tuple(sorted(item for item in paths.items() if item[1] != 0))
         products[product] = products.get(product, 0.0) + coef
     strides = space.base ** np.arange(space.modes - 1, -1, -1)
-    by_shift = {}  # shift -> coefficient -> [[(weight, monomial)] per term]
+    by_shift = {}
     for product, coef in products.items():
         if coef == 0:
             continue
@@ -166,7 +265,19 @@ def monomial_sum(space, terms):
             groups.setdefault(shift, []).append((weight, monomial))
         for shift, paths in groups.items():
             by_shift.setdefault(shift, {}).setdefault(coef, []).append(paths)
+    return by_shift
 
+
+def _monomial_levels(space, monomial):
+    """(levels, codes): a monomial's entry in basis state i is levels[codes[i]].
+
+    An operator's sqrt entry depends on its column's occupation alone,
+    so a product of two on different columns is a table over both
+    occupations (code n_left * base + n_right), and a same-column pair
+    one over the occupation the right operator finds: the left one sees
+    the occupation it left.  Each entry is one sqrt, or the product of
+    two, 0 where the monomial leaves the truncated space.
+    """
     n = np.arange(space.base)
     roots = np.sqrt(np.arange(space.base + 2))
 
@@ -174,59 +285,54 @@ def monomial_sum(space, terms):
         level = occupation + raising  # n for a lowering, n + 1 for a raising
         return np.where((level > 0) & (level <= space.cutoff), roots[level], 0.0)
 
-    def spread(slot, values):  # values[n_slot] on every basis state
-        stride = space.base ** (space.modes - 1 - slot)
-        return np.tile(np.repeat(values, stride), space.dim // (stride * space.base))
+    occupations = space.occupations
+    (slot, raising), *rest = monomial
+    if not rest:
+        return table(raising, n), occupations[:, slot]
+    ((other, raising_right),) = rest
+    if other == slot:
+        step = 1 if raising_right else -1
+        return table(raising, n + step) * table(raising_right, n), occupations[:, slot]
+    levels = np.multiply.outer(table(raising, n), table(raising_right, n)).ravel()
+    return levels, occupations[:, slot] * space.base + occupations[:, other]
 
-    single = {}  # the entry of each (slot, raising) in every column
 
-    def entries(monomial):  # the monomial's entry in every column
-        if len(monomial) == 2 and monomial[0][0] == monomial[1][0]:
-            # the left operator sees the occupation the right one left
-            (slot, raise_l), (_, raise_r) = monomial
-            step = 1 if raise_r else -1
-            return spread(slot, table(raise_l, n + step) * table(raise_r, n))
-        for slot, raising in monomial:
-            if (slot, raising) not in single:
-                single[slot, raising] = spread(slot, table(raising, n))
-        if len(monomial) == 1:
-            return single[monomial[0]]
-        return single[monomial[0]] * single[monomial[1]]
+def _csr_layout(space, key):
+    """(indptr, indices, codes, offsets, dense): the CSR layout of the shifts in `key`.
 
-    rows, cols, values = [], [], []
-    band = np.zeros(space.dim, dtype=complex)  # one shift's entries, by column
-    # Descending shifts put each row's columns in ascending order below.
-    for shift in sorted(by_shift, reverse=True):
-        for coef, terms in by_shift[shift].items():
-            shared = 0.0  # the terms' products, before their common coefficient
-            for paths in terms:
-                product = 0.0
-                for weight, monomial in paths:
-                    product = product + weight * entries(monomial)
-                shared = shared + product
-            band += coef * shared
-        col = np.flatnonzero(band != 0)
-        values.append(band[col])
-        band[...] = 0.0
-        rows.append(col + shift)
+    Shift i's entries lie on the union of its monomials' columns in
+    space._bands, in rows col + shift.  A shift with one monomial owns
+    the codes offsets[i] .. offsets[i + 1] - 1, one per value of the
+    monomial, and each of its entries carries the code of its value.
+    The j-th shift with several monomials owns no code; its entries
+    carry code j, and dense[j] is (shift, their data positions, their
+    columns).  The layout is that of a CSR matrix of the codes, which
+    puts each row's columns in ascending order.
+    """
+    several = [i for i, (_, monomials) in enumerate(key) if len(monomials) > 1]
+    offsets = [len(several)]
+    for _, monomials in key:
+        owned = space._bands[monomials[0]][1].size if len(monomials) == 1 else 0
+        offsets.append(offsets[-1] + owned)
+    code_type = np.min_scalar_type(offsets[-1] - 1)
+    cols, entry_codes = [], []
+    for i, (_, monomials) in enumerate(key):
+        if len(monomials) == 1:
+            col, _, codes = space._bands[monomials[0]]
+            entry_codes.append(codes.astype(code_type) + offsets[i])
+        else:
+            held = np.zeros(space.dim, dtype=bool)
+            for monomial in monomials:
+                held[space._bands[monomial][0]] = True
+            col = np.flatnonzero(held).astype(np.int32)
+            entry_codes.append(np.full(col.size, several.index(i), dtype=code_type))
         cols.append(col)
-    # Each band holds a row at most once, so its entries drop straight into
-    # the next free slot of their rows; bands in order keep every row's
-    # columns ascending, and no sort is needed.
-    counts = np.zeros(space.dim, dtype=np.int64)
-    for band_rows in rows:
-        counts[band_rows] += 1
-    indptr = np.zeros(space.dim + 1, dtype=np.int32)
-    indptr[1:] = np.cumsum(counts)
-    data = np.empty(indptr[-1], dtype=complex)
-    indices = np.empty(indptr[-1], dtype=np.int32)
-    free = indptr[:-1].astype(np.int64)
-    for band_rows, band_cols, band_values in zip(rows, cols, values):
-        slots = free[band_rows]
-        data[slots] = band_values
-        indices[slots] = band_cols
-        free[band_rows] += 1
-    return sp.csr_matrix((data, indices, indptr), shape=(space.dim, space.dim))
+    rows = np.concatenate([col + int(shift) for col, (shift, _) in zip(cols, key)])
+    laid = sp.csr_matrix(
+        (np.concatenate(entry_codes), (rows, np.concatenate(cols))), shape=(space.dim, space.dim)
+    )
+    dense = [(key[i][0], np.flatnonzero(laid.data == j), cols[i]) for j, i in enumerate(several)]
+    return laid.indptr, laid.indices, laid.data, offsets, dense
 
 
 def number_operator(space, mode):
@@ -391,12 +497,19 @@ def propagate(b, columns, t):
     is below 2**-53.  A block dominated by its diagonal takes about one
     product per unit of t r, against about five for a Taylor series.
 
-    The products run in real arithmetic: the columns' float64 view
-    (real and imaginary parts interleaved) is multiplied by the real
-    part of 2 b~ as a real CSR matrix, and the imaginary part is applied
-    the same way only when it has nonzeros.  Bounds and parts come from
-    a canonical copy of b, so b is never modified and an unsorted b
-    gives the same bits.  A diagonal b (r = 0) and t = 0 are exact.
+    When b and the columns are both real (H is real in the occupation
+    basis, and the leakage and unitarity checks evolve basis columns),
+    the recurrence runs on float64 columns: every term T_k(b~) x is
+    real, and it is added to the real part of the sum when its
+    coefficient has a real part (even k) and to the imaginary part when
+    it has an imaginary part (odd k).  Otherwise the columns' float64
+    view (real and imaginary parts interleaved) is multiplied by the
+    real part of 2 b~ as a real CSR matrix, and the imaginary part is
+    applied the same way only when it has nonzeros.  Either way the
+    nonzeros are those of the complex recurrence bit for bit.  Bounds
+    and parts come from a canonical copy of b, so b is never modified
+    and an unsorted b gives the same bits.  A diagonal b (r = 0) and
+    t = 0 are exact.
     """
     b = sp.csr_matrix(b, dtype=complex, copy=True)
     b.sum_duplicates()
@@ -426,24 +539,47 @@ def propagate(b, columns, t):
     real.eliminate_zeros()
     imag.eliminate_zeros()
 
-    def times_twice(x):  # 2 b~ x, each part on the float64 view of x
-        view = x.view(np.float64)
-        out = (real @ view).view(complex) if real.nnz else np.zeros_like(x)
-        if imag.nnz:
-            out += 1j * (imag @ view).view(complex)
-        return out
+    if imag.nnz or np.any(prev.imag):
 
-    total = coefs[0] * prev
-    if coefs.size > 1:
-        cur = 0.5 * times_twice(prev)
-        total += coefs[1] * cur
-        for coef in coefs[2:]:
-            nxt = times_twice(cur)
-            nxt -= prev
-            total += coef * nxt
-            prev, cur = cur, nxt
+        def times_twice(x):  # 2 b~ x, each part on the float64 view of x
+            view = x.view(np.float64)
+            out = (real @ view).view(complex) if real.nnz else np.zeros_like(x)
+            if imag.nnz:
+                out += 1j * (imag @ view).view(complex)
+            return out
+
+        total = np.zeros_like(prev)
+        for coef, term in zip(coefs, _chebyshev_terms(times_twice, prev, coefs.size)):
+            total += coef * term
+    else:
+        parts = np.zeros((2,) + prev.shape)  # the real and imaginary parts of the sum
+        terms = _chebyshev_terms(real.__matmul__, prev.real.copy(), coefs.size)
+        for coef, term in zip(coefs, terms):
+            for part, weight in zip(parts, (coef.real, coef.imag)):
+                if weight:
+                    part += weight * term
+        total = np.empty_like(prev)
+        total.real, total.imag = parts
     total *= np.exp(-1j * t * c)
     return total
+
+
+def _chebyshev_terms(times_twice, first, count):
+    """T_k(b~) first for k < count, from times_twice(x) = 2 b~ x.
+
+    The recurrence v_{k+1} = 2 b~ v_k - v_{k-1} starts from v_0 = first
+    and v_1 = b~ first; each term is a new array.
+    """
+    prev = first
+    yield prev
+    if count > 1:
+        cur = 0.5 * times_twice(prev)
+        yield cur
+        for _ in range(count - 2):
+            nxt = times_twice(cur)
+            nxt -= prev
+            yield nxt
+            prev, cur = cur, nxt
 
 
 def propagate_blocks(b, columns, t):

@@ -8,6 +8,9 @@ chains of sparse ladder matrices they replaced are kept below as the
 reference for the assembler.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -21,6 +24,7 @@ from lvphoton import lorenz as lz
 from lvphoton import modes as md
 
 import bilinear_reference  # tests/bilinear_reference.py
+import monomial_reference  # tests/monomial_reference.py
 
 
 @pytest.fixture(scope="module")
@@ -339,6 +343,123 @@ def test_monomial_sum_merges_and_cancels():
     assert abs(merged - single).max() == 0.0
     assert fs.monomial_sum(space, [(1.0, x, y), (-1.0, y, x)]).nnz == 0
     assert fs.monomial_sum(space, []).shape == (space.dim, space.dim)
+
+
+# ------------------------------------ monomial_sum against its reference
+
+
+def _assert_same_bits(got, want):
+    """Same dtypes and CSR arrays; data compared as uint64, signed zeros too."""
+    assert got.shape == want.shape and got.dtype == want.dtype == np.complex128
+    for name in ("indptr", "indices"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert np.array_equal(got.data.view(np.uint64), want.data.view(np.uint64))
+
+
+@pytest.fixture
+def checked_sums(monkeypatch):
+    """Route fs.monomial_sum through a check against the reference.
+
+    Every call, from any builder, is compared bit for bit with
+    monomial_reference.monomial_sum on the same space, and with
+    monomial_sum on a fresh space of the same modes and cutoff; the
+    returned list counts the calls.
+    """
+    calls = []
+    kept = fs.monomial_sum
+
+    def checked(space, terms):
+        got = kept(space, terms)
+        want = monomial_reference.monomial_sum(space, terms)
+        _assert_same_bits(got, want)
+        _assert_same_bits(kept(fs._occupation_space(space.cutoff, space.labels), terms), want)
+        calls.append(space)
+        return got
+
+    monkeypatch.setattr(fs, "monomial_sum", checked)
+    return calls
+
+
+@pytest.mark.parametrize("cutoff", [1, 2])
+def test_monomial_sum_matches_its_reference_bit_for_bit(cutoff, checked_sums):
+    # each builder at two parameter sets in a row: the first call on the
+    # space fills its columns and layout, the second reads them back
+    space = fs.build_space(cutoff)
+    factor = hm.transverse_space(cutoff)
+    ghost = lz.ghost_space(cutoff + 1)
+    rng = np.random.default_rng(150 + cutoff)
+    sets = [
+        (kt.random_kappas(rng, 1e-2), dp.polarization_frame(dp.random_directions(rng)))
+        for _ in range(2)
+    ]
+    builders = [
+        lambda k, frame: hm.build_grouped(space, k, frame),
+        lambda k, frame: hm.build_raw(space, kt.kf_from_kappas(k), frame),
+        lambda k, frame: hm.xi_generators(space, k, frame),
+        lambda k, frame: hm.build_grouped(space, kt.KappaSet(), frame),
+        lambda k, frame: hm.build_transverse(factor, k, frame),
+    ]
+    builders += [
+        lambda k, frame, name=name: fs.monomial_sum(space, md.mode_terms(k, frame)[name])
+        for name in BLOCK_NAMES
+    ]
+    for build in builders:
+        for k, frame in sets:
+            build(k, frame)
+    for _ in sets:
+        for mode in md.ALL_MODES:
+            fs.annihilator(space, mode)
+        for direction in (fs.PLUS_K, fs.MINUS_K):
+            fs.dg_operators(space, direction)
+    for coupling, lam1, lam2 in rng.normal(size=(2, 3)):
+        lz.ghost_lslv(ghost, coupling)
+        lz.ghost_pm_tls(ghost, lam1, lam2)
+    assert len(checked_sums) == 2 * (4 + 2 + len(BLOCK_NAMES) + 8 + 4 + 2)
+    assert fs._LAYOUTS >= len(space._layouts) > 0
+
+
+def test_monomial_sum_follows_cancellations_after_a_kept_layout(checked_sums):
+    # the same monomials on every shift, so one layout serves every
+    # list; -1.0 cancels the a1 b shift (one monomial, two coefficients)
+    # and the number-operator difference cancels on the diagonal (two
+    # monomials) wherever n1 = n2
+    space = fs.build_space(2)
+    a1, a2, b = fs.ladder(1), fs.ladder(2), fs.ladder(5, raising=True)
+    n1 = (fs.ladder(1, raising=True), fs.ladder(1))
+    n2 = (fs.ladder(2, raising=True), fs.ladder(2))
+    sizes = []
+    for second in (0.5, -1.0, 0.5, -1.0):
+        terms = [(1.0, a1 + a2, b), (second, a1, b), (1.0, *n1), (-2.0 * second, *n2)]
+        sizes.append(fs.monomial_sum(space, terms).nnz)
+    assert len(space._layouts) == 1
+    assert sizes[0] == sizes[2] > sizes[1] == sizes[3]
+
+
+def test_monomial_sum_keeps_few_layouts_and_shares_no_array():
+    space = fs.build_space(1)
+    for slot in range(8):
+        first = fs.monomial_sum(space, [(1.0, fs.ladder(slot))])
+        assert len(space._layouts) <= fs._LAYOUTS == 2
+    want = monomial_reference.monomial_sum(space, [(1.0, fs.ladder(7))])
+    first.indices[:] = 0
+    first.indptr[:] = 0
+    first.data[:] = 0.0
+    _assert_same_bits(fs.monomial_sum(space, [(1.0, fs.ladder(7))]), want)
+
+
+def test_monomial_sum_cache_dies_with_its_space():
+    space = fs.build_space(2)
+    k = kt.random_kappas(np.random.default_rng(151), 1e-2)
+    h = hm.build_grouped(space, k, dp.polarization_frame(np.array([0.0, 0.0, 1.0])))
+    arrays = [cols for cols, _, _ in space._bands.values()]
+    arrays += [array for layout in space._layouts.values() for array in layout[:3]]
+    assert len(arrays) > 60
+    refs = [weakref.ref(space)] + [weakref.ref(array) for array in arrays]
+    del space, arrays
+    gc.collect()
+    assert all(ref() is None for ref in refs)
+    assert h.nnz == 158192
 
 
 def test_zero_kappa_blocks(space):

@@ -26,6 +26,8 @@ from lvphoton import hamiltonian as hm
 from lvphoton import kappa_tensor as kt
 from lvphoton import lorenz as lz
 
+import propagate_reference  # tests/propagate_reference.py
+
 
 @pytest.fixture(scope="module")
 def space():
@@ -625,7 +627,77 @@ def test_propagator_at_cutoff_three(frame):
     h = hm.build_grouped(space3, k, frame)
     block, columns = min(_a_blocks(space3, h), key=lambda pair: pair[0].shape[0])
     assert block.shape[0] == 1428
-    _check_propagator(block, columns, 10.0)
+    got = _check_propagator(block, columns, 10.0)
+    assert np.array_equal(got, propagate_reference.propagate(block, columns, 10.0))
+
+
+# ------------------------------ real-arithmetic propagator vs its reference
+#
+# np.array_equal holds two entries equal only when their bits agree, up
+# to the sign of a zero, so each test below pins every nonzero of the
+# evolved columns to the complex recurrence bit for bit.
+
+
+@pytest.mark.parametrize("t", [10.0, -2.0])
+def test_real_blocks_evolve_like_the_complex_recurrence(space, frame, t):
+    k = kt.random_kappas(np.random.default_rng(3), 1e-2)
+    blocks = list(_a_blocks(space, hm.build_grouped(space, k, frame)))
+    assert len(blocks) == 9
+    for block, columns in blocks:
+        assert not np.any(block.data.imag) and not np.any(columns.imag)
+        got = fs.propagate(block, columns, t)
+        assert got.dtype == np.complex128
+        assert np.array_equal(got, propagate_reference.propagate(block, columns, t))
+
+
+def test_identity_evolution_of_metric_unitarity_is_unchanged(frame):
+    # the cutoff-1 evolution of every identity column in verify
+    small = fs.build_space(1)
+    h = hm.build_grouped(small, kt.random_kappas(np.random.default_rng(5), 1e-2), frame)
+    identity = sp.identity(small.dim, dtype=complex, format="csc")
+    evolved = 0
+    for rows, ids, got in fs.propagate_blocks(h, identity, 10.0):
+        want = propagate_reference.propagate(
+            h[rows][:, rows], identity[rows][:, ids].toarray(), 10.0
+        )
+        assert np.array_equal(got, want)
+        evolved += ids.size
+    assert evolved == small.dim
+
+
+@pytest.mark.parametrize("inject", [False, True], ids=["complex-columns", "complex-h"])
+def test_complex_inputs_evolve_like_the_complex_recurrence(space, frame, inject):
+    k = kt.random_kappas(np.random.default_rng(3), 1e-2)
+    h = hm.build_grouped(space, k, frame)
+    if inject:
+        h = checks._inject_c_defect(space, h)
+    for block, columns in _a_blocks(space, h):
+        if not inject:
+            phases = np.exp(1j * np.arange(columns.shape[1]))
+            columns = columns * phases + 0.5j * np.roll(columns, 1, axis=0)
+        for t in (10.0, -2.0):
+            got = fs.propagate(block, columns, t)
+            assert np.array_equal(got, propagate_reference.propagate(block, columns, t))
+
+
+def test_real_inputs_run_on_float64_columns(monkeypatch, space, frame):
+    # the recurrence sees float64 columns exactly when H and the
+    # columns are real, and complex ones otherwise
+    seen = []
+    terms = fs._chebyshev_terms
+
+    def recorded(times_twice, first, count):
+        seen.append(first.dtype)
+        return terms(times_twice, first, count)
+
+    monkeypatch.setattr(fs, "_chebyshev_terms", recorded)
+    k = kt.random_kappas(np.random.default_rng(3), 1e-2)
+    h = hm.build_grouped(space, k, frame)
+    block, columns = _a_block(space, h)
+    fs.propagate(block, columns, 10.0)
+    fs.propagate(block, 1j * columns, 10.0)
+    fs.propagate(block * (1 + 1e-3j), columns, 10.0)
+    assert seen == [np.float64, np.complex128, np.complex128]
 
 
 def test_evolution_stays_weak_lorenz(space, frame):
