@@ -29,10 +29,8 @@ randomness is drawn from --seed, so reports are deterministic.
 
 import argparse
 import csv
-import functools
 import io
 import json
-import operator
 import sys
 from dataclasses import dataclass, field, replace
 
@@ -233,45 +231,31 @@ def _scalar(value):
     raise TypeError(f"cannot serialize {type(value).__name__} in a report")
 
 
-_SCALAR_TYPES = (type(None), bool, int, float, str, np.generic)
+class Columns:
+    """Report rows held as columns: row i reads as {name: column[i]}.
 
-
-@functools.lru_cache(maxsize=256)
-def _dict_template(indent, keys, types):
-    """%-template of a dict of scalars with these keys and value types.
-
-    Returns (text, values, floats), or None when a value is not a
-    scalar, so the dict is rendered item by item.  None slots are a
-    literal null in text; values gets the other slots' values as a
-    tuple, and floats marks which of them are floats: their slots are
-    %.17g, and every other slot takes _scalar's text.
+    columns maps each name, in report order, to a float array with one
+    entry per row, or to None for a column that is null in every row.
+    Indexing and iteration give row dicts, as a list of rows would;
+    render_json and render_csv fill one row template with every value.
     """
-    if not all(issubclass(kind, _SCALAR_TYPES) for kind in types):
-        return None
-    pad = " " * indent
-    items, slots, floats = [], [], []
-    for key, kind in zip(keys, types):
-        is_float = issubclass(kind, (float, np.floating))
-        slot = "null" if kind is type(None) else "%.17g" if is_float else "%s"
-        items.append(f"{pad}  {json.dumps(str(key))}: ".replace("%", "%%") + slot)
-        if kind is not type(None):
-            slots.append(key)
-            floats.append(is_float)
-    if len(slots) > 1:
-        values = operator.itemgetter(*slots)
-    else:  # an itemgetter of one key returns the bare value, of none fails
-        def values(row):
-            return tuple(row[key] for key in slots)
-    return "{\n" + ",\n".join(items) + "\n" + pad + "}", values, tuple(floats)
 
+    def __init__(self, columns, length):
+        self.columns, self.length = dict(columns), length
 
-def _render_dict(template, value):
-    text, values, floats = template
-    if all(floats):
-        return text % values(value)
-    return text % tuple(
-        v if is_float else _scalar(v) for v, is_float in zip(values(value), floats)
-    )
+    def __len__(self):
+        return self.length
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(self.length))]
+        index = range(self.length)[index]  # IndexError past either end
+        return {k: None if c is None else float(c[index]) for k, c in self.columns.items()}
+
+    def values(self):
+        """Every non-null value as a float, row after row, in one flat tuple."""
+        floats = [c for c in self.columns.values() if c is not None]
+        return tuple(np.column_stack(floats).ravel().tolist()) if floats else ()
 
 
 def render_json(value, indent=0):
@@ -279,25 +263,31 @@ def render_json(value, indent=0):
 
     The stdlib encoder prints shortest-roundtrip floats and offers no
     hook to change that, so this walks the structure itself.  Lists of
-    scalars stay on one line; insertion order of dicts is preserved.  A
-    dict of scalars (a report row) is one %-format of a template cached
-    per indent, keys and value types, and a list of dicts that all have
-    the first one's keys, in its order, and its value types fills that
-    one template row after row, so a long list of rows renders its keys
-    once.
+    scalars stay on one line; insertion order of dicts is preserved.
+    Columns render as a list of row objects: one %-format of their row
+    template, repeated once per row, takes all of their values.
     """
     pad = " " * indent
     if isinstance(value, dict):
         if not value:
             return "{}"
-        template = _dict_template(indent, tuple(value), tuple(map(type, value.values())))
-        if template is not None:
-            return _render_dict(template, value)
         items = [
             f'{pad}  {json.dumps(str(k))}: {render_json(v, indent + 2)}'
             for k, v in value.items()
         ]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if isinstance(value, Columns):
+        if not value:
+            return "[]"
+        inner = pad + "  "
+        items = [
+            f"{inner}  {json.dumps(str(k))}: ".replace("%", "%%")
+            + ("null" if c is None else "%.17g")
+            for k, c in value.columns.items()
+        ]
+        row = "{\n" + ",\n".join(items) + "\n" + inner + "}"
+        rows = (",\n" + inner).join([row] * len(value)) % value.values()
+        return "[\n" + inner + rows + "\n" + pad + "]"
     if isinstance(value, np.ndarray):
         value = value.tolist()
     if isinstance(value, (list, tuple)):
@@ -305,25 +295,19 @@ def render_json(value, indent=0):
             return "[]"
         if all(not isinstance(v, (dict, list, tuple, np.ndarray)) for v in value):
             return "[" + ", ".join(_scalar(v) for v in value) + "]"
-        first, template = value[0], None
-        if type(first) is dict and first:
-            keys, types = tuple(first), tuple(map(type, first.values()))
-            template = _dict_template(indent + 2, keys, types)
-        if template is not None and all(
-            type(row) is dict and tuple(row) == keys and tuple(map(type, row.values())) == types
-            for row in value
-        ):
-            items = (_render_dict(template, row) for row in value)
-        else:
-            items = (render_json(v, indent + 2) for v in value)
-        return "[\n" + ",\n".join(f"{pad}  {item}" for item in items) + "\n" + pad + "]"
+        items = [f"{pad}  {render_json(v, indent + 2)}" for v in value]
+        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
     return _scalar(value)
 
 
 def render_csv(rows):
-    """CSV text for a list of flat row dicts, floats at 17 digits."""
+    """CSV text for a list of flat row dicts or for Columns, floats at 17 digits."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
+    if isinstance(rows, Columns):
+        writer.writerow(rows.columns)
+        line = ",".join("" if c is None else "%.17g" for c in rows.columns.values()) + "\n"
+        return buf.getvalue() + "".join([line] * len(rows)) % rows.values()
     header = list(rows[0].keys())
     writer.writerow(header)
     for row in rows:
@@ -407,7 +391,7 @@ def cmd_dispersion(config, grid=0, seed=0):
     accepts birefringent parameter sets, where delta is reported as null
     and the two roots split by 2 sigma |k|.  The tensor is built once,
     every direction goes through one batched call per solver, and the
-    rows are cut from the resulting columns.  A parameter set whose
+    report holds the resulting columns as Columns.  A parameter set whose
     roots the solver cannot bracket is refused like any other config
     outside the supported range.
     """
@@ -419,14 +403,13 @@ def cmd_dispersion(config, grid=0, seed=0):
         roots = dp.ampere_roots(kf, directions)
     except RuntimeError as exc:
         raise ValueError(str(exc)) from exc
-    delta = [None] * len(directions) if shifts.delta is None else shifts.delta.tolist()
     closed = np.column_stack((shifts.omega_minus, shifts.omega_plus))
-    numeric = (shifts.rho, shifts.sigma, *closed.T, *roots.T, *np.abs(roots - closed).T)
-    columns = [*directions.T.tolist(), delta, *(column.tolist() for column in numeric)]
-    return {
-        "command": "dispersion",
-        "rows": [dict(zip(_DISPERSION_COLUMNS, row)) for row in zip(*columns)],
-    }
+    columns = (
+        *directions.T, shifts.delta, shifts.rho, shifts.sigma,
+        *closed.T, *roots.T, *np.abs(roots - closed).T,
+    )
+    rows = Columns(zip(_DISPERSION_COLUMNS, columns), len(directions))
+    return {"command": "dispersion", "rows": rows}
 
 
 # ---------------------------------------------------------------------------

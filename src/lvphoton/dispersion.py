@@ -42,29 +42,52 @@ Z_AXIS.setflags(write=False)
 #: Relative roundoff allowance on sigma^2, in units of |ktilde|^2.
 SIGMA_SQ_RTOL = 1e-12
 
+#: METRIC^aa METRIC^bb, the sign that lowering both indices of
+#: ktilde^{ab} gives its entry 4 a + b.
+_METRIC_SIGNS = np.outer(np.diag(METRIC), np.diag(METRIC)).ravel()
+
 #: Largest half-width the root bracket's bound certifies: up to
 #: 1 - 1/sqrt(2) from x = 1 the transverse singular value |1 - x^2| of
 #: the isotropic Ampere matrix stays below its longitudinal one |x|^2.
 _CERTIFIED_RADIUS = 1.0 - np.sqrt(0.5)
 
-#: Largest imaginary part, in units of |k|, that a transverse root may
-#: keep from roundoff.  Under a backward error of eps a double eigenvalue
-#: moves by about eps when it is semisimple, as the transverse pair is,
-#: and by up to sqrt(eps) when it is defective, as the companion matrix's
-#: longitudinal root at omega = 0 is (its imaginary parts reach ~2e-8).
-#: sqrt(eps) admits roundoff of either kind; the residual check judges
-#: the rest.
+#: Roundoff allowance of a computed root, in units of |k|: the largest
+#: imaginary part that a companion root may keep, and the slack by which
+#: a root of either path may lie beyond its bound r-.  Under a backward
+#: error of eps a double eigenvalue moves by about eps when it is
+#: semisimple, as the transverse pair is, and by up to sqrt(eps) when it
+#: is defective, as the companion matrix's longitudinal root at omega = 0
+#: is (its imaginary parts reach ~2e-8).  sqrt(eps) admits roundoff of
+#: either kind; the residual check judges the rest.
 _ROOT_IMAG_TOL = float(np.sqrt(np.finfo(float).eps))
 
 #: Relative splitting below which the two roots count as one double
 #: root: both polarizations then come from one eigh, as an orthonormal
-#: basis of its null space.  It sits above the companion solver's root
-#: error (~3e-14) and keeps the second vector's residual, about twice
-#: the splitting times |k|^2, well inside the 1e-10 |k|^2 check.
+#: basis of its null space.  It sits above the root error of the
+#: companion fallback (~3e-14; the Newton roots agree with the
+#: companion's to ~5e-15) and keeps the second vector's residual, about
+#: twice the splitting times |k|^2, well inside the 1e-10 |k|^2 check.
 _DEGENERATE_RTOL = 1e-12
 
 #: Residual tolerance of an Ampere solution, in units of |k|^2.
 _RESIDUAL_RTOL = 1e-10
+
+#: Newton steps on the transverse Schur complement, at most, and the step
+#: at or below which a branch counts as converged: a few units in the
+#: last place of a root x ~ 1.
+_NEWTON_STEPS = 12
+_NEWTON_TOL = 4.0 * np.finfo(float).eps
+#: The powers that differentiate a quartic's coefficients.
+_POWERS = np.arange(1.0, 5.0)
+_TINY = np.finfo(float).tiny
+#: Rows 9 r + 3 c + s of _schur_newton's rotated coefficients, (power c,
+#: entry), that hold the factors of P = N_LL N_TT - t t^T: N_LL times
+#: N11, N12 and N22, then t1 t1, t1 t2 and t2 t2; and N_LL itself.
+_SCHUR_LEFT = 3 * np.arange(3)[:, None] + 9 * np.array([2, 2, 2, 0, 0, 1]) + 2
+_SCHUR_RIGHT = 3 * np.arange(3)[:, None] + np.array([0, 1, 10, 2, 11, 11])
+_SCHUR_CORNER = 3 * np.arange(3) + 20
+#: Sign of the hypot term of each branch, the lower root's first.
+_BRANCH = np.array([[-1.0], [1.0]])
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,8 +149,6 @@ def _frames(khats):
 
     Every row comes out bit for bit as it does alone, as a one-row array.
     """
-    if np.any(np.abs(np.sqrt(np.vecdot(khats, khats)) - 1.0) > 1e-12):
-        raise ValueError("khat must be a unit 3-vector")
     canonical = _canonical_hemisphere(khats)
     base = np.where(canonical[:, None], khats, -khats)
     e1, n = _gram_schmidt(_XHAT, base)
@@ -135,7 +156,9 @@ def _frames(khats):
     if np.any(near_x):
         e1[near_x], n[near_x] = _gram_schmidt(_YHAT, base[near_x])
     e1 /= n[:, None]
-    e2 = np.cross(base, e1)
+    (b0, b1, b2), (c0, c1, c2) = base.T, e1.T
+    # base x e1, the products and differences that np.cross takes
+    e2 = np.stack((b1 * c2 - b2 * c1, b2 * c0 - b0 * c2, b0 * c1 - b1 * c0), axis=1)
     return e1, np.where(canonical[:, None], e2, -e2)
 
 
@@ -154,7 +177,10 @@ def polarization_frame(khat):
     fields have that shape.
     """
     khat = np.asarray(khat, dtype=float)
-    e1, e2 = _frames(_rows(khat))
+    khats = _rows(khat)
+    if np.any(np.abs(np.sqrt(np.vecdot(khats, khats)) - 1.0) > 1e-12):
+        raise ValueError("khat must be a unit 3-vector")
+    e1, e2 = _frames(khats)
     return PolarizationFrame(
         eps1=e1.reshape(khat.shape), eps2=e2.reshape(khat.shape), khat=khat.copy()
     )
@@ -167,14 +193,18 @@ def frame_bilinears(kappas, frame):
     are zero (the kappa matrices are purely spatial).  kappas is one
     KappaSet or stacked sets whose leading shape broadcasts against the
     frame's; E and O have that shape + (4, 4).  Each (set, direction)
-    pair goes through the same 3x3 products, so it gets the bits it gets
-    on its own.
+    pair goes through the same two small products, so it gets the bits
+    it gets on its own.
     """
-    vecs = np.stack((frame.eps1, frame.eps2, frame.khat), axis=-2)[..., None, :, :]
+    vecs = np.stack((frame.eps1, frame.eps2, frame.khat), axis=-2)
     emt = kappas.e_minus + np.multiply.outer(kappas.tr, np.eye(3))
-    rows = vecs @ np.stack((emt, kappas.o_plus), axis=-3)
-    out = np.zeros(rows.shape[:-2] + (4, 4))
-    out[..., 1:, 1:] = np.vecdot(rows[..., :, None, :], vecs[..., None, :, :])
+    # eps_r.emt and eps_r.o_plus side by side, then each of those six rows
+    # dotted with eps_s: one product per pair and step
+    rows = vecs @ np.concatenate((emt, kappas.o_plus), axis=-1)
+    lead = rows.shape[:-2]
+    both = (rows.reshape(lead + (6, 3)) @ vecs.mT).reshape(lead + (3, 2, 3))
+    out = np.zeros(lead + (2, 4, 4))
+    out[..., 1:, 1:] = np.moveaxis(both, -2, -3)
     return out[..., 0, :, :], out[..., 1, :, :]
 
 
@@ -247,10 +277,17 @@ def ktilde(kf, khats):
     subscripted wave four-vector carries the components (omega, +k), a
     convention pinned by the printed closed forms for rho and delta
     along z, so the contraction uses (1, +khat).
+
+    One broadcast product: each direction's pairs k_m k_n, a (1, 16) row,
+    times K as a (16, 16) matrix from (m, n) to (a, b), so that a row's
+    bits do not depend on how many directions share the call.
     """
+    K = as_kf_stack(kf)
     khats = np.asarray(khats, dtype=float)
     klow = np.concatenate((np.ones(khats.shape[:-1] + (1,)), khats), axis=-1)
-    return np.einsum("...ambn,...m,...n->...ab", as_kf_stack(kf), klow, klow)
+    pairs = (klow[..., :, None] * klow[..., None, :]).reshape(khats.shape[:-1] + (1, 16))
+    matrix = np.moveaxis(K, (-4, -2), (-2, -1)).reshape(K.shape[:-4] + (16, 16))
+    return (pairs @ matrix).reshape(pairs.shape[:-2] + (4, 4))
 
 
 def rho_sigma(kf, khat):
@@ -273,11 +310,10 @@ def rho_sigma(kf, khat):
     lead = np.shape(khat)[:-1] or K.shape[:-4]
     if K.ndim > 4 and K.shape[:-4] != lead:
         raise ValueError("one tensor per direction needs the directions' leading shape")
-    kt = ktilde(K.reshape(-1, 4, 4, 4, 4) if K.ndim > 4 else K, khats)
-    rho = -0.5 * np.einsum("iab,ba->i", kt, METRIC)
-    kt_low = METRIC @ kt @ METRIC
-    sigma_sq = 0.5 * np.einsum("iab,iab->i", kt_low, kt) - rho**2
-    noisy = sigma_sq < -SIGMA_SQ_RTOL * np.sum(kt**2, axis=(1, 2))
+    kt = ktilde(K.reshape(-1, 4, 4, 4, 4) if K.ndim > 4 else K, khats).reshape(-1, 16)
+    rho = -0.5 * (kt[:, 0] - kt[:, 5] - kt[:, 10] - kt[:, 15])  # the diagonal, 4 a + a
+    sigma_sq = 0.5 * np.vecdot(kt * _METRIC_SIGNS, kt) - rho**2
+    noisy = sigma_sq < -SIGMA_SQ_RTOL * np.vecdot(kt, kt)
     for value in sigma_sq[noisy]:
         warnings.warn(f"sigma^2 = {value:.3e} < 0 beyond roundoff; clamping to 0")
     sigma = np.sqrt(np.maximum(sigma_sq, 0.0))
@@ -413,6 +449,98 @@ def _root_residuals(m, double):
     return residual
 
 
+def _quadratic_products(f, g):
+    """Coefficients of f g for quadratics f and g, the power on the first axis."""
+    out = np.zeros((5,) + np.broadcast_shapes(f.shape, g.shape)[1:])
+    for power in range(3):
+        out[power : power + 3] += f[power] * g
+    return out
+
+
+def _schur_newton(khats, m0, m1, m2, bound):
+    """The two transverse roots of each row by Newton on the transverse Schur complement.
+
+    Rotated into the frame (eps1, eps2, khat), M(x) has the transverse
+    block N_TT, the column t = N_TL and the corner N_LL, all quadratic in
+    x.  Where N_LL != 0, M(x) is singular exactly when the Schur
+    complement S = N_TT - t t^T / N_LL is, and so when the quartic
+    P = N_LL S = N_LL N_TT - t t^T is.  The transverse roots are the
+    zeros of P's two eigenvalue branches
+
+        nu-+ = (p + r)/2 -+ hypot((p - r)/2, q),  P = [[p, q], [q, r]],
+
+    each a simple zero even where the two roots meet.  Newton runs on
+    both branches of every row from x = 1, as one (2, n) array; a branch
+    whose step falls to roundoff is frozen there, so a row takes the
+    steps it takes alone, and the loop ends when every branch is frozen.
+    A row is certified when both branches converged, both zeros lie
+    within its bound r- (plus sqrt(eps)) of x = 1, and N_LL < 0 at both:
+    the bound leaves no other root in that disc (see _root_bound), so
+    these are the row's two roots.  Returns the (n, 2) roots, ascending,
+    with nan in the rows not certified.
+    """
+    n = len(khats)
+    e1, e2 = _frames(khats)
+    frame = np.stack((e1, e2, khats), axis=1)
+    # frame M_c frame^T for c = 0, 1, 2 in two products per row, as rows
+    # 9 r + 3 c + s of a (27, n) array
+    side = frame @ np.concatenate((m0, m1, np.broadcast_to(m2, m0.shape)), axis=2)
+    rotated = np.ascontiguousarray((side.reshape(n, 9, 3) @ frame.mT).reshape(n, 27).T)
+    products = _quadratic_products(rotated[_SCHUR_LEFT], rotated[_SCHUR_RIGHT])
+    p, q, r = (products[:, :3] - products[:, 3:]).swapaxes(0, 1)
+    # (power, quartic, 1, row): (p + r)/2, (p - r)/2 and q, then their derivatives
+    coefficients = np.zeros((5, 6, 1, n))
+    quartics = coefficients[:, :3, 0]
+    quartics[:, 0], quartics[:, 1], quartics[:, 2] = 0.5 * (p + r), 0.5 * (p - r), q
+    coefficients[:4, 3:, 0] = quartics[1:] * _POWERS[:, None, None]
+    # (branch, row), the lower root's branch first
+    x = np.ones((2, n))
+    active = np.ones(x.shape, dtype=bool)
+    with np.errstate(all="ignore"):  # a branch that runs off is refused below
+        for _ in range(_NEWTON_STEPS):
+            values = coefficients[4] * x + coefficients[3]
+            for power in (2, 1, 0):
+                values = values * x + coefficients[power]
+            mean, half, off, mean_slope, half_slope, off_slope = values
+            split = np.hypot(half, off)
+            # where split is 0, so are half and off, and the slope taken is 0
+            split_slope = (half * half_slope + off * off_slope) / np.maximum(split, _TINY)
+            step = (mean + _BRANCH * split) / (mean_slope + _BRANCH * split_slope)
+            np.subtract(x, step, out=x, where=active)
+            active &= np.abs(step) > _NEWTON_TOL
+            if not active.any():
+                break
+        ell = rotated[_SCHUR_CORNER]
+        ell = ell[0] + x * (ell[1] + x * ell[2])
+        certified = (ell < 0.0) & (np.abs(x - 1.0) <= bound + _ROOT_IMAG_TOL) & ~active
+    x = np.sort(x.T, axis=1)
+    x[~(np.all(certified, axis=0) & np.isfinite(bound))] = np.nan
+    return x
+
+
+def _companion_roots(m0, m1, m2, bound, strength):
+    """The two transverse roots of each row from the 6x6 companion; see ampere_roots."""
+    m2_inv = np.linalg.inv(m2)
+    companion = np.zeros((len(m0), 6, 6))
+    companion[:, :3, 3:] = np.eye(3)
+    companion[:, 3:, :3] = -m2_inv @ m0
+    companion[:, 3:, 3:] = -m2_inv @ m1
+    eigs = np.linalg.eigvals(companion)
+    half_width = np.maximum(
+        np.where(np.isfinite(bound), bound + _ROOT_IMAG_TOL, 0.0), 5.0 * strength
+    )
+    found = (np.abs(eigs.real - 1.0) <= half_width[:, None]) & (
+        np.abs(eigs.imag) <= _ROOT_IMAG_TOL
+    )
+    misses = np.count_nonzero(np.count_nonzero(found, axis=1) != 2)
+    if misses:
+        raise RuntimeError(
+            f"{misses} direction(s) without exactly two real transverse roots "
+            "in the bracket; tensor too large for the bracket"
+        )
+    return np.sort(eigs.real[found].reshape(-1, 2), axis=1)
+
+
 def _transverse_roots(kf, kvecs):
     """Validated roots x = omega/|k| of every row of kvecs; see ampere_roots.
 
@@ -430,27 +558,11 @@ def _transverse_roots(kf, kvecs):
         return khats, knorms, np.ones((len(khats), 2)), None, None
 
     m0, m1, m2 = _ampere_coefficients(K, khats)
-    m2_inv = np.linalg.inv(m2)
-    companion = np.zeros((len(khats), 6, 6))
-    companion[:, :3, 3:] = np.eye(3)
-    companion[:, 3:, :3] = -m2_inv @ m0
-    companion[:, 3:, 3:] = -m2_inv @ m1
-    eigs = np.linalg.eigvals(companion)
-
     bound = _root_bound(khats, m0, m1, m2)
-    half_width = np.maximum(
-        np.where(np.isfinite(bound), bound + _ROOT_IMAG_TOL, 0.0), 5.0 * strength
-    )
-    found = (np.abs(eigs.real - 1.0) <= half_width[:, None]) & (
-        np.abs(eigs.imag) <= _ROOT_IMAG_TOL
-    )
-    misses = np.count_nonzero(np.count_nonzero(found, axis=1) != 2)
-    if misses:
-        raise RuntimeError(
-            f"{misses} direction(s) without exactly two real transverse roots "
-            "in the bracket; tensor too large for the bracket"
-        )
-    x = np.sort(eigs.real[found].reshape(-1, 2), axis=1)
+    x = _schur_newton(khats, m0, m1, m2, bound)
+    rest = np.isnan(x[:, 0])
+    if np.any(rest):
+        x[rest] = _companion_roots(m0[rest], m1[rest], m2, bound[rest], strength)
 
     m = m0[:, None] + x[..., None, None] * m1[:, None] + (x**2)[..., None, None] * m2
     double = x[:, 1] - x[:, 0] <= _DEGENERATE_RTOL
@@ -468,19 +580,24 @@ def ampere_roots(kf, kvecs):
 
     The frequency is solved for in units of |k| on the unit direction,
     where M(x) = M0 + x M1 + x^2 M2 is quadratic in x = omega/|k| (see
-    _ampere_coefficients).  Its six roots are the eigenvalues of the 6x6
+    _ampere_coefficients).  _root_bound gives each row a radius r- about
+    x = 1 that holds its two transverse roots and no other root.  Newton
+    on the two eigenvalue branches of the transverse Schur complement
+    finds both roots of every row at once (_schur_newton), and a row is
+    taken when both converged to roundoff within r- + sqrt(eps).  The
+    other rows, those without a finite bound (near the perturbative
+    limit) or whose Newton did not settle inside it, go to the 6x6
     companion linearization [[0, I], [-M2^-1 M0, -M2^-1 M1]] (M2 is
-    close to -I in the perturbative regime), found for every row in one
-    stacked eigvals call: a transverse pair near +1, a pair near -1 and
-    the longitudinal pair near 0.  A row must have exactly two roots
-    with real part inside its bracket [1 - w, 1 + w] and an imaginary
-    part below sqrt(eps) (roundoff; the true roots are real).  Their
-    real parts are the roots.  w is the bound of _root_bound on the
-    transverse roots' distance from x = 1, which holds per direction
-    and keeps every other root out, plus sqrt(eps) for the error of a
-    computed root.  w is never below 5 s, with s the max abs tensor
-    component: where the bound certifies nothing, near the perturbative
-    limit, 5 s still brackets the roots of most directions.
+    close to -I in the perturbative regime), whose six roots per row
+    come from one stacked eigvals call on those rows: a transverse pair
+    near +1, a pair near -1 and the longitudinal pair near 0.  Such a
+    row must have exactly two roots with real part inside its bracket
+    [1 - w, 1 + w] and an imaginary part below sqrt(eps) (roundoff; the
+    true roots are real).  Their real parts are the roots.  w is r- plus
+    sqrt(eps), and never below 5 s, with s the max abs tensor component:
+    where the bound certifies nothing, near the perturbative limit, 5 s
+    still brackets the roots of most directions.  Every row goes through
+    the same arithmetic however many rows share the call.
 
     Every root must pass the residual check ||M E|| < 1e-10 |k|^2 on
     the polarization E that solve_ampere returns for it.  That

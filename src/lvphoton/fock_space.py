@@ -53,9 +53,11 @@ class FockSpace:
     occupations: np.ndarray  # dim x modes int array, row = occupation tuple
     labels: tuple  # the mode of each occupation column
     # monomial_sum's arrays that depend on the space alone: each monomial's
-    # columns and coded entries, and the last _LAYOUTS CSR layouts
+    # columns and coded entries, and the last _LAYOUTS CSR layouts; and the
+    # ghost operators of lorenz.gupta_bleuler_check, per direction
     _bands: dict = field(default_factory=dict, init=False, repr=False)
     _layouts: dict = field(default_factory=dict, init=False, repr=False)
+    _dg: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def modes(self):

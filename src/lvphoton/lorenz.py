@@ -93,16 +93,17 @@ def pairing_phase(plus, minus=(0, 0, 0, 0)):
     return 1j ** (((plus[3] - plus[2]) + (minus[3] - minus[2])) % 4)
 
 
-@functools.lru_cache(maxsize=2)
-def _dg_operators(cutoff, labels, direction):
-    """fs.dg_operators of one direction, on the space of modes `labels` at `cutoff`.
+def _dg_operators(space, direction):
+    """fs.dg_operators of one direction on `space`, kept on the space.
 
-    They depend on nothing else, and a verify pass checks dozens of
-    states of one space, so both directions of the last space are kept.
-    Only gupta_bleuler_check multiplies with them; no caller receives
-    the shared matrices.
+    A verify pass checks dozens of states of one space, so both
+    directions are built once per space and die with it, as
+    monomial_sum's arrays do.  Only gupta_bleuler_check multiplies with
+    them; no caller receives the shared matrices.
     """
-    return fs.dg_operators(fs._occupation_space(cutoff, labels), direction)
+    if direction not in space._dg:
+        space._dg[direction] = fs.dg_operators(space, direction)
+    return space._dg[direction]
 
 
 def gupta_bleuler_check(space, psi):
@@ -116,7 +117,7 @@ def gupta_bleuler_check(space, psi):
     psi = np.asarray(psi, dtype=complex)
     mdiag = fs.metric_diagonal(space)
     for direction in (fs.PLUS_K, fs.MINUS_K):
-        a_d, a_g = _dg_operators(space.cutoff, space.labels, direction)
+        a_d, a_g = _dg_operators(space, direction)
         if np.linalg.norm(a_d @ psi) >= GB_TOL:
             return False
         if np.linalg.norm(a_g @ (mdiag * psi)) >= GB_TOL:

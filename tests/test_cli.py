@@ -569,6 +569,21 @@ def test_dispersion_builds_the_tensor_once_without_bisection(
     assert not any("brentq" in vars(module) for module in modules)
 
 
+def test_dispersion_grid_runs_no_companion_eigensolve(tmp_path, capsys, monkeypatch):
+    # at magnitude 1e-2 the bound certifies every direction, so Newton
+    # finds every root and the companion fallback never runs
+    def refuse(*args, **kwargs):
+        raise AssertionError("dispersion ran the companion eigensolve")
+
+    monkeypatch.setattr(np.linalg, "eigvals", refuse)
+    path = _write(tmp_path, "cfg.json", _birefringent_payload(5))
+    status, out, err = _run(
+        capsys, ["dispersion", "--config", path, "--grid", "5000", "--seed", "5"]
+    )
+    assert status == 0 and err == ""
+    assert len(json.loads(out)["rows"]) == 5001
+
+
 def _rowwise_dispersion(config, grid, seed):
     """cmd_dispersion as earlier versions built it, one object per row.
 
@@ -1037,6 +1052,8 @@ def _recursive_render_json(value, indent=0):
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     if isinstance(value, np.ndarray):
         value = value.tolist()
+    if isinstance(value, cli.Columns):  # its rows, one dict each
+        value = list(value)
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
@@ -1176,3 +1193,32 @@ def test_uniform_rows_of_every_scalar_kind_render_like_the_recursive_renderer():
             assert cli.render_json(value, indent) == _recursive_render_json(value, indent)
         nested = {"command": "x", "rows": value, "tail": [value]}
         assert cli.render_json(nested) == _recursive_render_json(nested)
+
+
+def test_columns_render_like_their_rows():
+    # Columns render as the list of their row dicts does, in JSON at
+    # every indent and in CSV, with a null column, special floats and a
+    # key that needs escaping
+    rng = np.random.default_rng(13)
+    columns = {
+        "a": np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1.0 / 3.0, -2.5e300]),
+        "none": None,
+        'quote " and %s %': rng.normal(size=7) * 10.0 ** rng.integers(-300, 300, size=7),
+        "b": np.arange(7.0),
+    }
+    table = cli.Columns(columns.items(), 7)
+    rows = list(table)
+    assert len(rows) == len(table) == 7
+    assert all(type(v) is float for row in rows for k, v in row.items() if k != "none")
+    assert all(row["none"] is None for row in rows)
+    for indent in (0, 2, 4):
+        assert cli.render_json(table, indent) == _recursive_render_json(rows, indent)
+    report = {"command": "x", "rows": table, "tail": [1.5]}
+    assert cli.render_json(report) == _recursive_render_json(dict(report, rows=rows))
+    assert cli.render_csv(table) == cli.render_csv(rows)
+    assert table[-1]["b"] == 6.0 and [row["b"] for row in table[2:4]] == [2.0, 3.0]
+    with pytest.raises(IndexError):
+        table[7]
+    empty = cli.Columns({"a": np.zeros(0), "none": None}.items(), 0)
+    assert cli.render_json(empty) == "[]" and list(empty) == []
+    assert cli.render_csv(empty) == "a,none\n"

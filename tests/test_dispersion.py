@@ -1,8 +1,9 @@
 """Tests for polarization frames and leading-order dispersion.
 
 The ktilde oracle is an explicit double loop; the dispersion closed
-forms are checked against the numerical Ampere-law solver, and the
-solver's batched companion eigensolve against a bisection reference.
+forms are checked against the numerical Ampere-law solver, the solver
+against a bisection reference, and its Newton roots against the 6x6
+companion eigensolve that it falls back on.
 """
 
 import warnings
@@ -772,11 +773,28 @@ def _five_s_roots(kf, khats):
     return out
 
 
+def _companion_pair(kf, kvecs):
+    """The two companion roots nearest |k| of each wavevector, ascending."""
+    roots, _ = _companion_roots(kf, kvecs)
+    nearest = np.take_along_axis(roots, np.argsort(np.abs(roots - 1.0), axis=1), axis=1)
+    return np.sort(nearest[:, :2].real, axis=1) * dp._unit_rows(kvecs)[1][:, None]
+
+
+def _certified(kf, khats):
+    """The rows of khats whose roots the Newton path certifies."""
+    khats, _ = dp._unit_rows(khats)
+    m0, m1, m2 = dp._ampere_coefficients(kt.as_kf_components(kf), khats)
+    bound = dp._root_bound(khats, m0, m1, m2)
+    return ~np.isnan(dp._schur_newton(khats, m0, m1, m2, bound)[:, 0])
+
+
 @pytest.mark.parametrize("magnitude", [1e-2, 0.1])
-def test_roots_the_5s_bracket_found_stay_bit_identical(magnitude):
-    # the per-direction bound widens the bracket; directions that the 5 s
-    # bracket alone solved keep their roots to the bit, and the rest are
-    # solved or refused as a whole
+def test_roots_the_5s_bracket_found_are_kept(magnitude):
+    # the per-direction bound widens the bracket and Newton replaces the
+    # companion where the bound certifies its roots: directions that the
+    # 5 s bracket alone solved keep their roots, to 1e-14 where Newton
+    # certified them and to the bit where the companion still finds
+    # them, and the rest are solved or refused as a whole
     khats = dp.random_directions(np.random.default_rng(162), 400)
     solved = refused = 0
     for seed in range(30):
@@ -791,7 +809,9 @@ def test_roots_the_5s_bracket_found_stay_bit_identical(magnitude):
             continue
         solved += 1
         kept = ~np.isnan(old[:, 0])
-        assert np.array_equal(new[kept], old[kept])
+        companion = kept & ~_certified(kf, khats)
+        assert np.max(np.abs(new[kept] - old[kept])) <= 1e-14
+        assert np.array_equal(new[companion], old[companion])
     assert solved > 0
     if magnitude == 1e-2:
         assert refused == 0
@@ -804,10 +824,36 @@ def test_widened_bracket_solves_sets_beyond_5s():
     khats = dp.random_directions(np.random.default_rng(163), 2000)
     assert np.any(np.isnan(_five_s_roots(kf, khats)[:, 0]))
     omegas = dp.ampere_roots(kf, khats)
-    roots, _ = _companion_roots(kf, khats)
-    nearest = np.take_along_axis(roots, np.argsort(np.abs(roots - 1.0), axis=1), axis=1)
-    want = np.sort(nearest[:, :2].real, axis=1) * dp._unit_rows(khats)[1][:, None]
-    assert np.array_equal(omegas, want)
+    assert np.max(np.abs(omegas - _companion_pair(kf, khats))) <= 1e-14
+
+
+@pytest.mark.parametrize("magnitude", [1e-8, 1e-5, 1e-2, 5e-2])
+@pytest.mark.parametrize("birefringent", [False, True])
+def test_newton_roots_match_the_companion(magnitude, birefringent):
+    # up to magnitude 5e-2 the bound certifies every direction, and the
+    # Newton roots agree with the companion's on the same rows to 1e-14 |k|
+    rng = np.random.default_rng(164)
+    lengths = np.exp(rng.uniform(np.log(0.2), np.log(5.0), size=(500, 1)))
+    kvecs = dp.random_directions(rng, 500) * lengths
+    norms = dp._unit_rows(kvecs)[1][:, None]
+    for seed in range(1, 9):
+        kf = _generated_kf(seed, magnitude, birefringent)
+        assert np.all(_certified(kf, kvecs))
+        error = np.abs(dp.ampere_roots(kf, kvecs) - _companion_pair(kf, kvecs)) / norms
+        assert np.max(error) <= 1e-14
+
+
+def test_uncertified_rows_fall_back_and_keep_their_own_bits():
+    # at magnitude 0.1 the bound certifies only some directions: a set
+    # takes both paths, and every row gets the bits it gets alone
+    kf = _generated_kf(6, 0.1, True)
+    kvecs = dp.random_directions(np.random.default_rng(165), 300) * 1.5
+    certified = _certified(kf, kvecs)
+    assert 0 < np.count_nonzero(certified) < len(kvecs)
+    whole = dp.ampere_roots(kf, kvecs)
+    for n in (*np.flatnonzero(certified)[:5], *np.flatnonzero(~certified)[:5]):
+        assert dp.ampere_roots(kf, kvecs[n]).tobytes() == whole[n].tobytes()
+    assert np.array_equal(whole[~certified], _companion_pair(kf, kvecs[~certified]))
 
 
 # ------------------------------------------------- batched rho/sigma noise

@@ -7,7 +7,9 @@ must sort exactly the same (start, step-count) pairs into coupled and
 uncoupled.
 """
 
+import gc
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -125,18 +127,29 @@ def test_gupta_bleuler_check_builds_the_ghost_operators_once(monkeypatch):
         return dg_operators(space, direction)
 
     monkeypatch.setattr(fs, "dg_operators", counted)
-    lz._dg_operators.cache_clear()
     for cutoff in (1, 2, 1):
         space = fs.build_space(cutoff)
         states = [fs.vacuum_state(space), fs.dg_basis_state(space, (0, 0, 1, 0))]
         states += [fs.dg_basis_state(space, (0, 0, 0, 1), (1, 0, 0, 0))] * 10
         assert [lz.gupta_bleuler_check(space, psi) for psi in states] == [True, False] + [True] * 10
         for direction in (fs.PLUS_K, fs.MINUS_K):
-            for got, want in zip(
-                lz._dg_operators(cutoff, space.labels, direction), dg_operators(space, direction)
-            ):
+            fresh = dg_operators(fs.build_space(cutoff), direction)
+            for got, want in zip(lz._dg_operators(space, direction), fresh):
                 assert (got != want).nnz == 0
     assert calls == [(c, d) for c in (1, 2, 1) for d in (fs.PLUS_K, fs.MINUS_K)]
+
+
+def test_ghost_operators_die_with_their_space():
+    # they are kept on the space, not in a cache that outlives it
+    space = fs.build_space(1)
+    assert lz.gupta_bleuler_check(space, fs.vacuum_state(space))
+    held = [weakref.ref(space)] + [
+        weakref.ref(op) for direction in (fs.PLUS_K, fs.MINUS_K)
+        for op in lz._dg_operators(space, direction)
+    ]
+    del space
+    gc.collect()
+    assert all(ref() is None for ref in held)
 
 
 def test_weak_lorenz_examples(space):
