@@ -153,12 +153,12 @@ def _frames(khats):
     base = np.where(canonical[:, None], khats, -khats)
     e1, n = _gram_schmidt(_XHAT, base)
     near_x = n < 1e-8
-    if np.any(near_x):
+    if near_x.any():
         e1[near_x], n[near_x] = _gram_schmidt(_YHAT, base[near_x])
     e1 /= n[:, None]
     (b0, b1, b2), (c0, c1, c2) = base.T, e1.T
     # base x e1, the products and differences that np.cross takes
-    e2 = np.stack((b1 * c2 - b2 * c1, b2 * c0 - b0 * c2, b0 * c1 - b1 * c0), axis=1)
+    e2 = np.column_stack((b1 * c2 - b2 * c1, b2 * c0 - b0 * c2, b0 * c1 - b1 * c0))
     return e1, np.where(canonical[:, None], e2, -e2)
 
 
@@ -451,7 +451,7 @@ def _root_residuals(m, double):
 
 def _quadratic_products(f, g):
     """Coefficients of f g for quadratics f and g, the power on the first axis."""
-    out = np.zeros((5,) + np.broadcast_shapes(f.shape, g.shape)[1:])
+    out = np.zeros((5,) + g.shape[1:])
     for power in range(3):
         out[power : power + 3] += f[power] * g
     return out
@@ -481,10 +481,12 @@ def _schur_newton(khats, m0, m1, m2, bound):
     """
     n = len(khats)
     e1, e2 = _frames(khats)
-    frame = np.stack((e1, e2, khats), axis=1)
+    frame = np.concatenate((e1, e2, khats), axis=1).reshape(n, 3, 3)
     # frame M_c frame^T for c = 0, 1, 2 in two products per row, as rows
     # 9 r + 3 c + s of a (27, n) array
-    side = frame @ np.concatenate((m0, m1, np.broadcast_to(m2, m0.shape)), axis=2)
+    powers = np.empty((n, 3, 9))
+    powers[..., :3], powers[..., 3:6], powers[..., 6:] = m0, m1, m2
+    side = frame @ powers
     rotated = np.ascontiguousarray((side.reshape(n, 9, 3) @ frame.mT).reshape(n, 27).T)
     products = _quadratic_products(rotated[_SCHUR_LEFT], rotated[_SCHUR_RIGHT])
     p, q, r = (products[:, :3] - products[:, 3:]).swapaxes(0, 1)
@@ -514,7 +516,7 @@ def _schur_newton(khats, m0, m1, m2, bound):
         ell = ell[0] + x * (ell[1] + x * ell[2])
         certified = (ell < 0.0) & (np.abs(x - 1.0) <= bound + _ROOT_IMAG_TOL) & ~active
     x = np.sort(x.T, axis=1)
-    x[~(np.all(certified, axis=0) & np.isfinite(bound))] = np.nan
+    x[~(certified.all(axis=0) & np.isfinite(bound))] = np.nan
     return x
 
 
@@ -561,7 +563,7 @@ def _transverse_roots(kf, kvecs):
     bound = _root_bound(khats, m0, m1, m2)
     x = _schur_newton(khats, m0, m1, m2, bound)
     rest = np.isnan(x[:, 0])
-    if np.any(rest):
+    if rest.any():
         x[rest] = _companion_roots(m0[rest], m1[rest], m2, bound[rest], strength)
 
     m = m0[:, None] + x[..., None, None] * m1[:, None] + (x**2)[..., None, None] * m2
