@@ -16,8 +16,9 @@ interaction, lorenz) loads only when verify runs (the checks module).
 
 Config keys: kappa_e_minus / kappa_o_plus (3x3 nested lists), kappa_tr
 (scalar), optional kappa_e_plus / kappa_o_minus (dispersion only), or a
-raw rank-4 tensor under kf_components (4x4x4x4); plus direction, cutoff,
-scales, time, output.  Matrices are orthogonally projected onto their
+raw rank-4 tensor under kf_components (4x4x4x4); plus direction, scales,
+time, output.  The keys cutoff, command and symmetry are accepted with
+any value and ignored.  Matrices are orthogonally projected onto their
 symmetry class on load unless --strict-symmetry is passed, in which case
 any violation beyond 1e-12 is rejected.
 
@@ -32,22 +33,18 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import dispersion as dp
 from . import kappa_tensor as kt
 
-#: Fock cutoffs the commands accept.  No command reads the cutoff
-#: (`verify` picks its own, and `spectrum` rows are exact), but a config
-#: or flag cutoff is range-checked against these, so that every input
-#: is accepted or refused as it was when `spectrum` evolved states on the
-#: 4-mode transverse factor.
-CUTOFF_RANGE = (1, 4)
-SPECTRUM_CUTOFF_RANGE = (2, 12)
-#: Every key a config may hold.  `command` and `symmetry` are in the list
-#: (and ignored) so that a decompose report loads back as a config.
+#: Every key a config may hold.  `command`, `symmetry` and `cutoff` are
+#: accepted with any value and ignored: the first two so that a decompose
+#: report loads back as a config, and `cutoff` because configs written
+#: when commands took a Fock cutoff still carry it (no command reads one:
+#: `verify` picks its own and `spectrum` rows are exact).
 CONFIG_KEYS = frozenset({
     "kappa_e_minus", "kappa_o_plus", "kappa_tr", "kappa_e_plus",
     "kappa_o_minus", "kf_components", "direction", "cutoff", "scales",
@@ -69,7 +66,6 @@ class RunConfig:
     kappas: kt.KappaSet = field(default_factory=kt.KappaSet)
     kf_raw: np.ndarray | None = None
     direction: np.ndarray = field(default_factory=dp.Z_AXIS.copy)
-    cutoff: int = 2
     scales: tuple = ()
     time: float = TIME_HORIZON
     output: str | None = None
@@ -186,13 +182,6 @@ def load_config(path, strict=False):
             raise ValueError("direction must be a nonzero finite 3-vector")
         fields["direction"] = direction / norm
 
-    if "cutoff" in raw:
-        # its range depends on the command: main and cmd_spectrum check it
-        cutoff = raw["cutoff"]
-        if isinstance(cutoff, bool) or not isinstance(cutoff, int):
-            raise ValueError("cutoff must be an integer")
-        fields["cutoff"] = cutoff
-
     if "scales" in raw:
         scales = raw["scales"]
         if not isinstance(scales, list):
@@ -301,27 +290,11 @@ def render_json(value, indent=0):
 
 
 def render_csv(rows):
-    """CSV text for a list of flat row dicts or for Columns, floats at 17 digits."""
+    """CSV text for Columns: a header row, then floats at 17 digits, nulls empty."""
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    if isinstance(rows, Columns):
-        writer.writerow(rows.columns)
-        line = ",".join("" if c is None else "%.17g" for c in rows.columns.values()) + "\n"
-        return buf.getvalue() + "".join([line] * len(rows)) % rows.values()
-    header = list(rows[0].keys())
-    writer.writerow(header)
-    for row in rows:
-        cells = []
-        for key in header:
-            v = row[key]
-            if v is None:
-                cells.append("")
-            elif isinstance(v, (float, np.floating)):
-                cells.append(format(float(v), ".17g"))
-            else:
-                cells.append(v)
-        writer.writerow(cells)
-    return buf.getvalue()
+    csv.writer(buf, lineterminator="\n").writerow(rows.columns)
+    line = ",".join("" if c is None else "%.17g" for c in rows.columns.values()) + "\n"
+    return buf.getvalue() + "".join([line] * len(rows)) % rows.values()
 
 
 def _emit(text, output):
@@ -424,8 +397,8 @@ def cmd_spectrum(config):
     exponent fit of the residual cross coupling, which the transform
     suppresses from O(kappa) to O(kappa^2).  Every row is exact, with
     no Fock truncation (modes.spectrum_values: the 8 x 8 Bogoliubov
-    matrix of Xi applied to the terms of H), so the config cutoff is
-    range-checked as before but not read.
+    matrix of Xi applied to the terms of H), and the report holds the
+    rows as Columns: scale, then the spectrum_values keys in their order.
 
     cross_fit_exponent fits O(kappa^2) residuals of O(kappa) terms, so
     its digits below about 1e-10 are roundoff: a different but equally
@@ -434,12 +407,6 @@ def cmd_spectrum(config):
     """
     from . import modes as md
 
-    if config.cutoff < SPECTRUM_CUTOFF_RANGE[0]:
-        raise ValueError(
-            "spectrum expectations need cutoff >= 2 for ladder headroom"
-        )
-    if config.cutoff > SPECTRUM_CUTOFF_RANGE[1]:
-        raise ValueError(f"spectrum cutoff must lie in {SPECTRUM_CUTOFF_RANGE}")
     frame = dp.polarization_frame(config.direction)
     magnitude = config.kappas.magnitude
     if config.scales and magnitude == 0.0:
@@ -448,15 +415,14 @@ def cmd_spectrum(config):
         sweep = [(s, config.kappas.scaled(s / magnitude)) for s in config.scales]
     else:
         sweep = [(magnitude, config.kappas)]
-    rows = [{"scale": s, **md.spectrum_values(k, frame)} for s, k in sweep]
+    values = [{"scale": s, **md.spectrum_values(k, frame)} for s, k in sweep]
+    rows = Columns(((key, np.array([v[key] for v in values])) for key in values[0]), len(values))
 
     fit = None
-    if len(rows) >= 2:
-        crosses = np.array([row["cross_after"] for row in rows])
-        scales = np.array([row["scale"] for row in rows])
-        if np.all(crosses > 0.0):
-            slope, _ = np.polyfit(np.log10(scales), np.log10(crosses), 1)
-            fit = float(slope)
+    crosses, scales = rows.columns["cross_after"], rows.columns["scale"]
+    if len(rows) >= 2 and np.all(crosses > 0.0):
+        slope, _ = np.polyfit(np.log10(scales), np.log10(crosses), 1)
+        fit = float(slope)
     return {
         "command": "spectrum",
         "kx": config.direction[0],
@@ -489,11 +455,6 @@ def build_parser():
             action="store_true",
             help="reject parameter matrices that violate their symmetry "
             "class instead of projecting them onto it",
-        )
-        p.add_argument(
-            "--cutoff",
-            type=int,
-            help="Fock cutoff: range-checked, read by no command (not for verify)",
         )
         p.add_argument("--output", help="write the report here instead of stdout")
 
@@ -539,15 +500,6 @@ def main(argv=None):
             config = load_config(args.config, strict=args.strict_symmetry)
         else:
             config = RunConfig()
-        if args.cutoff is not None:
-            if args.command == "verify":
-                raise ValueError(
-                    "--cutoff does not apply to verify; its checks pick their own cutoffs"
-                )
-            config = replace(config, cutoff=args.cutoff)
-        in_range = CUTOFF_RANGE[0] <= config.cutoff <= CUTOFF_RANGE[1]
-        if args.command != "spectrum" and not in_range:  # spectrum checks its own
-            raise ValueError(f"cutoff must lie in {CUTOFF_RANGE}")
 
         status = 0
         if args.command == "decompose":

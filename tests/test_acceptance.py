@@ -115,7 +115,6 @@ def test_criterion_04_axis_closed_forms():
             kappas=kappas,
             kf_raw=None,
             direction=sign * Z_AXIS,
-            cutoff=2,
             scales=(),
             time=10.0,
             output=None,

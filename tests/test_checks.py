@@ -7,7 +7,6 @@ draws and every batched kernel to its one-set call, and show that a
 broken read-off, frame parity or ladder operator turns its check red.
 """
 
-import dataclasses
 import importlib.util
 import json
 import math
@@ -87,14 +86,21 @@ def test_columnar_verify_matches_the_per_draw_reference(tmp_path, case):
 
 
 def test_verify_records_do_not_depend_on_the_config_cutoff(tmp_path):
-    # every check picks its own cutoff, so a cutoff-1 config shrinks none
-    config = _aniso_config(tmp_path)
+    # every check picks its own cutoff, so a cutoff-1 config shrinks none:
+    # the loader ignores the key, and cutoff 1, 2 or none give one report
+    _aniso_config(tmp_path)  # writes the workload's config file
+    payload = json.loads((tmp_path / "verify.json").read_text())
     records = []
-    for cutoff in (1, 2):
-        report, status = checks.cmd_verify(dataclasses.replace(config, cutoff=cutoff))
+    for cutoff in (1, 2, None):
+        raw = {k: v for k, v in payload.items() if k != "cutoff"}
+        if cutoff is not None:
+            raw["cutoff"] = cutoff
+        path = tmp_path / f"cutoff-{cutoff}.json"
+        path.write_text(json.dumps(raw))
+        report, status = checks.cmd_verify(cli.load_config(str(path)))
         assert status == 0
         records.append([{k: v for k, v in c.items() if k != "elapsed_s"} for c in report["checks"]])
-    assert records[0] == records[1]
+    assert records[0] == records[1] == records[2]
 
 
 @pytest.mark.parametrize("birefringent", [False, True])

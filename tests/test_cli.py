@@ -1,6 +1,7 @@
 """Tests for the command-line interface: config handling and reports."""
 
 import contextlib
+import csv
 import io
 import json
 import pathlib
@@ -18,6 +19,7 @@ from lvphoton import dispersion as dp
 from lvphoton import fock_space as fs
 from lvphoton import hamiltonian as hm
 from lvphoton import kappa_tensor as kt
+from lvphoton import modes as md
 
 import spectrum_reference  # tests/spectrum_reference.py
 
@@ -100,10 +102,23 @@ def test_rejects_zero_direction(tmp_path, capsys):
     assert status == 2
 
 
-def test_rejects_out_of_range_cutoff(tmp_path, capsys):
-    path = _write(tmp_path, "cfg.json", dict(SAMPLE, cutoff=9))
-    status, _, err = _run(capsys, ["decompose", "--config", path])
-    assert status == 2
+@pytest.mark.parametrize("argv", [["decompose"], ["dispersion", "--grid", "3"], ["spectrum"], ["verify"]], ids=lambda argv: argv[0])
+def test_config_cutoff_changes_no_report(tmp_path, capsys, argv):
+    # no command reads a Fock cutoff, so the key is ignored whatever it holds
+    payload = dict(SAMPLE, direction=[0.41, 0.32, -0.86], scales=[1e-2, 1e-3])
+
+    def report(payload):
+        status, out, err = _run(capsys, argv + ["--config", _write(tmp_path, "cfg.json", payload)])
+        if argv[0] == "verify":  # every record but its timing
+            out = json.loads(out)
+            for check in out["checks"]:
+                del check["elapsed_s"]
+        return status, out, err
+
+    want = report(payload)
+    assert want[0] == 0 and want[2] == ""
+    for cutoff in (2, 99, -1, 2.5, "x", None, True):
+        assert report(dict(payload, cutoff=cutoff)) == want, cutoff
 
 
 def test_rejects_nonperturbative_scales(tmp_path, capsys):
@@ -139,9 +154,9 @@ def test_rejects_inconsistent_dual_input(tmp_path, capsys):
 @pytest.mark.parametrize(
     "payload, message",
     [
-        ({"cutoff": 2.9}, "cutoff must be an integer"),
-        ({"cutoff": None}, "cutoff must be an integer"),
-        ({"cutoff": True}, "cutoff must be an integer"),
+        ({"time": 0.0}, "time must be a positive real"),
+        ({"scales": [1e-3, -1e-3]}, "scales must be positive"),
+        ({"output": 3}, "output must be a path string"),
         ({"scales": 0.01}, "scales must be a list of numbers"),
         ({"scales": ["0.01"]}, "every entry of scales must be a number"),
         ({"kappa_tr": [1]}, "kappa_tr must be a number"),
@@ -166,12 +181,21 @@ def test_mistyped_config_is_one_line_usage_error(tmp_path, capsys, payload, mess
     assert message in err
 
 
-def test_verify_rejects_cutoff_flag(capsys):
-    status, out, err = _run(capsys, ["verify", "--cutoff", "3"])
-    assert status == 2
-    assert out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert "--cutoff does not apply to verify" in err
+@pytest.mark.parametrize("command", ["decompose", "dispersion", "spectrum", "verify"])
+def test_cutoff_flag_is_an_unrecognized_argument(tmp_path, capsys, command):
+    # no command takes a cutoff, so argparse refuses the flag like any
+    # unknown one, and no help text offers it
+    path = _write(tmp_path, "cfg.json", SAMPLE)
+    with pytest.raises(SystemExit) as exit_:
+        cli.main([command, "--config", path, "--cutoff", "3"])
+    captured = capsys.readouterr()
+    assert exit_.value.code == 2 and captured.out == ""
+    assert captured.err.endswith("lvphoton: error: unrecognized arguments: --cutoff 3\n")
+    with pytest.raises(SystemExit) as exit_:
+        cli.main([command, "--help"])
+    captured = capsys.readouterr()
+    assert exit_.value.code == 0 and "--config" in captured.out
+    assert "--cutoff" not in captured.out
 
 
 @pytest.mark.parametrize("where", ["missing_dir_flag", "directory_flag", "missing_dir_key"])
@@ -223,7 +247,7 @@ def _bad_array(shape):
 
 _VALID_RUN = {
     "direction": _array((3,), st.floats(min_value=-1.0, max_value=1.0)),
-    "cutoff": st.integers(min_value=1, max_value=4),
+    "cutoff": _WILD,  # read by no command, so any value is valid
     "scales": st.lists(st.floats(min_value=1e-6, max_value=0.1), max_size=3),
     "time": st.floats(min_value=0.1, max_value=10.0),
     "command": st.just("decompose"),
@@ -250,7 +274,6 @@ _BAD = {
     "kappa_tr": st.one_of(_WILD, st.floats(min_value=0.2, max_value=1e3), st.lists(_SMALL, max_size=2)),
     "kf_components": _bad_array((4, 4, 4, 4)),
     "direction": st.one_of(_bad_array((3,)), st.just([0.0, 0.0, 0.0])),
-    "cutoff": st.one_of(st.integers(min_value=-3, max_value=8), st.floats(), _WILD),
     "scales": st.one_of(st.lists(st.one_of(_SMALL, _WILD), min_size=1, max_size=3), _WILD),
     "time": st.one_of(st.floats(max_value=0.0), _WILD),
     # never a string: a string names the file the report is written to
@@ -584,6 +607,26 @@ def test_dispersion_grid_runs_no_companion_eigensolve(tmp_path, capsys, monkeypa
     assert len(json.loads(out)["rows"]) == 5001
 
 
+def _rowwise_csv(rows):
+    """render_csv as earlier versions wrote a list of flat row dicts: the reference."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    header = list(rows[0].keys())
+    writer.writerow(header)
+    for row in rows:
+        cells = []
+        for key in header:
+            v = row[key]
+            if v is None:
+                cells.append("")
+            elif isinstance(v, (float, np.floating)):
+                cells.append(format(float(v), ".17g"))
+            else:
+                cells.append(v)
+        writer.writerow(cells)
+    return buf.getvalue()
+
+
 def _rowwise_dispersion(config, grid, seed):
     """cmd_dispersion as earlier versions built it, one object per row.
 
@@ -641,7 +684,7 @@ def test_columnar_dispersion_matches_the_rowwise_reference(tmp_path, seed, biref
         report = cli.cmd_dispersion(config, grid=grid, seed=seed)
         want = _rowwise_dispersion(config, grid, seed)
         assert cli.render_json(report) == _recursive_render_json(want)
-        assert cli.render_csv(report["rows"]) == cli.render_csv(want["rows"])
+        assert cli.render_csv(report["rows"]) == _rowwise_csv(want["rows"])
 
 
 @pytest.mark.parametrize(
@@ -691,13 +734,6 @@ def test_spectrum_sweep_cross_coupling_is_quadratic(tmp_path, capsys):
     assert status == 0
     report = json.loads(out)
     assert 1.8 < report["cross_fit_exponent"] < 2.2
-
-
-def test_spectrum_rejects_shallow_cutoff(tmp_path, capsys):
-    path = _write(tmp_path, "cfg.json", SAMPLE)
-    status, _, err = _run(capsys, ["spectrum", "--config", path, "--cutoff", "1"])
-    assert status == 2
-    assert "headroom" in err
 
 
 def test_spectrum_rejects_sweep_of_zero_parameters(tmp_path, capsys):
@@ -754,6 +790,49 @@ def oblique_sweep(tmp_path_factory):
     return str(path), sets, frame
 
 
+def _rowwise_spectrum(config):
+    """cmd_spectrum as earlier versions built it, one dict per row: the reference."""
+    frame = dp.polarization_frame(config.direction)
+    magnitude = config.kappas.magnitude
+    if config.scales:
+        sweep = [(s, config.kappas.scaled(s / magnitude)) for s in config.scales]
+    else:
+        sweep = [(magnitude, config.kappas)]
+    rows = [{"scale": s, **md.spectrum_values(k, frame)} for s, k in sweep]
+    fit = None
+    if len(rows) >= 2:
+        crosses = np.array([row["cross_after"] for row in rows])
+        scales = np.array([row["scale"] for row in rows])
+        if np.all(crosses > 0.0):
+            slope, _ = np.polyfit(np.log10(scales), np.log10(crosses), 1)
+            fit = float(slope)
+    return {
+        "command": "spectrum",
+        "kx": config.direction[0],
+        "ky": config.direction[1],
+        "kz": config.direction[2],
+        "rows": rows,
+        "cross_fit_exponent": fit,
+    }
+
+
+def test_columnar_spectrum_prints_the_rowwise_bytes(oblique_sweep, tmp_path, capsys):
+    # the rows are Columns, printed as the list of row dicts was, in JSON
+    # and CSV, with scale first and then the spectrum_values keys in order
+    path, _, _ = oblique_sweep
+    configs = [path, _write(tmp_path, "one.json", SAMPLE), _write(tmp_path, "zero.json", {})]
+    for config in configs:
+        want = _rowwise_spectrum(cli.load_config(config))
+        status, out, err = _run(capsys, ["spectrum", "--config", config])
+        assert (status, err) == (0, "") and out == _recursive_render_json(want) + "\n"
+        status, out, err = _run(capsys, ["spectrum", "--config", config, "--format", "csv"])
+        assert (status, err) == (0, "") and out == _rowwise_csv(want["rows"])
+        assert out.split("\n", 1)[0] == (
+            "scale,gap_plus,delta_plus,gap_residual_plus,gap_minus,delta_minus,"
+            "gap_residual_minus,cross_before,cross_after"
+        )
+
+
 @pytest.mark.parametrize("cutoff", [2, 3])
 def test_spectrum_factor_rows_match_full_space(oblique_sweep, cutoff):
     # the factor reference is the 8-mode space on the ghost vacuum, at
@@ -787,15 +866,10 @@ def test_spectrum_rows_match_the_factor_at_cutoff_6(oblique_sweep, capsys):
             assert row[f"gap_residual_{side}"] == abs(row[f"gap_{side}"] - want)
 
 
-@pytest.mark.parametrize("flag", [False, True])
-def test_spectrum_accepts_deep_cutoffs(tmp_path, capsys, flag):
-    # the cutoff is range-checked but not read: the rows are exact
+def test_spectrum_accepts_deep_cutoffs(tmp_path, capsys):
+    # the cutoff is not read: the rows are exact
     payload = dict(SAMPLE, direction=[0.41, 0.32, -0.86])
-    argv = ["spectrum", "--config"]
-    if flag:
-        argv += [_write(tmp_path, "cfg.json", payload), "--cutoff", "8"]
-    else:
-        argv += [_write(tmp_path, "cfg.json", dict(payload, cutoff=8))]
+    argv = ["spectrum", "--config", _write(tmp_path, "cfg.json", dict(payload, cutoff=8))]
     status, out, err = _run(capsys, argv)
     assert status == 0 and err == ""
     plain = _write(tmp_path, "plain.json", payload)
@@ -820,11 +894,20 @@ def test_spectrum_accepts_deep_cutoffs(tmp_path, capsys, flag):
     ],
 )
 def test_cutoff_ranges_per_command(tmp_path, capsys, argv, payload):
+    # the inputs that per-command cutoff ranges used to refuse: no command
+    # has a range now, a config cutoff runs as if absent and the flag is
+    # unknown to every command
     path = _write(tmp_path, "cfg.json", dict(SAMPLE, **payload))
+    if "--cutoff" in argv:
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(argv + ["--config", path])
+        captured = capsys.readouterr()
+        assert exit_.value.code == 2 and captured.out == ""
+        assert "unrecognized arguments: --cutoff" in captured.err
+        return
     status, out, err = _run(capsys, argv + ["--config", path])
-    assert status == 2 and out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert "cutoff must lie in" in err
+    assert status == 0 and err == ""
+    assert json.loads(out)["command"] == argv[0]
 
 
 def test_spectrum_never_builds_the_full_space(tmp_path, capsys, monkeypatch):
@@ -1215,7 +1298,7 @@ def test_columns_render_like_their_rows():
         assert cli.render_json(table, indent) == _recursive_render_json(rows, indent)
     report = {"command": "x", "rows": table, "tail": [1.5]}
     assert cli.render_json(report) == _recursive_render_json(dict(report, rows=rows))
-    assert cli.render_csv(table) == cli.render_csv(rows)
+    assert cli.render_csv(table) == _rowwise_csv(rows)
     assert table[-1]["b"] == 6.0 and [row["b"] for row in table[2:4]] == [2.0, 3.0]
     with pytest.raises(IndexError):
         table[7]
