@@ -152,13 +152,16 @@ def _dispersion_checks(rng):
     worst_cov = np.max(np.abs(moved - dp.delta_nonbiref(k, khats)))
     yield _check("delta_rotation_covariance", worst_cov, 1e-12)
 
-    # the root solver takes one tensor per call (the path of `dispersion`),
-    # so the roots stay one draw at a time
+    # one set of 10 shapes and directions at all three scales, so the
+    # slope does not carry the scatter of new shapes at each scale; the
+    # draw takes 30 rounds of normals, which keeps every later check's
+    # draws.  The root solver takes one tensor per call (the path of
+    # `dispersion`), so the roots stay one draw at a time
+    normals, directions = (part[:10] for part in _draws(rng, 30, _KAPPA, 3))
+    khats = dp.direction_draws(directions)
     residuals = []
     for scale in (1e-2, 1e-3, 1e-4):
-        normals, directions = _draws(rng, 10, _KAPPA, 3)
         k = kt.kappa_draws(normals, scale)
-        khats = dp.direction_draws(directions)
         delta = dp.delta_nonbiref(k, khats)
         worst = 0.0
         for kf, khat, shift in zip(kt.kf_from_kappas(k), khats, delta):

@@ -18,13 +18,12 @@ fock_space.monomial_sum, from lists of (coefficient, factor, factor)
 terms on the eight mode slots.  The numpy-only modes module writes
 the lists: modes.raw_terms the raw ones, and modes.mode_terms the
 grouped ones, the six blocks' and Xi's, in one place; build_raw,
-build_grouped and xi_generators sum them on the 8-mode space.  For
-states with empty scalar and longitudinal modes, build_transverse
-gives the same H and Xi on the four transverse modes alone: the
-factor's columns are labeled by their slots (modes.TRANSVERSE_SLOTS),
-so monomial_sum builds the same h_t, h_pm_t and Xi terms there.  The
-`spectrum` report needs no matrix at all: modes.spectrum_values reads
-its rows off the same terms in closed form.  What keeps the
+build_grouped and xi_generators sum them on the 8-mode space, and
+transverse_space is the four transverse modes alone, its columns
+labeled by their slots (modes.TRANSVERSE_SLOTS).  The `spectrum`
+report and the exact coupling table need no matrix at all:
+modes.spectrum_values and modes.exact_couplings read them off the
+same terms in closed form.  What keeps the
 raw/grouped comparison meaningful is that the two coefficient sets
 stay independent: raw_terms takes its coefficients from the tensor
 contractions of modes.coefficient_matrices, and mode_terms from
@@ -90,14 +89,6 @@ def build_grouped(space, kappas, frame):
     return fs.monomial_sum(space, [term for terms in blocks.values() for term in terms])
 
 
-#: <ghost vacuum| h_ls0 + h_lslv |ghost vacuum>.  The +k terms of h_ls0,
-#: a_r bar(a_r), give zeta_r on the vacuum since [a_r, bar(a_r)] = zeta_r,
-#: and its -k terms are normal ordered.  Every h_lslv term annihilates
-#: the ghost vacuum or changes its occupations (a_g commutes with the
-#: physical dagger of a_d), so h_lslv adds nothing.
-_GHOST_VACUUM_ENERGY = md.ZETA[3] - md.ZETA[0]
-
-
 def transverse_space(cutoff):
     """The 4-mode occupation space labeled by modes.TRANSVERSE_SLOTS, dim (cutoff+1)^4."""
     cutoff = fs.checked_cutoff(cutoff, "transverse cutoff must be an integer of at least 1")
@@ -108,25 +99,6 @@ def check_transverse(space):
     """Reject a space that is not a transverse_space."""
     if space.labels != md.TRANSVERSE_SLOTS:
         raise ValueError(f"expected the 4-mode transverse factor, not modes {space.labels}")
-
-
-def build_transverse(space, kappas, frame):
-    """H and Xi on the transverse factor, for states with empty ghost modes.
-
-    Xi, h_t and h_pm_t act only on the transverse modes.  Between
-    states whose scalar and longitudinal modes are empty, h_p_tls and
-    h_m_tls vanish (each term moves one ghost quantum) and h_ls0 +
-    h_lslv is the constant _GHOST_VACUUM_ENERGY.  On those states the
-    8-mode H and Xi are therefore the ghost vacuum times the returned
-    h = h_t + h_pm_t + c I and xi, with the same entries: both are the
-    same mode_terms summed on the factor.  `space` is a
-    transverse_space; returns (h, xi).
-    """
-    check_transverse(space)
-    terms = md.mode_terms(kappas, frame)
-    h = fs.monomial_sum(space, terms["h_t"] + terms["h_pm_t"])
-    h = h + _GHOST_VACUUM_ENERGY * sp.identity(space.dim, format="csr")
-    return h.tocsr(), fs.monomial_sum(space, terms["xi"])
 
 
 def _evolved(xi, states, dim):

@@ -1,4 +1,4 @@
-"""Transformed transverse potentials and the birefringent current coupling.
+"""Transverse potentials and the birefringent current coupling.
 
 The similarity transform that diagonalizes the transverse sector of the
 Hamiltonian acts on the transverse potential operators as a small
@@ -14,20 +14,16 @@ makes the photon-charge interaction strength depend on which transverse
 polarization the wave carries, even though the vacuum dispersion of the
 two polarizations is identical: the coupling is birefringent while the
 propagation is not.  The two diagonal coefficients differ by exactly
-2 delta1.
+2 delta1 at this order; modes.exact_couplings gives the table to all
+orders, exp(-D) with D = [[delta1, delta2], [delta2, -delta1]].
 
 Every `space` here is the four-mode transverse factor
 (hamiltonian.transverse_space), and the potentials are summed on it by
 fock_space.monomial_sum from the 8-mode ladder factors.  The potentials
-and Xi touch no scalar or longitudinal mode, so on the 8-mode space
-each of them, and the conjugation exp(Xi) A_r exp(-Xi), is the identity
-on the ghost modes times its factor operator; the Frobenius ratios of
-extract_couplings gain the same ghost dimension above and below, so the
-factor's table is the 8-mode table exactly.  The exact conjugation
-evolves the factor's basis columns by exp(-Xi) one coupled block of Xi
-at a time, with the same propagator as every other evolution
-(fock_space.propagate_blocks); no dense exponential is formed, so no
-dimension cap applies.
+touch no scalar or longitudinal mode, so on the 8-mode space each of
+them is the identity on the ghost modes times its factor operator; the
+Frobenius ratios of extract_couplings gain the same ghost dimension
+above and below, so the factor's table is the 8-mode table exactly.
 
 No matter sector is modeled; the current components j1, j2 stay opaque
 multipliers.  CouplingTable carries the four coefficient combinations
@@ -40,7 +36,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import fock_space as fs
 from . import hamiltonian as hm
@@ -88,35 +83,12 @@ def transverse_potential(space, polarization):
     return fs.monomial_sum(space, [(1 / math.sqrt(2), S[polarization] + Tb[polarization])])
 
 
-def transformed_potentials(space, kappas, frame):
-    """Exact conjugation exp(Xi) A_r exp(-Xi) of both transverse potentials.
-
-    Xi is the factor generator of hamiltonian.build_transverse.  On the
-    factor the metric is +1 and Xi-dagger = -Xi exactly, so with Phi =
-    exp(-Xi), evolved once over the factor's basis by
-    hamiltonian.transformed_matrices (one block of Xi at a time) and
-    shared by both potentials, Phi^dagger A_r Phi is the conjugation;
-    it needs no dense exponential and no dimension cap.  Returns the
-    pair of dense transformed matrices.  To leading order in kappa they
-    equal the mixed combinations
+def first_order_potentials(space, kappas, frame):
+    """The leading-order mixed potentials, as sparse matrices:
 
         A'_1 = (1 - delta1) A_1 - delta2 A_2
         A'_2 = (1 + delta1) A_2 - delta2 A_1
-
-    (see first_order_potentials); the difference is O(kappa^2) on
-    columns with transverse headroom.  On transverse-saturated columns
-    the finite cutoff clips the operator products inside the
-    conjugation at O(kappa), so comparisons against the mixed
-    combinations must mask to fock_space.interior_mask columns.
     """
-    _, xi = hm.build_transverse(space, kappas, frame)
-    basis = sp.identity(space.dim, dtype=complex, format="csc")
-    potentials = [transverse_potential(space, r) for r in (1, 2)]
-    return hm.transformed_matrices(space, potentials, xi, basis)
-
-
-def first_order_potentials(space, kappas, frame):
-    """The leading-order mixed potentials, as written above."""
     delta1, delta2 = mixing_deltas(kappas, frame)
     a_1 = transverse_potential(space, 1)
     a_2 = transverse_potential(space, 2)
@@ -126,25 +98,18 @@ def first_order_potentials(space, kappas, frame):
     )
 
 
-def _as_dense(operator):
-    return operator.toarray() if sp.issparse(operator) else np.asarray(operator)
-
-
-def extract_couplings(space, a1_prime, a2_prime, columns=None):
-    """Project a pair of mixed potentials back onto the bare pair.
+def extract_couplings(space, a1_prime, a2_prime):
+    """Project a pair of mixed sparse potentials back onto the bare pair.
 
     The bare potentials act on disjoint modes and are orthogonal in the
     Frobenius product, so the projection recovers the mixing
     coefficients exactly, and those are the coefficients the current
-    components acquire in the interaction term.  Pass a boolean column
-    mask (typically fock_space.interior_mask) to keep truncation clipping
-    out of the projection when the input is an exact conjugation.
+    components acquire in the interaction term.
     """
-    columns = slice(None) if columns is None else columns
-    a_1 = transverse_potential(space, 1).toarray()[:, columns]
-    a_2 = transverse_potential(space, 2).toarray()[:, columns]
-    a1_prime = _as_dense(a1_prime)[:, columns]
-    a2_prime = _as_dense(a2_prime)[:, columns]
+    a_1 = transverse_potential(space, 1).toarray()
+    a_2 = transverse_potential(space, 2).toarray()
+    a1_prime = a1_prime.toarray()
+    a2_prime = a2_prime.toarray()
     weight_1 = np.vdot(a_1, a_1)
     weight_2 = np.vdot(a_2, a_2)
     return CouplingTable(

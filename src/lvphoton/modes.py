@@ -19,8 +19,9 @@ action as a 2n x 2n matrix in the basis v = (a, a-dagger) (Bogoliubov
 theory of a quadratic boson Hamiltonian; Colpa, Physica A 93 (1978)
 327).  On the four transverse modes Xi is two independent two-mode
 squeezes, so exp(Xi) acts on the ladder operators by a matrix B in
-closed form, and spectrum_values reads the `spectrum` row off the
-transformed terms with no Fock truncation.
+closed form: spectrum_values reads the `spectrum` row off the
+transformed terms, and exact_couplings the current-coupling table off
+the transformed potentials, with no Fock truncation.
 """
 
 import math
@@ -185,8 +186,8 @@ def mode_terms(kappas, frame):
 
     A dict from each block name, and "xi", to that operator's (coef,
     factor, factor) terms, coefficients from the frame bilinears;
-    hamiltonian.build_grouped, xi_generators and build_transverse sum
-    them, and spectrum_values transforms them.  Every block, each summed
+    hamiltonian.build_grouped and xi_generators sum them, and
+    spectrum_values transforms them.  Every block, each summed
     on its own, is self-adjoint under the bar-adjoint.  At kappa = 0
     all blocks except h_t and h_ls0 vanish.
 
@@ -319,13 +320,37 @@ def transverse_bogoliubov(xi_terms):
     return math.cosh(r) * np.eye(len(form)) + (math.sinh(r) / r if r else 1.0) * form
 
 
+def exact_couplings(kappas, frame):
+    """The exact current-coupling table exp(-D) = cosh r I - (sinh r / r) D.
+
+    The potential A_r = (a_r(+k) + abar_r(-k)) / sqrt(2) is a factor
+    f_r, and exp(Xi) A_r exp(-Xi) is the factor B f_r (B of
+    transverse_bogoliubov), which stays in the span of f_1 and f_2 with
+    the coefficients of exp(-D), D = [[delta1, delta2], [delta2,
+    -delta1]] (dispersion.mixing_deltas) and r^2 = delta1^2 + delta2^2.
+    Row r holds the coefficients of the transformed polarization-r
+    potential, [j1_pol1, j2_pol1] and [j1_pol2, j2_pol2] as in
+    interaction.CouplingTable; to first order in kappa this is that
+    module's vint_coefficients table, and at r = 0 it is exactly I.
+    The diagonal differs by -2 (sinh r / r) delta1.  Leading axes as in
+    mixing_deltas; returns an array of shape lead + (2, 2).
+    """
+    delta1, delta2 = mixing_deltas(kappas, frame)
+    r = np.sqrt(delta1 * delta1 + delta2 * delta2)
+    c = np.cosh(r)
+    s = np.divide(np.sinh(r), r, out=np.ones_like(r), where=r > 0.0)
+    rows = ((c - s * delta1, -s * delta2), (-s * delta2, c + s * delta1))
+    return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
+
+
 def spectrum_values(kappas, frame):
     """One `spectrum` row, without its scale, exactly: no Fock truncation.
 
     The row holds matrix elements of exp(Xi) H exp(-Xi) among the
     vacuum, the four transverse one-photon states and the +-k pair
     a1(+k)-dagger a1(-k)-dagger |0>.  On those states H is h_t + h_pm_t
-    plus the constant ghost-vacuum energy (hamiltonian.build_transverse),
+    plus a constant ghost-vacuum energy (h_p_tls and h_m_tls move a
+    ghost quantum, and h_ls0 + h_lslv is constant on the ghost vacuum),
     and the constant cancels in every value.  With B from
     transverse_bogoliubov each term c F G becomes c (B f).v (B g).v,
     whose elements follow from [a_i, a_j-dagger] = delta_ij:

@@ -3,8 +3,8 @@
 This is the Fock-space path that `spectrum` took before its rows went
 to closed form (modes.spectrum_values): the six states (the vacuum, the
 four transverse one-photon states and the +-k pair) are evolved by
-exp(-Xi) on hamiltonian.transverse_space(cutoff), and H is taken
-between them.  Truncation at the cutoff clips the evolved states, so it
+exp(-Xi) on hamiltonian.transverse_space(cutoff), and H of
+transverse_reference.build_transverse is taken between them.  Truncation at the cutoff clips the evolved states, so it
 equals the exact rows only as the cutoff grows: to about 1e-4 in the
 gaps at cutoff 2 and scale 1e-2, and to roundoff from cutoff 6.
 """
@@ -13,6 +13,8 @@ import numpy as np
 
 from lvphoton import hamiltonian as hm
 from lvphoton import modes as md
+
+import transverse_reference  # tests/transverse_reference.py
 
 
 def photon_index(space, *modes):
@@ -25,7 +27,7 @@ def photon_index(space, *modes):
 
 def transverse_values(space, frame, kappas):
     """Transformed gaps and the pair-vacuum cross terms on one transverse factor."""
-    h, xi = hm.build_transverse(space, kappas, frame)
+    h, xi = transverse_reference.build_transverse(space, kappas, frame)
     pair = photon_index(space, md.ModeId(md.PLUS_K, 1), md.ModeId(md.MINUS_K, 1))
     # vacuum, the four transverse one-photon states (+k then -k), the pair
     indices = [photon_index(space)]

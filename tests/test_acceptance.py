@@ -24,6 +24,8 @@ from lvphoton import lorenz as lz
 from lvphoton import modes as md
 from lvphoton.dispersion import Z_AXIS
 
+import transverse_reference  # tests/transverse_reference.py
+
 
 @pytest.fixture(scope="module")
 def space():
@@ -363,9 +365,9 @@ def test_criterion_12_coupling_table():
     # excluded and the parameters are small enough that the quadratic
     # remainder sits below the tolerance
     tiny = k.scaled(1e-7 / k.magnitude)
-    exact_1, exact_2 = ia.transformed_potentials(space, tiny, frame)
+    exact_1, exact_2 = transverse_reference.transformed_potentials(space, tiny, frame)
     columns = fs.interior_mask(space)
-    got_exact = ia.extract_couplings(space, exact_1, exact_2, columns=columns)
+    got_exact = transverse_reference.masked_couplings(space, exact_1, exact_2, columns)
     want_tiny = ia.vint_coefficients(tiny)
     worst_exact = max(
         abs(got_exact.j1_pol1 - want_tiny.j1_pol1),
@@ -379,9 +381,9 @@ def test_criterion_12_coupling_table():
     worst_larger = 0.0
     for cutoff in (2, 3, 4):
         factor = hm.transverse_space(cutoff)
-        exact_1, exact_2 = ia.transformed_potentials(factor, tiny, frame)
+        exact_1, exact_2 = transverse_reference.transformed_potentials(factor, tiny, frame)
         columns = fs.interior_mask(factor)
-        got_exact = ia.extract_couplings(factor, exact_1, exact_2, columns=columns)
+        got_exact = transverse_reference.masked_couplings(factor, exact_1, exact_2, columns)
         worst_larger = max(
             worst_larger,
             abs(got_exact.j1_pol1 - want_tiny.j1_pol1),
@@ -390,10 +392,28 @@ def test_criterion_12_coupling_table():
             abs(got_exact.j2_pol2 - want_tiny.j2_pol2),
         )
     assert worst_larger < 1e-12
+
+    # the closed-form exact table at finite kappa, against the Fock
+    # conjugation on the columns with headroom 4 at cutoff 5 (every
+    # occupation at most 1), where truncation sits below roundoff
+    factor = hm.transverse_space(5)
+    columns = np.all(factor.occupations <= 1, axis=1)
+    rng = np.random.default_rng(112)
+    worst_all_orders = 0.0
+    for _ in range(6):
+        shape = kt.random_kappas(rng, 1e-2)
+        k = shape.scaled(2e-2 / shape.magnitude)
+        fr = dp.polarization_frame(dp.random_directions(rng))
+        exact = transverse_reference.transformed_potentials(factor, k, fr)
+        ref = transverse_reference.masked_couplings(factor, *exact, columns)
+        want = np.array([[ref.j1_pol1, ref.j2_pol1], [ref.j1_pol2, ref.j2_pol2]])
+        worst_all_orders = max(worst_all_orders, np.abs(md.exact_couplings(k, fr) - want).max())
+    assert worst_all_orders < 1e-13
     print(
         f"criterion 12 PASS coupling table: closed {worst_closed:.3e}, "
         f"first-order extraction {worst_first:.3e}, exact {worst_exact:.3e}, "
-        f"exact at cutoffs 2-4 {worst_larger:.3e}"
+        f"exact at cutoffs 2-4 {worst_larger:.3e}, "
+        f"closed exact at magnitude 2e-2 {worst_all_orders:.3e}"
     )
 
 

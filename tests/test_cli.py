@@ -946,6 +946,15 @@ def test_verify_default_config_passes(tmp_path, capsys):
         assert check["measured"] <= check["tolerance"]
 
 
+def test_verify_passes_at_a_seed_whose_draws_once_failed(tmp_path, capsys):
+    # seed 54 failed ampere_scaling_exponent when each scale drew new shapes
+    out_path = tmp_path / "report.json"
+    status = cli.main(["verify", "--seed", "54", "--output", str(out_path)])
+    capsys.readouterr()
+    assert status == 0
+    assert json.loads(out_path.read_text())["failures"] == []
+
+
 def test_verify_detects_injected_leakage(tmp_path, capsys):
     out_path = tmp_path / "report.json"
     status = cli.main(

@@ -14,6 +14,8 @@ from lvphoton import kappa_tensor as kt
 from lvphoton import lorenz as lz
 from lvphoton import modes as md
 
+import transverse_reference  # tests/transverse_reference.py
+
 
 def dense(a):
     return np.asarray(a.todense())
@@ -165,7 +167,8 @@ def _physics_operator(name):
         g = lz.ghost_space(3)
         return lz.ghost_lslv(g, 0.37) if rest == "lslv" else lz.ghost_pm_tls(g, 0.61, 0.83)
     if kind == "factor":
-        return hm.build_transverse(hm.transverse_space(int(rest)), k, frame)[1]
+        factor = hm.transverse_space(int(rest))
+        return transverse_reference.build_transverse(factor, k, frame)[1]
     space = fs.build_space(int(rest[0]))
     if kind == "xi":
         return hm.xi_generators(space, k, frame)

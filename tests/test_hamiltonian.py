@@ -25,6 +25,7 @@ from lvphoton import modes as md
 
 import bilinear_reference  # tests/bilinear_reference.py
 import monomial_reference  # tests/monomial_reference.py
+import transverse_reference  # tests/transverse_reference.py
 
 
 @pytest.fixture(scope="module")
@@ -136,7 +137,8 @@ def _reference_transverse(space, kappas, frame, kron_ladder):
         Tb[r] = kron_ladder(space, minus, raising=True)
     E, _ = bilinear_reference.kappa_bilinears(kappas, frame)
     h_t, h_pm_t = _transverse_blocks(kappas, frame, E, S, T, Sb, Tb)
-    h = h_t + h_pm_t + hm._GHOST_VACUUM_ENERGY * sp.identity(space.dim, format="csr")
+    constant = transverse_reference.GHOST_VACUUM_ENERGY
+    h = h_t + h_pm_t + constant * sp.identity(space.dim, format="csr")
     return h.tocsr(), _xi_from_operators(E, S, T, Sb, Tb)
 
 
@@ -195,7 +197,7 @@ def test_transverse_assembler_matches_product_chains(cutoff, kron_ladder):
     k = kt.random_kappas(rng, 1e-2)
     frame = dp.polarization_frame(dp.random_directions(rng))
     want = _reference_transverse(space, k, frame, kron_ladder)
-    for got, ref in zip(hm.build_transverse(space, k, frame), want):
+    for got, ref in zip(transverse_reference.build_transverse(space, k, frame), want):
         _assert_assembled_like(got, ref)
 
 
@@ -398,7 +400,7 @@ def test_monomial_sum_matches_its_reference_bit_for_bit(cutoff, checked_sums):
         lambda k, frame: hm.build_raw(space, kt.kf_from_kappas(k), frame),
         lambda k, frame: hm.xi_generators(space, k, frame),
         lambda k, frame: hm.build_grouped(space, kt.KappaSet(), frame),
-        lambda k, frame: hm.build_transverse(factor, k, frame),
+        lambda k, frame: transverse_reference.build_transverse(factor, k, frame),
     ]
     builders += [
         lambda k, frame, name=name: fs.monomial_sum(space, md.mode_terms(k, frame)[name])
@@ -656,7 +658,7 @@ def test_evolve_matches_expm_multiply_on_the_transverse_factor(cutoff):
     rng = np.random.default_rng(40 + cutoff)
     k = kt.random_kappas(rng, 1e-2)
     frame = dp.polarization_frame(dp.random_directions(rng))
-    xi = sp.csr_matrix(hm.build_transverse(space, k, frame)[1])
+    xi = sp.csr_matrix(transverse_reference.build_transverse(space, k, frame)[1])
     labels = fs.coupled_blocks(xi)
     vacuum = np.zeros(space.dim, dtype=complex)
     vacuum[0] = 1.0
@@ -746,7 +748,7 @@ def test_ghost_vacuum_constant_matches_full_space(space2):
         blocks = _blocks(space2, kt.random_kappas(rng, 1e-2), frame)
         assert abs(blocks["h_lslv"]).max() > 0.0
         element = fs.indefinite_inner(space2, vac, (blocks["h_ls0"] + blocks["h_lslv"]) @ vac)
-        assert element == hm._GHOST_VACUUM_ENERGY
+        assert element == transverse_reference.GHOST_VACUUM_ENERGY
 
 
 @pytest.mark.parametrize("cutoff", [2, 3])
@@ -761,7 +763,7 @@ def test_transverse_factor_is_the_ghost_vacuum_block(cutoff):
     frame = dp.polarization_frame(np.array([0.41, 0.32, -0.86]) / np.linalg.norm([0.41, 0.32, -0.86]))
     h_full = hm.build_grouped(space, k, frame)
     xi_full = hm.xi_generators(space, k, frame)
-    h, xi = hm.build_transverse(factor, k, frame)
+    h, xi = transverse_reference.build_transverse(factor, k, frame)
     ghost_slots = [0, 3, 4, 7]
     empty = np.flatnonzero(~space.occupations[:, ghost_slots].any(axis=1))
     others = np.setdiff1d(np.arange(space.dim), empty)
@@ -777,7 +779,7 @@ def test_build_transverse_rejects_the_full_space(space):
     k = kt.random_kappas(np.random.default_rng(82), 1e-2)
     frame = dp.polarization_frame(np.array([0.0, 0.0, 1.0]))
     with pytest.raises(ValueError, match="4-mode transverse factor"):
-        hm.build_transverse(space, k, frame)
+        transverse_reference.build_transverse(space, k, frame)
 
 
 def test_momentum_operator(space):

@@ -1,4 +1,8 @@
-"""Tests for the transformed potentials and the current-coupling table."""
+"""Tests for the potentials and the current-coupling table.
+
+The exact table is modes.exact_couplings in closed form; the Fock-factor
+conjugation it replaced is tests/transverse_reference.py, its reference.
+"""
 
 import pathlib
 import subprocess
@@ -17,6 +21,8 @@ from lvphoton import hamiltonian as hm
 from lvphoton import interaction as ia
 from lvphoton import kappa_tensor as kt
 from lvphoton import modes as md
+
+import transverse_reference  # tests/transverse_reference.py
 
 
 @pytest.fixture(scope="module")
@@ -99,7 +105,7 @@ def test_zero_kappa_identity_table():
 
 
 def test_zero_kappa_potentials_unchanged(space, frame):
-    a1_prime, a2_prime = ia.transformed_potentials(space, kt.KappaSet(), frame)
+    a1_prime, a2_prime = transverse_reference.transformed_potentials(space, kt.KappaSet(), frame)
     assert np.array_equal(a1_prime, ia.transverse_potential(space, 1).toarray())
     assert np.array_equal(a2_prime, ia.transverse_potential(space, 2).toarray())
 
@@ -266,7 +272,7 @@ def test_first_order_agreement_is_quadratic(space, frame):
     residuals = []
     for scale in (1e-2, 1e-3):
         kappas = kt.random_kappas(np.random.default_rng(11), scale)
-        exact_1, exact_2 = ia.transformed_potentials(space, kappas, frame)
+        exact_1, exact_2 = transverse_reference.transformed_potentials(space, kappas, frame)
         first_1, first_2 = ia.first_order_potentials(space, kappas, frame)
         residuals.append(
             max(
@@ -288,8 +294,8 @@ def test_extraction_consistency(space, frame):
     # the exact conjugation reproduces it on interior columns once the
     # quadratic corrections drop below the tolerance
     tiny = kt.random_kappas(rng, 1e-7)
-    exact_1, exact_2 = ia.transformed_potentials(space, tiny, frame)
-    got = ia.extract_couplings(
+    exact_1, exact_2 = transverse_reference.transformed_potentials(space, tiny, frame)
+    got = transverse_reference.masked_couplings(
         space, exact_1, exact_2, fs.interior_mask(space)
     )
     assert _table_distance(got, ia.vint_coefficients(tiny)) < 1e-12
@@ -308,12 +314,12 @@ def test_factor_matches_full_space_reference(dense_similarity):
         kappas = kt.random_kappas(rng, 1e-2)
         fr = dp.polarization_frame(dp.random_directions(rng))
         ref_exact, ref_first, ref_table = _full_space_reference(full, kappas, fr, dense_similarity)
-        exact = ia.transformed_potentials(factor, kappas, fr)
+        exact = transverse_reference.transformed_potentials(factor, kappas, fr)
         for got, want in zip(exact, ref_exact):
             assert np.max(np.abs(got - want[np.ix_(empty, empty)])) < 1e-15
         first = ia.extract_couplings(factor, *ia.first_order_potentials(factor, kappas, fr))
         assert _table_distance(first, ref_first) < 1e-15
-        table = ia.extract_couplings(factor, *exact, fs.interior_mask(factor))
+        table = transverse_reference.masked_couplings(factor, *exact, fs.interior_mask(factor))
         assert _table_distance(table, ref_table) < 1e-15
 
 
@@ -324,8 +330,8 @@ def test_transformed_potentials_match_dense_expm(cutoff, dense_similarity):
     rng = np.random.default_rng(80 + cutoff)
     kappas = kt.random_kappas(rng, 1e-2)
     fr = dp.polarization_frame(dp.random_directions(rng))
-    _, xi = hm.build_transverse(factor, kappas, fr)
-    exact = ia.transformed_potentials(factor, kappas, fr)
+    _, xi = transverse_reference.build_transverse(factor, kappas, fr)
+    exact = transverse_reference.transformed_potentials(factor, kappas, fr)
     dense = dense_similarity([ia.transverse_potential(factor, pol) for pol in (1, 2)], xi)
     for got, want in zip(exact, dense):
         assert np.max(np.abs(got - want)) <= 1e-14
@@ -339,7 +345,7 @@ def test_transformed_potentials_evolve_the_basis_once(cutoff, monkeypatch):
     rng = np.random.default_rng(90 + cutoff)
     kappas = kt.random_kappas(rng, 1e-2)
     fr = dp.polarization_frame(dp.random_directions(rng))
-    _, xi = hm.build_transverse(factor, kappas, fr)
+    _, xi = transverse_reference.build_transverse(factor, kappas, fr)
     basis = sp.identity(factor.dim, dtype=complex, format="csc")
     want = [
         hm.transformed_matrices(factor, [ia.transverse_potential(factor, pol)], xi, basis)[0]
@@ -353,7 +359,7 @@ def test_transformed_potentials_evolve_the_basis_once(cutoff, monkeypatch):
         return propagate_blocks(*args)
 
     monkeypatch.setattr(fs, "propagate_blocks", counted)
-    got = ia.transformed_potentials(factor, kappas, fr)
+    got = transverse_reference.transformed_potentials(factor, kappas, fr)
     assert len(calls) == 1
     assert len(got) == 2
     for g, w in zip(got, want):
@@ -361,8 +367,8 @@ def test_transformed_potentials_evolve_the_basis_once(cutoff, monkeypatch):
 
 
 def test_interaction_and_lorenz_leave_scipy_linalg_unloaded():
-    # the exact conjugation evolves columns with fs.propagate_blocks; a
-    # dense scipy.linalg exponential in either import chain fails this
+    # every evolution runs on fs.propagate_blocks; a dense scipy.linalg
+    # exponential in either import chain fails this
     src = pathlib.Path(ia.__file__).resolve().parents[1]
     code = (
         f"import sys; sys.path.insert(0, {str(src)!r})\n"
@@ -378,9 +384,9 @@ def test_interaction_and_lorenz_leave_scipy_linalg_unloaded():
     "call",
     [
         lambda s, k, f: ia.transverse_potential(s, 1),
-        lambda s, k, f: ia.transformed_potentials(s, k, f),
+        lambda s, k, f: transverse_reference.transformed_potentials(s, k, f),
         lambda s, k, f: ia.first_order_potentials(s, k, f),
-        lambda s, k, f: ia.extract_couplings(s, np.eye(s.dim), np.eye(s.dim)),
+        lambda s, k, f: ia.extract_couplings(s, sp.identity(s.dim), sp.identity(s.dim)),
     ],
 )
 def test_rejects_the_full_space(frame, call):
@@ -404,13 +410,14 @@ def test_interaction_never_builds_the_full_space(frame, monkeypatch):
         monkeypatch.setattr(module, name, refuse)
     factor = hm.transverse_space(3)
     kappas = kt.random_kappas(np.random.default_rng(76), 1e-7)
-    exact = ia.transformed_potentials(factor, kappas, frame)
+    exact = transverse_reference.transformed_potentials(factor, kappas, frame)
     first = ia.first_order_potentials(factor, kappas, frame)
     columns = fs.interior_mask(factor)
     assert columns.sum() == 81
     want = ia.vint_coefficients(kappas)
     assert _table_distance(ia.extract_couplings(factor, *first), want) < 1e-12
-    assert _table_distance(ia.extract_couplings(factor, *exact, columns), want) < 1e-12
+    table = transverse_reference.masked_couplings(factor, *exact, columns)
+    assert _table_distance(table, want) < 1e-12
     assert ia.transverse_potential(factor, 2).shape == (256, 256)
     results = list(checks._interaction_checks(np.random.default_rng(0)))
     assert [c["pass"] for c in results] == [True, True]
@@ -420,7 +427,42 @@ def test_preconditions(space, frame):
     rng = np.random.default_rng(73)
     birefringent = kt.random_kappas(rng, 1e-3, birefringent=True)
     with pytest.raises(ValueError, match="e_plus"):
-        ia.transformed_potentials(space, birefringent, frame)
+        transverse_reference.transformed_potentials(space, birefringent, frame)
     big = kt.KappaSet(e_minus=_e_minus(0.3, -0.1, 0.0))
     with pytest.raises(ValueError, match="perturbative"):
         ia.first_order_potentials(space, big, frame)
+
+
+def test_reference_projection_on_every_column_is_extract_couplings_bit_for_bit(space, frame):
+    # with an all-true mask the masked reference projects the same
+    # arrays as extract_couplings, so the tables agree bit for bit
+    rng = np.random.default_rng(81)
+    every = np.ones(space.dim, dtype=bool)
+    for _ in range(3):
+        kappas = kt.random_kappas(rng, 1e-2)
+        first = ia.first_order_potentials(space, kappas, frame)
+        got = ia.extract_couplings(space, *first)
+        want = transverse_reference.masked_couplings(space, *first, every)
+        for name in ("j1_pol1", "j2_pol1", "j1_pol2", "j2_pol2"):
+            assert getattr(got, name) == getattr(want, name), name
+
+
+def test_exact_table_differs_from_first_order_by_half_r_squared():
+    # cosh r - 1 = r^2 / 2 leads the difference; the sinh r / r - 1
+    # correction is O(r^3)
+    rng = np.random.default_rng(82)
+    normals = rng.normal(size=(60, kt.DRAW_WIDTH[False]))
+    scales = 10.0 ** rng.uniform(-4.0, np.log10(2e-2), 60) / np.abs(normals).max(axis=1)
+    sets = kt.kappa_draws(normals, scales[:, None])
+    khats = dp.random_directions(rng, 60)
+    frames = dp.polarization_frame(khats)
+    exact = md.exact_couplings(sets, frames)
+    first = ia.vint_coefficients(sets, khats)
+    first = np.stack(
+        [np.stack([first.j1_pol1, first.j2_pol1], -1), np.stack([first.j1_pol2, first.j2_pol2], -1)],
+        -2,
+    )
+    delta1, delta2 = dp.mixing_deltas(sets, frames)
+    half_r2 = 0.5 * (delta1**2 + delta2**2)
+    ratio = np.abs(exact - first).max(axis=(-2, -1)) / half_r2
+    assert np.all(np.abs(ratio - 1.0) < 1e-2)

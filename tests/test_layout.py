@@ -7,7 +7,9 @@ fock_space, hamiltonian, interaction and lorenz that takes a space must
 either return the right result or raise ValueError; an IndexError or a
 result computed on the wrong columns fails here.  The factor's results
 are checked against the 8-mode operators on the ghost-vacuum block,
-where the scalar and longitudinal modes are empty.
+where the scalar and longitudinal modes are empty.  The test references
+of tests/transverse_reference.py that take a space keep the same
+contract, and are held to it by the same test.
 """
 
 import inspect
@@ -23,6 +25,8 @@ from lvphoton import interaction as ia
 from lvphoton import kappa_tensor as kt
 from lvphoton import lorenz as lz
 from lvphoton import modes as md
+
+import transverse_reference  # tests/transverse_reference.py
 
 SPACES = {
     "full": lambda: fs.build_space(1),
@@ -77,7 +81,6 @@ CASES = {
     "build_grouped": (lambda s: hm.build_grouped(s, KAPPAS, FRAME), {"full"}),
     "xi_generators": (lambda s: hm.xi_generators(s, KAPPAS, FRAME), {"full", "factor"}),
     "check_transverse": (hm.check_transverse, {"factor"}),
-    "build_transverse": (lambda s: hm.build_transverse(s, KAPPAS, FRAME), {"factor"}),
     "transformed_matrices": (
         lambda s: hm.transformed_matrices(s, [_eye(s)], _zero(s), [_vac(s)]),
         {"full", "factor"},
@@ -92,7 +95,6 @@ CASES = {
     ),
     "momentum_operator": (lambda s: hm.momentum_operator(s, FRAME.khat), {"full", "factor"}),
     "transverse_potential": (lambda s: ia.transverse_potential(s, 1), {"factor"}),
-    "transformed_potentials": (lambda s: ia.transformed_potentials(s, KAPPAS, FRAME), {"factor"}),
     "first_order_potentials": (lambda s: ia.first_order_potentials(s, KAPPAS, FRAME), {"factor"}),
     "extract_couplings": (lambda s: ia.extract_couplings(s, _eye(s), _eye(s)), {"factor"}),
     "classify": (lambda s: lz.classify(s, (0, 0, 0, 0)), {"full"}),
@@ -109,6 +111,22 @@ CASES = {
     "ghost_pairing": (lz.ghost_pairing, {"ghost"}),
     "ghost_lslv": (lambda s: lz.ghost_lslv(s, 0.37), {"ghost"}),
     "ghost_pm_tls": (lambda s: lz.ghost_pm_tls(s, 0.61, 0.83), {"ghost"}),
+}
+
+#: The same table for the space-taking functions of tests/transverse_reference.py.
+REFERENCE_CASES = {
+    "build_transverse": (
+        lambda s: transverse_reference.build_transverse(s, KAPPAS, FRAME),
+        {"factor"},
+    ),
+    "transformed_potentials": (
+        lambda s: transverse_reference.transformed_potentials(s, KAPPAS, FRAME),
+        {"factor"},
+    ),
+    "masked_couplings": (
+        lambda s: transverse_reference.masked_couplings(s, _eye(s), _eye(s), fs.interior_mask(s)),
+        {"factor"},
+    ),
 }
 
 
@@ -129,9 +147,9 @@ def test_the_table_covers_every_space_taking_function():
 
 
 @pytest.mark.parametrize("space_name", list(SPACES))
-@pytest.mark.parametrize("case", list(CASES))
+@pytest.mark.parametrize("case", list(CASES) + list(REFERENCE_CASES))
 def test_answers_or_refuses(spaces, space_name, case):
-    call, answers_on = CASES[case]
+    call, answers_on = {**CASES, **REFERENCE_CASES}[case]
     space = spaces[space_name]
     if space_name in answers_on:
         call(space)
@@ -189,7 +207,7 @@ def test_factor_products_are_the_ghost_vacuum_block(block):
     embedded[:, empty] = states
     for u, v in zip(states, embedded):
         assert fs.indefinite_inner(factor, u, u) == fs.indefinite_inner(full, v, v)
-    h, xi = hm.build_transverse(factor, KAPPAS, FRAME)
+    h, xi = transverse_reference.build_transverse(factor, KAPPAS, FRAME)
     h_full = hm.build_grouped(full, KAPPAS, FRAME)
     xi_full = hm.xi_generators(full, KAPPAS, FRAME)
     (got,) = hm.transformed_matrices(factor, [h], xi, states)

@@ -4,7 +4,8 @@ quadratic_form is checked against commutators of sparse Fock-space
 matrices on states where truncation cannot act; the exact rows are
 checked against the Fock-factor evolution of tests/spectrum_reference.py
 at a cutoff deep enough that its truncation is below roundoff, and the
-closed-form B against scipy's dense expm.
+closed-form B against scipy's dense expm.  The exact coupling table is
+checked against the projection of B onto the potentials' factors.
 """
 
 import numpy as np
@@ -191,3 +192,58 @@ def test_cutoff_2_factor_is_off_by_its_truncation():
     exact = md.spectrum_values(k, frame)
     shallow = spectrum_reference.transverse_values(hm.transverse_space(2), frame, k)
     assert max(abs(exact[key] - shallow[key]) for key in ("gap_plus", "gap_minus")) > 1e-8
+
+
+def _potential_factors():
+    """f_1, f_2: the factors of (a_r(+k) + abar_r(-k)) / sqrt(2) on the transverse modes."""
+    S, _, _, Tb = md._mode_factors()
+    return [md.factor_vector(S[r] + Tb[r], md.TRANSVERSE_SLOTS) / np.sqrt(2.0) for r in (1, 2)]
+
+
+def test_exact_couplings_are_the_bogoliubov_projection():
+    # exp(Xi) A_r exp(-Xi) is the factor B f_r: it stays in span{f_1, f_2},
+    # and its coefficients there are row r of the table
+    f = _potential_factors()
+    worst_table = worst_span = 0.0
+    for k, frame in _draws(5, 200):
+        b = md.transverse_bogoliubov(md.mode_terms(k, frame)["xi"])
+        table = md.exact_couplings(k, frame)
+        assert table.shape == (2, 2)
+        for r in (0, 1):
+            moved = b @ f[r]
+            coefs = [np.vdot(f[s], moved) / np.vdot(f[s], f[s]) for s in (0, 1)]
+            worst_table = max(worst_table, np.abs(np.array(coefs) - table[r]).max())
+            worst_span = max(worst_span, np.abs(moved - coefs[0] * f[0] - coefs[1] * f[1]).max())
+    assert worst_table <= 1e-15
+    assert worst_span <= 1e-15
+
+
+def test_exact_couplings_at_zero_kappa_are_the_identity():
+    frame = dp.polarization_frame(dp.random_directions(np.random.default_rng(6)))
+    assert np.array_equal(md.exact_couplings(kt.KappaSet(), frame), np.eye(2))
+
+
+def test_stacked_exact_couplings_are_the_per_frame_tables_bit_for_bit():
+    rng = np.random.default_rng(7)
+    normals = rng.normal(size=(40, kt.DRAW_WIDTH[False]))
+    normals[3] = 0.0  # one set with r = 0 among the stack
+    sets = kt.kappa_draws(normals)
+    frames = dp.polarization_frame(dp.random_directions(rng, 40))
+    stacked = md.exact_couplings(sets, frames)
+    assert stacked.shape == (40, 2, 2)
+    for row, n in enumerate(normals):
+        one = dp.polarization_frame(frames.khat[row])
+        assert stacked[row].tobytes() == md.exact_couplings(kt.kappa_draws(n), one).tobytes()
+    assert np.array_equal(stacked[3], np.eye(2))
+
+
+def test_exact_coupling_asymmetry_is_the_sinh_of_the_mixing():
+    # j1_pol1 - j2_pol2 = -2 (sinh r / r) delta1, the all-orders form of -2 delta1
+    worst = 0.0
+    for k, frame in _draws(8, 200):
+        delta1, delta2 = dp.mixing_deltas(k, frame)
+        r = np.hypot(delta1, delta2)
+        table = md.exact_couplings(k, frame)
+        want = -2.0 * np.sinh(r) / r * delta1
+        worst = max(worst, abs(table[0, 0] - table[1, 1] - want))
+    assert worst <= 1e-15

@@ -10,6 +10,8 @@ generator, so its records are the reference for cmd_verify's.  random_kappas is 
 by block, that kappa_draws must reproduce; the checks here draw with it.
 """
 
+import copy
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -138,13 +140,21 @@ def _dispersion_checks(rng):
         )
     yield _check("delta_rotation_covariance", worst_cov, 1e-12)
 
+    # one set of 10 shapes and directions at all three scales, drawn
+    # from the first 10 of 30 rounds of draws
+    rounds = []
+    for _ in range(30):
+        rounds.append(copy.deepcopy(rng))
+        random_kappas(rng)
+        dp.random_directions(rng)
     residuals = []
     for scale in (1e-2, 1e-3, 1e-4):
         worst = 0.0
-        for _ in range(10):
-            k = random_kappas(rng, scale)
+        for start in rounds[:10]:
+            again = copy.deepcopy(start)
+            k = random_kappas(again, scale)
             kf = kt.kf_from_kappas(k)
-            khat = dp.random_directions(rng)
+            khat = dp.random_directions(again)
             delta = dp.delta_nonbiref(k, khat)
             omegas, _ = dp.solve_ampere(kf, khat)
             for omega in omegas:
