@@ -368,27 +368,23 @@ def _hamiltonian_checks(rng, config):
     del h
 
     shape = kt.random_kappas(rng, 1e-2)
-    residuals = []
-    crosses = []
-    for scale in (1e-2, 1e-3):
-        row = md.spectrum_values(shape.scaled(scale / shape.magnitude), frame)
-        residuals.append(
-            max(row["gap_residual_plus"], row["gap_residual_minus"])
-        )
-        crosses.append(row["cross_after"])
-    slope_gap, _ = np.polyfit(np.log10([1e-2, 1e-3]), np.log10(residuals), 1)
-    slope_cross, _ = np.polyfit(np.log10([1e-2, 1e-3]), np.log10(crosses), 1)
+    scales = np.array([1e-2, 1e-3])
+    rows = md.spectrum_values(shape.scaled(scales / shape.magnitude), frame)
+    residuals = np.maximum(rows["gap_residual_plus"], rows["gap_residual_minus"])
+    crosses = rows["cross_after"]
+    slope_gap, _ = np.polyfit(np.log10(scales), np.log10(residuals), 1)
+    slope_cross, _ = np.polyfit(np.log10(scales), np.log10(crosses), 1)
     yield _check(
         "transverse_gap_quadratic",
         abs(slope_gap - 2.0),
         0.2,
-        residuals=residuals,
+        residuals=residuals.tolist(),
     )
     yield _check(
         "cross_term_suppression_quadratic",
         abs(slope_cross - 2.0),
         0.2,
-        residuals=crosses,
+        residuals=crosses.tolist(),
     )
 
 

@@ -397,8 +397,10 @@ def cmd_spectrum(config):
     exponent fit of the residual cross coupling, which the transform
     suppresses from O(kappa) to O(kappa^2).  Every row is exact, with
     no Fock truncation (modes.spectrum_values: the 8 x 8 Bogoliubov
-    matrix of Xi applied to the terms of H), and the report holds the
-    rows as Columns: scale, then the spectrum_values keys in their order.
+    matrix of Xi applied to the terms of H).  The sweep is one stacked
+    KappaSet, one set per scale, and all its rows come from one
+    spectrum_values call; the report holds them as Columns: scale, then
+    the spectrum_values keys in their order.
 
     cross_fit_exponent fits O(kappa^2) residuals of O(kappa) terms, so
     its digits below about 1e-10 are roundoff: a different but equally
@@ -411,15 +413,13 @@ def cmd_spectrum(config):
     magnitude = config.kappas.magnitude
     if config.scales and magnitude == 0.0:
         raise ValueError("cannot sweep scales of an all-zero parameter set")
-    if config.scales:
-        sweep = [(s, config.kappas.scaled(s / magnitude)) for s in config.scales]
-    else:
-        sweep = [(magnitude, config.kappas)]
-    values = [{"scale": s, **md.spectrum_values(k, frame)} for s, k in sweep]
-    rows = Columns(((key, np.array([v[key] for v in values])) for key in values[0]), len(values))
+    scales = np.array(config.scales or (magnitude,))
+    kappas = config.kappas.scaled(scales / magnitude if config.scales else np.ones(1))
+    values = md.spectrum_values(kappas, frame)
+    rows = Columns({"scale": scales, **values}, len(scales))
 
     fit = None
-    crosses, scales = rows.columns["cross_after"], rows.columns["scale"]
+    crosses = values["cross_after"]
     if len(rows) >= 2 and np.all(crosses > 0.0):
         slope, _ = np.polyfit(np.log10(scales), np.log10(crosses), 1)
         fit = float(slope)

@@ -212,7 +212,9 @@ def mixing_deltas(kappas, frame):
     """(delta1, delta2) = ((E11 - E22) / 4, E12 / 2), E of frame_bilinears.
 
     The coefficients of Xi and of the potentials' mixing; tr cancels in
-    both but is kept in E.  Leading axes as in frame_bilinears; sets
+    both, to roundoff of the frame's orthogonality (eps1 . eps2 = 0 only
+    to roundoff in an oblique frame, which leaves at most 2 eps |tr|),
+    but is kept in E.  Leading axes as in frame_bilinears; sets
     outside the first-order model are refused (check_nonbiref).
     """
     check_nonbiref(kappas)

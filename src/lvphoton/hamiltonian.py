@@ -21,9 +21,11 @@ grouped ones, the six blocks' and Xi's, in one place; build_raw,
 build_grouped and xi_generators sum them on the 8-mode space, and
 transverse_space is the four transverse modes alone, its columns
 labeled by their slots (modes.TRANSVERSE_SLOTS).  The `spectrum`
-report and the exact coupling table need no matrix at all:
-modes.spectrum_values and modes.exact_couplings read them off the
-same terms in closed form.  What keeps the
+report and the exact coupling table need no matrix at all, only
+closed forms: modes.spectrum_values evaluates the `spectrum` values of
+stacked sets and frames at once, from literal cell tables of the
+transverse terms that the tests derive from mode_terms, and
+modes.exact_couplings the table from the same mixing.  What keeps the
 raw/grouped comparison meaningful is that the two coefficient sets
 stay independent: raw_terms takes its coefficients from the tensor
 contractions of modes.coefficient_matrices, and mode_terms from

@@ -211,13 +211,25 @@ class KappaSet:
         return float(out) if out.ndim == 0 else out
 
     def scaled(self, factor):
-        """Every parameter multiplied by `factor`."""
+        """Every parameter multiplied by `factor`, a number or one factor per set.
+
+        A 1-D array of L factors gives L stacked sets, set i scaled by
+        factor[i]: tr gets shape (L,) and each block is multiplied by
+        factor[..., None, None].  Of sets already stacked, the factors'
+        shape must be the sets' leading shape.  Each set gets the bits
+        that scaling it alone by its factor gives.
+        """
+        factor = np.asarray(factor, dtype=float)
+        lead = np.shape(self.tr)
+        if factor.ndim > 1 or (factor.ndim and lead and factor.shape != lead):
+            raise ValueError("a scale factor must be a number or a 1-D array, one per set")
+        block = factor[..., None, None]
         return KappaSet(
-            e_minus=self.e_minus * factor,
-            o_plus=self.o_plus * factor,
+            e_minus=self.e_minus * block,
+            o_plus=self.o_plus * block,
             tr=self.tr * factor,
-            e_plus=self.e_plus * factor,
-            o_minus=self.o_minus * factor,
+            e_plus=self.e_plus * block,
+            o_minus=self.o_minus * block,
         )
 
     def rotated(self, rot):

@@ -19,9 +19,13 @@ action as a 2n x 2n matrix in the basis v = (a, a-dagger) (Bogoliubov
 theory of a quadratic boson Hamiltonian; Colpa, Physica A 93 (1978)
 327).  On the four transverse modes Xi is two independent two-mode
 squeezes, so exp(Xi) acts on the ladder operators by a matrix B in
-closed form: spectrum_values reads the `spectrum` row off the
+closed form: spectrum_values reads the `spectrum` values off the
 transformed terms, and exact_couplings the current-coupling table off
-the transformed potentials, with no Fock truncation.
+the transformed potentials, with no Fock truncation.  spectrum_values
+takes the transverse terms of h and of Xi from small literal cell
+tables (_H_CELLS, _XI_CELLS), which the tests derive from mode_terms
+and quadratic_form, so it evaluates stacked sets and frames in a few
+array operations.
 """
 
 import math
@@ -29,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dispersion import delta_nonbiref, frame_bilinears, mixing_deltas
+from .dispersion import frame_bilinears, mixing_deltas
 from .kappa_tensor import METRIC, check_nonbiref, lowered
 
 #: Mode commutator signs in the indefinite product: [a_r, bar(a_s)] = zeta_r delta_rs.
@@ -305,28 +309,74 @@ def quadratic_form(terms, labels):
     return form
 
 
-def transverse_bogoliubov(xi_terms):
-    """B = expm(A_Xi) on the transverse modes, in closed form.
+#: The terms c F G of h_t + h_pm_t as cells of W = sum c f g^T, with f and
+#: g the factors' vectors on v = (a, a-dagger) over TRANSVERSE_SLOTS:
+#: (row of F, column of G, which coefficient, sign), in mode_terms' order.
+#: The coefficients are (1 + delta(+k), 1 + delta(-k), d, E12).
+_H_CELLS = (
+    (0, 4, 0, 1), (1, 5, 0, 1), (6, 2, 1, 1), (7, 3, 1, 1),  # h_t
+    (0, 2, 2, 1), (6, 4, 2, 1), (1, 3, 2, -1), (7, 5, 2, -1),  # h_pm_t
+    (0, 3, 3, 1), (7, 4, 3, 1), (1, 2, 3, 1), (6, 5, 3, 1),
+)
 
-    On the four transverse modes Xi is two two-mode squeezes with the
-    symmetric mixing matrix D = [[delta1, delta2], [delta2, -delta1]]
-    (dispersion.mixing_deltas), and A_Xi squared is r^2 I with
-    r^2 = delta1^2 + delta2^2.  So the exponential series sums to
-    B = cosh r I + (sinh r / r) A_Xi, which is I at r = 0.  Since D is
-    symmetric, so are A_Xi and B.
+#: The cells of A_Xi = delta1 X1 + delta2 X2, the quadratic_form of
+#: mode_terms' xi on TRANSVERSE_SLOTS: (row, column, which of (delta1,
+#: delta2), sign).  X1 joins each a to the opposite direction's
+#: a-dagger of the same polarization, X2 to that of the other one.
+_XI_CELLS = (
+    (0, 6, 0, -1), (1, 7, 0, 1), (2, 4, 0, -1), (3, 5, 0, 1),
+    (4, 2, 0, -1), (5, 3, 0, 1), (6, 0, 0, -1), (7, 1, 0, 1),
+    (0, 7, 1, -1), (1, 6, 1, -1), (2, 5, 1, -1), (3, 4, 1, -1),
+    (4, 3, 1, -1), (5, 2, 1, -1), (6, 1, 1, -1), (7, 0, 1, -1),
+)
+
+
+def _scatter(cells, coefs):
+    """The 8 x 8 form with coefs[..., which] * sign in each (row, column, which, sign) cell.
+
+    coefs has shape lead + (k,), and the form lead + (8, 8); every cell
+    not listed is zero.
     """
-    form = quadratic_form(xi_terms, TRANSVERSE_SLOTS)
-    r = math.sqrt(np.trace(form @ form).real / len(form))
-    return math.cosh(r) * np.eye(len(form)) + (math.sinh(r) / r if r else 1.0) * form
+    rows, cols, which, signs = zip(*cells)
+    form = np.zeros(coefs.shape[:-1] + (8, 8))
+    form[..., rows, cols] = coefs[..., which] * signs
+    return form
+
+
+def _transverse_coefficients(kappas, frame):
+    """The coefficients that _H_CELLS and _XI_CELLS index, from one frame_bilinears call.
+
+    Returns (1 + delta(+k), 1 + delta(-k), d, E12) of shape lead + (4,),
+    with delta(+-k) = +-O12 - (E11 + E22) / 2 and d = (E11 - E22) / 2 as
+    in mode_terms, and (delta1, delta2) of mixing_deltas, lead + (2,).
+    Leading axes as in frame_bilinears; sets outside the first-order
+    model are refused (check_nonbiref).
+    """
+    check_nonbiref(kappas)
+    E, O = frame_bilinears(kappas, frame)
+    e11, e22, e12, o12 = E[..., 1, 1], E[..., 2, 2], E[..., 1, 2], O[..., 1, 2]
+    half_trace = 0.5 * (e11 + e22)
+    h = (1 + (o12 - half_trace), 1 + (-o12 - half_trace), 0.5 * (e11 - e22), e12)
+    xi = (0.25 * (e11 - e22), 0.5 * e12)
+    return np.stack(h, axis=-1), np.stack(xi, axis=-1)
+
+
+def _squeeze(delta1, delta2):
+    """(cosh r, sinh r / r) of r = sqrt(delta1^2 + delta2^2), with sinh r / r = 1 at r = 0.
+
+    A_Xi squared is r^2 I, so expm(A_Xi) = cosh r I + (sinh r / r) A_Xi.
+    """
+    r = np.sqrt(delta1 * delta1 + delta2 * delta2)
+    return np.cosh(r), np.divide(np.sinh(r), r, out=np.ones_like(r), where=r > 0.0)
 
 
 def exact_couplings(kappas, frame):
     """The exact current-coupling table exp(-D) = cosh r I - (sinh r / r) D.
 
     The potential A_r = (a_r(+k) + abar_r(-k)) / sqrt(2) is a factor
-    f_r, and exp(Xi) A_r exp(-Xi) is the factor B f_r (B of
-    transverse_bogoliubov), which stays in the span of f_1 and f_2 with
-    the coefficients of exp(-D), D = [[delta1, delta2], [delta2,
+    f_r, and exp(Xi) A_r exp(-Xi) is the factor B f_r (B =
+    expm(A_Xi) of spectrum_values), which stays in the span of f_1 and
+    f_2 with the coefficients of exp(-D), D = [[delta1, delta2], [delta2,
     -delta1]] (dispersion.mixing_deltas) and r^2 = delta1^2 + delta2^2.
     Row r holds the coefficients of the transformed polarization-r
     potential, [j1_pol1, j2_pol1] and [j1_pol2, j2_pol2] as in
@@ -336,53 +386,58 @@ def exact_couplings(kappas, frame):
     mixing_deltas; returns an array of shape lead + (2, 2).
     """
     delta1, delta2 = mixing_deltas(kappas, frame)
-    r = np.sqrt(delta1 * delta1 + delta2 * delta2)
-    c = np.cosh(r)
-    s = np.divide(np.sinh(r), r, out=np.ones_like(r), where=r > 0.0)
+    c, s = _squeeze(delta1, delta2)
     rows = ((c - s * delta1, -s * delta2), (-s * delta2, c + s * delta1))
     return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
 
 
 def spectrum_values(kappas, frame):
-    """One `spectrum` row, without its scale, exactly: no Fock truncation.
+    """The `spectrum` values, without the scale, exactly: no Fock truncation.
 
-    The row holds matrix elements of exp(Xi) H exp(-Xi) among the
+    The values are matrix elements of exp(Xi) H exp(-Xi) among the
     vacuum, the four transverse one-photon states and the +-k pair
     a1(+k)-dagger a1(-k)-dagger |0>.  On those states H is h_t + h_pm_t
     plus a constant ghost-vacuum energy (h_p_tls and h_m_tls move a
     ghost quantum, and h_ls0 + h_lslv is constant on the ghost vacuum),
-    and the constant cancels in every value.  With B from
-    transverse_bogoliubov each term c F G becomes c (B f).v (B g).v,
-    whose elements follow from [a_i, a_j-dagger] = delta_ij:
+    and the constant cancels in every value.  With v = (a, a-dagger)
+    over TRANSVERSE_SLOTS, each term c F G is c (f.v) (g.v), and
+    W = sum c f g^T; exp(Xi) maps f to B f with B = expm(A_Xi) =
+    cosh r I + (sinh r / r) A_Xi (Colpa, Physica A 93 (1978) 327), so
+    the transformed terms have W' = B W B^T.  From [a_i, a_j-dagger] =
+    delta_ij, with S = W' + W'^T,
 
-        gap of mode j    sum c (f_j g_{n+j} + f_{n+j} g_j)
-        pair <- vacuum   sum c (f_{n+i} g_{n+j} + f_{n+j} g_{n+i})
+        gap of mode j    S[j, n + j]
+        pair <- vacuum   S[n + i, n + j]
 
-    gap_plus and gap_minus are the larger |Re gap| of each direction's
-    two polarizations, cross_after is |pair <- vacuum| after the transform
+    gap_plus and gap_minus are the larger |gap| of each direction's two
+    polarizations, cross_after is |pair <- vacuum| after the transform
     and cross_before the same with B = I, and each direction's gap is
-    compared with 1 + delta_nonbiref there.
+    compared with its bare coefficient 1 + delta(+-k) (delta_nonbiref).
+
+    W and A_Xi come from the literal cell tables _H_CELLS and
+    _XI_CELLS, so the whole evaluation is a few array operations.
+    Leading axes as in frame_bilinears: stacked sets, stacked frames or
+    both, and each value has their broadcast shape; each (set, frame)
+    gets the bits it gets on its own.  One set and one frame give
+    floats.
     """
-    terms = mode_terms(kappas, frame)
-    h = terms["h_t"] + terms["h_pm_t"]
-    n = len(TRANSVERSE_SLOTS)
-    coefs = np.array([coef for coef, _, _ in h])
-    f, g = (np.array([factor_vector(term[k], TRANSVERSE_SLOTS) for term in h]) for k in (1, 2))
-    b = transverse_bogoliubov(terms["xi"])
-    f_after, g_after = f @ b.T, g @ b.T  # row m is B f_m
-    i, j = (TRANSVERSE_SLOTS.index(ModeId(d, 1).slot) for d in (PLUS_K, MINUS_K))
-
-    def pair(f, g):  # the a1(+k)-dagger a1(-k)-dagger element
-        return abs(coefs @ (f[:, n + i] * g[:, n + j] + f[:, n + j] * g[:, n + i]))
-
-    gaps = coefs @ (f_after[:, :n] * g_after[:, n:] + f_after[:, n:] * g_after[:, :n])
+    h, xi = _transverse_coefficients(kappas, frame)
+    w = _scatter(_H_CELLS, h)
+    c, s = _squeeze(xi[..., 0], xi[..., 1])
+    b = c[..., None, None] * np.eye(8) + s[..., None, None] * _scatter(_XI_CELLS, xi)
+    before = w + w.mT
+    after = b @ before @ b.mT
+    gaps = after[..., (0, 1, 2, 3), (4, 5, 6, 7)]
     values = {}
     # TRANSVERSE_SLOTS holds the two +k modes, then the two -k modes
-    for name, gap, khat in (("plus", gaps[:2], frame.khat), ("minus", gaps[2:], -frame.khat)):
-        want = 1.0 + delta_nonbiref(kappas, khat)
-        values[f"gap_{name}"] = float(np.max(np.abs(gap.real)))
-        values[f"delta_{name}"] = want - 1.0
-        values[f"gap_residual_{name}"] = abs(values[f"gap_{name}"] - want)
-    values["cross_before"] = float(pair(f, g))
-    values["cross_after"] = float(pair(f_after, g_after))
+    for name, gap, bare in (("plus", gaps[..., :2], h[..., 0]), ("minus", gaps[..., 2:], h[..., 1])):
+        gap = np.max(np.abs(gap), axis=-1)
+        values[f"gap_{name}"] = gap
+        values[f"delta_{name}"] = bare - 1.0
+        values[f"gap_residual_{name}"] = np.abs(gap - bare)
+    # the pair a1(+k)-dagger a1(-k)-dagger: raising slots n + 0 and n + 2
+    values["cross_before"] = np.abs(before[..., 4, 6])
+    values["cross_after"] = np.abs(after[..., 4, 6])
+    if h.ndim == 1:
+        return {key: float(value) for key, value in values.items()}
     return values

@@ -135,10 +135,21 @@ def test_z_axis_closed_forms():
 
 
 def test_isotropic_part_cancels():
-    # kappa_tr alone is invisible to the coupling: it cancels in the
-    # diagonal difference and the frame vectors are orthogonal
+    # kappa_tr alone is invisible to the coupling, to roundoff of the
+    # frame's orthogonality: it cancels in the diagonal difference, and
+    # on the z axis the frame vectors are exactly orthogonal
     table = ia.vint_coefficients(kt.KappaSet(tr=0.05))
     assert _table_distance(table, ia.vint_coefficients(kt.KappaSet())) == 0.0
+    # in oblique frames eps1 . eps2 is zero only to roundoff, which leaves
+    # at most 2 eps |tr|: one stacked call of each over 1000 directions
+    k = kt.KappaSet(tr=1e-2)
+    frames = dp.polarization_frame(dp.random_directions(np.random.default_rng(6), 1000))
+    floor = 2.0 * np.finfo(float).eps * abs(k.tr)
+    values = md.spectrum_values(k, frames)
+    mixing = dict(zip(("delta1", "delta2"), dp.mixing_deltas(k, frames)))
+    mixing.update((key, values[key]) for key in ("cross_before", "cross_after"))
+    for name, value in mixing.items():
+        assert value.shape == (1000,) and np.max(np.abs(value)) <= floor, name
 
 
 @given(

@@ -208,6 +208,35 @@ def test_scaled_and_rotated_act_blockwise_bitwise():
         assert np.array_equal(getattr(rotated, name), rot @ getattr(k, name) @ rot.T)
 
 
+@pytest.mark.parametrize("count", [1, 2, 3, 5])
+def test_scaled_by_one_factor_per_set_stacks_the_per_scale_sets_bitwise(count):
+    rng = np.random.default_rng(30)
+    k = kt.random_kappas(rng, 1e-2, birefringent=True)
+    scales = 10.0 ** -np.arange(2.0, 2.0 + count)
+    stacked = k.scaled(scales / k.magnitude)
+    assert np.shape(stacked.tr) == (count,)
+    for row, scale in enumerate(scales):
+        one = k.scaled(scale / k.magnitude)
+        for name in FIELDS:
+            assert np.asarray(getattr(stacked, name))[row].tobytes() == (
+                np.asarray(getattr(one, name)).tobytes()
+            ), (row, name)
+    # sets already stacked take one factor each
+    again = stacked.scaled(np.full(count, 2.0))
+    assert np.array_equal(again.e_minus, 2.0 * stacked.e_minus)
+
+
+@pytest.mark.parametrize(
+    "factor", [np.ones((2, 2)), np.ones((3, 1)), np.ones((1, 3))], ids=["2x2", "3x1", "1x3"]
+)
+def test_scaled_refuses_a_factor_that_is_not_a_number_or_1d(factor):
+    k = kt.random_kappas(np.random.default_rng(31), 1e-2)
+    with pytest.raises(ValueError, match="^a scale factor must be a number or a 1-D array"):
+        k.scaled(factor)
+    with pytest.raises(ValueError, match="^a scale factor must be"):
+        k.scaled(np.ones(3)).scaled(np.ones(2))  # two factors for three sets
+
+
 def test_check_nonbiref_rejects_birefringent_and_large_sets():
     kt.check_nonbiref(kt.random_kappas(np.random.default_rng(2), 1e-2))
     with pytest.raises(ValueError, match="e_plus"):

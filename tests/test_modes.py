@@ -1,11 +1,15 @@
-"""The term table's quadratic form and the closed-form `spectrum` rows.
+"""The term table's quadratic form and the closed-form `spectrum` values.
 
 quadratic_form is checked against commutators of sparse Fock-space
-matrices on states where truncation cannot act; the exact rows are
-checked against the Fock-factor evolution of tests/spectrum_reference.py
-at a cutoff deep enough that its truncation is below roundoff, and the
-closed-form B against scipy's dense expm.  The exact coupling table is
-checked against the projection of B onto the potentials' factors.
+matrices on states where truncation cannot act.  The stacked kernel
+spectrum_values is checked four ways: its literal cell tables against
+the forms of mode_terms and quadratic_form, its stacked rows against
+its one-set calls bit for bit, its values against the per-set closed
+form of tests/spectrum_reference.py, and against that file's
+Fock-factor evolution at a cutoff deep enough that its truncation is
+below roundoff.  The closed-form B is checked against scipy's dense
+expm, and the exact coupling table against the projection of B onto
+the potentials' factors.
 """
 
 import numpy as np
@@ -146,7 +150,7 @@ def test_xi_form_squares_to_r_squared_and_its_exponential_is_closed_form():
         form = md.quadratic_form(md.mode_terms(k, frame)["xi"], md.TRANSVERSE_SLOTS)
         r2 = sum(q * q for q in dp.mixing_deltas(k, frame))
         worst_square = max(worst_square, np.abs(form @ form - r2 * np.eye(8)).max() / r2)
-        b = md.transverse_bogoliubov(md.mode_terms(k, frame)["xi"])
+        b = spectrum_reference.transverse_bogoliubov(md.mode_terms(k, frame)["xi"])
         worst_expm = max(worst_expm, np.abs(b - scipy.linalg.expm(form)).max())
         # D is symmetric, so A_Xi and B are too: B and its transpose agree
         worst_symmetry = max(worst_symmetry, np.abs(form - form.T).max())
@@ -157,7 +161,7 @@ def test_xi_form_squares_to_r_squared_and_its_exponential_is_closed_form():
 
 def test_bogoliubov_is_the_identity_at_zero_kappa():
     terms = md.mode_terms(kt.KappaSet(), dp.polarization_frame(dp.Z_AXIS))
-    assert np.array_equal(md.transverse_bogoliubov(terms["xi"]), np.eye(8))
+    assert np.array_equal(spectrum_reference.transverse_bogoliubov(terms["xi"]), np.eye(8))
 
 
 @pytest.fixture(scope="module")
@@ -174,14 +178,108 @@ def test_exact_rows_match_the_factor_at_cutoff_6(factor_6):
     assert worst <= 1e-13
 
 
+def _term_form(terms):
+    """W = sum c f g^T over the two-factor terms c F G, on the transverse modes."""
+    labels = md.TRANSVERSE_SLOTS
+    form = np.zeros((8, 8), dtype=complex)
+    for coef, left, right in terms:
+        form += coef * np.outer(md.factor_vector(left, labels), md.factor_vector(right, labels))
+    return form
+
+
+def test_cell_tables_are_the_mode_terms_forms():
+    # the kernel's literal tables and coefficients give, bit for bit, W of
+    # h_t + h_pm_t and the quadratic form of Xi built from mode_terms
+    draws = [(kt.KappaSet(), dp.polarization_frame(dp.Z_AXIS)), *_draws(12, 50)]
+    for k, frame in draws:
+        terms = md.mode_terms(k, frame)
+        h, xi = md._transverse_coefficients(k, frame)
+        assert h.shape == (4,) and xi.shape == (2,)
+        assert np.array_equal(md._scatter(md._H_CELLS, h), _term_form(terms["h_t"] + terms["h_pm_t"]))
+        assert np.array_equal(
+            md._scatter(md._XI_CELLS, xi), md.quadratic_form(terms["xi"], md.TRANSVERSE_SLOTS)
+        )
+    # every cell is listed once
+    for cells in (md._H_CELLS, md._XI_CELLS):
+        assert len({cell[:2] for cell in cells}) == len(cells)
+
+
+#: The values at kappa = 0, exactly.
+FREE_VALUES = {
+    "gap_plus": 1.0, "delta_plus": 0.0, "gap_residual_plus": 0.0,
+    "gap_minus": 1.0, "delta_minus": 0.0, "gap_residual_minus": 0.0,
+    "cross_before": 0.0, "cross_after": 0.0,
+}
+
+
+def _stack(seed, count):
+    """count random sets of magnitudes 1e-5 to 2e-2, set 1 all zero, and their normals."""
+    rng = np.random.default_rng(seed)
+    normals = rng.normal(size=(count, kt.DRAW_WIDTH[False]))
+    normals *= 10.0 ** rng.uniform(-3.0, 0.3, size=(count, 1))
+    if count > 1:
+        normals[1] = 0.0
+    return kt.kappa_draws(normals), normals, rng
+
+
+def _assert_rows(stacked, rows):
+    """Each stacked value array holds, row by row, the bits of the one-set dicts."""
+    for key, column in stacked.items():
+        assert column.shape == (len(rows),), key
+        assert column.tobytes() == np.array([row[key] for row in rows]).tobytes(), key
+
+
+@pytest.mark.parametrize("count", [1, 3, 200])
+def test_stacked_rows_are_the_one_set_rows_bit_for_bit(count):
+    sets, normals, rng = _stack(40 + count, count)
+    frame = dp.polarization_frame(dp.random_directions(rng))
+    stacked = md.spectrum_values(sets, frame)
+    _assert_rows(stacked, [md.spectrum_values(kt.kappa_draws(n), frame) for n in normals])
+    # stacked frames, one per set
+    frames = dp.polarization_frame(dp.random_directions(rng, count))
+    stacked = md.spectrum_values(sets, frames)
+    rows = [
+        md.spectrum_values(kt.kappa_draws(n), dp.polarization_frame(khat))
+        for n, khat in zip(normals, frames.khat)
+    ]
+    _assert_rows(stacked, rows)
+    if count > 1:  # the all-zero set among the stack reads the free values
+        assert {key: float(column[1]) for key, column in stacked.items()} == FREE_VALUES
+
+
+def test_sets_and_frames_broadcast_together():
+    sets, normals, rng = _stack(9, 3)
+    frames = dp.polarization_frame(dp.random_directions(rng, 4)[:, None, :])
+    grid = md.spectrum_values(sets, frames)
+    for key, value in grid.items():
+        assert value.shape == (4, 3), key
+    for i, khat in enumerate(frames.khat[:, 0]):
+        for j, n in enumerate(normals):
+            one = md.spectrum_values(kt.kappa_draws(n), dp.polarization_frame(khat))
+            assert all(grid[key][i, j] == one[key] for key in one), (i, j)
+
+
+@pytest.mark.parametrize("magnitude", [1e-2, 1e-3, 1e-4, 1e-5])
+def test_kernel_matches_the_per_set_closed_form(magnitude):
+    rng = np.random.default_rng(int(-np.log10(magnitude)))
+    worst = {}
+    for _ in range(50):
+        k = kt.random_kappas(rng, 1e-2)
+        k = k.scaled(magnitude / k.magnitude)
+        frame = dp.polarization_frame(dp.random_directions(rng))
+        got = md.spectrum_values(k, frame)
+        want = spectrum_reference.closed_form_values(k, frame)
+        assert list(got) == list(want)
+        for key in ("delta_plus", "delta_minus", "cross_before"):
+            assert got[key] == want[key], key
+        for key in want:
+            worst[key] = max(worst.get(key, 0.0), abs(got[key] - want[key]))
+    assert max(worst.values()) <= 2e-15, worst
+
+
 def test_exact_rows_at_zero_kappa_are_the_free_values():
     frame = dp.polarization_frame(dp.random_directions(np.random.default_rng(2)))
-    values = md.spectrum_values(kt.KappaSet(), frame)
-    assert values == {
-        "gap_plus": 1.0, "delta_plus": 0.0, "gap_residual_plus": 0.0,
-        "gap_minus": 1.0, "delta_minus": 0.0, "gap_residual_minus": 0.0,
-        "cross_before": 0.0, "cross_after": 0.0,
-    }
+    assert md.spectrum_values(kt.KappaSet(), frame) == FREE_VALUES
 
 
 def test_cutoff_2_factor_is_off_by_its_truncation():
@@ -206,7 +304,7 @@ def test_exact_couplings_are_the_bogoliubov_projection():
     f = _potential_factors()
     worst_table = worst_span = 0.0
     for k, frame in _draws(5, 200):
-        b = md.transverse_bogoliubov(md.mode_terms(k, frame)["xi"])
+        b = spectrum_reference.transverse_bogoliubov(md.mode_terms(k, frame)["xi"])
         table = md.exact_couplings(k, frame)
         assert table.shape == (2, 2)
         for r in (0, 1):

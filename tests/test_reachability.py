@@ -36,6 +36,9 @@ UNREACHED = {
     "lorenz.partner_occupations": "Lorenz classification API (ROADMAP item 11)",
     "lorenz.ghost_class_weights": "Lorenz classification API (ROADMAP item 11)",
     "modes.exact_couplings": "exact coupling table for the sky-map columns (ROADMAP item 2)",
+    "modes.quadratic_form": "the tests derive spectrum_values' cell tables from it; "
+    "normal modes and the exact Lorenz invariant (ROADMAP items 9 and 11)",
+    "modes.factor_vector": "the factor vectors of quadratic_form and of the table tests",
 }
 
 
