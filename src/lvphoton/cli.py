@@ -225,8 +225,9 @@ class Columns:
 
     columns maps each name, in report order, to a float array with one
     entry per row, or to None for a column that is null in every row.
-    Indexing and iteration give row dicts, as a list of rows would;
-    render_json and render_csv fill one row template with every value.
+    Indexing and iteration give row dicts, as a list of rows would; the
+    JSON and CSV writers fill one row template with the values of
+    dp.BLOCK_ROWS rows at a time.
     """
 
     def __init__(self, columns, length):
@@ -241,10 +242,22 @@ class Columns:
         index = range(self.length)[index]  # IndexError past either end
         return {k: None if c is None else float(c[index]) for k, c in self.columns.items()}
 
-    def values(self):
-        """Every non-null value as a float, row after row, in one flat tuple."""
-        floats = [c for c in self.columns.values() if c is not None]
+    def values(self, start, stop):
+        """The non-null values of rows start to stop as floats, row after row, in one tuple."""
+        floats = [c[start:stop] for c in self.columns.values() if c is not None]
         return tuple(np.column_stack(floats).ravel().tolist()) if floats else ()
+
+    def blocks(self, template, separator=""):
+        """The rows filled into template, one string per block of dp.BLOCK_ROWS rows.
+
+        template takes one row's non-null values as %-format fields,
+        and separator goes between every two consecutive rows, also
+        where one block ends and the next begins.
+        """
+        for start in range(0, self.length, dp.BLOCK_ROWS):
+            count = min(dp.BLOCK_ROWS, self.length - start)
+            text = separator.join([template] * count) % self.values(start, start + count)
+            yield text if start == 0 else separator + text
 
 
 def render_json(value, indent=0):
@@ -253,21 +266,34 @@ def render_json(value, indent=0):
     The stdlib encoder prints shortest-roundtrip floats and offers no
     hook to change that, so this walks the structure itself.  Lists of
     scalars stay on one line; insertion order of dicts is preserved.
+    The text is that of _json_pieces, joined.
+    """
+    return "".join(_json_pieces(value, indent))
+
+
+def _json_pieces(value, indent):
+    """render_json's text in order, in pieces: Columns give one piece per block of rows.
+
     Columns render as a list of row objects: one %-format of their row
-    template, repeated once per row, takes all of their values.
+    template, repeated once per row of a block, takes that block's
+    values.
     """
     pad = " " * indent
     if isinstance(value, dict):
         if not value:
-            return "{}"
-        items = [
-            f'{pad}  {json.dumps(str(k))}: {render_json(v, indent + 2)}'
-            for k, v in value.items()
-        ]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+            yield "{}"
+            return
+        separator = "{\n"
+        for k, v in value.items():
+            yield f"{separator}{pad}  {json.dumps(str(k))}: "
+            yield from _json_pieces(v, indent + 2)
+            separator = ",\n"
+        yield "\n" + pad + "}"
+        return
     if isinstance(value, Columns):
         if not value:
-            return "[]"
+            yield "[]"
+            return
         inner = pad + "  "
         items = [
             f"{inner}  {json.dumps(str(k))}: ".replace("%", "%%")
@@ -275,36 +301,58 @@ def render_json(value, indent=0):
             for k, c in value.columns.items()
         ]
         row = "{\n" + ",\n".join(items) + "\n" + inner + "}"
-        rows = (",\n" + inner).join([row] * len(value)) % value.values()
-        return "[\n" + inner + rows + "\n" + pad + "]"
+        yield "[\n" + inner
+        yield from value.blocks(row, ",\n" + inner)
+        yield "\n" + pad + "]"
+        return
     if isinstance(value, np.ndarray):
         value = value.tolist()
     if isinstance(value, (list, tuple)):
         if not value:
-            return "[]"
-        if all(not isinstance(v, (dict, list, tuple, np.ndarray)) for v in value):
-            return "[" + ", ".join(_scalar(v) for v in value) + "]"
-        items = [f"{pad}  {render_json(v, indent + 2)}" for v in value]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    return _scalar(value)
+            yield "[]"
+        elif all(not isinstance(v, (dict, list, tuple, np.ndarray)) for v in value):
+            yield "[" + ", ".join(_scalar(v) for v in value) + "]"
+        else:
+            items = [f"{pad}  {render_json(v, indent + 2)}" for v in value]
+            yield "[\n" + ",\n".join(items) + "\n" + pad + "]"
+        return
+    yield _scalar(value)
 
 
-def render_csv(rows):
-    """CSV text for Columns: a header row, then floats at 17 digits, nulls empty."""
+def _csv_pieces(rows):
+    """CSV text for Columns in pieces: the header row, then one piece per block of rows.
+
+    Floats are printed at 17 significant digits, and nulls are empty.
+    """
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerow(rows.columns)
-    line = ",".join("" if c is None else "%.17g" for c in rows.columns.values()) + "\n"
-    return buf.getvalue() + "".join([line] * len(rows)) % rows.values()
+    yield buf.getvalue()
+    line = ",".join("" if c is None else "%.17g" for c in rows.columns.values())
+    yield from rows.blocks(line + "\n")
 
 
-def _emit(text, output):
-    text += "" if text.endswith("\n") else "\n"
+def _emit(pieces, output):
+    """Write the report text, piece by piece, to stdout or to the file output.
+
+    The text ends with a newline: one is added when its last piece has
+    none.  No piece is joined to another, so a Columns report is never
+    held as one string.
+    """
+
+    def write(stream):
+        end = "\n"
+        for piece in pieces:
+            if piece:
+                stream.write(piece)
+                end = "" if piece.endswith("\n") else "\n"
+        stream.write(end)
+
     if output is None:
-        sys.stdout.write(text)
+        write(sys.stdout)
         return
     try:
         with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            write(fh)
     except OSError as exc:
         raise ValueError(f"cannot write report: {exc}") from exc
 
@@ -362,16 +410,27 @@ def cmd_dispersion(config, grid=0, seed=0):
     The config direction is always the first row; --grid N appends N
     seeded random unit directions.  Unlike the other commands this one
     accepts birefringent parameter sets, where delta is reported as null
-    and the two roots split by 2 sigma |k|.  The tensor is built once,
-    every direction goes through one batched call per solver, and the
-    report holds the resulting columns as Columns.  A parameter set whose
+    and the two roots split by 2 sigma |k|.  A parameter set whose
     roots the solver cannot bracket is refused like any other config
-    outside the supported range.
+    outside the supported range.  The rows are _dispersion_rows'
+    Columns, which main's writer prints one block of dp.BLOCK_ROWS rows
+    at a time, never as one string.
     """
-    kf = kt.kf_from_kappas(config.kappas)
     rng = np.random.default_rng(seed)
     directions = np.vstack((config.direction, dp.random_directions(rng, grid)))
-    shifts = dp.summarize(config.kappas, kf, directions)
+    return {"command": "dispersion", "rows": _dispersion_rows(config.kappas, directions)}
+
+
+def _dispersion_rows(kappas, directions):
+    """The dispersion report's Columns, one row per direction.
+
+    The tensor is built once, and every direction goes through one call
+    per solver.  The solvers take the rows dp.BLOCK_ROWS at a time, as
+    the writer that prints them does, so beyond the twelve columns the
+    working memory is one block's at every step.
+    """
+    kf = kt.kf_from_kappas(kappas)
+    shifts = dp.summarize(kappas, kf, directions)
     try:
         roots = dp.ampere_roots(kf, directions)
     except RuntimeError as exc:
@@ -381,8 +440,7 @@ def cmd_dispersion(config, grid=0, seed=0):
         *directions.T, shifts.delta, shifts.rho, shifts.sigma,
         *closed.T, *roots.T, *np.abs(roots - closed).T,
     )
-    rows = Columns(zip(_DISPERSION_COLUMNS, columns), len(directions))
-    return {"command": "dispersion", "rows": rows}
+    return Columns(zip(_DISPERSION_COLUMNS, columns), len(directions))
 
 
 # ---------------------------------------------------------------------------
@@ -437,12 +495,29 @@ def cmd_spectrum(config):
 # argument parsing and dispatch
 
 
-def build_parser():
+#: The subcommands, in the order that help and usage lines list them.
+COMMANDS = ("decompose", "dispersion", "spectrum", "verify")
+
+
+def build_parser(command=None):
+    """The argument parser: the top level and every subcommand's parser.
+
+    Given the name of a subcommand, it builds the top level and that
+    subcommand's parser alone (main passes the first argument): the
+    other three cost about 0.4 ms per call and would parse nothing.
+    Their names stay in the usage line, as the subparsers' metavar.
+    The metavar is not given to the full parser, where it would also
+    name the argument in the "required" and "invalid choice" errors
+    that only the full parser prints.
+    """
     parser = argparse.ArgumentParser(
         prog="lvphoton",
         description="Vacuum anisotropy parameter analysis and consistency checks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    names = (command,) if command in COMMANDS else COMMANDS
+    if len(names) == 1:
+        sub.metavar = "{" + ",".join(COMMANDS) + "}"
 
     def common(p, config_required):
         p.add_argument(
@@ -458,40 +533,45 @@ def build_parser():
         )
         p.add_argument("--output", help="write the report here instead of stdout")
 
-    p = sub.add_parser("decompose", help="parameter matrices <-> rank-4 tensor")
-    common(p, True)
+    if "decompose" in names:
+        p = sub.add_parser("decompose", help="parameter matrices <-> rank-4 tensor")
+        common(p, True)
 
-    p = sub.add_parser("dispersion", help="phase-velocity shifts and wave roots")
-    common(p, True)
-    p.add_argument(
-        "--grid", type=int, default=0, help="number of extra seeded directions"
-    )
-    p.add_argument("--seed", type=int, default=0, help="grid direction seed")
-    p.add_argument(
-        "--format", choices=("json", "csv"), default="json", help="report format"
-    )
+    if "dispersion" in names:
+        p = sub.add_parser("dispersion", help="phase-velocity shifts and wave roots")
+        common(p, True)
+        p.add_argument(
+            "--grid", type=int, default=0, help="number of extra seeded directions"
+        )
+        p.add_argument("--seed", type=int, default=0, help="grid direction seed")
+        p.add_argument(
+            "--format", choices=("json", "csv"), default="json", help="report format"
+        )
 
-    p = sub.add_parser("spectrum", help="transformed gaps and cross couplings")
-    common(p, True)
-    p.add_argument(
-        "--format", choices=("json", "csv"), default="json", help="report format"
-    )
+    if "spectrum" in names:
+        p = sub.add_parser("spectrum", help="transformed gaps and cross couplings")
+        common(p, True)
+        p.add_argument(
+            "--format", choices=("json", "csv"), default="json", help="report format"
+        )
 
-    p = sub.add_parser("verify", help="run the cross-module invariant suite")
-    common(p, False)
-    p.add_argument("--seed", type=int, default=0, help="seed for the check draws")
-    p.add_argument(
-        "--inject-c-leakage",
-        action="store_true",
-        help="add an artificial A-to-C coupling so the leakage check "
-        "must fail (fixture for testing the verifier itself)",
-    )
+    if "verify" in names:
+        p = sub.add_parser("verify", help="run the cross-module invariant suite")
+        common(p, False)
+        p.add_argument("--seed", type=int, default=0, help="seed for the check draws")
+        p.add_argument(
+            "--inject-c-leakage",
+            action="store_true",
+            help="add an artificial A-to-C coupling so the leakage check "
+            "must fail (fixture for testing the verifier itself)",
+        )
 
     return parser
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         for flag in ("grid", "seed"):
             if getattr(args, flag, 0) < 0:
@@ -516,10 +596,10 @@ def main(argv=None):
             )
 
         if getattr(args, "format", "json") == "csv":
-            text = render_csv(report["rows"])
+            pieces = _csv_pieces(report["rows"])
         else:
-            text = render_json(report)
-        _emit(text, args.output if args.output is not None else config.output)
+            pieces = _json_pieces(report, 0)
+        _emit(pieces, args.output if args.output is not None else config.output)
         return status
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

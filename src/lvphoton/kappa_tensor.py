@@ -651,7 +651,13 @@ def coordinate_shift(kf, event):
 
     x'^m = x^m - (1/2) T^m_n x^n with T the single-trace matrix; the map
     is the identity whenever that trace vanishes (purely birefringent or
-    zero tensor).
+    zero tensor).  Covectors go by the inverse transpose, k'_n = k_n +
+    (1/2) k_m T^m_n to first order, with a wave's covector k_b =
+    (omega, +k) as in dispersion.ktilde.  For a non-birefringent set
+    this moves both Ampere roots onto the light cone to first order:
+    k.k falls from O(kappa) to O(kappa^2).  "Non-birefringent" holds at
+    leading order only: the two roots split at second order (by up to
+    about 3 kappa^2 |k|), and no coordinate change removes that split.
     """
     (x,) = _four_rows((), event)
     return x - 0.5 * (single_trace(kf) @ x)

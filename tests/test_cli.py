@@ -7,6 +7,7 @@ import json
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -607,8 +608,13 @@ def test_dispersion_grid_runs_no_companion_eigensolve(tmp_path, capsys, monkeypa
     assert len(json.loads(out)["rows"]) == 5001
 
 
+def _csv_text(rows):
+    """The CSV that main writes for Columns, joined into one string."""
+    return "".join(cli._csv_pieces(rows))
+
+
 def _rowwise_csv(rows):
-    """render_csv as earlier versions wrote a list of flat row dicts: the reference."""
+    """The CSV of Columns as earlier versions wrote a list of flat row dicts: the reference."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     header = list(rows[0].keys())
@@ -684,7 +690,164 @@ def test_columnar_dispersion_matches_the_rowwise_reference(tmp_path, seed, biref
         report = cli.cmd_dispersion(config, grid=grid, seed=seed)
         want = _rowwise_dispersion(config, grid, seed)
         assert cli.render_json(report) == _recursive_render_json(want)
-        assert cli.render_csv(report["rows"]) == _rowwise_csv(want["rows"])
+        assert _csv_text(report["rows"]) == _rowwise_csv(want["rows"])
+
+
+# ------------------------------------------------ block-wise report writer
+
+#: Rows per block of the report writer.
+B = dp.BLOCK_ROWS
+
+
+def _payload(birefringent):
+    """A dispersion config of one set, birefringent (null delta) or not."""
+    return _birefringent_payload(8) if birefringent else SAMPLE
+
+
+def _one_string(report, fmt):
+    """The whole report as one string, from its rows as dicts: the reference."""
+    rows = list(report["rows"])
+    if fmt == "json":
+        return _recursive_render_json(dict(report, rows=rows)) + "\n"
+    if rows:
+        return _rowwise_csv(rows)
+    return ",".join(report["rows"].columns) + "\n"
+
+
+@pytest.mark.parametrize("birefringent", [False, True])
+@pytest.mark.parametrize("count", [0, 1, B - 1, B, B + 1, 3 * B + 5])
+def test_block_writer_prints_the_one_string_bytes(tmp_path, capsys, count, birefringent):
+    # the writer sends a Columns report one block of rows at a time; its
+    # bytes are those of the whole report as one string, on stdout and
+    # in a file, in JSON and in CSV
+    config = cli.load_config(_write(tmp_path, "cfg.json", _payload(birefringent)))
+    directions = dp.random_directions(np.random.default_rng(count), count)
+    report = {"command": "dispersion", "rows": cli._dispersion_rows(config.kappas, directions)}
+    assert (report["rows"].columns["delta"] is None) == birefringent
+    out = tmp_path / "out.txt"
+    writers = {"json": cli._json_pieces, "csv": lambda r, _: cli._csv_pieces(r["rows"])}
+    for fmt, pieces in writers.items():
+        want = _one_string(report, fmt)
+        blocks = [piece for piece in pieces(report, 0) if "omega_plus_root" in piece]
+        if fmt == "json":
+            assert len(blocks) == -(-count // B)
+            assert all(piece.count("omega_plus_root") <= B for piece in blocks)
+        cli._emit(pieces(report, 0), None)
+        assert capsys.readouterr().out == want
+        cli._emit(pieces(report, 0), str(out))
+        assert out.read_text(encoding="utf-8") == want
+    if count == 0:
+        return
+    # through main: the config direction and count - 1 grid directions
+    path = _write(tmp_path, "cfg.json", _payload(birefringent))
+    report = cli.cmd_dispersion(cli.load_config(path), grid=count - 1, seed=count)
+    for fmt in ("json", "csv"):
+        argv = ["dispersion", "--config", path, "--grid", str(count - 1), "--seed", str(count)]
+        argv += ["--format", fmt]
+        assert _run(capsys, argv) == (0, _one_string(report, fmt), "")
+        assert _run(capsys, argv + ["--output", str(out)]) == (0, "", "")
+        assert out.read_text(encoding="utf-8") == _one_string(report, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("where", ["missing_dir", "directory"])
+def test_unwritable_dispersion_report_is_one_line_usage_error(tmp_path, capsys, fmt, where):
+    target = tmp_path / "missing" / "out.txt" if where == "missing_dir" else tmp_path
+    path = _write(tmp_path, "cfg.json", _payload(True))
+    argv = ["dispersion", "--config", path, "--grid", str(2 * B), "--format", fmt]
+    status, out, err = _run(capsys, argv + ["--output", str(target)])
+    assert status == 2 and out == ""
+    assert err.startswith("error: cannot write report") and err.count("\n") == 1
+
+
+#: Bound on the traced peak of a 20000-direction dispersion run, in bytes.
+#: Blocked solvers and the block-wise writer peak at 4.4-4.6 MB; with
+#: whole-grid solvers and the report built as one string the peak was
+#: 41 MB, and whole-grid rho/sigma and delta alone reach 7.6 and 15 MB.
+DISPERSION_PEAK_BOUND = 6e6
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("birefringent", [False, True])
+def test_dispersion_grid_memory_does_not_grow_with_the_grid(tmp_path, fmt, birefringent):
+    # tracemalloc sees numpy's buffers as well as Python's objects; the
+    # report goes to a file, whose text is not held in memory
+    path = _write(tmp_path, "cfg.json", _payload(birefringent))
+    argv = ["dispersion", "--config", path, "--format", fmt, "--output", str(tmp_path / "out")]
+    assert cli.main(argv + ["--grid", "10"]) == 0  # loads what a first call loads
+    tracemalloc.start()
+    try:
+        status = cli.main(argv + ["--grid", "20000"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert status == 0
+    assert peak < DISPERSION_PEAK_BOUND
+
+
+def _parse(parse, argv):
+    """(exit code, stdout, stderr) of a parse that exits; None for one that does not."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            parse(argv)
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+    return None
+
+
+def _parser_argvs(path):
+    """Command lines that end in argparse: help, usage errors and bad values."""
+    argvs = [["--help"], ["-h"], [], ["nope"], ["nope", "--help"], ["--config", path]]
+    for command in cli.COMMANDS:
+        argvs += [
+            [command, "--help"],
+            [command, "-h", "--config", path],
+            [command, "--config", path, "--cutoff", "3"],
+            [command, "--config", path, "extra"],
+        ]
+    argvs += [
+        ["dispersion", "--config", path, "--grid", "x"],
+        ["dispersion", "--config", path, "--seed", "1.5"],
+        ["dispersion", "--config", path, "--format", "xml"],
+        ["spectrum", "--config", path, "--format", "xml"],
+        ["decompose"],
+        ["spectrum", "--strict-symmetry"],
+    ]
+    return argvs
+
+
+def test_one_command_parser_prints_what_the_full_parser_prints(tmp_path, monkeypatch):
+    # main builds the top level and the named command's parser alone;
+    # every help text, usage line, error and exit code is the full one's
+    path = _write(tmp_path, "cfg.json", SAMPLE)
+    built = []
+    build = cli.build_parser
+
+    def recorded(command=None):
+        parser = build(command)
+        built.append(sorted(parser._subparsers._group_actions[0].choices))
+        return parser
+
+    monkeypatch.setattr(cli, "build_parser", recorded)
+    for argv in _parser_argvs(path):
+        built.clear()
+        full = _parse(lambda a: build().parse_args(a), argv)
+        assert full is not None, argv
+        assert _parse(cli.main, argv) == full, argv
+        named = argv[0] if argv and argv[0] in cli.COMMANDS else None
+        assert built == [[named] if named else sorted(cli.COMMANDS)], argv
+    # the full parser names the command argument as it always did
+    usage = "usage: lvphoton [-h] {decompose,dispersion,spectrum,verify} ...\n"
+    assert _parse(cli.main, []) == (
+        2, "", usage + "lvphoton: error: the following arguments are required: command\n"
+    )
+    assert _parse(cli.main, ["nope"])[2].startswith(
+        usage + "lvphoton: error: argument command: invalid choice: 'nope'"
+    )
+    # a command line that parses gives the same arguments
+    argv = ["dispersion", "--config", path, "--grid", "3", "--format", "csv"]
+    assert vars(build("dispersion").parse_args(argv)) == vars(build().parse_args(argv))
 
 
 @pytest.mark.parametrize(
@@ -1307,10 +1470,10 @@ def test_columns_render_like_their_rows():
         assert cli.render_json(table, indent) == _recursive_render_json(rows, indent)
     report = {"command": "x", "rows": table, "tail": [1.5]}
     assert cli.render_json(report) == _recursive_render_json(dict(report, rows=rows))
-    assert cli.render_csv(table) == _rowwise_csv(rows)
+    assert _csv_text(table) == _rowwise_csv(rows)
     assert table[-1]["b"] == 6.0 and [row["b"] for row in table[2:4]] == [2.0, 3.0]
     with pytest.raises(IndexError):
         table[7]
     empty = cli.Columns({"a": np.zeros(0), "none": None}.items(), 0)
     assert cli.render_json(empty) == "[]" and list(empty) == []
-    assert cli.render_csv(empty) == "a,none\n"
+    assert _csv_text(empty) == "a,none\n"

@@ -6,6 +6,7 @@ against a bisection reference, and its Newton roots against the 6x6
 companion eigensolve that it falls back on.
 """
 
+import re
 import warnings
 
 import numpy as np
@@ -469,6 +470,7 @@ def test_summarize_fields():
     kvec = np.array([0.0, 0.0, 2.0])
     res = dp.summarize(k, kt.kf_from_kappas(k), kvec)
     assert all(np.shape(v) == () for v in vars(res).values())
+    assert all(type(v) is float for v in (res.delta, res.rho, res.sigma))
     assert res.delta == pytest.approx(dp.delta_nonbiref(k, kvec / 2.0), abs=1e-15)
     assert res.omega_plus == pytest.approx((1 + res.rho + res.sigma) * 2.0, rel=1e-15)
     assert res.omega_minus == pytest.approx((1 + res.rho - res.sigma) * 2.0, rel=1e-15)
@@ -495,6 +497,25 @@ def test_summarize_batch_columns_are_the_rowwise_results(birefringent):
             assert batch.delta is None
         else:
             assert batch.delta[n] == _rowwise_delta(k, khats[0])
+
+
+@pytest.mark.parametrize("birefringent", [False, True])
+def test_summarize_blocks_give_the_bits_of_one_call(birefringent, monkeypatch):
+    rng = np.random.default_rng(34)
+    k = kt.random_kappas(rng, 1e-2, birefringent)
+    kf = kt.kf_from_kappas(k)
+    kvecs = dp.random_directions(rng, 2 * dp.BLOCK_ROWS + 3) * 2.0
+    blocked = dp.summarize(k, kf, kvecs)
+    grid = dp.summarize(k, kf, kvecs.reshape(-1, 1, 3))
+    monkeypatch.setattr(dp, "BLOCK_ROWS", len(kvecs))
+    whole = dp.summarize(k, kf, kvecs)
+    for name, value in vars(whole).items():
+        if birefringent and name == "delta":
+            assert value is blocked.delta is grid.delta is None
+            continue
+        assert getattr(blocked, name).tobytes() == value.tobytes(), name
+        assert getattr(grid, name).shape == (len(kvecs), 1), name
+        assert getattr(grid, name).tobytes() == value.tobytes(), name
 
 
 # ------------------------------------------- batched solver vs bisection
@@ -610,17 +631,29 @@ def test_double_roots_returned_as_conjugate_pairs_are_kept(roundoff):
     assert np.max(np.abs(gram - np.eye(2))) < 1e-12
 
 
+#: Rows per block of the solver and the report writer.
+B = dp.BLOCK_ROWS
+
+
 @pytest.mark.parametrize("birefringent", [False, True])
-def test_ampere_roots_do_not_depend_on_the_batch(birefringent):
-    # a row's roots are the same bits in a batch of 1 to 12 rows as in
-    # one of 5001; numpy's einsum path choice and BLAS's one-row kernel
-    # once moved them by up to 4.4e-16
+def test_ampere_roots_do_not_depend_on_the_batch(birefringent, monkeypatch):
+    # a row's roots are the same bits in a batch of 1 to 12 rows, and of
+    # one block and a row either side of a block boundary, as in one of
+    # 5001; numpy's einsum path choice and BLAS's one-row kernel once
+    # moved them by up to 4.4e-16.  The 5001 rows, solved as one block,
+    # give the bits of their five blocks
     rng = np.random.default_rng(1)
     kf = kt.kf_from_kappas(kt.random_kappas(rng, 1e-2, birefringent=birefringent))
     kvecs = dp.random_directions(rng, 5001) * rng.uniform(0.2, 5.0, size=(5001, 1))
     whole = dp.ampere_roots(kf, kvecs)
-    for n in range(1, 13):
+    omegas, fields = dp.solve_ampere(kf, kvecs)
+    assert omegas.tobytes() == whole.tobytes()
+    for n in (*range(1, 13), B - 1, B, B + 1, 2 * B + 3):
         assert dp.ampere_roots(kf, kvecs[:n]).tobytes() == whole[:n].tobytes(), n
+        assert dp.solve_ampere(kf, kvecs[:n])[1].tobytes() == fields[:n].tobytes(), n
+    monkeypatch.setattr(dp, "BLOCK_ROWS", len(kvecs))
+    assert dp.ampere_roots(kf, kvecs).tobytes() == whole.tobytes()
+    assert dp.solve_ampere(kf, kvecs)[1].tobytes() == fields.tobytes()
 
 
 def test_narrow_splitting_stays_two_real_roots():
@@ -700,7 +733,9 @@ def test_eigenvalue_residuals_are_the_polarization_residuals(name):
     rng = np.random.default_rng(160 + sorted(_CONFIGS).index(name))
     kf = _CONFIGS[name](rng)
     khats = np.vstack((np.eye(3), -np.eye(3), dp.random_directions(rng, 200)))
-    _, _, _, m, double = dp._transverse_roots(kf, khats)
+    K = kt.as_kf_components(kf)
+    x, m = dp._block_roots(K, np.max(np.abs(K)), khats)
+    double = x[:, 1] - x[:, 0] <= dp._DEGENERATE_RTOL
     residual = dp._root_residuals(m, double)
     _, fields = dp.solve_ampere(kf, khats)
     at = m.copy()
@@ -854,6 +889,106 @@ def test_uncertified_rows_fall_back_and_keep_their_own_bits():
     for n in (*np.flatnonzero(certified)[:5], *np.flatnonzero(~certified)[:5]):
         assert dp.ampere_roots(kf, kvecs[n]).tobytes() == whole[n].tobytes()
     assert np.array_equal(whole[~certified], _companion_pair(kf, kvecs[~certified]))
+
+
+def test_companion_rows_keep_their_bits_in_every_block(monkeypatch):
+    # magnitude 0.1 leaves hundreds of rows of each block to the
+    # companion; each keeps the bits it gets alone and in one block
+    kf = _generated_kf(6, 0.1, True)
+    kvecs = dp.random_directions(np.random.default_rng(166), 2 * B + 3) * 1.5
+    uncertified = np.flatnonzero(~_certified(kf, kvecs))
+    blocks = uncertified // B
+    assert set(blocks) == {0, 1, 2}
+    whole = dp.ampere_roots(kf, kvecs)
+    omegas, fields = dp.solve_ampere(kf, kvecs)
+    for block in (0, 1, 2):
+        for n in uncertified[blocks == block][:3]:
+            assert dp.ampere_roots(kf, kvecs[n]).tobytes() == whole[n].tobytes()
+            assert dp.solve_ampere(kf, kvecs[n])[1].tobytes() == fields[n].tobytes()
+    assert np.array_equal(whole[uncertified], _companion_pair(kf, kvecs[uncertified]))
+    monkeypatch.setattr(dp, "BLOCK_ROWS", len(kvecs))
+    assert dp.ampere_roots(kf, kvecs).tobytes() == whole.tobytes()
+    assert dp.solve_ampere(kf, kvecs)[1].tobytes() == fields.tobytes()
+
+
+def _refusal(kf, kvecs):
+    """The message of the RuntimeError that ampere_roots raises on kvecs."""
+    with pytest.raises(RuntimeError) as refused:
+        dp.ampere_roots(kf, kvecs)
+    with pytest.raises(RuntimeError, match=re.escape(str(refused.value))):
+        dp.solve_ampere(kf, kvecs)
+    return str(refused.value)
+
+
+def test_companion_misses_are_counted_over_every_block(monkeypatch):
+    # directions without two roots sit in blocks 0 and 1; the message
+    # counts them all, as one call on all rows as one block does
+    kf = _generated_kf(1, 0.1, True)
+    kvecs = dp.random_directions(np.random.default_rng(166), 2 * B + 3)
+    K = kt.as_kf_components(kf)
+    khats = dp._unit_rows(kvecs)[0]
+    misses = [
+        np.count_nonzero(np.isnan(dp._block_roots(K, np.max(np.abs(K)), khats[n : n + B])[0]))
+        // 2
+        for n in range(0, len(kvecs), B)
+    ]
+    assert misses[0] > 0 and misses[1] > 0 and misses[2] == 0
+    message = _refusal(kf, kvecs)
+    assert message == (
+        f"{sum(misses)} direction(s) without exactly two real transverse roots "
+        "in the bracket; tensor too large for the bracket"
+    )
+    assert _refusal(kf, kvecs[B:]) == message.replace(str(sum(misses)), str(misses[1]), 1)
+    monkeypatch.setattr(dp, "BLOCK_ROWS", len(kvecs))
+    assert _refusal(kf, kvecs) == message
+
+
+def test_residual_refusal_reports_the_largest_residual_of_every_block(monkeypatch):
+    # under a tolerance that rows of blocks 0 and 1 exceed, the message
+    # gives the largest residual of all rows, which block 1 holds
+    kf = _generated_kf(3, 1e-2, True)
+    khats = dp.random_directions(np.random.default_rng(167), 2 * B + 3)
+    K = kt.as_kf_components(kf)
+    x, m = dp._block_roots(K, np.max(np.abs(K)), dp._unit_rows(khats)[0])
+    residual = dp._root_residuals(m, x[:, 1] - x[:, 0] <= dp._DEGENERATE_RTOL).max(axis=1)
+    first, worst = residual[:B].max(), residual.max()
+    assert worst == residual[B : 2 * B].max() and f"{first:.3e}" != f"{worst:.3e}"
+    monkeypatch.setattr(dp, "_RESIDUAL_RTOL", np.nextafter(first, 0.0))
+    message = _refusal(kf, khats)
+    assert message == f"root residual {worst:.3e} |k|^2 exceeds tolerance"
+    assert _refusal(kf, khats[:B]) == f"root residual {first:.3e} |k|^2 exceeds tolerance"
+    monkeypatch.setattr(dp, "BLOCK_ROWS", len(khats))
+    assert _refusal(kf, khats) == message
+
+
+def test_sigma_warnings_come_in_row_order_across_blocks(monkeypatch):
+    # the noisy tensor of the test below warns on directions with kz
+    # away from 0: one such row in each of three blocks of summarize,
+    # each warned once, with its own value, and in row order
+    rng = np.random.default_rng(154)
+    K = kt.as_kf_components(kt.kf_from_kappas(kt.random_kappas(rng, 1e-4))).copy()
+    K[:, 3, :, 3] += 1e-2 * np.diag([0.0, 1.0, 1.0, 1.0])
+    phi = rng.uniform(0.0, 2.0 * np.pi, size=2 * B + 3)
+    khats = np.column_stack((np.cos(phi), np.sin(phi), np.zeros_like(phi)))
+    rows = (5, B + 7, 2 * B + 1)
+    for row, kz in zip(rows, (0.5, 0.8, 0.6)):
+        khats[row] = [np.sqrt(1.0 - kz * kz), 0.0, kz]
+    # a birefringent set skips delta, which this tensor does not describe
+    biref = kt.random_kappas(rng, 1e-4, birefringent=True)
+    with pytest.warns(UserWarning, match="beyond roundoff") as record:
+        result = dp.summarize(biref, K, khats)
+    want = []
+    for row in rows:
+        with pytest.warns(UserWarning, match="beyond roundoff") as alone:
+            dp.rho_sigma(K, khats[row])
+        want += [str(w.message) for w in alone]
+    assert [str(w.message) for w in record] == want and len(set(want)) == 3
+    assert np.all(result.sigma[list(rows)] == 0.0)
+    monkeypatch.setattr(dp, "BLOCK_ROWS", len(khats))
+    with pytest.warns(UserWarning, match="beyond roundoff") as whole:
+        again = dp.summarize(biref, K, khats)
+    assert [str(w.message) for w in whole] == [str(w.message) for w in record]
+    assert again.sigma.tobytes() == result.sigma.tobytes()
 
 
 # ------------------------------------------------- batched rho/sigma noise

@@ -3,17 +3,19 @@
 The physics does not change when the parameters and the direction turn
 together, so a column that changes under a joint rotation (kappa,
 k-hat) -> (R kappa, R k-hat) reads the polarization-frame convention of
-dispersion.polarization_frame, not the physics.  Each `spectrum` column
-is either invariant, to 1e-12 relative or to the stated absolute floor,
-or frame-bound, as the README lists it.  Reversing the direction swaps
-the +k and -k columns.  Each case is one stacked spectrum_values call
-over all draws.
+dispersion.polarization_frame, not the physics.  Each `spectrum` and
+`dispersion` column is either invariant, to 1e-12 relative or to the
+stated absolute floor, or frame-bound, as the README lists it.
+Reversing the direction swaps the +k and -k columns of `spectrum`.
+Each `spectrum` case is one stacked spectrum_values call over all
+draws; each `dispersion` case is one call of the command's column
+builder per parameter set, on a grid that spans three solver blocks.
 """
 
 import numpy as np
 import pytest
 
-from lvphoton import checks
+from lvphoton import checks, cli
 from lvphoton import dispersion as dp
 from lvphoton import kappa_tensor as kt
 from lvphoton import modes as md
@@ -67,3 +69,107 @@ def test_reversing_the_direction_swaps_plus_and_minus(moved):
         if key not in FRAME_BOUND:
             change = np.abs(flipped[_mirror(key)] - value)
             assert np.all(change <= np.maximum(1e-12 * np.abs(value), FLOOR)), key
+
+
+# ------------------------------------------------------------ dispersion
+
+EPS = np.finfo(float).eps
+
+#: Magnitudes of the sets of each sector.
+MAGNITUDES = (1e-5, 1e-3, 1e-2, 3e-2)
+
+#: Columns of a dispersion row that are the direction's components.
+DISPERSION_FRAME_BOUND = ("kx", "ky", "kz")
+
+
+def _dispersion_floors(magnitude, norms):
+    """Absolute floors of the invariant dispersion columns of one set, per row.
+
+    rho and delta are O(kappa) contractions, off by a few eps times the
+    magnitude (14 eps at most, measured).  sigma is the root of a
+    difference whose roundoff is of order eps |ktilde|^2, so where sigma
+    is near 0 (every direction of a non-birefringent set) it is noise of
+    order sqrt(eps) times the magnitude (3.3 sqrt(eps) at most).  The
+    closed-form frequencies carry both times |k|, the numeric roots a
+    few eps |k|, and the residuals |root - closed form|, O(kappa^2)
+    differences, carry both.
+    """
+    shift = 64.0 * EPS * magnitude
+    sigma = 8.0 * np.sqrt(EPS) * magnitude
+    closed = (shift + sigma) * norms
+    root = 16.0 * EPS * norms
+    floors = {"delta": shift, "rho": shift, "sigma": sigma}
+    for side in ("minus", "plus"):
+        floors[f"omega_{side}"] = closed
+        floors[f"omega_{side}_root"] = root
+        floors[f"residual_{side}"] = closed + root
+    return floors
+
+
+def _parity(k):
+    """The set seen in the mirror: o_plus and o_minus are parity-odd."""
+    return kt.KappaSet(
+        e_minus=k.e_minus, o_plus=-k.o_plus, tr=k.tr, e_plus=k.e_plus, o_minus=-k.o_minus
+    )
+
+
+@pytest.fixture(scope="module")
+def dispersion_moved():
+    """Per set of either sector: its floors and its dispersion columns at
+    (kappa, k), (R kappa, R k), (P kappa, -k) and (kappa, -k), over 2 B + 3
+    wavevectors."""
+    rng = np.random.default_rng(17)
+    count = 2 * dp.BLOCK_ROWS + 3
+    rots = checks._rotations(rng.normal(size=(2 * len(MAGNITUDES), 9)))
+    cases = []
+    for n, (birefringent, magnitude) in enumerate(
+        (b, m) for b in (False, True) for m in MAGNITUDES
+    ):
+        k = kt.random_kappas(rng, 1.0, birefringent)
+        k = k.scaled(magnitude / k.magnitude)
+        kvecs = dp.random_directions(rng, count) * rng.uniform(0.2, 5.0, size=(count, 1))
+        cases.append({
+            "birefringent": birefringent,
+            "floors": _dispersion_floors(magnitude, np.linalg.norm(kvecs, axis=1)),
+            "base": cli._dispersion_rows(k, kvecs).columns,
+            "rotated": cli._dispersion_rows(k.rotated(rots[n]), kvecs @ rots[n].T).columns,
+            "reversed": cli._dispersion_rows(_parity(k), -kvecs).columns,
+            "flipped": cli._dispersion_rows(k, -kvecs).columns,
+        })
+    return cases
+
+
+def _invariant(case, moved):
+    """The invariant columns that moved beyond 1e-12 relative and their floor."""
+    failed = []
+    for key, value in case["base"].items():
+        if key in DISPERSION_FRAME_BOUND or value is None:
+            continue
+        change = np.abs(case[moved][key] - value)
+        if np.any(change > np.maximum(1e-12 * np.abs(value), case["floors"][key])):
+            failed.append(key)
+    return failed
+
+
+def test_every_dispersion_column_is_invariant_or_frame_bound(dispersion_moved):
+    assert {case["birefringent"] for case in dispersion_moved} == {False, True}
+    for case in dispersion_moved:
+        base, rotated = case["base"], case["rotated"]
+        assert len(base["kx"]) > 2 * dp.BLOCK_ROWS  # three blocks of the solver
+        assert (base["delta"] is None) == (rotated["delta"] is None) == case["birefringent"]
+        assert _invariant(case, "rotated") == []
+        # the components turn with the direction
+        for key in DISPERSION_FRAME_BOUND:
+            assert np.median(np.abs(rotated[key] - base[key])) > 0.1, key
+
+
+def test_reversed_direction_with_mirrored_parameters_keeps_every_dispersion_column(
+    dispersion_moved,
+):
+    # k-hat -> -k-hat alone moves rho by the parity-odd o_plus and
+    # o_minus; with those blocks negated too, the rows are the same
+    for case in dispersion_moved:
+        assert _invariant(case, "reversed") == []
+        assert "rho" in _invariant(case, "flipped")
+        for key in DISPERSION_FRAME_BOUND:
+            assert np.array_equal(case["reversed"][key], -case["base"][key])

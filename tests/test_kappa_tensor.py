@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lvphoton import dispersion as dp
 from lvphoton import kappa_tensor as kt
 
 import kf_reference  # tests/kf_reference.py
@@ -267,6 +268,46 @@ def test_coordinate_shift_is_linear_in_event():
     lhs = kt.coordinate_shift(kf, 2.0 * u + 3.0 * v)
     rhs = 2.0 * kt.coordinate_shift(kf, u) + 3.0 * kt.coordinate_shift(kf, v)
     assert np.max(np.abs(lhs - rhs)) < 1e-12
+
+
+def _null_norms(kf, kvecs, spatial_sign):
+    """max k.k / |k|^2 over both Ampere roots of each wavevector, before and after the shift.
+
+    A root omega of kvec is the covector k_b = (omega, spatial_sign kvec);
+    the code's convention (dispersion.ktilde, ampere_matrix) is sign +1.
+    The shift maps events by x' = S x, with S read off coordinate_shift
+    column by column, so covectors go by k' = k S^-1, which keeps the
+    phase k_m x^m; to first order k'_n = k_n + (1/2) k_m T^m_n.
+    """
+    shift = np.column_stack([kt.coordinate_shift(kf, e) for e in np.eye(4)])
+    omegas = dp.ampere_roots(kf, kvecs).reshape(-1, 1)
+    spatial = spatial_sign * np.repeat(kvecs, 2, axis=0)
+    k = np.concatenate((omegas, spatial), axis=1)
+    moved = k @ np.linalg.inv(shift)
+    size = np.repeat(np.vecdot(kvecs, kvecs), 2)
+    norms = [v[:, 0] ** 2 - np.vecdot(v[:, 1:], v[:, 1:]) for v in (k, moved)]
+    return [np.max(np.abs(norm) / size) for norm in norms]
+
+
+@pytest.mark.parametrize("scale", [1e-2, 1e-4])
+def test_coordinate_shift_puts_the_ampere_roots_on_the_light_cone(scale):
+    # k.k of a root is O(kappa) and falls to O(kappa^2) after the shift
+    # (on 10 sets per scale, 200 wavevectors each: 1.6-4.8 kappa before,
+    # 1.2-5.7 kappa^2 after); with the other covector convention it stays
+    # O(kappa) (1.1-5.3 kappa), so this pins the convention.  The two
+    # roots, which no shift separates, split at second order.
+    rng = np.random.default_rng(21)
+    for _ in range(10):
+        k = kt.random_kappas(rng, 1.0)
+        kf = kt.kf_from_kappas(k.scaled(scale / k.magnitude))
+        kvecs = dp.random_directions(rng, 200) * rng.uniform(0.5, 2.0, size=(200, 1))
+        before, after = _null_norms(kf, kvecs, 1.0)
+        _, other = _null_norms(kf, kvecs, -1.0)
+        assert before > 0.5 * scale and other > 0.5 * scale
+        assert after < 20.0 * scale**2
+        omegas = dp.ampere_roots(kf, kvecs)
+        split = np.max((omegas[:, 1] - omegas[:, 0]) / np.linalg.norm(kvecs, axis=1))
+        assert 0.1 * scale**2 < split < 20.0 * scale**2
 
 
 def _grid_style_blocks(seed):
