@@ -29,8 +29,6 @@ randomness is drawn from --seed, so reports are deterministic.
 """
 
 import argparse
-import csv
-import io
 import json
 import sys
 from dataclasses import dataclass, field
@@ -225,8 +223,7 @@ class Columns:
 
     columns maps each name, in report order, to a float array with one
     entry per row, or to None for a column that is null in every row.
-    Indexing and iteration give row dicts, as a list of rows would; the
-    JSON and CSV writers fill one row template with the values of
+    The JSON and CSV writers fill one row template with the values of
     dp.BLOCK_ROWS rows at a time.
     """
 
@@ -235,12 +232,6 @@ class Columns:
 
     def __len__(self):
         return self.length
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(self.length))]
-        index = range(self.length)[index]  # IndexError past either end
-        return {k: None if c is None else float(c[index]) for k, c in self.columns.items()}
 
     def values(self, start, stop):
         """The non-null values of rows start to stop as floats, row after row, in one tuple."""
@@ -324,9 +315,7 @@ def _csv_pieces(rows):
 
     Floats are printed at 17 significant digits, and nulls are empty.
     """
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow(rows.columns)
-    yield buf.getvalue()
+    yield ",".join(rows.columns) + "\n"  # the names are identifiers: CSV quotes none
     line = ",".join("" if c is None else "%.17g" for c in rows.columns.values())
     yield from rows.blocks(line + "\n")
 

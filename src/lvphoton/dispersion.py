@@ -13,8 +13,9 @@ arithmetic as a row of a batch, so it gets the bits that row gets.
 delta and rho/sigma also take stacked parameter sets or tensors, one
 per direction.
 
-frame_bilinears is where the parameters meet a frame: its E and O give
-delta, mixing_deltas and the mode Hamiltonian's coefficients.
+frame_bilinears is where the parameters meet a frame; its E and O
+become delta(+-k), the mixing (delta1, delta2) and the mode Hamiltonian's
+transverse coefficients in transverse_coefficients alone.
 """
 
 import warnings
@@ -215,8 +216,30 @@ def frame_bilinears(kappas, frame):
     return out[..., 0, :, :], out[..., 1, :, :]
 
 
+def transverse_coefficients(E, O):
+    """The transverse coefficients of the mode Hamiltonian and Xi, from E and O.
+
+    Returns (delta(+k), delta(-k), d, E12, delta1, delta2) of the
+    frame_bilinears E and O:
+
+        delta(+-k) = +-O12 - (E11 + E22) / 2   the phase-velocity shifts
+        d = (E11 - E22) / 2 and E12            the +k/-k transverse mixing of H
+        delta1 = (E11 - E22) / 4, delta2 = E12 / 2   the mixing that Xi removes
+
+    Only eps2 of eps1, eps2 flips with k (polarization_frame's parity
+    rules), so of these only O12 changes sign from +k to -k.  Leading
+    axes as in frame_bilinears; one frame gives numpy scalars.  It
+    refuses nothing: its callers check the set.
+    """
+    e11, e22, o12 = E[..., 1, 1], E[..., 2, 2], O[..., 1, 2]
+    e12 = E[..., 1, 2][()]  # [()]: a numpy scalar for one frame, as the others are
+    half_trace = 0.5 * (e11 + e22)
+    shifts = (o12 - half_trace, -o12 - half_trace)
+    return (*shifts, 0.5 * (e11 - e22), e12, 0.25 * (e11 - e22), 0.5 * e12)
+
+
 def mixing_deltas(kappas, frame):
-    """(delta1, delta2) = ((E11 - E22) / 4, E12 / 2), E of frame_bilinears.
+    """(delta1, delta2) = ((E11 - E22) / 4, E12 / 2) of transverse_coefficients.
 
     The coefficients of Xi and of the potentials' mixing; tr cancels in
     both, to roundoff of the frame's orthogonality (eps1 . eps2 = 0 only
@@ -225,8 +248,8 @@ def mixing_deltas(kappas, frame):
     outside the first-order model are refused (check_nonbiref).
     """
     check_nonbiref(kappas)
-    E, _ = frame_bilinears(kappas, frame)
-    return 0.25 * (E[..., 1, 1] - E[..., 2, 2]), 0.5 * E[..., 1, 2]
+    E, O = frame_bilinears(kappas, frame)
+    return transverse_coefficients(E, O)[4:]
 
 
 def delta_nonbiref(k, khat):
@@ -235,9 +258,9 @@ def delta_nonbiref(k, khat):
         delta(k) = O12 - (E11 + E22) / 2 = eps1 . o_plus . eps2
                    - (1/2) sum_{r=1,2} eps_r . (e_minus + I tr) . eps_r
 
-    of frame_bilinears in the frame of polarization_frame, per unit
-    direction of khat.  k is one KappaSet for every direction, or
-    stacked sets, one per direction, whose leading shape broadcasts
+    delta(+k) of transverse_coefficients in the frame of polarization_frame,
+    per unit direction of khat.  k is one KappaSet for every direction,
+    or stacked sets, one per direction, whose leading shape broadcasts
     against the directions'.  One set and one direction give a float.
     Only valid with e_plus = o_minus = 0; birefringent input is rejected
     since the shift is then polarization-dependent.
@@ -245,7 +268,7 @@ def delta_nonbiref(k, khat):
     if np.any(k.is_birefringent):
         raise ValueError("delta is polarization-independent only without birefringence")
     E, O = frame_bilinears(k, polarization_frame(khat))
-    delta = O[..., 1, 2] - 0.5 * (E[..., 1, 1] + E[..., 2, 2])
+    delta = transverse_coefficients(E, O)[0]
     return float(delta) if delta.ndim == 0 else delta
 
 

@@ -8,8 +8,9 @@ coefficients times products of one or two ladder factors, and a
 factor is a linear combination of ladder operators, written as
 (coefficient, label, raising) triples (ladder).  This module writes
 those term lists: the raw seven-line Hamiltonian from tensor
-contractions (raw_terms), and the six grouped blocks and Xi from the
-frame bilinears (mode_terms).  It needs numpy alone;
+contractions (raw_terms), and the six grouped blocks and Xi, which
+arrange the coefficients of dispersion.transverse_coefficients and the
+ghost couplings of the frame bilinears (mode_terms).  It needs numpy alone;
 fock_space.monomial_sum turns a term list into a sparse matrix on an
 occupation space.
 
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dispersion import frame_bilinears, mixing_deltas
+from .dispersion import frame_bilinears, mixing_deltas, transverse_coefficients
 from .kappa_tensor import METRIC, check_nonbiref, lowered
 
 #: Mode commutator signs in the indefinite product: [a_r, bar(a_s)] = zeta_r delta_rs.
@@ -189,9 +190,11 @@ def mode_terms(kappas, frame):
     """The grouped monomials of the six blocks of H and of Xi, on the 8-mode slots.
 
     A dict from each block name, and "xi", to that operator's (coef,
-    factor, factor) terms, coefficients from the frame bilinears;
-    hamiltonian.build_grouped and xi_generators sum them, and
-    spectrum_values transforms them.  Every block, each summed
+    factor, factor) terms; hamiltonian.build_grouped and xi_generators
+    sum them.  One frame_bilinears call gives E and O: the coefficients
+    of h_t, h_pm_t and xi are their dispersion.transverse_coefficients,
+    and the ghost couplings of h_lslv, h_p_tls and h_m_tls are formed
+    here from E13, E23, E33, O31 and O32.  Every block, each summed
     on its own, is self-adjoint under the bar-adjoint.  At kappa = 0
     all blocks except h_t and h_ls0 vanish.
 
@@ -204,20 +207,17 @@ def mode_terms(kappas, frame):
     """
     check_nonbiref(kappas)
     E, O = frame_bilinears(kappas, frame)
+    delta_plus, delta_minus, d, e12, q1, q2 = transverse_coefficients(E, O)
     S, T, Sb, Tb = _mode_factors()
     terms = {}
-    # delta_nonbiref at +-k: only eps2 of eps1, eps2 flips with k, so only O12
-    delta_plus = O[1, 2] - 0.5 * (E[1, 1] + E[2, 2])
-    delta_minus = -O[1, 2] - 0.5 * (E[1, 1] + E[2, 2])
     terms["h_t"] = [
         (1 + delta_plus, S[1], Sb[1]), (1 + delta_plus, S[2], Sb[2]),
         (1 + delta_minus, Tb[1], T[1]), (1 + delta_minus, Tb[2], T[2]),
     ]
-    d = 0.5 * (E[1, 1] - E[2, 2])
     terms["h_pm_t"] = [
         (d, S[1], T[1]), (d, Tb[1], Sb[1]), (-d, S[2], T[2]), (-d, Tb[2], Sb[2]),
-        (E[1, 2], S[1], T[2]), (E[1, 2], Tb[2], Sb[1]),
-        (E[1, 2], S[2], T[1]), (E[1, 2], Tb[1], Sb[2]),
+        (e12, S[1], T[2]), (e12, Tb[2], Sb[1]),
+        (e12, S[2], T[1]), (e12, Tb[1], Sb[2]),
     ]
 
     terms["h_ls0"] = [(1, S[3], Sb[3]), (1, Tb[3], T[3]), (-1, S[0], Sb[0]), (-1, Tb[0], T[0])]
@@ -251,7 +251,6 @@ def mode_terms(kappas, frame):
         (c2m, fac_cre, T[2]), (c2m, Tb[2], fac_ann),
     ]
 
-    q1, q2 = mixing_deltas(kappas, frame)
     terms["xi"] = [
         (q1, Sb[1], Tb[1]), (-q1, T[1], S[1]), (-q1, Sb[2], Tb[2]), (q1, T[2], S[2]),
         (q2, Sb[1], Tb[2]), (-q2, S[1], T[2]), (q2, Sb[2], Tb[1]), (-q2, S[2], T[1]),
@@ -343,24 +342,6 @@ def _scatter(cells, coefs):
     return form
 
 
-def _transverse_coefficients(kappas, frame):
-    """The coefficients that _H_CELLS and _XI_CELLS index, from one frame_bilinears call.
-
-    Returns (1 + delta(+k), 1 + delta(-k), d, E12) of shape lead + (4,),
-    with delta(+-k) = +-O12 - (E11 + E22) / 2 and d = (E11 - E22) / 2 as
-    in mode_terms, and (delta1, delta2) of mixing_deltas, lead + (2,).
-    Leading axes as in frame_bilinears; sets outside the first-order
-    model are refused (check_nonbiref).
-    """
-    check_nonbiref(kappas)
-    E, O = frame_bilinears(kappas, frame)
-    e11, e22, e12, o12 = E[..., 1, 1], E[..., 2, 2], E[..., 1, 2], O[..., 1, 2]
-    half_trace = 0.5 * (e11 + e22)
-    h = (1 + (o12 - half_trace), 1 + (-o12 - half_trace), 0.5 * (e11 - e22), e12)
-    xi = (0.25 * (e11 - e22), 0.5 * e12)
-    return np.stack(h, axis=-1), np.stack(xi, axis=-1)
-
-
 def _squeeze(delta1, delta2):
     """(cosh r, sinh r / r) of r = sqrt(delta1^2 + delta2^2), with sinh r / r = 1 at r = 0.
 
@@ -415,16 +396,21 @@ def spectrum_values(kappas, frame):
     compared with its bare coefficient 1 + delta(+-k) (delta_nonbiref).
 
     W and A_Xi come from the literal cell tables _H_CELLS and
-    _XI_CELLS, so the whole evaluation is a few array operations.
+    _XI_CELLS, filled with the entries of dispersion.transverse_coefficients,
+    so the whole evaluation is a few array operations.
     Leading axes as in frame_bilinears: stacked sets, stacked frames or
     both, and each value has their broadcast shape; each (set, frame)
     gets the bits it gets on its own.  One set and one frame give
     floats.
     """
-    h, xi = _transverse_coefficients(kappas, frame)
+    check_nonbiref(kappas)
+    E, O = frame_bilinears(kappas, frame)
+    delta_plus, delta_minus, d, e12, delta1, delta2 = transverse_coefficients(E, O)
+    h = np.stack((1 + delta_plus, 1 + delta_minus, d, e12), axis=-1)
     w = _scatter(_H_CELLS, h)
-    c, s = _squeeze(xi[..., 0], xi[..., 1])
-    b = c[..., None, None] * np.eye(8) + s[..., None, None] * _scatter(_XI_CELLS, xi)
+    a_xi = _scatter(_XI_CELLS, np.stack((delta1, delta2), axis=-1))
+    c, s = _squeeze(delta1, delta2)
+    b = c[..., None, None] * np.eye(8) + s[..., None, None] * a_xi
     before = w + w.mT
     after = b @ before @ b.mT
     gaps = after[..., (0, 1, 2, 3), (4, 5, 6, 7)]

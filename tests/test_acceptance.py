@@ -121,9 +121,9 @@ def test_criterion_04_axis_closed_forms():
             time=10.0,
             output=None,
         )
-        row = cli.cmd_dispersion(config)["rows"][0]
+        delta = cli.cmd_dispersion(config)["rows"].columns["delta"][0]
         want = -tr + 0.5 * e_minus[2, 2] + sign * o_plus[0, 1]
-        worst = max(worst, abs(row["delta"] - want))
+        worst = max(worst, abs(delta - want))
     assert worst < 1e-14
     print(f"criterion 04 PASS axis closed forms: worst {worst:.3e}")
 

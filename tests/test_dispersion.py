@@ -381,11 +381,41 @@ def test_frame_bilinears_match_the_loop_bit_for_bit(layout):
     assert np.array_equal(got_E, E) and np.array_equal(got_O, O)
     assert np.array_equal(dp.delta_nonbiref(k, khats), plus)
     assert np.array_equal(dp.delta_nonbiref(k, -khats), minus)
-    # mode_terms' delta(+-k) = +-O12 - (E11 + E22) / 2 from one kernel call
-    assert np.array_equal(got_O[..., 1, 2] - 0.5 * (got_E[..., 1, 1] + got_E[..., 2, 2]), plus)
-    assert np.array_equal(-got_O[..., 1, 2] - 0.5 * (got_E[..., 1, 1] + got_E[..., 2, 2]), minus)
+    # the coefficients of the mode Hamiltonian and Xi, from one kernel call
+    got = dp.transverse_coefficients(got_E, got_O)
+    assert np.array_equal(got[0], plus) and np.array_equal(got[1], minus)
+    assert np.array_equal(got[2], 2.0 * delta1) and np.array_equal(got[3], 2.0 * delta2)
+    assert np.array_equal(got[4], delta1) and np.array_equal(got[5], delta2)
     got1, got2 = dp.mixing_deltas(k, frame)
     assert np.array_equal(got1, delta1) and np.array_equal(got2, delta2)
+
+
+def _mixing_radius(k, khats):
+    """r = hypot(delta1, delta2) of transverse_coefficients, per direction of khats."""
+    E, O = dp.frame_bilinears(k, dp.polarization_frame(khats))
+    *_, delta1, delta2 = dp.transverse_coefficients(E, O)
+    return np.hypot(delta1, delta2)
+
+
+def test_mixing_radius_over_the_sky_has_its_closed_form_extremes():
+    # claim 2 over the whole sky: r is 1/4 of the eigenvalue split of
+    # e_minus on the plane transverse to k-hat, so its largest value
+    # (lambda3 - lambda1) / 4 lies along the middle eigenvector, and it
+    # vanishes on the two optic axes of a biaxial crystal, in the plane of
+    # the extreme eigenvectors
+    rng = np.random.default_rng(21)
+    for _ in range(4):
+        k = kt.random_kappas(rng, 1.0)
+        k = k.scaled(1e-2 / k.magnitude)
+        lam, vec = np.linalg.eigh(k.e_minus)
+        r_max = (lam[2] - lam[0]) / 4.0
+        r = _mixing_radius(k, dp.random_directions(rng, 20000))
+        assert np.all(r <= r_max) and r.max() >= (1.0 - 2e-4) * r_max
+        assert abs(_mixing_radius(k, vec[:, 1]) - r_max) <= 1e-15 * r_max
+        theta = np.arctan(np.sqrt((lam[1] - lam[0]) / (lam[2] - lam[1])))
+        for side in (1.0, -1.0):
+            axis = np.cos(theta) * vec[:, 2] + side * np.sin(theta) * vec[:, 0]
+            assert _mixing_radius(k, axis) <= 1e-15
 
 
 # ----------------------------------------------------------- Ampere law

@@ -29,7 +29,12 @@ FRAME_BOUND = ("cross_before", "cross_after")
 
 @pytest.fixture(scope="module")
 def moved():
-    """The spectrum values of 200 draws at (kappa, k), (R kappa, R k) and (kappa, -k)."""
+    """The spectrum values of 200 draws at (kappa, k), (R kappa, R k) and (kappa, -k).
+
+    "frozen" and "frozen_rotated" hold the first two evaluated in the
+    frame of polarization_frame(Z_AXIS) whatever the direction: a
+    frame that does not turn with the draw.
+    """
     rng = np.random.default_rng(13)
     count = 200
     normals = rng.normal(size=(count, kt.DRAW_WIDTH[False]))
@@ -38,11 +43,19 @@ def moved():
     khats = dp.random_directions(rng, count)
     rots = checks._rotations(rng.normal(size=(count, 9)))
     turned = (rots @ khats[:, :, None])[:, :, 0]
+    frozen = dp.polarization_frame(dp.Z_AXIS)
     return {
         "base": md.spectrum_values(kappas, dp.polarization_frame(khats)),
         "rotated": md.spectrum_values(kappas.rotated(rots), dp.polarization_frame(turned)),
         "reversed": md.spectrum_values(kappas, dp.polarization_frame(-khats)),
+        "frozen": md.spectrum_values(kappas, frozen),
+        "frozen_rotated": md.spectrum_values(kappas.rotated(rots), frozen),
     }
+
+
+def _beyond(value, moved):
+    """Where moved differs from value by more than 1e-12 relative and FLOOR."""
+    return np.abs(moved - value) > np.maximum(1e-12 * np.abs(value), FLOOR)
 
 
 def _mirror(key):
@@ -60,15 +73,22 @@ def test_every_column_is_invariant_or_frame_bound(moved):
             relative = change / np.maximum(value, rotated[key])
             assert np.median(relative) > 0.1, key
         else:
-            assert np.all(change <= np.maximum(1e-12 * np.abs(value), FLOOR)), key
+            assert not np.any(_beyond(value, rotated[key])), key
+
+
+def test_a_frame_that_does_not_turn_fails_the_comparison(moved):
+    # the pair block and every other column read in the frame of Z_AXIS,
+    # whatever the direction: each column then moves on every draw
+    base, rotated = moved["frozen"], moved["frozen_rotated"]
+    for key, value in base.items():
+        assert np.all(_beyond(value, rotated[key])), key
 
 
 def test_reversing_the_direction_swaps_plus_and_minus(moved):
     base, flipped = moved["base"], moved["reversed"]
     for key, value in base.items():
         if key not in FRAME_BOUND:
-            change = np.abs(flipped[_mirror(key)] - value)
-            assert np.all(change <= np.maximum(1e-12 * np.abs(value), FLOOR)), key
+            assert not np.any(_beyond(value, flipped[_mirror(key)])), key
 
 
 # ------------------------------------------------------------ dispersion

@@ -141,6 +141,72 @@ def test_raw_terms_sum_to_build_raw_and_only_build_raw_refuses_birefringence(ass
         hm.build_raw(space, birefringent, frame)
 
 
+def test_mode_terms_reads_the_set_and_the_frame_once(monkeypatch):
+    # one check_nonbiref and one frame_bilinears per call, wherever they
+    # are looked up: the transverse coefficients come from that one E and O
+    calls = {"check_nonbiref": 0, "frame_bilinears": 0}
+
+    def counted(name, function):
+        def wrapper(*args):
+            calls[name] += 1
+            return function(*args)
+        return wrapper
+
+    for name, function in ((n, getattr(dp, n)) for n in calls):
+        for module in (kt, dp, md):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, function))
+    k, frame = next(_draws(4, 1))
+    md.mode_terms(k, frame)
+    assert calls == {"check_nonbiref": 1, "frame_bilinears": 1}
+
+
+# ------------------------------------------- the ghost sector, exactly
+
+
+def _ghost_factors():
+    """The vectors on SLOTS of mode_terms' ghost factors fac_ann and fac_cre.
+
+    fac_ann = abar_g(+k) + i a_d(-k) and fac_cre = a_g(+k) - i abar_d(-k).
+    """
+    _, a_g, _, a_gb = md.dg_factors(md.PLUS_K)
+    a_dm, _, a_dmb, _ = md.dg_factors(md.MINUS_K)
+    ann = md._combine((1, a_gb), (1j, a_dm))
+    cre = md._combine((1, a_g), (-1j, a_dmb))
+    return md.factor_vector(ann, md.SLOTS), md.factor_vector(cre, md.SLOTS)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_ghost_factors_span_an_exact_invariant_subspace(seed):
+    """The weak Lorenz condition as a statement about the quadratic form.
+
+    Every block of H but h_ls0 maps the ghost factors to exactly zero,
+    the two factors commute, h_lslv's form squares to zero (the ghost
+    sector is a Jordan block), and span{fac_ann, A_ls0 fac_ann} is
+    invariant under the whole form, for every kappa and at no cutoff.
+    These tests pin that structure; they do not guard the terms against
+    mutations.  A sign flipped on any one of h_lslv's four terms, its
+    cross term conjugated, a sign flipped in DG_D, or abar_g in place of
+    fac_ann in one h_p_tls term each leave every assertion here passing
+    (A f stays 0.0, and max |A_lslv^2| stays 3.9e-21 at seed 0); of the
+    mutations tried, only zeta_0 = +1 moves A f off zero, to 5.3e-19.
+    """
+    rng = np.random.default_rng(seed)
+    k = kt.random_kappas(rng, 1e-2)
+    terms = md.mode_terms(k, dp.polarization_frame(dp.random_directions(rng)))
+    forms = {name: md.quadratic_form(terms[name], md.SLOTS) for name in terms if name != "xi"}
+    fac_ann, fac_cre = _ghost_factors()
+    for name, form in forms.items():
+        if name != "h_ls0":
+            assert np.all(form @ fac_ann == 0.0) and np.all(form @ fac_cre == 0.0), name
+    assert fac_ann @ _commutators(len(md.SLOTS)) @ fac_cre == 0.0
+    lslv = forms["h_lslv"]
+    assert np.abs(lslv @ lslv).max() <= 1e-15 * np.abs(lslv).max() ** 2
+    basis, _ = np.linalg.qr(np.column_stack((fac_ann, forms["h_ls0"] @ fac_ann)))
+    image = sum(forms.values()) @ basis
+    assert np.abs(image - basis @ (basis.conj().T @ image)).max() <= 1e-14
+
+
 # ------------------------------------------------- closed-form rows
 
 
@@ -193,11 +259,14 @@ def test_cell_tables_are_the_mode_terms_forms():
     draws = [(kt.KappaSet(), dp.polarization_frame(dp.Z_AXIS)), *_draws(12, 50)]
     for k, frame in draws:
         terms = md.mode_terms(k, frame)
-        h, xi = md._transverse_coefficients(k, frame)
-        assert h.shape == (4,) and xi.shape == (2,)
+        delta_plus, delta_minus, d, e12, *xi = dp.transverse_coefficients(
+            *dp.frame_bilinears(k, frame)
+        )
+        h = np.array([1 + delta_plus, 1 + delta_minus, d, e12])
         assert np.array_equal(md._scatter(md._H_CELLS, h), _term_form(terms["h_t"] + terms["h_pm_t"]))
         assert np.array_equal(
-            md._scatter(md._XI_CELLS, xi), md.quadratic_form(terms["xi"], md.TRANSVERSE_SLOTS)
+            md._scatter(md._XI_CELLS, np.array(xi)),
+            md.quadratic_form(terms["xi"], md.TRANSVERSE_SLOTS),
         )
     # every cell is listed once
     for cells in (md._H_CELLS, md._XI_CELLS):
