@@ -172,13 +172,10 @@ def load_config(path, strict=False):
 
     if "direction" in raw:
         direction = _real_array("direction", raw["direction"], (3,))
-        with np.errstate(all="ignore"):  # scale first where |d|^2 leaves the normal range
-            if not sys.float_info.min <= direction @ direction <= sys.float_info.max:
-                direction = direction / np.max(np.abs(direction))
-            norm = np.linalg.norm(direction)
-        if norm == 0.0 or not np.isfinite(norm):
-            raise ValueError("direction must be a nonzero finite 3-vector")
-        fields["direction"] = direction / norm
+        try:
+            fields["direction"] = dp.direction_draws(direction)
+        except ValueError:
+            raise ValueError("direction must be a nonzero finite 3-vector") from None
 
     if "scales" in raw:
         scales = raw["scales"]
@@ -386,13 +383,6 @@ def cmd_decompose(config):
 # dispersion
 
 
-#: Columns of a dispersion row, in report order.
-_DISPERSION_COLUMNS = (
-    "kx", "ky", "kz", "delta", "rho", "sigma", "omega_minus", "omega_plus",
-    "omega_minus_root", "omega_plus_root", "residual_minus", "residual_plus",
-)
-
-
 def cmd_dispersion(config, grid=0, seed=0):
     """Shift parameters, closed-form and numeric roots, per direction.
 
@@ -401,35 +391,17 @@ def cmd_dispersion(config, grid=0, seed=0):
     accepts birefringent parameter sets, where delta is reported as null
     and the two roots split by 2 sigma |k|.  A parameter set whose
     roots the solver cannot bracket is refused like any other config
-    outside the supported range.  The rows are _dispersion_rows'
-    Columns, which main's writer prints one block of dp.BLOCK_ROWS rows
-    at a time, never as one string.
+    outside the supported range.  The rows are the Columns of
+    dispersion.dispersion_table, which main's writer prints one block of
+    dp.BLOCK_ROWS rows at a time, never as one string.
     """
     rng = np.random.default_rng(seed)
     directions = np.vstack((config.direction, dp.random_directions(rng, grid)))
-    return {"command": "dispersion", "rows": _dispersion_rows(config.kappas, directions)}
-
-
-def _dispersion_rows(kappas, directions):
-    """The dispersion report's Columns, one row per direction.
-
-    The tensor is built once, and every direction goes through one call
-    per solver.  The solvers take the rows dp.BLOCK_ROWS at a time, as
-    the writer that prints them does, so beyond the twelve columns the
-    working memory is one block's at every step.
-    """
-    kf = kt.kf_from_kappas(kappas)
-    shifts = dp.summarize(kappas, kf, directions)
     try:
-        roots = dp.ampere_roots(kf, directions)
+        table = dp.dispersion_table(config.kappas, directions)
     except RuntimeError as exc:
         raise ValueError(str(exc)) from exc
-    closed = np.column_stack((shifts.omega_minus, shifts.omega_plus))
-    columns = (
-        *directions.T, shifts.delta, shifts.rho, shifts.sigma,
-        *closed.T, *roots.T, *np.abs(roots - closed).T,
-    )
-    return Columns(zip(_DISPERSION_COLUMNS, columns), len(directions))
+    return {"command": "dispersion", "rows": Columns(table, len(directions))}
 
 
 # ---------------------------------------------------------------------------
@@ -444,10 +416,9 @@ def cmd_spectrum(config):
     exponent fit of the residual cross coupling, which the transform
     suppresses from O(kappa) to O(kappa^2).  Every row is exact, with
     no Fock truncation (modes.spectrum_values: the 8 x 8 Bogoliubov
-    matrix of Xi applied to the terms of H).  The sweep is one stacked
-    KappaSet, one set per scale, and all its rows come from one
-    spectrum_values call; the report holds them as Columns: scale, then
-    the spectrum_values keys in their order.
+    matrix of Xi applied to the terms of H).  The rows are the columns
+    of modes.spectrum_sweep, one spectrum_values call on one stacked
+    KappaSet: scale, then the spectrum_values keys in their order.
 
     cross_fit_exponent fits O(kappa^2) residuals of O(kappa) terms, so
     its digits below about 1e-10 are roundoff: a different but equally
@@ -456,27 +427,16 @@ def cmd_spectrum(config):
     """
     from . import modes as md
 
+    scales = config.scales or (config.kappas.magnitude,)
     frame = dp.polarization_frame(config.direction)
-    magnitude = config.kappas.magnitude
-    if config.scales and magnitude == 0.0:
-        raise ValueError("cannot sweep scales of an all-zero parameter set")
-    scales = np.array(config.scales or (magnitude,))
-    kappas = config.kappas.scaled(scales / magnitude if config.scales else np.ones(1))
-    values = md.spectrum_values(kappas, frame)
-    rows = Columns({"scale": scales, **values}, len(scales))
-
-    fit = None
-    crosses = values["cross_after"]
-    if len(rows) >= 2 and np.all(crosses > 0.0):
-        slope, _ = np.polyfit(np.log10(scales), np.log10(crosses), 1)
-        fit = float(slope)
+    columns = md.spectrum_sweep(config.kappas, frame, scales)
     return {
         "command": "spectrum",
         "kx": config.direction[0],
         "ky": config.direction[1],
         "kz": config.direction[2],
-        "rows": rows,
-        "cross_fit_exponent": fit,
+        "rows": Columns(columns, len(scales)),
+        "cross_fit_exponent": md.loglog_slope(scales, columns["cross_after"]),
     }
 
 

@@ -23,6 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# dispersion_table builds its tensor through the module attribute, where
+# a wrapper put on kappa_tensor.kf_from_kappas sees the call
+from . import kappa_tensor as kt
 from .kappa_tensor import (
     METRIC,
     PERTURBATIVE_LIMIT,
@@ -89,12 +92,12 @@ _SCHUR_RIGHT = 3 * np.arange(3)[:, None] + np.array([0, 1, 10, 2, 11, 11])
 _SCHUR_CORNER = 3 * np.arange(3) + 20
 #: Sign of the hypot term of each branch, the lower root's first.
 _BRANCH = np.array([[-1.0], [1.0]])
-#: Rows per block of a dispersion grid.  summarize, the root solver and
-#: the dispersion command's report writer take a grid this many rows at
-#: a time, so their working memory is set by the block, not by the
-#: grid.  Every step is row by row, so a row's bits do not depend on its
-#: block.  1024-row blocks solve a 5001-row grid as fast as one call on
-#: the whole grid does.
+#: Rows per block of a dispersion grid.  dispersion_table, the root
+#: solver and the dispersion command's report writer take a grid this
+#: many rows at a time, so the block, not the grid, sets their working
+#: memory.  Every step is row by row, so a row's bits do not depend on
+#: its block.  1024-row blocks solve a 5001-row grid as fast as one call
+#: on the whole grid does.
 BLOCK_ROWS = 1024
 
 
@@ -109,23 +112,6 @@ class PolarizationFrame:
     eps1: np.ndarray
     eps2: np.ndarray
     khat: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class DispersionResult:
-    """Leading-order dispersion data, one array entry per wavevector.
-
-    delta is the polarization-independent fractional phase-velocity
-    shift (None when the input has birefringent parameters, where the
-    shift is polarization-dependent); omega_plus/omega_minus are the two
-    transverse frequencies (1 + rho +- sigma)|k|.
-    """
-
-    delta: np.ndarray | None
-    rho: np.ndarray
-    sigma: np.ndarray
-    omega_plus: np.ndarray
-    omega_minus: np.ndarray
 
 
 def _canonical_hemisphere(khats):
@@ -275,14 +261,27 @@ def delta_nonbiref(k, khat):
 def _unit_rows(kvecs):
     """kvecs as (n, 3) unit rows, with their norms; zero rows are refused.
 
-    np.vecdot takes the same dot product that np.linalg.norm takes of a
-    single row, so each row comes out bit for bit as it would alone.
+    The one normalizer of directions and wavevectors.  np.vecdot takes
+    the same dot product that np.linalg.norm takes of a single row, so
+    each row comes out bit for bit as it would alone.  A row whose
+    squared norm leaves the normal double range (|k| below about 1e-154
+    or above 1e154) is first divided by its largest entry, and its norm
+    scaled back by it.
     """
     kvecs = _rows(kvecs)
-    norms = np.sqrt(np.vecdot(kvecs, kvecs))
+    with np.errstate(over="ignore"):
+        squares = np.vecdot(kvecs, kvecs)
+    scale = np.ones(len(kvecs))
+    far = ~((squares >= _TINY) & (squares < np.inf))
+    if far.any():
+        with np.errstate(invalid="ignore"):  # a zero or infinite row gives nan: refused
+            scale[far] = np.max(np.abs(kvecs[far]), axis=1)
+            kvecs = kvecs / scale[:, None]
+        squares = np.vecdot(kvecs, kvecs)
+    norms = np.sqrt(squares)
     if not np.all(norms > 0.0):
         raise ValueError("spatial wavevector must be nonzero")
-    return kvecs / norms[:, None], norms
+    return kvecs / norms[:, None], norms * scale
 
 
 def random_directions(rng, count=None):
@@ -296,7 +295,10 @@ def random_directions(rng, count=None):
 
 
 def direction_draws(normals):
-    """The unit vectors drawn from standard normals, one per 3-vector of them."""
+    """The unit vectors along these 3-vectors, one per 3-vector; zero ones are refused.
+
+    Of standard normals these are isotropic random directions.
+    """
     return _unit_rows(normals)[0].reshape(np.shape(normals))
 
 
@@ -342,10 +344,11 @@ def rho_sigma(kf, khat):
     lead = np.shape(khat)[:-1] or K.shape[:-4]
     if K.ndim > 4 and K.shape[:-4] != lead:
         raise ValueError("one tensor per direction needs the directions' leading shape")
-    kt = ktilde(K.reshape(-1, 4, 4, 4, 4) if K.ndim > 4 else K, khats).reshape(-1, 16)
-    rho = -0.5 * (kt[:, 0] - kt[:, 5] - kt[:, 10] - kt[:, 15])  # the diagonal, 4 a + a
-    sigma_sq = 0.5 * np.vecdot(kt * _METRIC_SIGNS, kt) - rho**2
-    noisy = sigma_sq < -SIGMA_SQ_RTOL * np.vecdot(kt, kt)
+    tilde = ktilde(K.reshape(-1, 4, 4, 4, 4) if K.ndim > 4 else K, khats).reshape(-1, 16)
+    # the diagonal: entries 4 a + a
+    rho = -0.5 * (tilde[:, 0] - tilde[:, 5] - tilde[:, 10] - tilde[:, 15])
+    sigma_sq = 0.5 * np.vecdot(tilde * _METRIC_SIGNS, tilde) - rho**2
+    noisy = sigma_sq < -SIGMA_SQ_RTOL * np.vecdot(tilde, tilde)
     for value in sigma_sq[noisy]:
         warnings.warn(f"sigma^2 = {value:.3e} < 0 beyond roundoff; clamping to 0")
     sigma = np.sqrt(np.maximum(sigma_sq, 0.0))
@@ -354,36 +357,38 @@ def rho_sigma(kf, khat):
     return rho.reshape(lead), sigma.reshape(lead)
 
 
-def summarize(k, kf, kvecs):
-    """Leading-order DispersionResult, one entry per wavevector of kvecs.
+def dispersion_table(kappas, kvecs):
+    """The dispersion report's twelve columns by name, each of kvecs' leading shape.
 
-    kf is the tensor of the KappaSet k, built once by the caller.  The
-    fields have the wavevectors' leading shape.  rho_sigma and delta
-    take the rows BLOCK_ROWS at a time, which gives every row its own
-    bits and keeps their per-row temporaries to one block's; sigma^2
-    warnings come in row order.
+    kvecs' components, the shifts delta (None for a birefringent set),
+    rho and sigma, the closed forms (1 + rho -+ sigma) |k|, ampere_roots
+    and each root's distance from its closed form.  The tensor is built
+    once, and rho_sigma and delta take BLOCK_ROWS rows at a time, as the
+    root solver does: every row keeps its own bits, the temporaries are
+    one block's, and sigma^2 warnings come in row order, before the
+    roots.  Raises as ampere_roots does.
     """
-    khats, norms = _unit_rows(kvecs)
     lead = np.shape(kvecs)[:-1]
+    kvecs = _rows(kvecs)
+    kf = kt.kf_from_kappas(kappas)
+    khats, norms = _unit_rows(kvecs)
     rho, sigma = np.empty(len(khats)), np.empty(len(khats))
-    delta = None if k.is_birefringent else np.empty(len(khats))
+    delta = None if kappas.is_birefringent else np.empty(len(khats))
     for start in range(0, len(khats), BLOCK_ROWS):
         rows = slice(start, start + BLOCK_ROWS)
         rho[rows], sigma[rows] = rho_sigma(kf, khats[rows])
         if delta is not None:
-            delta[rows] = delta_nonbiref(k, khats[rows])
-
-    def shaped(values):  # one direction gives floats, as rho_sigma and delta do
-        return values.reshape(lead) if lead else float(values[0])
-
-    rho, sigma, norms = shaped(rho), shaped(sigma), norms.reshape(lead)
-    return DispersionResult(
-        delta=None if delta is None else shaped(delta),
-        rho=rho,
-        sigma=sigma,
-        omega_plus=(1.0 + rho + sigma) * norms,
-        omega_minus=(1.0 + rho - sigma) * norms,
+            delta[rows] = delta_nonbiref(kappas, khats[rows])
+    closed = np.column_stack(((1.0 + rho - sigma) * norms, (1.0 + rho + sigma) * norms))
+    roots = ampere_roots(kf, kvecs)
+    columns = (
+        *kvecs.T, delta, rho, sigma, *closed.T, *roots.T, *np.abs(roots - closed).T,
     )
+    names = (
+        "kx", "ky", "kz", "delta", "rho", "sigma", "omega_minus", "omega_plus",
+        "omega_minus_root", "omega_plus_root", "residual_minus", "residual_plus",
+    )
+    return {name: None if c is None else c.reshape(lead) for name, c in zip(names, columns)}
 
 
 def ampere_matrix(kf, kvec, omega):

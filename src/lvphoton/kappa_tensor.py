@@ -118,12 +118,13 @@ def sym_traceless(m):
 
     The last diagonal entry is set to minus the sum of the other two, so
     the output's floating-point trace is exactly zero and projecting it
-    again returns the same bits (symmetrizing a symmetric array is exact).
+    again returns the same bits (symmetrizing a symmetric array is exact);
+    0.0 minus the sum makes it +0.0, never -0.0, where the sum is zero.
     """
     m = np.asarray(m, dtype=float)
     s = 0.5 * (m + np.swapaxes(m, -1, -2))
     out = s - np.multiply.outer(np.trace(s, axis1=-2, axis2=-1) / 3.0, np.eye(3))
-    out[..., 2, 2] = -(out[..., 0, 0] + out[..., 1, 1])
+    out[..., 2, 2] = 0.0 - (out[..., 0, 0] + out[..., 1, 1])
     return out
 
 
@@ -248,8 +249,11 @@ class KappaSet:
 
     @classmethod
     def from_projection(cls, e_minus=None, o_plus=None, tr=0.0, e_plus=None, o_minus=None):
-        """Build a valid set by projecting raw 3x3 inputs onto the allowed parts."""
-        z = np.zeros((3, 3))
+        """Build valid sets by projecting raw 3x3 inputs onto the allowed parts.
+
+        Stacked blocks have shape lead + (3, 3), tr shape lead; an absent block is zeros.
+        """
+        z = np.zeros(np.shape(tr) + (3, 3))
         return cls(
             e_minus=sym_traceless(z if e_minus is None else e_minus),
             o_plus=antisym(z if o_plus is None else o_plus),
@@ -324,13 +328,12 @@ def kappa_draws(normals, scale=1e-2):
         return z[..., start : start + 9].reshape(lead + (3, 3))
 
     birefringent = z.shape[-1] == DRAW_WIDTH[True]
-    zero = np.zeros(lead + (3, 3))
-    return KappaSet(
-        e_minus=sym_traceless(block(0)),
-        o_plus=antisym(block(9)),
+    return KappaSet.from_projection(
+        e_minus=block(0),
+        o_plus=block(9),
         tr=z[..., 18],
-        e_plus=sym_traceless(block(19)) if birefringent else zero,
-        o_minus=sym_traceless(block(28)) if birefringent else zero,
+        e_plus=block(19) if birefringent else None,
+        o_minus=block(28) if birefringent else None,
     )
 
 

@@ -26,7 +26,8 @@ the transformed potentials, with no Fock truncation.  spectrum_values
 takes the transverse terms of h and of Xi from small literal cell
 tables (_H_CELLS, _XI_CELLS), which the tests derive from mode_terms
 and quadratic_form, so it evaluates stacked sets and frames in a few
-array operations.
+array operations; spectrum_sweep evaluates one set at several
+magnitudes, and loglog_slope fits the power law of a sweep.
 """
 
 import math
@@ -427,3 +428,32 @@ def spectrum_values(kappas, frame):
     if h.ndim == 1:
         return {key: float(value) for key, value in values.items()}
     return values
+
+
+def spectrum_sweep(kappas, frame, scales):
+    """The `spectrum` rows by column: scale, then spectrum_values of the set at that magnitude.
+
+    The rescaled sets are one stacked KappaSet and go through one
+    spectrum_values call; the set's own magnitude keeps its bits (the
+    factor is exactly 1).  An all-zero set has no shape to rescale, so
+    it is refused unless every scale is 0.
+    """
+    scales = np.asarray(scales, dtype=float)
+    magnitude = kappas.magnitude
+    if magnitude == 0.0 and np.any(scales != 0.0):
+        raise ValueError("cannot sweep scales of an all-zero parameter set")
+    factors = scales / magnitude if magnitude else np.ones_like(scales)
+    return {"scale": scales, **spectrum_values(kappas.scaled(factors), frame)}
+
+
+def loglog_slope(x, y):
+    """The slope of the least-squares line through the points (log10 x, log10 y).
+
+    None where no line is fitted: fewer than two points, or a value that
+    is not positive (nan included).
+    """
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if len(x) < 2 or not (np.all(x > 0.0) and np.all(y > 0.0)):
+        return None
+    slope, _ = np.polyfit(np.log10(x), np.log10(y), 1)
+    return float(slope)

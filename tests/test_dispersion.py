@@ -418,7 +418,52 @@ def test_mixing_radius_over_the_sky_has_its_closed_form_extremes():
             assert _mixing_radius(k, axis) <= 1e-15
 
 
+def _fibonacci_sphere(count):
+    """count unit vectors of a Fibonacci lattice, nearly equal areas apart."""
+    n = np.arange(count)
+    z = 1.0 - (2.0 * n + 1.0) / count
+    phi = n * np.pi * (3.0 - np.sqrt(5.0))
+    s = np.sqrt(1.0 - z * z)
+    return np.column_stack((s * np.cos(phi), s * np.sin(phi), z))
+
+
+def test_mixing_radius_has_its_closed_form_sky_average():
+    # claim 2 averaged over the sky: <r^2> = tr(e_minus^2) / 20, so the
+    # sky-averaged dressed photon number <4 sinh^2 r> is tr(e_minus^2) / 5
+    # up to O(kappa^4), a rotation invariant
+    rng = np.random.default_rng(7)
+    khats = _fibonacci_sphere(20000)
+    for _ in range(4):
+        k = kt.random_kappas(rng, 1.0)
+        k = k.scaled(1e-2 / k.magnitude)
+        r = _mixing_radius(k, khats)
+        square = np.trace(k.e_minus @ k.e_minus)
+        assert np.mean(r * r) == pytest.approx(square / 20.0, rel=1e-5)
+        assert np.mean(4.0 * np.sinh(r) ** 2) == pytest.approx(square / 5.0, rel=1e-4)
+
+
 # ----------------------------------------------------------- Ampere law
+
+
+@pytest.mark.parametrize("size", [1e200, 1e-160, 1e-300])
+def test_wavevectors_beyond_the_squared_range_keep_their_direction(size):
+    # |k|^2 overflows at 1e200 and leaves the normal range at 1e-160 and
+    # 1e-300; such a row is scaled by its largest entry before its norm
+    k = kt.random_kappas(np.random.default_rng(1), 1e-2)
+    kf = kt.kf_from_kappas(k)
+    unit = np.array([[0.6, 0.8, 0.0], [1.0, 0.0, 0.0], [0.0, -0.28, 0.96]])
+    kvecs = unit * size
+    khats, norms = dp._unit_rows(kvecs)
+    assert np.max(np.abs(khats - dp.direction_draws(unit))) <= 4e-16
+    assert np.max(np.abs(norms / size - 1.0)) <= 4e-16
+    rho, sigma = dp.rho_sigma(kf, kvecs)
+    want_rho, want_sigma = dp.rho_sigma(kf, unit)
+    assert np.max(np.abs(rho - want_rho)) <= 1e-17
+    assert np.max(np.abs(sigma - want_sigma)) <= 1e-9  # sigma is a root of roundoff here
+    roots = dp.ampere_roots(kf, kvecs) / size
+    assert np.max(np.abs(roots - dp.ampere_roots(kf, unit))) <= 1e-15
+    table = dp.dispersion_table(k, kvecs)
+    assert np.max(np.abs(table["omega_plus_root"] / size - roots[:, 1])) <= 1e-15
 
 
 def test_ampere_zero_tensor_roots():
@@ -494,58 +539,56 @@ def test_ampere_applies_the_parameter_magnitude_rule():
     assert omegas.shape == (2, 2)
 
 
-def test_summarize_fields():
+def test_dispersion_table_fields():
     rng = np.random.default_rng(31)
     k = kt.random_kappas(rng, 1e-2)
     kvec = np.array([0.0, 0.0, 2.0])
-    res = dp.summarize(k, kt.kf_from_kappas(k), kvec)
-    assert all(np.shape(v) == () for v in vars(res).values())
-    assert all(type(v) is float for v in (res.delta, res.rho, res.sigma))
-    assert res.delta == pytest.approx(dp.delta_nonbiref(k, kvec / 2.0), abs=1e-15)
-    assert res.omega_plus == pytest.approx((1 + res.rho + res.sigma) * 2.0, rel=1e-15)
-    assert res.omega_minus == pytest.approx((1 + res.rho - res.sigma) * 2.0, rel=1e-15)
-    rows = dp.summarize(k, kt.kf_from_kappas(k), kvec[None])
-    assert all(np.shape(v) == (1,) for v in vars(rows).values())
-    assert all(getattr(rows, f)[0] == getattr(res, f) for f in vars(res))
+    res = dp.dispersion_table(k, kvec)
+    assert all(np.shape(v) == () for v in res.values())
+    assert res["delta"] == pytest.approx(dp.delta_nonbiref(k, kvec / 2.0), abs=1e-15)
+    assert res["omega_plus"] == pytest.approx((1 + res["rho"] + res["sigma"]) * 2.0, rel=1e-15)
+    assert res["omega_minus"] == pytest.approx((1 + res["rho"] - res["sigma"]) * 2.0, rel=1e-15)
+    rows = dp.dispersion_table(k, kvec[None])
+    assert all(np.shape(v) == (1,) for v in rows.values())
+    assert all(rows[name][0] == res[name] for name in res)
     biref = kt.random_kappas(rng, 1e-3, birefringent=True)
-    assert dp.summarize(biref, kt.kf_from_kappas(biref), kvec).delta is None
+    assert dp.dispersion_table(biref, kvec)["delta"] is None
 
 
 @pytest.mark.parametrize("birefringent", [False, True])
-def test_summarize_batch_columns_are_the_rowwise_results(birefringent):
+def test_dispersion_table_columns_are_the_rowwise_results(birefringent):
     rng = np.random.default_rng(33)
     k = kt.random_kappas(rng, 1e-2, birefringent)
     kvecs = dp.random_directions(rng, 200) * rng.uniform(0.5, 3.0, size=(200, 1))
-    batch = dp.summarize(k, kt.kf_from_kappas(k), kvecs)
+    batch = dp.dispersion_table(k, kvecs)
     for n, kvec in enumerate(kvecs):
         khats, (norm,) = dp._unit_rows(kvec)
         rho, sigma = dp.rho_sigma(kt.kf_from_kappas(k), khats[0])
-        assert (batch.rho[n], batch.sigma[n]) == (rho, sigma)
-        assert batch.omega_plus[n] == (1.0 + rho + sigma) * norm
-        assert batch.omega_minus[n] == (1.0 + rho - sigma) * norm
+        assert (batch["rho"][n], batch["sigma"][n]) == (rho, sigma)
+        assert batch["omega_plus"][n] == (1.0 + rho + sigma) * norm
+        assert batch["omega_minus"][n] == (1.0 + rho - sigma) * norm
         if birefringent:
-            assert batch.delta is None
+            assert batch["delta"] is None
         else:
-            assert batch.delta[n] == _rowwise_delta(k, khats[0])
+            assert batch["delta"][n] == _rowwise_delta(k, khats[0])
 
 
 @pytest.mark.parametrize("birefringent", [False, True])
-def test_summarize_blocks_give_the_bits_of_one_call(birefringent, monkeypatch):
+def test_dispersion_table_blocks_give_the_bits_of_one_call(birefringent, monkeypatch):
     rng = np.random.default_rng(34)
     k = kt.random_kappas(rng, 1e-2, birefringent)
-    kf = kt.kf_from_kappas(k)
     kvecs = dp.random_directions(rng, 2 * dp.BLOCK_ROWS + 3) * 2.0
-    blocked = dp.summarize(k, kf, kvecs)
-    grid = dp.summarize(k, kf, kvecs.reshape(-1, 1, 3))
+    blocked = dp.dispersion_table(k, kvecs)
+    grid = dp.dispersion_table(k, kvecs.reshape(-1, 1, 3))
     monkeypatch.setattr(dp, "BLOCK_ROWS", len(kvecs))
-    whole = dp.summarize(k, kf, kvecs)
-    for name, value in vars(whole).items():
+    whole = dp.dispersion_table(k, kvecs)
+    for name, value in whole.items():
         if birefringent and name == "delta":
-            assert value is blocked.delta is grid.delta is None
+            assert value is blocked["delta"] is grid["delta"] is None
             continue
-        assert getattr(blocked, name).tobytes() == value.tobytes(), name
-        assert getattr(grid, name).shape == (len(kvecs), 1), name
-        assert getattr(grid, name).tobytes() == value.tobytes(), name
+        assert blocked[name].tobytes() == value.tobytes(), name
+        assert grid[name].shape == (len(kvecs), 1), name
+        assert grid[name].tobytes() == value.tobytes(), name
 
 
 # ------------------------------------------- batched solver vs bisection
@@ -993,7 +1036,7 @@ def test_residual_refusal_reports_the_largest_residual_of_every_block(monkeypatc
 
 def test_sigma_warnings_come_in_row_order_across_blocks(monkeypatch):
     # the noisy tensor of the test below warns on directions with kz
-    # away from 0: one such row in each of three blocks of summarize,
+    # away from 0: one such row in each of three blocks of dispersion_table,
     # each warned once, with its own value, and in row order
     rng = np.random.default_rng(154)
     K = kt.as_kf_components(kt.kf_from_kappas(kt.random_kappas(rng, 1e-4))).copy()
@@ -1003,22 +1046,26 @@ def test_sigma_warnings_come_in_row_order_across_blocks(monkeypatch):
     rows = (5, B + 7, 2 * B + 1)
     for row, kz in zip(rows, (0.5, 0.8, 0.6)):
         khats[row] = [np.sqrt(1.0 - kz * kz), 0.0, kz]
-    # a birefringent set skips delta, which this tensor does not describe
+    # a birefringent set skips delta, which this tensor does not describe;
+    # the table builds its tensor through kt, which hands it K, and the
+    # roots, whose residuals this tensor fails, are not read here
     biref = kt.random_kappas(rng, 1e-4, birefringent=True)
+    monkeypatch.setattr(kt, "kf_from_kappas", lambda kappas: K)
+    monkeypatch.setattr(dp, "ampere_roots", lambda kf, kvecs: np.ones((len(kvecs), 2)))
     with pytest.warns(UserWarning, match="beyond roundoff") as record:
-        result = dp.summarize(biref, K, khats)
+        result = dp.dispersion_table(biref, khats)
     want = []
     for row in rows:
         with pytest.warns(UserWarning, match="beyond roundoff") as alone:
             dp.rho_sigma(K, khats[row])
         want += [str(w.message) for w in alone]
     assert [str(w.message) for w in record] == want and len(set(want)) == 3
-    assert np.all(result.sigma[list(rows)] == 0.0)
+    assert np.all(result["sigma"][list(rows)] == 0.0)
     monkeypatch.setattr(dp, "BLOCK_ROWS", len(khats))
     with pytest.warns(UserWarning, match="beyond roundoff") as whole:
-        again = dp.summarize(biref, K, khats)
+        again = dp.dispersion_table(biref, khats)
     assert [str(w.message) for w in whole] == [str(w.message) for w in record]
-    assert again.sigma.tobytes() == result.sigma.tobytes()
+    assert again["sigma"].tobytes() == result["sigma"].tobytes()
 
 
 # ------------------------------------------------- batched rho/sigma noise
@@ -1092,7 +1139,7 @@ def test_every_direction_gets_a_result_and_flat_vectors_are_refused():
             lambda: dp.ampere_roots(kf, bad),
             lambda: dp.rho_sigma(kf, bad),
             lambda: dp.delta_nonbiref(k, bad),
-            lambda: dp.summarize(k, kf, bad),
+            lambda: dp.dispersion_table(k, bad),
             lambda: dp.polarization_frame(bad),
             lambda: dp.direction_draws(bad),
         ):

@@ -8,14 +8,14 @@ dispersion.polarization_frame, not the physics.  Each `spectrum` and
 stated absolute floor, or frame-bound, as the README lists it.
 Reversing the direction swaps the +k and -k columns of `spectrum`.
 Each `spectrum` case is one stacked spectrum_values call over all
-draws; each `dispersion` case is one call of the command's column
-builder per parameter set, on a grid that spans three solver blocks.
+draws; each `dispersion` case is one dispersion_table call per
+parameter set, on a grid that spans three solver blocks.
 """
 
 import numpy as np
 import pytest
 
-from lvphoton import checks, cli
+from lvphoton import checks
 from lvphoton import dispersion as dp
 from lvphoton import kappa_tensor as kt
 from lvphoton import modes as md
@@ -151,10 +151,10 @@ def dispersion_moved():
         cases.append({
             "birefringent": birefringent,
             "floors": _dispersion_floors(magnitude, np.linalg.norm(kvecs, axis=1)),
-            "base": cli._dispersion_rows(k, kvecs).columns,
-            "rotated": cli._dispersion_rows(k.rotated(rots[n]), kvecs @ rots[n].T).columns,
-            "reversed": cli._dispersion_rows(_parity(k), -kvecs).columns,
-            "flipped": cli._dispersion_rows(k, -kvecs).columns,
+            "base": dp.dispersion_table(k, kvecs),
+            "rotated": dp.dispersion_table(k.rotated(rots[n]), kvecs @ rots[n].T),
+            "reversed": dp.dispersion_table(_parity(k), -kvecs),
+            "flipped": dp.dispersion_table(k, -kvecs),
         })
     return cases
 

@@ -148,7 +148,7 @@ IMPORT_TIME_CALLS = {
         "np.array([2, 2, 2, 0, 0, 1])",
         "np.array([0, 1, 10, 2, 11, 11])",
         "np.array([[-1.0], [1.0]])",
-        *["dataclass(frozen=True, eq=False)"] * 2,
+        "dataclass(frozen=True, eq=False)",
     ),
     "modes": (
         "dataclass(frozen=True)",

@@ -260,6 +260,35 @@ def test_single_trace_is_traceless_and_shift_identity():
         kt.coordinate_shift(zero, [1.0, 2.0, 3.0])
 
 
+def test_single_trace_raised_is_the_kappa_tilde_of_the_set():
+    # kappa-tilde^{mu nu} = single_trace(kf) @ METRIC is symmetric and
+    # traceless, holds the nine non-birefringent parameters in its blocks,
+    # rebuilds the whole tensor, and gives delta as a quadratic form
+    rng = np.random.default_rng(0)
+    eta = kt.METRIC
+    for _ in range(20):
+        k = kt.random_kappas(rng, 1e-2)
+        kf = kt.kf_from_kappas(k)
+        tilde = kt.single_trace(kf) @ eta
+        built = 0.5 * (
+            np.einsum("ac,bd->abcd", eta, tilde)
+            - np.einsum("ad,bc->abcd", eta, tilde)
+            + np.einsum("bd,ac->abcd", eta, tilde)
+            - np.einsum("bc,ad->abcd", eta, tilde)
+        )
+        assert np.max(np.abs(built - kf)) <= 1e-16
+        assert np.max(np.abs(tilde - tilde.T)) <= 1e-16
+        assert abs(np.trace(tilde @ eta)) <= 1e-16
+        o = k.o_plus
+        assert abs(tilde[0, 0] - 1.5 * k.tr) <= 1e-16
+        assert np.max(np.abs(tilde[1:, 1:] - (0.5 * k.tr * np.eye(3) - k.e_minus))) <= 1e-16
+        assert np.max(np.abs(tilde[0, 1:] + [o[1, 2], o[2, 0], o[0, 1]])) <= 1e-16
+        khats = dp.random_directions(rng, 100)
+        klow = np.column_stack((np.ones(len(khats)), khats))
+        delta = -0.5 * np.einsum("mn,im,in->i", tilde, klow, klow)
+        assert np.max(np.abs(delta - dp.delta_nonbiref(k, khats))) <= 1e-15
+
+
 def test_coordinate_shift_is_linear_in_event():
     rng = np.random.default_rng(17)
     kf = kt.kf_from_kappas(kt.random_kappas(rng, 1e-2))

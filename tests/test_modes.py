@@ -414,3 +414,39 @@ def test_exact_coupling_asymmetry_is_the_sinh_of_the_mixing():
         want = -2.0 * np.sinh(r) / r * delta1
         worst = max(worst, abs(table[0, 0] - table[1, 1] - want))
     assert worst <= 1e-15
+
+
+def test_spectrum_sweep_is_one_call_on_the_rescaled_sets():
+    rng = np.random.default_rng(41)
+    k = kt.random_kappas(rng, 1e-2)
+    frame = dp.polarization_frame(dp.random_directions(rng))
+    scales = np.array([1e-2, 1e-3, 1e-4])
+    got = md.spectrum_sweep(k, frame, scales)
+    want = md.spectrum_values(k.scaled(scales / k.magnitude), frame)
+    assert list(got) == ["scale", *want]
+    assert np.array_equal(got["scale"], scales)
+    assert all(np.array_equal(got[key], want[key]) for key in want)
+    # the set's own magnitude keeps the set's bits
+    own = md.spectrum_sweep(k, frame, (k.magnitude,))
+    alone = md.spectrum_values(k, frame)
+    assert all(own[key].tolist() == [alone[key]] for key in alone)
+    with pytest.raises(ValueError, match="cannot sweep scales of an all-zero parameter set"):
+        md.spectrum_sweep(kt.KappaSet(), frame, [1e-2, 1e-3])
+    zero = md.spectrum_sweep(kt.KappaSet(), frame, [0.0])
+    assert zero["cross_after"].tolist() == [0.0]
+
+
+def test_loglog_slope_fits_only_positive_points():
+    x = np.array([1e-2, 1e-3, 1e-4])
+    assert md.loglog_slope(x, 3.0 * x**2) == pytest.approx(2.0, abs=1e-12)
+    assert type(md.loglog_slope(x, x)) is float
+    # where np.polyfit would warn or fit nothing, no slope
+    for xs, ys in (
+        ([1e-2], [1e-4]),
+        ([], []),
+        (x, [1e-4, 0.0, 1e-8]),
+        (x, [1e-4, -1e-6, 1e-8]),
+        (x, [1e-4, np.nan, 1e-8]),
+        ([1e-2, 0.0, 1e-4], x),
+    ):
+        assert md.loglog_slope(xs, ys) is None
