@@ -30,6 +30,7 @@ randomness is drawn from --seed, so reports are deterministic.
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -203,13 +204,17 @@ def load_config(path, strict=False):
 
 
 def _scalar(value):
-    """JSON text of one scalar report value, floats at 17 significant digits."""
+    """JSON text of one scalar report value, floats at 17 significant digits.
+
+    A nan or infinite float prints as null: JSON has no literal for it.
+    """
     if value is None or isinstance(value, (bool, np.bool_)):
         return json.dumps(bool(value) if value is not None else None)
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
-        return format(float(value), ".17g")
+        value = float(value)
+        return format(value, ".17g") if math.isfinite(value) else "null"
     if isinstance(value, str):
         return json.dumps(value)
     raise TypeError(f"cannot serialize {type(value).__name__} in a report")
@@ -264,7 +269,8 @@ def _json_pieces(value, indent):
 
     Columns render as a list of row objects: one %-format of their row
     template, repeated once per row of a block, takes that block's
-    values.
+    values.  Columns that hold a nan or infinity go through the walk
+    over row objects instead, which prints those values as null.
     """
     pad = " " * indent
     if isinstance(value, dict):
@@ -278,6 +284,15 @@ def _json_pieces(value, indent):
             separator = ",\n"
         yield "\n" + pad + "}"
         return
+    if isinstance(value, Columns) and not all(
+        c is None or np.isfinite(c).all() for c in value.columns.values()
+    ):
+        # the row template would print nan and inf, which JSON lacks; the
+        # walk over row objects prints them as null
+        value = [
+            {k: None if c is None else c[i] for k, c in value.columns.items()}
+            for i in range(len(value))
+        ]
     if isinstance(value, Columns):
         if not value:
             yield "[]"

@@ -15,7 +15,9 @@ polarization the wave carries, even though the vacuum dispersion of the
 two polarizations is identical: the coupling is birefringent while the
 propagation is not.  The two diagonal coefficients differ by exactly
 2 delta1 at this order; modes.exact_couplings gives the table to all
-orders, exp(-D) with D = [[delta1, delta2], [delta2, -delta1]].
+orders, exp(-D) with D = [[delta1, delta2], [delta2, -delta1]], and
+this first-order table is I - D from the same builder,
+modes.coupling_table.
 
 Every `space` here is the four-mode transverse factor
 (hamiltonian.transverse_space), and the potentials are summed on it by
@@ -26,14 +28,14 @@ Frobenius ratios of extract_couplings gain the same ghost dimension
 above and below, so the factor's table is the 8-mode table exactly.
 
 No matter sector is modeled; the current components j1, j2 stay opaque
-multipliers.  CouplingTable carries the four coefficient combinations
-that multiply them against the two transverse potentials (and, with
-conjugated currents, against the bar-adjoint potentials, which share the
-same real coefficients).
+multipliers.  Every table here is an array of shape lead + (2, 2) whose
+row r, [j1_polr, j2_polr], holds the coefficients that multiply them
+against the polarization-r potential (and, with conjugated currents,
+against the bar-adjoint potentials, which share the same real
+coefficients); the birefringent asymmetry is t[..., 0, 0] - t[..., 1, 1].
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,32 +43,6 @@ from . import fock_space as fs
 from . import hamiltonian as hm
 from . import modes as md
 from .dispersion import Z_AXIS, mixing_deltas, polarization_frame
-
-
-@dataclass(frozen=True, eq=False)
-class CouplingTable:
-    """Coefficients pairing the current components with the potentials.
-
-    j1_pol1 multiplies j1 in the bracket coupling to the polarization-1
-    potential, j2_pol1 the cross term in the same bracket, and likewise
-    for polarization 2.  At kappa = 0 the table is the identity coupling
-    (diagonal 1, cross 0).  Fields are arrays for stacked inputs.
-    """
-
-    j1_pol1: complex
-    j2_pol1: complex
-    j1_pol2: complex
-    j2_pol2: complex
-
-    @property
-    def polarization_asymmetry(self):
-        """Difference of the diagonal coefficients, 2 delta1.
-
-        The observable birefringence of the coupling: zero exactly when
-        the parity-even kappa matrix looks isotropic in the transverse
-        plane of this wave vector.
-        """
-        return self.j1_pol1 - self.j2_pol2
 
 
 def transverse_potential(space, polarization):
@@ -84,18 +60,17 @@ def transverse_potential(space, polarization):
 
 
 def first_order_potentials(space, kappas, frame):
-    """The leading-order mixed potentials, as sparse matrices:
+    """The leading-order mixed potentials A'_r = t[r, 0] A_1 + t[r, 1] A_2, as sparse matrices.
+
+    t = I - D is the table of vint_coefficients in this frame:
 
         A'_1 = (1 - delta1) A_1 - delta2 A_2
         A'_2 = (1 + delta1) A_2 - delta2 A_1
     """
-    delta1, delta2 = mixing_deltas(kappas, frame)
+    table = md.coupling_table(1.0, 1.0, *mixing_deltas(kappas, frame))
     a_1 = transverse_potential(space, 1)
     a_2 = transverse_potential(space, 2)
-    return (
-        ((1.0 - delta1) * a_1 - delta2 * a_2).tocsr(),
-        ((1.0 + delta1) * a_2 - delta2 * a_1).tocsr(),
-    )
+    return tuple((row[0] * a_1 + row[1] * a_2).tocsr() for row in table)
 
 
 def extract_couplings(space, a1_prime, a2_prime):
@@ -104,43 +79,35 @@ def extract_couplings(space, a1_prime, a2_prime):
     The bare potentials act on disjoint modes and are orthogonal in the
     Frobenius product, so the projection recovers the mixing
     coefficients exactly, and those are the coefficients the current
-    components acquire in the interaction term.
+    components acquire in the interaction term.  Returns the complex
+    (2, 2) table whose entry [i, j] is the share of bare potential j in
+    mixed potential i.
     """
-    a_1 = transverse_potential(space, 1).toarray()
-    a_2 = transverse_potential(space, 2).toarray()
-    a1_prime = a1_prime.toarray()
-    a2_prime = a2_prime.toarray()
-    weight_1 = np.vdot(a_1, a_1)
-    weight_2 = np.vdot(a_2, a_2)
-    return CouplingTable(
-        j1_pol1=complex(np.vdot(a_1, a1_prime) / weight_1),
-        j2_pol1=complex(np.vdot(a_2, a1_prime) / weight_2),
-        j1_pol2=complex(np.vdot(a_1, a2_prime) / weight_1),
-        j2_pol2=complex(np.vdot(a_2, a2_prime) / weight_2),
+    bare = [transverse_potential(space, r).toarray() for r in (1, 2)]
+    weights = [np.vdot(a, a) for a in bare]
+    primes = [a1_prime.toarray(), a2_prime.toarray()]
+    return np.array(
+        [[np.vdot(a, p) / w for a, w in zip(bare, weights)] for p in primes], dtype=complex
     )
 
 
 def vint_coefficients(kappas, khat=None):
-    """The interaction-term coefficient table for a wave along khat.
+    """The first-order current-coupling table I - D for a wave along khat.
 
-    For khat = +z with polarizations along x and y the four entries are
-    the closed combinations
+    modes.coupling_table at c = s = 1: row r is [j1_polr, j2_polr], the
+    entries 1 -+ delta1 and -delta2.  For khat = +z with polarizations
+    along x and y they are the closed combinations
 
-        j1_pol1 = (4 - e_minus_xx + e_minus_yy) / 4
-        j2_pol1 = j1_pol2 = -e_minus_xy / 2
-        j2_pol2 = (4 + e_minus_xx - e_minus_yy) / 4;
+        t[0, 0] = (4 - e_minus_xx + e_minus_yy) / 4
+        t[0, 1] = t[1, 0] = -e_minus_xy / 2
+        t[1, 1] = (4 + e_minus_xx - e_minus_yy) / 4;
 
     any other direction conjugates the kappa matrices into that wave's
     polarization frame through the same bilinears.  Takes leading axes
-    and refuses sets as dispersion.mixing_deltas does.
+    and refuses sets as dispersion.mixing_deltas does; returns an array
+    of shape lead + (2, 2).
     """
     if khat is None:
         khat = Z_AXIS
     frame = polarization_frame(np.asarray(khat, dtype=float))
-    delta1, delta2 = mixing_deltas(kappas, frame)
-    return CouplingTable(
-        j1_pol1=1.0 - delta1,
-        j2_pol1=-delta2,
-        j1_pol2=-delta2,
-        j2_pol2=1.0 + delta1,
-    )
+    return md.coupling_table(1.0, 1.0, *mixing_deltas(kappas, frame))

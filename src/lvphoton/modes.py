@@ -22,12 +22,14 @@ theory of a quadratic boson Hamiltonian; Colpa, Physica A 93 (1978)
 squeezes, so exp(Xi) acts on the ladder operators by a matrix B in
 closed form: spectrum_values reads the `spectrum` values off the
 transformed terms, and exact_couplings the current-coupling table off
-the transformed potentials, with no Fock truncation.  spectrum_values
-takes the transverse terms of h and of Xi from small literal cell
-tables (_H_CELLS, _XI_CELLS), which the tests derive from mode_terms
-and quadratic_form, so it evaluates stacked sets and frames in a few
-array operations; spectrum_sweep evaluates one set at several
-magnitudes, and loglog_slope fits the power law of a sweep.
+the transformed potentials, with no Fock truncation.  The table has one
+layout, lead + (2, 2) with row r = [j1_polr, j2_polr], and one builder,
+coupling_table (c I - s D), which interaction's first-order table
+shares.  spectrum_values takes the transverse terms of h and of Xi from
+small literal cell tables (_H_CELLS, _XI_CELLS), which the tests derive
+from mode_terms and quadratic_form, so it evaluates stacked sets and
+frames in a few array operations; spectrum_sweep evaluates one set at
+several magnitudes, and loglog_slope fits the power law of a sweep.
 """
 
 import math
@@ -352,6 +354,20 @@ def _squeeze(delta1, delta2):
     return np.cosh(r), np.divide(np.sinh(r), r, out=np.ones_like(r), where=r > 0.0)
 
 
+def coupling_table(c, s, delta1, delta2):
+    """The current-coupling table c I - s D, D = [[delta1, delta2], [delta2, -delta1]].
+
+    Row r holds the coefficients [j1_polr, j2_polr] that the currents
+    j1, j2 take against the polarization-r potential: entry [i, j] is
+    the share of the bare polarization-j potential in the mixed
+    polarization-i one.  exact_couplings passes (cosh r, sinh r / r)
+    and interaction.vint_coefficients (1, 1).  The arguments broadcast
+    together; returns an array of shape lead + (2, 2).
+    """
+    rows = ((c - s * delta1, -s * delta2), (-s * delta2, c + s * delta1))
+    return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
+
+
 def exact_couplings(kappas, frame):
     """The exact current-coupling table exp(-D) = cosh r I - (sinh r / r) D.
 
@@ -360,17 +376,13 @@ def exact_couplings(kappas, frame):
     expm(A_Xi) of spectrum_values), which stays in the span of f_1 and
     f_2 with the coefficients of exp(-D), D = [[delta1, delta2], [delta2,
     -delta1]] (dispersion.mixing_deltas) and r^2 = delta1^2 + delta2^2.
-    Row r holds the coefficients of the transformed polarization-r
-    potential, [j1_pol1, j2_pol1] and [j1_pol2, j2_pol2] as in
-    interaction.CouplingTable; to first order in kappa this is that
-    module's vint_coefficients table, and at r = 0 it is exactly I.
+    The layout is coupling_table's; to first order in kappa this is
+    interaction.vint_coefficients, and at r = 0 it is exactly I.
     The diagonal differs by -2 (sinh r / r) delta1.  Leading axes as in
     mixing_deltas; returns an array of shape lead + (2, 2).
     """
     delta1, delta2 = mixing_deltas(kappas, frame)
-    c, s = _squeeze(delta1, delta2)
-    rows = ((c - s * delta1, -s * delta2), (-s * delta2, c + s * delta1))
-    return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
+    return coupling_table(*_squeeze(delta1, delta2), delta1, delta2)
 
 
 def spectrum_values(kappas, frame):
@@ -449,11 +461,11 @@ def spectrum_sweep(kappas, frame, scales):
 def loglog_slope(x, y):
     """The slope of the least-squares line through the points (log10 x, log10 y).
 
-    None where no line is fitted: fewer than two points, or a value that
-    is not positive (nan included).
+    None where no line is fitted: fewer than two distinct x values, or a
+    value that is not positive (nan included).
     """
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    if len(x) < 2 or not (np.all(x > 0.0) and np.all(y > 0.0)):
+    if len(x) < 2 or np.all(x == x[0]) or not (np.all(x > 0.0) and np.all(y > 0.0)):
         return None
     slope, _ = np.polyfit(np.log10(x), np.log10(y), 1)
     return float(slope)

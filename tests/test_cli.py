@@ -53,6 +53,15 @@ def _run(capsys, argv):
     return status, captured.out, captured.err
 
 
+def _strict_json(text):
+    """json.loads that refuses NaN, Infinity and -Infinity, which JSON does not have."""
+
+    def refuse(constant):
+        raise ValueError(f"not JSON: {constant}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 # ------------------------------------------------------------- config
 
 
@@ -324,10 +333,15 @@ def fuzz_config_path(tmp_path_factory):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(payload=_config())
 @example(payload=_magnitude_limit_payload())
+@example(payload=dict(SAMPLE, scales=[0.01, 0.01]))
 def test_generated_configs_exit_zero_or_one_usage_line(fuzz_config_path, payload):
     fuzz_config_path.write_text(json.dumps(payload))
     path = str(fuzz_config_path)
-    for argv in (["decompose", "--config", path], ["dispersion", "--grid", "2", "--config", path]):
+    for argv in (
+        ["decompose", "--config", path],
+        ["dispersion", "--grid", "2", "--config", path],
+        ["spectrum", "--config", path],
+    ):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             status = cli.main(argv)
@@ -339,7 +353,7 @@ def test_generated_configs_exit_zero_or_one_usage_line(fuzz_config_path, payload
             assert out.getvalue() == ""
         else:
             assert err == ""
-            json.loads(out.getvalue())
+            _strict_json(out.getvalue())
 
 
 def test_direction_is_normalized(tmp_path):
@@ -920,6 +934,15 @@ def test_spectrum_sweep_cross_coupling_is_quadratic(tmp_path, capsys):
     assert 1.8 < report["cross_fit_exponent"] < 2.2
 
 
+def test_spectrum_fits_no_exponent_through_one_distinct_scale(tmp_path, capsys):
+    path = _write(tmp_path, "cfg.json", dict(SAMPLE, scales=[0.01, 0.01]))
+    status, out, err = _run(capsys, ["spectrum", "--config", path])
+    assert (status, err) == (0, "")
+    report = _strict_json(out)
+    assert len(report["rows"]) == 2
+    assert report["cross_fit_exponent"] is None
+
+
 def test_spectrum_rejects_sweep_of_zero_parameters(tmp_path, capsys):
     path = _write(tmp_path, "zero.json", {"scales": [1e-2]})
     status, _, err = _run(capsys, ["spectrum", "--config", path])
@@ -1313,6 +1336,24 @@ def test_float_rendering_round_trips_doubles():
     assert json.loads(text)["values"] == values
 
 
+def test_non_finite_floats_render_as_null(monkeypatch, capsys):
+    text = cli.render_json({"values": [np.nan, np.inf, -np.inf, 1.5], "one": np.float64(np.nan)})
+    assert _strict_json(text) == {"values": [None, None, None, 1.5], "one": None}
+    rows = cli.Columns({"a": np.array([np.nan, 1.5]), "b": None}.items(), 2)
+    assert _strict_json(cli.render_json(rows)) == [{"a": None, "b": None}, {"a": 1.5, "b": None}]
+    # a check that fits no slope measures nan: null in the record, which still fails
+    record = checks._check("x", checks._quadratic_slope_error([1e-2], [1e-4]), 0.2)
+    parsed = _strict_json(cli.render_json(record))
+    assert parsed["measured"] is None and parsed["margin"] is None and parsed["pass"] is False
+    # and verify, whose exponent checks then fit nothing, exits 1 with a valid report
+    monkeypatch.setattr(md, "loglog_slope", lambda x, y: None)
+    status, out, err = _run(capsys, ["verify"])
+    assert (status, err) == (1, "")
+    report = _strict_json(out)
+    unmeasured = [c["name"] for c in report["checks"] if c["measured"] is None]
+    assert unmeasured and set(unmeasured) <= set(report["failures"])
+
+
 def test_render_json_rejects_unknown_types():
     with pytest.raises(TypeError):
         cli.render_json({"bad": object()})
@@ -1357,7 +1398,7 @@ def _recursive_render_json(value, indent=0):
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
-        return format(float(value), ".17g")
+        return format(float(value), ".17g") if np.isfinite(value) else "null"
     if isinstance(value, str):
         return json.dumps(value)
     raise TypeError(f"cannot serialize {type(value).__name__} in a report")

@@ -36,12 +36,7 @@ def frame():
 
 
 def _table_distance(a, b):
-    return max(
-        abs(a.j1_pol1 - b.j1_pol1),
-        abs(a.j2_pol1 - b.j2_pol1),
-        abs(a.j1_pol2 - b.j1_pol2),
-        abs(a.j2_pol2 - b.j2_pol2),
-    )
+    return np.max(np.abs(a - b))
 
 
 def _full_space_reference(space, kappas, frame, conjugate):
@@ -75,11 +70,8 @@ def _full_space_reference(space, kappas, frame, conjugate):
         a_1, a_2 = (a[:, columns] for a in bare)
         p_1, p_2 = (p[:, columns] for p in primes)
         w_1, w_2 = np.vdot(a_1, a_1), np.vdot(a_2, a_2)
-        return ia.CouplingTable(
-            j1_pol1=complex(np.vdot(a_1, p_1) / w_1),
-            j2_pol1=complex(np.vdot(a_2, p_1) / w_2),
-            j1_pol2=complex(np.vdot(a_1, p_2) / w_1),
-            j2_pol2=complex(np.vdot(a_2, p_2) / w_2),
+        return np.array(
+            [[np.vdot(a_1, p) / w_1, np.vdot(a_2, p) / w_2] for p in (p_1, p_2)], dtype=complex
         )
 
     everything = np.ones(space.dim, dtype=bool)
@@ -97,11 +89,12 @@ def _e_minus(xx, yy, xy):
 
 def test_zero_kappa_identity_table():
     table = ia.vint_coefficients(kt.KappaSet())
-    assert table.j1_pol1 == 1.0
-    assert table.j2_pol2 == 1.0
-    assert table.j2_pol1 == 0.0
-    assert table.j1_pol2 == 0.0
-    assert table.polarization_asymmetry == 0.0
+    assert table.shape == (2, 2)
+    assert table[0, 0] == 1.0
+    assert table[1, 1] == 1.0
+    assert table[0, 1] == 0.0
+    assert table[1, 0] == 0.0
+    assert table[0, 0] - table[1, 1] == 0.0
 
 
 def test_zero_kappa_potentials_unchanged(space, frame):
@@ -113,25 +106,23 @@ def test_zero_kappa_potentials_unchanged(space, frame):
 def test_z_axis_closed_forms():
     # diagonal anisotropy: pure rescaling, no cross coupling
     table = ia.vint_coefficients(kt.KappaSet(e_minus=_e_minus(0.02, -0.01, 0.0)))
-    assert table.j1_pol1 == pytest.approx((4 - 0.02 - 0.01) / 4, abs=1e-15)
-    assert table.j2_pol2 == pytest.approx((4 + 0.02 + 0.01) / 4, abs=1e-15)
-    assert table.j2_pol1 == 0.0
-    assert table.j1_pol2 == 0.0
+    assert table[0, 0] == pytest.approx((4 - 0.02 - 0.01) / 4, abs=1e-15)
+    assert table[1, 1] == pytest.approx((4 + 0.02 + 0.01) / 4, abs=1e-15)
+    assert table[0, 1] == 0.0
+    assert table[1, 0] == 0.0
     # off-diagonal only: cross coefficients -c/2 on both polarizations
     table = ia.vint_coefficients(kt.KappaSet(e_minus=_e_minus(0.0, 0.0, 0.012)))
-    assert table.j2_pol1 == pytest.approx(-0.006, abs=1e-15)
-    assert table.j1_pol2 == pytest.approx(-0.006, abs=1e-15)
-    assert table.j1_pol1 == pytest.approx(1.0, abs=1e-15)
-    assert table.j2_pol2 == pytest.approx(1.0, abs=1e-15)
+    assert table[0, 1] == pytest.approx(-0.006, abs=1e-15)
+    assert table[1, 0] == pytest.approx(-0.006, abs=1e-15)
+    assert table[0, 0] == pytest.approx(1.0, abs=1e-15)
+    assert table[1, 1] == pytest.approx(1.0, abs=1e-15)
     # mixed case with an isotropic part riding along
     e = _e_minus(0.011, -0.007, 0.004)
     table = ia.vint_coefficients(kt.KappaSet(e_minus=e, tr=0.002))
-    assert table.j1_pol1 == pytest.approx((4 - 0.011 - 0.007) / 4, abs=1e-15)
-    assert table.j2_pol2 == pytest.approx((4 + 0.011 + 0.007) / 4, abs=1e-15)
-    assert table.j2_pol1 == pytest.approx(-0.002, abs=1e-15)
-    assert table.polarization_asymmetry == pytest.approx(
-        (e[1, 1] - e[0, 0]) / 2, abs=1e-15
-    )
+    assert table[0, 0] == pytest.approx((4 - 0.011 - 0.007) / 4, abs=1e-15)
+    assert table[1, 1] == pytest.approx((4 + 0.011 + 0.007) / 4, abs=1e-15)
+    assert table[0, 1] == pytest.approx(-0.002, abs=1e-15)
+    assert table[0, 0] - table[1, 1] == pytest.approx((e[1, 1] - e[0, 0]) / 2, abs=1e-15)
 
 
 def test_isotropic_part_cancels():
@@ -161,9 +152,9 @@ def test_isotropic_part_cancels():
 @settings(max_examples=50, deadline=None)
 def test_table_structure_property(xx, yy, xy, tr):
     table = ia.vint_coefficients(kt.KappaSet(e_minus=_e_minus(xx, yy, xy), tr=tr))
-    assert table.j2_pol1 == table.j1_pol2
-    assert table.polarization_asymmetry == pytest.approx((yy - xx) / 2, abs=1e-15)
-    assert table.j1_pol1 + table.j2_pol2 == pytest.approx(2.0, abs=1e-15)
+    assert table[0, 1] == table[1, 0]
+    assert table[0, 0] - table[1, 1] == pytest.approx((yy - xx) / 2, abs=1e-15)
+    assert table[0, 0] + table[1, 1] == pytest.approx(2.0, abs=1e-15)
 
 
 def test_mixing_deltas_match_bilinear_definitions(frame):
@@ -196,12 +187,10 @@ def test_stacked_tables_are_the_per_set_tables_bit_for_bit():
         (ia.vint_coefficients(one, khats), [ia.vint_coefficients(one, h) for h in khats]),
     ]
     for stacked, tables in cases:
-        for name in ("j1_pol1", "j2_pol1", "j1_pol2", "j2_pol2"):
-            got = getattr(stacked, name)
-            assert got.shape == (40,), name
-            assert np.array_equal(got, [getattr(t, name) for t in tables]), name
-        want = [t.polarization_asymmetry for t in tables]
-        assert np.array_equal(stacked.polarization_asymmetry, want)
+        assert stacked.shape == (40, 2, 2)
+        assert np.array_equal(stacked, np.stack(tables))
+        want = [t[0, 0] - t[1, 1] for t in tables]
+        assert np.array_equal(stacked[:, 0, 0] - stacked[:, 1, 1], want)
 
 
 def _bad_sets():
@@ -454,8 +443,8 @@ def test_reference_projection_on_every_column_is_extract_couplings_bit_for_bit(s
         first = ia.first_order_potentials(space, kappas, frame)
         got = ia.extract_couplings(space, *first)
         want = transverse_reference.masked_couplings(space, *first, every)
-        for name in ("j1_pol1", "j2_pol1", "j1_pol2", "j2_pol2"):
-            assert getattr(got, name) == getattr(want, name), name
+        assert got.shape == want.shape == (2, 2)
+        assert np.array_equal(got, want)
 
 
 def test_exact_table_differs_from_first_order_by_half_r_squared():
@@ -469,11 +458,39 @@ def test_exact_table_differs_from_first_order_by_half_r_squared():
     frames = dp.polarization_frame(khats)
     exact = md.exact_couplings(sets, frames)
     first = ia.vint_coefficients(sets, khats)
-    first = np.stack(
-        [np.stack([first.j1_pol1, first.j2_pol1], -1), np.stack([first.j1_pol2, first.j2_pol2], -1)],
-        -2,
-    )
     delta1, delta2 = dp.mixing_deltas(sets, frames)
     half_r2 = 0.5 * (delta1**2 + delta2**2)
     ratio = np.abs(exact - first).max(axis=(-2, -1)) / half_r2
     assert np.all(np.abs(ratio - 1.0) < 1e-2)
+
+
+def test_first_order_extracted_and_exact_tables_share_one_layout():
+    # entry [r, s] of every table is the share of bare potential s in
+    # mixed potential r: row r is [j1_polr, j2_polr]
+    assert np.array_equal(md.coupling_table(2.0, 3.0, 5.0, 7.0), [[-13.0, -21.0], [-21.0, 17.0]])
+    space = hm.transverse_space(1)
+    a_1, a_2 = (ia.transverse_potential(space, r) for r in (1, 2))
+    mixed = ia.extract_couplings(space, 2 * a_1 + 3 * a_2, 5 * a_1 + 7 * a_2)
+    assert np.array_equal(mixed, [[2, 3], [5, 7]])
+
+    rng = np.random.default_rng(83)
+    normals = rng.normal(size=(50, kt.DRAW_WIDTH[False]))
+    sets = kt.kappa_draws(normals, 1e-2 / np.abs(normals).max(axis=1)[:, None])
+    khats = dp.random_directions(rng, 50)
+    frames = dp.polarization_frame(khats)
+    first = ia.vint_coefficients(sets, khats)
+    exact = md.exact_couplings(sets, frames)
+    assert first.shape == exact.shape == (50, 2, 2)
+    # the first-order table is the builder at c = s = 1, bit for bit
+    delta1, delta2 = dp.mixing_deltas(sets, frames)
+    assert np.array_equal(first, md.coupling_table(1.0, 1.0, delta1, delta2))
+    # the exact table differs from it by O(r^2) in every entry
+    r2 = delta1**2 + delta2**2
+    assert np.all(np.abs(exact - first) <= r2[:, None, None])
+    # the Fock-factor projection of the first-order potentials gives the same rows
+    for row in range(5):
+        fr = dp.polarization_frame(khats[row])
+        one = kt.kappa_draws(normals[row], 1e-2 / np.abs(normals[row]).max())
+        extracted = ia.extract_couplings(space, *ia.first_order_potentials(space, one, fr))
+        assert extracted.shape == (2, 2)
+        assert _table_distance(extracted, first[row]) < 1e-12

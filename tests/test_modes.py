@@ -405,7 +405,7 @@ def test_stacked_exact_couplings_are_the_per_frame_tables_bit_for_bit():
 
 
 def test_exact_coupling_asymmetry_is_the_sinh_of_the_mixing():
-    # j1_pol1 - j2_pol2 = -2 (sinh r / r) delta1, the all-orders form of -2 delta1
+    # t[0, 0] - t[1, 1] = -2 (sinh r / r) delta1, the all-orders form of -2 delta1
     worst = 0.0
     for k, frame in _draws(8, 200):
         delta1, delta2 = dp.mixing_deltas(k, frame)
@@ -443,6 +443,7 @@ def test_loglog_slope_fits_only_positive_points():
     # where np.polyfit would warn or fit nothing, no slope
     for xs, ys in (
         ([1e-2], [1e-4]),
+        ([1e-2, 1e-2], [1e-4, 1e-4]),
         ([], []),
         (x, [1e-4, 0.0, 1e-8]),
         (x, [1e-4, -1e-6, 1e-8]),

@@ -77,17 +77,12 @@ def masked_couplings(space, a1_prime, a2_prime, columns):
     The potentials may be dense or sparse.  Masking to columns with
     headroom (typically fock_space.interior_mask) keeps truncation
     clipping out of the projection when the input is an exact
-    conjugation.
+    conjugation.  Returns the complex (2, 2) table in extract_couplings'
+    layout: row r is [j1_polr, j2_polr].
     """
-    a_1 = ia.transverse_potential(space, 1).toarray()[:, columns]
-    a_2 = ia.transverse_potential(space, 2).toarray()[:, columns]
-    a1_prime = _as_dense(a1_prime)[:, columns]
-    a2_prime = _as_dense(a2_prime)[:, columns]
-    weight_1 = np.vdot(a_1, a_1)
-    weight_2 = np.vdot(a_2, a_2)
-    return ia.CouplingTable(
-        j1_pol1=complex(np.vdot(a_1, a1_prime) / weight_1),
-        j2_pol1=complex(np.vdot(a_2, a1_prime) / weight_2),
-        j1_pol2=complex(np.vdot(a_1, a2_prime) / weight_1),
-        j2_pol2=complex(np.vdot(a_2, a2_prime) / weight_2),
+    bare = [ia.transverse_potential(space, r).toarray()[:, columns] for r in (1, 2)]
+    weights = [np.vdot(a, a) for a in bare]
+    primes = [_as_dense(p)[:, columns] for p in (a1_prime, a2_prime)]
+    return np.array(
+        [[np.vdot(a, p) / w for a, w in zip(bare, weights)] for p in primes], dtype=complex
     )
